@@ -114,94 +114,86 @@ Token = Tuple[int, int]
 def _lz77_tokens(data: bytes, lazy: bool) -> List[Token]:
     """Greedy (or one-step lazy) LZ77 with hash-chain match search.
 
-    The match search walks a hash chain exactly as zlib does, with two
-    constant-factor tricks that leave the chosen tokens identical:
+    The match search is zlib's: at each position walk the chain of
+    earlier positions that start with the same three bytes, nearest
+    first, at most ``max_chain`` of them and none beyond the window;
+    the longest match wins and ties keep the nearest.  Which positions
+    are on a chain depends on ``data`` alone, so the chains are built
+    up front as one ascending list per trigram (``rank`` is a
+    position's index in its list) and a walk is a slice of that list.
 
-    * a candidate is rejected with one byte compare unless it can beat
-      the current best (``data[candidate + best_len]`` check), and
-    * match extension compares 32-byte ``memoryview`` blocks (C-speed)
-      and only scans bytes inside the final, mismatching block.
+    Constant-factor tricks that leave the chosen tokens identical:
+
+    * a candidate is compared in full only if it can beat the best so
+      far, i.e. it agrees at offsets ``best_len`` and ``best_len - 1``;
+    * a match is extended by XOR-ing the two slices as ints — the
+      number of leading zero bytes is the match length — not by a
+      byte loop;
+    * when the lazy look-ahead at ``pos + 1`` wins, its result is kept
+      for the next round instead of being searched for again.
     """
     n = len(data)
-    tokens: List[Token] = []
-    head: dict = {}      # 3-byte hash -> most recent position
-    prev = [0] * n       # chain of earlier positions with same hash
     max_chain = 64 if lazy else 32
-    view = memoryview(data)
-
-    def insert(pos: int) -> Optional[int]:
-        """Insert position into the chains; return previous head."""
-        if pos + _MIN_MATCH > n:
-            return None
-        key = data[pos] | (data[pos + 1] << 8) | (data[pos + 2] << 16)
-        older = head.get(key)
-        head[key] = pos
-        if older is not None:
-            prev[pos] = older
+    chains: dict = {}    # trigram -> ascending positions starting with it
+    rank = [0] * n       # position -> its index in its chain
+    for pos in range(n - 2):
+        trigram = data[pos:pos + 3]
+        chain = chains.get(trigram)
+        if chain is None:
+            chains[trigram] = [pos]
         else:
-            prev[pos] = -1
-        return older
+            rank[pos] = len(chain)
+            chain.append(pos)
+    from_bytes = int.from_bytes
 
-    def find_match(pos: int, chain_start: Optional[int]) -> Tuple[int, int]:
+    def find_match(pos: int) -> Token:
         """Best (length, distance) at ``pos``; (0, 0) if none."""
-        best_len = 0
-        best_dist = 0
-        limit = min(_MAX_MATCH, n - pos)
-        if limit < _MIN_MATCH or chain_start is None:
+        index = rank[pos]
+        if not index:           # first of its trigram, or < 3 bytes left
             return 0, 0
-        candidate = chain_start
-        chains = 0
-        while candidate >= 0 and chains < max_chain:
-            distance = pos - candidate
-            if distance > _WINDOW_SIZE:
-                break
-            # Quick reject: only candidates that extend at least one
-            # byte past the best so far can win (ties keep the first,
-            # i.e. nearest, match — same rule as the plain scan).
-            if (best_len == 0 or
-                    data[candidate + best_len] == data[pos + best_len]):
-                # Extend by 32-byte blocks, then bytes in the last one.
-                length = 0
-                while (length + 32 <= limit and
-                       view[candidate + length:candidate + length + 32]
-                       == view[pos + length:pos + length + 32]):
-                    length += 32
-                while (length < limit and
-                       data[candidate + length] == data[pos + length]):
-                    length += 1
+        limit = min(_MAX_MATCH, n - pos)
+        floor = pos - _WINDOW_SIZE
+        target = from_bytes(data[pos:pos + limit], "big")
+        # Every candidate shares the trigram, so any of them beats 2.
+        best_len = _MIN_MATCH - 1
+        best_dist = 0
+        last = data[pos + best_len]
+        before_last = data[pos + best_len - 1]
+        chain = chains[data[pos:pos + 3]]
+        for candidate in reversed(chain[max(index - max_chain, 0):index]):
+            if (data[candidate + best_len] == last and
+                    data[candidate + best_len - 1] == before_last):
+                if candidate < floor:
+                    break       # so is every later (farther) candidate
+                diff = target ^ from_bytes(
+                    data[candidate:candidate + limit], "big")
+                length = limit - (diff.bit_length() + 7) // 8
                 if length > best_len:
+                    if length == limit:
+                        return length, pos - candidate
                     best_len = length
-                    best_dist = distance
-                    if length >= limit:
-                        break
-            candidate = prev[candidate]
-            chains += 1
-        if best_len >= _MIN_MATCH:
+                    best_dist = pos - candidate
+                    last = data[pos + length]
+                    before_last = data[pos + length - 1]
+        if best_dist:
             return best_len, best_dist
         return 0, 0
 
+    tokens: List[Token] = []
     pos = 0
+    carried: Optional[Token] = None   # a look-ahead that won, kept
     while pos < n:
-        chain = insert(pos)
-        length, distance = find_match(pos, chain)
-        if lazy and 0 < length < _MAX_MATCH and pos + 1 < n:
+        length, distance = carried or find_match(pos)
+        carried = None
+        if lazy and 0 < length < _MAX_MATCH:
             # Lazy matching: if the next position matches longer, emit
             # a literal now and take the longer match next round.
-            next_chain = head.get(
-                data[pos + 1] | (data[pos + 2] << 8) |
-                (data[pos + 3] << 16)
-                if pos + 3 < n else -1
-            )
-            next_len, _ = find_match(pos + 1, next_chain)
-            if next_len > length:
-                tokens.append((-1, data[pos]))
-                pos += 1
-                continue
+            ahead = find_match(pos + 1)
+            if ahead[0] > length:
+                carried = ahead
+                length = 0
         if length:
             tokens.append((length, distance))
-            # Register the skipped positions in the hash chains.
-            for offset in range(1, length):
-                insert(pos + offset)
             pos += length
         else:
             tokens.append((-1, data[pos]))
@@ -464,8 +456,12 @@ def _inflate_block(reader: BitReader, out: bytearray,
             if distance > len(out):
                 raise ValueError("distance beyond window start")
             start = len(out) - distance
-            for i in range(length):   # may overlap itself (RLE-style)
-                out.append(out[start + i])
+            chunk = out[start:start + length]
+            if distance < length:
+                # The match overlaps itself (RLE-style): it repeats
+                # the ``distance`` bytes that exist so far.
+                chunk = (chunk * (length // distance + 1))[:length]
+            out += chunk
 
 
 def compression_ratio(data: bytes, level: int = 6) -> float:

@@ -2,8 +2,11 @@
 
 The real algorithm behind the ``regex`` DP kernel (BlueField-2's RegEx
 ASIC accelerates exactly this kind of streaming pattern scan).  The
-engine runs in guaranteed O(pattern x text) time — no backtracking
-blow-ups — matching the behaviour of hardware DFA/NFA engines.
+NFA is run through a lazily built DFA, so the engine keeps its
+guaranteed O(pattern x text) time — no backtracking blow-ups — while a
+byte costs one table lookup once its transition has been seen; the DFA
+never holds more states than bytes scanned.  This matches the behaviour
+of hardware DFA/NFA engines.
 
 Supported syntax: literals, ``.``, ``*``, ``+``, ``?``, alternation
 ``|``, grouping ``(...)``, character classes ``[a-z]`` / ``[^a-z]``,
@@ -14,7 +17,8 @@ scanner would.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Set, Tuple
+from functools import lru_cache
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 __all__ = ["Pattern", "compile_pattern", "search", "findall"]
 
@@ -184,6 +188,7 @@ class _Parser:
 _EPSILON = None
 _START_ANCHOR = "^"
 _END_ANCHOR = "$"
+_DEAD = -1               # DFA state id: no NFA state survives
 
 
 class _Nfa:
@@ -245,7 +250,14 @@ def _build(node, nfa: _Nfa) -> Tuple[int, int]:
 
 
 class Pattern:
-    """A compiled pattern: Thompson NFA simulated breadth-first."""
+    """A compiled pattern: a lazy DFA over the Thompson NFA.
+
+    DFA states are interned sets of NFA states; each has a 256-entry
+    transition row whose entries are filled the first time a byte is
+    seen in that state (``_DEAD`` ends a scan early).  Rows live as long
+    as the pattern, so a second scan pays list indexing per byte and
+    nothing else — :func:`compile_pattern` caches patterns for that.
+    """
 
     def __init__(self, pattern):
         if isinstance(pattern, str):
@@ -257,8 +269,18 @@ class Pattern:
         nfa.add(nfa.start, _EPSILON, entry)
         nfa.accept = exit_
         self._nfa = nfa
+        self._ids: Dict[Tuple[FrozenSet[int], bool], int] = {}
+        self._sets: List[FrozenSet[int]] = []
+        self._rows: List[List[Optional[int]]] = []
+        #: per DFA state: is it accepting mid-text / at the end of text
+        self._accepts: List[bool] = []
+        self._accepts_at_end: List[bool] = []
+        # ``^`` only holds at offset 0, so scans from there start in
+        # their own state; mid-text closures never follow an anchor.
+        self._entry_at_start = self._intern({nfa.start}, at_start=True)
+        self._entry = self._intern({nfa.start})
 
-    # -- NFA simulation ----------------------------------------------------
+    # -- lazy DFA ----------------------------------------------------------
 
     def _closure(self, states: Set[int], at_start: bool,
                  at_end: bool) -> Set[int]:
@@ -278,6 +300,33 @@ class Pattern:
                     stack.append(dst)
         return seen
 
+    def _intern(self, states: Set[int], at_start: bool = False) -> int:
+        """DFA state id of the closure of ``states`` (``_DEAD`` if empty)."""
+        if not states:
+            return _DEAD
+        closed = frozenset(self._closure(states, at_start, False))
+        state_id = self._ids.get((closed, at_start))
+        if state_id is None:
+            state_id = self._ids[closed, at_start] = len(self._sets)
+            self._sets.append(closed)
+            self._rows.append([None] * 256)
+            self._accepts.append(self._nfa.accept in closed)
+            # ``$`` holds only once the whole text is consumed.
+            self._accepts_at_end.append(
+                self._nfa.accept in self._closure(closed, at_start, True))
+        return state_id
+
+    def _step(self, state_id: int, byte: int) -> int:
+        """Fill and return one transition-row entry."""
+        moved = {
+            dst
+            for state in self._sets[state_id]
+            for label, dst in self._nfa.transitions[state]
+            if isinstance(label, frozenset) and byte in label
+        }
+        target = self._rows[state_id][byte] = self._intern(moved)
+        return target
+
     def match_at(self, text: bytes, start: int) -> Optional[int]:
         """Longest match beginning exactly at ``start``; returns end.
 
@@ -285,53 +334,53 @@ class Pattern:
         ``start`` itself.
         """
         text = bytes(text)
-        n = len(text)
-        states = self._closure({self._nfa.start}, start == 0,
-                               start == n)
-        best: Optional[int] = (
-            start if self._nfa.accept in states else None
-        )
-        pos = start
-        while pos < n and states:
-            byte = text[pos]
-            moved: Set[int] = set()
-            for state in states:
-                for label, dst in self._nfa.transitions[state]:
-                    if isinstance(label, frozenset) and byte in label:
-                        moved.add(dst)
-            pos += 1
-            states = self._closure(moved, False, pos == n)
-            if self._nfa.accept in states:
+        return self._scan(text, start, len(text))
+
+    def _scan(self, text: bytes, start: int, n: int) -> Optional[int]:
+        """:meth:`match_at` over ``bytes`` of known length ``n``."""
+        rows = self._rows
+        accepts = self._accepts
+        state = self._entry if start else self._entry_at_start
+        best = None
+        for pos in range(start, n):
+            if accepts[state]:
                 best = pos
-        return best
+            byte = text[pos]
+            target = rows[state][byte]
+            if target is None:
+                target = self._step(state, byte)
+            if target < 0:
+                return best
+            state = target
+        return n if self._accepts_at_end[state] else best
+
+    def _leftmost(self, text: bytes,
+                  pos: int) -> Optional[Tuple[int, int]]:
+        """Leftmost-longest match starting at or after ``pos``."""
+        n = len(text)
+        for start in range(pos, n + 1):
+            end = self._scan(text, start, n)
+            if end is not None:
+                return (start, end)
+        return None
 
     def search(self, text) -> Optional[Tuple[int, int]]:
         """First (leftmost-longest) match as ``(start, end)``."""
         if isinstance(text, str):
             text = text.encode()
-        for start in range(len(text) + 1):
-            end = self.match_at(text, start)
-            if end is not None:
-                return (start, end)
-        return None
+        return self._leftmost(bytes(text), 0)
 
     def findall(self, text) -> List[Tuple[int, int]]:
         """All non-overlapping matches, leftmost-longest."""
         if isinstance(text, str):
             text = text.encode()
+        text = bytes(text)
         out: List[Tuple[int, int]] = []
-        pos = 0
-        while pos <= len(text):
-            found = None
-            for start in range(pos, len(text) + 1):
-                end = self.match_at(text, start)
-                if end is not None:
-                    found = (start, end)
-                    break
-            if found is None:
-                break
+        found = self._leftmost(text, 0)
+        while found is not None:
             out.append(found)
-            pos = found[1] if found[1] > found[0] else found[0] + 1
+            start, end = found
+            found = self._leftmost(text, end if end > start else start + 1)
         return out
 
     def count(self, text) -> int:
@@ -342,16 +391,20 @@ class Pattern:
         return f"Pattern({self.pattern!r})"
 
 
+@lru_cache(maxsize=64)
 def compile_pattern(pattern) -> Pattern:
-    """Compile ``pattern`` (str or bytes) into a :class:`Pattern`."""
+    """Compile ``pattern`` (str or bytes) into a :class:`Pattern`.
+
+    Cached, so repeated scans with one pattern share its DFA rows.
+    """
     return Pattern(pattern)
 
 
 def search(pattern, text) -> Optional[Tuple[int, int]]:
     """One-shot search; see :meth:`Pattern.search`."""
-    return Pattern(pattern).search(text)
+    return compile_pattern(pattern).search(text)
 
 
 def findall(pattern, text) -> List[Tuple[int, int]]:
     """One-shot findall; see :meth:`Pattern.findall`."""
-    return Pattern(pattern).findall(text)
+    return compile_pattern(pattern).findall(text)

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..algos import (
-    Pattern,
     aes128_ctr,
     chunk_stream,
+    compile_pattern,
     crc32,
     deflate,
     inflate,
@@ -120,7 +120,7 @@ def _decrypt_fn(buffer: Buffer, params: Dict[str, Any]) -> KernelResult:
 def _regex_fn(buffer: Buffer, params: Dict[str, Any]) -> KernelResult:
     pattern = params.get("pattern", r"\d+")
     if isinstance(buffer, RealBuffer):
-        matches = Pattern(pattern).findall(buffer.data)
+        matches = compile_pattern(pattern).findall(buffer.data)
         count = len(matches)
     else:
         # Synthetic text: assume a calibrated match density.

@@ -389,13 +389,19 @@ class Tracer:
 
     def ancestry(self, span: Span) -> List[Span]:
         """Parent chain from ``span``'s parent up to its root."""
-        by_id = {s.span_id: s for s in self.all_spans()}
+        # A live span's ancestors are almost always still open; the
+        # index over every finished span is built only if one is not.
+        finished: Optional[Dict[int, Span]] = None
         chain: List[Span] = []
         parent_id = span.parent_id
         while parent_id is not None:
-            parent = by_id.get(parent_id)
+            parent = self._open.get(parent_id)
             if parent is None:
-                break
+                if finished is None:
+                    finished = {s.span_id: s for s in self.spans}
+                parent = finished.get(parent_id)
+                if parent is None:
+                    break
             chain.append(parent)
             parent_id = parent.parent_id
         return chain

@@ -62,14 +62,16 @@ class TextCorpus:
         return self._words[lo]
 
     def generate(self, nbytes: int, stream_seed: int = 0) -> bytes:
-        """Generate approximately ``nbytes`` of text (>= nbytes)."""
+        """Generate exactly ``nbytes`` of text, cut mid-word if need be."""
         if nbytes < 0:
             raise ValueError("negative size")
+        if not nbytes:
+            return b""
         rng = random.Random(self._seed * 1_000_003 + stream_seed)
         out: List[str] = []
-        produced = 0
+        joined = -1      # len(" ".join(out)): separators *between* words
         sentence_len = 0
-        while produced < nbytes:
+        while joined < nbytes:
             word = self._pick_word(rng)
             sentence_len += 1
             if sentence_len == 1:
@@ -78,8 +80,8 @@ class TextCorpus:
                 word += "."
                 sentence_len = 0
             out.append(word)
-            produced += len(word) + 1
-        return " ".join(out).encode()[:nbytes] if nbytes else b""
+            joined += len(word) + 1
+        return " ".join(out).encode()[:nbytes]
 
 
 def make_text(nbytes: int, seed: int = 1234) -> bytes:

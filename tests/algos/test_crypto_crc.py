@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algos import Aes128, Crc32, aes128_ctr, crc32, expand_key
+from repro.algos.aes import _SBOX, _xtime
 
 
 class TestAesBlock:
@@ -64,10 +65,61 @@ class TestAesCtr:
             aes128_ctr(b"data", self.KEY, b"tiny")
 
     @settings(max_examples=30, deadline=None)
-    @given(data=st.binary(max_size=512))
+    @given(data=st.binary(max_size=4096))
     def test_property_roundtrip(self, data):
         encrypted = aes128_ctr(data, self.KEY, self.NONCE)
         assert aes128_ctr(encrypted, self.KEY, self.NONCE) == data
+
+    def test_keystream_block_k_is_the_encrypted_counter_k(self):
+        # The bulk routine and the single-block primitive are one piece
+        # of code; this pins the counter layout and the plane order.
+        cipher = Aes128(self.KEY)
+        keystream = cipher.ctr_keystream(self.NONCE, 1025)
+        assert len(keystream) == 1025 * 16
+        for k in (0, 1, 2, 15, 16, 255, 256, 257, 1024):
+            counter_block = self.NONCE + k.to_bytes(8, "big")
+            assert (keystream[16 * k:16 * k + 16]
+                    == cipher.encrypt_block(counter_block))
+
+    def test_ctr_is_xor_with_the_keystream(self):
+        data = bytes(range(256)) * 3 + b"tail"
+        keystream = Aes128(self.KEY).ctr_keystream(self.NONCE, 49)
+        expected = bytes(a ^ b for a, b in zip(data, keystream))
+        assert aes128_ctr(data, self.KEY, self.NONCE) == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(key=st.binary(min_size=16, max_size=16),
+           blocks=st.lists(st.binary(min_size=16, max_size=16),
+                           min_size=1, max_size=5))
+    def test_property_matches_textbook_rounds(self, key, blocks):
+        cipher = Aes128(key)
+        round_keys = expand_key(key)
+        for block in blocks:
+            assert (cipher.encrypt_block(block)
+                    == _textbook_encrypt_block(block, round_keys))
+
+
+def _textbook_encrypt_block(block, round_keys):
+    """FIPS-197 section 5.1, one byte at a time: the reference the
+    plane-sliced routine is compared against."""
+    state = [b ^ k for b, k in zip(block, round_keys[0])]
+    for round_index in range(1, 11):
+        state = [_SBOX[b] for b in state]                  # SubBytes
+        state = [state[row + 4 * ((col + row) % 4)]        # ShiftRows:
+                 for col in range(4)                       # row r turns
+                 for row in range(4)]                      # left by r
+        if round_index < 10:                               # MixColumns
+            mixed = []
+            for col in range(0, 16, 4):
+                a = state[col:col + 4]
+                d = [_xtime(v) for v in a]
+                mixed += [d[0] ^ d[1] ^ a[1] ^ a[2] ^ a[3],
+                          a[0] ^ d[1] ^ d[2] ^ a[2] ^ a[3],
+                          a[0] ^ a[1] ^ d[2] ^ d[3] ^ a[3],
+                          d[0] ^ a[0] ^ a[1] ^ a[2] ^ d[3]]
+            state = mixed
+        state = [b ^ k for b, k in zip(state, round_keys[round_index])]
+    return bytes(state)
 
 
 class TestCrc32:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algos import compression_ratio, deflate, inflate
+from repro.algos.deflate import _lz77_tokens
 
 
 def _zlib_raw_compress(data: bytes, level: int = 6) -> bytes:
@@ -60,6 +61,120 @@ class TestRandomData:
         data = bytes(rng.randrange(256) for _ in range(10_000))
         # Dynamic Huffman on noise should cost at most a few percent.
         assert len(deflate(data, 6)) < len(data) * 1.05
+
+
+def _overlap_cases():
+    """Inputs whose matches reach into themselves (distance < length),
+    sit exactly on the boundary (distance == length) or just past it."""
+    cases = {}
+    for period in (1, 2, 3, 7, 8, 9, 31, 257, 258, 259):
+        unit = bytes((17 * i + period) % 251 for i in range(period))
+        # ... a whole number of periods, and cut mid-period
+        cases[f"period{period}"] = unit * (600 // period + 2)
+        cases[f"period{period}+cut"] = (unit * (600 // period + 2)
+                                        + unit[:period // 2 + 1])
+    cases["twice"] = b"0123456789abcdef" * 2           # distance == length
+    cases["twice+1"] = b"0123456789abcdef" * 2 + b"0"  # ... + 1 == length
+    cases["run-then-text"] = b"\x00" * 300 + b"abcabc" + b"\x00" * 5
+    return cases
+
+
+OVERLAP_CASES = _overlap_cases()
+
+
+@pytest.mark.parametrize("name", sorted(OVERLAP_CASES))
+class TestOverlappingMatches:
+    """``inflate`` copies a match by slice, and by repeating its period
+    when it overlaps itself; both directions against zlib."""
+
+    def test_we_decode_zlib_output(self, name):
+        data = OVERLAP_CASES[name]
+        for zlevel in (1, 6, 9):
+            assert inflate(_zlib_raw_compress(data, zlevel)) == data
+
+    def test_zlib_decodes_our_output(self, name):
+        data = OVERLAP_CASES[name]
+        for level in (1, 6, 9):
+            compressed = deflate(data, level)
+            assert zlib.decompress(compressed, wbits=-15) == data
+            assert inflate(compressed) == data
+
+
+def _reference_tokens(data: bytes, lazy: bool):
+    """The LZ77 search as specified, with nothing clever in it.
+
+    At each position: the earlier positions starting with the same
+    three bytes, nearest first, at most ``max_chain`` and none farther
+    than the window; longest match wins, ties keep the nearest; with
+    ``lazy``, a strictly longer match at ``pos + 1`` turns ``pos`` into
+    a literal.
+    """
+    n = len(data)
+    max_chain = 64 if lazy else 32
+
+    def find(pos):
+        best = (0, 0)
+        if pos + 3 > n:
+            return best
+        same = [c for c in range(pos - 1, -1, -1)
+                if data[c:c + 3] == data[pos:pos + 3]][:max_chain]
+        for candidate in same:
+            if pos - candidate > 32 * 1024:
+                break
+            length = 0
+            while (length < 258 and pos + length < n
+                   and data[candidate + length] == data[pos + length]):
+                length += 1
+            if length > best[0]:
+                best = (length, pos - candidate)
+        return best
+
+    tokens, pos = [], 0
+    while pos < n:
+        length, distance = find(pos)
+        if lazy and 0 < length < 258 and find(pos + 1)[0] > length:
+            length = 0
+        if length:
+            tokens.append((length, distance))
+            pos += length
+        else:
+            tokens.append((-1, data[pos]))
+            pos += 1
+    return tokens
+
+
+class TestTokenStream:
+    """Speed-ups of the match search must not change a single token."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.one_of(
+               st.binary(max_size=300),
+               st.text(alphabet="ab", max_size=700).map(str.encode),
+               st.text(alphabet="abcdefgh ", max_size=500).map(str.encode)),
+           lazy=st.booleans())
+    def test_property_equals_reference_search(self, data, lazy):
+        assert _lz77_tokens(data, lazy) == _reference_tokens(data, lazy)
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_chain_limit_and_ties(self, lazy):
+        # > 64 earlier occurrences of every trigram: the chain limit
+        # decides which candidates are seen at all.
+        rng = random.Random(5)
+        data = bytes(rng.choice(b"ab") for _ in range(1500))
+        assert _lz77_tokens(data, lazy) == _reference_tokens(data, lazy)
+
+    def test_window_limit(self):
+        # The only earlier copy is just inside / just outside 32 KiB.
+        rng = random.Random(9)
+        marker = b"needle-in-the-window"
+        for gap in (32 * 1024 - len(marker), 32 * 1024 + 1):
+            filler = bytes(rng.randrange(128, 256) for _ in range(gap))
+            data = marker + filler + marker
+            tokens = _lz77_tokens(data, True)
+            far = [t for t in tokens if t[0] > 0 and t[1] > 32 * 1024]
+            assert not far
+            found = (len(marker), len(marker) + gap) in tokens
+            assert found == (len(marker) + gap <= 32 * 1024)
 
 
 class TestStoredBlocks:

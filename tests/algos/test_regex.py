@@ -150,6 +150,125 @@ class TestAgainstStdlib:
         assert ours == theirs
 
 
+def _leftmost_longest_by_re(pattern: bytes, text: bytes):
+    """``findall`` rebuilt from ``re.fullmatch`` over every (start, end).
+
+    ``fullmatch(text, pos, endpos)`` asks "is this exact slice in the
+    language", which is independent of backtracking order, so the oracle
+    is leftmost-*longest* for any anchor-free pattern, alternation too.
+    """
+    compiled = re.compile(pattern)
+    out, pos, n = [], 0, len(text)
+    while pos <= n:
+        found = next(((start, end)
+                      for start in range(pos, n + 1)
+                      for end in range(n, start - 1, -1)
+                      if compiled.fullmatch(text, start, end)), None)
+        if found is None:
+            break
+        out.append(found)
+        pos = found[1] if found[1] > found[0] else found[0] + 1
+    return out
+
+
+_ATOMS = st.sampled_from(
+    [b"a", b"b", b"c", b"[ab]", b"[^a]", b"[a-c1]", b".", br"\d", br"\w"])
+_QUANTIFIERS = st.sampled_from([b"", b"", b"*", b"+", b"?"])
+_PIECES = st.tuples(_ATOMS, _QUANTIFIERS).map(b"".join)
+_SEQUENCES = st.lists(_PIECES, min_size=1, max_size=4).map(b"".join)
+_GROUPS = st.tuples(
+    st.lists(_SEQUENCES, min_size=1, max_size=3).map(b"|".join),
+    _QUANTIFIERS,
+).map(lambda pair: b"(" + pair[0] + b")" + pair[1])
+_PATTERNS = st.lists(st.one_of(_PIECES, _GROUPS),
+                     min_size=1, max_size=4).map(b"".join)
+
+
+class TestDifferentialAgainstRe:
+    @settings(max_examples=300, deadline=None)
+    @given(pattern=_PATTERNS,
+           text=st.text(alphabet="abc1 \n", max_size=16))
+    def test_findall_is_leftmost_longest(self, pattern, text):
+        text = text.encode()
+        assert (Pattern(pattern).findall(text)
+                == _leftmost_longest_by_re(pattern, text))
+
+    @settings(max_examples=100, deadline=None)
+    @given(pattern=_PATTERNS,
+           texts=st.lists(st.text(alphabet="abc1 \n", max_size=16),
+                          min_size=2, max_size=4))
+    def test_rows_filled_by_one_text_serve_the_next(self, pattern, texts):
+        # One Pattern, several texts: stale rows would show up here.
+        shared = Pattern(pattern)
+        for text in texts:
+            text = text.encode()
+            assert shared.findall(text) == Pattern(pattern).findall(text)
+
+
+class TestAnchorsInTheDfa:
+    """``^``/``$`` are not byte transitions; the lazy DFA must still
+    honour them at offset 0 and at ``len(text)`` only."""
+
+    def test_match_ending_on_the_last_byte(self):
+        assert search("b$", "ab") == (1, 2)
+        assert search("a*$", "baa") == (1, 3)
+        assert search("ab+", "xabb") == (1, 4)
+
+    def test_empty_match_at_end(self):
+        assert findall("$", "ab") == [(2, 2)]
+        assert findall("a|$", "ba") == [(1, 2), (2, 2)]
+        assert search("x*$", "ab") == (2, 2)
+
+    def test_empty_match_at_start_only(self):
+        assert findall("^", "ab") == [(0, 0)]
+        assert findall("^a", "aa") == [(0, 1)]
+        assert findall("(^|b)a", "aba") == [(0, 1), (1, 3)]
+
+    def test_both_anchors_on_empty_text(self):
+        assert search("^$", "") == (0, 0)
+        assert search("$^", "") == (0, 0)
+        assert search("^$", "a") is None
+
+    def test_start_anchor_after_end_anchor_needs_empty_text(self):
+        # ``$^`` at offset 1 of "a": at the end, but not at the start.
+        # The offset-0 entry state and the mid-text one hold the same
+        # NFA states here and must still be told apart.
+        assert search("$^", "a") is None
+        assert Pattern("$^").match_at(b"a", 1) is None
+
+    def test_anchor_mid_pattern_never_matches_mid_text(self):
+        assert search("a$b", "ab") is None
+        assert search("a^b", "ab") is None
+
+
+class TestDfaCache:
+    def test_compile_pattern_returns_the_cached_pattern(self):
+        assert compile_pattern(r"cache[a-z]+") is compile_pattern(
+            r"cache[a-z]+")
+
+    def test_second_findall_reuses_the_rows(self):
+        pattern = compile_pattern(r"data[a-z]+|\d+$")
+        text = b"some data here, datum there, dataset 42"
+
+        def filled():
+            return [sum(entry is not None for entry in row)
+                    for row in pattern._rows]
+
+        first = pattern.findall(text)
+        after_first = filled()
+        assert sum(after_first) > 0
+        assert pattern.findall(text) == first
+        assert filled() == after_first          # nothing new to learn
+        assert compile_pattern(r"data[a-z]+|\d+$") is pattern
+
+    def test_dead_transitions_are_cached_too(self):
+        pattern = Pattern("ab")
+        assert pattern.search(b"zzzz") is None
+        entry_row = pattern._rows[pattern._entry]
+        assert entry_row[ord("z")] == -1
+        assert entry_row[ord("a")] is None      # never seen, never built
+
+
 class TestSyntaxErrors:
     @pytest.mark.parametrize("pattern", [
         "(", "(ab", "a)", "[abc", "*a", "+", "?", "a\\",

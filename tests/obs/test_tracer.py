@@ -98,6 +98,21 @@ class TestSpanNesting:
         assert [s.name for s in tracer.ancestry(leaf)] == ["mid", "root"]
         assert tracer.children_of(root) == [mid]
 
+    def test_ancestry_through_finished_parents(self):
+        # Open ancestors are found without indexing the finished
+        # spans; a finished one in the middle must not cut the chain.
+        tracer = Tracer(Environment())
+        root = tracer.begin("root")
+        mid = tracer.begin("mid", parent=root)
+        leaf = tracer.begin("leaf", parent=mid)
+        mid.finish()
+        assert tracer.ancestry(leaf) == [mid, root]
+        root.finish()
+        leaf.finish()
+        assert tracer.ancestry(leaf) == [mid, root]
+        orphan = tracer.begin("orphan", parent=10_000)
+        assert tracer.ancestry(orphan) == []
+
     def test_deterministic_ids(self):
         def run():
             env = Environment()

@@ -46,6 +46,20 @@ class TestCorpus:
     def test_zero_bytes(self):
         assert make_text(0) == b""
 
+    def test_never_a_byte_short(self):
+        # The word loop used to count a trailing separator that join()
+        # never emits: default seed, 64 bytes came back as 63.
+        assert len(make_text(64)) == 64
+        corpus = TextCorpus(seed=100)
+        for stream in range(4):
+            for nbytes in (1, 2, 63, 64, 65, 1000, 4096):
+                assert len(corpus.generate(nbytes, stream)) == nbytes
+
+    def test_longer_request_extends_shorter(self):
+        corpus = TextCorpus(seed=100)
+        long = corpus.generate(4097, 3)
+        assert corpus.generate(4096, 3) == long[:4096]
+
 
 class TestKvWorkload:
     def test_get_resolves_to_page(self):
