@@ -35,6 +35,8 @@ Resource categories (:data:`CATEGORIES`):
 
 from __future__ import annotations
 
+from bisect import insort
+from functools import lru_cache
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
@@ -102,17 +104,24 @@ def categorize(span) -> str:
     stubs alike.
     """
     name = span.name
-    if name.endswith(".hop"):
-        return "queue"
-    if name.startswith(("ce.kernel.", "ce.fused.")):
+    if name.startswith(("ce.kernel.", "ce.fused.")) \
+            and not name.endswith(".hop"):
         device = span.attrs.get("device", "")
         if isinstance(device, str) and device.startswith("pcie_"):
             return "pcie"
         return _DEVICE_CATEGORY.get(device, "dpu_arm")
+    return _named_category(name, span.category)
+
+
+@lru_cache(maxsize=1024)
+def _named_category(name: str, span_category: str) -> str:
+    # a run has a few dozen distinct pairs over 10^5 spans
+    if name.endswith(".hop"):
+        return "queue"
     for prefix, category in _NAME_RULES:
         if name.startswith(prefix):
             return category
-    return _CATEGORY_FALLBACK.get(span.category, "other")
+    return _CATEGORY_FALLBACK.get(span_category, "other")
 
 
 class SpanIndex:
@@ -124,23 +133,42 @@ class SpanIndex:
     walk as one.
     """
 
-    def __init__(self, tracers: Iterable[Tuple[str, Any]]):
+    def __init__(self, tracers: Iterable[Tuple[str, Any]] = ()):
         #: (node, span_id) -> span
         self.spans: Dict[Tuple[str, int], Any] = {}
-        #: (node, span_id) -> node the span belongs to (= key[0])
+        #: (node, span_id) -> its children's keys, sorted
         self._children: Dict[Tuple[str, int],
                              List[Tuple[str, int]]] = {}
-        self._nodes: List[str] = []
-        for node, tracer in tracers:
-            self._nodes.append(node)
-            for span in tracer.all_spans():
-                self.spans[(node, span.span_id)] = span
-        for key, span in self.spans.items():
-            parent = self.parent_key(key)
-            if parent is not None:
-                self._children.setdefault(parent, []).append(key)
-        for children in self._children.values():
-            children.sort()
+        #: open parentless spans: they may still adopt a remote parent
+        self._unlinked: List[Tuple[str, int]] = []
+        self.extend((node, tracer.all_spans())
+                    for node, tracer in tracers)
+
+    def extend(self, batches: Iterable[Tuple[str, Iterable[Any]]]
+               ) -> None:
+        """Index more ``(node, spans)`` batches, skipping spans
+        already indexed (handed in open, then again finished)."""
+        spans, children = self.spans, self._children
+        fresh, self._unlinked = self._unlinked, []
+        for node, batch in batches:
+            for span in batch:
+                key = (node, span.span_id)
+                if key not in spans:
+                    spans[key] = span
+                    fresh.append(key)
+        for key in fresh:
+            span = spans[key]
+            parent = (key[0], span.parent_id)
+            if parent not in spans:
+                parent = (self.parent_key(key)
+                          if "remote_parent" in span.attrs else None)
+            if parent is None:
+                if span.end_s is None:
+                    self._unlinked.append(key)
+            elif parent in children:
+                insort(children[parent], key)
+            else:
+                children[parent] = [key]
 
     def parent_key(self, key: Tuple[str, int]
                    ) -> Optional[Tuple[str, int]]:
@@ -169,13 +197,17 @@ class SpanIndex:
     def subtree(self, root: Tuple[str, int]
                 ) -> List[Tuple[Tuple[str, int], int]]:
         """``(key, depth)`` pairs of ``root``'s subtree, preorder."""
+        children = self._children
         out: List[Tuple[Tuple[str, int], int]] = []
         stack: List[Tuple[Tuple[str, int], int]] = [(root, 0)]
         while stack:
-            key, depth = stack.pop()
-            out.append((key, depth))
-            for child in reversed(self.children(key)):
-                stack.append((child, depth + 1))
+            item = stack.pop()
+            out.append(item)
+            below = children.get(item[0])
+            if below:
+                depth = item[1] + 1
+                stack.extend([(child, depth)
+                              for child in reversed(below)])
         return out
 
     def request_roots(self, name: str = "dds.request"
@@ -270,13 +302,14 @@ def attribute_request(index: SpanIndex, root_key: Tuple[str, int]
     descendants (wedged in a crashed node) are treated as running to
     the root's end.
     """
-    root = index.spans[root_key]
+    spans = index.spans
+    root = spans[root_key]
     window_start, window_end = root.start_s, root.end_s
-    members = []          # (start, end, depth, node, span_id, category)
+    members = []      # ((depth, start, node, span_id), start, end, category)
     nodes = set()
     forwarded = failover = False
     for key, depth in index.subtree(root_key):
-        span = index.spans[key]
+        span = spans[key]
         nodes.add(key[0])
         if span.name == "cluster.route":
             forwarded = True
@@ -286,22 +319,24 @@ def attribute_request(index: SpanIndex, root_key: Tuple[str, int]
         start = min(max(span.start_s, window_start), window_end)
         end = min(max(end, start), window_end)
         category = "queue" if depth == 0 else categorize(span)
-        members.append((start, end, depth, key[0], key[1], category))
+        members.append(((depth, start, key[0], key[1]),
+                        start, end, category))
 
-    boundaries = sorted({edge for start, end, *_ in members
-                         for edge in (start, end)})
+    # Highest priority first: the first member covering an interval
+    # is the deepest active one.  The root (depth 0) covers the whole
+    # window, so every interval lands somewhere.
+    members.sort(reverse=True)
+    boundaries = sorted({m[1] for m in members}
+                        .union(m[2] for m in members))
     segments: Dict[str, float] = {}
-    for lo, hi in zip(boundaries, boundaries[1:]):
-        if hi <= lo:
-            continue
-        # Deepest active span wins; the root (depth 0) is always
-        # active, so every interval lands somewhere.
-        winner = max(
-            (m for m in members if m[0] <= lo and m[1] >= hi),
-            key=lambda m: (m[2], m[0], m[3], m[4]),
-        )
-        category = winner[5]
-        segments[category] = segments.get(category, 0.0) + (hi - lo)
+    lo = boundaries[0]
+    for hi in boundaries[1:]:
+        for _priority, start, end, category in members:
+            if start <= lo and end >= hi:
+                segments[category] = (segments.get(category, 0.0)
+                                      + (hi - lo))
+                break
+        lo = hi
 
     shard = root.attrs.get("shard")
     return RequestAttribution(
@@ -461,10 +496,10 @@ def build_report(tracers: Iterable[Tuple[str, Any]],
     requests = [attribute_request(index, root)
                 for root in index.request_roots(root_name)]
     kernels: Dict[Tuple[str, str], KernelObservation] = {}
-    for _key, span in sorted(index.spans.items()):
-        if not span.name.startswith("ce.kernel.") \
-                or not span.finished:
-            continue
+    for _key, span in sorted(
+            item for item in index.spans.items()
+            if item[1].name.startswith("ce.kernel.")
+            and item[1].finished):
         kernel = span.name[len("ce.kernel."):]
         device = str(span.attrs.get("device", "unknown"))
         observation = kernels.get((kernel, device))

@@ -54,7 +54,8 @@ class AttributionCollector:
         #: {node: {category: seconds}} for roots finished that window
         self.windows: deque = deque(maxlen=window)
         self._cursors: Dict[str, int] = {}
-        self._pending_roots: List[Tuple[str, int]] = []
+        #: every span seen so far; each scrape adds only the new ones
+        self._index = SpanIndex()
 
     # -- the scrape hook -----------------------------------------------------
 
@@ -65,37 +66,35 @@ class AttributionCollector:
         hand (tests, one-shot post-run attribution).  Returns this
         window's ``{node: {category: seconds}}`` summary.
         """
-        tracers = plane.tracers()
-        fresh_roots: List[Tuple[str, int]] = []
-        for node, tracer in tracers:
+        roots: List[Tuple[str, int]] = []
+        batches = []
+        for node, tracer in plane.tracers():
             cursor = self._cursors.get(node, 0)
             spans = tracer.spans          # finished, append-only
-            for span in spans[cursor:]:
+            finished = spans[cursor:]
+            for span in finished:
                 if span.name == self.root_name:
-                    fresh_roots.append((node, span.span_id))
+                    roots.append((node, span.span_id))
                 elif span.name.startswith("ce.kernel."):
                     self._observe_kernel(span)
             self._cursors[node] = len(spans)
+            batches.append((node, finished))
+            batches.append((node, tracer.open_spans()))
+        # Descendants always finish before (or adopt across nodes no
+        # later than) the scrape that sees their root, so the index
+        # only ever needs the spans that appeared since the last one.
+        index = self._index
+        index.extend(batches)
 
         window_summary: Dict[str, Dict[str, float]] = {}
-        roots = self._pending_roots + fresh_roots
-        self._pending_roots = []
-        if roots:
-            # One index per scrape covers every root attributed in
-            # it; descendants always finish before (or adopt across
-            # nodes no later than) the scrape that sees the root.
-            index = SpanIndex(tracers)
-            for root_key in roots:
-                if index.parent_key(root_key) is not None:
-                    continue          # an adopted remote subtree
-                attribution = attribute_request(index, root_key)
-                self.requests.append(attribution)
-                ledger = window_summary.setdefault(
-                    attribution.node, {})
-                for category, seconds in \
-                        attribution.segments.items():
-                    ledger[category] = (ledger.get(category, 0.0)
-                                        + seconds)
+        for root_key in roots:
+            if index.parent_key(root_key) is not None:
+                continue          # an adopted remote subtree
+            attribution = attribute_request(index, root_key)
+            self.requests.append(attribution)
+            ledger = window_summary.setdefault(attribution.node, {})
+            for category, seconds in attribution.segments.items():
+                ledger[category] = ledger.get(category, 0.0) + seconds
         self.windows.append(window_summary)
         return window_summary
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 __all__ = [
@@ -60,7 +61,8 @@ class Span:
 
     def __init__(self, tracer: "Tracer", name: str, category: str,
                  span_id: int, parent_id: Optional[int],
-                 start_s: float, attrs: Dict[str, Any]):
+                 start_s: float, attrs: Dict[str, Any],
+                 stack_key: Any = None):
         self._tracer = tracer
         self.name = name
         self.category = category
@@ -69,7 +71,7 @@ class Span:
         self.start_s = start_s
         self.end_s: Optional[float] = None
         self.attrs = attrs
-        self._stack_key: Any = None
+        self._stack_key = stack_key
 
     @property
     def finished(self) -> bool:
@@ -90,8 +92,9 @@ class Span:
     def finish(self) -> None:
         """Close the span at the current simulated time (idempotent)."""
         if self.end_s is None:
-            self.end_s = self._tracer.now
-            self._tracer._on_finish(self)
+            tracer = self._tracer
+            self.end_s = tracer._env._now
+            tracer._on_finish(self)
 
     def __enter__(self) -> "Span":
         return self
@@ -248,9 +251,17 @@ class NullTracer:
                 parent: Any = None, **attrs: Any) -> None:
         """No-op."""
 
+    def all_spans(self) -> List[Span]:
+        """Nothing recorded."""
+        return []
+
     def to_chrome_events(self) -> List[dict]:
         """Nothing recorded, nothing exported."""
         return []
+
+    def write_chrome(self, path: str) -> int:
+        """Write an empty Chrome trace document; returns 0."""
+        return _write_chrome(path, [], "repro.obs.Tracer")
 
     def flame_summary(self, max_rows: int = 60) -> str:
         """Nothing recorded."""
@@ -262,6 +273,24 @@ NULL_TRACER = NullTracer()
 
 #: Sentinel stack key for spans opened with :meth:`Tracer.begin`.
 _DETACHED = object()
+
+
+class _Unbound:
+    """What an unbound tracer reads: time 0.0, no active process."""
+
+    _now = 0.0
+    _active_process = None
+
+
+def _write_chrome(path: str, events: List[dict], source: str) -> int:
+    document = {
+        "traceEvents": events,
+        "displayTimeUnit": "ns",
+        "otherData": {"clock": "simulated seconds", "source": source},
+    }
+    with open(path, "w") as handle:
+        json.dump(document, handle, indent=1, default=str)
+    return len(events)
 
 
 class Tracer:
@@ -278,7 +307,7 @@ class Tracer:
     enabled = True
 
     def __init__(self, env=None, node: str = "local"):
-        self._env = env
+        self.bind(env)
         self.node = node
         self._ids = itertools.count(1)
         #: finished spans, in finish order (deterministic)
@@ -294,18 +323,16 @@ class Tracer:
 
     def bind(self, env) -> None:
         """Attach the tracer to a simulation environment's clock."""
-        self._env = env
+        # The recording path reads the clock and the active process
+        # straight off the environment, one attribute load each.
+        self._env = env if env is not None else _Unbound
 
     @property
     def now(self) -> float:
         """Current simulated time (0.0 before binding)."""
-        return self._env.now if self._env is not None else 0.0
+        return self._env._now
 
     # -- span creation ------------------------------------------------------
-
-    def _stack_key(self) -> Any:
-        env = self._env
-        return env.active_process if env is not None else None
 
     def _resolve_parent(self, parent: Any, key: Any) -> Optional[int]:
         if parent is not None:
@@ -316,11 +343,12 @@ class Tracer:
         return stack[-1].span_id if stack else None
 
     def _make(self, name: str, category: str, parent: Any,
-              attrs: Dict[str, Any]) -> Span:
-        key = self._stack_key()
+              attrs: Dict[str, Any], detached: bool) -> Span:
+        env = self._env
+        key = env._active_process
         span = Span(self, name, category, next(self._ids),
-                    self._resolve_parent(parent, key), self.now, attrs)
-        span._stack_key = key
+                    self._resolve_parent(parent, key), env._now, attrs,
+                    _DETACHED if detached else key)
         self._open[span.span_id] = span
         return span
 
@@ -333,8 +361,12 @@ class Tracer:
         ``with`` body (in the same process) become children
         automatically.
         """
-        span = self._make(name, category, parent, attrs)
-        self._stacks.setdefault(span._stack_key, []).append(span)
+        span = self._make(name, category, parent, attrs, False)
+        stack = self._stacks.get(span._stack_key)
+        if stack is None:
+            self._stacks[span._stack_key] = [span]
+        else:
+            stack.append(span)
         return span
 
     def begin(self, name: str, category: str = "app",
@@ -346,37 +378,43 @@ class Tracer:
         link children to it with ``parent=``, and call ``finish()`` at
         the completion point.
         """
-        span = self._make(name, category, parent, attrs)
-        span._stack_key = _DETACHED
-        return span
+        return self._make(name, category, parent, attrs, True)
 
     def instant(self, name: str, category: str = "app",
                 parent: Any = None, **attrs: Any) -> None:
         """Record a zero-duration event (decisions, cache hits)."""
-        key = self._stack_key()
+        env = self._env
         self.instants.append(
-            (self.now, name, category,
-             self._resolve_parent(parent, key), attrs)
+            (env._now, name, category,
+             self._resolve_parent(parent, env._active_process), attrs)
         )
 
     def _on_finish(self, span: Span) -> None:
         self._open.pop(span.span_id, None)
         self.spans.append(span)
-        if span._stack_key is not _DETACHED:
-            stack = self._stacks.get(span._stack_key)
+        key = span._stack_key
+        if key is not _DETACHED:
+            # a kept span must not keep its process (and the process's
+            # generator and pending timeout) alive
+            span._stack_key = _DETACHED
+            stack = self._stacks.get(key)
             if stack is not None:
-                try:
+                if stack[-1] is span:
+                    stack.pop()
+                elif span in stack:     # finished out of LIFO order
                     stack.remove(span)
-                except ValueError:
-                    pass
                 if not stack:
-                    del self._stacks[span._stack_key]
+                    del self._stacks[key]
 
     # -- introspection -------------------------------------------------------
 
+    def open_spans(self) -> List[Span]:
+        """Still-open spans, in id order."""
+        return [self._open[i] for i in sorted(self._open)]
+
     def all_spans(self) -> List[Span]:
         """Finished spans plus still-open ones (deterministic order)."""
-        return self.spans + [self._open[i] for i in sorted(self._open)]
+        return self.spans + self.open_spans()
 
     def categories(self) -> List[str]:
         """Distinct span categories seen so far, sorted."""
@@ -455,73 +493,79 @@ class Tracer:
         readable instead of a wall of bare pids.  An empty tracer
         exports no events at all (not even metadata).
         """
+        return self._chrome_events(1, None)
+
+    def _chrome_events(self, pid: int,
+                       ids: Optional[Dict[int, int]]) -> List[dict]:
+        """Every event, built once, under process ``pid``; ``ids``
+        maps local span ids to exported ones (None: export as is)."""
         spans = self.all_spans()
         by_id = {span.span_id: span for span in spans}
-
-        def root_of(span: Span) -> int:
-            seen = set()
-            current = span
-            while (current.parent_id is not None
-                   and current.parent_id in by_id
-                   and current.span_id not in seen):
-                seen.add(current.span_id)
-                current = by_id[current.parent_id]
-            return current.span_id
-
+        now = self.now
+        # Span id -> its tree's root, filled for every span on a walked
+        # path, so each span is stepped over once.
+        roots: Dict[int, int] = {}
+        for span_id in by_id:
+            path = []
+            while span_id in by_id and span_id not in roots:
+                roots[span_id] = span_id  # an integer parent= cycle ends here
+                path.append(span_id)
+                span_id = by_id[span_id].parent_id
+            if path:
+                root = roots.get(span_id, path[-1])
+                for step in path:
+                    roots[step] = root
         track_ids: Dict[int, int] = {}
         events: List[dict] = []
-        for span in sorted(spans, key=lambda s: (s.start_s, s.span_id)):
-            root = root_of(span)
-            tid = track_ids.setdefault(root, len(track_ids) + 1)
-            end = span.end_s if span.end_s is not None else self.now
-            args = {"span_id": span.span_id}
-            if span.parent_id is not None:
-                args["parent_id"] = span.parent_id
+        for span in sorted(spans, key=attrgetter("start_s", "span_id")):
+            span_id, parent_id = span.span_id, span.parent_id
+            root = roots[span_id]
+            tid = track_ids.get(root)
+            if tid is None:
+                tid = track_ids[root] = len(track_ids) + 1
+            start = span.start_s
+            end = span.end_s if span.end_s is not None else now
+            if ids is not None:
+                span_id = ids[span_id]
+                if parent_id is not None:
+                    parent_id = ids[parent_id]
+            args = {"span_id": span_id}
+            if parent_id is not None:
+                args["parent_id"] = parent_id
             args.update(span.attrs)
             events.append({
                 "name": span.name, "cat": span.category, "ph": "X",
-                "ts": span.start_s * 1e6,
-                "dur": max(end - span.start_s, 0.0) * 1e6,
-                "pid": 1, "tid": tid, "args": args,
+                "ts": start * 1e6,
+                "dur": max(end - start, 0.0) * 1e6,
+                "pid": pid, "tid": tid, "args": args,
             })
         for when, name, category, parent_id, attrs in self.instants:
-            parent = by_id.get(parent_id) if parent_id else None
-            tid = (track_ids.get(root_of(parent), 0)
-                   if parent is not None else 0)
+            tid = track_ids.get(roots.get(parent_id), 0)
             args = dict(attrs)
             if parent_id is not None:
-                args["parent_id"] = parent_id
+                args["parent_id"] = (parent_id if ids is None
+                                     else ids[parent_id])
             events.append({
                 "name": name, "cat": category, "ph": "i", "s": "t",
-                "ts": when * 1e6, "pid": 1, "tid": tid, "args": args,
+                "ts": when * 1e6, "pid": pid, "tid": tid, "args": args,
             })
         if not events:
             return []
         metadata = [{
-            "name": "process_name", "ph": "M", "pid": 1,
+            "name": "process_name", "ph": "M", "pid": pid,
             "args": {"name": self.node},
         }]
-        for root_id, tid in sorted(track_ids.items(),
-                                   key=lambda kv: kv[1]):
-            root = by_id[root_id]
+        for root_id, tid in track_ids.items():    # in tid order
             metadata.append({
-                "name": "thread_name", "ph": "M", "pid": 1, "tid": tid,
-                "args": {"name": f"{root.name}#{root_id}"},
+                "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
+                "args": {"name": f"{by_id[root_id].name}#{root_id}"},
             })
         return metadata + events
 
     def write_chrome(self, path: str) -> int:
         """Write Chrome trace JSON to ``path``; returns event count."""
-        events = self.to_chrome_events()
-        document = {
-            "traceEvents": events,
-            "displayTimeUnit": "ns",
-            "otherData": {"clock": "simulated seconds",
-                          "source": "repro.obs.Tracer"},
-        }
-        with open(path, "w") as handle:
-            json.dump(document, handle, indent=1, default=str)
-        return len(events)
+        return _write_chrome(path, self.to_chrome_events(),
+                             "repro.obs.Tracer")
 
     # -- export: flame summary -------------------------------------------------
 
@@ -608,37 +652,26 @@ def merge_chrome_events(
     a single connected tree.
     """
     items = _named_tracers(tracers)
-    global_ids: Dict[Tuple[str, int], int] = {}
     counter = itertools.count(1)
-    for node, tracer in items:
-        for span in tracer.all_spans():
-            global_ids[(node, span.span_id)] = next(counter)
-
+    # node -> {local span id: global id}; zip stops at the last span
+    # without drawing from the counter
+    peers = {node: dict(zip([span.span_id for span in tracer.all_spans()],
+                            counter))
+             for node, tracer in items}
     merged: List[dict] = []
     for pid, (node, tracer) in enumerate(items, start=1):
-        for event in tracer.to_chrome_events():
-            event = dict(event)
-            event["pid"] = pid
-            args = event.get("args")
-            if isinstance(args, dict):
-                args = dict(args)
-                local_id = args.get("span_id")
-                if isinstance(local_id, int):
-                    args["span_id"] = global_ids[(node, local_id)]
-                parent_id = args.get("parent_id")
-                if isinstance(parent_id, int):
-                    args["parent_id"] = global_ids[(node, parent_id)]
-                remote = args.get("remote_parent")
-                if isinstance(remote, str) and ":" in remote:
-                    peer, _, span_id = remote.rpartition(":")
-                    try:
-                        resolved = global_ids.get((peer, int(span_id)))
-                    except ValueError:
-                        resolved = None
-                    if resolved is not None:
-                        args["parent_id"] = resolved
-                event["args"] = args
-            merged.append(event)
+        merged += tracer._chrome_events(pid, peers[node])
+    for event in merged:
+        args = event["args"]
+        remote = args.get("remote_parent")
+        if isinstance(remote, str) and ":" in remote:
+            peer, _, span_id = remote.rpartition(":")
+            try:
+                resolved = peers.get(peer, {}).get(int(span_id))
+            except ValueError:
+                resolved = None
+            if resolved is not None:
+                args["parent_id"] = resolved
     return merged
 
 
@@ -648,13 +681,5 @@ def write_merged_chrome(
                    Iterable[Tuple[str, "Tracer"]]],
 ) -> int:
     """Write a merged multi-node Chrome trace; returns event count."""
-    events = merge_chrome_events(tracers)
-    document = {
-        "traceEvents": events,
-        "displayTimeUnit": "ns",
-        "otherData": {"clock": "simulated seconds",
-                      "source": "repro.obs.merge_chrome_events"},
-    }
-    with open(path, "w") as handle:
-        json.dump(document, handle, indent=1, default=str)
-    return len(events)
+    return _write_chrome(path, merge_chrome_events(tracers),
+                         "repro.obs.merge_chrome_events")
