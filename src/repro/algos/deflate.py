@@ -63,12 +63,11 @@ def _build_length_lookup() -> List[Tuple[int, int, int]]:
 
 
 def _build_dist_lookup() -> List[Tuple[int, int, int]]:
-    table: List[Tuple[int, int, int]] = [(0, 0, 0)] * (_WINDOW_SIZE + 1)
-    for code_index in range(len(_DIST_CODES) - 1, -1, -1):
-        extra, base = _DIST_CODES[code_index]
-        for distance in range(base, _WINDOW_SIZE + 1):
-            if table[distance] == (0, 0, 0):
-                table[distance] = (code_index, extra, distance - base)
+    # The distance codes tile 1..32768 in order: one run per code.
+    table: List[Tuple[int, int, int]] = [(0, 0, 0)]
+    for code_index, (extra, _) in enumerate(_DIST_CODES):
+        table.extend([(code_index, extra, offset)
+                      for offset in range(1 << extra)])
     return table
 
 

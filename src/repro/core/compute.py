@@ -545,6 +545,10 @@ class ComputeEngine:
             raise SprocError(f"sproc {name!r} already registered")
         self._sprocs[name] = _Sproc(name, fn, estimated_cycles)
 
+    def unregister_sproc(self, name: str) -> None:
+        """Drop a registered sproc; ``KeyError`` on an unknown name."""
+        del self._sprocs[name]
+
     def sproc_names(self) -> List[str]:
         """Names of registered sprocs."""
         return sorted(self._sprocs)

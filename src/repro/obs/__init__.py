@@ -20,6 +20,8 @@ claims (F1–F3, F6–F8, S9) as data for ``--check``, and
 ``--compare`` perf-regression gate.
 """
 
+from importlib import import_module
+
 from .metrics import MetricsRegistry
 from .telemetry import Telemetry
 from .trace import (
@@ -33,26 +35,30 @@ from .trace import (
     write_merged_chrome,
 )
 
-# The observatory modules lazily import repro.bench (which imports
-# repro.core, which imports this package), so they must come after
-# the telemetry names above are bound.  The telemetry plane only
-# needs the names above, but keeps the same ordering discipline.
-from . import artifact, claims, regress  # noqa: E402
-from .attr import (  # noqa: E402
-    AttributionCollector,
-    AttributionReport,
-    OffloadAdvisor,
-    RequestAttribution,
-    build_report,
-)
-from .plane import (  # noqa: E402
-    ClusterTelemetry,
-    FlightRecorder,
-    SloMonitor,
-    SloSpec,
-    SloViolation,
-    TelemetrySnapshot,
-)
+#: observatory names, resolved on first access (PEP 562) so that an
+#: engine importing ``NULL_TRACER`` loads none of these submodules
+_LAZY = {name: submodule for submodule, names in {
+    "artifact": ["artifact"], "claims": ["claims"], "regress": ["regress"],
+    "attr": ["AttributionCollector", "AttributionReport", "OffloadAdvisor",
+             "RequestAttribution", "build_report"],
+    "plane": ["ClusterTelemetry", "FlightRecorder", "SloMonitor", "SloSpec",
+              "SloViolation", "TelemetrySnapshot"],
+}.items() for name in names}
+
+
+def __getattr__(name):
+    submodule = _LAZY.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{submodule}", __name__)
+    value = module if name == submodule else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "AttributionCollector",

@@ -450,6 +450,7 @@ def run_distributed_scan(deployment: DistributedScanDeployment,
     rx_before = coordinator.server.nic.rx_bytes.value
     forwards_before = sum(node.router.forwards.value
                           for node in cluster.nodes)
+    requests_before = len(coordinator.requests)
     started = env.now
 
     def sub_query(shard):
@@ -511,6 +512,15 @@ def run_distributed_scan(deployment: DistributedScanDeployment,
             yield env.all_of(processes)
 
     env.run(until=env.process(scatter_gather()))
+
+    # Every sub-query was answered (a ClusterError would have raised),
+    # so nothing is in flight: drop the responses the client kept for
+    # ``outcomes()`` and this query's sprocs.  The stats are the record.
+    del coordinator.requests[requests_before:]
+    del coordinator.request_meta[requests_before:]
+    for name in sprocs.values():
+        for node in cluster.nodes:
+            node.runtime.compute.unregister_sproc(name)
 
     merged = merge_partials(
         query, [partials[shard]

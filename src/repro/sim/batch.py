@@ -7,12 +7,10 @@ drivers, everything except the handler spawn is pure overhead — the
 arrival times are known (or can be sampled) upfront.
 
 :class:`EventPopulation` collapses the whole stream: arrival times are
-precomputed into a vector (numpy-backed when numpy is importable, a
-plain list otherwise — results are identical either way), and a single
-reusable *tick* event walks the vector, firing every arrival due at
-the current instant in one callback pass.  No driver process exists,
-no per-arrival ``Timeout`` is allocated, and same-time ties batch into
-one scheduler entry.
+precomputed into a list of floats, and a single reusable *tick* event
+walks it, firing every arrival due at the current instant in one
+callback pass.  No driver process exists, no per-arrival ``Timeout``
+is allocated, and same-time ties batch into one scheduler entry.
 
 The population is itself an :class:`~repro.sim.core.Event`: it
 triggers with the number of fired arrivals once the vector drains, so
@@ -26,19 +24,12 @@ window without firing the skipped arrivals.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from bisect import bisect_left
+from typing import Callable, Iterable, List
 
 from .core import NORMAL, _PENDING, Environment, Event
 
-try:  # pragma: no cover - exercised via either branch in CI images
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-__all__ = ["EventPopulation", "HAVE_NUMPY"]
-
-#: True when the arrival vectors are numpy-backed in this interpreter.
-HAVE_NUMPY = _np is not None
+__all__ = ["EventPopulation"]
 
 
 class _Tick(Event):
@@ -63,17 +54,12 @@ class EventPopulation(Event):
     __slots__ = ("times", "handler", "name", "_times_list", "_idx", "_n",
                  "_tick", "_cbs", "_fired")
 
-    def __init__(self, env: Environment, times: Sequence[float],
+    def __init__(self, env: Environment, times: Iterable[float],
                  handler: Callable[[int], object],
                  name: str = "population"):
         super().__init__(env)
         times_list: List[float] = [float(t) for t in times]
-        if _np is not None:
-            self.times = _np.asarray(times_list, dtype=float)
-        else:
-            self.times = times_list
-        #: plain-float view used by the firing hot path
-        self._times_list = times_list
+        self.times = self._times_list = times_list
         self.handler = handler
         self.name = name
         self._idx = 0
@@ -170,15 +156,6 @@ class EventPopulation(Event):
         the new head (or completes the population).
         """
         idx = self._idx
-        if _np is not None:
-            new_idx = int(_np.searchsorted(self.times, t, side="left"))
-            if new_idx < idx:
-                new_idx = idx
-        else:
-            new_idx = idx
-            times = self._times_list
-            n = self._n
-            while new_idx < n and times[new_idx] < t:
-                new_idx += 1
+        new_idx = bisect_left(self._times_list, t, idx)
         self._idx = new_idx
         return new_idx - idx

@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algos import compression_ratio, deflate, inflate
-from repro.algos.deflate import _lz77_tokens
+from repro.algos.deflate import (
+    _DIST_CODES,
+    _DIST_LOOKUP,
+    _LENGTH_CODES,
+    _LENGTH_LOOKUP,
+    _distance_to_code,
+    _length_to_code,
+    _lz77_tokens,
+)
 
 
 def _zlib_raw_compress(data: bytes, level: int = 6) -> bytes:
@@ -231,3 +239,40 @@ def test_property_repetitive_text_shrinks(text):
     data = text.encode()
     # A 7-symbol alphabet must compress (entropy < 3 bits/byte).
     assert len(deflate(data, 6)) < len(data)
+
+
+def _scan_and_test_lookup(codes, limit, first_symbol):
+    """The original builder: last code first, claim every free slot."""
+    table = [(0, 0, 0)] * (limit + 1)
+    for code_index in range(len(codes) - 1, -1, -1):
+        extra, base = codes[code_index]
+        for value in range(base, limit + 1):
+            if table[value] == (0, 0, 0):
+                table[value] = (first_symbol + code_index, extra,
+                                value - base)
+    return table
+
+
+class TestCodeLookupTables:
+    def test_distance_table_equals_scan_and_test_oracle(self):
+        assert _DIST_LOOKUP == _scan_and_test_lookup(
+            _DIST_CODES, 32 * 1024, 0)
+
+    def test_length_table_equals_scan_and_test_oracle(self):
+        assert _LENGTH_LOOKUP == _scan_and_test_lookup(
+            _LENGTH_CODES, 258, 257)
+
+    def test_every_distance_round_trips_through_its_code(self):
+        for distance in range(1, 32 * 1024 + 1):
+            code, extra, value = _distance_to_code(distance)
+            code_extra, base = _DIST_CODES[code]
+            assert code_extra == extra and 0 <= value < (1 << extra)
+            assert base + value == distance
+
+    def test_every_length_round_trips_through_its_code(self):
+        for length in range(3, 258 + 1):
+            symbol, extra, value = _length_to_code(length)
+            code_extra, base = _LENGTH_CODES[symbol - 257]
+            assert code_extra == extra and 0 <= value < (1 << extra)
+            assert base + value == length
+        assert _length_to_code(258) == (285, 0, 0)

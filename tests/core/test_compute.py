@@ -168,6 +168,19 @@ class TestSprocs:
         with pytest.raises(SprocError):
             ce.register_sproc("s", sproc)
 
+    def test_unregister_drops_the_name_and_frees_it(self, ce):
+        def sproc(ctx, arg):
+            yield ctx.env.timeout(0)
+
+        ce.register_sproc("s", sproc)
+        ce.unregister_sproc("s")
+        assert "s" not in ce.sproc_names()
+        with pytest.raises(SprocError):
+            ce.invoke("s")
+        ce.register_sproc("s", sproc)
+        with pytest.raises(KeyError):
+            ce.unregister_sproc("ghost")
+
     def test_invoke_unknown_sproc(self, ce):
         with pytest.raises(SprocError):
             ce.invoke("ghost")

@@ -199,6 +199,27 @@ class TestDistributedExecution:
         assert push["bytes_received"] < pull["bytes_received"] / 10
         assert push["host_busy_s"] < pull["host_busy_s"]
 
+    def test_scans_leave_no_requests_or_sprocs_behind(self):
+        deployment = DistributedScanDeployment(
+            n_nodes=2, n_rows=600, n_shards=4, port=9870)
+        deployment.load()
+        coordinator = deployment.coordinator
+
+        def footprint():
+            return (len(coordinator.requests),
+                    len(coordinator.request_meta),
+                    [node.runtime.compute.sproc_names()
+                     for node in deployment.cluster.nodes])
+
+        before = footprint()
+        plans = ["pull", "pushdown", None, "pushdown", "pull"] * 2
+        for plan, query in zip(plans, [_selective_query(),
+                                       _aggregate_query()] * 5):
+            scan = run_distributed_scan(deployment, query, plan=plan)
+            assert scan["result"].matches(query.evaluate(
+                deployment.table_bytes, deployment.schema))
+            assert footprint() == before
+
     def test_unknown_plan_rejected(self, deployment):
         with pytest.raises(ValueError):
             run_distributed_scan(deployment, _selective_query(),

@@ -11,6 +11,8 @@ scalar path float-for-float.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Environment, EventPopulation, Resource
 
@@ -104,6 +106,83 @@ class TestPopulationVsScalarIdentity:
         assert fired == [0, 7, 8, 9]
         assert pop.skipped == 6
         assert pop.fired + pop.skipped == pop.scheduled
+
+
+class _LinearSkipPopulation(EventPopulation):
+    """Oracle: ``skip_to`` as a linear ``while times[i] < t`` walk."""
+
+    __slots__ = ()
+
+    def skip_to(self, t):
+        idx = i = self._idx
+        while i < self._n and self._times_list[i] < t:
+            i += 1
+        self._idx = i
+        return i - idx
+
+
+def _run_skip_script(cls, times, script):
+    """Interleave ``env.run`` and ``skip_to``; log everything seen."""
+    env = Environment()
+    fired = []
+    pop = cls(env, times, lambda k: fired.append((env.now, k)) or None)
+    log = []
+    for dt, t in script:
+        env.run(until=env.now + dt)      # leaves a tick in flight
+        before = pop._idx
+        skipped = pop.skip_to(t)
+        assert skipped >= 0 and pop._idx == before + skipped
+        log.append((env.now, skipped, pop.fired, pop.remaining))
+    env.run()
+    assert pop.fired + pop.skipped == pop.scheduled
+    assert pop.triggered and pop.value == pop.fired == len(fired)
+    return fired, log
+
+
+# a coarse grid, so ties between arrivals and with ``t`` are common
+_grid = st.integers(min_value=0, max_value=40).map(lambda q: q / 4.0)
+
+
+class TestSkipToMatchesLinearOracle:
+    @given(times=st.lists(_grid, max_size=40).map(sorted),
+           script=st.lists(st.tuples(_grid, _grid), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_any_script_of_rising_and_falling_targets(self, times, script):
+        """bisect ``skip_to`` == the linear walk, cursor never retreats."""
+        assert (_run_skip_script(EventPopulation, times, script)
+                == _run_skip_script(_LinearSkipPopulation, times, script))
+
+    def test_times_is_a_list_of_floats(self):
+        pop = EventPopulation(Environment(), [1, 2, 3], lambda k: None)
+        assert type(pop.times) is list
+        assert all(type(t) is float for t in pop.times)
+
+    def test_any_iterable_of_times_fires_identically(self):
+        times = [0.25, 0.5, 0.5, 2.0]
+
+        def fire_log(arrivals):
+            env = Environment()
+            log = []
+            EventPopulation(env, arrivals,
+                            lambda k: log.append((env.now, k)) or None)
+            env.run()
+            return log
+
+        expected = fire_log(times)
+        assert [k for _, k in expected] == [0, 1, 2, 3]
+        assert fire_log(tuple(times)) == expected
+        assert fire_log(t for t in times) == expected
+
+    def test_ndarray_of_times_fires_identically(self):
+        np = pytest.importorskip("numpy")
+        times = [0.25, 0.5, 0.5, 2.0]
+        env = Environment()
+        log = []
+        pop = EventPopulation(env, np.asarray(times),
+                              lambda k: log.append((env.now, k)) or None)
+        env.run()
+        assert log == list(zip(times, range(4)))
+        assert type(pop.times) is list and type(pop.times[0]) is float
 
 
 class TestReserveManyIdentity:
