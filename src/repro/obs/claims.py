@@ -317,21 +317,6 @@ CLAIMS: Tuple[Claim, ...] = (
        "back-to-back drain workload",
        "band", part="kernel_counters", metric="pool_hit_fraction",
        lo=0.9, hi=1.0),
-    _c("PF.pool_cap_zero_disables", "perf",
-       "timeout_pool_cap=0 turns pooling off completely (the knob "
-       "is live, not advisory)",
-       "band", part="kernel_counters", metric="pool_cap0_hits",
-       lo=0.0, hi=0.0),
-    _c("PF.calendar_heap_identical", "perf",
-       "heap-pinned and calendar-pinned schedulers fire a mixed "
-       "periodic+tombstone workload in the identical total order",
-       "band", part="scheduler_identity", metric="order_identical",
-       lo=1.0, hi=1.0),
-    _c("PF.calendar_engages", "perf",
-       "the calendar-pinned run actually promoted (the identity "
-       "check exercised the bucketed tier, not the heap twice)",
-       "band", part="scheduler_identity", metric="calendar_promotions",
-       lo=1.0, hi=math.inf),
     _c("PF.batch_identical", "perf",
        "the vectorized event-population driver fires the identical "
        "handler log as the per-arrival generator it replaced",

@@ -25,12 +25,6 @@ processed, so a yielding process continues immediately instead of
 taking a trip through the event queue.  The simulated clock never
 advances during an inline completion, so simulated timings are
 unchanged — only the number of real scheduler iterations shrinks.
-
-Batch accounting: :meth:`Resource.reserve_many` collapses ``n``
-homogeneous eventless reservations into one ``(expiry, count)`` heap
-entry, so a burst of same-duration charges (NIC softirq batches,
-poller sweeps) costs one push and one accounting segment instead of
-``n``.
 """
 
 from __future__ import annotations
@@ -41,28 +35,18 @@ from typing import Any, Callable, List, Optional
 
 from .core import Environment, Event, SimulationError, _completed_event
 
-__all__ = ["Resource", "PriorityResource", "Container", "Store", "Preempted"]
-
-
-class Preempted(Exception):
-    """Cause attached to the interrupt of a preempted resource user."""
-
-    def __init__(self, by: Any, usage_since: float):
-        super().__init__(by, usage_since)
-        self.by = by
-        self.usage_since = usage_since
+__all__ = ["Resource", "PriorityResource", "Container", "Store"]
 
 
 class _Request(Event):
     """A pending claim on one slot of a :class:`Resource`."""
 
-    __slots__ = ("resource", "priority", "usage_since", "_dead")
+    __slots__ = ("resource", "priority", "_dead")
 
     def __init__(self, resource: "Resource", priority: int = 0):
         super().__init__(resource.env)
         self.resource = resource
         self.priority = priority
-        self.usage_since: Optional[float] = None
         #: lazy-cancel tombstone, skipped at grant time
         self._dead = False
         resource._do_request(self)
@@ -99,10 +83,10 @@ class Resource:
         self._busy_integral = 0.0
         self._last_change = env.now
         self._total_served = 0
-        # Eventless occupancy from :meth:`reserve` / :meth:`reserve_many`:
-        # a heap of (expiry, count) entries purged lazily by
-        # :meth:`_account`; _res_count is the summed slot occupancy.
-        self._res_expiry: List = []
+        # Eventless occupancy from :meth:`reserve`: a heap of expiry
+        # times purged lazily by :meth:`_account`; _res_count is its
+        # length, kept as an attribute for the hot occupancy sums.
+        self._res_expiry: List[float] = []
         self._res_count = 0
         self._res_wake = False
         #: tombstoned (lazily cancelled) entries still in the wait queue
@@ -167,7 +151,7 @@ class Resource:
         """
         now = self.env.now
         res = self._res_expiry
-        if res and res[0][0] <= now:
+        if res and res[0] <= now:
             self._account()
         elif now != self._last_change:
             self._busy_integral += \
@@ -195,7 +179,7 @@ class Resource:
         """
         now = self.env.now
         res = self._res_expiry
-        if res and res[0][0] <= now:
+        if res and res[0] <= now:
             self._account()
         elif now != self._last_change:
             self._busy_integral += \
@@ -227,7 +211,7 @@ class Resource:
         """
         now = self.env.now
         res = self._res_expiry
-        if res and res[0][0] <= now:
+        if res and res[0] <= now:
             self._account()
         elif now != self._last_change:
             self._busy_integral += \
@@ -236,40 +220,9 @@ class Resource:
         if len(self.users) + self._res_count >= self.capacity \
                 or self._waiting:
             return False
-        heapq.heappush(res, (now + duration, 1))
+        heapq.heappush(res, now + duration)
         self._res_count += 1
         self._total_served += 1
-        return True
-
-    def reserve_many(self, duration: float, count: int) -> bool:
-        """Occupy ``count`` slots for ``duration`` as one batch entry.
-
-        The vectorized cousin of :meth:`reserve`: a burst of ``count``
-        homogeneous fire-and-forget charges (a NIC softirq batch, a
-        poller sweep over ``count`` descriptors) lands as a single
-        ``(expiry, count)`` heap entry and a single accounting segment.
-        Occupancy, utilization, and contention behave exactly as
-        ``count`` individual reservations expiring at the same instant
-        would.  Returns ``False`` — charging nothing — when fewer than
-        ``count`` slots are free or anyone is queued; callers then fall
-        back to per-item paths.
-        """
-        if count <= 0:
-            raise ValueError(f"count must be >= 1, got {count}")
-        now = self.env.now
-        res = self._res_expiry
-        if res and res[0][0] <= now:
-            self._account()
-        elif now != self._last_change:
-            self._busy_integral += \
-                (len(self.users) + self._res_count) * (now - self._last_change)
-            self._last_change = now
-        if len(self.users) + self._res_count + count > self.capacity \
-                or self._waiting:
-            return False
-        heapq.heappush(res, (now + duration, count))
-        self._res_count += count
-        self._total_served += count
         return True
 
     def fluid_charge(self, busy_seconds: float, served: int = 0) -> None:
@@ -309,22 +262,20 @@ class Resource:
     def _account(self) -> None:
         now = self.env.now
         res = self._res_expiry
-        if res and res[0][0] <= now:
+        if res and res[0] <= now:
             # Expired reservations stop counting at their expiry, not
             # at this (later) observation point: integrate segment by
             # segment so the busy integral matches what a chain of
-            # real holds would have produced.  Batch entries retire
-            # ``count`` slots at once — one segment per distinct expiry
-            # instead of one per reservation.
+            # real holds would have produced.
             last = self._last_change
             users = len(self.users)
             rc = self._res_count
-            while res and res[0][0] <= now:
-                expiry, cnt = heapq.heappop(res)
+            while res and res[0] <= now:
+                expiry = heapq.heappop(res)
                 if expiry > last:
                     self._busy_integral += (users + rc) * (expiry - last)
                     last = expiry
-                rc -= cnt
+                rc -= 1
             self._res_count = rc
             self._last_change = last
         if now != self._last_change:
@@ -339,7 +290,6 @@ class Resource:
             # exists yet and completing it without a queue round trip
             # is observationally identical (same slot, same sim time).
             self.users.append(request)
-            request.usage_since = self.env.now
             self._total_served += 1
             request._ok = True
             request._value = request
@@ -365,7 +315,6 @@ class Resource:
     def _grant(self, request: _Request) -> None:
         self._account()
         self.users.append(request)
-        request.usage_since = self.env.now
         self._total_served += 1
         request.succeed(request)
 
@@ -385,7 +334,7 @@ class Resource:
         if self._res_wake or not self._has_waiters():
             return
         self._res_wake = True
-        timer = self.env.timeout(self._res_expiry[0][0] - self.env.now)
+        timer = self.env.timeout(self._res_expiry[0] - self.env.now)
         timer.callbacks.append(self._res_wake_fired)
 
     def _res_wake_fired(self, _event) -> None:

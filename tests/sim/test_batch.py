@@ -3,9 +3,7 @@
 ``EventPopulation`` replaces a generator arrival driver (one Timeout +
 one process resume per arrival) with a precomputed time vector walked
 by a single reusable tick.  These tests drive both forms over
-identical schedules and require identical handler fire logs, and pin
-the ``reserve_many`` batch-accounting path to the loop-of-``reserve``
-scalar path float-for-float.
+identical schedules and require identical handler fire logs.
 """
 
 import random
@@ -14,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, EventPopulation, Resource
+from repro.sim import Environment, EventPopulation
 
 
 def _poisson_times(seed, rate, duration):
@@ -184,57 +182,3 @@ class TestSkipToMatchesLinearOracle:
         assert log == list(zip(times, range(4)))
         assert type(pop.times) is list and type(pop.times[0]) is float
 
-
-class TestReserveManyIdentity:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_batch_matches_scalar_loop_bit_for_bit(self, seed):
-        """reserve_many(d, n) == n x reserve(d): busy time and counts."""
-        rng = random.Random(seed)
-        plan = [(rng.uniform(1e-6, 1e-3), rng.randrange(1, 8))
-                for _ in range(200)]
-
-        def run(batched):
-            env = Environment()
-            res = Resource(env, capacity=64)
-            accepted = []
-
-            def driver():
-                for duration, count in plan:
-                    if batched:
-                        accepted.append(
-                            res.reserve_many(duration, count))
-                    else:
-                        oks = [res.reserve(duration)
-                               for _ in range(count)]
-                        # scalar loop is not atomic; only compare when
-                        # both forms would fully accept (see below)
-                        accepted.append(all(oks))
-                    yield env.timeout(1e-4)
-
-            env.run(until=env.process(driver()))
-            env.run(until=env.now + 1.0)
-            return accepted, res.busy_time(), res.total_served
-
-        batch_acc, batch_busy, batch_served = run(batched=True)
-        loop_acc, loop_busy, loop_served = run(batched=False)
-        # capacity 64 >> max burst 8: every charge fits, both forms
-        # accept everything, and the accounting must agree exactly
-        assert all(batch_acc) and all(loop_acc)
-        assert batch_busy == loop_busy
-        assert batch_served == loop_served
-
-    def test_reserve_many_is_atomic_at_capacity(self):
-        env = Environment()
-        res = Resource(env, capacity=4)
-        assert res.reserve_many(1.0, 3)
-        assert not res.reserve_many(1.0, 2)   # 3 + 2 > 4: all-or-nothing
-        assert res.reserve_many(1.0, 1)
-        env.run(until=2.0)
-        assert res.busy_time() == pytest.approx(4.0)
-        assert res.total_served == 4
-
-    def test_reserve_many_validates_count(self):
-        env = Environment()
-        res = Resource(env, capacity=4)
-        with pytest.raises(ValueError):
-            res.reserve_many(1.0, 0)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Environment, Resource, Store
+from repro.sim.core import NORMAL, URGENT
 
 
 @settings(max_examples=60, deadline=None)
@@ -26,6 +27,42 @@ def test_property_events_fire_in_time_order(delays):
     assert observed == sorted(observed)
     assert len(observed) == len(delays)
     assert env.now == max(delays)
+
+
+@settings(max_examples=100, deadline=None)
+@given(plan=st.lists(
+    st.tuples(st.one_of(st.floats(min_value=0.0, max_value=100.0),
+                        st.sampled_from([0.0, 0.5, 1.0, 100.0])),
+              st.sampled_from([URGENT, NORMAL]),
+              st.booleans()),
+    max_size=60))
+def test_property_fire_order_is_time_priority_schedule_index(plan):
+    """The fire log is ``sorted(plan)`` minus the cancelled entries."""
+    env = Environment()
+    fired = []
+    doomed = []
+    for index, (delay, priority, cancel) in enumerate(plan):
+        if priority == NORMAL:
+            event = env.timeout(delay)
+        else:
+            # the only way to put an urgent entry at a future time
+            event = env.event()
+            event._ok = True
+            event._value = None
+            env._enqueue(event, URGENT, delay)
+        event.callbacks.append(
+            lambda _ev, index=index: fired.append((env.now, index)))
+        if cancel and priority == NORMAL:
+            doomed.append(event)
+    for event in doomed:
+        event.cancel()
+    env.run()
+    live = sorted((delay, priority, index)
+                  for index, (delay, priority, cancel) in enumerate(plan)
+                  if not (cancel and priority == NORMAL))
+    assert fired == [(delay, index) for delay, _priority, index in live]
+    assert env.now == (live[-1][0] if live else 0.0)
+    assert env.peek() == float("inf")
 
 
 @settings(max_examples=40, deadline=None)

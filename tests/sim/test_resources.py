@@ -1,5 +1,7 @@
 """Unit tests for Resource / PriorityResource / Container / Store."""
 
+import random
+
 import pytest
 
 from repro.sim import Container, Environment, PriorityResource, Resource, Store
@@ -98,6 +100,181 @@ class TestResource:
             env.process(user(env))
         env.run()
         assert res.total_served == 5
+
+
+def _occupancy_schedule(seed, n=120):
+    """Seeded (arrival, duration) jobs: bursts, lulls, short and long."""
+    rng = random.Random(seed)
+    jobs = []
+    at = 0.0
+    for _ in range(n):
+        at += rng.choice((0.0, 0.0, rng.random() * 0.2, rng.random() * 3.0))
+        jobs.append((at, rng.choice((0.05, 0.4, 1.0)) * (0.5 + rng.random())))
+    return jobs
+
+
+def _drive_occupancy(mode, jobs, capacity):
+    """Run ``jobs`` on one Resource, each occupying a slot its own way.
+
+    ``mode`` picks how an arriving job takes its slot: ``"evented"`` is
+    request + timeout + release; ``"hold"`` and ``"reserve"`` try the
+    eventless claim first and fall back to the evented path when it is
+    refused, which is how every caller in ``repro.hardware`` uses them.
+    Returns ``(grants, busy_time, total_served)`` at a common horizon;
+    ``grants`` is ``[(tag, grant instant)]`` in grant order.
+    """
+    env = Environment()
+    res = Resource(env, capacity=capacity)
+    grants = []
+    reserved = []   # expiry instants of accepted reserve() calls
+
+    def job(tag, at, duration):
+        yield env.timeout(at)
+        if mode == "hold":
+            hold = res.hold(duration)
+            if hold is not None:
+                grants.append((tag, env.now))
+                yield hold
+                return
+        elif mode == "reserve":
+            queued = res.queue_length > 0
+            ok = res.reserve(duration)
+            live = sum(1 for expiry in reserved if expiry > env.now)
+            assert res.count + live + ok <= capacity
+            assert not (ok and queued)
+            if ok:
+                reserved.append(env.now + duration)
+                grants.append((tag, env.now))
+                return
+        with res.request() as req:
+            yield req
+            grants.append((tag, env.now))
+            yield env.timeout(duration)
+
+    for tag, (at, duration) in enumerate(jobs):
+        env.process(job(tag, at, duration))
+    env.run(until=jobs[-1][0] + 10.0 * len(jobs))
+    assert res.count == 0 and res.queue_length == 0
+    return grants, res.busy_time(), res.total_served
+
+
+class TestEventlessOccupancy:
+    """``hold`` / ``reserve`` / ``try_acquire`` / ``unhold`` against the
+    evented ``request()`` path they stand in for."""
+
+    @pytest.mark.parametrize("capacity", [1, 2, 4])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_three_ways_agree(self, seed, capacity):
+        jobs = _occupancy_schedule(seed)
+        ev_grants, ev_busy, ev_served = _drive_occupancy(
+            "evented", jobs, capacity)
+        hold_grants, hold_busy, hold_served = _drive_occupancy(
+            "hold", jobs, capacity)
+        _res_grants, res_busy, res_served = _drive_occupancy(
+            "reserve", jobs, capacity)
+        assert len(ev_grants) == len(jobs)
+        # the schedule must contend, or the fallbacks were never taken
+        assert any(at != jobs[tag][0] for tag, at in ev_grants)
+        assert hold_grants == ev_grants
+        assert ev_served == hold_served == res_served == len(jobs)
+        assert hold_busy == pytest.approx(ev_busy, abs=1e-9)
+        assert res_busy == pytest.approx(ev_busy, abs=1e-9)
+        assert ev_busy == pytest.approx(
+            sum(duration for _at, duration in jobs), abs=1e-9)
+
+    def test_reserve_occupies_until_expiry_without_events(self, env):
+        res = Resource(env, capacity=2)
+        assert res.reserve(1.0)
+        assert res.reserve(3.0)
+        assert not res.reserve(1.0)          # full
+        assert env.peek() == float("inf")    # and nothing was scheduled
+        env.run(until=2.0)
+        assert res.reserve(1.0)              # the 1 s slot came back
+        env.run(until=10.0)
+        assert res.busy_time() == pytest.approx(5.0)
+        assert res.total_served == 3
+
+    def test_reserve_refused_while_anyone_is_queued(self, env):
+        res = Resource(env, capacity=1)
+        first = res.request()
+        waiter = res.request()
+        assert first.processed and not waiter.triggered
+        res.release(first)
+        # the slot is the waiter's, granted but not yet processed
+        assert not res.reserve(1.0)
+        assert res.hold(1.0) is None
+        assert res.try_acquire() is None
+        env.run()
+        assert waiter.processed
+
+    def test_unhold_at_the_same_instant_restores_the_resource(self, env):
+        res = Resource(env, capacity=2)
+        assert res.reserve(2.0)
+        env.run(until=1.0)
+        before = (res.busy_time(), res.total_served, res.count)
+        hold = res.hold(5.0)
+        assert res.count == 1 and res.total_served == before[1] + 1
+        res.unhold(hold)
+        assert (res.busy_time(), res.total_served, res.count) == before
+        env.run()
+        # the cancelled hold neither fired nor moved the clock
+        assert env.now == 1.0
+        env.run(until=3.0)
+        assert res.busy_time() == pytest.approx(2.0)
+
+    def test_try_acquire_token_occupies_and_releases(self, env):
+        res = Resource(env, capacity=1)
+        token = res.try_acquire()
+        assert token is not None and res.count == 1
+        assert res.try_acquire() is None     # full
+        waiter = res.request()
+        env.run(until=2.0)
+        assert not waiter.triggered
+        res.release(token)
+        assert res.try_acquire() is None     # free slot, but one queued
+        env.run(until=3.0)
+        assert waiter.processed and res.count == 1
+        res.release(waiter)
+        assert res.busy_time() == pytest.approx(3.0)
+        assert res.total_served == 2
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="stale reservation wake: Resource._arm_res_wake returns "
+               "early while a wake timer is pending, but that timer may "
+               "be left over from a waiter since granted by an ordinary "
+               "release and aimed at what was the earliest expiry, so B "
+               "is granted at 10.0 instead of 4.0.  The fix (remember the "
+               "armed deadline, re-aim when the heap head is earlier) "
+               "re-aims 12 timers on hostbench dds_serving "
+               "(sim.core.entries 417475 -> 417487, digest_pinned fails) "
+               "and has to land with hostbench v2, which un-pins work "
+               "counts; that change makes this pass and deletes this "
+               "marker (docs/ROBUSTNESS.md)")
+    def test_waiter_behind_a_later_shorter_reservation_wakes_on_time(
+            self, env):
+        res = Resource(env, capacity=2)
+        granted = {}
+
+        def user(tag, at, duration):
+            yield env.timeout(at)
+            with res.request() as req:
+                yield req
+                granted[tag] = env.now
+                yield env.timeout(duration)
+
+        def reserver():
+            assert res.reserve(10.0)         # slot 1 until t=10
+            yield env.timeout(3.0)
+            assert res.reserve(1.0)          # slot 2 until t=4
+
+        env.process(reserver())
+        env.process(user("user", 0.0, 1.0))  # slot 2 until t=1
+        env.process(user("A", 0.1, 1.0))     # queues; wake armed for t=10
+        env.process(user("B", 3.5, 1.0))     # queues; no wake armed
+        env.run()
+        assert granted["A"] == 1.0           # by the release, not the wake
+        assert granted["B"] == 4.0           # what the evented schedule does
 
 
 class TestPriorityResource:

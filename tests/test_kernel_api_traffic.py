@@ -1,0 +1,75 @@
+"""Every public kernel mechanism has a caller in the product.
+
+A caller census over the syntax tree, nothing timed and nothing run:
+each public method and property of ``repro.sim.core.Environment`` and
+``repro.sim.resources.Resource`` must be read as an attribute somewhere
+under ``src/repro``, ``hostbench/workloads`` or ``examples`` outside
+its own class body.  Tests do not count as callers — a mechanism only
+its tests use is the thing this file exists to catch.  The match is by
+name, so it can miss an unused method that shares a name with a used
+one; it cannot flag a used one.
+"""
+
+import ast
+import functools
+from pathlib import Path
+
+import pytest
+
+_REPO = Path(__file__).resolve().parent.parent
+_CALLER_ROOTS = ("src/repro", "hostbench/workloads", "examples")
+
+_KERNEL_CLASSES = (
+    ("src/repro/sim/core.py", "Environment"),
+    ("src/repro/sim/resources.py", "Resource"),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _caller_trees():
+    """Every module under the caller roots, parsed once: {path: tree}."""
+    return {source: ast.parse(source.read_text())
+            for root in _CALLER_ROOTS
+            for source in sorted((_REPO / root).rglob("*.py"))}
+
+
+def _class_node(path, name):
+    for node in _caller_trees()[_REPO / path].body:
+        if isinstance(node, ast.ClassDef) and node.name == name:
+            return node
+    raise AssertionError(f"{path} defines no class {name}")
+
+
+def _public_api(class_node):
+    """Names of the public methods and properties in the class body."""
+    return sorted(
+        node.name for node in class_node.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_"))
+
+
+def _attributes_read_outside(class_node):
+    """Every ``<expr>.attr`` name in the caller roots, minus the body
+    of ``class_node``."""
+    seen = set()
+    stack = list(_caller_trees().values())
+    while stack:
+        node = stack.pop()
+        if node is class_node:
+            continue
+        if isinstance(node, ast.Attribute):
+            seen.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return seen
+
+
+@pytest.mark.parametrize("path,name", _KERNEL_CLASSES)
+def test_every_public_kernel_member_has_a_product_caller(path, name):
+    class_node = _class_node(path, name)
+    api = _public_api(class_node)
+    assert api, f"{name} exposes nothing public?"
+    used = _attributes_read_outside(class_node)
+    unused = [member for member in api if member not in used]
+    assert not unused, (
+        f"{name} members with no caller under {_CALLER_ROOTS}: {unused} "
+        "— delete them, or the caller that justified them is gone")
