@@ -50,6 +50,11 @@ def chunk_stream(data: bytes, avg_size: int = 4096,
     A boundary is declared when the rolling gear hash has its top
     ``log2(avg_size)`` bits clear, giving an expected chunk size of
     ``avg_size`` bytes, clamped to ``[min_size, max_size]``.
+
+    No boundary can fall in a chunk's first ``min_size`` bytes, and
+    each step shifts one bit out of the 64-bit hash, so the first hash
+    that is tested depends on the 64 bytes before it alone: the bytes
+    ahead of those are not hashed at all.
     """
     if not (0 < min_size <= avg_size <= max_size):
         raise ValueError("need 0 < min_size <= avg_size <= max_size")
@@ -59,24 +64,21 @@ def chunk_stream(data: bytes, avg_size: int = 4096,
     chunks: List[Chunk] = []
     data = bytes(data)
     n = len(data)
+    gear = _GEAR
     start = 0
-    fingerprint_state = 0
-    pos = 0
-    while pos < n:
-        fingerprint_state = (
-            ((fingerprint_state << 1) & 0xFFFFFFFFFFFFFFFF)
-            + _GEAR[data[pos]]
-        ) & 0xFFFFFFFFFFFFFFFF
-        pos += 1
-        size = pos - start
-        if size < min_size:
-            continue
-        if (fingerprint_state & mask) == 0 or size >= max_size:
-            chunks.append(Chunk(start, size, crc32(data[start:pos])))
-            start = pos
-            fingerprint_state = 0
-    if start < n:
-        chunks.append(Chunk(start, n - start, crc32(data[start:])))
+    while start < n:
+        first = start + min_size - 1    # the first byte a cut may follow
+        state = 0
+        for byte in data[max(start, first - 63):first]:
+            state = (state << 1) + gear[byte] & 0xFFFFFFFFFFFFFFFF
+        end = min(start + max_size, n)
+        for pos, byte in enumerate(data[first:end], first + 1):
+            state = (state << 1) + gear[byte] & 0xFFFFFFFFFFFFFFFF
+            if not state & mask:
+                end = pos
+                break
+        chunks.append(Chunk(start, end - start, crc32(data[start:end])))
+        start = end
     return chunks
 
 

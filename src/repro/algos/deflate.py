@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .bitio import BitReader, BitWriter
+from .bitio import REFILL_BYTES, BitReader, BitWriter, reverse_bits
 from .huffman import (
     CanonicalDecoder,
     canonical_codes,
@@ -27,6 +27,8 @@ __all__ = ["deflate", "inflate", "compression_ratio"]
 _WINDOW_SIZE = 32 * 1024
 _MIN_MATCH = 3
 _MAX_MATCH = 258
+#: bytes of a candidate compared before the full ``_MAX_MATCH``
+_SHORT_COMPARE = 24
 _MAX_STORED = 65535
 _END_OF_BLOCK = 256
 
@@ -76,29 +78,6 @@ _LENGTH_LOOKUP = _build_length_lookup()
 _DIST_LOOKUP = _build_dist_lookup()
 
 
-def _length_to_code(length: int) -> Tuple[int, int, int]:
-    """Map a match length to (length code, extra bits, extra value)."""
-    if not _MIN_MATCH <= length <= _MAX_MATCH:
-        raise ValueError(f"match length {length} out of range")
-    return _LENGTH_LOOKUP[length]
-
-
-def _distance_to_code(distance: int) -> Tuple[int, int, int]:
-    """Map a match distance to (distance code, extra bits, extra value)."""
-    if not 1 <= distance <= _WINDOW_SIZE:
-        raise ValueError(f"distance {distance} out of range")
-    return _DIST_LOOKUP[distance]
-
-
-def _reverse_code(code: int, nbits: int) -> int:
-    """Bit-reverse a Huffman code (DEFLATE packs codes MSB-first)."""
-    reversed_code = 0
-    for _ in range(nbits):
-        reversed_code = (reversed_code << 1) | (code & 1)
-        code >>= 1
-    return reversed_code
-
-
 def _fixed_literal_lengths() -> List[int]:
     lengths = [8] * 144 + [9] * 112 + [7] * 24 + [8] * 8
     return lengths
@@ -123,11 +102,13 @@ def _lz77_tokens(data: bytes, lazy: bool) -> List[Token]:
 
     Constant-factor tricks that leave the chosen tokens identical:
 
-    * a candidate is compared in full only if it can beat the best so
+    * a candidate is compared at all only if it can beat the best so
       far, i.e. it agrees at offsets ``best_len`` and ``best_len - 1``;
     * a match is extended by XOR-ing the two slices as ints — the
       number of leading zero bytes is the match length — not by a
-      byte loop;
+      byte loop, and over ``_SHORT_COMPARE`` bytes first: nearly every
+      match is shorter, so the ``limit``-byte compare is paid only by
+      a candidate that agrees on all of them;
     * when the lazy look-ahead at ``pos + 1`` wins, its result is kept
       for the next round instead of being searched for again.
     """
@@ -150,26 +131,35 @@ def _lz77_tokens(data: bytes, lazy: bool) -> List[Token]:
         index = rank[pos]
         if not index:           # first of its trigram, or < 3 bytes left
             return 0, 0
-        limit = min(_MAX_MATCH, n - pos)
+        width = _SHORT_COMPARE if pos + _SHORT_COMPARE <= n else n - pos
+        head = data[pos:pos + width]
+        short = from_bytes(head, "big")
         floor = pos - _WINDOW_SIZE
-        target = from_bytes(data[pos:pos + limit], "big")
         # Every candidate shares the trigram, so any of them beats 2.
         best_len = _MIN_MATCH - 1
         best_dist = 0
-        last = data[pos + best_len]
-        before_last = data[pos + best_len - 1]
-        chain = chains[data[pos:pos + 3]]
-        for candidate in reversed(chain[max(index - max_chain, 0):index]):
+        last = head[best_len]
+        before_last = head[best_len - 1]
+        low = index - max_chain
+        for candidate in reversed(chains[head[:3]][low if low > 0 else 0:
+                                                   index]):
             if (data[candidate + best_len] == last and
                     data[candidate + best_len - 1] == before_last):
                 if candidate < floor:
                     break       # so is every later (farther) candidate
-                diff = target ^ from_bytes(
-                    data[candidate:candidate + limit], "big")
-                length = limit - (diff.bit_length() + 7) // 8
-                if length > best_len:
+                diff = short ^ from_bytes(
+                    data[candidate:candidate + width], "big")
+                if diff:
+                    length = width - (diff.bit_length() + 7) // 8
+                else:
+                    limit = _MAX_MATCH if pos + _MAX_MATCH <= n else n - pos
+                    diff = (from_bytes(data[pos:pos + limit], "big")
+                            ^ from_bytes(data[candidate:candidate + limit],
+                                         "big"))
+                    length = limit - (diff.bit_length() + 7) // 8
                     if length == limit:
                         return length, pos - candidate
+                if length > best_len:
                     best_len = length
                     best_dist = pos - candidate
                     last = data[pos + length]
@@ -179,6 +169,7 @@ def _lz77_tokens(data: bytes, lazy: bool) -> List[Token]:
         return 0, 0
 
     tokens: List[Token] = []
+    append = tokens.append
     pos = 0
     carried: Optional[Token] = None   # a look-ahead that won, kept
     while pos < n:
@@ -192,10 +183,10 @@ def _lz77_tokens(data: bytes, lazy: bool) -> List[Token]:
                 carried = ahead
                 length = 0
         if length:
-            tokens.append((length, distance))
+            append((length, distance))
             pos += length
         else:
-            tokens.append((-1, data[pos]))
+            append((-1, data[pos]))
             pos += 1
     return tokens
 
@@ -222,27 +213,28 @@ def _emit_stored(writer: BitWriter, data: bytes, final: bool) -> None:
 def _emit_tokens(writer: BitWriter, tokens: List[Token],
                  lit_lengths: List[int], lit_codes: List[int],
                  dist_lengths: List[int], dist_codes: List[int]) -> None:
-    # Bit-reverse each code once per block, not once per occurrence.
-    lit = [(_reverse_code(code, nbits), nbits)
+    # Bit-reverse each code once per block, not once per occurrence,
+    # and merge each match length's code with its extra bits likewise.
+    lit = [(reverse_bits(code, nbits), nbits)
            for code, nbits in zip(lit_codes, lit_lengths)]
-    dist = [(_reverse_code(code, nbits), nbits)
+    dist = [(reverse_bits(code, nbits), nbits)
             for code, nbits in zip(dist_codes, dist_lengths)]
-    write_bits = writer.write_bits
-    length_lookup = _LENGTH_LOOKUP
+    by_length = [(lit[code][0] | extra_val << lit[code][1],
+                  lit[code][1] + extra)
+                 for code, extra, extra_val in _LENGTH_LOOKUP]
     dist_lookup = _DIST_LOOKUP
+    pieces = []
+    append = pieces.append
     for length, value in tokens:
         if length < 0:
-            write_bits(*lit[value])
+            append(lit[value])
         else:
-            code, extra, extra_val = length_lookup[length]
-            write_bits(*lit[code])
-            if extra:
-                write_bits(extra_val, extra)
+            append(by_length[length])
             dcode, dextra, dextra_val = dist_lookup[value]
-            write_bits(*dist[dcode])
-            if dextra:
-                write_bits(dextra_val, dextra)
-    write_bits(*lit[_END_OF_BLOCK])
+            bits, nbits = dist[dcode]
+            append((bits | dextra_val << nbits, nbits + dextra))
+    append(lit[_END_OF_BLOCK])
+    writer.write_pieces(pieces)
 
 
 def _emit_fixed(writer: BitWriter, tokens: List[Token], final: bool) -> None:
@@ -301,10 +293,8 @@ def _emit_dynamic(writer: BitWriter, tokens: List[Token],
         if length < 0:
             lit_freq[value] += 1
         else:
-            code, _, _ = _length_to_code(length)
-            lit_freq[code] += 1
-            dcode, _, _ = _distance_to_code(value)
-            dist_freq[dcode] += 1
+            lit_freq[_LENGTH_LOOKUP[length][0]] += 1
+            dist_freq[_DIST_LOOKUP[value][0]] += 1
 
     lit_lengths = code_lengths_from_frequencies(lit_freq, 15)
     dist_lengths = code_lengths_from_frequencies(dist_freq, 15)
@@ -392,7 +382,7 @@ def inflate(data: bytes) -> bytes:
                     fixed_lit_decoder = CanonicalDecoder(
                         _fixed_literal_lengths()
                     )
-                    fixed_dist_decoder = CanonicalDecoder([5] * 30)
+                    fixed_dist_decoder = CanonicalDecoder([5] * 32)
                 lit_decoder = fixed_lit_decoder
                 dist_decoder = fixed_dist_decoder
             else:
@@ -440,20 +430,57 @@ def _read_dynamic_tables(reader: BitReader):
 def _inflate_block(reader: BitReader, out: bytearray,
                    lit_decoder: CanonicalDecoder,
                    dist_decoder: CanonicalDecoder) -> None:
-    while True:
-        symbol = lit_decoder.decode(reader)
+    """Decode one Huffman-coded block's tokens onto ``out``.
+
+    The reader's window lives in locals until the block ends, topped
+    up whenever it holds less than the 48 bits the longest token takes
+    (15 + 5 for the length, 15 + 13 for the distance).  Past the end
+    of the data it reads as zeros and its count runs negative.
+    """
+    data, pos = reader._data, reader._pos
+    bitbuf, bitcount = reader._bitbuf, reader._bitcount
+    lit_table = lit_decoder.table
+    lit_mask = len(lit_table) - 1
+    dist_table = dist_decoder.table
+    dist_mask = len(dist_table) - 1
+    from_bytes = int.from_bytes
+    append = out.append
+
+    error = None
+    while True:     # ``while bitcount >= 0``: 1.5x slower at first on 3.11
+        if bitcount < 48:
+            if bitcount < 0:
+                break
+            chunk = data[pos:pos + REFILL_BYTES]
+            pos += len(chunk)
+            bitbuf |= from_bytes(chunk, "little") << bitcount
+            bitcount += len(chunk) << 3
+        symbol, nbits = lit_table[bitbuf & lit_mask]
+        bitbuf >>= nbits
+        bitcount -= nbits
         if symbol < 256:
-            out.append(symbol)
+            append(symbol)
         elif symbol == _END_OF_BLOCK:
-            return
+            break
         else:
+            if symbol > 285:
+                error = "invalid literal/length code"
+                break
             extra, base = _LENGTH_CODES[symbol - 257]
-            length = base + (reader.read_bits(extra) if extra else 0)
-            dcode = dist_decoder.decode(reader)
+            length = base + (bitbuf & ((1 << extra) - 1))
+            dcode, nbits = dist_table[(bitbuf >> extra) & dist_mask]
+            if dcode > 29:
+                error = "invalid distance code"
+                break
             dextra, dbase = _DIST_CODES[dcode]
-            distance = dbase + (reader.read_bits(dextra) if dextra else 0)
+            nbits += extra
+            distance = dbase + ((bitbuf >> nbits) & ((1 << dextra) - 1))
+            nbits += dextra
+            bitbuf >>= nbits
+            bitcount -= nbits
             if distance > len(out):
-                raise ValueError("distance beyond window start")
+                error = "distance beyond window start"
+                break
             start = len(out) - distance
             chunk = out[start:start + length]
             if distance < length:
@@ -461,6 +488,12 @@ def _inflate_block(reader: BitReader, out: bytearray,
                 # the ``distance`` bytes that exist so far.
                 chunk = (chunk * (length // distance + 1))[:length]
             out += chunk
+    # Zero padding decodes to anything: truncation explains an error first.
+    if bitcount < 0:
+        raise EOFError("bit stream exhausted")
+    if error:
+        raise ValueError(error)
+    reader._pos, reader._bitbuf, reader._bitcount = pos, bitbuf, bitcount
 
 
 def compression_ratio(data: bytes, level: int = 6) -> float:

@@ -9,7 +9,9 @@ lengths → canonical decode table.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
+
+from .bitio import reverse_bits
 
 __all__ = [
     "code_lengths_from_frequencies",
@@ -104,39 +106,40 @@ def canonical_codes(lengths: Sequence[int]) -> List[int]:
 
 
 class CanonicalDecoder:
-    """Decodes canonical Huffman symbols from a DEFLATE bit stream."""
+    """Decodes canonical Huffman symbols from a DEFLATE bit stream.
+
+    ``table[bits]`` is the ``(symbol, code length)`` of the code that
+    ``bits``, the next ``max_len`` of the stream as ``peek_bits``
+    returns them, begin with: a code owns every index ending in its
+    bit-reversed self.  The lengths must give a complete prefix code
+    or a single code (a block with one distance), as zlib demands.
+    """
+
+    #: table entry no code leads to (only a single-code table has any)
+    INVALID = (1 << 16, 0)
 
     def __init__(self, lengths: Sequence[int]):
-        codes = canonical_codes(lengths)
-        self._table: Dict[Tuple[int, int], int] = {}
-        self._min_len = 0
-        self._max_len = 0
-        for symbol, length in enumerate(lengths):
-            if length:
-                self._table[(length, codes[symbol])] = symbol
-                self._max_len = max(self._max_len, length)
-                if self._min_len == 0 or length < self._min_len:
-                    self._min_len = length
-        if not self._table:
+        self.max_len = max_len = max(lengths, default=0)
+        if not max_len:
             raise ValueError("no symbols have codes")
+        size = 1 << max_len
+        used = [length for length in lengths if length]
+        claimed = sum(size >> length for length in used)   # Kraft sum
+        if claimed > size:
+            raise ValueError("over-subscribed Huffman code lengths")
+        if claimed < size and len(used) > 1:
+            raise ValueError("incomplete Huffman code lengths")
+        self.table: List[Tuple[int, int]] = [self.INVALID] * size
+        for symbol, code in enumerate(canonical_codes(lengths)):
+            length = lengths[symbol]
+            if length:
+                self.table[reverse_bits(code, length)::1 << length] = (
+                    [(symbol, length)] * (size >> length))
 
     def decode(self, reader) -> int:
-        """Read one symbol from a :class:`~repro.algos.bitio.BitReader`.
-
-        Huffman codes are packed MSB-first, so accumulate bit by bit.
-        """
-        code = 0
-        length = 0
-        while length < self._min_len:
-            code = (code << 1) | reader.read_bit()
-            length += 1
-        while True:
-            symbol = self._table.get((length, code))
-            if symbol is not None:
-                return symbol
-            if length >= self._max_len:
-                raise ValueError(
-                    f"invalid Huffman code {code:b} at length {length}"
-                )
-            code = (code << 1) | reader.read_bit()
-            length += 1
+        """Read one symbol from a :class:`~repro.algos.bitio.BitReader`."""
+        symbol, length = self.table[reader.peek_bits(self.max_len)]
+        if not length:
+            raise ValueError("invalid Huffman code")
+        reader.skip_bits(length)
+        return symbol

@@ -189,6 +189,8 @@ _EPSILON = None
 _START_ANCHOR = "^"
 _END_ANCHOR = "$"
 _DEAD = -1               # DFA state id: no NFA state survives
+#: DFA states (~2 KiB each) a pattern may hold before it starts over
+_MAX_DFA_STATES = 1024
 
 
 class _Nfa:
@@ -257,6 +259,8 @@ class Pattern:
     seen in that state (``_DEAD`` ends a scan early).  Rows live as long
     as the pattern, so a second scan pays list indexing per byte and
     nothing else — :func:`compile_pattern` caches patterns for that.
+    A pattern that needs more than ``_MAX_DFA_STATES`` states drops
+    them and refills: same matches, bounded memory.
     """
 
     def __init__(self, pattern):
@@ -307,6 +311,14 @@ class Pattern:
         closed = frozenset(self._closure(states, at_start, False))
         state_id = self._ids.get((closed, at_start))
         if state_id is None:
+            if len(self._sets) >= _MAX_DFA_STATES:
+                # Full: forget every state but the two entries, ids 0
+                # and 1 — in place, a running scan holds these lists.
+                del (self._sets[2:], self._accepts[2:],
+                     self._accepts_at_end[2:])
+                self._rows[:] = [None] * 256, [None] * 256
+                self._ids = {key: state_id for key, state_id
+                             in self._ids.items() if state_id < 2}
             state_id = self._ids[closed, at_start] = len(self._sets)
             self._sets.append(closed)
             self._rows.append([None] * 256)
@@ -324,8 +336,28 @@ class Pattern:
             for label, dst in self._nfa.transitions[state]
             if isinstance(label, frozenset) and byte in label
         }
-        target = self._rows[state_id][byte] = self._intern(moved)
+        row = self._rows[state_id]      # interning may drop the DFA
+        target = row[byte] = self._intern(moved)
         return target
+
+    def _start_marks(self, text: bytes) -> bytearray:
+        """One flag per offset ``0..len(text)``: can a match begin there?
+
+        Not on a byte the entry state's row, all of it filled here,
+        has a dead transition for.  Offset 0 has its own entry state
+        and ``len(text)`` no byte (``$`` can still match): both are set.
+        """
+        entry = self._entry
+        row = self._rows[entry]
+        step = self._step
+        marks = bytearray(text.translate(bytes(
+            # a state accepting the empty string matches at any offset
+            self._accepts[entry] or
+            (step(entry, byte) if row[byte] is None else row[byte]) >= 0
+            for byte in range(256))))
+        marks.append(1)
+        marks[0] = 1
+        return marks
 
     def match_at(self, text: bytes, start: int) -> Optional[int]:
         """Longest match beginning exactly at ``start``; returns end.
@@ -354,21 +386,25 @@ class Pattern:
             state = target
         return n if self._accepts_at_end[state] else best
 
-    def _leftmost(self, text: bytes,
+    def _leftmost(self, text: bytes, marks: bytearray,
                   pos: int) -> Optional[Tuple[int, int]]:
-        """Leftmost-longest match starting at or after ``pos``."""
+        """Leftmost-longest match starting at or after ``pos``, tried
+        only where ``marks`` (:meth:`_start_marks` of ``text``) is set."""
         n = len(text)
-        for start in range(pos, n + 1):
+        start = marks.find(1, pos)
+        while start >= 0:
             end = self._scan(text, start, n)
             if end is not None:
                 return (start, end)
+            start = marks.find(1, start + 1)
         return None
 
     def search(self, text) -> Optional[Tuple[int, int]]:
         """First (leftmost-longest) match as ``(start, end)``."""
         if isinstance(text, str):
             text = text.encode()
-        return self._leftmost(bytes(text), 0)
+        text = bytes(text)
+        return self._leftmost(text, self._start_marks(text), 0)
 
     def findall(self, text) -> List[Tuple[int, int]]:
         """All non-overlapping matches, leftmost-longest."""
@@ -376,11 +412,13 @@ class Pattern:
             text = text.encode()
         text = bytes(text)
         out: List[Tuple[int, int]] = []
-        found = self._leftmost(text, 0)
+        marks = self._start_marks(text)
+        found = self._leftmost(text, marks, 0)
         while found is not None:
             out.append(found)
             start, end = found
-            found = self._leftmost(text, end if end > start else start + 1)
+            found = self._leftmost(text, marks,
+                                   end if end > start else start + 1)
         return out
 
     def count(self, text) -> int:

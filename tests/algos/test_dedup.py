@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algos import Chunk, DedupIndex, chunk_stream, dedup_ratio
+from repro.algos import Chunk, DedupIndex, chunk_stream, crc32, dedup_ratio
+from repro.algos import dedup
 
 
 def _random_bytes(seed: int, size: int) -> bytes:
@@ -62,6 +63,65 @@ class TestChunking:
             Chunk(offset=-1, length=10, fingerprint=0)
         with pytest.raises(ValueError):
             Chunk(offset=0, length=0, fingerprint=0)
+
+
+def _per_byte_chunks(data, avg_size=4096, min_size=1024, max_size=16384):
+    """``chunk_stream`` as it was: the gear hash stepped over every
+    byte of every chunk from its first, one index at a time."""
+    mask_bits = max(1, avg_size.bit_length() - 1)
+    mask = ((1 << mask_bits) - 1) << (64 - mask_bits)
+    chunks, start, state = [], 0, 0
+    for pos in range(1, len(data) + 1):
+        state = ((state << 1) + dedup._GEAR[data[pos - 1]]) & (2 ** 64 - 1)
+        size = pos - start
+        if size >= min_size and (state & mask == 0 or size >= max_size):
+            chunks.append(Chunk(start, size, crc32(data[start:pos])))
+            start, state = pos, 0
+    if start < len(data):
+        chunks.append(Chunk(start, len(data) - start, crc32(data[start:])))
+    return chunks
+
+
+class _CountingGear(tuple):
+    """The gear table, counting the hash steps that read it."""
+
+    reads = 0
+
+    def __getitem__(self, byte):
+        self.reads += 1
+        return tuple.__getitem__(self, byte)
+
+
+class TestLookbackEqualsPerByte:
+    """Hashing only the 64 bytes the hash remembers moves no boundary."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.tuples(st.integers(1, 200), st.integers(0, 300),
+                           st.integers(0, 600)),
+           data=st.one_of(st.binary(max_size=6000),
+                          st.integers(0, 6000).map(bytes),
+                          st.integers(0, 2 ** 32).map(
+                              lambda seed: _random_bytes(seed, 5000))))
+    def test_property_same_chunks(self, sizes, data):
+        min_size = sizes[0]                 # below and above 64
+        avg_size = min_size + sizes[1]
+        max_size = avg_size + sizes[2]      # zeros only ever cut here
+        assert (chunk_stream(data, avg_size, min_size, max_size)
+                == _per_byte_chunks(data, avg_size, min_size, max_size))
+
+    @pytest.mark.parametrize("size", [0, 1, 63, 64, 65, 1023, 1024, 1025,
+                                      16_384, 16_385, 70_000])
+    def test_default_sizes_at_the_edges(self, size):
+        for data in (_random_bytes(size, size), bytes(size)):
+            assert chunk_stream(data) == _per_byte_chunks(data)
+
+    def test_hash_steps_skip_each_chunks_head(self, monkeypatch):
+        data = _random_bytes(11, 65_536)
+        gear = _CountingGear(dedup._GEAR)
+        monkeypatch.setattr(dedup, "_GEAR", gear)
+        chunks = chunk_stream(data)
+        assert len(chunks) > 8
+        assert gear.reads <= len(data) - (len(chunks) - 1) * (1024 - 64)
 
 
 class TestDedupIndex:

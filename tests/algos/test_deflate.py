@@ -7,20 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algos import compression_ratio, deflate, inflate
+from repro.algos import BitWriter, compression_ratio, deflate, inflate
 from repro.algos.deflate import (
+    _CLC_ORDER,
     _DIST_CODES,
     _DIST_LOOKUP,
     _LENGTH_CODES,
     _LENGTH_LOOKUP,
-    _distance_to_code,
-    _length_to_code,
     _lz77_tokens,
 )
 
 
-def _zlib_raw_compress(data: bytes, level: int = 6) -> bytes:
-    compressor = zlib.compressobj(level, zlib.DEFLATED, -15)
+def _zlib_raw_compress(data: bytes, level: int = 6,
+                       strategy: int = zlib.Z_DEFAULT_STRATEGY) -> bytes:
+    compressor = zlib.compressobj(level, zlib.DEFLATED, -15, 8, strategy)
     return compressor.compress(data) + compressor.flush()
 
 
@@ -151,8 +151,111 @@ def _reference_tokens(data: bytes, lazy: bool):
     return tokens
 
 
+def _wide_compare_tokens(data: bytes, lazy: bool):
+    """``_lz77_tokens`` as it was before the 24-byte-first compare:
+    the same chains and the same walk, but every candidate that passes
+    the two-byte reject is compared over the full ``limit`` bytes.
+    Unlike :func:`_reference_tokens` it is fast enough for whole pages.
+    """
+    n = len(data)
+    max_chain = 64 if lazy else 32
+    chains, rank = {}, [0] * n
+    for pos in range(n - 2):
+        chain = chains.setdefault(data[pos:pos + 3], [])
+        rank[pos] = len(chain)
+        chain.append(pos)
+
+    def find_match(pos):
+        index = rank[pos]
+        if not index:
+            return 0, 0
+        limit = min(258, n - pos)
+        target = int.from_bytes(data[pos:pos + limit], "big")
+        best_len, best_dist = 2, 0
+        chain = chains[data[pos:pos + 3]]
+        for candidate in reversed(chain[max(index - max_chain, 0):index]):
+            if (data[candidate + best_len] == data[pos + best_len]
+                    and data[candidate + best_len - 1]
+                    == data[pos + best_len - 1]):
+                if candidate < pos - 32 * 1024:
+                    break
+                diff = target ^ int.from_bytes(
+                    data[candidate:candidate + limit], "big")
+                length = limit - (diff.bit_length() + 7) // 8
+                if length > best_len:
+                    if length == limit:
+                        return length, pos - candidate
+                    best_len, best_dist = length, pos - candidate
+        return (best_len, best_dist) if best_dist else (0, 0)
+
+    tokens, pos, carried = [], 0, None
+    while pos < n:
+        length, distance = carried or find_match(pos)
+        carried = None
+        if lazy and 0 < length < 258:
+            ahead = find_match(pos + 1)
+            if ahead[0] > length:
+                carried, length = ahead, 0
+        if length:
+            tokens.append((length, distance))
+            pos += length
+        else:
+            tokens.append((-1, data[pos]))
+            pos += 1
+    return tokens
+
+
+def _repeats(unit_sizes):
+    """Random units, each later repeated whole, in part and extended,
+    so matches of every length up to the unit's (and past 258) occur."""
+    def build(seed):
+        rng = random.Random(seed)
+        units = [rng.randbytes(size) for size in unit_sizes]
+        parts = []
+        for _ in range(40):
+            unit = rng.choice(units)
+            parts.append(unit[:rng.randint(1, len(unit))]
+                         * rng.choice((1, 1, 2)))
+            parts.append(rng.randbytes(rng.randint(0, 3)))
+        return b"".join(parts)
+    return st.integers(0, 2 ** 32).map(build)
+
+
 class TestTokenStream:
     """Speed-ups of the match search must not change a single token."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.one_of(_repeats([23, 24, 25]), _repeats([5, 40, 300]),
+                          _repeats([258, 259, 600])),
+           cut=st.integers(0, 30), lazy=st.booleans())
+    def test_property_short_compare_equals_wide_compare(self, data, cut,
+                                                        lazy):
+        data = data[:len(data) - cut]       # ``limit`` < 24 at the tail
+        assert _lz77_tokens(data, lazy) == _wide_compare_tokens(data, lazy)
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    @pytest.mark.parametrize("length", [3, 23, 24, 25, 257, 258, 259, 700])
+    @pytest.mark.parametrize("tail", [0, 1, 5, 23, 24, 40])
+    def test_match_of_exactly_this_length(self, length, tail, lazy):
+        # One earlier copy, ``length`` bytes long, then a mismatch,
+        # ``tail`` bytes before the data ends.
+        rng = random.Random(length * 100 + tail)
+        unit = rng.randbytes(length)
+        data = (unit + b"\x00" + unit
+                + bytes(rng.randrange(2, 256) for _ in range(tail)))
+        tokens = _lz77_tokens(data, lazy)
+        assert tokens == _wide_compare_tokens(data, lazy)
+        if length < 40:
+            assert tokens == _reference_tokens(data, lazy)
+        assert (min(length, 258), length + 1) in tokens
+
+    def test_corpus_page_and_long_runs(self):
+        from repro.workloads import TextCorpus
+        page = TextCorpus(seed=3).generate(20_000)
+        for data in (page, b"\x00" * 5000, b"ab" * 3000 + b"a"):
+            for lazy in (False, True):
+                assert (_lz77_tokens(data, lazy)
+                        == _wide_compare_tokens(data, lazy))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.one_of(
@@ -219,6 +322,72 @@ class TestErrors:
             inflate(compressed[:len(compressed) // 2])
 
 
+def _oversubscribed_dynamic_block() -> bytes:
+    """A final dynamic block whose 257 literal/length codes are all 8
+    bits long — one more than 8 bits can tell apart."""
+    writer = BitWriter()
+    writer.write_bits(1, 1)                         # BFINAL
+    writer.write_bits(2, 2)                         # BTYPE=10
+    writer.write_bits(0, 5)                         # HLIT: 257 codes
+    writer.write_bits(0, 5)                         # HDIST: 1 code
+    writer.write_bits(18 - 4, 4)                    # HCLEN: up to "1"
+    for symbol in _CLC_ORDER[:18]:
+        # code lengths 1 and 8 are all the header uses: 1 bit each,
+        # canonical codes "0" and "1"
+        writer.write_bits(1 if symbol in (1, 8) else 0, 3)
+    for _ in range(257):
+        writer.write_bits(1, 1)                     # length 8
+    writer.write_bits(0, 1)                         # the distance: length 1
+    writer.write_bits(0, 16)                        # "data"
+    return writer.getvalue()
+
+
+class TestCorruptStreams:
+    def test_oversubscribed_literal_table_is_rejected_as_zlib_does(self):
+        block = _oversubscribed_dynamic_block()
+        with pytest.raises(zlib.error):
+            zlib.decompress(block, -15)
+        with pytest.raises(ValueError, match="over-subscribed"):
+            inflate(block)
+
+    @pytest.mark.parametrize("make", [
+        lambda data: deflate(data, 6),
+        lambda data: deflate(data, 1),
+        lambda data: deflate(data, 0),
+        lambda data: _zlib_raw_compress(data, 9),
+    ], ids=["dynamic", "fixed", "stored", "zlib9"])
+    def test_every_truncation_is_eof(self, make):
+        stream = make(b"some reasonably long input, " * 12 + b"the end")
+        assert len(stream) > 30
+        for cut in range(len(stream)):
+            with pytest.raises(EOFError):
+                inflate(stream[:cut])
+
+    def test_symbols_the_fixed_code_has_but_deflate_does_not(self):
+        # literal/length 286 is the fixed code 11000110; distance 30
+        # is 11110.  Both are ValueErrors, as a bad stream should be.
+        for bits, what in (("11000110", "literal/length"),
+                           ("0000001" + "11110", "distance")):
+            writer = BitWriter()
+            writer.write_bits(1, 1)
+            writer.write_bits(1, 2)                 # BTYPE=01
+            for bit in bits:
+                writer.write_bits(int(bit), 1)
+            writer.write_bits(0, 32)
+            with pytest.raises(ValueError, match=what):
+                inflate(writer.getvalue())
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.one_of(st.binary(max_size=4096), _repeats([5, 40, 300])),
+       level=st.sampled_from([0, 1, 6, 9]),
+       strategy=st.sampled_from([zlib.Z_DEFAULT_STRATEGY, zlib.Z_FIXED,
+                                 zlib.Z_HUFFMAN_ONLY]))
+def test_property_we_decode_every_zlib_block_type(data, level, strategy):
+    # level 0 gives stored blocks, Z_FIXED fixed-Huffman ones
+    assert inflate(_zlib_raw_compress(data, level, strategy)) == data
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.binary(max_size=4096),
        level=st.sampled_from([0, 1, 6]))
@@ -264,15 +433,15 @@ class TestCodeLookupTables:
 
     def test_every_distance_round_trips_through_its_code(self):
         for distance in range(1, 32 * 1024 + 1):
-            code, extra, value = _distance_to_code(distance)
+            code, extra, value = _DIST_LOOKUP[distance]
             code_extra, base = _DIST_CODES[code]
             assert code_extra == extra and 0 <= value < (1 << extra)
             assert base + value == distance
 
     def test_every_length_round_trips_through_its_code(self):
         for length in range(3, 258 + 1):
-            symbol, extra, value = _length_to_code(length)
+            symbol, extra, value = _LENGTH_LOOKUP[length]
             code_extra, base = _LENGTH_CODES[symbol - 257]
             assert code_extra == extra and 0 <= value < (1 << extra)
             assert base + value == length
-        assert _length_to_code(258) == (285, 0, 0)
+        assert _LENGTH_LOOKUP[258] == (285, 0, 0)

@@ -1,13 +1,15 @@
 """Regex engine correctness, cross-checked against Python's re."""
 
+import random
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algos import Pattern, compile_pattern, findall, search
+from repro.algos import Pattern, compile_pattern, findall, regex, search
 from repro.algos.regex import RegexSyntaxError
+from repro.workloads import TextCorpus
 
 
 class TestBasics:
@@ -263,10 +265,110 @@ class TestDfaCache:
 
     def test_dead_transitions_are_cached_too(self):
         pattern = Pattern("ab")
+        assert pattern._rows[pattern._entry] == [None] * 256
         assert pattern.search(b"zzzz") is None
+        # A search marks the bytes a match can start with, which takes
+        # the whole mid-text entry row, dead transitions included ...
         entry_row = pattern._rows[pattern._entry]
+        assert None not in entry_row
         assert entry_row[ord("z")] == -1
-        assert entry_row[ord("a")] is None      # never seen, never built
+        after_a = entry_row[ord("a")]
+        assert after_a >= 0
+        # ... every other row still learns one byte at a time.
+        assert pattern._rows[after_a] == [None] * 256
+        assert pattern._rows[pattern._entry_at_start].count(None) == 255
+        assert pattern.search(b"zazb") is None
+        assert pattern._rows[after_a].count(None) == 255
+        assert pattern._rows[after_a][ord("z")] == -1
+
+
+def _count_scans(monkeypatch):
+    calls = []
+    scan = Pattern._scan
+
+    def counted(self, text, start, n):
+        calls.append(start)
+        return scan(self, text, start, n)
+
+    monkeypatch.setattr(Pattern, "_scan", counted)
+    return calls
+
+
+class TestScanStarts:
+    """Work counts, not clocks: which offsets a search scans from."""
+
+    def test_only_bytes_that_can_start_a_match_are_scanned_from(
+            self, monkeypatch):
+        page = TextCorpus(seed=13).generate(64 * 1024)
+        calls = _count_scans(monkeypatch)
+        matches = Pattern(r"data[a-z]+").findall(page)
+        assert matches == [m.span() for m in
+                           re.finditer(rb"data[a-z]+", page)]
+        assert len(calls) <= page.count(b"d") + 1
+        assert len(calls) < len(page) / 20
+
+    def test_a_pattern_that_matches_empty_is_scanned_at_every_offset(
+            self, monkeypatch):
+        calls = _count_scans(monkeypatch)
+        assert len(findall("a*", "bbabb")) == 6
+        assert calls == [0, 1, 2, 3, 4, 5]      # one scan, one match
+
+    def test_offset_zero_and_the_end_are_always_tried(self, monkeypatch):
+        calls = _count_scans(monkeypatch)
+        assert findall("^b|a$", "bcba") == [(0, 1), (3, 4)]
+        assert findall("c|$", "bb") == [(2, 2)]
+        assert calls == [0, 3, 4, 0, 2]
+
+    @settings(max_examples=100, deadline=None)
+    @given(pattern=_PATTERNS, text=st.text(alphabet="abc1 \n", max_size=16))
+    def test_search_is_the_first_findall_match(self, pattern, text):
+        found = Pattern(pattern).findall(text)
+        assert Pattern(pattern).search(text) == (found[0] if found
+                                                 else None)
+
+
+class TestStateCap:
+    """``_MAX_DFA_STATES`` bounds memory and changes no match."""
+
+    def test_exponential_dfa_stays_under_the_cap(self):
+        # The 15th byte from the end of a match is an "a": the DFA must
+        # remember the last 15 bytes, 2**15 states in all.
+        source = "(a|b)*a" + "(a|b)" * 14
+        rng = random.Random(13)
+        text = bytes(rng.choice(b"ab") for _ in range(64 * 1024))
+        pattern = Pattern(source)
+        seen = []
+        intern = pattern._intern
+
+        def watched(states, at_start=False):
+            state_id = intern(states, at_start)
+            seen.append(len(pattern._rows))
+            return state_id
+
+        pattern._intern = watched
+        matches = pattern.findall(text)
+        assert max(seen) == regex._MAX_DFA_STATES      # it did fill up
+        assert len(pattern._rows) == len(pattern._sets) == len(
+            pattern._accepts) == len(pattern._accepts_at_end) == len(
+            pattern._ids) <= regex._MAX_DFA_STATES
+        # greedy backtracking is leftmost-longest for this pattern
+        assert matches == [m.span() for m in re.finditer(
+            source.replace("(", "(?:").encode(), text)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(pattern=_PATTERNS, cap=st.integers(3, 6),
+           texts=st.lists(st.text(alphabet="abc1 \n", max_size=24),
+                          min_size=1, max_size=3))
+    def test_a_tiny_cap_changes_no_match(self, pattern, cap, texts):
+        uncapped = [Pattern(pattern).findall(text) for text in texts]
+        default = regex._MAX_DFA_STATES
+        try:
+            regex._MAX_DFA_STATES = cap
+            capped = Pattern(pattern)
+            assert [capped.findall(text) for text in texts] == uncapped
+            assert len(capped._rows) <= cap
+        finally:
+            regex._MAX_DFA_STATES = default
 
 
 class TestSyntaxErrors:
