@@ -19,9 +19,12 @@ agnostic to which kind it is handling.
 from __future__ import annotations
 
 import zlib
-from typing import Optional
+from functools import lru_cache
+from itertools import zip_longest
+from typing import Optional, Tuple
 
-__all__ = ["Buffer", "RealBuffer", "SynthBuffer", "as_buffer"]
+__all__ = ["Buffer", "RealBuffer", "SynthBuffer", "as_buffer",
+           "split_records", "split_columns", "record_column"]
 
 
 class Buffer:
@@ -157,3 +160,53 @@ def as_buffer(payload, compress_ratio: float = 3.0,
     if isinstance(payload, int):
         return SynthBuffer(payload, compress_ratio, label or "")
     raise TypeError(f"cannot make a buffer from {type(payload).__name__}")
+
+
+# -- record decode ------------------------------------------------------------
+
+#: Distinct buffers whose decoded form is remembered: scans re-read a
+#: few immutable partitions many times.  What is kept represents the
+#: *input* bytes, keyed by content — never a kernel's output.  (No
+#: default arguments: ``lru_cache`` keys a call that spells the framing
+#: out apart from one that leaves it implied.)
+_DECODE_CACHE_ENTRIES = 256
+
+
+@lru_cache(maxsize=_DECODE_CACHE_ENTRIES)
+def split_records(data: bytes, delimiter: bytes) -> Tuple[bytes, ...]:
+    """The non-blank records of ``data``, in order."""
+    return tuple(filter(None, data.split(delimiter)))
+
+
+@lru_cache(maxsize=_DECODE_CACHE_ENTRIES)
+def split_columns(data: bytes, delimiter: bytes,
+                  separator: bytes) -> Tuple[tuple, int]:
+    """``(columns, width)``: the records of ``data`` transposed.
+
+    ``columns[j][i]`` is field ``j`` of record ``i``, or None where a
+    ragged record is too short to have one; every record has at least
+    ``width`` fields, so the input is rectangular exactly when
+    ``width == len(columns)``.
+    """
+    rows = [record.split(separator)
+            for record in split_records(data, delimiter)]
+    return tuple(zip_longest(*rows)), min(map(len, rows), default=0)
+
+
+def record_column(data: bytes, column: Optional[int],
+                  delimiter: bytes = b"\n",
+                  separator: bytes = b",") -> tuple:
+    """One value per record of ``data``: field ``column``, or the whole
+    record when ``column`` is None.  A record without that field is a
+    ``ValueError`` naming the record and its field count."""
+    if column is None:
+        return split_records(data, delimiter)
+    columns, width = split_columns(data, delimiter, separator)
+    if 0 <= column < width:
+        return columns[column]
+    for index, fields in enumerate(zip(*columns)):
+        count = len(fields) - fields.count(None)
+        if not 0 <= column < count:
+            raise ValueError(f"record {index} has {count} fields; "
+                             f"no column {column}")
+    return ()

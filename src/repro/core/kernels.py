@@ -18,7 +18,8 @@ identical regardless of placement; only the charged time differs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from itertools import compress
+from typing import Any, Callable, Dict, Optional
 
 from ..algos import (
     aes128_ctr,
@@ -28,7 +29,8 @@ from ..algos import (
     deflate,
     inflate,
 )
-from ..buffers import Buffer, RealBuffer, SynthBuffer
+from ..buffers import (Buffer, RealBuffer, SynthBuffer, record_column,
+                       split_columns, split_records)
 
 __all__ = ["DpKernelSpec", "KernelResult", "BUILTIN_KERNELS",
            "builtin_kernel_specs"]
@@ -152,26 +154,33 @@ def _crc32_fn(buffer: Buffer, params: Dict[str, Any]) -> KernelResult:
     return KernelResult(buffer, {"crc32": checksum})
 
 
-def _split_records(buffer: Buffer,
-                   params: Dict[str, Any]) -> Tuple[list, bytes]:
-    delimiter = params.get("delimiter", b"\n")
-    if isinstance(buffer, RealBuffer):
-        records = [r for r in buffer.data.split(delimiter) if r]
-        return records, delimiter
-    return [], delimiter
+def _record_values(buffer: RealBuffer, params: Dict[str, Any]) -> tuple:
+    """What ``predicate`` / ``extract`` see: field ``column`` of every
+    record, or the whole record when no ``column`` is named."""
+    return record_column(buffer.data, params.get("column"),
+                         params.get("delimiter", b"\n"),
+                         params.get("separator", b","))
+
+
+def _join_records(records: list, delimiter: bytes) -> RealBuffer:
+    return RealBuffer(delimiter.join(records) + delimiter
+                      if records else b"")
 
 
 def _filter_fn(buffer: Buffer, params: Dict[str, Any]) -> KernelResult:
-    """Predicate pushdown: keep records satisfying ``predicate``."""
-    predicate = params.get("predicate", lambda record: True)
-    records, delimiter = _split_records(buffer, params)
+    """Predicate pushdown: keep records whose ``column`` value (the
+    whole record without one) satisfies ``predicate``."""
     if isinstance(buffer, RealBuffer):
-        kept = [r for r in records if predicate(r)]
-        data = delimiter.join(kept) + (delimiter if kept else b"")
-        out: Buffer = RealBuffer(data if kept else b"")
+        predicate = params.get("predicate", lambda value: True)
+        delimiter = params.get("delimiter", b"\n")
+        records = split_records(buffer.data, delimiter)
+        kept = list(compress(
+            records, map(predicate, _record_values(buffer, params))))
         selectivity = len(kept) / len(records) if records else 0.0
-        return KernelResult(out, {"in": len(records), "out": len(kept),
-                                  "selectivity": selectivity})
+        return KernelResult(
+            _join_records(kept, delimiter),
+            {"in": len(records), "out": len(kept),
+             "selectivity": selectivity})
     selectivity = params.get("selectivity", 0.1)
     out = buffer.with_size(max(0, int(buffer.size * selectivity)),
                            label_suffix=".flt")
@@ -179,14 +188,13 @@ def _filter_fn(buffer: Buffer, params: Dict[str, Any]) -> KernelResult:
 
 
 def _aggregate_fn(buffer: Buffer, params: Dict[str, Any]) -> KernelResult:
-    """Aggregation pushdown: fold records to one value."""
-    extract = params.get("extract", lambda record: 1)
-    records, _ = _split_records(buffer, params)
+    """Aggregation pushdown: fold ``extract`` of every record's
+    ``column`` value (the whole record without one) to one summary."""
     if isinstance(buffer, RealBuffer):
-        values = [extract(record) for record in records]
-        total = sum(values)
+        extract = params.get("extract", lambda value: 1)
+        values = list(map(extract, _record_values(buffer, params)))
         result = {
-            "count": len(values), "sum": total,
+            "count": len(values), "sum": sum(values),
             "min": min(values) if values else None,
             "max": max(values) if values else None,
         }
@@ -198,19 +206,22 @@ def _aggregate_fn(buffer: Buffer, params: Dict[str, Any]) -> KernelResult:
 
 def _project_fn(buffer: Buffer, params: Dict[str, Any]) -> KernelResult:
     """Projection pushdown: keep selected columns of each record."""
-    columns = params.get("columns", [0])
-    separator = params.get("separator", b",")
-    records, delimiter = _split_records(buffer, params)
     if isinstance(buffer, RealBuffer):
-        projected = []
-        for record in records:
-            fields = record.split(separator)
-            projected.append(separator.join(
-                fields[c] for c in columns if c < len(fields)
-            ))
-        data = delimiter.join(projected) + (delimiter if projected else b"")
-        out: Buffer = RealBuffer(data if projected else b"")
-        return KernelResult(out, {"records": len(records)})
+        delimiter = params.get("delimiter", b"\n")
+        separator = params.get("separator", b",")
+        columns, width = split_columns(buffer.data, delimiter, separator)
+        picks = [c for c in params.get("columns", [0])
+                 if c < len(columns)]
+        if picks and all(0 <= c < width for c in picks):
+            rows = zip(*[columns[c] for c in picks])
+        else:
+            # Ragged (or no column picked): a record contributes the
+            # picked fields it has.
+            rows = ([fields[c] for c in picks if fields[c] is not None]
+                    for fields in zip(*columns))
+        projected = list(map(separator.join, rows))
+        return KernelResult(_join_records(projected, delimiter),
+                            {"records": len(projected)})
     width = params.get("projected_fraction", 0.3)
     out = buffer.with_size(max(0, int(buffer.size * width)),
                            label_suffix=".prj")

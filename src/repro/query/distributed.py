@@ -371,18 +371,14 @@ def _make_scan_sproc(query: ScanQuery, schema, predicate_index: int,
         data = yield from ctx.wait(
             ctx.se.read(file_id, 0, length))
         filtered = yield from ctx.wait(ctx.dpk("filter")(
-            data, "dpu_cpu", params={
-                "predicate": lambda row: query.predicate(
-                    row.split(b",")[predicate_index]),
-            },
+            data, "dpu_cpu", params={"column": predicate_index,
+                                     "predicate": query.predicate},
         ))
         if query.is_aggregate:
             aggregate_index = schema.index_of(query.aggregate_column)
             aggregate_request = ctx.dpk("aggregate")(
-                filtered, "dpu_cpu", params={
-                    "extract": lambda row: float(
-                        row.split(b",")[aggregate_index]),
-                },
+                filtered, "dpu_cpu", params={"column": aggregate_index,
+                                             "extract": float},
             )
             yield from ctx.wait(aggregate_request)
             return RealBuffer(

@@ -22,7 +22,7 @@ import json
 from typing import Optional
 
 from ..baselines.host_tcp import make_kernel_tcp
-from ..buffers import RealBuffer
+from ..buffers import RealBuffer, split_records
 from ..core import DdsClient, DpdpuRuntime, encode_sproc
 from ..hardware import BLUEFIELD2, connect, make_server
 from ..sim import Environment
@@ -95,22 +95,16 @@ class ScanDeployment:
                 ctx.se.read(file_id, 0, table_len)
             )
             filtered = yield from ctx.wait(ctx.dpk("filter")(
-                data, params={
-                    "predicate": lambda row: query.predicate(
-                        row.split(b",")[predicate_index]
-                    ),
-                },
+                data, params={"column": predicate_index,
+                              "predicate": query.predicate},
             ))
             if query.is_aggregate:
                 aggregate_index = schema.index_of(
                     query.aggregate_column
                 )
                 aggregate_request = ctx.dpk("aggregate")(
-                    filtered, params={
-                        "extract": lambda row: float(
-                            row.split(b",")[aggregate_index]
-                        ),
-                    },
+                    filtered, params={"column": aggregate_index,
+                                      "extract": float},
                 )
                 yield from ctx.wait(aggregate_request)
                 return RealBuffer(
@@ -195,5 +189,5 @@ def _decode_pushdown(buffer, query: ScanQuery) -> QueryResult:
             rows=None, count=meta["count"], total=meta["sum"],
             minimum=meta["min"], maximum=meta["max"],
         )
-    rows = [row for row in buffer.data.split(b"\n") if row]
+    rows = list(split_records(buffer.data, b"\n"))
     return QueryResult(rows=rows, count=len(rows))

@@ -18,8 +18,10 @@ either plan and both must return identical answers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, List, Optional
 
+from ..buffers import record_column
 from ..workloads.tables import TableSchema
 
 __all__ = ["ScanQuery", "QueryResult"]
@@ -61,16 +63,13 @@ class ScanQuery:
     def evaluate(self, table_bytes: bytes,
                  schema: TableSchema) -> "QueryResult":
         """Ground-truth evaluation over raw CSV bytes."""
-        predicate_index = schema.index_of(self.predicate_column)
-        rows = [row for row in table_bytes.split(b"\n") if row]
-        kept = [
-            row for row in rows
-            if self.predicate(row.split(b",")[predicate_index])
-        ]
+        def column(name):
+            return record_column(table_bytes, schema.index_of(name))
+
+        passed = map(self.predicate, column(self.predicate_column))
         if self.is_aggregate:
-            aggregate_index = schema.index_of(self.aggregate_column)
-            values = [float(row.split(b",")[aggregate_index])
-                      for row in kept]
+            values = list(map(float, compress(
+                column(self.aggregate_column), passed)))
             return QueryResult(
                 rows=None,
                 count=len(values),
@@ -79,14 +78,11 @@ class ScanQuery:
                 maximum=max(values) if values else None,
             )
         if self.projection:
-            indices = [schema.index_of(name)
-                       for name in self.projection]
-            projected = [
-                b",".join(row.split(b",")[i] for i in indices)
-                for row in kept
-            ]
+            kept = map(b",".join, compress(
+                zip(*map(column, self.projection)), passed))
         else:
-            projected = kept
+            kept = compress(record_column(table_bytes, None), passed)
+        projected = list(kept)
         return QueryResult(rows=projected, count=len(projected))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, List, Sequence
 
 from ..units import PAGE_SIZE
@@ -81,6 +82,21 @@ LINEITEM_ISH = TableSchema([
 ])
 
 
+def _row(columns: Sequence[Column], rng: random.Random,
+         row_index: int) -> bytes:
+    return ",".join(column.generate(rng, row_index)
+                    for column in columns).encode()
+
+
+@lru_cache(maxsize=4)
+def _table_rows(columns: tuple, seed: int, count: int) -> bytes:
+    # Deployments over one (columns, seed, count) share the table:
+    # the bytes cannot be mutated.
+    rng = random.Random(seed)
+    lines = [_row(columns, rng, index) for index in range(count)]
+    return b"\n".join(lines) + (b"\n" if lines else b"")
+
+
 class TableGenerator:
     """Deterministic CSV rows from a schema."""
 
@@ -91,18 +107,13 @@ class TableGenerator:
 
     def row(self, rng: random.Random, row_index: int) -> bytes:
         """One CSV row (no newline)."""
-        return ",".join(
-            column.generate(rng, row_index)
-            for column in self.schema.columns
-        ).encode()
+        return _row(self.schema.columns, rng, row_index)
 
     def rows(self, count: int) -> bytes:
         """``count`` newline-separated CSV rows."""
         if count < 0:
             raise ValueError("negative row count")
-        rng = random.Random(self.seed)
-        lines = [self.row(rng, index) for index in range(count)]
-        return b"\n".join(lines) + (b"\n" if lines else b"")
+        return _table_rows(tuple(self.schema.columns), self.seed, count)
 
     def pages(self, count: int,
               page_size: int = PAGE_SIZE) -> List[bytes]:
@@ -116,7 +127,7 @@ class TableGenerator:
         current: List[bytes] = []
         current_size = 0
         for index in range(count):
-            line = self.row(rng, index) + b"\n"
+            line = _row(self.schema.columns, rng, index) + b"\n"
             if len(line) > page_size:
                 raise ValueError("row exceeds page size")
             if current_size + len(line) > page_size:

@@ -14,6 +14,8 @@ from repro.query import (
 )
 from repro.units import Gbps, KB
 
+from scan_reference import reference_evaluate
+
 
 def _selective_query():
     return ScanQuery(
@@ -253,6 +255,58 @@ class TestDistributedExecution:
         with pytest.raises(ValueError):
             DistributedScanDeployment(
                 n_nodes=2, n_rows=50_000, n_shards=2, port=9830)
+
+
+class TestParseOnceScanMany:
+    """The scan shapes hostbench's ``scan_pushdown`` cycles: pushdown,
+    pull and the per-record reference agree to the bit, cold and warm."""
+
+    @staticmethod
+    def _reference(deployment, query):
+        return merge_partials(query, [
+            reference_evaluate(query, deployment.partitions[shard],
+                               deployment.schema)
+            for shard in sorted(deployment.partitions)])
+
+    @pytest.mark.parametrize("seed", [13, 7])
+    def test_plans_and_reference_agree_cold_and_warm(self, seed):
+        deployment = DistributedScanDeployment(
+            n_nodes=2, n_rows=900, n_shards=4, seed=seed, port=9880)
+        for query in (_aggregate_query(), _selective_query(),
+                      _wide_query()):
+            truth = self._reference(deployment, query)
+            assert truth.count > 0
+            # First pass parses every buffer, the second finds them
+            # all remembered; neither may show in the answer.
+            for _pass in ("cold", "warm"):
+                for plan in ("pushdown", "pull"):
+                    scan = run_distributed_scan(deployment, query,
+                                                plan=plan)
+                    assert _exact(scan["result"], truth)
+
+    def test_equal_length_tables_get_their_own_answers(self):
+        # Same shape, same partition sizes, different bytes: a parse
+        # remembered by anything but content would answer the second
+        # deployment with the first one's rows.
+        query = _wide_query()
+        answers = []
+        for flag in (b"A", b"R"):
+            deployment = DistributedScanDeployment(
+                n_nodes=1, n_rows=200, n_shards=2, seed=3, port=9890)
+            deployment.partitions = {
+                shard: data.replace(b",N,", b"," + flag + b",")
+                for shard, data in deployment.partitions.items()}
+            scan = run_distributed_scan(deployment, query,
+                                        plan="pushdown")
+            pull = run_distributed_scan(deployment, query, plan="pull")
+            assert _exact(scan["result"], pull["result"])
+            assert _exact(scan["result"],
+                          self._reference(deployment, query))
+            answers.append(scan["result"].rows)
+        assert len(answers[0]) == len(answers[1]) == 200
+        assert answers[0] != answers[1]
+        assert [len(row) for row in answers[0]] == [
+            len(row) for row in answers[1]]
 
 
 class TestStaleRouting:

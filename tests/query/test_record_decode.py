@@ -1,0 +1,332 @@
+"""The shared record decode: parse a buffer once, scan it many times.
+
+``repro.buffers.split_records`` / ``split_columns`` remember how an
+immutable buffer tokenises; the ``filter`` / ``aggregate`` / ``project``
+kernels and ``ScanQuery.evaluate`` read that and still run the
+predicate on every record of every scan.  The old per-record bodies
+live in :mod:`scan_reference` and are the oracle here.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.buffers import (RealBuffer, record_column, split_columns,
+                           split_records)
+from repro.core.kernels import BUILTIN_KERNELS
+from repro.query import ScanQuery
+from repro.query.executor import _decode_pushdown
+from repro.workloads.tables import Column, TableGenerator, TableSchema
+
+from scan_reference import (on_column, reference_aggregate,
+                            reference_evaluate, reference_filter,
+                            reference_project)
+
+CACHES = (split_records, split_columns)
+
+
+def run(name, data, **params):
+    result = BUILTIN_KERNELS[name].run(RealBuffer(data), params)
+    return result.buffer.data, result.meta
+
+
+def outcome(call):
+    """The call's value, or "error" for the two ways a scan over a
+    malformed table fails (a short row was an IndexError, is a
+    ValueError; an unparsable number is a ValueError in both)."""
+    try:
+        return call()
+    except (IndexError, ValueError):
+        return "error"
+
+
+def copy_of(data: bytes) -> bytes:
+    """An equal ``bytes`` that is not the same object."""
+    return bytes(bytearray(data))
+
+
+# -- generated tables ---------------------------------------------------------
+
+FIELD = st.sampled_from([b"", b"0", b"7", b"12", b"3.5", b"A", b"xy z"])
+
+
+@st.composite
+def tables(draw):
+    """(bytes, width) — width is None for a ragged table."""
+    n_rows = draw(st.integers(0, 200))
+    width = draw(st.one_of(st.none(), st.integers(1, 9)))
+    if width is None:
+        rows = draw(st.lists(st.lists(FIELD, min_size=1, max_size=9),
+                             min_size=n_rows, max_size=n_rows))
+    else:
+        rows = draw(st.lists(
+            st.lists(FIELD, min_size=width, max_size=width),
+            min_size=n_rows, max_size=n_rows))
+    data = b"\n".join(b",".join(row) for row in rows)
+    if draw(st.booleans()):
+        data += b"\n"
+    return data, width
+
+
+def is_low(value: bytes) -> bool:
+    return value < b"4"
+
+
+class TestAgainstPerRecordOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(tables(), st.integers(0, 9))
+    def test_filter_on_a_column(self, table, column):
+        data, _width = table
+        expected = outcome(lambda: reference_filter(
+            data, on_column(column, is_low)))
+        for buffer in (data, copy_of(data)):
+            assert outcome(lambda: run(
+                "filter", buffer, column=column,
+                predicate=is_low)) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(tables())
+    def test_filter_on_the_whole_record(self, table):
+        data, _width = table
+        keep = lambda record: len(record) % 3 != 0  # noqa: E731
+        for buffer in (data, copy_of(data)):
+            assert (run("filter", buffer, predicate=keep)
+                    == reference_filter(data, keep))
+
+    @settings(max_examples=120, deadline=None)
+    @given(tables(), st.one_of(st.none(), st.integers(0, 9)))
+    def test_aggregate(self, table, column):
+        data, _width = table
+        old = len if column is None else on_column(column, len)
+        expected = outcome(lambda: reference_aggregate(data, old))
+        for buffer in (data, copy_of(data)):
+            new = outcome(lambda: run("aggregate", buffer,
+                                      column=column, extract=len))
+            assert new == "error" if expected == "error" else (
+                new == (repr(expected).encode(), expected))
+
+    @settings(max_examples=120, deadline=None)
+    @given(tables(), st.lists(st.integers(0, 9), max_size=4))
+    def test_project_skips_what_a_record_lacks(self, table, picks):
+        data, _width = table
+        for buffer in (data, copy_of(data)):
+            assert (run("project", buffer, columns=picks)
+                    == reference_project(data, picks))
+
+    @settings(max_examples=150, deadline=None)
+    @given(tables(), st.data())
+    def test_evaluate(self, table, draw):
+        data, width = table
+        names = [f"c{i}" for i in range(width or 9)]
+        schema = TableSchema([Column(name, None) for name in names])
+        shape = draw.draw(st.sampled_from(
+            ["rows", "projection", "aggregate"]))
+        query = ScanQuery(
+            predicate_column=draw.draw(st.sampled_from(names)),
+            predicate=is_low,
+            projection=(draw.draw(st.lists(st.sampled_from(names),
+                                           min_size=1, max_size=3))
+                        if shape == "projection" else []),
+            aggregate_column=(draw.draw(st.sampled_from(names))
+                              if shape == "aggregate" else None))
+        expected = outcome(
+            lambda: reference_evaluate(query, data, schema))
+        for buffer in (data, copy_of(data)):
+            new = outcome(lambda: query.evaluate(buffer, schema))
+            if width is None:
+                # Ragged: the decode refuses a table where any record
+                # lacks a queried column; the old loop only tripped
+                # over the short rows it happened to touch.
+                assert new == expected or new == "error"
+            else:
+                assert new == expected
+
+
+# -- the predicate is not memoised -------------------------------------------
+
+
+class TestPredicateRunsOnEveryScan:
+    TABLE = TableGenerator(seed=5).rows(300)
+    QUANTITY = TableGenerator().schema.index_of("quantity")
+
+    def _expected_calls(self):
+        return [row.split(b",")[self.QUANTITY]
+                for row in self.TABLE.splitlines()]
+
+    def _three_scans(self, scan):
+        for cache in CACHES:
+            cache.cache_clear()
+        seen = []
+        for buffer in (self.TABLE, copy_of(self.TABLE), self.TABLE):
+            calls = []
+            seen.append((scan(buffer, calls), calls))
+        # One parse serves all three scans; the predicate served each.
+        assert split_columns.cache_info().misses == 1
+        assert split_columns.cache_info().hits >= 2
+        for result, calls in seen:
+            assert calls == self._expected_calls()
+            assert result == seen[0][0]
+
+    def test_filter(self):
+        def scan(buffer, calls):
+            def predicate(value):
+                calls.append(value)
+                return int(value) >= 45
+            return run("filter", buffer, column=self.QUANTITY,
+                       predicate=predicate)
+        self._three_scans(scan)
+
+    def test_aggregate(self):
+        def scan(buffer, calls):
+            def extract(value):
+                calls.append(value)
+                return int(value)
+            return run("aggregate", buffer, column=self.QUANTITY,
+                       extract=extract)
+        self._three_scans(scan)
+
+    @pytest.mark.parametrize("shape", [
+        {}, {"projection": ["orderkey", "shipmode"]},
+        {"aggregate_column": "extendedprice"}])
+    def test_evaluate(self, shape):
+        schema = TableGenerator().schema
+
+        def scan(buffer, calls):
+            def predicate(value):
+                calls.append(value)
+                return int(value) >= 45
+            return ScanQuery("quantity", predicate,
+                             **shape).evaluate(buffer, schema)
+        self._three_scans(scan)
+
+
+# -- what is remembered cannot be changed by a reader -------------------------
+
+
+class TestDecodeIsImmutableAndBounded:
+    def test_decoded_forms_are_tuples(self):
+        data = b"1,a\n2,b\n"
+        assert split_records(data, b"\n") == (b"1,a", b"2,b")
+        columns, width = split_columns(data, b"\n", b",")
+        assert columns == ((b"1", b"2"), (b"a", b"b")) and width == 2
+        assert record_column(data, 1) == (b"a", b"b")
+        assert record_column(data, None) is split_records(data, b"\n")
+
+    def test_one_scans_rows_are_not_the_next_scans(self):
+        table = TableGenerator(seed=5).rows(50)
+        schema = TableGenerator().schema
+        query = ScanQuery("quantity", lambda value: True)
+        first = query.evaluate(table, schema)
+        first.rows.append(b"intruder")
+        first.rows[0] = b"overwritten"
+        again = query.evaluate(table, schema)
+        assert again.rows == table.splitlines() and again.count == 50
+        decoded = _decode_pushdown(RealBuffer(table), query)
+        decoded.rows.clear()
+        assert _decode_pushdown(RealBuffer(table),
+                                query).rows == table.splitlines()
+
+    def test_cache_stays_at_its_cap(self):
+        cap = split_columns.cache_info().maxsize
+        assert cap == split_records.cache_info().maxsize
+        for cache in CACHES:
+            cache.cache_clear()
+        for sweep in range(2):
+            for index in range(2 * cap):
+                data = b"%d,x\n%d,y\n" % (index, index + 1)
+                assert run("filter", data, column=1,
+                           predicate=lambda v: v == b"y") == (
+                    b"%d,y\n" % (index + 1),
+                    {"in": 2, "out": 1, "selectivity": 0.5})
+        for cache in CACHES:
+            assert cache.cache_info().currsize == cap
+
+
+# -- malformed and unusual input ---------------------------------------------
+
+
+class TestRecordShapes:
+    RAGGED = b"1,alice,90\n2,bob\n3\n4,dave,31\n"
+
+    def test_filter_on_a_missing_column_names_the_record(self):
+        with pytest.raises(ValueError, match=r"record 1 has 2 fields"):
+            run("filter", self.RAGGED, column=2,
+                predicate=lambda value: True)
+        with pytest.raises(ValueError, match=r"record 2 has 1 fields"):
+            run("aggregate", self.RAGGED, column=1, extract=len)
+        with pytest.raises(ValueError, match=r"record 0 has 3 fields"):
+            run("filter", b"1,alice,90\n", column=3,
+                predicate=lambda value: True)
+        with pytest.raises(ValueError, match=r"no column -1"):
+            run("filter", self.RAGGED, column=-1,
+                predicate=lambda value: True)
+
+    def test_a_column_every_ragged_record_has_still_filters(self):
+        out, meta = run("filter", self.RAGGED, column=0,
+                        predicate=lambda value: int(value) % 2 == 0)
+        assert out == b"2,bob\n4,dave,31\n" and meta["in"] == 4
+
+    def test_project_keeps_the_fields_a_short_record_has(self):
+        out, meta = run("project", self.RAGGED, columns=[2, 0, 1])
+        assert out == b"90,1,alice\n2,bob\n3\n31,4,dave\n"
+        assert meta == {"records": 4}
+        assert run("project", self.RAGGED, columns=[5])[0] == b"\n" * 4
+
+    def test_empty_buffer(self):
+        assert run("filter", b"", column=3,
+                   predicate=lambda value: True) == (
+            b"", {"in": 0, "out": 0, "selectivity": 0.0})
+        assert run("aggregate", b"", column=3, extract=int)[1] == {
+            "count": 0, "sum": 0, "min": None, "max": None}
+        assert run("project", b"", columns=[1]) == (
+            b"", {"records": 0})
+
+    def test_no_trailing_delimiter_and_blank_records(self):
+        data = b"\n\n1,a\n\n2,b\n\n\n3,c"
+        assert record_column(data, None) == (b"1,a", b"2,b", b"3,c")
+        assert run("filter", data, column=1,
+                   predicate=lambda v: v != b"b")[0] == b"1,a\n3,c\n"
+        assert run("project", data, columns=[1])[0] == b"a\nb\nc\n"
+
+    def test_custom_delimiter_and_separator(self):
+        data = b"1|a;2|b;3|c;"
+        params = {"delimiter": b";", "separator": b"|"}
+        assert run("filter", data, column=0,
+                   predicate=lambda v: v != b"2",
+                   **params)[0] == b"1|a;3|c;"
+        assert run("aggregate", data, column=0, extract=int,
+                   **params)[1]["sum"] == 6
+        assert run("project", data, columns=[1, 0],
+                   **params)[0] == b"a|1;b|2;c|3;"
+        # The same bytes under the default framing are one record.
+        assert run("project", data, columns=[0])[0] == data + b"\n"
+
+    def test_a_field_may_end_with_part_of_the_separator(self):
+        # Records split one by one: b"xa" + b"aa" + b"y" must not
+        # re-tokenise as b"x", b"ay".
+        params = {"separator": b"aa"}
+        for data in (b"xa\ny\n", b"xaaa\nyaaz\n", b"aaa\naaaa\n",
+                     b"1aaxa\n2aay\n3aaaa\n"):
+            for columns in ([0], [1, 0], [0, 1, 2]):
+                assert (run("project", data, columns=columns, **params)
+                        == reference_project(data, columns, **params))
+            assert run("filter", data, column=0, **params,
+                       predicate=lambda value: value.endswith(b"a")) == (
+                reference_filter(data, on_column(
+                    0, lambda value: value.endswith(b"a"), b"aa")))
+
+    def test_whole_record_callables_need_no_column(self):
+        generator = TableGenerator(seed=9)
+        table = generator.rows(200)
+        by_record = run("filter", table, predicate=(
+            generator.column_predicate(
+                "quantity", lambda value: int(value) >= 45)))
+        by_column = run(
+            "filter", table,
+            column=generator.schema.index_of("quantity"),
+            predicate=lambda value: int(value) >= 45)
+        assert by_record == by_column and 0 < by_record[1]["out"] < 200
+        assert (run("aggregate", table, extract=(
+            generator.column_extractor("extendedprice")))
+            == run("aggregate", table, extract=float,
+                   column=generator.schema.index_of("extendedprice")))

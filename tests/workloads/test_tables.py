@@ -58,6 +58,36 @@ class TestGeneration:
         assert TableGenerator().pages(0) == []
 
 
+class TestTableMemo:
+    def test_equal_generators_share_one_table(self):
+        first = TableGenerator(seed=21).rows(120)
+        assert TableGenerator(seed=21).rows(120) is first
+        assert TableGenerator(seed=22).rows(120) != first
+        assert TableGenerator(seed=21).rows(119) == first[
+            :first.rindex(b"\n", 0, -1) + 1]
+
+    def test_schema_is_part_of_the_key(self):
+        narrow = TableSchema(LINEITEM_ISH.columns[:2])
+        assert (TableGenerator(narrow, seed=21).rows(5)
+                != TableGenerator(seed=21).rows(5))
+
+    def test_a_schema_edited_after_a_build_gets_a_new_table(self):
+        schema = TableSchema(LINEITEM_ISH.columns[:3])
+        before = TableGenerator(schema, seed=21).rows(5)
+        schema.columns.pop()
+        after = TableGenerator(schema, seed=21).rows(5)
+        assert after != before
+        assert after == b"".join(TableGenerator(schema, seed=21).pages(5))
+
+    def test_memo_is_bounded(self):
+        from repro.workloads.tables import _table_rows
+        for seed in range(10):
+            TableGenerator(seed=seed).rows(3)
+        assert _table_rows.cache_info().currsize <= 4
+        assert TableGenerator(seed=0).rows(3) == TableGenerator(
+            seed=0).rows(3)
+
+
 class TestPushdownIntegration:
     def test_filter_kernel_with_column_predicate(self):
         generator = TableGenerator(seed=9)
