@@ -97,7 +97,7 @@ def main():
     show("DDS (DPDPU storage engine)", dds)
     saved = baseline["host_cores"] - dds["host_cores"]
     print(f"host cores saved by DDS at this load: {saved:.2f}")
-    print("(scales with request rate — see benchmarks/test_s9_dds_cores.py"
+    print("(scales with request rate — see `python -m repro.bench s9`"
           " for the line-rate extrapolation)")
 
 

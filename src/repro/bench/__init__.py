@@ -1,8 +1,10 @@
 """Benchmark harness and the experiment library.
 
-One function per paper figure/table (F1–F3, F6–F8, S9) and per
-ablation (A1–A5); ``benchmarks/`` drives these and asserts the
-reproduction's shape contract.
+One function per paper figure/table (F1–F3, F6–F8, S9), per ablation
+(A1–A6) and per system experiment; ``python -m repro.bench`` runs
+them and :mod:`repro.obs.claims` holds the reproduction's shape
+contract over what they return.  Everything here reports *simulated*
+numbers — host time is ``hostbench``'s.
 """
 
 from .experiments_ablation import (
@@ -45,12 +47,6 @@ from .experiments_query import (
     scatter_scaling,
     stale_routing,
 )
-from .experiments_perf import (
-    event_throughput,
-    interrupt_storm,
-    perf_parts,
-    timeout_churn,
-)
 from .experiments_scale import (
     rebalance_scenarios,
     scale_goodput_and_tco,
@@ -77,8 +73,8 @@ from .experiments_system import (
     s9_dds_cores,
     s9_parts,
 )
-from .harness import CoreMeter, Sweep, SweepRow, drive_open_loop
-from .reporting import banner, format_sweep, format_table, render_metrics
+from .harness import CoreMeter, Sweep, SweepRow
+from .reporting import banner, format_sweep, format_table
 
 __all__ = [
     "ablation_caching",
@@ -93,10 +89,6 @@ __all__ = [
     "fig1_real_bytes_checkpoint",
     "fig2_storage_cpu",
     "fig3_network_cpu",
-    "event_throughput",
-    "timeout_churn",
-    "interrupt_storm",
-    "perf_parts",
     "LINE_RATE_MSGS_PER_S",
     "fig6_sproc",
     "fig7_rdma",
@@ -134,9 +126,7 @@ __all__ = [
     "CoreMeter",
     "Sweep",
     "SweepRow",
-    "drive_open_loop",
     "banner",
     "format_sweep",
     "format_table",
-    "render_metrics",
 ]

@@ -1,6 +1,7 @@
 """Command-line experiment runner: ``python -m repro.bench``.
 
-Regenerates the paper's figures (and the ablations) without pytest::
+Regenerates the paper's figures, the ablations and the system
+experiments — every *simulated* number the reproduction claims::
 
     python -m repro.bench              # everything
     python -m repro.bench fig1 fig2    # a subset
@@ -12,17 +13,14 @@ The benchmark observatory rides on the same runner:
   experiment's structured result into a schema-versioned artifact
   with provenance (git sha, python version, per-experiment wall
   clock, hardware profiles, workload seed);
-* ``--check ARTIFACT.json`` evaluates the declarative paper-claims
-  registry (F1–F3, F6–F8, S9 — see ``repro.obs.claims``) against an
-  artifact and exits nonzero on any FAIL;
+* ``--check ARTIFACT.json`` evaluates the declarative claims registry
+  (F1–F3, F6–F8, S9, A1–A6 and the system experiments — see
+  ``repro.obs.claims``) against an artifact and exits nonzero on any
+  FAIL;
 * ``--compare BASELINE.json [CANDIDATE.json]`` diffs two artifacts
   metric-by-metric within per-metric tolerance bands (one path: the
   selected experiments run and the fresh results are the candidate),
   exiting nonzero on regression;
-* ``--profile`` attributes *real* (not simulated) time per experiment
-  via cProfile, prints a top-N hotspot table, and persists the rows
-  into the ``--json-out`` artifact (``experiments.<key>.profile``) so
-  nightly retains them;
 * ``--trace-out PATH`` runs the traceable experiments (fig6, fig8,
   scale, avail, obs, attr) with sim-time tracing on and exports
   Chrome ``trace_event`` JSON openable in Perfetto
@@ -38,8 +36,12 @@ The benchmark observatory rides on the same runner:
   so the artifact is byte-identical to a sequential run outside
   wall-clock fields — which is exactly what
 * ``--identity A.json B.json`` checks (canonical sorted JSON after
-  stripping wall clocks, the recorded argv, and the real-time
-  ``perf`` experiment), the CI gate for the parallel runner.
+  stripping wall clocks and the recorded argv), the CI gate for the
+  parallel runner.
+
+Where the *host's* time goes is not this runner's business:
+``python -m hostbench`` measures it (``--traced`` for the per-layer
+ledger).
 
 Exit codes: 0 success; 1 failed claim, regression, or identity
 mismatch; 2 usage or artifact error; 3 ``--trace-out`` with no
@@ -49,11 +51,9 @@ traceable experiment selected.
 from __future__ import annotations
 
 import argparse
-import cProfile
 import json
 import multiprocessing
 import os
-import pstats
 import sys
 import time
 
@@ -76,7 +76,6 @@ from . import (
     format_sweep,
     format_table,
     obs_parts,
-    perf_parts,
     query_parts,
     s9_parts,
     scale_parts,
@@ -132,8 +131,6 @@ EXPERIMENTS = {
     "a6": ("A6: kernel fusion on PCIe peers", a6_parts),
     "avail": ("Availability: goodput/p99 under faults, "
               "recovery on/off", availability_parts),
-    "perf": ("Kernel microbenchmarks: event throughput, timeout "
-             "churn, interrupt storms", perf_parts),
     "scale": ("SC: cluster goodput/host-cores/TCO vs node count, "
               "sharding, rebalance under DPU failure", scale_parts),
     "obs": ("OB: distributed tracing, telemetry plane, SLO flight "
@@ -282,43 +279,6 @@ def _write_trace(path, traced):
         print(telemetry.flame_summary())
 
 
-def _hotspot_rows(profiler: cProfile.Profile,
-                  top_n: int = 10) -> list:
-    """Structured top-N real-time hotspots of one experiment.
-
-    Plain JSON-able dicts, so the rows can ride into the run
-    artifact (``results[key]["profile"]``) and survive into nightly
-    uploads instead of evaporating on stdout.
-    """
-    stats = pstats.Stats(profiler)
-    rows = []
-    entries = sorted(stats.stats.items(),
-                     key=lambda item: item[1][3], reverse=True)
-    for (filename, lineno, funcname), \
-            (ccalls, ncalls, tottime, cumtime, _callers) in entries:
-        if filename.startswith("~"):
-            where = funcname
-        else:
-            where = f"{os.path.basename(filename)}:{lineno}({funcname})"
-        rows.append({"ncalls": ncalls, "tottime_s": round(tottime, 6),
-                     "cumtime_s": round(cumtime, 6),
-                     "function": where})
-        if len(rows) >= top_n:
-            break
-    return rows
-
-
-def _hotspot_table(rows: list) -> str:
-    """The printed form of :func:`_hotspot_rows`."""
-    if not rows:
-        return "(no profile samples)"
-    return format_table(
-        ["ncalls", "tottime (s)", "cumtime (s)", "function"],
-        [[row["ncalls"], f"{row['tottime_s']:.3f}",
-          f"{row['cumtime_s']:.3f}", row["function"]]
-         for row in rows])
-
-
 def _tracer_pairs(key: str, telemetry):
     """(node, tracer) pairs from either telemetry flavor."""
     if hasattr(telemetry, "tracers"):     # ClusterTelemetry
@@ -377,12 +337,11 @@ def _run_check(path: str) -> int:
 def _run_identity(path_a: str, path_b: str) -> int:
     """--identity: two artifacts must agree byte-for-byte.
 
-    Wall-clock fields, the recorded command line, and the real-time
-    ``perf`` experiment are stripped first (see
-    :func:`repro.obs.artifact.strip_volatile`); everything that is
-    *supposed* to be deterministic — every simulated metric — is then
-    compared as canonical sorted JSON.  This is the gate that proves
-    ``--jobs N`` cannot change a result.
+    Wall-clock fields and the recorded command line are stripped
+    first (see :func:`repro.obs.artifact.strip_volatile`); everything
+    that is *supposed* to be deterministic — every simulated metric —
+    is then compared as canonical sorted JSON.  This is the gate that
+    proves ``--jobs N`` cannot change a result.
     """
     documents = []
     for path in (path_a, path_b):
@@ -441,6 +400,13 @@ def _run_compare(baseline_path: str, candidate) -> int:
 # -- entry point ------------------------------------------------------------
 
 
+def _remove_created(probes: dict) -> None:
+    """Delete the output files the writability probe itself created."""
+    for path, created in probes.items():
+        if created:
+            os.remove(path)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
@@ -472,10 +438,6 @@ def main(argv=None) -> int:
                              "one path run the selected experiments "
                              "and compare the fresh results against "
                              "it")
-    parser.add_argument("--profile", action="store_true",
-                        help="attribute real (wall-clock) time per "
-                             "experiment via cProfile and print the "
-                             "top hotspots")
     parser.add_argument("--jobs", "-j", type=int, default=1,
                         metavar="N",
                         help="run experiments over a pool of N "
@@ -511,12 +473,11 @@ def main(argv=None) -> int:
         print(f"--jobs must be >= 1 (or 0 to autodetect), "
               f"got {args.jobs}", file=sys.stderr)
         return 2
-    if args.jobs > 1 and (args.trace_out or args.attr_out
-                          or args.profile):
-        # Tracers and profilers live in the experiment's process;
-        # their results cannot cross the pool boundary.
+    if args.jobs > 1 and (args.trace_out or args.attr_out):
+        # Tracers live in the experiment's process; their results
+        # cannot cross the pool boundary.
         print("--jobs > 1 is incompatible with "
-              "--trace-out/--attr-out/--profile "
+              "--trace-out/--attr-out "
               "(run those sequentially)", file=sys.stderr)
         return 2
 
@@ -526,23 +487,6 @@ def main(argv=None) -> int:
         return 2
     if args.compare and len(args.compare) == 2:
         return _run_compare(args.compare[0], args.compare[1])
-
-    # Fail fast on unwritable output paths instead of crashing after
-    # the (possibly long) benchmark run.  Append mode keeps any
-    # existing file intact; a file we created gets cleaned up if no
-    # output ends up written.
-    probes = {}
-    for path in (args.trace_out, args.attr_out):
-        if not path:
-            continue
-        try:
-            probes[path] = not os.path.exists(path)
-            with open(path, "a"):
-                pass
-        except OSError as exc:
-            print(f"cannot write to {path!r}: {exc}",
-                  file=sys.stderr)
-            return 2
 
     tracing_wanted = bool(args.trace_out or args.attr_out)
     if tracing_wanted and not args.experiments:
@@ -555,6 +499,25 @@ def main(argv=None) -> int:
               file=sys.stderr)
         print(f"available: {', '.join(EXPERIMENTS)}", file=sys.stderr)
         return 2
+
+    # Fail fast on unwritable output paths instead of crashing after
+    # the (possibly long) benchmark run.  Append mode keeps any
+    # existing file intact; a file we created gets cleaned up if no
+    # output ends up written.
+    probes = {}
+    for path in (args.trace_out, args.attr_out, args.json_out):
+        if not path:
+            continue
+        created = not os.path.exists(path)
+        try:
+            with open(path, "a"):
+                pass
+        except OSError as exc:
+            print(f"cannot write to {path!r}: {exc}",
+                  file=sys.stderr)
+            _remove_created(probes)
+            return 2
+        probes[path] = created
 
     traced = []
     suite_started = time.time()
@@ -570,13 +533,8 @@ def main(argv=None) -> int:
             if tracing_wanted and key in TRACEABLE:
                 telemetry = _make_telemetry(key)
                 kwargs["telemetry"] = telemetry
-            profiler = cProfile.Profile() if args.profile else None
             started = time.time()
-            if profiler:
-                profiler.enable()
             parts = fn(**kwargs)
-            if profiler:
-                profiler.disable()
             wall = time.time() - started
             print(_render_parts(parts))
             if telemetry is not None:
@@ -584,11 +542,6 @@ def main(argv=None) -> int:
             results[key] = {"title": title, "wall_clock_s": wall,
                             "parts": parts}
             print(f"[{key} done in {wall:.1f}s]")
-            if profiler:
-                hotspots = _hotspot_rows(profiler)
-                results[key]["profile"] = hotspots
-                print(f"\nhotspots ({key}, real time):")
-                print(_hotspot_table(hotspots))
     suite_wall = time.time() - suite_started
 
     if tracing_wanted:
@@ -596,9 +549,7 @@ def main(argv=None) -> int:
             print("no traceable experiment selected "
                   f"(traceable: {', '.join(TRACEABLE)}); "
                   "no trace or attribution written", file=sys.stderr)
-            for path, created in probes.items():
-                if created:
-                    os.remove(path)
+            _remove_created(probes)
             # Distinct exit code so CI catches a misconfigured
             # invocation instead of silently shipping no output.
             return 3

@@ -39,9 +39,9 @@ from ..faults import FaultInjector, FaultPlan
 from ..obs import (ClusterTelemetry, FlightRecorder, SloMonitor,
                    SloSpec, merge_chrome_events)
 from ..sim import Environment
-from ..units import PAGE_SIZE
 from ..workloads.arrivals import open_loop
-from .experiments_scale import _stream
+from .harness import (connect_clients, shard_stream, submit_handler,
+                      tally)
 
 __all__ = ["obs_parts", "obs_scenario", "default_slos"]
 
@@ -91,45 +91,21 @@ def obs_scenario(plane: Optional[ClusterTelemetry],
                       stale_fraction=STALE_FRACTION)
         for i in range(N_NODES)
     ]
-
-    def setup():
-        for client in clients:
-            yield from client.connect_all()
-
-    env.run(until=env.process(setup()))
+    connect_clients(env, clients)
     count = int(RATE_PER_NODE * DURATION_S)
-    shard_pages = cluster.shard_bytes // PAGE_SIZE
     streams = [
-        _stream(seed, i, count, cluster.shardmap.n_shards,
-                shard_pages)
+        shard_stream(seed, i, count, cluster.shardmap.n_shards,
+                     cluster.shard_bytes)
         for i in range(N_NODES)
     ]
-
-    def handler_for(index):
-        client, stream = clients[index], streams[index]
-
-        def handler(k):
-            message, shard = stream[k % len(stream)]
-            client.submit(message, shard, tag=k)
-
-        return handler
-
     start = env.now
     for i in range(N_NODES):
-        open_loop(env, RATE_PER_NODE, handler_for(i), DURATION_S,
+        open_loop(env, RATE_PER_NODE,
+                  submit_handler(clients[i], streams[i]), DURATION_S,
                   name=f"load{i}")
     env.run(until=start + DURATION_S + DRAIN_S)
-
-    ok = errors = pending = 0
-    for client in clients:
-        outcome = client.outcomes()
-        ok += outcome["ok"]
-        errors += outcome["errors"]
-        pending += outcome["pending"]
     return {
-        "ok": ok,
-        "errors": errors,
-        "pending": pending,
+        **tally(clients),
         "counters": cluster.metrics_snapshot(),
         "cluster": cluster,
         "rebalancer": rebalancer,

@@ -28,18 +28,15 @@ byte-identical.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
-from ..cluster import (Cluster, ClusterClient, Rebalancer,
-                       ShardMap, encode_shard_read,
-                       encode_shard_write, stable_hash)
+from ..cluster import Cluster, ClusterClient, Rebalancer, ShardMap
 from ..faults import FaultInjector, FaultPlan
 from ..sim import Environment
-from ..sim.fluid import HybridPlan
-from ..units import PAGE_SIZE
 from ..workloads.arrivals import open_loop
 from .experiments_system import LINE_RATE_MSGS_PER_S, _s9_point
-from .harness import CoreMeter, Sweep
+from .harness import (READ_FRACTION, CoreMeter, Sweep, connect_clients,
+                      hybrid_plan, shard_stream, submit_handler, tally)
 from .tco import storage_server_cost
 
 __all__ = ["scale_parts", "scale_goodput_and_tco",
@@ -49,7 +46,6 @@ __all__ = ["scale_parts", "scale_goodput_and_tco",
 RATE_PER_NODE = 120_000.0
 DURATION_S = 5e-3
 DRAIN_S = 3e-3
-READ_FRACTION = 0.9
 #: fraction of requests sent to the client's "home" node instead of
 #: the shard owner (a routing cache lagging the shard map)
 STALE_FRACTION = 0.15
@@ -70,22 +66,6 @@ RACK_FLUID_T1_S = 4.6e-3
 RACK_SEED = 47
 
 
-def _stream(seed: int, client_index: int, count: int,
-            n_shards: int, shard_pages: int) -> List[Tuple]:
-    """Pre-generate one client's deterministic request stream."""
-    stream = []
-    for k in range(count):
-        shard = stable_hash(f"sh:{seed}:{client_index}:{k}") % n_shards
-        page = stable_hash(f"of:{seed}:{client_index}:{k}") % shard_pages
-        offset = page * PAGE_SIZE
-        write = (stable_hash(f"rw:{seed}:{client_index}:{k}") % 10_000
-                 >= READ_FRACTION * 10_000)
-        message = (encode_shard_write(shard, offset) if write
-                   else encode_shard_read(shard, offset))
-        stream.append((message, shard))
-    return stream
-
-
 def _scale_point(n_nodes: int, rate_per_node: float,
                  duration_s: float, seed: int) -> Dict[str, float]:
     """One weak-scaling point: N nodes, N shard-aware clients."""
@@ -97,17 +77,11 @@ def _scale_point(n_nodes: int, rate_per_node: float,
                       else 0.0)
         for i in range(n_nodes)
     ]
-
-    def setup():
-        for client in clients:
-            yield from client.connect_all()
-
-    env.run(until=env.process(setup()))
+    connect_clients(env, clients)
     count = int(rate_per_node * duration_s)
-    shard_pages = cluster.shard_bytes // PAGE_SIZE
     streams = [
-        _stream(seed, i, count, cluster.shardmap.n_shards,
-                shard_pages)
+        shard_stream(seed, i, count, cluster.shardmap.n_shards,
+                     cluster.shard_bytes)
         for i in range(n_nodes)
     ]
     meters = [CoreMeter(node.server.host_cpu)
@@ -117,18 +91,10 @@ def _scale_point(n_nodes: int, rate_per_node: float,
     for meter in meters + dpu_meters:
         meter.start()
 
-    def handler_for(index):
-        client, stream = clients[index], streams[index]
-
-        def handler(k):
-            message, shard = stream[k % len(stream)]
-            client.submit(message, shard, tag=k)
-
-        return handler
-
     start = env.now
     for i in range(n_nodes):
-        open_loop(env, rate_per_node, handler_for(i), duration_s,
+        open_loop(env, rate_per_node,
+                  submit_handler(clients[i], streams[i]), duration_s,
                   name=f"load{i}")
     env.run(until=start + duration_s)
     # Cores are measured over the load window only (S9 convention);
@@ -136,7 +102,7 @@ def _scale_point(n_nodes: int, rate_per_node: float,
     total_host_cores = sum(meter.cores() for meter in meters)
     total_dpu_cores = sum(meter.cores() for meter in dpu_meters)
     env.run(until=start + duration_s + DRAIN_S)
-    ok = sum(client.outcomes()["ok"] for client in clients)
+    ok = tally(clients)["ok"]
     snapshot = cluster.metrics_snapshot()
     local = sum(s["shard_local"] for s in snapshot.values())
     routed = sum(s["shard_routed"] for s in snapshot.values())
@@ -213,17 +179,11 @@ def _rack_point(n_nodes: int, seed: int = RACK_SEED) -> Dict[str, float]:
                       stale_fraction=STALE_FRACTION)
         for i in range(n_clients)
     ]
-
-    def setup():
-        for client in clients:
-            yield from client.connect_all()
-
-    env.run(until=env.process(setup()))
+    connect_clients(env, clients)
     count = int(rate_per_client * RACK_DURATION_S)
-    shard_pages = cluster.shard_bytes // PAGE_SIZE
     streams = [
-        _stream(seed, i, count, cluster.shardmap.n_shards,
-                shard_pages)
+        shard_stream(seed, i, count, cluster.shardmap.n_shards,
+                     cluster.shard_bytes)
         for i in range(n_clients)
     ]
     meters = [CoreMeter(node.server.host_cpu)
@@ -233,32 +193,20 @@ def _rack_point(n_nodes: int, seed: int = RACK_SEED) -> Dict[str, float]:
     for meter in meters + dpu_meters:
         meter.start()
 
-    def handler_for(index):
-        client, stream = clients[index], streams[index]
-
-        def handler(k):
-            message, shard = stream[k % len(stream)]
-            client.submit(message, shard, tag=k)
-
-        return handler
-
     start = env.now
     populations = [
-        open_loop(env, rate_per_client, handler_for(i),
+        open_loop(env, rate_per_client,
+                  submit_handler(clients[i], streams[i]),
                   RACK_DURATION_S, name=f"rack{i}")
         for i in range(n_clients)
     ]
-    plan = HybridPlan(env, name=f"rack{n_nodes}")
-    plan.population(*populations)
-    for node in cluster.nodes:
-        plan.resource(node.server.host_cpu.core_pool,
-                      node.server.dpu.cpu.core_pool)
+    plan = hybrid_plan(env, cluster, populations, f"rack{n_nodes}")
     plan.window(start + RACK_FLUID_T0_S, start + RACK_FLUID_T1_S)
     env.run(until=start + RACK_DURATION_S)
     total_host_cores = sum(meter.cores() for meter in meters)
     total_dpu_cores = sum(meter.cores() for meter in dpu_meters)
     env.run(until=start + RACK_DURATION_S + DRAIN_S)
-    ok = sum(client.outcomes()["ok"] for client in clients)
+    ok = tally(clients)["ok"]
     # goodput over the event-level spans only: the fluid window's
     # arrivals never fired, so they belong in neither numerator nor
     # denominator
@@ -372,40 +320,23 @@ def _rebalance_scenario(mode: str, seed: int = 11,
                       stale_fraction=0.1)
         for i in range(n_nodes)
     ]
-
-    def setup():
-        for client in clients:
-            yield from client.connect_all()
-
-    env.run(until=env.process(setup()))
+    connect_clients(env, clients)
     count = int(rate_per_node * duration_s)
-    shard_pages = cluster.shard_bytes // PAGE_SIZE
     streams = [
-        _stream(seed, i, count, cluster.shardmap.n_shards,
-                shard_pages)
+        shard_stream(seed, i, count, cluster.shardmap.n_shards,
+                     cluster.shard_bytes)
         for i in range(n_nodes)
     ]
 
-    def handler_for(index):
-        client, stream = clients[index], streams[index]
-
-        def handler(k):
-            message, shard = stream[k % len(stream)]
-            client.submit(message, shard, tag=k)
-
-        return handler
-
     start = env.now
     for i in range(n_nodes):
-        open_loop(env, rate_per_node, handler_for(i), duration_s,
+        open_loop(env, rate_per_node,
+                  submit_handler(clients[i], streams[i]), duration_s,
                   name=f"load{i}")
     env.run(until=start + duration_s + 4e-3)
-    ok = errors = pending = 0
-    for client in clients:
-        outcome = client.outcomes()
-        ok += outcome["ok"]
-        errors += outcome["errors"]
-        pending += outcome["pending"]
+    totals = tally(clients)
+    ok, errors, pending = (totals["ok"], totals["errors"],
+                           totals["pending"])
     total = ok + errors + pending
     node1 = cluster.node("node1")
     recovery_s = 0.0

@@ -56,14 +56,12 @@ from ..core.tenancy import TenantRegistry
 from ..faults import FaultInjector, FaultPlan
 from ..obs import ClusterTelemetry, SloMonitor, SloSpec
 from ..sim import Environment
-from ..sim.fluid import HybridPlan
 from ..units import PAGE_SIZE
 from ..workloads.arrivals import (ParetoSizes, TenantMix, flash_crowd,
                                   mmpp_arrivals, open_loop,
                                   poisson_arrivals)
-from .experiments_scale import READ_FRACTION
-from ..cluster.sharding import stable_hash
-from ..cluster.router import encode_shard_read, encode_shard_write
+from .harness import (connect_clients, follow_topology, hybrid_plan,
+                      shard_stream, submit_handler, tally)
 
 __all__ = ["slo_parts", "chaos_scenario", "SCENARIOS"]
 
@@ -221,68 +219,18 @@ def _arm_admission(env, cluster, plane,
     return arm
 
 
-def _chaos_stream(seed: int, client_index: int, count: int,
-                  n_shards: int, shard_bytes: int,
-                  tenant_for: Optional[Callable[[int], str]] = None,
-                  sizes: Optional[ParetoSizes] = None,
-                  hot_shard: Optional[int] = None,
-                  hot_fraction: float = 0.0) -> List[Tuple]:
-    """One client's deterministic (message, shard, offset) stream."""
-    shard_pages = shard_bytes // PAGE_SIZE
-    stream = []
-    for k in range(count):
-        tag = f"{seed}:{client_index}:{k}"
-        if (hot_shard is not None
-                and stable_hash(f"hot:{tag}") % 10_000
-                < hot_fraction * 10_000):
-            shard = hot_shard
-        else:
-            shard = stable_hash(f"sh:{tag}") % n_shards
-        page = stable_hash(f"of:{tag}") % shard_pages
-        offset = page * PAGE_SIZE
-        tenant = tenant_for(k) if tenant_for is not None else None
-        write = (stable_hash(f"rw:{tag}") % 10_000
-                 >= READ_FRACTION * 10_000)
-        if write:
-            message = encode_shard_write(shard, offset, tenant=tenant)
-        else:
-            size = PAGE_SIZE
-            if sizes is not None:
-                size = min(sizes.size(k),
-                           shard_bytes - offset)
-                size = max(size, 64)
-            message = encode_shard_read(shard, offset, size=size,
-                                        tenant=tenant)
-        stream.append((message, shard, offset))
-    return stream
-
-
-def _handler(client: ClusterClient, stream: List[Tuple]):
-    def handle(k: int) -> None:
-        message, shard, offset = stream[k % len(stream)]
-        client.submit(message, shard, tag=k, offset=offset)
-    return handle
-
-
-def _fluid_plan(env, cluster, populations, windows) -> Optional[HybridPlan]:
+def _fluid_plan(env, cluster, populations, windows) -> None:
     """Install the scenario's hybrid plan over absolute windows.
 
     Windows too short to calibrate are dropped rather than clamped, so
     a slow setup phase can never push a skip into a transition.
     """
     if not HYBRID:
-        return None
-    plan = HybridPlan(env, name="slo-fluid")
-    plan.population(*populations)
-    for node in cluster.nodes:
-        plan.resource(node.server.host_cpu.core_pool,
-                      node.server.dpu.cpu.core_pool)
-    installed = 0
+        return
+    plan = hybrid_plan(env, cluster, populations, "slo-fluid")
     for t0, t1 in windows:
         if t1 - t0 > 2 * FLUID_CALIBRATE_S:
             plan.window(t0, t1, FLUID_CALIBRATE_S)
-            installed += 1
-    return plan if installed else None
 
 
 def _violation_seconds(plane: Optional[ClusterTelemetry]) -> float:
@@ -302,15 +250,8 @@ def _violation_seconds(plane: Optional[ClusterTelemetry]) -> float:
 
 def _collect(clients: List[ClusterClient], cluster: Cluster,
              plane: Optional[ClusterTelemetry]) -> Dict[str, object]:
-    per_client = [client.outcomes(deadline_s=DEADLINE_S)
-                  for client in clients]
-    totals = {"ok": 0, "errors": 0, "pending": 0, "late": 0}
-    for outcome in per_client:
-        for key in totals:
-            totals[key] += outcome[key]
     return {
-        **totals,
-        "per_client": per_client,
+        **tally(clients, deadline_s=DEADLINE_S),
         "counters": cluster.metrics_snapshot(),
         "violation_s": _violation_seconds(plane),
     }
@@ -373,20 +314,13 @@ def _run_flash(protected: bool, plane: Optional[ClusterTelemetry],
                              sli_deadline_s=DEADLINE_S,
                              stamp_deadline_s=DEADLINE_S)
                for i in range(FLASH_CLIENTS)]
-
-    def setup():
-        for client in clients:
-            yield from client.connect_all()
-
-    env.run(until=env.process(setup()))
-    for client in clients:
-        env.process(client.track_topology(),
-                    name=f"{client.name}-topo")
+    connect_clients(env, clients)
+    follow_topology(env, clients)
     mix = TenantMix(FLASH_TENANTS, seed=SEED)
     peak = int(FLASH_PEAK_RATE * FLASH_DURATION_S) + 1
     streams = [
-        _chaos_stream(SEED, i, peak, cluster.shardmap.n_shards,
-                      cluster.shard_bytes, tenant_for=mix.tenant)
+        shard_stream(SEED, i, peak, cluster.shardmap.n_shards,
+                     cluster.shard_bytes, tenant_for=mix.tenant)
         for i in range(FLASH_CLIENTS)
     ]
     start = env.now
@@ -394,7 +328,7 @@ def _run_flash(protected: bool, plane: Optional[ClusterTelemetry],
     for i in range(FLASH_CLIENTS):
         if surge:
             populations.append(flash_crowd(
-                env, _handler(clients[i], streams[i]),
+                env, submit_handler(clients[i], streams[i]),
                 FLASH_DURATION_S, FLASH_BASE_RATE,
                 FLASH_PEAK_RATE, FLASH_SURGE_START_S,
                 FLASH_SURGE_S, ramp_s=FLASH_RAMP_S,
@@ -402,7 +336,7 @@ def _run_flash(protected: bool, plane: Optional[ClusterTelemetry],
         else:
             populations.append(poisson_arrivals(
                 env, FLASH_BASE_RATE,
-                _handler(clients[i], streams[i]),
+                submit_handler(clients[i], streams[i]),
                 FLASH_DURATION_S, seed=SEED + i,
                 name=f"steady{i}"))
     if surge:
@@ -464,24 +398,17 @@ def _run_failover(protected: bool,
                              sli_deadline_s=DEADLINE_S,
                              stamp_deadline_s=DEADLINE_S)
                for i in range(FAILOVER_CLIENTS)]
-
-    def setup():
-        for client in clients:
-            yield from client.connect_all()
-
-    env.run(until=env.process(setup()))
-    for client in clients:
-        env.process(client.track_topology(),
-                    name=f"{client.name}-topo")
+    connect_clients(env, clients)
+    follow_topology(env, clients)
     count = int(FAILOVER_RATE * FAILOVER_DURATION_S) + 1
     streams = [
-        _chaos_stream(SEED, i, count, cluster.shardmap.n_shards,
-                      cluster.shard_bytes)
+        shard_stream(SEED, i, count, cluster.shardmap.n_shards,
+                     cluster.shard_bytes)
         for i in range(FAILOVER_CLIENTS)
     ]
     start = env.now
     populations = [
-        open_loop(env, FAILOVER_RATE, _handler(clients[i], streams[i]),
+        open_loop(env, FAILOVER_RATE, submit_handler(clients[i], streams[i]),
                   FAILOVER_DURATION_S, name=f"load{i}")
         for i in range(FAILOVER_CLIENTS)
     ]
@@ -532,33 +459,28 @@ def _run_noisy(protected: bool,
                                    stamp_deadline_s=DEADLINE_S)
                      for i in range(BATCH_CLIENTS)]
     clients = [pro] + batch_clients
-
-    def setup():
-        for client in clients:
-            yield from client.connect_all()
-
-    env.run(until=env.process(setup()))
+    connect_clients(env, clients)
     sizes = ParetoSizes(alpha=1.3, min_size=512,
                         max_size=4 * PAGE_SIZE, seed=SEED)
     pro_count = int(PRO_RATE * NOISY_DURATION_S) + 1
     batch_count = int(max(BATCH_RATES) * NOISY_DURATION_S) + 1
-    pro_stream = _chaos_stream(
+    pro_stream = shard_stream(
         SEED, 0, pro_count, cluster.shardmap.n_shards,
         cluster.shard_bytes, tenant_for=lambda k: "pro")
     batch_streams = [
-        _chaos_stream(SEED, 1 + i, batch_count,
-                      cluster.shardmap.n_shards,
-                      cluster.shard_bytes,
-                      tenant_for=lambda k: "batch", sizes=sizes)
+        shard_stream(SEED, 1 + i, batch_count,
+                     cluster.shardmap.n_shards,
+                     cluster.shard_bytes,
+                     tenant_for=lambda k: "batch", sizes=sizes)
         for i in range(BATCH_CLIENTS)
     ]
     start = env.now
-    poisson_arrivals(env, PRO_RATE, _handler(pro, pro_stream),
+    poisson_arrivals(env, PRO_RATE, submit_handler(pro, pro_stream),
                      NOISY_DURATION_S, seed=SEED, name="pro")
     # Staggered seeds desynchronize the four MMPP phase machines, so
     # the flood arrives as overlapping bursts rather than lockstep.
     for i, client in enumerate(batch_clients):
-        mmpp_arrivals(env, _handler(client, batch_streams[i]),
+        mmpp_arrivals(env, submit_handler(client, batch_streams[i]),
                       NOISY_DURATION_S, rates=BATCH_RATES,
                       dwell_s=BATCH_DWELL_S, seed=SEED + 1 + i,
                       name=f"batch{i}")
@@ -584,17 +506,10 @@ def _run_upgrade(protected: bool,
                              sli_deadline_s=DEADLINE_S,
                              stamp_deadline_s=DEADLINE_S)
                for i in range(UPGRADE_CLIENTS)]
-
-    def setup():
-        for client in clients:
-            yield from client.connect_all()
-
-    env.run(until=env.process(setup()))
+    connect_clients(env, clients)
     # The replacement node joins in every mode, so every mode's
     # clients dial it — identical in unprotected and bare.
-    for client in clients:
-        env.process(client.track_topology(),
-                    name=f"{client.name}-topo")
+    follow_topology(env, clients)
 
     def join_replacement():
         # The replacement boots, joins the ring with moving shards
@@ -635,13 +550,13 @@ def _run_upgrade(protected: bool,
     env.process(upgrade(), name="upgrade")
     count = int(UPGRADE_RATE * UPGRADE_DURATION_S) + 1
     streams = [
-        _chaos_stream(SEED, i, count, cluster.shardmap.n_shards,
-                      cluster.shard_bytes)
+        shard_stream(SEED, i, count, cluster.shardmap.n_shards,
+                     cluster.shard_bytes)
         for i in range(UPGRADE_CLIENTS)
     ]
     start = env.now
     populations = [
-        open_loop(env, UPGRADE_RATE, _handler(clients[i], streams[i]),
+        open_loop(env, UPGRADE_RATE, submit_handler(clients[i], streams[i]),
                   UPGRADE_DURATION_S, name=f"load{i}")
         for i in range(UPGRADE_CLIENTS)
     ]
@@ -693,22 +608,17 @@ def _run_hotshard() -> Dict[str, object]:
                              sli_deadline_s=DEADLINE_S,
                              stamp_deadline_s=DEADLINE_S)
                for i in range(2)]
-
-    def setup():
-        for client in clients:
-            yield from client.connect_all()
-
-    env.run(until=env.process(setup()))
+    connect_clients(env, clients)
     count = int(HOT_RATE * HOT_DURATION_S) + 1
     streams = [
-        _chaos_stream(SEED, i, count, cluster.shardmap.n_shards,
-                      cluster.shard_bytes, hot_shard=HOT_SHARD,
-                      hot_fraction=HOT_FRACTION)
+        shard_stream(SEED, i, count, cluster.shardmap.n_shards,
+                     cluster.shard_bytes, hot_shard=HOT_SHARD,
+                     hot_fraction=HOT_FRACTION)
         for i in range(2)
     ]
     start = env.now
     for i in range(2):
-        open_loop(env, HOT_RATE, _handler(clients[i], streams[i]),
+        open_loop(env, HOT_RATE, submit_handler(clients[i], streams[i]),
                   HOT_DURATION_S, name=f"skew{i}")
     env.run(until=start + HOT_DURATION_S + DRAIN_S)
 

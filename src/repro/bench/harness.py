@@ -1,21 +1,36 @@
 """Benchmark harness utilities.
 
-All benchmarks in this repository follow the same pattern: build a
+All experiments in ``repro.bench`` follow the same pattern: build a
 fresh simulation, drive a workload, and read metrics out of the
-hardware models.  The helpers here factor the repetitive parts —
-fresh-environment construction, warmup trimming, and measuring "cores
-consumed" over exactly the measurement window.
+hardware models.  The helpers here are the one copy of the repetitive
+parts: measuring "cores consumed" over exactly the measurement window
+(:class:`CoreMeter`), the sweep container the artifact serializes
+(:class:`Sweep`), and the cluster-scenario driver every multi-node
+experiment (``scale``, ``obs``, ``slo``) shares — connect the clients,
+generate each client's seeded request stream, submit it, tally the
+outcomes, and install a hybrid fluid plan over the cluster's core
+pools.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..cluster import (Cluster, ClusterClient, encode_shard_read,
+                       encode_shard_write, stable_hash)
 from ..hardware.cpu import CpuCluster
-from ..sim import Environment
+from ..sim import Environment, EventPopulation
+from ..sim.fluid import HybridPlan
+from ..units import PAGE_SIZE
+from ..workloads.arrivals import ParetoSizes
 
-__all__ = ["CoreMeter", "SweepRow", "Sweep", "drive_open_loop"]
+__all__ = ["CoreMeter", "SweepRow", "Sweep", "READ_FRACTION",
+           "connect_clients", "follow_topology", "shard_stream",
+           "submit_handler", "tally", "hybrid_plan"]
+
+#: share of every cluster request stream that reads (the rest write)
+READ_FRACTION = 0.9
 
 
 class CoreMeter:
@@ -26,11 +41,6 @@ class CoreMeter:
         self._start_busy = 0.0
         self._start_time = 0.0
         self._started = False
-
-    @property
-    def started(self) -> bool:
-        """Whether :meth:`start` has opened a measurement window."""
-        return self._started
 
     def start(self) -> None:
         """Begin the measurement window at the current time."""
@@ -60,7 +70,7 @@ class SweepRow:
 
 
 class Sweep:
-    """An ordered collection of sweep rows with shape assertions."""
+    """An ordered collection of sweep rows."""
 
     def __init__(self, x_label: str, rows: Optional[List[SweepRow]] = None):
         self.x_label = x_label
@@ -73,10 +83,6 @@ class Sweep:
     def series(self, key: str) -> List[float]:
         """All values of one named series, in sweep order."""
         return [row[key] for row in self.rows]
-
-    def xs(self) -> List[float]:
-        """The sweep's x values."""
-        return [row.x for row in self.rows]
 
     def keys(self) -> List[str]:
         """The union of series names across all rows.
@@ -110,65 +116,105 @@ class Sweep:
             sweep.rows.append(SweepRow(row["x"], dict(row["values"])))
         return sweep
 
-    # -- shape assertions used by the reproduction contract ----------------
 
-    def assert_monotonic_increasing(self, key: str,
-                                    tolerance: float = 0.02) -> None:
-        """Series grows along the sweep (within noise tolerance)."""
-        values = self.series(key)
-        for a, b in zip(values, values[1:]):
-            if b < a * (1 - tolerance) - 1e-12:
-                raise AssertionError(
-                    f"{key} not monotonic: {a} -> {b} "
-                    f"(sweep {self.x_label}={self.xs()})"
-                )
-
-    def assert_dominates(self, winner: str, loser: str,
-                         min_factor: float = 1.0) -> None:
-        """``winner`` >= ``min_factor`` * ``loser`` at every point."""
-        for row in self.rows:
-            if row[winner] < min_factor * row[loser]:
-                raise AssertionError(
-                    f"at {self.x_label}={row.x}: {winner}={row[winner]} "
-                    f"is not >= {min_factor} x {loser}={row[loser]}"
-                )
-
-    def assert_roughly_linear(self, key: str,
-                              r2_floor: float = 0.95) -> None:
-        """Least-squares fit of the series has R^2 above the floor."""
-        xs = self.xs()
-        ys = self.series(key)
-        n = len(xs)
-        if n < 3:
-            raise AssertionError("need >= 3 points for linearity check")
-        mean_x = sum(xs) / n
-        mean_y = sum(ys) / n
-        sxx = sum((x - mean_x) ** 2 for x in xs)
-        sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-        if sxx == 0:
-            raise AssertionError("degenerate sweep")
-        slope = sxy / sxx
-        intercept = mean_y - slope * mean_x
-        ss_res = sum((y - (slope * x + intercept)) ** 2
-                     for x, y in zip(xs, ys))
-        ss_tot = sum((y - mean_y) ** 2 for y in ys)
-        r2 = 1 - ss_res / ss_tot if ss_tot else 1.0
-        if r2 < r2_floor:
-            raise AssertionError(
-                f"{key} not linear: R^2={r2:.3f} < {r2_floor}"
-            )
+# -- the cluster-scenario driver ----------------------------------------------
 
 
-def drive_open_loop(env: Environment, rate_per_s: float,
-                    handler: Callable[[int], object],
-                    duration_s: float,
-                    warmup_s: float = 0.0) -> None:
-    """Run an open-loop load and advance the sim past the tail.
+def connect_clients(env: Environment,
+                    clients: Sequence[ClusterClient]) -> None:
+    """Run the sim until every client has dialed every live node."""
+    def setup():
+        for client in clients:
+            yield from client.connect_all()
 
-    Blocks (synchronously, in simulation terms) until ``duration_s``
-    plus a drain margin has elapsed.
+    env.run(until=env.process(setup()))
+
+
+def follow_topology(env: Environment,
+                    clients: Sequence[ClusterClient]) -> None:
+    """Have every client poll membership and dial late joiners."""
+    for client in clients:
+        env.process(client.track_topology(),
+                    name=f"{client.name}-topo")
+
+
+def shard_stream(seed: int, client_index: int, count: int,
+                 n_shards: int, shard_bytes: int,
+                 tenant_for: Optional[Callable[[int], str]] = None,
+                 sizes: Optional[ParetoSizes] = None,
+                 hot_shard: Optional[int] = None,
+                 hot_fraction: float = 0.0) -> List[Tuple]:
+    """One client's deterministic (message, shard, offset) stream.
+
+    Everything is hashed with crc32 (:func:`repro.cluster.stable_hash`)
+    from ``seed``, the client index and the request index, so streams
+    are process-stable and ``--jobs N`` runs stay byte-identical.
     """
-    from ..workloads.arrivals import open_loop
+    shard_pages = shard_bytes // PAGE_SIZE
+    stream = []
+    for k in range(count):
+        tag = f"{seed}:{client_index}:{k}"
+        if (hot_shard is not None
+                and stable_hash(f"hot:{tag}") % 10_000
+                < hot_fraction * 10_000):
+            shard = hot_shard
+        else:
+            shard = stable_hash(f"sh:{tag}") % n_shards
+        page = stable_hash(f"of:{tag}") % shard_pages
+        offset = page * PAGE_SIZE
+        tenant = tenant_for(k) if tenant_for is not None else None
+        write = (stable_hash(f"rw:{tag}") % 10_000
+                 >= READ_FRACTION * 10_000)
+        if write:
+            message = encode_shard_write(shard, offset, tenant=tenant)
+        else:
+            size = PAGE_SIZE
+            if sizes is not None:
+                size = min(sizes.size(k),
+                           shard_bytes - offset)
+                size = max(size, 64)
+            message = encode_shard_read(shard, offset, size=size,
+                                        tenant=tenant)
+        stream.append((message, shard, offset))
+    return stream
 
-    open_loop(env, rate_per_s, handler, duration_s)
-    env.run(until=env.now + warmup_s + duration_s + 0.01)
+
+def submit_handler(client: ClusterClient,
+                   stream: List[Tuple]) -> Callable[[int], None]:
+    """The arrival handler that submits ``stream[k]`` through ``client``."""
+    def handle(k: int) -> None:
+        message, shard, offset = stream[k % len(stream)]
+        client.submit(message, shard, tag=k, offset=offset)
+    return handle
+
+
+def tally(clients: Sequence[ClusterClient],
+          deadline_s: Optional[float] = None) -> Dict[str, object]:
+    """Outcome counts summed over ``clients``, plus the per-client rows.
+
+    Keys are :meth:`ClusterClient.outcomes`'s (``late`` only with a
+    ``deadline_s``) and ``per_client``, the list the sums were taken
+    over.
+    """
+    per_client = [client.outcomes(deadline_s=deadline_s)
+                  for client in clients]
+    totals: Dict[str, object] = {
+        key: sum(outcome[key] for outcome in per_client)
+        for key in per_client[0]}
+    totals["per_client"] = per_client
+    return totals
+
+
+def hybrid_plan(env: Environment, cluster: Cluster,
+                populations: Sequence[EventPopulation],
+                name: str) -> HybridPlan:
+    """A fluid plan over ``populations`` and every node's two core pools.
+
+    The caller declares the windows; nothing is solved until it does.
+    """
+    plan = HybridPlan(env, name=name)
+    plan.population(*populations)
+    for node in cluster.nodes:
+        plan.resource(node.server.host_cpu.core_pool,
+                      node.server.dpu.cpu.core_pool)
+    return plan

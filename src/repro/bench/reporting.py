@@ -1,8 +1,8 @@
 """Plain-text tables for benchmark output.
 
-Each benchmark prints the same rows/series the paper's figure or
-table reports, so EXPERIMENTS.md can be regenerated by running the
-benchmark suite and reading the captured output.
+Each experiment prints the same rows/series the paper's figure or
+table reports; EXPERIMENTS.md quotes them from the committed
+``BENCH_baseline.json``.
 """
 
 from __future__ import annotations
@@ -11,8 +11,7 @@ from typing import Iterable, List, Optional, Sequence
 
 from .harness import Sweep
 
-__all__ = ["format_table", "format_sweep", "banner",
-           "render_metrics"]
+__all__ = ["format_table", "format_sweep", "banner"]
 
 
 def _format_cell(value) -> str:
@@ -71,17 +70,3 @@ def banner(title: str) -> str:
     """A section banner for benchmark output."""
     bar = "=" * max(len(title) + 4, 40)
     return f"\n{bar}\n  {title}\n{bar}"
-
-
-def render_metrics(registry, now: float) -> str:
-    """Render a :class:`~repro.obs.MetricsRegistry` snapshot.
-
-    Same aligned-table style as the figure output, so telemetry lands
-    next to the benchmark numbers it explains.
-    """
-    snapshot = registry.snapshot(now)
-    if not snapshot:
-        return "(no metrics registered)"
-    return format_table(["metric", "value"],
-                        [[key, value]
-                         for key, value in snapshot.items()])

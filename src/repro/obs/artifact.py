@@ -8,7 +8,9 @@ functions return — into a single auditable document with provenance
 profiles, workload seed).  The claims registry
 (:mod:`repro.obs.claims`) and the regression comparator
 (:mod:`repro.obs.regress`) both consume this format, so a committed
-baseline artifact gives the reproduction a perf trajectory.
+baseline artifact pins every simulated number the reproduction
+claims.  An artifact holds simulated results and wall clocks only;
+host-time measurements live in ``hostbench``'s own reports.
 
 Artifact layout (``SCHEMA_VERSION`` 1)::
 
@@ -46,7 +48,6 @@ __all__ = [
     "SCHEMA_NAME",
     "SCHEMA_VERSION",
     "DEFAULT_WORKLOAD_SEED",
-    "VOLATILE_EXPERIMENTS",
     "encode_part",
     "decode_part",
     "collect_provenance",
@@ -66,12 +67,6 @@ SCHEMA_VERSION = 1
 DEFAULT_WORKLOAD_SEED = 13
 
 _PART_TYPES = ("sweep", "table", "nested")
-
-#: Experiments whose metrics are real wall-clock measurements (the
-#: kernel microbenchmarks) rather than simulated results: excluded
-#: from the sequential-vs-parallel byte-identity check and compared
-#: warn-only by the regression comparator.
-VOLATILE_EXPERIMENTS = ("perf",)
 
 
 # -- part encoding ----------------------------------------------------------
@@ -180,10 +175,6 @@ def make_artifact(experiments: Dict[str, Dict[str, Any]],
             "parts": {name: encode_part(result)
                       for name, result in entry["parts"].items()},
         }
-        # --profile hotspot rows ride along so nightly retains them;
-        # real-time data, so strip_volatile drops it for identity.
-        if entry.get("profile") is not None:
-            encoded[key]["profile"] = entry["profile"]
     document = {
         "schema": SCHEMA_NAME,
         "schema_version": SCHEMA_VERSION,
@@ -202,11 +193,10 @@ def strip_volatile(document: Dict[str, Any]) -> Dict[str, Any]:
     Two runs of the same code on the same tree must agree on the
     result *byte for byte* — regardless of ``--jobs``, load, or
     machine speed.  This canonical form drops exactly the fields
-    that legitimately vary: wall clocks (per-experiment and total),
-    the recorded command line (``--jobs N``/output paths differ),
-    per-experiment ``--profile`` hotspot rows (real time), and the
-    :data:`VOLATILE_EXPERIMENTS`, whose metrics *are* wall clocks.  Everything else — every simulated metric, claim input,
-    and provenance field — must match.
+    that legitimately vary: wall clocks (per-experiment and total)
+    and the recorded command line (``--jobs N``/output paths differ).
+    Everything else — every simulated metric, claim input, and
+    provenance field — must match.
     """
     import copy
 
@@ -217,12 +207,9 @@ def strip_volatile(document: Dict[str, Any]) -> Dict[str, Any]:
         provenance.pop("argv", None)
     experiments = canonical.get("experiments")
     if isinstance(experiments, dict):
-        for key in VOLATILE_EXPERIMENTS:
-            experiments.pop(key, None)
         for entry in experiments.values():
             if isinstance(entry, dict):
                 entry.pop("wall_clock_s", None)
-                entry.pop("profile", None)
     return canonical
 
 

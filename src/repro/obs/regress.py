@@ -5,10 +5,10 @@ walks every numeric metric both artifacts carry (every sweep row,
 table metric, and nested-config metric) and flags values that drifted
 outside a per-metric tolerance band.  The simulation is deterministic,
 so simulated metrics from the same code match exactly and any drift
-is a real behavior change.  Wall-clock attributions vary by machine
-but are budgeted deliberately: exceeding 2x the baseline is a hard
-regression, while the ``perf`` kernel microbenchmarks (pure real-time
-rates) only ever warn.
+is a real behavior change.  Wall clocks — the only host-time fields
+an artifact carries — vary by machine but are budgeted deliberately:
+an experiment exceeding 2x its baseline, or the suite 1.5x its total,
+is a hard regression.
 
 Tolerances are rules — ``(fnmatch pattern, rel_tol, abs_tol,
 severity)`` matched against the metric path
@@ -53,10 +53,6 @@ class ToleranceRule:
 
 #: Order matters: first matching rule wins.
 DEFAULT_TOLERANCES: Tuple[ToleranceRule, ...] = (
-    # The kernel microbenchmarks measure real time by design: their
-    # rates swing with machine and load, so they only ever warn.
-    ToleranceRule("perf.*", rel_tol=1.0, abs_tol=1.0,
-                  severity=WARN),
     # The suite-total wall clock is the CI perf budget: the committed
     # baseline records what the whole run costs, and a candidate
     # exceeding 1.5x that total hard-fails the gate.  Tighter than

@@ -119,14 +119,6 @@ class TestCompare:
         assert "0 regressions" in capsys.readouterr().out
 
 
-class TestProfile:
-    def test_hotspot_table_printed(self, capsys):
-        assert main(["a4", "--profile"]) == 0
-        out = capsys.readouterr().out
-        assert "hotspots" in out
-        assert "cumtime" in out
-
-
 class TestAttrOut:
     def test_writes_attribution_report(self, tmp_path, capsys):
         path = tmp_path / "attr.json"
@@ -157,28 +149,26 @@ class TestAttrOut:
         assert "incompatible" in capsys.readouterr().err
 
 
-class TestProfilePersisted:
-    def test_profile_rows_ride_into_the_artifact(self, tmp_path,
-                                                 capsys):
-        path = tmp_path / "art.json"
-        assert main(["a4", "--profile",
-                     "--json-out", str(path)]) == 0
-        assert "hotspots" in capsys.readouterr().out
-        document = load_artifact(str(path))
-        assert validate_artifact(document) == []
-        rows = document["experiments"]["a4"]["profile"]
-        assert rows
-        for row in rows:
-            assert set(row) == {"ncalls", "tottime_s", "cumtime_s",
-                                "function"}
+class TestOutputPaths:
+    """Bad invocations exit 2 before anything is created or run."""
 
-    def test_profile_rows_are_volatile(self, tmp_path):
-        from repro.obs.artifact import strip_volatile
+    def test_unknown_experiment_leaves_no_probe_file(self, tmp_path,
+                                                     capsys):
+        paths = [tmp_path / name
+                 for name in ("t.json", "a.json", "b.json")]
+        assert main(["nosuch", "--trace-out", str(paths[0]),
+                     "--attr-out", str(paths[1]),
+                     "--json-out", str(paths[2])]) == 2
+        assert "unknown" in capsys.readouterr().err
+        assert not any(path.exists() for path in paths)
 
-        path = tmp_path / "art.json"
-        main(["a4", "--profile", "--json-out", str(path)])
-        document = load_artifact(str(path))
-        stripped = strip_volatile(document)
-        assert "profile" not in stripped["experiments"]["a4"]
-        # the original document is untouched (deep copy)
-        assert "profile" in document["experiments"]["a4"]
+    def test_unwritable_json_out_fails_before_running(self, tmp_path,
+                                                      capsys):
+        trace = tmp_path / "t.json"
+        missing = tmp_path / "no" / "such" / "dir" / "x.json"
+        assert main(["fig8", "--trace-out", str(trace),
+                     "--json-out", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert "cannot write" in captured.err
+        assert "Figure 8" not in captured.out    # nothing ran
+        assert not trace.exists()    # the earlier probe is undone

@@ -1,9 +1,11 @@
-"""Tests for the bench harness, reporting, and shape assertions."""
+"""Tests for the bench harness and reporting."""
 
 import pytest
 
 from repro.bench import CoreMeter, Sweep, banner, format_sweep, format_table
 from repro.hardware import CpuCluster
+from repro.obs.artifact import make_artifact
+from repro.obs.claims import Claim, evaluate_claim
 from repro.sim import Environment
 from repro.units import GHZ
 
@@ -47,55 +49,70 @@ class TestCoreMeter:
         env.process(work())
         env.run(until=2.0)
         meter = CoreMeter(cpu)
-        # No window opened: the meter is explicit about it and reads
-        # 0.0 rather than dividing by a bogus start time.
-        assert meter.started is False
+        # No window opened: the meter reads 0.0 rather than dividing
+        # by a bogus start time.
         assert meter.cores() == 0.0
-        meter.start()
-        assert meter.started is True
 
 
 class TestSweepAssertions:
+    """The shape checks a Sweep is held to, on the cases the deleted
+    ``Sweep.assert_*`` methods were tested with — now run through the
+    one surviving implementation, the claims evaluator, by way of the
+    artifact encoding."""
+
     def _sweep(self, pairs):
         sweep = Sweep("x")
         for x, y in pairs:
             sweep.add(x, y=y)
         return sweep
 
+    def _status(self, sweep, kind, **params):
+        artifact = make_artifact(
+            {"exp": {"title": "exp", "wall_clock_s": 0.0,
+                     "parts": {"p": sweep}}},
+            provenance={"python": "3", "platform": "test",
+                        "workload_seed": 13})
+        claim = Claim("T.shape", "exp", "shape", kind,
+                      {"part": "p", **params})
+        return evaluate_claim(claim, artifact).status
+
     def test_monotonic_passes(self):
-        self._sweep([(1, 1), (2, 2), (3, 3)]) \
-            .assert_monotonic_increasing("y")
+        assert self._status(self._sweep([(1, 1), (2, 2), (3, 3)]),
+                            "monotonic", series="y") == "PASS"
 
     def test_monotonic_fails_on_decrease(self):
-        with pytest.raises(AssertionError):
-            self._sweep([(1, 3), (2, 1), (3, 2)]) \
-                .assert_monotonic_increasing("y")
+        assert self._status(self._sweep([(1, 3), (2, 1), (3, 2)]),
+                            "monotonic", series="y") == "FAIL"
 
     def test_monotonic_tolerates_noise(self):
-        self._sweep([(1, 100), (2, 99.5), (3, 200)]) \
-            .assert_monotonic_increasing("y", tolerance=0.02)
+        sweep = self._sweep([(1, 100), (2, 99.5), (3, 200)])
+        assert self._status(sweep, "monotonic", series="y",
+                            tolerance=0.02) == "PASS"
+        assert self._status(sweep, "monotonic", series="y",
+                            tolerance=0.0) == "FAIL"
 
     def test_linear_passes(self):
-        self._sweep([(1, 2.1), (2, 4.0), (3, 5.9), (4, 8.05)]) \
-            .assert_roughly_linear("y")
+        sweep = self._sweep([(1, 2.1), (2, 4.0), (3, 5.9), (4, 8.05)])
+        assert self._status(sweep, "linear", series="y") == "PASS"
 
     def test_linear_fails_on_quadratic(self):
-        with pytest.raises(AssertionError):
-            self._sweep([(1, 1), (2, 4), (3, 9), (4, 16), (5, 25),
-                         (6, 36), (8, 64), (10, 100)]) \
-                .assert_roughly_linear("y", r2_floor=0.99)
+        sweep = self._sweep([(1, 1), (2, 4), (3, 9), (4, 16), (5, 25),
+                             (6, 36), (8, 64), (10, 100)])
+        assert self._status(sweep, "linear", series="y",
+                            r2_floor=0.99) == "FAIL"
 
     def test_dominates(self):
         sweep = Sweep("x")
         sweep.add(1, big=10, small=2)
         sweep.add(2, big=20, small=3)
-        sweep.assert_dominates("big", "small", min_factor=3.0)
-        with pytest.raises(AssertionError):
-            sweep.assert_dominates("big", "small", min_factor=8.0)
+        assert self._status(sweep, "dominates", winner="big",
+                            loser="small", min_factor=3.0) == "PASS"
+        assert self._status(sweep, "dominates", winner="big",
+                            loser="small", min_factor=8.0) == "FAIL"
 
     def test_series_extraction(self):
         sweep = self._sweep([(1, 5), (2, 6)])
-        assert sweep.xs() == [1, 2]
+        assert [row.x for row in sweep.rows] == [1, 2]
         assert sweep.series("y") == [5, 6]
 
 

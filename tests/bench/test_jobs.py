@@ -6,7 +6,7 @@ from repro.bench.__main__ import main
 from repro.obs.artifact import load_artifact, strip_volatile
 
 #: Fast experiments that still cover all three part types (table,
-#: nested, sweep) plus the real-time perf microbenchmarks.
+#: nested, sweep).
 SUBSET = ["a4", "a6", "fig8"]
 
 
@@ -49,9 +49,6 @@ class TestJobsRunner:
     def test_jobs_negative_rejected(self):
         assert main(["a4", "--jobs", "-1"]) == 2
 
-    def test_jobs_incompatible_with_profile(self):
-        assert main(["a4", "--jobs", "2", "--profile"]) == 2
-
     def test_jobs_incompatible_with_trace(self, tmp_path):
         trace = tmp_path / "trace.json"
         assert main(["fig8", "--jobs", "2",
@@ -70,14 +67,6 @@ class TestIdentityGate:
         first, second = tmp_path / "one.json", tmp_path / "two.json"
         assert main(["a4", "--json-out", str(first)]) == 0
         assert main(["a4", "--json-out", str(second)]) == 0
-        assert main(["--identity", str(first), str(second)]) == 0
-
-    def test_perf_experiment_is_stripped(self, tmp_path):
-        # The perf microbenchmarks measure real time: two runs always
-        # disagree on the rates, and the identity gate must not care.
-        first, second = tmp_path / "one.json", tmp_path / "two.json"
-        assert main(["perf", "--json-out", str(first)]) == 0
-        assert main(["perf", "--json-out", str(second)]) == 0
         assert main(["--identity", str(first), str(second)]) == 0
 
     def test_simulated_drift_fails(self, tmp_path):

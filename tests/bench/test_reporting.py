@@ -1,9 +1,8 @@
 """Formatting edge cases for ``repro.bench.reporting``.
 
 Zero and extreme floats through ``_format_cell``, ragged sweeps
-through ``format_sweep`` / ``_nested_table``, empty registries in
-``render_metrics``, and the Sweep JSON round trip the artifact
-depends on.
+through ``format_sweep`` / ``_nested_table``, and the Sweep JSON round
+trip the artifact depends on.
 """
 
 import json
@@ -14,9 +13,9 @@ from repro.bench.reporting import (
     _format_cell,
     format_sweep,
     format_table,
-    render_metrics,
 )
-from repro.obs import MetricsRegistry
+from repro.obs.artifact import decode_part, encode_part, make_artifact
+from repro.obs.claims import Claim, evaluate_claim
 
 
 class TestFormatCell:
@@ -102,20 +101,6 @@ class TestNestedTable:
         assert "only" in text
 
 
-class TestRenderMetrics:
-    def test_empty_registry(self):
-        registry = MetricsRegistry()
-        assert render_metrics(registry, now=0.0) \
-            == "(no metrics registered)"
-
-    def test_populated_registry_tabulates(self):
-        registry = MetricsRegistry()
-        registry.counter("a.ops").add(3)
-        text = render_metrics(registry, now=1.0)
-        assert "a.ops" in text
-        assert "3" in text
-
-
 class TestSweepRoundTrip:
     def test_json_round_trip(self):
         sweep = Sweep("rate")
@@ -125,7 +110,8 @@ class TestSweepRoundTrip:
             json.loads(json.dumps(sweep.to_dict()))
         )
         assert rebuilt.x_label == "rate"
-        assert rebuilt.xs() == sweep.xs()
+        assert [row.x for row in rebuilt.rows] \
+            == [row.x for row in sweep.rows]
         assert rebuilt.series("a") == sweep.series("a")
         assert rebuilt.series("b") == sweep.series("b")
 
@@ -147,12 +133,23 @@ class TestSweepRoundTrip:
         assert sweep.keys() == ["b", "a"]
 
     def test_round_trip_shape_assertions_still_work(self):
+        # What the shape contract reads survives the artifact round
+        # trip: a claim passes on the decoded sweep's encoding exactly
+        # as on the original's.
         sweep = Sweep("x")
         for x in (1, 2, 3):
             sweep.add(x, up=float(x))
-        rebuilt = Sweep.from_dict(sweep.to_dict())
-        rebuilt.assert_monotonic_increasing("up")
-        rebuilt.assert_roughly_linear("up")
+        rebuilt = decode_part(encode_part(sweep))
+        assert encode_part(rebuilt) == encode_part(sweep)
+        artifact = make_artifact(
+            {"exp": {"title": "exp", "wall_clock_s": 0.0,
+                     "parts": {"p": rebuilt}}},
+            provenance={"python": "3", "platform": "test",
+                        "workload_seed": 13})
+        for kind in ("monotonic", "linear"):
+            claim = Claim("T.shape", "exp", "shape", kind,
+                          {"part": "p", "series": "up"})
+            assert evaluate_claim(claim, artifact).status == "PASS"
 
 
 class TestFormatTable:

@@ -3,9 +3,10 @@
 from repro.bench.__main__ import EXPERIMENTS
 from repro.bench.experiments_scale import (
     _scale_point,
-    _stream,
     sharding_properties,
 )
+from repro.bench.harness import shard_stream
+from repro.units import PAGE_SIZE
 
 
 class TestRegistration:
@@ -17,14 +18,16 @@ class TestRegistration:
 
 class TestStreams:
     def test_streams_are_deterministic(self):
-        first = _stream(31, 0, 50, 32, 16)
-        second = _stream(31, 0, 50, 32, 16)
-        assert [shard for _, shard in first] == \
-            [shard for _, shard in second]
+        first = shard_stream(31, 0, 50, 32, 16 * PAGE_SIZE)
+        second = shard_stream(31, 0, 50, 32, 16 * PAGE_SIZE)
+        assert [entry[1:] for entry in first] == \
+            [entry[1:] for entry in second]
 
     def test_distinct_clients_get_distinct_streams(self):
-        a = [shard for _, shard in _stream(31, 0, 50, 32, 16)]
-        b = [shard for _, shard in _stream(31, 1, 50, 32, 16)]
+        a = [shard for _, shard, _ in
+             shard_stream(31, 0, 50, 32, 16 * PAGE_SIZE)]
+        b = [shard for _, shard, _ in
+             shard_stream(31, 1, 50, 32, 16 * PAGE_SIZE)]
         assert a != b
 
 

@@ -1,8 +1,10 @@
 """The declarative paper-claims registry and its evaluator."""
 
+from pathlib import Path
 
+from repro.bench.__main__ import EXPERIMENTS
 from repro.bench.harness import Sweep
-from repro.obs.artifact import make_artifact
+from repro.obs.artifact import load_artifact, make_artifact
 from repro.obs.claims import (
     CLAIMS,
     Claim,
@@ -44,6 +46,22 @@ class TestRegistry:
     def test_ids_unique(self):
         ids = [claim.id for claim in CLAIMS]
         assert len(ids) == len(set(ids))
+
+    def test_no_experiment_is_unbound(self):
+        bound = {claim.experiment for claim in CLAIMS}
+        assert sorted(set(EXPERIMENTS) - bound) == []
+        assert sorted(bound - set(EXPERIMENTS)) == []
+
+    def test_blessed_baseline_is_claim_clean(self):
+        # A claim edit the committed numbers contradict fails here,
+        # in milliseconds, without running the suite; a SKIP would
+        # mean the baseline lacks an experiment some claim reads.
+        baseline = (Path(__file__).resolve().parents[2]
+                    / "BENCH_baseline.json")
+        results = evaluate_all(load_artifact(str(baseline)))
+        assert [(result.claim.id, result.status, result.measured
+                 or result.detail) for result in results
+                if result.status != "PASS"] == []
 
 
 class TestStatuses:
@@ -149,6 +167,15 @@ class TestCheckKinds:
                     smaller="cheap", larger="costly")
         assert evaluate_claim(ok, artifact).status == "PASS"
 
+    def test_order_across_rows(self):
+        artifact = _artifact(exp={"s": _sweep(m=[1.0, 3.0, 2.0])})
+        ok = _claim("order", part="s", smaller="m", larger="m",
+                    smaller_row="first", larger_row=2)
+        bad = _claim("order", part="s", smaller="m", larger="m",
+                     smaller_row=2, larger_row="last")
+        assert evaluate_claim(ok, artifact).status == "PASS"
+        assert evaluate_claim(bad, artifact).status == "FAIL"
+
     def test_rel_close(self):
         artifact = _artifact(exp={"s": _sweep(a=[1.0, 2.0],
                                               b=[1.05, 2.1])})
@@ -171,6 +198,35 @@ class TestCheckKinds:
                      denominator_config="fast", min_factor=5.0)
         assert evaluate_claim(ok, artifact).status == "PASS"
         assert evaluate_claim(bad, artifact).status == "FAIL"
+
+    def test_nested_ratio_wildcards(self):
+        artifact = _artifact(exp={
+            "n": {"a": {"m": 10.0}, "b": {"m": 8.0}, "c": {"m": 2.0}},
+        })
+
+        def claim(numerator, denominator, factor):
+            return _claim("nested_ratio", part="n", metric="m",
+                          numerator_config=numerator,
+                          denominator_config=denominator,
+                          min_factor=factor)
+
+        # every other config vs one: worst pair is b / c = 4
+        assert evaluate_claim(claim("*", "c", 4.0),
+                              artifact).status == "PASS"
+        worst = evaluate_claim(claim("*", "c", 4.5), artifact)
+        assert worst.status == "FAIL" and "b / c" in worst.measured
+        # one vs every other: worst pair is a / b = 1.25
+        assert evaluate_claim(claim("a", "*", 1.25),
+                              artifact).status == "PASS"
+        assert evaluate_claim(claim("a", "*", 1.3),
+                              artifact).status == "FAIL"
+        # every ordered pair: worst is c / a = 0.2
+        assert evaluate_claim(claim("*", "*", 0.2),
+                              artifact).status == "PASS"
+        assert evaluate_claim(claim("*", "*", 0.25),
+                              artifact).status == "FAIL"
+        missing = evaluate_claim(claim("*", "nope", 1.0), artifact)
+        assert missing.status == "FAIL" and "nope" in missing.detail
 
     def test_unknown_kind_fails(self):
         claim = _claim("vibes", part="t")

@@ -71,21 +71,6 @@ class TestCompare:
         assert report.ok
         assert not report.warnings
 
-    def test_perf_experiment_only_warns(self):
-        # Kernel microbenchmark rates are real-time by design: a 10x
-        # swing warns, never hard-fails.
-        def perf(rate):
-            return make_artifact({
-                "perf": {"title": "perf", "wall_clock_s": 0.1,
-                         "parts": {"event_throughput":
-                                   {"events_per_s": rate}}},
-            }, provenance={"python": "3", "platform": "test",
-                           "workload_seed": 13})
-        report = compare(perf(1e5), perf(1e6))
-        assert report.ok
-        assert [delta.path for delta in report.warnings] \
-            == ["perf.event_throughput.events_per_s"]
-
     def test_missing_metric_is_regression(self):
         candidate = _artifact()
         del candidate["experiments"]["figX"]["parts"]["table_part"]

@@ -65,6 +65,32 @@ class TestPlanner:
         # Nothing is saved on the wire; the DPU's slower cores lose.
         assert plan["choice"] == "pull"
 
+    def test_selectivity_crossover(self):
+        # The paper's Section-4 pushdown example as a sweep: a 64 MB
+        # table, selectivity 1% -> 100%, thin vs fat fabric.
+        def sweep(network_bps):
+            plans = []
+            for selectivity in (0.01, 0.05, 0.1, 0.25, 0.5, 1.0):
+                query = ScanQuery(
+                    predicate_column="quantity",
+                    predicate=lambda value: True,
+                    projection=["orderkey"],
+                    estimated_selectivity=selectivity,
+                )
+                plans.append(plan_scan(query, 64 * MB, 7,
+                                       network_bps=network_bps))
+            return plans
+
+        slow, fast = sweep(10 * Gbps), sweep(200 * Gbps)
+        # On a thin network pushdown wins at every selectivity worth
+        # pushing; on a fat one the faster host cores win everywhere.
+        assert all(plan["choice"] == "pushdown" for plan in slow[:4])
+        assert all(plan["choice"] == "pull" for plan in fast)
+        # Wire savings track selectivity.
+        fractions = [plan["pushdown"].bytes_on_wire
+                     / plan["pull"].bytes_on_wire for plan in slow]
+        assert fractions == sorted(fractions)
+
     def test_explain_renders(self):
         text = explain(plan_scan(_selective_query(), 1 * MB, 7))
         assert "chosen plan" in text

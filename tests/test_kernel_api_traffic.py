@@ -1,12 +1,17 @@
-"""Every public kernel mechanism has a caller in the product.
+"""Every public kernel and bench-harness mechanism has a caller in
+the product.
 
 A caller census over the syntax tree, nothing timed and nothing run:
-each public method and property of ``repro.sim.core.Environment`` and
-``repro.sim.resources.Resource`` must be read as an attribute somewhere
-under ``src/repro``, ``hostbench/workloads`` or ``examples`` outside
-its own class body.  Tests do not count as callers — a mechanism only
-its tests use is the thing this file exists to catch.  The match is by
-name, so it can miss an unused method that shares a name with a used
+each public method and property of ``repro.sim.core.Environment``,
+``repro.sim.resources.Resource`` and the bench harness's ``Sweep`` and
+``CoreMeter`` must be read as an attribute somewhere under
+``src/repro``, ``hostbench/workloads`` or ``examples`` outside its own
+class body, and each public module-level function of
+``bench/harness.py`` and ``bench/reporting.py`` must be read by name
+there outside its own definition (an import or an ``__all__`` entry is
+not a read).  Tests do not count as callers — a mechanism only its
+tests use is the thing this file exists to catch.  The match is by
+name, so it can miss an unused member that shares a name with a used
 one; it cannot flag a used one.
 """
 
@@ -22,6 +27,13 @@ _CALLER_ROOTS = ("src/repro", "hostbench/workloads", "examples")
 _KERNEL_CLASSES = (
     ("src/repro/sim/core.py", "Environment"),
     ("src/repro/sim/resources.py", "Resource"),
+    ("src/repro/bench/harness.py", "Sweep"),
+    ("src/repro/bench/harness.py", "CoreMeter"),
+)
+
+_HARNESS_MODULES = (
+    "src/repro/bench/harness.py",
+    "src/repro/bench/reporting.py",
 )
 
 
@@ -48,19 +60,23 @@ def _public_api(class_node):
         and not node.name.startswith("_"))
 
 
-def _attributes_read_outside(class_node):
-    """Every ``<expr>.attr`` name in the caller roots, minus the body
-    of ``class_node``."""
-    seen = set()
+def _reads_outside(definition):
+    """``(attributes, names)``: every ``<expr>.attr`` name and every
+    bare name loaded in the caller roots, minus the body of
+    ``definition``."""
+    attributes, names = set(), set()
     stack = list(_caller_trees().values())
     while stack:
         node = stack.pop()
-        if node is class_node:
+        if node is definition:
             continue
         if isinstance(node, ast.Attribute):
-            seen.add(node.attr)
+            attributes.add(node.attr)
+        elif isinstance(node, ast.Name) \
+                and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
         stack.extend(ast.iter_child_nodes(node))
-    return seen
+    return attributes, names
 
 
 @pytest.mark.parametrize("path,name", _KERNEL_CLASSES)
@@ -68,8 +84,23 @@ def test_every_public_kernel_member_has_a_product_caller(path, name):
     class_node = _class_node(path, name)
     api = _public_api(class_node)
     assert api, f"{name} exposes nothing public?"
-    used = _attributes_read_outside(class_node)
+    used, _ = _reads_outside(class_node)
     unused = [member for member in api if member not in used]
     assert not unused, (
         f"{name} members with no caller under {_CALLER_ROOTS}: {unused} "
         "— delete them, or the caller that justified them is gone")
+
+
+@pytest.mark.parametrize("path", _HARNESS_MODULES)
+def test_every_public_harness_function_has_a_product_caller(path):
+    functions = [node for node in _caller_trees()[_REPO / path].body
+                 if isinstance(node, ast.FunctionDef)
+                 and not node.name.startswith("_")]
+    assert functions, f"{path} defines nothing public?"
+    unused = [node.name for node in functions
+              if not any(node.name in reads
+                         for reads in _reads_outside(node))]
+    assert not unused, (
+        f"{path} functions with no caller under {_CALLER_ROOTS}: "
+        f"{unused} — delete them, or the caller that justified them "
+        "is gone")
