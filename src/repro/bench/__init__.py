@@ -36,10 +36,7 @@ from .experiments_obs import (
     obs_parts,
     obs_scenario,
 )
-from .experiments_slo import (
-    chaos_scenario,
-    slo_parts,
-)
+from .experiments_slo import slo_parts
 from .experiments_query import (
     identity_matrix,
     planner_regimes,

@@ -36,7 +36,7 @@ from ..sim import Environment
 from ..workloads.arrivals import open_loop
 from .experiments_system import LINE_RATE_MSGS_PER_S, _s9_point
 from .harness import (READ_FRACTION, CoreMeter, Sweep, connect_clients,
-                      hybrid_plan, shard_stream, submit_handler, tally)
+                      shard_stream, submit_handler, tally)
 from .tco import storage_server_cost
 
 __all__ = ["scale_parts", "scale_goodput_and_tco",
@@ -50,19 +50,13 @@ DRAIN_S = 3e-3
 #: the shard owner (a routing cache lagging the shard map)
 STALE_FRACTION = 0.15
 
-#: rack-scale sweep: 64 and 128 nodes are unaffordable event-by-event
-#: inside the CI perf gate (128 x 25K ops/s x 5 ms is ~16K request
-#: round trips), so the bulk of each point's steady window is solved
-#: flow-level by the hybrid fluid mode (:mod:`repro.sim.fluid`) and
-#: only the lead-in and tail run event-level.  Per-node offered rate
-#: is lower than the small sweep's — the rack points compare against
-#: each other (cores/node flat, goodput/node linear), not against the
-#: 1..8 sweep.
+#: rack-scale sweep, every arrival an event (128 x 25K ops/s x 5 ms is
+#: ~16K request round trips).  Per-node offered rate is lower than the
+#: small sweep's — the rack points compare against each other
+#: (cores/node flat, goodput/node linear), not against the 1..8 sweep.
 RACK_NODE_COUNTS = (8, 64, 128)
 RACK_RATE_PER_NODE = 25_000.0
 RACK_DURATION_S = 5e-3
-RACK_FLUID_T0_S = 0.8e-3
-RACK_FLUID_T1_S = 4.6e-3
 RACK_SEED = 47
 
 
@@ -163,12 +157,10 @@ def scale_goodput_and_tco(
 
 
 def _rack_point(n_nodes: int, seed: int = RACK_SEED) -> Dict[str, float]:
-    """One hybrid-assisted rack point: N nodes, shared client fleet.
+    """One rack point: N nodes, shared client fleet.
 
     Eight clients (sixteen at 128 nodes) spread the aggregate load so
-    no single client stack saturates; the steady mid-window is
-    fluid-solved, so goodput is measured over the event-level spans
-    only and core meters integrate the flow-level credit.
+    no single client stack saturates.
     """
     env = Environment()
     cluster = Cluster(env, n_nodes)
@@ -194,23 +186,15 @@ def _rack_point(n_nodes: int, seed: int = RACK_SEED) -> Dict[str, float]:
         meter.start()
 
     start = env.now
-    populations = [
+    for i in range(n_clients):
         open_loop(env, rate_per_client,
                   submit_handler(clients[i], streams[i]),
                   RACK_DURATION_S, name=f"rack{i}")
-        for i in range(n_clients)
-    ]
-    plan = hybrid_plan(env, cluster, populations, f"rack{n_nodes}")
-    plan.window(start + RACK_FLUID_T0_S, start + RACK_FLUID_T1_S)
     env.run(until=start + RACK_DURATION_S)
     total_host_cores = sum(meter.cores() for meter in meters)
     total_dpu_cores = sum(meter.cores() for meter in dpu_meters)
     env.run(until=start + RACK_DURATION_S + DRAIN_S)
     ok = tally(clients)["ok"]
-    # goodput over the event-level spans only: the fluid window's
-    # arrivals never fired, so they belong in neither numerator nor
-    # denominator
-    event_span = RACK_DURATION_S - (RACK_FLUID_T1_S - RACK_FLUID_T0_S)
     snapshot = cluster.metrics_snapshot()
     local = sum(s["shard_local"] for s in snapshot.values())
     routed = sum(s["shard_routed"] for s in snapshot.values())
@@ -219,17 +203,14 @@ def _rack_point(n_nodes: int, seed: int = RACK_SEED) -> Dict[str, float]:
         "nodes": float(n_nodes),
         "clients": float(n_clients),
         "offered_ops_per_s": RACK_RATE_PER_NODE * n_nodes,
-        "goodput_ops_per_s": ok / event_span,
-        "goodput_per_node": ok / event_span / n_nodes,
+        "goodput_ops_per_s": ok / RACK_DURATION_S,
+        "goodput_per_node": ok / RACK_DURATION_S / n_nodes,
         "total_host_cores": total_host_cores,
         "total_dpu_cores": total_dpu_cores,
         "host_cores_per_node": total_host_cores / n_nodes,
         "dpu_cores_per_node": total_dpu_cores / n_nodes,
         "routed_fraction": routed / served if served else 0.0,
         "ok": float(ok),
-        "fluid_windows": float(plan.windows_solved),
-        "fluid_skipped": float(plan.skipped_arrivals),
-        "fluid_served_credit": float(plan.credited_served),
     }
 
 
@@ -255,10 +236,6 @@ def rack_sweep(node_counts: Tuple[int, ...] = RACK_NODE_COUNTS
         "host_cores_per_node_max": max(
             points[str(n)]["host_cores_per_node"]
             for n in node_counts),
-        "fluid_windows": sum(points[str(n)]["fluid_windows"]
-                             for n in node_counts),
-        "fluid_skipped": sum(points[str(n)]["fluid_skipped"]
-                             for n in node_counts),
     }
     return points
 

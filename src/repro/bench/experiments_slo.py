@@ -60,10 +60,10 @@ from ..units import PAGE_SIZE
 from ..workloads.arrivals import (ParetoSizes, TenantMix, flash_crowd,
                                   mmpp_arrivals, open_loop,
                                   poisson_arrivals)
-from .harness import (connect_clients, follow_topology, hybrid_plan,
-                      shard_stream, submit_handler, tally)
+from .harness import (connect_clients, follow_topology, shard_stream,
+                      submit_handler, tally)
 
-__all__ = ["slo_parts", "chaos_scenario", "SCENARIOS"]
+__all__ = ["slo_parts", "SCENARIOS"]
 
 SEED = 23
 
@@ -110,7 +110,7 @@ DRAIN_S = 2.5e-3
 #: nodes (~0.9x) until node1's DPU dies — the two survivors then
 #: face ~1.3x their combined capacity.  Five milliseconds of
 #: post-fault overload is what the violation and goodput claims
-#: integrate over; the pre-fault steady stretch is fluid-solved.
+#: integrate over.
 FAILOVER_CLIENTS = 6
 FAILOVER_RATE = 200_000.0
 FAILOVER_DURATION_S = 7.0e-3
@@ -136,24 +136,6 @@ UPGRADE_CLIENTS = 6
 UPGRADE_RATE = 200_000.0
 UPGRADE_DURATION_S = 7.0e-3
 UPGRADE_START_S = 1.5e-3
-
-#: hybrid fluid mode (:mod:`repro.sim.fluid`): every chaos scenario
-#: knows its transition times a priori, so the steady stretch before
-#: the trigger (and, for the no-surge flash baseline, the steady
-#: stretches outside the measured window) is solved flow-level
-#: instead of event-by-event.  All three matrix modes install the
-#: *same* plan, so the protection-off twin stays byte-identical and
-#: protected/unprotected ratios compare like-for-like; the claims
-#: contract (tolerances, re-baselined magnitudes) replaces byte
-#: identity against the all-events run.  Set HYBRID = False to
-#: recover the pure-DES scenarios.
-HYBRID = True
-#: event-level lead-in before the first fluid window (client ramp,
-#: cwnd growth) and the slice the flow rates are calibrated over
-FLUID_LEAD_S = 5.0e-4
-FLUID_CALIBRATE_S = 2.5e-4
-#: event-level guard left ahead of every declared transition
-FLUID_GUARD_S = 2.0e-4
 
 #: hot-shard scenario: a skewed stream pins ~1.2x one node's
 #: capacity onto a single shard until the autoscaler splits it
@@ -217,20 +199,6 @@ def _arm_admission(env, cluster, plane,
     for node in cluster.nodes:
         arm(node)
     return arm
-
-
-def _fluid_plan(env, cluster, populations, windows) -> None:
-    """Install the scenario's hybrid plan over absolute windows.
-
-    Windows too short to calibrate are dropped rather than clamped, so
-    a slow setup phase can never push a skip into a transition.
-    """
-    if not HYBRID:
-        return
-    plan = hybrid_plan(env, cluster, populations, "slo-fluid")
-    for t0, t1 in windows:
-        if t1 - t0 > 2 * FLUID_CALIBRATE_S:
-            plan.window(t0, t1, FLUID_CALIBRATE_S)
 
 
 def _violation_seconds(plane: Optional[ClusterTelemetry]) -> float:
@@ -324,36 +292,18 @@ def _run_flash(protected: bool, plane: Optional[ClusterTelemetry],
         for i in range(FLASH_CLIENTS)
     ]
     start = env.now
-    populations = []
     for i in range(FLASH_CLIENTS):
         if surge:
-            populations.append(flash_crowd(
-                env, submit_handler(clients[i], streams[i]),
-                FLASH_DURATION_S, FLASH_BASE_RATE,
-                FLASH_PEAK_RATE, FLASH_SURGE_START_S,
-                FLASH_SURGE_S, ramp_s=FLASH_RAMP_S,
-                seed=SEED + i, name=f"flash{i}"))
+            flash_crowd(env, submit_handler(clients[i], streams[i]),
+                        FLASH_DURATION_S, FLASH_BASE_RATE,
+                        FLASH_PEAK_RATE, FLASH_SURGE_START_S,
+                        FLASH_SURGE_S, ramp_s=FLASH_RAMP_S,
+                        seed=SEED + i, name=f"flash{i}")
         else:
-            populations.append(poisson_arrivals(
-                env, FLASH_BASE_RATE,
-                submit_handler(clients[i], streams[i]),
-                FLASH_DURATION_S, seed=SEED + i,
-                name=f"steady{i}"))
-    if surge:
-        # steady below capacity until the surge ramp: fluid-solve it
-        windows = [(start + FLUID_LEAD_S,
-                    start + FLASH_SURGE_START_S - FLUID_GUARD_S)]
-    else:
-        # the no-surge baseline is steady throughout; only the
-        # measured window (and a re-fill lead before it) must run
-        # event-level
-        lo = FLASH_SURGE_START_S + SURGE_SETTLE_S
-        hi = FLASH_SURGE_START_S + FLASH_SURGE_S
-        windows = [(start + FLUID_LEAD_S,
-                    start + lo - FLUID_CALIBRATE_S),
-                   (start + hi + FLUID_CALIBRATE_S,
-                    start + FLASH_DURATION_S - 1.0e-4)]
-    _fluid_plan(env, cluster, populations, windows)
+            poisson_arrivals(env, FLASH_BASE_RATE,
+                             submit_handler(clients[i], streams[i]),
+                             FLASH_DURATION_S, seed=SEED + i,
+                             name=f"steady{i}")
     env.run(until=start + FLASH_DURATION_S + DRAIN_S)
     result = _collect(clients, cluster, plane)
     result["clients"] = clients
@@ -407,16 +357,9 @@ def _run_failover(protected: bool,
         for i in range(FAILOVER_CLIENTS)
     ]
     start = env.now
-    populations = [
+    for i in range(FAILOVER_CLIENTS):
         open_loop(env, FAILOVER_RATE, submit_handler(clients[i], streams[i]),
                   FAILOVER_DURATION_S, name=f"load{i}")
-        for i in range(FAILOVER_CLIENTS)
-    ]
-    # the fault plan's clock is absolute, so the pre-fault steady
-    # window is bounded by FAULT_START_S, not by an offset from start
-    _fluid_plan(env, cluster, populations,
-                [(start + FLUID_LEAD_S,
-                  FAULT_START_S - FLUID_GUARD_S)])
     env.run(until=start + FAILOVER_DURATION_S + DRAIN_S)
     return _collect(clients, cluster, plane)
 
@@ -555,14 +498,9 @@ def _run_upgrade(protected: bool,
         for i in range(UPGRADE_CLIENTS)
     ]
     start = env.now
-    populations = [
+    for i in range(UPGRADE_CLIENTS):
         open_loop(env, UPGRADE_RATE, submit_handler(clients[i], streams[i]),
                   UPGRADE_DURATION_S, name=f"load{i}")
-        for i in range(UPGRADE_CLIENTS)
-    ]
-    _fluid_plan(env, cluster, populations,
-                [(start + FLUID_LEAD_S,
-                  start + UPGRADE_START_S - FLUID_GUARD_S)])
     env.run(until=start + UPGRADE_DURATION_S + DRAIN_S)
     return _collect(clients, cluster, plane)
 
@@ -574,14 +512,6 @@ SCENARIOS: Tuple[Tuple[str, Callable], ...] = (
     ("noisy_neighbor", _run_noisy),
     ("rolling_upgrade", _run_upgrade),
 )
-
-
-def chaos_scenario(key: str, protected: bool,
-                   observed: bool = True) -> Dict[str, object]:
-    """Run one matrix cell (for tests); ``observed=False`` is bare."""
-    runner = dict(SCENARIOS)[key]
-    plane = _plane(f"slo-{key}") if observed else None
-    return runner(protected, plane)
 
 
 def _run_hotshard() -> Dict[str, object]:

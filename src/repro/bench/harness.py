@@ -7,9 +7,8 @@ parts: measuring "cores consumed" over exactly the measurement window
 (:class:`CoreMeter`), the sweep container the artifact serializes
 (:class:`Sweep`), and the cluster-scenario driver every multi-node
 experiment (``scale``, ``obs``, ``slo``) shares — connect the clients,
-generate each client's seeded request stream, submit it, tally the
-outcomes, and install a hybrid fluid plan over the cluster's core
-pools.
+generate each client's seeded request stream, submit it and tally the
+outcomes.
 """
 
 from __future__ import annotations
@@ -17,17 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..cluster import (Cluster, ClusterClient, encode_shard_read,
+from ..cluster import (ClusterClient, encode_shard_read,
                        encode_shard_write, stable_hash)
 from ..hardware.cpu import CpuCluster
-from ..sim import Environment, EventPopulation
-from ..sim.fluid import HybridPlan
+from ..sim import Environment
 from ..units import PAGE_SIZE
 from ..workloads.arrivals import ParetoSizes
 
 __all__ = ["CoreMeter", "SweepRow", "Sweep", "READ_FRACTION",
            "connect_clients", "follow_topology", "shard_stream",
-           "submit_handler", "tally", "hybrid_plan"]
+           "submit_handler", "tally"]
 
 #: share of every cluster request stream that reads (the rest write)
 READ_FRACTION = 0.9
@@ -203,18 +201,3 @@ def tally(clients: Sequence[ClusterClient],
         for key in per_client[0]}
     totals["per_client"] = per_client
     return totals
-
-
-def hybrid_plan(env: Environment, cluster: Cluster,
-                populations: Sequence[EventPopulation],
-                name: str) -> HybridPlan:
-    """A fluid plan over ``populations`` and every node's two core pools.
-
-    The caller declares the windows; nothing is solved until it does.
-    """
-    plan = HybridPlan(env, name=name)
-    plan.population(*populations)
-    for node in cluster.nodes:
-        plan.resource(node.server.host_cpu.core_pool,
-                      node.server.dpu.cpu.core_pool)
-    return plan

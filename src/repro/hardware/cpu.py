@@ -163,8 +163,8 @@ class CpuCluster:
     def core_pool(self):
         """The underlying core :class:`~repro.sim.resources.Resource`.
 
-        Public handle for flow-level integrations (the hybrid fluid
-        mode registers it to credit analytically solved windows).
+        Public handle for readers of its work counters (``hostbench``
+        sums ``total_served`` over every cluster's pool).
         """
         return self._cores
 

@@ -22,7 +22,8 @@ Check kinds (all selectors name ``part`` plus kind-specific fields):
 ``linear``        least-squares fit of a sweep series has R² ≥ floor
 ``dominates``     winner ≥ ``min_factor`` × loser at every sweep row
 ``ratio_at``      numerator / denominator ≥ ``min_factor`` at one row
-``band``          a metric (table / nested / sweep-at-row) in [lo, hi]
+``band``          a metric (table / nested / sweep-at-row) in [lo, hi];
+                  a nested ``config`` of ``"*"`` or a list bands each
 ``order``         metric ``smaller`` < metric ``larger`` (F8 ordering);
                   ``smaller_row`` / ``larger_row`` compare across rows
 ``rel_close``     two sweep series within rel_tol + abs_tol, row-wise
@@ -481,11 +482,12 @@ CLAIMS: Tuple[Claim, ...] = (
        "DPU-side even at 128 nodes",
        "band", part="rack", config="scaling",
        metric="host_cores_per_node_max", lo=0.0, hi=0.05),
-    _c("SC.rack_hybrid_engaged", "scale",
-       "every rack point solved its steady mid-window analytically "
-       "(the sweep is only affordable in hybrid mode)",
-       "band", part="rack", config="scaling",
-       metric="fluid_windows", lo=3.0, hi=math.inf),
+    _c("SC.rack_dpu_cores_accounted", "scale",
+       "each rack node's DPU spends its two dedicated pollers (NE, "
+       "SE) plus a fraction of a core serving — every core-second "
+       "counted once",
+       "band", part="rack", config=["8", "64", "128"],
+       metric="dpu_cores_per_node", lo=2.0, hi=2.6),
 
     # OB — distributed tracing, telemetry plane, SLO flight recorder
     _c("OB.forwarded_requests_traced", "obs",
@@ -866,18 +868,22 @@ def _check_band(claim, part):
     name = claim.params.get("metric", claim.params.get("series"))
     hi_str = "inf" if hi == math.inf else _fmt(hi)
     expected = f"in [{_fmt(lo)}, {hi_str}]"
-    # config="*" on a nested part: the band must hold per config.
+    # config="*" or a list of configs on a nested part: the band must
+    # hold per config.
+    configs = claim.params.get("config")
     if part.get("type") == "nested" and \
-            claim.params.get("config") == "*":
-        if not part["rows"]:
+            (configs == "*" or isinstance(configs, list)):
+        if configs == "*":
+            configs = list(part["rows"])
+        if not configs:
             raise _Missing("nested part has no configs")
-        for config in part["rows"]:
+        for config in configs:
             value = _scalar(part, {**claim.params, "config": config})
             if not lo <= value <= hi:
                 return FAIL, f"{config}: {name} = {_fmt(value)}", \
                     expected
         return PASS, f"{name} in band for all " \
-            f"{len(part['rows'])} configs", expected
+            f"{len(configs)} configs", expected
     value = _scalar(part, claim.params)
     status = PASS if lo <= value <= hi else FAIL
     return status, f"{name} = {_fmt(value)}", expected

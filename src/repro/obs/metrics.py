@@ -130,8 +130,7 @@ class MetricsRegistry:
         """Flatten every instrument into one ``{metric: value}`` dict.
 
         Counters appear under their plain name; tallies expand to
-        ``.count/.mean/.p50/.p99``; levels to ``.avg/.peak`` — the
-        same convention as :class:`~repro.sim.stats.MetricSet`.  Keys
+        ``.count/.mean/.p50/.p99``; levels to ``.avg/.peak``.  Keys
         are emitted in sorted order (deterministic across runs, and
         ``dict`` preserves insertion order), so artifacts and tables
         built from a snapshot list metrics stably.  ``prefix`` keeps

@@ -32,7 +32,7 @@ from .core import (
     Timeout,
 )
 from .resources import Container, PriorityResource, Resource, Store
-from .stats import Counter, MetricSet, Tally, TimeWeighted
+from .stats import Counter, Tally, TimeWeighted
 
 __all__ = [
     "AllOf",
@@ -49,7 +49,6 @@ __all__ = [
     "Resource",
     "Store",
     "Counter",
-    "MetricSet",
     "Tally",
     "TimeWeighted",
 ]

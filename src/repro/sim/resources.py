@@ -225,21 +225,6 @@ class Resource:
         self._total_served += 1
         return True
 
-    def fluid_charge(self, busy_seconds: float, served: int = 0) -> None:
-        """Credit analytically computed occupancy (hybrid fluid mode).
-
-        Used only by :mod:`repro.sim.fluid` when a steady-state window
-        is advanced analytically instead of event by event: the busy
-        integral and the served counter absorb the flow-level totals
-        directly.  No slots are held — by construction the fluid window
-        carries no discrete contention.
-        """
-        if busy_seconds < 0:
-            raise ValueError(f"negative busy_seconds {busy_seconds}")
-        self._account()
-        self._busy_integral += busy_seconds
-        self._total_served += served
-
     def unhold(self, timeout: Event) -> None:
         """Undo a :meth:`hold` made at the current instant.
 

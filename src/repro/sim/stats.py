@@ -7,17 +7,15 @@ Collectors used throughout the hardware models and benchmarks:
   (latency samples): mean, percentiles, min/max.
 * :class:`TimeWeighted` — time-averaged level statistics (queue depth,
   busy cores): the integral of the level over time divided by elapsed.
-* :class:`MetricSet` — a named bundle of the above, with a flat
-  ``snapshot()`` for report tables.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-__all__ = ["Counter", "Tally", "TimeWeighted", "MetricSet"]
+__all__ = ["Counter", "Tally", "TimeWeighted"]
 
 
 class Counter:
@@ -47,8 +45,8 @@ class Tally:
     By default keeps all samples (simulations here are small enough).
     Pass ``max_samples`` to bound memory with reservoir sampling
     (algorithm R, seeded for determinism): ``count``/``total``/``mean``
-    /``minimum``/``maximum`` stay exact, while ``stdev`` and the
-    percentiles are computed over the uniform reservoir.
+    /``minimum``/``maximum`` stay exact, while the percentiles are
+    computed over the uniform reservoir.
     """
 
     def __init__(self, name: str = "tally",
@@ -103,20 +101,10 @@ class Tally:
     def maximum(self) -> float:
         return self._max if self._max is not None else 0.0
 
-    @property
-    def stdev(self) -> float:
-        n = len(self._samples)
-        if n < 2:
-            return 0.0
-        mu = sum(self._samples) / n
-        return math.sqrt(sum((x - mu) ** 2 for x in self._samples) / (n - 1))
-
-    def percentile(self, p: float) -> float:
+    def _percentile(self, p: float) -> float:
         """Linear-interpolated percentile, ``p`` in [0, 100]."""
         if not self._samples:
             return 0.0
-        if not 0 <= p <= 100:
-            raise ValueError(f"percentile {p} out of range")
         if self._sorted is None:
             self._sorted = sorted(self._samples)
         data = self._sorted
@@ -130,15 +118,15 @@ class Tally:
 
     @property
     def p50(self) -> float:
-        return self.percentile(50)
+        return self._percentile(50)
 
     @property
     def p99(self) -> float:
-        return self.percentile(99)
+        return self._percentile(99)
 
     @property
     def p999(self) -> float:
-        return self.percentile(99.9)
+        return self._percentile(99.9)
 
     def __repr__(self) -> str:
         return (
@@ -177,10 +165,6 @@ class TimeWeighted:
         self._level = level
         self._peak = max(self._peak, level)
 
-    def adjust(self, delta: float, now: float) -> None:
-        """Add ``delta`` to the level at time ``now``."""
-        self.set(self._level + delta, now)
-
     def average(self, now: float) -> float:
         """Time-weighted mean level from start to ``now``."""
         elapsed = now - self._start_time
@@ -195,48 +179,3 @@ class TimeWeighted:
 
     def __repr__(self) -> str:
         return f"TimeWeighted({self.name}: level={self._level})"
-
-
-class MetricSet:
-    """A named bundle of counters/tallies/levels for one component."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.counters: Dict[str, Counter] = {}
-        self.tallies: Dict[str, Tally] = {}
-        self.levels: Dict[str, TimeWeighted] = {}
-
-    def counter(self, name: str) -> Counter:
-        """Get or create a counter named ``name``."""
-        if name not in self.counters:
-            self.counters[name] = Counter(f"{self.name}.{name}")
-        return self.counters[name]
-
-    def tally(self, name: str) -> Tally:
-        """Get or create a tally named ``name``."""
-        if name not in self.tallies:
-            self.tallies[name] = Tally(f"{self.name}.{name}")
-        return self.tallies[name]
-
-    def level(self, name: str, start_time: float = 0.0) -> TimeWeighted:
-        """Get or create a time-weighted level named ``name``."""
-        if name not in self.levels:
-            self.levels[name] = TimeWeighted(
-                f"{self.name}.{name}", start_time=start_time
-            )
-        return self.levels[name]
-
-    def snapshot(self, now: float) -> Dict[str, float]:
-        """Flatten everything into a ``{metric: value}`` dict."""
-        out: Dict[str, float] = {}
-        for name, counter in self.counters.items():
-            out[name] = counter.value
-        for name, tally in self.tallies.items():
-            out[f"{name}.count"] = tally.count
-            out[f"{name}.mean"] = tally.mean
-            out[f"{name}.p50"] = tally.p50
-            out[f"{name}.p99"] = tally.p99
-        for name, level in self.levels.items():
-            out[f"{name}.avg"] = level.average(now)
-            out[f"{name}.peak"] = level.peak
-        return out

@@ -1,12 +1,15 @@
 """Smoke coverage for the SC scale-out experiment."""
 
+from repro.bench import experiments_scale
 from repro.bench.__main__ import EXPERIMENTS
 from repro.bench.experiments_scale import (
+    _rack_point,
     _scale_point,
     sharding_properties,
 )
 from repro.bench.harness import shard_stream
 from repro.units import PAGE_SIZE
+from repro.workloads.arrivals import arrival_count
 
 
 class TestRegistration:
@@ -58,3 +61,24 @@ class TestScalePoint:
         assert point["routed_fraction"] > 0.0
         # Offload holds: hosts stay close to idle at this rate.
         assert point["host_cores_per_node"] < 1.0
+
+
+class TestRackPoint:
+    def test_every_arrival_fires_and_every_core_second_counts_once(
+            self, monkeypatch):
+        """A 2-node, 1 ms rack point: nothing skipped, nothing doubled.
+
+        Each DPU dedicates two cores (the NE poller and the SE
+        reactor); serving adds a fraction of a core on top.  A shortcut
+        that drops arrivals shows in ``ok``, one that credits the
+        dedicated cores twice shows in ``dpu_cores_per_node``.
+        """
+        duration_s = 1e-3
+        monkeypatch.setattr(experiments_scale, "RACK_DURATION_S",
+                            duration_s)
+        point = _rack_point(2)
+        clients = int(point["clients"])
+        offered = clients * arrival_count(
+            point["offered_ops_per_s"] / clients, duration_s)
+        assert point["ok"] == offered > 0
+        assert 2.0 <= point["dpu_cores_per_node"] <= 2.6

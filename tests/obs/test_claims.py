@@ -152,6 +152,13 @@ class TestCheckKinds:
             "n": {"c1": {"m": 1.0}, "c2": {"m": 5.0}},
         })
         assert evaluate_claim(ok, artifact2).status == "FAIL"
+        # a list of configs bands exactly those and ignores the rest
+        some = _claim("band", part="n", config=["c1"], metric="m",
+                      lo=1.0, hi=1.0)
+        assert evaluate_claim(some, artifact2).status == "PASS"
+        both = _claim("band", part="n", config=["c1", "c2"], metric="m",
+                      lo=1.0, hi=1.0)
+        assert evaluate_claim(both, artifact2).status == "FAIL"
 
     def test_order(self):
         artifact = _artifact(exp={"t": {"lo": 1.0, "hi": 2.0}})

@@ -9,9 +9,6 @@ identical schedules and require identical handler fire logs.
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from repro.sim import Environment, EventPopulation
 
 
@@ -60,7 +57,7 @@ class TestPopulationVsScalarIdentity:
             if batched:
                 pop = EventPopulation(env, times, handler)
                 env.run()
-                assert pop.fired == len(times)
+                assert pop.value == len(times)
             else:
                 _scalar_driver(env, times, handler)
                 env.run()
@@ -88,68 +85,8 @@ class TestPopulationVsScalarIdentity:
         pop = EventPopulation(env, [], lambda k: None)
         assert pop.triggered and pop.value == 0
 
-    def test_skip_to_consumes_without_firing(self):
-        env = Environment()
-        fired = []
-        times = [0.1 * i for i in range(1, 11)]
-        pop = EventPopulation(env, times, lambda k: fired.append(k) or None)
 
-        def skipper():
-            yield env.timeout(0.15)          # arrival 0 fired
-            assert pop.skip_to(0.75) == 6    # skips 1..6 (t < 0.75)
-            yield env.timeout(10.0)
-
-        env.process(skipper())
-        env.run()
-        assert fired == [0, 7, 8, 9]
-        assert pop.skipped == 6
-        assert pop.fired + pop.skipped == pop.scheduled
-
-
-class _LinearSkipPopulation(EventPopulation):
-    """Oracle: ``skip_to`` as a linear ``while times[i] < t`` walk."""
-
-    __slots__ = ()
-
-    def skip_to(self, t):
-        idx = i = self._idx
-        while i < self._n and self._times_list[i] < t:
-            i += 1
-        self._idx = i
-        return i - idx
-
-
-def _run_skip_script(cls, times, script):
-    """Interleave ``env.run`` and ``skip_to``; log everything seen."""
-    env = Environment()
-    fired = []
-    pop = cls(env, times, lambda k: fired.append((env.now, k)) or None)
-    log = []
-    for dt, t in script:
-        env.run(until=env.now + dt)      # leaves a tick in flight
-        before = pop._idx
-        skipped = pop.skip_to(t)
-        assert skipped >= 0 and pop._idx == before + skipped
-        log.append((env.now, skipped, pop.fired, pop.remaining))
-    env.run()
-    assert pop.fired + pop.skipped == pop.scheduled
-    assert pop.triggered and pop.value == pop.fired == len(fired)
-    return fired, log
-
-
-# a coarse grid, so ties between arrivals and with ``t`` are common
-_grid = st.integers(min_value=0, max_value=40).map(lambda q: q / 4.0)
-
-
-class TestSkipToMatchesLinearOracle:
-    @given(times=st.lists(_grid, max_size=40).map(sorted),
-           script=st.lists(st.tuples(_grid, _grid), max_size=12))
-    @settings(max_examples=200, deadline=None)
-    def test_any_script_of_rising_and_falling_targets(self, times, script):
-        """bisect ``skip_to`` == the linear walk, cursor never retreats."""
-        assert (_run_skip_script(EventPopulation, times, script)
-                == _run_skip_script(_LinearSkipPopulation, times, script))
-
+class TestTimesFromAnyIterable:
     def test_times_is_a_list_of_floats(self):
         pop = EventPopulation(Environment(), [1, 2, 3], lambda k: None)
         assert type(pop.times) is list

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.sim.stats import Counter, MetricSet, Tally, TimeWeighted
+from repro.sim.stats import Counter, Tally, TimeWeighted
 
 
 class TestCounter:
@@ -28,27 +28,16 @@ class TestTallyEdgeCases:
         tally = Tally("empty")
         assert tally.p50 == 0.0
         assert tally.p99 == 0.0
-        assert tally.percentile(0) == 0.0
-        assert tally.percentile(100) == 0.0
+        assert tally.p999 == 0.0
         assert tally.mean == 0.0
         assert tally.minimum == 0.0
         assert tally.maximum == 0.0
-        assert tally.stdev == 0.0
-
-    def test_percentile_out_of_range(self):
-        tally = Tally("t")
-        tally.observe(1.0)
-        with pytest.raises(ValueError):
-            tally.percentile(101)
-        with pytest.raises(ValueError):
-            tally.percentile(-1)
 
     def test_single_sample(self):
         tally = Tally("t")
         tally.observe(7.0)
         assert tally.p50 == 7.0
         assert tally.p99 == 7.0
-        assert tally.stdev == 0.0
 
 
 class TestTallyReservoir:
@@ -116,29 +105,3 @@ class TestTimeWeighted:
         level.set(1.0, 2.0)
         with pytest.raises(ValueError):
             level.set(0.0, 1.0)
-
-
-class TestMetricSetSnapshot:
-    def test_snapshot_key_format(self):
-        metrics = MetricSet("engine")
-        metrics.counter("ops").add(5)
-        metrics.tally("latency").observe(0.5)
-        metrics.level("depth").set(2.0, 1.0)
-        snapshot = metrics.snapshot(now=2.0)
-        assert snapshot["ops"] == 5.0
-        assert snapshot["latency.count"] == 1
-        assert snapshot["latency.mean"] == 0.5
-        assert snapshot["latency.p50"] == 0.5
-        assert snapshot["latency.p99"] == 0.5
-        assert snapshot["depth.avg"] == pytest.approx(1.0)
-        assert snapshot["depth.peak"] == 2.0
-        # Exactly the documented key set: no stray entries.
-        assert set(snapshot) == {"ops", "latency.count", "latency.mean",
-                                 "latency.p50", "latency.p99",
-                                 "depth.avg", "depth.peak"}
-
-    def test_instruments_are_cached_by_name(self):
-        metrics = MetricSet("m")
-        assert metrics.counter("x") is metrics.counter("x")
-        assert metrics.tally("y") is metrics.tally("y")
-        assert metrics.level("z") is metrics.level("z")

@@ -3,19 +3,24 @@ the product.
 
 A caller census over the syntax tree, nothing timed and nothing run:
 each public method and property of ``repro.sim.core.Environment``,
-``repro.sim.resources.Resource`` and the bench harness's ``Sweep`` and
-``CoreMeter`` must be read as an attribute somewhere under
-``src/repro``, ``hostbench/workloads`` or ``examples`` outside its own
-class body, and each public module-level function of
-``bench/harness.py`` and ``bench/reporting.py`` must be read by name
-there outside its own definition (an import or an ``__all__`` entry is
-not a read).  Tests do not count as callers — a mechanism only its
-tests use is the thing this file exists to catch.  The match is by
-name, so it can miss an unused member that shares a name with a used
-one; it cannot flag a used one.
+``repro.sim.resources.Resource``, ``repro.sim.batch.EventPopulation``,
+``repro.sim.stats.Tally`` / ``TimeWeighted`` and the bench harness's
+``Sweep`` and ``CoreMeter`` must be read as an attribute somewhere
+under ``src/repro``, ``hostbench/workloads`` or ``examples`` outside
+its own class body, and each public module-level function or class of
+``sim/stats.py``, ``bench/harness.py``, ``bench/reporting.py`` and
+every ``bench/experiments_*.py`` must be read by name there outside
+its own definition (an import or an ``__all__`` entry is not a read).
+Tests do not count as callers — a mechanism only its tests use is the
+thing this file exists to catch.  The match is by name, so it can miss
+an unused member that shares a name with a used one; it cannot flag a
+used one.  A class whose whole interface is inherited
+(``EventPopulation`` is an ``Event`` with a constructor) passes until
+it grows a public member of its own.
 """
 
 import ast
+import collections
 import functools
 from pathlib import Path
 
@@ -27,6 +32,9 @@ _CALLER_ROOTS = ("src/repro", "hostbench/workloads", "examples")
 _KERNEL_CLASSES = (
     ("src/repro/sim/core.py", "Environment"),
     ("src/repro/sim/resources.py", "Resource"),
+    ("src/repro/sim/batch.py", "EventPopulation"),
+    ("src/repro/sim/stats.py", "Tally"),
+    ("src/repro/sim/stats.py", "TimeWeighted"),
     ("src/repro/bench/harness.py", "Sweep"),
     ("src/repro/bench/harness.py", "CoreMeter"),
 )
@@ -34,6 +42,8 @@ _KERNEL_CLASSES = (
 _HARNESS_MODULES = (
     "src/repro/bench/harness.py",
     "src/repro/bench/reporting.py",
+    *sorted(str(path.relative_to(_REPO)) for path in
+            (_REPO / "src/repro/bench").glob("experiments_*.py")),
 )
 
 
@@ -60,30 +70,46 @@ def _public_api(class_node):
         and not node.name.startswith("_"))
 
 
-def _reads_outside(definition):
+def _reads(root):
     """``(attributes, names)``: every ``<expr>.attr`` name and every
-    bare name loaded in the caller roots, minus the body of
-    ``definition``."""
-    attributes, names = set(), set()
-    stack = list(_caller_trees().values())
+    bare name loaded under ``root``."""
+    attributes, names = collections.Counter(), collections.Counter()
+    stack = [root]
     while stack:
         node = stack.pop()
-        if node is definition:
-            continue
         if isinstance(node, ast.Attribute):
-            attributes.add(node.attr)
+            attributes[node.attr] += 1
         elif isinstance(node, ast.Name) \
                 and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
+            names[node.id] += 1
         stack.extend(ast.iter_child_nodes(node))
     return attributes, names
+
+
+@functools.lru_cache(maxsize=None)
+def _all_reads():
+    """:func:`_reads` summed over every caller module, walked once."""
+    attributes, names = collections.Counter(), collections.Counter()
+    for tree in _caller_trees().values():
+        tree_attributes, tree_names = _reads(tree)
+        attributes.update(tree_attributes)
+        names.update(tree_names)
+    return attributes, names
+
+
+def _reads_outside(definition):
+    """``(attributes, names)`` read anywhere in the caller roots other
+    than inside ``definition`` (a node of one of the caller trees)."""
+    return tuple({name for name, count in everywhere.items()
+                  if count > inside[name]}
+                 for everywhere, inside in zip(_all_reads(),
+                                               _reads(definition)))
 
 
 @pytest.mark.parametrize("path,name", _KERNEL_CLASSES)
 def test_every_public_kernel_member_has_a_product_caller(path, name):
     class_node = _class_node(path, name)
     api = _public_api(class_node)
-    assert api, f"{name} exposes nothing public?"
     used, _ = _reads_outside(class_node)
     unused = [member for member in api if member not in used]
     assert not unused, (
@@ -91,16 +117,26 @@ def test_every_public_kernel_member_has_a_product_caller(path, name):
         "— delete them, or the caller that justified them is gone")
 
 
-@pytest.mark.parametrize("path", _HARNESS_MODULES)
-def test_every_public_harness_function_has_a_product_caller(path):
-    functions = [node for node in _caller_trees()[_REPO / path].body
-                 if isinstance(node, ast.FunctionDef)
-                 and not node.name.startswith("_")]
-    assert functions, f"{path} defines nothing public?"
-    unused = [node.name for node in functions
+def _assert_module_names_read(path):
+    """Every public module-level function and class of ``path`` is
+    read by name somewhere under the caller roots."""
+    definitions = [node for node in _caller_trees()[_REPO / path].body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and not node.name.startswith("_")]
+    assert definitions, f"{path} defines nothing public?"
+    unused = [node.name for node in definitions
               if not any(node.name in reads
                          for reads in _reads_outside(node))]
     assert not unused, (
-        f"{path} functions with no caller under {_CALLER_ROOTS}: "
+        f"{path} names with no caller under {_CALLER_ROOTS}: "
         f"{unused} — delete them, or the caller that justified them "
         "is gone")
+
+
+@pytest.mark.parametrize("path", _HARNESS_MODULES)
+def test_every_public_harness_function_has_a_product_caller(path):
+    _assert_module_names_read(path)
+
+
+def test_every_public_stats_collector_has_a_product_caller():
+    _assert_module_names_read("src/repro/sim/stats.py")
