@@ -53,9 +53,3 @@ class HostComputeBaseline:
         result: KernelResult = spec.run(buffer, params or {})
         self.job_latency.observe(self.cpu.env.now - started)
         return result
-
-    def expected_seconds(self, kernel_name: str, nbytes: int) -> float:
-        """Closed-form single-core job time (for shape assertions)."""
-        cycles = self.costs.cpu_cycles(kernel_name, nbytes,
-                                       self.cpu.cpu_class)
-        return self.cpu.seconds_for(cycles)

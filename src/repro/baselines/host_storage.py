@@ -49,10 +49,6 @@ class HostStoragePath:
         self.pages_read = Counter(f"{name}.pages")
         self.latency = Tally(f"{name}.latency")
 
-    def cycles_per_page(self) -> float:
-        """This path's calibrated CPU cost per 8 KiB page."""
-        return self._cycles_per_page
-
     def read_page(self, nbytes: int = PAGE_SIZE):
         """One page read: software-path cycles + device time."""
         started = self.cpu.env.now
@@ -64,9 +60,3 @@ class HostStoragePath:
             yield self.cpu.env.timeout(self._wakeup_latency_s)
         self.pages_read.add(pages)
         self.latency.observe(self.cpu.env.now - started)
-
-    def write_page(self, nbytes: int = PAGE_SIZE):
-        """One page write through the same path."""
-        pages = max(1, nbytes // PAGE_SIZE)
-        yield from self.cpu.execute(self._cycles_per_page * pages)
-        yield from self.ssd.write(nbytes)

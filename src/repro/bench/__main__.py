@@ -17,10 +17,16 @@ The benchmark observatory rides on the same runner:
   (F1–F3, F6–F8, S9, A1–A6 and the system experiments — see
   ``repro.obs.claims``) against an artifact and exits nonzero on any
   FAIL;
-* ``--compare BASELINE.json [CANDIDATE.json]`` diffs two artifacts
-  metric-by-metric within per-metric tolerance bands (one path: the
-  selected experiments run and the fresh results are the candidate),
-  exiting nonzero on regression;
+* ``--identity BASELINE.json [CANDIDATE.json]`` is the one way two
+  artifacts are compared, and it is exact: every simulated metric and
+  every input that defines one must match, a metric or experiment on
+  one side only is a mismatch, and a mismatch is reported by metric
+  path.  With two paths the whole artifacts are compared and no
+  experiment runs; with one, the selected experiments run and exactly
+  what ran is compared against the baseline (``fig8 query --identity
+  BENCH_baseline.json``: "compared 2 of 19 baseline experiments").
+  Wall clocks, argv, commit, interpreter and platform are printed
+  beside the verdict and never compared;
 * ``--trace-out PATH`` runs the traceable experiments (fig6, fig8,
   scale, avail, obs, attr) with sim-time tracing on and exports
   Chrome ``trace_event`` JSON openable in Perfetto
@@ -32,20 +38,18 @@ The benchmark observatory rides on the same runner:
   end-to-end latency decomposed into a conserved per-resource ledger
   (see ``repro.obs.attr``) — plus a top-bottleneck summary;
 * ``--jobs N`` fans the selected experiments out over a process
-  pool.  Experiments are independent simulations with fixed seeds,
-  so the artifact is byte-identical to a sequential run outside
-  wall-clock fields — which is exactly what
-* ``--identity A.json B.json`` checks (canonical sorted JSON after
-  stripping wall clocks and the recorded argv), the CI gate for the
-  parallel runner.
+  pool.  Experiments are independent simulations with fixed seeds
+  and both settings run the same ``_run_job``, so the artifact is
+  identical to a sequential run (``--identity SEQ.json PAR.json`` is
+  the CI gate for it).
 
 Where the *host's* time goes is not this runner's business:
 ``python -m hostbench`` measures it (``--traced`` for the per-layer
 ledger).
 
-Exit codes: 0 success; 1 failed claim, regression, or identity
-mismatch; 2 usage or artifact error; 3 ``--trace-out`` with no
-traceable experiment selected.
+Exit codes: 0 success; 1 failed claim or identity mismatch; 2 usage
+or artifact error; 3 ``--trace-out`` with no traceable experiment
+selected.
 """
 
 from __future__ import annotations
@@ -93,11 +97,7 @@ from ..obs.artifact import (
 )
 from ..obs.attr import build_report
 from ..obs.claims import FAIL, evaluate_all, render_claim_report
-from ..obs.regress import (
-    compare,
-    render_attribution_shifts,
-    render_comparison,
-)
+from ..obs.regress import differences, render_differences
 
 #: experiments whose runner accepts a Telemetry (for --trace-out)
 TRACEABLE = ("fig6", "fig8", "scale", "avail", "obs", "attr")
@@ -146,23 +146,24 @@ EXPERIMENTS = {
 }
 
 
-# -- parallel execution -----------------------------------------------------
+# -- execution ----------------------------------------------------------------
 
 
-def _run_job(key: str):
-    """Run one experiment in a worker process.
+def _run_job(key: str, telemetry=None):
+    """Run one experiment, in this process or a pool worker.
 
-    Returns everything the parent needs, in picklable form: the
+    Returns everything the caller needs, in picklable form: the
     parts are pre-encoded to the JSON-safe artifact schema (a Sweep
     full of generator-bearing internals never crosses the process
-    boundary) and the table text is rendered here so the parent only
+    boundary) and the table text is rendered here so the caller only
     prints.  Each experiment builds its own Environment with its own
-    fixed seeds, so process placement cannot perturb results — the
-    byte-identity check (``--identity``) enforces exactly that.
+    fixed seeds, so process placement cannot perturb results.  A
+    ``telemetry`` bundle (sequential runs only) is handed to the
+    experiment and filled in place.
     """
     title, fn = EXPERIMENTS[key]
     started = time.time()
-    parts = fn()
+    parts = fn() if telemetry is None else fn(telemetry=telemetry)
     wall = time.time() - started
     rendered = _render_parts(parts)
     encoded = {name: encode_part(result)
@@ -170,27 +171,36 @@ def _run_job(key: str):
     return key, title, wall, rendered, encoded
 
 
-def _run_parallel(selected, jobs: int) -> dict:
-    """Fan experiments out over a process pool, stable order.
+def _outcomes(selected, jobs: int, telemetry: dict):
+    """``_run_job`` over ``selected``, in order, here or on a pool.
 
     ``imap`` preserves submission order, so output and artifact
     contents are ordered exactly like a sequential run regardless of
     which worker finishes first.
     """
+    if jobs > 1:
+        workers = min(jobs, len(selected))
+        with multiprocessing.Pool(processes=workers) as pool:
+            yield from pool.imap(_run_job, selected)
+    else:
+        for key in selected:
+            yield _run_job(key, telemetry.get(key))
+
+
+def _run_all(selected, jobs: int, telemetry: dict) -> dict:
+    """Run, print and collect every selected experiment."""
     results = {}
-    workers = min(jobs, len(selected))
-    with multiprocessing.Pool(processes=workers) as pool:
-        for key, title, wall, rendered, encoded in \
-                pool.imap(_run_job, selected):
-            print(banner(title))
-            print(rendered)
-            print(f"[{key} done in {wall:.1f}s]")
-            results[key] = {
-                "title": title,
-                "wall_clock_s": wall,
-                "parts": {name: decode_part(part)
-                          for name, part in encoded.items()},
-            }
+    for key, title, wall, rendered, encoded in \
+            _outcomes(selected, jobs, telemetry):
+        print(banner(title))
+        print(rendered)
+        print(f"[{key} done in {wall:.1f}s]")
+        results[key] = {
+            "title": title,
+            "wall_clock_s": wall,
+            "parts": {name: decode_part(part)
+                      for name, part in encoded.items()},
+        }
     return results
 
 
@@ -334,77 +344,50 @@ def _run_check(path: str) -> int:
     return 1 if any(r.status == FAIL for r in results) else 0
 
 
-def _run_identity(path_a: str, path_b: str) -> int:
-    """--identity: two artifacts must agree byte-for-byte.
+def _leaves(value, prefix=""):
+    """``(dotted path, leaf)`` under every dict of a JSON document."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{prefix}{key}.")
+    else:
+        yield prefix[:-1], value
 
-    Wall-clock fields and the recorded command line are stripped
-    first (see :func:`repro.obs.artifact.strip_volatile`); everything
-    that is *supposed* to be deterministic — every simulated metric —
-    is then compared as canonical sorted JSON.  This is the gate that
-    proves ``--jobs N`` cannot change a result.
-    """
-    documents = []
-    for path in (path_a, path_b):
-        document = _load_or_complain(path)
-        if document is None:
-            return 2
-        documents.append(json.dumps(strip_volatile(document),
-                                    indent=1, sort_keys=True))
-    if documents[0] == documents[1]:
-        print(f"identical: {path_a} == {path_b} "
-              f"({len(documents[0])} canonical bytes, wall-clock "
-              "fields excluded)")
+
+def _information_table(baseline: dict, candidate: dict) -> str:
+    """Exactly what ``strip_volatile`` set aside, side by side: the
+    commit, interpreter and platform of each run and its wall
+    clocks.  Shown for the reader; never part of the verdict."""
+    sides = []
+    for document in (baseline, candidate):
+        kept = dict(_leaves(strip_volatile(document)))
+        sides.append({path: leaf for path, leaf in _leaves(document)
+                      if path not in kept})
+    return format_table(
+        ["not compared", "baseline", "candidate"],
+        [[path, sides[0].get(path, "-"), sides[1].get(path, "-")]
+         for path in dict.fromkeys([*sides[0], *sides[1]])])
+
+
+def _run_identity(baseline_path: str, baseline: dict,
+                  candidate: dict, candidate_name: str) -> int:
+    """--identity: the candidate must reproduce the baseline exactly
+    (see :func:`repro.obs.regress.differences`); what is not compared
+    is printed beside the verdict."""
+    found = differences(baseline, candidate)
+    print(banner(f"identity: {baseline_path} vs {candidate_name}"))
+    print(_information_table(baseline, candidate))
+    if not found:
+        print(f"identical: {candidate_name} reproduces "
+              f"{baseline_path} exactly")
         return 0
-    lines_a = documents[0].splitlines()
-    lines_b = documents[1].splitlines()
-    print(f"artifacts differ: {path_a} vs {path_b}", file=sys.stderr)
-    shown = 0
-    for index, (line_a, line_b) in enumerate(zip(lines_a, lines_b)):
-        if line_a != line_b:
-            print(f"  line {index + 1}:\n  - {line_a.strip()}"
-                  f"\n  + {line_b.strip()}", file=sys.stderr)
-            shown += 1
-            if shown >= 10:
-                break
-    if len(lines_a) != len(lines_b):
-        print(f"  ({len(lines_a)} vs {len(lines_b)} canonical lines)",
-              file=sys.stderr)
+    print(f"artifacts differ: {baseline_path} vs {candidate_name}",
+          file=sys.stderr)
+    print(render_differences(found, baseline, candidate),
+          file=sys.stderr)
     return 1
 
 
-def _run_compare(baseline_path: str, candidate) -> int:
-    """--compare: baseline artifact vs candidate (doc or path)."""
-    baseline = _load_or_complain(baseline_path)
-    if baseline is None:
-        return 2
-    if isinstance(candidate, str):
-        candidate_doc = _load_or_complain(candidate)
-        if candidate_doc is None:
-            return 2
-        candidate_name = candidate
-    else:
-        candidate_doc = candidate
-        candidate_name = "this run"
-    report = compare(baseline, candidate_doc)
-    print(banner(f"regression check: {baseline_path} "
-                 f"vs {candidate_name}"))
-    print(render_comparison(report))
-    attributed = render_attribution_shifts(report, baseline,
-                                           candidate_doc)
-    if attributed:
-        print()
-        print(attributed)
-    return 0 if report.ok else 1
-
-
 # -- entry point ------------------------------------------------------------
-
-
-def _remove_created(probes: dict) -> None:
-    """Delete the output files the writability probe itself created."""
-    for path, created in probes.items():
-        if created:
-            os.remove(path)
 
 
 def main(argv=None) -> int:
@@ -431,25 +414,21 @@ def main(argv=None) -> int:
                         help="evaluate the paper-claims registry "
                              "against ARTIFACT and exit (no "
                              "experiments run)")
-    parser.add_argument("--compare", metavar="ARTIFACT", default=None,
-                        nargs="+",
-                        help="diff artifacts metric-by-metric: with "
-                             "two paths compare them directly; with "
-                             "one path run the selected experiments "
-                             "and compare the fresh results against "
-                             "it")
     parser.add_argument("--jobs", "-j", type=int, default=1,
                         metavar="N",
                         help="run experiments over a pool of N "
                              "worker processes; 0 autodetects the "
                              "machine's CPU count (results are "
-                             "byte-identical to --jobs 1; see "
+                             "identical to --jobs 1; see "
                              "--identity)")
     parser.add_argument("--identity", metavar="ARTIFACT", default=None,
-                        nargs=2,
-                        help="compare two artifacts byte-for-byte "
-                             "outside wall-clock fields and exit "
-                             "(no experiments run)")
+                        nargs="+",
+                        help="exact comparison, wall clocks and "
+                             "host/commit provenance excluded: with "
+                             "two paths compare BASELINE CANDIDATE "
+                             "and exit (no experiments run); with "
+                             "one, run the selected experiments and "
+                             "compare exactly what ran against it")
     args = parser.parse_args(argv)
 
     if args.list:
@@ -458,11 +437,33 @@ def main(argv=None) -> int:
             print(f"{key:6s} {title}{traced}")
         return 0
 
+    if args.identity and len(args.identity) > 2:
+        print("--identity takes one or two artifact paths",
+              file=sys.stderr)
+        return 2
+    runs_nothing = args.check or len(args.identity or ()) == 2
+    if runs_nothing and (args.experiments or args.json_out
+                         or args.trace_out or args.attr_out):
+        print("--check and two-path --identity run no experiment: "
+              "experiment ids and --json-out/--trace-out/--attr-out "
+              "cannot be combined with them", file=sys.stderr)
+        return 2
+
     if args.check:
         return _run_check(args.check)
 
+    baseline = None
     if args.identity:
-        return _run_identity(args.identity[0], args.identity[1])
+        # loaded before anything runs: a bad path costs no experiment
+        baseline = _load_or_complain(args.identity[0])
+        if baseline is None:
+            return 2
+        if len(args.identity) == 2:
+            candidate = _load_or_complain(args.identity[1])
+            if candidate is None:
+                return 2
+            return _run_identity(args.identity[0], baseline,
+                                 candidate, args.identity[1])
 
     if args.jobs == 0:
         # Autodetect: one worker per CPU.  Identity is guaranteed
@@ -481,13 +482,6 @@ def main(argv=None) -> int:
               "(run those sequentially)", file=sys.stderr)
         return 2
 
-    if args.compare and len(args.compare) > 2:
-        print("--compare takes one or two artifact paths",
-              file=sys.stderr)
-        return 2
-    if args.compare and len(args.compare) == 2:
-        return _run_compare(args.compare[0], args.compare[1])
-
     tracing_wanted = bool(args.trace_out or args.attr_out)
     if tracing_wanted and not args.experiments:
         selected = list(TRACEABLE)
@@ -500,10 +494,20 @@ def main(argv=None) -> int:
         print(f"available: {', '.join(EXPERIMENTS)}", file=sys.stderr)
         return 2
 
+    telemetry = {key: _make_telemetry(key) for key in selected
+                 if tracing_wanted and key in TRACEABLE}
+    if tracing_wanted and not telemetry:
+        print("no traceable experiment selected "
+              f"(traceable: {', '.join(TRACEABLE)}); "
+              "no trace or attribution written", file=sys.stderr)
+        # Distinct exit code so CI catches a misconfigured
+        # invocation instead of silently shipping no output.
+        return 3
+
     # Fail fast on unwritable output paths instead of crashing after
     # the (possibly long) benchmark run.  Append mode keeps any
-    # existing file intact; a file we created gets cleaned up if no
-    # output ends up written.
+    # existing file intact; a file an earlier probe created is
+    # removed when a later one fails.
     probes = {}
     for path in (args.trace_out, args.attr_out, args.json_out):
         if not path:
@@ -515,64 +519,46 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"cannot write to {path!r}: {exc}",
                   file=sys.stderr)
-            _remove_created(probes)
+            for earlier, was_created in probes.items():
+                if was_created:
+                    os.remove(earlier)
             return 2
         probes[path] = created
 
-    traced = []
     suite_started = time.time()
-    if args.jobs > 1:
-        results = _run_parallel(selected, args.jobs)
-    else:
-        results = {}
-        for key in selected:
-            title, fn = EXPERIMENTS[key]
-            print(banner(title))
-            kwargs = {}
-            telemetry = None
-            if tracing_wanted and key in TRACEABLE:
-                telemetry = _make_telemetry(key)
-                kwargs["telemetry"] = telemetry
-            started = time.time()
-            parts = fn(**kwargs)
-            wall = time.time() - started
-            print(_render_parts(parts))
-            if telemetry is not None:
-                traced.append((key, telemetry))
-            results[key] = {"title": title, "wall_clock_s": wall,
-                            "parts": parts}
-            print(f"[{key} done in {wall:.1f}s]")
+    results = _run_all(selected, args.jobs, telemetry)
     suite_wall = time.time() - suite_started
 
-    if tracing_wanted:
-        if not traced:
-            print("no traceable experiment selected "
-                  f"(traceable: {', '.join(TRACEABLE)}); "
-                  "no trace or attribution written", file=sys.stderr)
-            _remove_created(probes)
-            # Distinct exit code so CI catches a misconfigured
-            # invocation instead of silently shipping no output.
-            return 3
-        if args.trace_out:
-            _write_trace(args.trace_out, traced)
-        if args.attr_out:
-            _write_attr(args.attr_out, traced)
+    if args.trace_out:
+        _write_trace(args.trace_out, telemetry.items())
+    if args.attr_out:
+        _write_attr(args.attr_out, telemetry.items())
 
-    exit_code = 0
-    if args.json_out or args.compare:
-        document = make_artifact(results, argv=argv,
-                                 total_wall_clock_s=suite_wall)
-        if args.json_out:
-            write_artifact(args.json_out, document)
-            metric_count = sum(len(entry["parts"])
-                               for entry in document["experiments"]
-                               .values())
-            print(f"\n[artifact: {len(results)} experiments, "
-                  f"{metric_count} parts in {suite_wall:.1f}s "
-                  f"(jobs={args.jobs}) -> {args.json_out}]")
-        if args.compare:
-            exit_code = _run_compare(args.compare[0], document)
-    return exit_code
+    if not (args.json_out or baseline):
+        return 0
+    document = make_artifact(results, argv=argv,
+                             total_wall_clock_s=suite_wall)
+    if args.json_out:
+        write_artifact(args.json_out, document)
+        metric_count = sum(len(entry["parts"])
+                           for entry in document["experiments"]
+                           .values())
+        print(f"\n[artifact: {len(results)} experiments, "
+              f"{metric_count} parts in {suite_wall:.1f}s "
+              f"(jobs={args.jobs}) -> {args.json_out}]")
+    if baseline is None:
+        return 0
+    # Compare exactly what ran: the baseline's other experiments are
+    # not this run's business, one it lacks still is a mismatch.
+    blessed = baseline["experiments"]
+    held = {key: blessed[key] for key in results if key in blessed}
+    print(f"\ncompared {len(held)} of {len(blessed)} baseline "
+          "experiments")
+    # through JSON, as the baseline went: tuples become lists and
+    # integer config keys strings before the two are held together
+    return _run_identity(args.identity[0],
+                         dict(baseline, experiments=held),
+                         json.loads(json.dumps(document)), "this run")
 
 
 if __name__ == "__main__":

@@ -9,8 +9,8 @@ and feeds the ``AT.*`` claims:
   then asserts the tentpole invariant: every attributed request's
   per-resource segments sum to its measured end-to-end latency.
 * **breakdown** — the per-node resource ledger (seconds per category)
-  the regression-attribution path (``--compare``) diffs between
-  artifacts.
+  an ``--identity`` mismatch reads on both artifacts to name the
+  segment whose share moved.
 * **advisor** — the offload advisor's static sanity check: for each
   priced kernel/size, *measure* every placement the way Figure 1
   does (host EPYC core, Arm core, BlueField-2 ASIC) and require the

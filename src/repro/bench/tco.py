@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = ["CostAssumptions", "DEFAULT_COST_ASSUMPTIONS",
-           "break_even_host_cores", "storage_server_cost"]
+           "storage_server_cost"]
 
 _HOURS_PER_YEAR = 24 * 365
 
@@ -59,19 +59,6 @@ class CostAssumptions:
 
 
 DEFAULT_COST_ASSUMPTIONS = CostAssumptions()
-
-
-def break_even_host_cores(assumptions: CostAssumptions =
-                          DEFAULT_COST_ASSUMPTIONS) -> float:
-    """Host cores a DPU must displace to pay for itself.
-
-    With the default assumptions this lands around a dozen cores —
-    which is why the paper's S9 claim is phrased as "10s of CPU cores
-    per storage server": that is the magnitude at which DPU economics
-    turn decisively positive.
-    """
-    return (assumptions.dpu_hour_dollars()
-            / assumptions.host_core_hour_dollars())
 
 
 def storage_server_cost(host_cores_consumed: float,

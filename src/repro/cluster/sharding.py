@@ -100,8 +100,8 @@ class ShardMap:
         Consistent hashing hands the new node a subset of shards; this
         pins each of those to its **previous** owner with an override,
         so routing is unchanged until a migration actually lands and
-        :meth:`clear_override` (or :meth:`set_override`) cuts the
-        shard over.  Returns the migration plan:
+        :meth:`set_override` cuts the shard over.  Returns the
+        migration plan:
         ``{shard: previous owner}`` for exactly the shards the ring
         now wants on ``node``.
         """
@@ -161,10 +161,6 @@ class ShardMap:
             return override
         return self._ring_owner(shard)
 
-    def owner_of_key(self, key: int) -> str:
-        """The node serving a key's shard."""
-        return self.owner_of_shard(self.shard_of(key))
-
     def assignment(self) -> Dict[str, List[int]]:
         """node → sorted owned shards (every shard appears once)."""
         placed: Dict[str, List[int]] = {node: [] for node in self._nodes}
@@ -204,16 +200,6 @@ class ShardMap:
         self._overrides[shard] = node
         self.version += 1
 
-    def clear_override(self, shard: int) -> None:
-        """Drop a shard's pin; routing reverts to the ring owner.
-
-        The join-then-migrate cutover: once a pinned shard's pages
-        land on the ring's chosen node, clearing the pin is the
-        atomic routing flip.
-        """
-        if self._overrides.pop(shard, None) is not None:
-            self.version += 1
-
     def set_split(self, shard: int, boundary: int,
                   high_node: str) -> None:
         """Split one hot shard at ``boundary`` (shard-relative bytes).
@@ -232,15 +218,6 @@ class ShardMap:
             raise ValueError("split boundary must be positive")
         self._splits[shard] = (boundary, high_node)
         self.version += 1
-
-    def clear_split(self, shard: int) -> None:
-        """Re-merge a split shard onto its base owner."""
-        if self._splits.pop(shard, None) is not None:
-            self.version += 1
-
-    @property
-    def overrides(self) -> Dict[int, str]:
-        return dict(self._overrides)
 
     @property
     def splits(self) -> Dict[int, Tuple[int, str]]:

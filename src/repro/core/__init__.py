@@ -21,7 +21,7 @@ from .handles import DpKernelHandle
 from .kernels import BUILTIN_KERNELS, DpKernelSpec, KernelResult
 from .network import DfiFlow, HostListener, HostSocket, NetworkEngine, OffloadedQp
 from .pipeline import Pipeline
-from .requests import AsyncRequest, wait, wait_all
+from .requests import AsyncRequest, wait
 from .scheduler import POLICIES, ScheduledTask, SprocScheduler
 from .storage import StorageEngine
 from .traffic import TrafficDirector
@@ -54,7 +54,6 @@ __all__ = [
     "Pipeline",
     "AsyncRequest",
     "wait",
-    "wait_all",
     "POLICIES",
     "ScheduledTask",
     "SprocScheduler",

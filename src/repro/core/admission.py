@@ -124,10 +124,6 @@ class CodelShedder:
         self._drop_count = 0
         self._next_drop = 0.0
 
-    @property
-    def dropping(self) -> bool:
-        return self._dropping
-
     def observe(self, latency_s: float) -> None:
         """Feed one completed request's service latency."""
         if latency_s < self.target_s:
@@ -208,11 +204,6 @@ class AdmissionController:
         self._buckets: Dict[str, TokenBucket] = {}
         self._inflight = 0
         self._counters: Dict[str, Counter] = {}
-
-    @property
-    def inflight(self) -> int:
-        """Requests admitted and not yet released."""
-        return self._inflight
 
     def _bucket(self, tenant) -> Optional[TokenBucket]:
         if tenant.rate_limit_ops_per_s is None:

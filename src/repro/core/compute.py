@@ -31,7 +31,6 @@ from ..errors import (
     KernelUnavailableError,
     SprocError,
 )
-from ..hardware.costs import KernelCost
 from ..hardware.server import Server
 from ..obs.trace import NULL_TRACER
 from ..sim.stats import Counter, Tally
@@ -101,13 +100,6 @@ class SprocContext:
         yield request.done
         return request.data
 
-    def wait_all(self, requests):
-        """Suspend until every request completes; returns results."""
-        requests = list(requests)
-        if requests:
-            yield self.env.all_of([r.done for r in requests])
-        return [r.data for r in requests]
-
     def compute(self, cycles: float):
         """Burn ``cycles`` of work on the sproc's own core."""
         yield from self._core.run(cycles)
@@ -172,31 +164,9 @@ class ComputeEngine:
         """Names of registered DP kernels ("the user can query …")."""
         return sorted(self.kernels)
 
-    def kernel_placements(self, name: str) -> List[str]:
-        """Placements that would accept this kernel on this server."""
-        spec = self._kernel_spec(name)
-        placements = ["dpu_cpu", "host_cpu"]
-        if spec.asic_kind and self.dpu.has_accelerator(spec.asic_kind):
-            placements.insert(0, "dpu_asic")
-        for kind in ("gpu", "fpga"):
-            peer = self.server.peer(kind)
-            if peer is not None and peer.supports(name):
-                placements.append(f"pcie_{kind}")
-        return placements
-
     def _peer_for(self, device: str):
         """Resolve a ``pcie_*`` placement to its peer device."""
         return self.server.peer(device[len("pcie_"):])
-
-    def register_kernel(self, spec: DpKernelSpec,
-                        cost: KernelCost) -> None:
-        """Extend the engine with a custom DP kernel."""
-        if spec.name in self.kernels:
-            raise KernelUnavailableError(
-                f"kernel {spec.name!r} already registered"
-            )
-        self.kernels[spec.name] = spec
-        self.server.costs = self.costs = self.costs.with_kernel(cost)
 
     def get_dpk(self, name: str) -> "DpKernelHandle":
         """Resolve a kernel handle (Figure 6's ``ce.get_dpk``)."""

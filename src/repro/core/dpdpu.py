@@ -26,7 +26,7 @@ from .compute import ComputeEngine
 from .dds import DdsServer
 from .network import NetworkEngine
 from .pipeline import Pipeline
-from .requests import AsyncRequest, wait, wait_all
+from .requests import AsyncRequest, wait
 from .storage import StorageEngine
 
 __all__ = ["DpdpuRuntime"]
@@ -74,10 +74,6 @@ class DpdpuRuntime:
     def wait(request: AsyncRequest):
         """``yield from dpdpu.wait(req)`` — Figure 6's ``wait``."""
         return wait(request)
-
-    @staticmethod
-    def wait_all(requests):
-        return wait_all(requests)
 
     def pipeline(self, name: str = "pipeline",
                  depth: int = 16) -> Pipeline:

@@ -28,10 +28,5 @@ class DpKernelHandle:
             priority=priority,
         )
 
-    @property
-    def placements(self):
-        """Placements available for this kernel on this DPU."""
-        return self._engine.kernel_placements(self.kernel_name)
-
     def __repr__(self) -> str:
         return f"DpKernelHandle({self.kernel_name!r})"

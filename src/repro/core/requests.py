@@ -16,7 +16,7 @@ from ..errors import DeadlineExceededError
 from ..obs.trace import NULL_SPAN
 from ..sim import Environment, Event
 
-__all__ = ["AsyncRequest", "wait", "wait_all"]
+__all__ = ["AsyncRequest", "wait"]
 
 
 class AsyncRequest:
@@ -133,12 +133,3 @@ def wait(request: AsyncRequest, timeout_s: Optional[float] = None):
             deadline_s=timeout_s,
         )
     return request.data
-
-
-def wait_all(requests):
-    """Suspend until every request in ``requests`` completes."""
-    requests = list(requests)
-    if requests:
-        env = requests[0].env
-        yield env.all_of([request.done for request in requests])
-    return [request.data for request in requests]

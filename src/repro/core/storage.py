@@ -122,20 +122,10 @@ class StorageEngine:
             raise StorageError(f"no file named {name!r}")
         return file_id
 
-    def delete(self, file_id: int) -> None:
-        """Delete a file and free its blocks."""
-        self._charge_host_async(self.costs.file_frontend_cycles_per_op)
-        self.fs.delete(file_id)
-
     def stat(self, file_id: int):
         """File metadata (size, allocation) from the DPU file mapping."""
         self._charge_host_async(self.costs.file_frontend_cycles_per_op)
         return self.fs.stat(file_id)
-
-    def list_files(self):
-        """Names of all files in the DPU-owned namespace."""
-        self._charge_host_async(self.costs.file_frontend_cycles_per_op)
-        return self.fs.mapping.names()
 
     def append(self, file_id: int, payload) -> AsyncRequest:
         """Async append at the current end of file."""

@@ -9,7 +9,6 @@ A :class:`Tenant` carries:
 * a cap on concurrent DP-kernel executions on *each* accelerator kind
   (``max_asic_jobs``), enforced with either queuing (default) or
   strict rejection (:class:`~repro.errors.IsolationViolation`),
-* a DPU-memory budget, charged for the tenant's working set,
 * the DRR scheduling class used by the sproc scheduler.
 """
 
@@ -18,36 +17,10 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..errors import IsolationViolation
-from ..hardware.memory import Allocation, MemoryRegion
 from ..sim import Environment, PriorityResource
 from ..sim.stats import Counter
 
 __all__ = ["Tenant", "TenantRegistry"]
-
-
-class _TenantAllocation:
-    """A memory allocation that also releases the tenant's budget."""
-
-    def __init__(self, tenant: "Tenant", allocation: Allocation,
-                 nbytes: int):
-        self._tenant = tenant
-        self._allocation = allocation
-        self.nbytes = nbytes
-
-    @property
-    def freed(self) -> bool:
-        return self._allocation.freed
-
-    def free(self) -> None:
-        if not self._allocation.freed:
-            self._tenant._memory_used -= self.nbytes
-        self._allocation.free()
-
-    def __enter__(self) -> "_TenantAllocation":
-        return self
-
-    def __exit__(self, exc_type, exc_val, exc_tb) -> None:
-        self.free()
 
 
 class Tenant:
@@ -55,7 +28,6 @@ class Tenant:
 
     def __init__(self, env: Environment, name: str,
                  max_asic_jobs: int = 2,
-                 memory_budget_bytes: Optional[int] = None,
                  strict: bool = False,
                  rate_limit_ops_per_s: Optional[float] = None,
                  burst_ops: Optional[float] = None):
@@ -69,14 +41,12 @@ class Tenant:
         self.env = env
         self.name = name
         self.max_asic_jobs = max_asic_jobs
-        self.memory_budget_bytes = memory_budget_bytes
         self.strict = strict
         #: ingress ops/s budget enforced by the admission controller
         #: (None = unmetered); ``burst_ops`` caps the token bucket.
         self.rate_limit_ops_per_s = rate_limit_ops_per_s
         self.burst_ops = burst_ops
         self._asic_slots: Dict[str, PriorityResource] = {}
-        self._memory_used = 0
         self.kernel_invocations = Counter(f"tenant.{name}.kernels")
         self.rejections = Counter(f"tenant.{name}.rejections")
 
@@ -120,32 +90,6 @@ class Tenant:
     def release_asic_slot(self, asic_kind: str, request) -> None:
         """Return a slot claimed with :meth:`acquire_asic_slot`."""
         self._slots(asic_kind).release(request)
-
-    def charge_memory(self, memory: MemoryRegion, nbytes: int,
-                      tag: str = "") -> Optional[Allocation]:
-        """Allocate DPU memory within the tenant's budget.
-
-        Returns None (or raises, when strict) if the budget or the
-        region cannot cover the allocation.
-        """
-        if (self.memory_budget_bytes is not None
-                and self._memory_used + nbytes > self.memory_budget_bytes):
-            self.rejections.add(1)
-            if self.strict:
-                raise IsolationViolation(
-                    f"tenant {self.name!r} memory budget exceeded"
-                )
-            return None
-        allocation = memory.try_allocate(nbytes,
-                                         tag=f"{self.name}:{tag}")
-        if allocation is None:
-            return None
-        self._memory_used += nbytes
-        return _TenantAllocation(self, allocation, nbytes)
-
-    @property
-    def memory_used_bytes(self) -> int:
-        return self._memory_used
 
     def __repr__(self) -> str:
         return f"Tenant({self.name!r}, asic_jobs<={self.max_asic_jobs})"

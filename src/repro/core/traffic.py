@@ -73,10 +73,6 @@ class TrafficDirector:
         table._rules.insert(0, rule)
         return rule
 
-    def unsteer(self, name: str) -> bool:
-        """Remove a named rule."""
-        return self.nic.flow_table.remove_rule(name)
-
     @staticmethod
     def _check_target(target: str) -> None:
         if target not in ("dpu", "host"):
@@ -117,12 +113,6 @@ class TrafficDirector:
             self.failbacks.add(1)
             self.tracer.instant("traffic.failback", category="fault",
                                 target="dpu")
-
-    @property
-    def failed_over(self) -> bool:
-        """Whether the failover rule is currently installed."""
-        return any(rule.name == _FAILOVER_RULE
-                   for rule in self.nic.flow_table.rules)
 
     # -- introspection (the audit trail Q2 requires) ---------------------------
 

@@ -124,14 +124,6 @@ class FaultInjector:
             return True
         return False
 
-    def check_up(self, site: str) -> None:
-        """Raise :class:`FaultInjectedError` when ``site`` is down."""
-        if self.is_down(site):
-            raise FaultInjectedError(
-                f"{site} is down at t={self.env.now:.6f}",
-                site=site, kind="down",
-            )
-
     def should_drop(self, site: str) -> bool:
         """Per-frame decision for wire sites: drop this frame?
 
@@ -200,10 +192,6 @@ class NullInjector:
     def is_down(self, site: str) -> bool:
         """Always up."""
         return False
-
-    def check_up(self, site: str) -> None:
-        """Never raises."""
-        return None
 
     def should_drop(self, site: str) -> bool:
         """Never drops."""

@@ -45,11 +45,6 @@ class ExtentAllocator:
     def free_blocks(self) -> int:
         return sum(extent.length for extent in self._free)
 
-    @property
-    def fragments(self) -> int:
-        """Number of free extents (fragmentation indicator)."""
-        return len(self._free)
-
     def allocate(self, blocks: int) -> List[Extent]:
         """Allocate ``blocks`` blocks as one or more extents.
 

@@ -81,13 +81,6 @@ class FileMapping:
         self._inodes[inode.file_id] = inode
         self._by_name[inode.name] = inode.file_id
 
-    def remove(self, file_id: int) -> Inode:
-        """Unregister and return the inode for ``file_id``."""
-        inode = self.inode(file_id)
-        del self._inodes[file_id]
-        del self._by_name[inode.name]
-        return inode
-
     def translate(self, file_id: int, offset: int,
                   size: int) -> List[Tuple[int, int]]:
         """Map a byte range to physical ``(lba, block_count)`` runs."""
@@ -116,10 +109,6 @@ class FileMapping:
                 )
             logical += extent.length
         return runs
-
-    @property
-    def file_count(self) -> int:
-        return len(self._inodes)
 
     def names(self):
         """All file names in the namespace, sorted."""
@@ -156,14 +145,6 @@ class FileSystem:
             self._grow(inode, size)
         return file_id
 
-    def delete(self, file_id: int) -> None:
-        """Delete a file, freeing its extents and cached contents."""
-        inode = self.mapping.remove(file_id)
-        self._allocator.free(inode.extents)
-        stale = [key for key in self._contents if key[0] == file_id]
-        for key in stale:
-            del self._contents[key]
-
     def lookup(self, name: str) -> Optional[int]:
         """File id for ``name``, or None."""
         return self.mapping.lookup(name)
@@ -171,13 +152,6 @@ class FileSystem:
     def stat(self, file_id: int) -> Inode:
         """The file's inode (size, extents)."""
         return self.mapping.inode(file_id)
-
-    def truncate(self, file_id: int, size: int) -> None:
-        """Grow a file to ``size`` bytes (shrinking unsupported)."""
-        inode = self.mapping.inode(file_id)
-        if size < inode.size:
-            raise FileSystemError("shrinking not supported")
-        self._grow(inode, size)
 
     def _grow(self, inode: Inode, new_size: int) -> None:
         needed_blocks = (

@@ -51,21 +51,12 @@ class Journal:
         self._records: List[JournalRecord] = []
         self._next_lsn = 1
         self._used = 0
-        self._truncated_through = 0
         self.appends = Counter(f"{name}.appends")
         self.append_latency = Tally(f"{name}.append_latency")
 
     @property
     def used_bytes(self) -> int:
         return self._used
-
-    @property
-    def last_lsn(self) -> int:
-        return self._next_lsn - 1
-
-    @property
-    def truncated_through(self) -> int:
-        return self._truncated_through
 
     def append(self, kind: str, payload: Any, size: int):
         """Durably append a record (generator -> JournalRecord).
@@ -109,7 +100,6 @@ class Journal:
                 keep.append(record)
         self._records = keep
         self._used -= freed
-        self._truncated_through = max(self._truncated_through, lsn)
         return freed
 
     def replay(self, apply: Optional[Callable[[JournalRecord], None]]

@@ -99,10 +99,6 @@ class Accelerator:
         self.job_latency.observe(self.env.now - start)
 
     @property
-    def busy_channels(self) -> int:
-        return self._channels.count
-
-    @property
     def queue_length(self) -> int:
         return self._channels.queue_length
 

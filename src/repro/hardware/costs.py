@@ -28,7 +28,7 @@ accelerator costs are *bytes/second* plus a fixed job-setup latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 __all__ = [
@@ -164,12 +164,6 @@ class CostModel:
     def kernel(self, name: str) -> KernelCost:
         """Look up a kernel cost record, raising KeyError if unknown."""
         return self.kernels[name]
-
-    def with_kernel(self, kernel_cost: KernelCost) -> "CostModel":
-        """A copy of this model with one kernel record replaced/added."""
-        kernels = dict(self.kernels)
-        kernels[kernel_cost.name] = kernel_cost
-        return replace(self, kernels=kernels)
 
     def cpu_cycles(self, kernel_name: str, nbytes: int,
                    cpu_class: str) -> float:

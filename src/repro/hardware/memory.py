@@ -63,7 +63,6 @@ class MemoryRegion:
                                init=capacity_bytes, name=name)
         self.alloc_count = Counter(f"{name}.allocs")
         self.alloc_failures = Counter(f"{name}.alloc_failures")
-        self._peak_used = 0
 
     @property
     def used_bytes(self) -> int:
@@ -72,10 +71,6 @@ class MemoryRegion:
     @property
     def free_bytes(self) -> int:
         return int(self._free.level)
-
-    @property
-    def peak_used_bytes(self) -> int:
-        return self._peak_used
 
     def fits(self, nbytes: int) -> bool:
         """Whether an allocation of ``nbytes`` would succeed right now."""
@@ -107,7 +102,6 @@ class MemoryRegion:
 
     def _record(self, nbytes: int, tag: str) -> Allocation:
         self.alloc_count.add(1)
-        self._peak_used = max(self._peak_used, self.used_bytes)
         return Allocation(self, nbytes, tag)
 
     def _release(self, nbytes: int) -> None:

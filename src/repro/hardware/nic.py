@@ -271,10 +271,6 @@ class Nic:
             return
         store.put(frame)
 
-    def tx_utilization(self, elapsed: Optional[float] = None) -> float:
-        """Mean busy fraction of the TX serializer."""
-        return self._tx.utilization(elapsed)
-
 
 class Wire:
     """A point-to-point full-duplex cable between two NICs.

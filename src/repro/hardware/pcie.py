@@ -126,7 +126,3 @@ class DmaEngine:
             yield from link.transfer(nbytes, direction)
         self.copies.add(1)
         self.bytes_copied.add(nbytes)
-
-    @property
-    def busy_channels(self) -> int:
-        return self._channels.count

@@ -152,9 +152,5 @@ class PeerAccelerator:
         self.bytes_in.add(stages[0][1] if stages else 0)
         self.job_latency.observe(self.env.now - started)
 
-    @property
-    def busy_channels(self) -> int:
-        return self._channels.count
-
     def __repr__(self) -> str:
         return f"PeerAccelerator({self.name}, kind={self.kind})"

@@ -62,10 +62,6 @@ class Server:
             self.nic = Nic(env, plain_nic_bandwidth_bps,
                            name=f"{name}.nic")
 
-    @property
-    def has_dpu(self) -> bool:
-        return self.dpu is not None
-
     def ssd(self, index: int = 0) -> Ssd:
         """The ``index``-th local SSD."""
         return self.ssds[index]
@@ -73,16 +69,6 @@ class Server:
     def peer(self, kind: str):
         """The PCIe peer accelerator of ``kind``, or None."""
         return self.peers.get(kind)
-
-    def cpu_for(self, location: str) -> CpuCluster:
-        """Resolve ``"host"`` / ``"dpu"`` to the matching CPU cluster."""
-        if location == "host":
-            return self.host_cpu
-        if location == "dpu":
-            if self.dpu is None:
-                raise ValueError(f"{self.name} has no DPU")
-            return self.dpu.cpu
-        raise ValueError(f"unknown CPU location {location!r}")
 
     def __repr__(self) -> str:
         dpu_part = self.dpu.name if self.dpu else "no-dpu"

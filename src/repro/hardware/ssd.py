@@ -134,15 +134,5 @@ class Ssd:
             self.bytes_read.add(nbytes)
             self.read_latency.observe(elapsed)
 
-    # -- capacity planning -----------------------------------------------------
-
-    def max_read_iops(self, io_size: int) -> float:
-        """Transfer-stage throughput ceiling for ``io_size`` reads."""
-        return (self.spec.read_bandwidth_bps / 8.0) / io_size
-
-    @property
-    def inflight(self) -> int:
-        return self._queue.count
-
     def __repr__(self) -> str:
         return f"Ssd({self.name}, qd={self.spec.queue_depth})"

@@ -77,10 +77,6 @@ class Switch:
         nic.wire = self
         nic.address = address
 
-    @property
-    def addresses(self):
-        return sorted(self._ports)
-
     def carry(self, sender: Nic, frame: Any, nbytes: int) -> None:
         """Route a frame to its destination port."""
         dst = frame.get("dst") if isinstance(frame, dict) else None

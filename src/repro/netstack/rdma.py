@@ -48,8 +48,6 @@ class RdmaMemoryRegion:
         self.name = name
         self.size = size
         self._contents: Dict[int, Buffer] = {}
-        #: 64-bit words targeted by atomic verbs, keyed by offset.
-        self._atomics: Dict[int, int] = {}
 
     def write(self, offset: int, buffer: Buffer) -> None:
         """Store ``buffer`` at ``offset`` (bounds-checked)."""
@@ -72,28 +70,6 @@ class RdmaMemoryRegion:
             return stored
         return SynthBuffer(size, label=f"{self.name}@{offset}")
 
-    def fetch_add(self, offset: int, delta: int) -> int:
-        """Atomically add ``delta`` at ``offset``; returns old value."""
-        if not 0 <= offset <= self.size - 8:
-            raise NetworkError(
-                f"atomic at {offset} outside region {self.name!r}"
-            )
-        old = self._atomics.get(offset, 0)
-        self._atomics[offset] = old + delta
-        return old
-
-    def compare_swap(self, offset: int, expected: int,
-                     desired: int) -> int:
-        """Atomic CAS at ``offset``; returns the value read."""
-        if not 0 <= offset <= self.size - 8:
-            raise NetworkError(
-                f"atomic at {offset} outside region {self.name!r}"
-            )
-        old = self._atomics.get(offset, 0)
-        if old == expected:
-            self._atomics[offset] = desired
-        return old
-
 
 class RdmaQp:
     """One endpoint of a connected queue pair."""
@@ -105,8 +81,6 @@ class RdmaQp:
         self.peer: Optional["RdmaQp"] = None
         #: fabric address of the peer node (None on p2p wires)
         self.remote_address: Optional[str] = None
-        #: completion queue: dicts {wr_id, op, buffer?}
-        self.cq: Store = Store(self.env, name=f"qp{qp_id}.cq")
         #: receive queue for two-sided SENDs
         self.rq: Store = Store(self.env, name=f"qp{qp_id}.rq")
         self._pending: Dict[int, Event] = {}
@@ -141,32 +115,6 @@ class RdmaQp:
             "send", buffer.size + _HEADER_BYTES, {"buffer": buffer},
         ))
 
-    def post_fetch_add(self, region: str, offset: int, delta: int = 1):
-        """One-sided atomic FETCH_ADD (generator -> completion event).
-
-        The completion's ``value`` is the counter's value *before* the
-        add — the primitive behind RDMA sequencers (cf. Thostrup et
-        al.'s DPU sequencer evaluation).  Atomicity holds because the
-        remote NIC applies operations serially.
-        """
-        return (yield from self._post(
-            "fetch_add", _HEADER_BYTES,
-            {"region": region, "offset": offset, "delta": delta},
-        ))
-
-    def post_compare_swap(self, region: str, offset: int,
-                          expected: int, desired: int):
-        """One-sided atomic COMPARE_AND_SWAP (generator -> event).
-
-        The completion's ``value`` is the word read at the offset; the
-        swap happened iff it equals ``expected``.
-        """
-        return (yield from self._post(
-            "cas", _HEADER_BYTES,
-            {"region": region, "offset": offset,
-             "expected": expected, "desired": desired},
-        ))
-
     def _post(self, op: str, wire_bytes: int, body: dict):
         if self.peer is None:
             raise NetworkError("queue pair is not connected")
@@ -192,12 +140,6 @@ class RdmaQp:
 
     # -- completions ----------------------------------------------------------
 
-    def poll_cq(self):
-        """Reap the next completion (generator; charges poll cycles)."""
-        completion = yield self.cq.get()
-        yield from self.node._charge_poll()
-        return completion
-
     def post_recv(self):
         """Wait for the next two-sided SEND (generator; charges poll)."""
         message = yield self.rq.get()
@@ -207,17 +149,14 @@ class RdmaQp:
     # -- NIC-side handlers (no CPU anywhere) ------------------------------------
 
     def _complete(self, wr_id: int, op: str,
-                  buffer: Optional[Buffer], posted_at: float,
-                  value: Optional[int] = None) -> None:
+                  buffer: Optional[Buffer], posted_at: float) -> None:
         completion = self._pending.pop(wr_id, None)
-        record = {"wr_id": wr_id, "op": op, "buffer": buffer,
-                  "value": value}
+        record = {"wr_id": wr_id, "op": op, "buffer": buffer}
         self.op_latency.observe(self.env.now - posted_at)
         span = self._pending_spans.pop(wr_id, None)
         if span is not None:
             span.annotate(latency_s=self.env.now - posted_at)
             span.finish()
-        self.cq.put(record)
         if completion is not None and not completion.triggered:
             completion.succeed(record)
 
@@ -293,10 +232,6 @@ class RdmaNode:
                 self._handle_read(frame)
             elif op == "send":
                 self._handle_send(frame)
-            elif op in ("fetch_add", "cas"):
-                self._handle_atomic(frame)
-            elif op == "atomic_resp":
-                self._handle_atomic_resp(frame)
             elif op == "ack":
                 self._handle_ack(frame)
             elif op == "read_resp":
@@ -327,26 +262,6 @@ class RdmaNode:
                        "src_qp": frame["src_qp"]})
         self.ops_served.add(1)
         self._reply(frame, {"op": "ack"}, _HEADER_BYTES)
-
-    def _handle_atomic(self, frame: dict) -> None:
-        region = self.regions.get(frame["region"])
-        if region is None:
-            value = 0
-        elif frame["op"] == "fetch_add":
-            value = region.fetch_add(frame["offset"], frame["delta"])
-        else:
-            value = region.compare_swap(
-                frame["offset"], frame["expected"], frame["desired"]
-            )
-        self.ops_served.add(1)
-        self._reply(frame, {"op": "atomic_resp", "value": value},
-                    _HEADER_BYTES)
-
-    def _handle_atomic_resp(self, frame: dict) -> None:
-        qp = self.qps.get(frame["qp"])
-        if qp is not None:
-            qp._complete(frame["wr_id"], frame["orig_op"], None,
-                         frame["posted_at"], value=frame["value"])
 
     def _handle_ack(self, frame: dict) -> None:
         qp = self.qps.get(frame["qp"])

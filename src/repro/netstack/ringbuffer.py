@@ -60,10 +60,6 @@ class RingBuffer:
     def full(self) -> bool:
         return len(self._entries) >= self.capacity
 
-    @property
-    def empty(self) -> bool:
-        return not self._entries
-
     def try_push(self, item: Any) -> bool:
         """Producer side: non-blocking enqueue; False when full.
 
@@ -138,7 +134,3 @@ class RingPair:
     def poll_submissions(self, max_items: int = 32) -> List[Any]:
         """DPU side: pull a batch of pending requests."""
         return self.submission.poll_batch(max_items)
-
-    def poll_completions(self, max_items: int = 32) -> List[Any]:
-        """Host side: reap a batch of completions."""
-        return self.completion.poll_batch(max_items)

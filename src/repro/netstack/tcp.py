@@ -555,14 +555,6 @@ class TcpConnection:
                "port": self.port}
         yield from self.stack._send_frame(fin, _HEADER_BYTES)
 
-    @property
-    def cwnd_bytes(self) -> float:
-        return self._cwnd
-
-    @property
-    def srtt(self) -> Optional[float]:
-        return self._srtt
-
 
 class TcpStack:
     """A TCP/IP stack instance bound to one NIC ingress queue.

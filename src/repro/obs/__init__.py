@@ -16,8 +16,8 @@ The package is also the **benchmark observatory**: :mod:`.artifact`
 defines the schema-versioned run artifact ``python -m repro.bench
 --json-out`` writes, :mod:`.claims` encodes the paper's quantitative
 claims (F1–F3, F6–F8, S9) as data for ``--check``, and
-:mod:`.regress` diffs two artifacts metric-by-metric for the
-``--compare`` perf-regression gate.
+:mod:`.regress` compares two artifacts exactly, path by path, for
+``--identity``.
 """
 
 from importlib import import_module

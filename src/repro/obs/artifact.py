@@ -6,7 +6,7 @@ serializes every experiment's structured result — the same
 functions return — into a single auditable document with provenance
 (git sha, python version, per-experiment wall clock, hardware
 profiles, workload seed).  The claims registry
-(:mod:`repro.obs.claims`) and the regression comparator
+(:mod:`repro.obs.claims`) and the exact comparison
 (:mod:`repro.obs.regress`) both consume this format, so a committed
 baseline artifact pins every simulated number the reproduction
 claims.  An artifact holds simulated results and wall clocks only;
@@ -188,15 +188,20 @@ def make_artifact(experiments: Dict[str, Dict[str, Any]],
 
 
 def strip_volatile(document: Dict[str, Any]) -> Dict[str, Any]:
-    """A deep copy of ``document`` with everything run-dependent gone.
+    """A deep copy of ``document`` holding only what a rerun must
+    reproduce.
 
-    Two runs of the same code on the same tree must agree on the
-    result *byte for byte* — regardless of ``--jobs``, load, or
-    machine speed.  This canonical form drops exactly the fields
-    that legitimately vary: wall clocks (per-experiment and total)
-    and the recorded command line (``--jobs N``/output paths differ).
-    Everything else — every simulated metric, claim input, and
-    provenance field — must match.
+    Two runs of the same code must agree on the result *byte for
+    byte* — regardless of ``--jobs``, load, machine, interpreter or
+    which commit of an unchanged simulator ran them.  This canonical
+    form drops the fields that name the run rather than its results:
+    wall clocks (per-experiment and total), the recorded command line,
+    and the provenance of checkout and host (``git_sha``,
+    ``git_dirty``, ``python``, ``implementation``, ``platform``).
+    ``--identity`` shows those and never compares them.  Everything
+    else — every simulated metric, and the inputs that define them
+    (``workload_seed``, ``hardware_profiles``, the schema) — must
+    match.
     """
     import copy
 
@@ -204,7 +209,9 @@ def strip_volatile(document: Dict[str, Any]) -> Dict[str, Any]:
     canonical.pop("total_wall_clock_s", None)
     provenance = canonical.get("provenance")
     if isinstance(provenance, dict):
-        provenance.pop("argv", None)
+        for name in ("argv", "git_sha", "git_dirty", "python",
+                     "implementation", "platform"):
+            provenance.pop(name, None)
     experiments = canonical.get("experiments")
     if isinstance(experiments, dict):
         for entry in experiments.values():

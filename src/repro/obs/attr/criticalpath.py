@@ -190,10 +190,6 @@ class SpanIndex:
                 return remote_key
         return None
 
-    def children(self, key: Tuple[str, int]) -> List[Tuple[str, int]]:
-        """Direct children of ``key``, sorted for determinism."""
-        return self._children.get(key, [])
-
     def subtree(self, root: Tuple[str, int]
                 ) -> List[Tuple[Tuple[str, int], int]]:
         """``(key, depth)`` pairs of ``root``'s subtree, preorder."""

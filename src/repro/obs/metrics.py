@@ -53,40 +53,19 @@ class MetricsRegistry:
 
     # -- create-or-fetch ----------------------------------------------------
 
-    def _get_or_make(self, name: str, labels: Dict[str, str],
-                     kind: type, factory) -> Instrument:
+    def counter(self, name: str, **labels: str) -> Counter:
+        """Get or create a monotonic counter named ``name``."""
         key = _qualify(name, labels)
         existing = self._instruments.get(key)
         if existing is not None:
-            if not isinstance(existing, kind):
+            if not isinstance(existing, Counter):
                 raise TypeError(
                     f"metric {key!r} is a "
-                    f"{type(existing).__name__}, not a {kind.__name__}"
+                    f"{type(existing).__name__}, not a Counter"
                 )
             return existing
-        instrument = factory(key)
-        self._instruments[key] = instrument
+        instrument = self._instruments[key] = Counter(key)
         return instrument
-
-    def counter(self, name: str, **labels: str) -> Counter:
-        """Get or create a monotonic counter named ``name``."""
-        return self._get_or_make(name, labels, Counter, Counter)
-
-    def tally(self, name: str, max_samples: Optional[int] = None,
-              **labels: str) -> Tally:
-        """Get or create a sample tally (optionally reservoir-bounded)."""
-        return self._get_or_make(
-            name, labels, Tally,
-            lambda key: Tally(key, max_samples=max_samples),
-        )
-
-    def gauge(self, name: str, start_time: float = 0.0,
-              **labels: str) -> TimeWeighted:
-        """Get or create a time-weighted level (queue depth, cores)."""
-        return self._get_or_make(
-            name, labels, TimeWeighted,
-            lambda key: TimeWeighted(key, start_time=start_time),
-        )
 
     # -- adoption ------------------------------------------------------------
 

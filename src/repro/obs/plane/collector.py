@@ -345,24 +345,6 @@ class ClusterTelemetry:
         return sorted(heat.items(),
                       key=lambda kv: (-kv[1], int(kv[0])))[:k]
 
-    def hot_tenants(self, k: int = 5,
-                    verdict: str = "rejected") -> List[Tuple[str, float]]:
-        """Top-``k`` tenants by admission ``verdict`` count, latest window.
-
-        ``verdict`` is ``"admitted"``, ``"rejected"`` or ``"shed"``.
-        Ties break by tenant name (same deterministic-ordering
-        contract as :meth:`hot_shards`), so overload attribution in
-        flight-recorder bundles replays identically.
-        """
-        if verdict not in ("admitted", "rejected", "shed"):
-            raise ValueError(f"unknown verdict {verdict!r}")
-        latest = self.latest()
-        if latest is None:
-            return []
-        counts = latest.derived.get(f"tenant_{verdict}", {})
-        return sorted(counts.items(),
-                      key=lambda kv: (-kv[1], kv[0]))[:k]
-
     def adopt_node(self, node) -> None:
         """Register a node added after :meth:`attach` (autoscaling).
 

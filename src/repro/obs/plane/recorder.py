@@ -62,10 +62,6 @@ class FlightRecorder:
         while self._ring and self._ring[0].t_s < horizon:
             self._ring.popleft()
 
-    def retained(self) -> List[Any]:
-        """The snapshots currently inside the retention window."""
-        return list(self._ring)
-
     # -- incidents -----------------------------------------------------------
 
     def trigger(self, reason: str, plane,

@@ -416,15 +416,6 @@ class Tracer:
         """Finished spans plus still-open ones (deterministic order)."""
         return self.spans + self.open_spans()
 
-    def categories(self) -> List[str]:
-        """Distinct span categories seen so far, sorted."""
-        return sorted({span.category for span in self.all_spans()})
-
-    def children_of(self, span: Span) -> List[Span]:
-        """Direct children of ``span`` among recorded spans."""
-        return [s for s in self.all_spans()
-                if s.parent_id == span.span_id]
-
     def ancestry(self, span: Span) -> List[Span]:
         """Parent chain from ``span``'s parent up to its root."""
         # A live span's ancestors are almost always still open; the

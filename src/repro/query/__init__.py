@@ -12,8 +12,7 @@ map, DPU-side execution next to each shard file, and a coordinator
 merge with exact partial-aggregate decomposition.
 """
 
-from .distributed import (DistributedScanDeployment,
-                          explain_distributed, merge_partials,
+from .distributed import (DistributedScanDeployment, merge_partials,
                           plan_distributed, run_distributed_scan)
 from .executor import ScanDeployment, run_scan
 from .planner import PlanEstimate, explain, plan_scan
@@ -26,7 +25,6 @@ __all__ = [
     "run_distributed_scan",
     "PlanEstimate",
     "explain",
-    "explain_distributed",
     "merge_partials",
     "plan_distributed",
     "plan_scan",

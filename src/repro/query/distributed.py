@@ -54,8 +54,7 @@ from .planner import _DPU_HZ, _HOST_HZ, plan_scan
 from .scan import QueryResult, ScanQuery
 
 __all__ = ["DistributedScanDeployment", "merge_partials",
-           "plan_distributed", "explain_distributed",
-           "run_distributed_scan"]
+           "plan_distributed", "run_distributed_scan"]
 
 _query_ids = itertools.count(1)
 
@@ -86,8 +85,7 @@ def plan_distributed(query: ScanQuery,
     wall-clock time, but the argmin per shard (and therefore the
     ``choices``) is unaffected by that overlap, and the totals
     decompose exactly: each total equals the sum of its per-shard
-    network and compute components, which ``explain_distributed``
-    renders and the tests pin.
+    network and compute components, which the tests pin.
 
     With ``owners`` (shard -> node name), the plan additionally goes
     **cluster-aware**: ``pull_wall_s`` / ``pushdown_wall_s`` estimate
@@ -189,31 +187,6 @@ def _cluster_wall(shard_sizes, per_shard, costs, network_bps,
                            if pushdown_wall_s <= pull_wall_s
                            else "pull"),
     }
-
-
-def explain_distributed(plan: dict) -> str:
-    """A human-readable per-shard plan breakdown plus totals."""
-    lines = ["distributed plan (per shard):"]
-    for shard in sorted(plan["per_shard"]):
-        entry = plan["per_shard"][shard]
-        chosen = entry[entry["choice"]]
-        lines.append(
-            f"  shard {shard:3d}: {entry['choice']:8s} "
-            f"wire={chosen.bytes_on_wire:>10,.0f} B  "
-            f"total={chosen.total_s * 1e3:8.3f} ms"
-        )
-    lines.append(
-        f"  totals: pull={plan['pull_total_s'] * 1e3:.3f} ms  "
-        f"pushdown={plan['pushdown_total_s'] * 1e3:.3f} ms  "
-        f"chosen={plan['chosen_total_s'] * 1e3:.3f} ms"
-    )
-    if "cluster_choice" in plan:
-        lines.append(
-            f"  cluster wall: pull={plan['pull_wall_s'] * 1e3:.3f} "
-            f"ms  pushdown={plan['pushdown_wall_s'] * 1e3:.3f} ms  "
-            f"-> {plan['cluster_choice']}"
-        )
-    return "\n".join(lines)
 
 
 # -- partial-aggregate decomposition -----------------------------------------

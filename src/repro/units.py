@@ -16,8 +16,7 @@ __all__ = [
     "Kbps", "Mbps", "Gbps",
     "US", "MS",
     "PAGE_SIZE",
-    "bits_to_bytes", "bytes_to_bits",
-    "fmt_bytes", "fmt_time", "fmt_rate",
+    "fmt_bytes", "fmt_time",
 ]
 
 # Decimal (storage/network vendor) units.
@@ -48,16 +47,6 @@ MS = 1e-3
 PAGE_SIZE = 8 * KiB
 
 
-def bits_to_bytes(bits: float) -> float:
-    """Convert a bit count (or bit rate) to bytes."""
-    return bits / 8.0
-
-
-def bytes_to_bits(nbytes: float) -> float:
-    """Convert a byte count (or byte rate) to bits."""
-    return nbytes * 8.0
-
-
 def fmt_bytes(nbytes: float) -> str:
     """Human-readable byte count, binary units."""
     value = float(nbytes)
@@ -81,8 +70,3 @@ def fmt_time(seconds: float) -> str:
     if seconds < 1.0:
         return f"{seconds * 1e3:.2f} ms"
     return f"{seconds:.3f} s"
-
-
-def fmt_rate(bytes_per_second: float) -> str:
-    """Human-readable throughput."""
-    return f"{fmt_bytes(bytes_per_second)}/s"

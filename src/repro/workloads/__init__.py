@@ -4,7 +4,6 @@ from .arrivals import (
     ParetoSizes,
     TenantMix,
     arrival_count,
-    diurnal_arrivals,
     flash_crowd,
     mmpp_arrivals,
     open_loop,
@@ -20,7 +19,6 @@ __all__ = [
     "open_loop",
     "poisson_arrivals",
     "mmpp_arrivals",
-    "diurnal_arrivals",
     "flash_crowd",
     "ParetoSizes",
     "TenantMix",

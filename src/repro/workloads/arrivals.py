@@ -12,8 +12,6 @@ carries a family of *shaped* generators:
 * :func:`mmpp_arrivals` — a Markov-modulated Poisson process: the
   rate jumps between states (calm / burst) with exponential dwell
   times, the standard bursty-traffic model;
-* :func:`diurnal_arrivals` — a sinusoidal day/night rate profile,
-  realized as a nonhomogeneous Poisson process by thinning;
 * :func:`flash_crowd` — a piecewise surge profile (steady → ramp →
   peak → ramp down), the flash-crowd chaos scenario's driver;
 * :class:`ParetoSizes` — bounded heavy-tailed request sizes;
@@ -42,7 +40,7 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Sequence
 
 from ..sim import Environment, EventPopulation
 
@@ -51,7 +49,6 @@ __all__ = [
     "open_loop",
     "poisson_arrivals",
     "mmpp_arrivals",
-    "diurnal_arrivals",
     "flash_crowd",
     "ParetoSizes",
     "TenantMix",
@@ -202,38 +199,6 @@ def mmpp_arrivals(env: Environment, handler: Callable[[int], object],
                            rng, name)
 
 
-def diurnal_arrivals(env: Environment,
-                     handler: Callable[[int], object],
-                     duration_s: float, base_rate: float,
-                     amplitude: float = 0.5,
-                     period_s: Optional[float] = None,
-                     phase: float = 0.0,
-                     seed: int = 0, name: str = "diurnal"):
-    """A sinusoidal day/night rate profile (nonhomogeneous Poisson).
-
-    The instantaneous rate is ``base * (1 + amplitude * sin(...))``
-    with one full period over ``period_s`` (default: the whole
-    duration).  ``amplitude`` in [0, 1) keeps the rate positive.
-    """
-    if not 0.0 <= amplitude < 1.0:
-        raise ValueError("amplitude must be in [0, 1)")
-    if base_rate <= 0:
-        raise ValueError("base rate must be positive")
-    period = period_s if period_s is not None else duration_s
-    if period <= 0:
-        raise ValueError("period must be positive")
-    rng = random.Random(seed)
-
-    def rate_at(t: float) -> float:
-        return base_rate * (
-            1.0 + amplitude * math.sin(2.0 * math.pi * t / period
-                                       + phase))
-
-    peak = base_rate * (1.0 + amplitude)
-    return _thinned_driver(env, handler, duration_s, peak, rate_at,
-                           rng, name)
-
-
 def flash_crowd(env: Environment, handler: Callable[[int], object],
                 duration_s: float, base_rate: float,
                 peak_rate: float, surge_start_s: float,
@@ -313,12 +278,6 @@ class ParetoSizes:
         aligned = int(clamped // self.align) * self.align
         return max(aligned, self.min_size)
 
-    def mean_sample(self, n: int = 1024) -> float:
-        """The empirical mean of the first ``n`` sizes (for tuning)."""
-        if n < 1:
-            raise ValueError("need at least one sample")
-        return sum(self.size(i) for i in range(n)) / n
-
 
 class TenantMix:
     """A weighted tenant population for attributing request streams.
@@ -352,8 +311,3 @@ class TenantMix:
             if unit < bound:
                 return name
         return self._cumulative[-1][1]
-
-    def share(self, name: str) -> float:
-        """The configured traffic share of one tenant."""
-        total = sum(self.weights.values())
-        return self.weights[name] / total

@@ -70,10 +70,6 @@ class KvStoreIndex:
         self._offsets[key] = offset
         return KvOp("put", key, offset, PAGE_SIZE)
 
-    @property
-    def tail_offset(self) -> int:
-        return self._tail
-
 
 class YcsbWorkload:
     """A YCSB-style operation stream over a :class:`KvStoreIndex`.
@@ -128,12 +124,3 @@ class YcsbWorkload:
             raise ValueError("negative op count")
         for _ in range(count):
             yield self.next_op()
-
-    def hot_key_fraction(self, sample: int = 10_000,
-                         top_keys: int = 100) -> float:
-        """Fraction of sampled accesses landing on the hottest keys."""
-        rng_state = self._rng.getstate()
-        hits = sum(1 for _ in range(sample)
-                   if self._zipf_key() < top_keys)
-        self._rng.setstate(rng_state)
-        return hits / sample

@@ -52,10 +52,6 @@ class PageServerWorkload:
         self.skew = skew
         self._rng = random.Random(seed)
 
-    def database_bytes(self) -> int:
-        """Total size of the served database."""
-        return self.database_pages * PAGE_SIZE
-
     def _page(self) -> int:
         # 80/20-style skew: `skew` of accesses hit 20% of pages.
         if self._rng.random() < self.skew:

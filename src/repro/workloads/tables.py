@@ -105,10 +105,6 @@ class TableGenerator:
         self.schema = schema
         self.seed = seed
 
-    def row(self, rng: random.Random, row_index: int) -> bytes:
-        """One CSV row (no newline)."""
-        return _row(self.schema.columns, rng, row_index)
-
     def rows(self, count: int) -> bytes:
         """``count`` newline-separated CSV rows."""
         if count < 0:
@@ -139,26 +135,3 @@ class TableGenerator:
         if current:
             pages.append(b"".join(current))
         return pages
-
-    # -- predicate helpers ------------------------------------------------
-
-    def column_predicate(self, name: str,
-                         test: Callable[[bytes], bool]):
-        """A record predicate over one named column (for ``filter``)."""
-        index = self.schema.index_of(name)
-
-        def predicate(record: bytes) -> bool:
-            fields = record.split(b",")
-            return index < len(fields) and test(fields[index])
-
-        return predicate
-
-    def column_extractor(self, name: str,
-                         convert: Callable[[bytes], float] = float):
-        """A value extractor over one column (for ``aggregate``)."""
-        index = self.schema.index_of(name)
-
-        def extract(record: bytes):
-            return convert(record.split(b",")[index])
-
-        return extract

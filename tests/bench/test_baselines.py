@@ -51,12 +51,6 @@ class TestHostCompute:
         env.run(until=env.process(job(8, times)))
         assert times[0] / times[1] == pytest.approx(8.0, rel=0.01)
 
-    def test_expected_seconds_closed_form(self, env):
-        server = make_server(env)
-        baseline = HostComputeBaseline(server.host_cpu)
-        assert baseline.expected_seconds("compress", 1 * MB) == \
-            pytest.approx((2000 + 20e6) / 3e9)
-
     def test_invalid_parallelism(self, env):
         server = make_server(env)
         baseline = HostComputeBaseline(server.host_cpu)
@@ -85,7 +79,7 @@ class TestHostStoragePath:
                                  costs, "kernel")
         spdk = HostStoragePath(server.host_cpu, server.ssd(0),
                                costs, "spdk_host")
-        assert spdk.cycles_per_page() < kernel.cycles_per_page() / 5
+        assert spdk._cycles_per_page < kernel._cycles_per_page / 5
 
     def test_kernel_latency_includes_wakeup(self, env):
         server = make_server(env)
@@ -105,17 +99,6 @@ class TestHostStoragePath:
         with pytest.raises(ValueError):
             HostStoragePath(server.host_cpu, server.ssd(0),
                             server.costs.software, "dax")
-
-    def test_write_path(self, env):
-        server = make_server(env)
-        path = HostStoragePath(server.host_cpu, server.ssd(0),
-                               server.costs.software, "io_uring")
-
-        def write():
-            yield from path.write_page()
-
-        env.run(until=env.process(write()))
-        assert server.ssd(0).writes.value == 1
 
 
 class TestHostServed:

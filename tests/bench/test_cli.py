@@ -83,40 +83,74 @@ class TestCheck:
 
 
 class TestCompare:
+    """``--identity`` is the one comparison; the blessed-baseline cases
+    live in ``test_jobs.TestIdentityGate``."""
+
     def test_identical_files_no_regressions(self, tmp_path, capsys):
         path = tmp_path / "art.json"
         main(["a4", "--json-out", str(path)])
         capsys.readouterr()
-        assert main(["--compare", str(path), str(path)]) == 0
-        assert "0 regressions" in capsys.readouterr().out
+        assert main(["--identity", str(path), str(path)]) == 0
+        assert "identical" in capsys.readouterr().out
 
     def test_regression_exit_one(self, tmp_path, capsys):
         baseline = tmp_path / "base.json"
         main(["a4", "--json-out", str(baseline)])
         candidate = tmp_path / "cand.json"
         document = json.loads(baseline.read_text())
-        parts = document["experiments"]["a4"]["parts"]
-        part = next(iter(parts.values()))
-        metric = next(iter(part["values"]))
-        part["values"][metric] *= 10.0
+        document["experiments"]["a4"]["parts"]["persistence"][
+            "values"]["speedup"] *= 1.01
         candidate.write_text(json.dumps(document))
         capsys.readouterr()
-        assert main(["--compare", str(baseline), str(candidate)]) == 1
-        assert "regression" in capsys.readouterr().out
+        assert main(["--identity", str(baseline), str(candidate)]) == 1
+        err = capsys.readouterr().err
+        assert "a4.persistence.speedup: 2.22" in err
+        assert "1 differences" in err
 
     def test_too_many_paths_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "art.json"
         main(["a4", "--json-out", str(path)])
-        assert main(["--compare", str(path), str(path),
+        assert main(["--identity", str(path), str(path),
                      str(path)]) == 2
 
     def test_run_then_compare_against_baseline(self, tmp_path,
                                                capsys):
         baseline = tmp_path / "base.json"
-        main(["a4", "--json-out", str(baseline)])
+        main(["a4", "fig7", "--json-out", str(baseline)])
         capsys.readouterr()
-        assert main(["a4", "--compare", str(baseline)]) == 0
-        assert "0 regressions" in capsys.readouterr().out
+        assert main(["a4", "--identity", str(baseline)]) == 0
+        out = capsys.readouterr().out
+        assert "compared 1 of 2 baseline experiments" in out
+        assert "identical" in out
+
+
+class TestModeFlags:
+    """A flag that runs nothing refuses what it cannot use."""
+
+    def test_check_refuses_ids_and_outputs(self, tmp_path, capsys):
+        path = tmp_path / "art.json"
+        main(["a4", "--json-out", str(path)])
+        capsys.readouterr()
+        other = tmp_path / "other.json"
+        assert main(["a4", "--check", str(path)]) == 2
+        assert main(["--check", str(path),
+                     "--json-out", str(other)]) == 2
+        captured = capsys.readouterr()
+        assert "run no experiment" in captured.err
+        assert "fast persistence" not in captured.out    # nothing ran
+        assert not other.exists()
+
+    def test_two_path_identity_refuses_ids_and_outputs(self, tmp_path,
+                                                       capsys):
+        path = tmp_path / "art.json"
+        main(["a4", "--json-out", str(path)])
+        capsys.readouterr()
+        other = tmp_path / "other.json"
+        assert main(["a4", "--identity", str(path), str(path)]) == 2
+        assert main(["--identity", str(path), str(path),
+                     "--json-out", str(other)]) == 2
+        assert "run no experiment" in capsys.readouterr().err
+        assert not other.exists()
 
 
 class TestAttrOut:

@@ -1,6 +1,7 @@
-"""The parallel bench runner and the artifact byte-identity gate."""
+"""The parallel bench runner and the artifact identity gate."""
 
 import json
+from pathlib import Path
 
 from repro.bench.__main__ import main
 from repro.obs.artifact import load_artifact, strip_volatile
@@ -8,6 +9,10 @@ from repro.obs.artifact import load_artifact, strip_volatile
 #: Fast experiments that still cover all three part types (table,
 #: nested, sweep).
 SUBSET = ["a4", "a6", "fig8"]
+
+
+#: the blessed artifact the CLI is pointed at in CI
+BASELINE = Path(__file__).resolve().parents[2] / "BENCH_baseline.json"
 
 
 def _canonical(path):
@@ -89,3 +94,71 @@ class TestIdentityGate:
     def test_missing_artifact_is_usage_error(self, tmp_path):
         assert main(["--identity", str(tmp_path / "nope.json"),
                      str(tmp_path / "nope.json")]) == 2
+        # the one-path form finds out before anything runs
+        assert main(["a4", "--identity",
+                     str(tmp_path / "nope.json")]) == 2
+
+    def test_one_percent_edit_exits_one_and_names_the_path(
+            self, tmp_path, capsys):
+        # x1.01 sat inside the 5 % band the old tolerance gate allowed
+        document = json.loads(BASELINE.read_text())
+        document["experiments"]["scale"]["parts"]["rack"]["rows"][
+            "64"]["dpu_cores_per_node"] *= 1.01
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(document))
+        assert main(["--identity", str(BASELINE), str(edited)]) == 1
+        err = capsys.readouterr().err
+        assert "scale.rack.64.dpu_cores_per_node: 2.19980" in err
+        assert "1 differences" in err
+
+    def test_what_names_the_run_is_shown_not_compared(self, tmp_path,
+                                                      capsys):
+        document = json.loads(BASELINE.read_text())
+        document["provenance"].update(
+            git_sha="0" * 40, git_dirty=False, python="3.9.0",
+            implementation="PyPy", platform="elsewhere", argv=["-j4"])
+        document["total_wall_clock_s"] *= 3
+        for entry in document["experiments"].values():
+            entry["wall_clock_s"] *= 3
+        moved = tmp_path / "moved.json"
+        moved.write_text(json.dumps(document))
+        assert main(["--identity", str(BASELINE), str(moved)]) == 0
+        out = capsys.readouterr().out
+        assert "identical" in out
+        for shown in ("provenance.git_sha", "0" * 40, "elsewhere",
+                      "experiments.slo.wall_clock_s",
+                      "total_wall_clock_s"):
+            assert shown in out
+        # an input that defines results is still held to the baseline
+        document["provenance"]["workload_seed"] += 1
+        moved.write_text(json.dumps(document))
+        assert main(["--identity", str(BASELINE), str(moved)]) == 1
+        assert "provenance.workload_seed: 13 -> 14" \
+            in capsys.readouterr().err
+
+    def test_unequal_experiment_sets_exit_one(self, tmp_path, capsys):
+        document = json.loads(BASELINE.read_text())
+        del document["experiments"]["slo"]
+        fewer = tmp_path / "fewer.json"
+        fewer.write_text(json.dumps(document))
+        assert main(["--identity", str(BASELINE), str(fewer)]) == 1
+        assert "slo: present -> absent" in capsys.readouterr().err
+        assert main(["--identity", str(fewer), str(BASELINE)]) == 1
+        assert "slo: absent -> present" in capsys.readouterr().err
+
+    def test_one_path_form_compares_exactly_what_ran(self, capsys):
+        assert main(["fig8", "--identity", str(BASELINE)]) == 0
+        out = capsys.readouterr().out
+        assert "compared 1 of 19 baseline experiments" in out
+        assert "identical" in out
+
+    def test_one_path_form_fails_on_drift(self, tmp_path, capsys):
+        document = json.loads(BASELINE.read_text())
+        values = document["experiments"]["a4"]["parts"]["persistence"][
+            "values"]
+        values["speedup"] *= 1.01
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(document))
+        assert main(["a4", "--jobs", "2",
+                     "--identity", str(edited)]) == 1
+        assert "a4.persistence.speedup" in capsys.readouterr().err

@@ -5,9 +5,14 @@ import pytest
 from repro.bench.tco import (
     CostAssumptions,
     DEFAULT_COST_ASSUMPTIONS,
-    break_even_host_cores,
     storage_server_cost,
 )
+
+
+def _break_even_host_cores(assumptions=DEFAULT_COST_ASSUMPTIONS):
+    """Host cores a DPU must displace to pay for itself."""
+    return (assumptions.dpu_hour_dollars()
+            / assumptions.host_core_hour_dollars())
 
 
 class TestCostModel:
@@ -23,7 +28,7 @@ class TestCostModel:
     def test_break_even_is_on_the_order_of_tens_of_cores(self):
         """The economics behind the S9 phrasing: the DPU pays for
         itself only when it displaces on the order of 10+ cores."""
-        break_even = break_even_host_cores()
+        break_even = _break_even_host_cores()
         assert 5 < break_even < 30
 
     def test_line_rate_savings_beat_dpu_cost(self):
@@ -43,8 +48,8 @@ class TestCostModel:
         cheap_dpu = CostAssumptions(dpu_dollars=500.0)
         assert cheap_dpu.dpu_hour_dollars() < \
             DEFAULT_COST_ASSUMPTIONS.dpu_hour_dollars()
-        assert break_even_host_cores(cheap_dpu) < \
-            break_even_host_cores()
+        assert _break_even_host_cores(cheap_dpu) < \
+            _break_even_host_cores()
 
     def test_negative_cores_rejected(self):
         with pytest.raises(ValueError):

@@ -55,7 +55,7 @@ class TestRebalance:
                    for t in rebalancer.cutover_times.values())
         # ...and once node1 left the ring, the overrides all agreed
         # with the survivor placement and were garbage-collected.
-        assert cluster.shardmap.overrides == {}
+        assert cluster.shardmap._overrides == {}
 
     def test_reads_succeed_against_new_owners(self):
         env = Environment()
@@ -81,7 +81,7 @@ class TestRebalance:
         env.run(until=HORIZON_S)
         assert not cluster.node("node1").retired
         assert "node1" in cluster.shardmap.nodes
-        assert cluster.shardmap.overrides == {}
+        assert cluster.shardmap._overrides == {}
 
     def test_single_node_cluster_never_drains(self):
         # With nobody to drain to, the rebalancer must not try.

@@ -35,13 +35,6 @@ class TestPlacement:
         )
         assert placed == list(range(32))
 
-    def test_owner_of_key_goes_through_shard_of(self):
-        shardmap = ShardMap(32, NODES)
-        for key in (0, 1, 17, 123_456):
-            shard = shardmap.shard_of(key)
-            assert shardmap.owner_of_key(key) == \
-                shardmap.owner_of_shard(shard)
-
     def test_insertion_order_is_irrelevant(self):
         forward = ShardMap(32, NODES)
         backward = ShardMap(32, list(reversed(NODES)))
@@ -83,7 +76,7 @@ class TestOverrides:
                      if shardmap.owner_of_shard(s) != "node3")
         shardmap.set_override(shard, "node3")
         assert shardmap.owner_of_shard(shard) == "node3"
-        assert shardmap.overrides == {shard: "node3"}
+        assert shardmap._overrides == {shard: "node3"}
 
     def test_override_bumps_version(self):
         shardmap = ShardMap(16, NODES)
@@ -99,7 +92,7 @@ class TestOverrides:
         for shard, dest in shardmap.plan_without("node1").items():
             shardmap.set_override(shard, dest)
         shardmap.remove_node("node1")
-        assert shardmap.overrides == {}
+        assert shardmap._overrides == {}
         assert "node1" not in shardmap.nodes
 
     def test_disagreeing_override_survives_removal(self):
@@ -110,7 +103,7 @@ class TestOverrides:
                         if n not in ("node1", plan[shard]))
         shardmap.set_override(shard, off_plan)
         shardmap.remove_node("node1")
-        assert shardmap.overrides.get(shard) == off_plan
+        assert shardmap._overrides.get(shard) == off_plan
 
 
 class TestErrors:

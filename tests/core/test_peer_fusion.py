@@ -77,14 +77,6 @@ class TestPeerDevice:
 
 
 class TestPeerPlacement:
-    def test_placements_include_supported_peers(self, ce):
-        assert "pcie_gpu" in ce.kernel_placements("compress")
-        assert "pcie_fpga" in ce.kernel_placements("compress")
-        # FPGA_SPEC lacks aggregate; GPU has it.
-        placements = ce.kernel_placements("aggregate")
-        assert "pcie_gpu" in placements
-        assert "pcie_fpga" not in placements
-
     def test_no_peer_returns_none(self, env):
         server = make_server(env, dpu_profile=BLUEFIELD2)
         engine = ComputeEngine(server)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import AsyncRequest, wait, wait_all
+from repro.core import AsyncRequest, wait
 from repro.sim import Environment
 
 
@@ -65,33 +65,6 @@ class TestAsyncRequest:
         request.complete("second")
         assert request.data == "second"     # result updated
         assert request.done.value == "first"  # event fired once
-
-    def test_wait_all_gathers_in_order(self, env):
-        requests = [AsyncRequest(env, f"op{i}") for i in range(3)]
-
-        def completer(index, delay):
-            yield env.timeout(delay)
-            requests[index].complete(index * 10)
-
-        # Complete out of order; results stay in request order.
-        env.process(completer(0, 3.0))
-        env.process(completer(1, 1.0))
-        env.process(completer(2, 2.0))
-
-        def waiter():
-            values = yield from wait_all(requests)
-            return values
-
-        proc = env.process(waiter())
-        assert env.run(until=proc) == [0, 10, 20]
-
-    def test_wait_all_empty(self, env):
-        def waiter():
-            values = yield from wait_all([])
-            return values
-
-        proc = env.process(waiter())
-        assert env.run(until=proc) == []
 
     def test_repr_shows_state(self, env):
         request = AsyncRequest(env, "se:read")

@@ -6,7 +6,7 @@ from repro.core import ComputeEngine
 from repro.core.scheduler import ScheduledTask, SprocScheduler
 from repro.errors import IsolationViolation
 from repro.core.tenancy import Tenant, TenantRegistry
-from repro.hardware import BLUEFIELD2, CpuCluster, MemoryRegion, make_server
+from repro.hardware import BLUEFIELD2, CpuCluster, make_server
 from repro.sim import Environment
 from repro.units import GHZ, MiB
 
@@ -138,16 +138,6 @@ class TestTenancy:
         assert failures == [True]
         assert tenant.rejections.value == 1
 
-    def test_memory_budget_enforced(self, env):
-        memory = MemoryRegion(env, 64 * MiB)
-        tenant = Tenant(env, "capped", memory_budget_bytes=8 * MiB)
-        first = tenant.charge_memory(memory, 6 * MiB)
-        assert first is not None
-        assert tenant.charge_memory(memory, 4 * MiB) is None  # over budget
-        first.free()
-        assert tenant.memory_used_bytes == 0
-        assert tenant.charge_memory(memory, 4 * MiB) is not None
-
     def test_registry_default_tenant(self, env):
         registry = TenantRegistry(env)
         assert "default" in registry
@@ -180,47 +170,7 @@ class TestTenancy:
 class TestTenancyUnderConcurrentShards:
     """Budget enforcement when many shard workers hit one tenant at
     once — the cluster-layer shape: per-shard processes sharing one
-    tenant's ASIC quota and memory budget."""
-
-    def test_strict_memory_budget_under_concurrent_shards(self, env):
-        memory = MemoryRegion(env, 64 * MiB)
-        tenant = Tenant(env, "capped", memory_budget_bytes=4 * MiB,
-                        strict=True)
-        granted, rejected = [], []
-
-        def shard_worker(shard):
-            try:
-                allocation = tenant.charge_memory(
-                    memory, 1 * MiB, tag=f"shard{shard}")
-            except IsolationViolation:
-                rejected.append(shard)
-                return
-            granted.append(shard)
-            yield env.timeout(1.0)
-            allocation.free()
-
-        for shard in range(8):
-            env.process(shard_worker(shard))
-        env.run()
-        # Deterministic: workers start in spawn order at t=0, so the
-        # first four fit the 4 MiB budget and the rest are rejected.
-        assert granted == [0, 1, 2, 3]
-        assert rejected == [4, 5, 6, 7]
-        assert tenant.rejections.value == 4
-        # Frees restored the budget and the region completely.
-        assert tenant.memory_used_bytes == 0
-        assert memory.used_bytes == 0
-
-    def test_lenient_tenant_sheds_instead_of_raising(self, env):
-        memory = MemoryRegion(env, 64 * MiB)
-        tenant = Tenant(env, "lenient", memory_budget_bytes=2 * MiB)
-        outcomes = [
-            tenant.charge_memory(memory, 1 * MiB, tag=f"s{i}")
-            for i in range(4)
-        ]
-        assert [a is not None for a in outcomes] == \
-            [True, True, False, False]
-        assert tenant.rejections.value == 2
+    tenant's ASIC quota."""
 
     def test_strict_asic_quota_under_concurrent_shards(self, env):
         tenant = Tenant(env, "strict", max_asic_jobs=2, strict=True)

@@ -30,7 +30,7 @@ class TestNamespace:
         se.create("zeta")
         se.create("alpha")
         se.create("mid")
-        assert se.list_files() == ["alpha", "mid", "zeta"]
+        assert se.fs.mapping.names() == ["alpha", "mid", "zeta"]
 
     def test_append_extends_file(self, env, se):
         file_id = se.create("log", size=PAGE_SIZE)

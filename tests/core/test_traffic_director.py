@@ -36,16 +36,6 @@ class TestTrafficDirector:
             {"proto": "tcp", "port": 9000}
         ) == "dpu"
 
-    def test_unsteer_removes_rule(self, env):
-        server = make_server(env, dpu_profile=BLUEFIELD2)
-        director = TrafficDirector(server.nic)
-        director.steer_protocol("tcp", "dpu", name="mine")
-        assert director.unsteer("mine")
-        assert not director.unsteer("mine")
-        assert server.nic.flow_table.classify(
-            {"proto": "tcp"}
-        ) == "host"
-
     def test_hit_counters_accumulate(self, env):
         server = make_server(env, dpu_profile=BLUEFIELD2)
         director = TrafficDirector(server.nic)

@@ -62,13 +62,6 @@ class TestStateChecks:
         assert not injector.is_down("cpu.host")
         assert injector.downs.value == 1
 
-    def test_check_up_raises_when_down(self, env):
-        plan = FaultPlan().cpu_crash(0.0, 1.0, site="cpu.dpu")
-        injector = FaultInjector(env, plan)
-        with pytest.raises(FaultInjectedError) as exc_info:
-            injector.check_up("cpu.dpu")
-        assert exc_info.value.kind == "down"
-
     def test_should_drop_during_down_window(self, env):
         plan = FaultPlan().link_flap(0.0, 1.0)
         injector = FaultInjector(env, plan)
@@ -135,7 +128,6 @@ class TestNullInjector:
         assert not NULL_INJECTOR.is_down("cpu.dpu")
         assert not NULL_INJECTOR.should_drop("wire")
         assert NULL_INJECTOR.slowdown("cpu.dpu") == 1.0
-        NULL_INJECTOR.check_up("anything")
         outcome = _drain(env, NULL_INJECTOR.perturb("ssd.db.read"))
         assert "error" not in outcome
         assert env.now == 0.0

@@ -45,9 +45,9 @@ class TestAllocator:
         c = alloc.allocate(30)
         alloc.free(a)
         alloc.free(c)
-        assert alloc.fragments >= 2
+        assert len(alloc._free) >= 2
         alloc.free(b)                     # bridges a and c
-        assert alloc.fragments == 1
+        assert len(alloc._free) == 1
         assert alloc.allocate(100) == [Extent(0, 100)]
 
     def test_fragmented_allocation_stitches(self):
@@ -95,4 +95,4 @@ def test_property_alloc_free_conserves_blocks(ops):
     for extents in live:
         alloc.free(extents)
     assert alloc.free_blocks == total
-    assert alloc.fragments == 1          # fully coalesced again
+    assert len(alloc._free) == 1          # fully coalesced again

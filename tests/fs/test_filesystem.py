@@ -114,24 +114,10 @@ class TestFileSystem:
         with pytest.raises(FileSystemError):
             env.run()
 
-    def test_delete_frees_blocks(self, env, fs):
-        before = fs.free_bytes
-        file_id = fs.create("temp", size=10 * MiB)
-        assert fs.free_bytes < before
-        fs.delete(file_id)
-        assert fs.free_bytes == before
-
     def test_mapping_translate_covers_range(self, fs):
         file_id = fs.create("mapped", size=1 * MiB)
         runs = fs.mapping.translate(file_id, 8192, 64 * KiB)
         assert sum(count for _, count in runs) == 16   # 64K / 4K blocks
-
-    def test_truncate_grows_only(self, fs):
-        file_id = fs.create("t", size=PAGE_SIZE)
-        fs.truncate(file_id, 4 * PAGE_SIZE)
-        assert fs.stat(file_id).size == 4 * PAGE_SIZE
-        with pytest.raises(FileSystemError):
-            fs.truncate(file_id, PAGE_SIZE)
 
 
 class TestPageCache:

@@ -112,13 +112,6 @@ class TestMemoryRegion:
         with pytest.raises(CapacityError):
             env.run()
 
-    def test_peak_usage_tracked(self, env):
-        mem = MemoryRegion(env, 1 * MiB)
-        a = mem.try_allocate(600 * KiB)
-        a.free()
-        mem.try_allocate(100 * KiB)
-        assert mem.peak_used_bytes == 600 * KiB
-
     def test_context_manager_frees(self, env):
         mem = MemoryRegion(env, 1 * MiB)
         with mem.try_allocate(128 * KiB):
@@ -275,7 +268,7 @@ class TestSsd:
             env.process(reader(env))
         env.run()
         achieved = n_pages / env.now
-        ceiling = ssd.max_read_iops(PAGE_SIZE)
+        ceiling = (spec.read_bandwidth_bps / 8.0) / PAGE_SIZE
         # The transfer stage is the bottleneck: close to but below cap.
         assert achieved <= ceiling * 1.001
         assert achieved > ceiling * 0.95
@@ -290,7 +283,7 @@ class TestSsd:
             proc = ssd.read(PAGE_SIZE)
             step = next(proc)
             while True:
-                peak.append(ssd.inflight)
+                peak.append(ssd._queue.count)
                 try:
                     value = yield step
                     step = proc.send(value)

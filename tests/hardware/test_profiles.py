@@ -84,28 +84,18 @@ class TestDpuAssembly:
 class TestServer:
     def test_server_with_dpu_uses_dpu_nic(self, env):
         server = make_server(env, dpu_profile=BLUEFIELD2)
-        assert server.has_dpu
+        assert server.dpu is not None
         assert server.nic is server.dpu.nic
 
     def test_server_without_dpu_gets_plain_nic(self, env):
         server = make_server(env, dpu_profile=None)
-        assert not server.has_dpu
+        assert server.dpu is None
         assert server.nic is not None
 
     def test_host_profile_applied(self, env):
         server = make_server(env, host_profile=EPYC_HOST)
         assert server.host_cpu.cores == 64
         assert server.host_cpu.cpu_class == "host"
-
-    def test_cpu_for_resolution(self, env):
-        server = make_server(env, dpu_profile=BLUEFIELD2)
-        assert server.cpu_for("host") is server.host_cpu
-        assert server.cpu_for("dpu") is server.dpu.cpu
-        with pytest.raises(ValueError):
-            server.cpu_for("gpu")
-        plain = make_server(env, name="plain", dpu_profile=None)
-        with pytest.raises(ValueError):
-            plain.cpu_for("dpu")
 
     def test_ssd_complement(self, env):
         server = make_server(env, ssd_count=3)

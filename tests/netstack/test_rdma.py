@@ -147,21 +147,6 @@ class TestTwoSided:
         env.run(until=1.0)
         assert cpu_b.busy_seconds() > 0
 
-    def test_completion_queue_polling(self, env):
-        node_a, node_b, *_ = _make_nodes(env)
-        node_b.register_region("pool", 1 * MiB)
-        qp_a, _ = connect_qp(node_a, node_b)
-        completions = []
-
-        def initiator(env):
-            yield from qp_a.post_write("pool", 0, 128)
-            completion = yield from qp_a.poll_cq()
-            completions.append(completion)
-
-        env.process(initiator(env))
-        env.run(until=1.0)
-        assert completions and completions[0]["op"] == "write"
-
 
 class TestRingBuffer:
     def test_push_and_poll(self, env):
@@ -169,7 +154,7 @@ class TestRingBuffer:
         assert ring.try_push("a")
         assert ring.try_push("b")
         assert ring.poll_batch() == ["a", "b"]
-        assert ring.empty
+        assert len(ring) == 0
 
     def test_full_ring_rejects(self, env):
         ring = RingBuffer(env, capacity=2)
@@ -197,7 +182,7 @@ class TestRingBuffer:
         rings.submit({"op": "read"})
         assert rings.poll_submissions() == [{"op": "read"}]
         rings.complete({"ok": True})
-        assert rings.poll_completions() == [{"ok": True}]
+        assert rings.completion.poll_batch() == [{"ok": True}]
 
     def test_capacity_validation(self, env):
         with pytest.raises(ValueError):

@@ -297,7 +297,7 @@ class TestCongestionControl:
         env.process(client(env))
         env.process(server(env))
         env.run(until=10.0)
-        assert conns[0].cwnd_bytes > 10 * 8960   # grew past initial
+        assert conns[0]._cwnd > 10 * 8960   # grew past initial
 
     def test_rtt_estimate_converges(self, env):
         stack_a, stack_b, *_ = _make_pair(env)
@@ -319,7 +319,7 @@ class TestCongestionControl:
         env.process(client(env))
         env.process(server(env))
         env.run(until=5.0)
-        srtt = conns[0].srtt
+        srtt = conns[0]._srtt
         assert srtt is not None
         assert 0 < srtt < 1e-3       # microseconds-scale link
 

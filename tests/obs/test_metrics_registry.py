@@ -30,19 +30,9 @@ class TestCreateOrFetch:
 
     def test_kind_mismatch_raises(self):
         registry = MetricsRegistry()
-        registry.counter("x")
+        registry.register("x", Tally("x"))
         with pytest.raises(TypeError):
-            registry.tally("x")
-        with pytest.raises(TypeError):
-            registry.gauge("x")
-
-    def test_tally_max_samples_passthrough(self):
-        registry = MetricsRegistry()
-        tally = registry.tally("lat", max_samples=8)
-        for i in range(100):
-            tally.observe(float(i))
-        assert tally.count == 100
-        assert len(tally._samples) == 8
+            registry.counter("x")
 
 
 class TestAdoption:
@@ -165,7 +155,7 @@ class TestDiff:
 
     def test_tally_count_is_delta_percentiles_last_value(self):
         registry = MetricsRegistry()
-        latency = registry.tally("se.lat")
+        latency = registry.register("se.lat", Tally("se.lat"))
         latency.observe(1.0)
         prev = registry.snapshot(now=0.0)
         latency.observe(3.0)
@@ -176,7 +166,7 @@ class TestDiff:
 
     def test_gauge_is_last_value(self):
         registry = MetricsRegistry()
-        level = registry.gauge("se.queue")
+        level = registry.register("se.queue", TimeWeighted("se.queue"))
         level.set(4.0, now=0.0)
         prev = registry.snapshot(now=1.0)
         level.set(2.0, now=1.0)

@@ -1,19 +1,15 @@
-"""The metric-by-metric regression comparator."""
+"""The exact artifact comparison behind ``--identity``."""
 
 import copy
+import json
 import math
 
 from repro.bench.harness import Sweep
-from repro.obs.artifact import make_artifact
-from repro.obs.regress import (
-    DEFAULT_TOLERANCES,
-    ToleranceRule,
-    compare,
-    render_comparison,
-)
+from repro.obs.artifact import make_artifact, strip_volatile
+from repro.obs.regress import differences, render_differences
 
 
-def _artifact(cores=(0.5, 1.0), speedup=2.0, wall=1.0):
+def _artifact(cores=(0.5, 1.0), speedup=2.0, wall=1.0, **provenance):
     sweep = Sweep("rate")
     for index, value in enumerate(cores):
         sweep.add(index + 1, cores=value)
@@ -28,110 +24,144 @@ def _artifact(cores=(0.5, 1.0), speedup=2.0, wall=1.0):
             },
         },
     }, provenance={"python": "3", "platform": "test",
-                   "workload_seed": 13})
+                   "workload_seed": 13, **provenance})
+
+
+def _paths(baseline, candidate):
+    return [found.path for found in differences(baseline, candidate)]
+
+
+def _table(artifact):
+    return artifact["experiments"]["figX"]["parts"]["table_part"][
+        "values"]
 
 
 class TestCompare:
     def test_identical_artifacts_all_ok(self):
         artifact = _artifact()
-        report = compare(artifact, copy.deepcopy(artifact))
-        assert report.ok
-        assert not report.regressions
-        assert not report.warnings
-        # sweep rows + table + nested + wall clock all covered
-        assert len(report.deltas) == 2 + 1 + 1 + 1
+        assert differences(artifact, copy.deepcopy(artifact)) == []
 
     def test_drift_beyond_tolerance_is_regression(self):
-        report = compare(_artifact(speedup=2.0),
-                         _artifact(speedup=3.0))
-        assert not report.ok
-        paths = [delta.path for delta in report.regressions]
-        assert paths == ["figX.table_part.speedup"]
-
-    def test_drift_within_tolerance_is_ok(self):
-        report = compare(_artifact(speedup=2.0),
-                         _artifact(speedup=2.04))
-        assert report.ok
-
-    def test_wall_clock_within_2x_is_ok(self):
-        # The hard bound is 2x baseline + 1s slack: 1.9s vs 1.0s is
-        # machine variance, not a regression.
-        report = compare(_artifact(wall=1.0), _artifact(wall=1.9))
-        assert report.ok
-        assert not report.warnings
-
-    def test_wall_clock_beyond_2x_is_regression(self):
-        report = compare(_artifact(wall=10.0), _artifact(wall=60.0))
-        assert not report.ok
-        assert [delta.path for delta in report.regressions] \
-            == ["figX.wall_clock_s"]
+        # the tolerance is zero: x1.01 sat inside the old 5 % band
+        (found,) = differences(_artifact(speedup=2.0),
+                               _artifact(speedup=2.02))
+        assert found.path == "figX.table_part.speedup"
+        assert (found.baseline, found.candidate) == (2.0, 2.02)
+        assert found.describe() == "figX.table_part.speedup: 2.0 -> 2.02"
 
     def test_wall_clock_speedup_never_regresses(self):
-        report = compare(_artifact(wall=60.0), _artifact(wall=0.5))
-        assert report.ok
-        assert not report.warnings
+        # nor does a slowdown: wall clocks are shown, never compared
+        # (CI's headroom step owns the budget)
+        slow, fast = _artifact(wall=60.0), _artifact(wall=0.5)
+        slow["total_wall_clock_s"], fast["total_wall_clock_s"] = 99, 1
+        assert differences(slow, fast) == []
+        assert differences(fast, slow) == []
+
+    def test_wall_clock_within_2x_is_ok(self):
+        assert differences(_artifact(wall=1.0), _artifact(wall=1.9)) == []
+
+    def test_what_names_the_run_is_not_compared(self):
+        here = _artifact(git_sha="aaa", git_dirty=False,
+                         implementation="CPython", argv=["a4"])
+        there = _artifact(git_sha="bbb", git_dirty=True,
+                          implementation="PyPy", argv=["--jobs", "4"])
+        there["provenance"].update(python="4", platform="elsewhere")
+        assert differences(here, there) == []
+
+    def test_inputs_that_define_results_are_compared(self):
+        there = _artifact()
+        there["provenance"]["workload_seed"] = 14
+        assert _paths(_artifact(), there) == ["provenance.workload_seed"]
+        there = _artifact(hardware_profiles={"bf2": {"arm_cores": 8}})
+        here = _artifact(hardware_profiles={"bf2": {"arm_cores": 16}})
+        assert _paths(here, there) == ["provenance.hardware_profiles"]
 
     def test_missing_metric_is_regression(self):
         candidate = _artifact()
         del candidate["experiments"]["figX"]["parts"]["table_part"]
-        report = compare(_artifact(), candidate)
-        assert not report.ok
-        assert any("disappeared" in delta.note
-                   for delta in report.regressions)
+        (found,) = differences(_artifact(), candidate)
+        assert (found.path, found.candidate) \
+            == ("figX.table_part.speedup", None)
+        assert found.describe().endswith("2.0 -> absent")
 
-    def test_new_metric_only_warns(self):
+    def test_new_metric_is_a_mismatch(self):
         candidate = _artifact()
-        candidate["experiments"]["figX"]["parts"]["table_part"][
-            "values"]["bonus"] = 1.0
-        report = compare(_artifact(), candidate)
-        assert report.ok
-        assert any("new metric" in delta.note
-                   for delta in report.warnings)
+        _table(candidate)["bonus"] = 1.0
+        (found,) = differences(_artifact(), candidate)
+        assert (found.path, found.baseline, found.candidate) \
+            == ("figX.table_part.bonus", None, 1.0)
 
     def test_sweep_rows_compared_by_x(self):
-        report = compare(_artifact(cores=(0.5, 1.0)),
-                         _artifact(cores=(0.5, 9.0)))
-        assert [delta.path for delta in report.regressions] \
+        assert _paths(_artifact(cores=(0.5, 1.0)),
+                      _artifact(cores=(0.5, 9.0))) \
             == ["figX.sweep_part[x=2].cores"]
 
-    def test_nan_on_one_side_warns(self):
+    def test_nan_on_one_side_is_a_mismatch(self):
         candidate = _artifact()
-        candidate["experiments"]["figX"]["parts"]["table_part"][
-            "values"]["speedup"] = math.nan
-        report = compare(_artifact(), candidate)
-        assert report.ok
-        assert any("NaN" in delta.note for delta in report.warnings)
+        _table(candidate)["speedup"] = math.nan
+        assert _paths(_artifact(), candidate) \
+            == ["figX.table_part.speedup"]
+        assert _paths(candidate, _artifact()) \
+            == ["figX.table_part.speedup"]
 
     def test_nan_on_both_sides_is_ok(self):
         baseline = _artifact()
-        baseline["experiments"]["figX"]["parts"]["table_part"][
-            "values"]["speedup"] = math.nan
-        report = compare(baseline, copy.deepcopy(baseline))
-        assert report.ok
-        assert not report.warnings
+        _table(baseline)["speedup"] = math.nan
+        assert differences(baseline, copy.deepcopy(baseline)) == []
 
-    def test_custom_rule_first_match_wins(self):
-        rules = (
-            ToleranceRule("figX.table_part.*", rel_tol=10.0),
-        ) + DEFAULT_TOLERANCES
-        report = compare(_artifact(speedup=2.0),
-                         _artifact(speedup=20.0), tolerances=rules)
-        assert report.ok
+    def test_experiment_on_one_side_is_one_difference(self):
+        both = _artifact()
+        both["experiments"]["figY"] = copy.deepcopy(
+            both["experiments"]["figX"])
+        (found,) = differences(both, _artifact())
+        assert found.describe() == "figY: present -> absent"
+        (found,) = differences(_artifact(), both)
+        assert found.describe() == "figY: absent -> present"
+
+    def test_verdict_is_canonical_json_equality(self):
+        """Whatever moves a byte of the stripped document is found:
+        titles, axis labels and row order as much as values."""
+        def swap_rows(doc):
+            doc["experiments"]["figX"]["parts"]["sweep_part"][
+                "rows"].reverse()
+
+        def retitle(doc):
+            doc["experiments"]["figX"]["title"] = "Figure Y"
+
+        def relabel(doc):
+            doc["experiments"]["figX"]["parts"]["sweep_part"][
+                "x_label"] = "load"
+
+        def reversion(doc):
+            doc["schema_version"] = 2
+
+        baseline = _artifact()
+        for tamper in (swap_rows, retitle, relabel, reversion):
+            candidate = copy.deepcopy(baseline)
+            tamper(candidate)
+            assert json.dumps(strip_volatile(baseline), sort_keys=True) \
+                != json.dumps(strip_volatile(candidate), sort_keys=True)
+            assert len(differences(baseline, candidate)) == 1, tamper
 
 
 class TestRender:
     def test_summary_line(self):
-        artifact = _artifact()
-        text = render_comparison(compare(artifact, artifact))
-        assert "0 regressions" in text
+        baseline, candidate = _artifact(speedup=2.0), _artifact(speedup=3.0)
+        text = render_differences(differences(baseline, candidate),
+                                  baseline, candidate)
+        assert text.splitlines() == [
+            "  figX.table_part.speedup: 2.0 -> 3.0", "1 differences"]
+        assert render_differences([], baseline, baseline) == ""
 
     def test_regression_rows_shown(self):
-        report = compare(_artifact(speedup=2.0),
-                         _artifact(speedup=3.0))
-        text = render_comparison(report)
-        assert "regression" in text
-        assert "figX.table_part.speedup" in text
-        assert "+50.00%" in text
+        baseline, candidate = _artifact(), _artifact()
+        for index in range(25):
+            _table(candidate)[f"extra{index:02d}"] = float(index)
+        lines = render_differences(differences(baseline, candidate),
+                                   baseline, candidate).splitlines()
+        assert len(lines) == 22
+        assert lines[19].startswith("  figX.table_part.extra19")
+        assert lines[20:] == ["  ... and 5 more", "25 differences"]
 
 
 def _attr_artifact(p99=1e-3, nic_wire=0.1, ssd=0.3):
@@ -182,22 +212,23 @@ class TestAttributionShifts:
         assert attribution_shifts(_artifact(), _artifact()) == []
 
     def test_render_names_the_moved_segment(self):
-        from repro.obs.regress import render_attribution_shifts
-
         baseline = _attr_artifact(p99=1e-3, nic_wire=0.1)
         candidate = _attr_artifact(p99=1.5e-3, nic_wire=0.4)
-        report = compare(baseline, candidate)
-        assert not report.ok    # the p99 drift is flagged
-        text = render_attribution_shifts(report, baseline, candidate)
-        assert "p99_latency_s" in text
-        assert "nic_wire" in text
-        assert "node2" in text
+        found = differences(baseline, candidate)
+        assert "attr.latency.p99_latency_s" in [d.path for d in found]
+        text = render_differences(found, baseline, candidate)
+        assert "p99_latency_s: 0.001 -> 0.0015" in text
+        assert "of attributed time moved into nic_wire on node2" in text
 
     def test_render_is_silent_without_latency_drift(self):
-        from repro.obs.regress import render_attribution_shifts
-
         baseline = _attr_artifact()
         candidate = copy.deepcopy(baseline)
-        report = compare(baseline, candidate)
-        assert render_attribution_shifts(report, baseline,
-                                         candidate) == ""
+        assert render_differences(differences(baseline, candidate),
+                                  baseline, candidate) == ""
+        # a value moved, the breakdown's shares did not: the path is
+        # reported and no segment is blamed
+        candidate = _attr_artifact(p99=1.5e-3)
+        text = render_differences(differences(baseline, candidate),
+                                  baseline, candidate)
+        assert "p99_latency_s" in text
+        assert "attributed time" not in text

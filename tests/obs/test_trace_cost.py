@@ -230,7 +230,7 @@ class TestSweepMatchesOracle:
                            (1, 3, 4, 20, False, "tcp.msg_tx")], 1.0)
         index = SpanIndex(tracers)
         assert index.parent_key(("b", 1)) == ("a", 1)
-        assert index.children(("a", 1)) == [("b", 1)]
+        assert index._children[("a", 1)] == [("b", 1)]
         attribution = attribute_request(index, ("a", 1))
         assert attribution.nodes_touched == 2
         assert list(attribution.segments.items()) \

@@ -56,7 +56,8 @@ class TestSpanNesting:
         assert names == ["inner", "outer"]    # finish order
         outer = tracer.spans[1]
         assert outer.duration_s == pytest.approx(1.5)
-        assert tracer.categories() == ["compute", "storage"]
+        assert {span.category for span in tracer.spans} \
+            == {"compute", "storage"}
 
     def test_interleaved_processes_have_separate_stacks(self):
         env = Environment()
@@ -105,7 +106,6 @@ class TestSpanNesting:
         mid = tracer.begin("mid", parent=root)
         leaf = tracer.begin("leaf", parent=mid)
         assert [s.name for s in tracer.ancestry(leaf)] == ["mid", "root"]
-        assert tracer.children_of(root) == [mid]
 
     def test_ancestry_through_finished_parents(self):
         # Open ancestors are found without indexing the finished

@@ -7,7 +7,6 @@ from repro.query import (
     DistributedScanDeployment,
     QueryResult,
     ScanQuery,
-    explain_distributed,
     merge_partials,
     plan_distributed,
     run_distributed_scan,
@@ -101,17 +100,6 @@ class TestDistributedPlanner:
             plan["per_shard"][shard][plan["choices"][shard]].total_s
             for shard in _SIZES)
         assert plan["chosen_total_s"] == pytest.approx(chosen)
-
-    def test_explain_renders_shards_totals_and_wall(self):
-        plan = plan_distributed(_aggregate_query(), _SIZES, 7,
-                                owners={0: "node0", 1: "node1",
-                                        2: "node0"})
-        text = explain_distributed(plan)
-        for shard in _SIZES:
-            assert f"shard {shard:3d}" in text
-        assert "totals:" in text
-        assert "cluster wall:" in text
-        assert plan["cluster_choice"] in text
 
     def test_cluster_wall_estimates_present(self):
         plan = plan_distributed(_aggregate_query(), _SIZES, 7)

@@ -318,15 +318,14 @@ class TestRecordShapes:
     def test_whole_record_callables_need_no_column(self):
         generator = TableGenerator(seed=9)
         table = generator.rows(200)
+        quantity = generator.schema.index_of("quantity")
+        price = generator.schema.index_of("extendedprice")
         by_record = run("filter", table, predicate=(
-            generator.column_predicate(
-                "quantity", lambda value: int(value) >= 45)))
+            lambda record: int(record.split(b",")[quantity]) >= 45))
         by_column = run(
             "filter", table,
-            column=generator.schema.index_of("quantity"),
-            predicate=lambda value: int(value) >= 45)
+            column=quantity, predicate=lambda value: int(value) >= 45)
         assert by_record == by_column and 0 < by_record[1]["out"] < 200
         assert (run("aggregate", table, extract=(
-            generator.column_extractor("extendedprice")))
-            == run("aggregate", table, extract=float,
-                   column=generator.schema.index_of("extendedprice")))
+            lambda record: float(record.split(b",")[price])))
+            == run("aggregate", table, extract=float, column=price))

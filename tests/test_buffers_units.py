@@ -10,10 +10,7 @@ from repro.units import (
     KiB,
     MiB,
     PAGE_SIZE,
-    bits_to_bytes,
-    bytes_to_bits,
     fmt_bytes,
-    fmt_rate,
     fmt_time,
 )
 
@@ -123,10 +120,6 @@ class TestUnits:
         assert GiB == 1024 ** 3
         assert PAGE_SIZE == 8 * KiB
 
-    def test_bit_byte_conversions(self):
-        assert bits_to_bytes(80) == 10
-        assert bytes_to_bits(10) == 80
-
     def test_fmt_bytes(self):
         assert fmt_bytes(512) == "512 B"
         assert fmt_bytes(2048) == "2.00 KiB"
@@ -138,6 +131,3 @@ class TestUnits:
         assert "us" in fmt_time(5e-6)
         assert "ms" in fmt_time(5e-3)
         assert fmt_time(2.5) == "2.500 s"
-
-    def test_fmt_rate(self):
-        assert fmt_rate(2048) == "2.00 KiB/s"

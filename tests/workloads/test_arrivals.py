@@ -1,7 +1,5 @@
 """Arrival-process tests: counting contract, shapes, determinism."""
 
-import math
-
 import pytest
 
 from repro.sim import Environment
@@ -9,7 +7,6 @@ from repro.workloads import (
     ParetoSizes,
     TenantMix,
     arrival_count,
-    diurnal_arrivals,
     flash_crowd,
     mmpp_arrivals,
     open_loop,
@@ -132,26 +129,6 @@ class TestMmpp:
                           rates=(1.0,), dwell_s=(1e-3, 1e-3))
 
 
-class TestDiurnal:
-    def test_rate_tracks_the_sinusoid(self):
-        env = Environment()
-        times = []
-        diurnal_arrivals(env, lambda i: times.append(env.now),
-                         duration_s=1.0, base_rate=2000.0,
-                         amplitude=0.9, phase=math.pi / 2, seed=1)
-        env.run()
-        # Phase pi/2: the peak is the first quarter, trough the third.
-        first = sum(1 for t in times if t < 0.25)
-        third = sum(1 for t in times if 0.5 <= t < 0.75)
-        assert first > 2 * third
-
-    def test_amplitude_bounds(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            diurnal_arrivals(env, lambda i: None, 1.0, 100.0,
-                             amplitude=1.0)
-
-
 class TestFlashCrowd:
     def test_surge_window_is_hotter(self):
         env = Environment()
@@ -217,10 +194,6 @@ class TestTenantMix:
         counts = {name: picks.count(name) for name in mix.names}
         assert counts["free"] > counts["pro"] > counts["whale"]
         assert counts["whale"] > 0
-
-    def test_share(self):
-        mix = TenantMix({"a": 1.0, "b": 3.0})
-        assert mix.share("b") == pytest.approx(0.75)
 
     def test_rejects_empty_and_nonpositive(self):
         with pytest.raises(ValueError):

@@ -92,9 +92,9 @@ class TestPushdownIntegration:
     def test_filter_kernel_with_column_predicate(self):
         generator = TableGenerator(seed=9)
         table = RealBuffer(generator.rows(500))
-        predicate = generator.column_predicate(
-            "quantity", lambda value: int(value) >= 45
-        )
+        def predicate(record):
+            return int(record.split(b",")[3]) >= 45
+
         result = BUILTIN_KERNELS["filter"].run(
             table, {"predicate": predicate}
         )
@@ -105,8 +105,9 @@ class TestPushdownIntegration:
     def test_aggregate_kernel_with_extractor(self):
         generator = TableGenerator(seed=9)
         table = RealBuffer(generator.rows(300))
-        extract = generator.column_extractor("quantity",
-                                             convert=lambda b: int(b))
+        def extract(record):
+            return int(record.split(b",")[3])
+
         result = BUILTIN_KERNELS["aggregate"].run(
             table, {"extract": extract}
         )

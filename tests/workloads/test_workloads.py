@@ -61,6 +61,12 @@ class TestCorpus:
         assert corpus.generate(4096, 3) == long[:4096]
 
 
+def _hot_key_fraction(workload, sample=10_000, top_keys=100):
+    """Fraction of sampled accesses landing on the hottest keys."""
+    return sum(1 for op in workload.ops(sample)
+               if op.key < top_keys) / sample
+
+
 class TestKvWorkload:
     def test_get_resolves_to_page(self):
         index = KvStoreIndex(n_keys=1000)
@@ -71,10 +77,10 @@ class TestKvWorkload:
 
     def test_put_appends_to_log_tail(self):
         index = KvStoreIndex(n_keys=1000)
-        tail = index.tail_offset
+        tail = index._tail
         op = index.put(42)
         assert op.offset == tail
-        assert index.tail_offset == tail + PAGE_SIZE
+        assert index._tail == tail + PAGE_SIZE
         # Subsequent get sees the new location.
         assert index.get(42).offset == op.offset
 
@@ -90,12 +96,12 @@ class TestKvWorkload:
         workload = YcsbWorkload(index, zipf_theta=0.99, seed=5)
         # With theta=0.99, the top 1% of keys should draw a large
         # share of accesses.
-        assert workload.hot_key_fraction(top_keys=100) > 0.3
+        assert _hot_key_fraction(workload) > 0.3
 
     def test_uniform_when_theta_zero(self):
         index = KvStoreIndex(n_keys=10_000)
         workload = YcsbWorkload(index, zipf_theta=0.0, seed=5)
-        assert workload.hot_key_fraction(top_keys=100) < 0.05
+        assert _hot_key_fraction(workload) < 0.05
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -125,7 +131,7 @@ class TestPageServerWorkload:
     def test_offsets_within_database(self):
         workload = PageServerWorkload(database_pages=1000, seed=2)
         for request in workload.requests(1000):
-            assert 0 <= request.offset < workload.database_bytes()
+            assert 0 <= request.offset < 1000 * PAGE_SIZE
 
     def test_skew_hits_hot_pages(self):
         workload = PageServerWorkload(database_pages=10_000, skew=1.0,
