@@ -496,8 +496,8 @@ def _inflate_block(reader: BitReader, out: bytearray,
     reader._pos, reader._bitbuf, reader._bitcount = pos, bitbuf, bitcount
 
 
-def compression_ratio(data: bytes, level: int = 6) -> float:
-    """Original size / compressed size for ``data``."""
+def compression_ratio(data: bytes) -> float:
+    """Original size / compressed size for ``data`` at level 6."""
     if not data:
         return 1.0
-    return len(data) / len(deflate(data, level))
+    return len(data) / len(deflate(data, 6))

@@ -7,11 +7,9 @@ so the comparison against the DPU ASIC path is apples to apples.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..buffers import as_buffer
 from ..core.kernels import BUILTIN_KERNELS, KernelResult
-from ..hardware.costs import CostModel, default_cost_model
+from ..hardware.costs import default_cost_model
 from ..hardware.cpu import CpuCluster
 from ..sim.stats import Tally
 
@@ -21,15 +19,12 @@ __all__ = ["HostComputeBaseline"]
 class HostComputeBaseline:
     """Executes kernels on plain CPU cores (no DPU anywhere)."""
 
-    def __init__(self, cpu: CpuCluster,
-                 costs: Optional[CostModel] = None,
-                 name: str = "host-compute"):
+    def __init__(self, cpu: CpuCluster):
         self.cpu = cpu
-        self.costs = costs or default_cost_model()
-        self.name = name
-        self.job_latency = Tally(f"{name}.latency")
+        self.costs = default_cost_model()
+        self.job_latency = Tally("host-compute.latency")
 
-    def run_kernel(self, kernel_name: str, payload, params=None,
+    def run_kernel(self, kernel_name: str, payload,
                    parallelism: int = 1):
         """Run one kernel job (generator -> KernelResult).
 
@@ -50,6 +45,6 @@ class HostComputeBaseline:
             for _ in range(parallelism)
         ]
         yield self.cpu.env.all_of(workers)
-        result: KernelResult = spec.run(buffer, params or {})
+        result: KernelResult = spec.run(buffer, {})
         self.job_latency.observe(self.cpu.env.now - started)
         return result

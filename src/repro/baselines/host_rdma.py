@@ -14,17 +14,11 @@ from ..netstack.rdma import RdmaNode
 __all__ = ["make_host_rdma_node"]
 
 
-def make_host_rdma_node(server: Server, name: str = "host-rdma",
-                        use_dpu_queue: bool = False) -> RdmaNode:
-    """An RDMA node issuing verbs natively from the host.
-
-    ``use_dpu_queue`` selects the NIC ingress queue: servers whose NIC
-    steers RDMA to the DPU queue (because an NE installed a flow rule)
-    still deliver one-sided ops in NIC hardware either way.
-    """
-    rx_queue = (server.nic.rx_dpu if use_dpu_queue
-                else server.nic.rx_host)
+def make_host_rdma_node(server: Server,
+                        name: str = "host-rdma") -> RdmaNode:
+    """An RDMA node issuing verbs natively from the host, fed by the
+    NIC's host ingress queue."""
     return RdmaNode(
-        server.env, server.nic, rx_queue, server.host_cpu,
+        server.env, server.nic, server.nic.rx_host, server.host_cpu,
         server.costs.software, name=name,
     )

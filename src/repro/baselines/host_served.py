@@ -10,12 +10,13 @@ the server whose "10s of CPU cores" DDS saves (Section 9).
 from __future__ import annotations
 
 from ..buffers import Buffer, SynthBuffer
-from ..core.dds import default_udf
+from ..core.dds import (HOST_REPLAY_CYCLES, HOST_REQUEST_CYCLES,
+                        default_udf)
+from ..core.storage import FS_CAPACITY_BYTES
 from ..fs import BlockDevice, FileSystem
 from ..hardware.server import Server
 from ..netstack.tcp import TcpStack
 from ..sim.stats import Counter, Tally
-from ..units import GiB
 
 __all__ = ["HostServedStorage"]
 
@@ -25,22 +26,16 @@ _ACK = SynthBuffer(64, label="ack")
 class HostServedStorage:
     """A host-only remote storage server over kernel TCP."""
 
-    def __init__(self, server: Server, port: int,
-                 host_request_cycles: float = 4_000.0,
-                 host_replay_cycles: float = 60_000.0,
-                 fs_capacity_bytes: int = 256 * GiB,
-                 name: str = "host-served"):
+    def __init__(self, server: Server, port: int):
         if not server.ssds:
             raise ValueError("storage server needs an SSD")
         self.server = server
         self.env = server.env
         self.costs = server.costs.software
         self.port = port
-        self.host_request_cycles = host_request_cycles
-        self.host_replay_cycles = host_replay_cycles
-        self.name = name
+        self.name = name = "host-served"
         self.fs = FileSystem(
-            BlockDevice(server.ssd(0), capacity_bytes=fs_capacity_bytes),
+            BlockDevice(server.ssd(0), capacity_bytes=FS_CAPACITY_BYTES),
             name=f"{name}.fs",
         )
         self.tcp = TcpStack(
@@ -94,9 +89,9 @@ class HostServedStorage:
         # burns the identical cycle total in one scheduler entry.
         cycles = self.costs.udf_parse_cycles
         if kind == "log_replay":
-            cycles += self.host_replay_cycles
+            cycles += HOST_REPLAY_CYCLES
         else:
-            cycles += self.host_request_cycles
+            cycles += HOST_REQUEST_CYCLES
         if request is not None:
             cycles += self.costs.kernel_block_io_cycles_per_page
         cpu = self.server.host_cpu

@@ -27,8 +27,7 @@ class HostStoragePath:
     """Page I/O through one of the host software paths."""
 
     def __init__(self, cpu: CpuCluster, ssd: Ssd,
-                 costs: SoftwarePathCosts, path: str = "kernel",
-                 name: str = "host-storage"):
+                 costs: SoftwarePathCosts, path: str = "kernel"):
         if path not in STORAGE_PATHS:
             raise ValueError(
                 f"unknown path {path!r}; choose from {STORAGE_PATHS}"
@@ -36,7 +35,6 @@ class HostStoragePath:
         self.cpu = cpu
         self.ssd = ssd
         self.path = path
-        self.name = name
         if path == "kernel":
             self._cycles_per_page = costs.kernel_block_io_cycles_per_page
             self._wakeup_latency_s = costs.kernel_wakeup_latency_s
@@ -46,8 +44,8 @@ class HostStoragePath:
         else:
             self._cycles_per_page = costs.spdk_cycles_per_page
             self._wakeup_latency_s = 0.0     # polled-mode driver
-        self.pages_read = Counter(f"{name}.pages")
-        self.latency = Tally(f"{name}.latency")
+        self.pages_read = Counter("host-storage.pages")
+        self.latency = Tally("host-storage.latency")
 
     def read_page(self, nbytes: int = PAGE_SIZE):
         """One page read: software-path cycles + device time."""

@@ -163,7 +163,7 @@ def _run_job(key: str, telemetry=None):
     """
     title, fn = EXPERIMENTS[key]
     started = time.time()
-    parts = fn() if telemetry is None else fn(telemetry=telemetry)
+    parts = fn(telemetry) if key in TRACEABLE else fn()
     wall = time.time() - started
     rendered = _render_parts(parts)
     encoded = {name: encode_part(result)

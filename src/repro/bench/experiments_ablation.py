@@ -44,7 +44,6 @@ __all__ = [
 
 
 def ablation_scheduling(
-    policies: Sequence[str] = ("fcfs", "drr", "hybrid"),
     n_short: int = 300,
     n_long: int = 30,
 ) -> Dict[str, Dict[str, float]]:
@@ -57,7 +56,7 @@ def ablation_scheduling(
     DRR/hybrid protect them.
     """
     results: Dict[str, Dict[str, float]] = {}
-    for policy in policies:
+    for policy in ("fcfs", "drr", "hybrid"):
         env = Environment()
         server = make_server(env, dpu_profile=BLUEFIELD2)
         engine = ComputeEngine(server, policy=policy)
@@ -96,13 +95,11 @@ def ablation_scheduling(
 # ---------------------------------------------------------------- A2
 
 
-def ablation_portability(
-    profile_names: Sequence[str] = ("bluefield2", "bluefield3",
-                                    "intel-ipu", "generic-dpu"),
-) -> Dict[str, Dict[str, float]]:
+def ablation_portability() -> Dict[str, Dict[str, float]]:
     """A2: the unmodified Figure-6 sproc on every DPU profile."""
     results: Dict[str, Dict[str, float]] = {}
-    for name in profile_names:
+    for name in ("bluefield2", "bluefield3", "intel-ipu",
+                 "generic-dpu"):
         profile = DPU_PROFILES[name]
         outcome = fig6_sproc(profile, "specified", n_invocations=10)
         outcome["has_compression_asic"] = float(
@@ -117,9 +114,7 @@ def ablation_portability(
 
 def ablation_caching(
     dpu_share_points: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
-    total_cache_bytes: int = 24 * MiB,
     n_requests: int = 1500,
-    hot_pages: int = 4096,           # 32 MiB hot set > either half
 ) -> Sweep:
     """A3: split one cache budget between host and DPU memory.
 
@@ -129,6 +124,8 @@ def ablation_caching(
     cache half, so placement genuinely matters.  The cache is warmed
     with an equal number of unrecorded requests first.
     """
+    total_cache_bytes = 24 * MiB
+    hot_pages = 4096                 # 32 MiB hot set > either half
     sweep = Sweep("dpu_share")
     for dpu_share in dpu_share_points:
         env = Environment()
@@ -222,9 +219,7 @@ def ablation_persistence(n_writes: int = 100) -> Dict[str, float]:
 # ---------------------------------------------------------------- A6
 
 
-def ablation_fusion(
-    sizes_mb: Sequence[int] = (1, 4, 16, 64),
-) -> Sweep:
+def ablation_fusion() -> Sweep:
     """A6: DP-kernel fusion on a PCIe GPU (Section 5 extension).
 
     A decompress→filter scan pipeline over compressed pages, run three
@@ -236,7 +231,7 @@ def ablation_fusion(
     from ..units import MB
 
     sweep = Sweep("size_mb")
-    for size_mb in sizes_mb:
+    for size_mb in (1, 4, 16, 64):
         env = Environment()
         server = make_server(env, dpu_profile=BLUEFIELD2,
                              peer_specs=(GPU_SPEC,))

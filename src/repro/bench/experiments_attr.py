@@ -26,7 +26,7 @@ and feeds the ``AT.*`` claims:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from ..baselines import HostComputeBaseline
 from ..buffers import SynthBuffer
@@ -95,10 +95,7 @@ def _measure_placements(kernel: str, nbytes: int
     return timings
 
 
-def advisor_static_check(
-    kernels: Sequence[str] = STATIC_KERNELS,
-    sizes_mb: Sequence[int] = STATIC_SIZES_MB,
-) -> Dict[str, Dict[str, float]]:
+def advisor_static_check() -> Dict[str, Dict[str, float]]:
     """Advisor recommendation vs measured-best static placement.
 
     One nested config per kernel/size; ``matches`` is 1.0 when the
@@ -107,8 +104,8 @@ def advisor_static_check(
     """
     advisor = OffloadAdvisor()
     rows: Dict[str, Dict[str, float]] = {}
-    for kernel in kernels:
-        for size_mb in sizes_mb:
+    for kernel in STATIC_KERNELS:
+        for size_mb in STATIC_SIZES_MB:
             nbytes = size_mb * MB
             measured = _measure_placements(kernel, nbytes)
             recommendation = advisor.recommend(kernel, nbytes)
@@ -128,9 +125,7 @@ def advisor_static_check(
     return rows
 
 
-def advisor_online(
-    workload: Sequence = ONLINE_WORKLOAD,
-) -> Dict[str, Dict[str, float]]:
+def advisor_online() -> Dict[str, Dict[str, float]]:
     """The advisor fed from a traced ComputeEngine's observed spans.
 
     Every kernel runs pinned to the host CPU; the advisor then reads
@@ -143,7 +138,7 @@ def advisor_online(
     telemetry = Telemetry(env, tracing=True, name="attr-online")
     server = make_server(env, name="attr", dpu_profile=BLUEFIELD2)
     engine = ComputeEngine(server, telemetry=telemetry)
-    for kernel, nbytes, calls in workload:
+    for kernel, nbytes, calls in ONLINE_WORKLOAD:
         for _ in range(calls):
             engine.submit_kernel(kernel, SynthBuffer(nbytes),
                                  device="host_cpu")
@@ -152,9 +147,10 @@ def advisor_online(
     return OffloadAdvisor().advise(report)
 
 
-def attr_parts(telemetry: Optional[ClusterTelemetry] = None
+def attr_parts(telemetry: Optional[ClusterTelemetry]
                ) -> Dict[str, object]:
-    """AT: the full attribution experiment for the artifact."""
+    """AT: the full attribution experiment for the artifact;
+    ``telemetry=None`` builds the tracing plane it needs."""
     plane = (telemetry if telemetry is not None
              else ClusterTelemetry(tracing=True, name="attr"))
     plane.monitor = SloMonitor(default_slos())

@@ -223,8 +223,8 @@ def availability(seed: int = 7, n_ops: int = 400,
     }
 
 
-def availability_tcp_blackhole(timeout_s: float = 5e-3,
-                               seed: int = 3) -> Dict[str, float]:
+def availability_tcp_blackhole(timeout_s: float = 5e-3
+                               ) -> Dict[str, float]:
     """Connection establishment against a black-holed peer.
 
     The healthy control connects in microseconds; with every frame on
@@ -259,7 +259,7 @@ def availability_tcp_blackhole(timeout_s: float = 5e-3,
     # -- blackhole: a down window swallows every frame -------------------
     env, wire, stack_a = build()
     wire.injector = FaultInjector(
-        env, FaultPlan(seed=seed).link_flap(0.0, 1.0)
+        env, FaultPlan(seed=3).link_flap(0.0, 1.0)
     )
     result: Dict[str, float] = {}
 
@@ -283,7 +283,7 @@ def availability_tcp_blackhole(timeout_s: float = 5e-3,
     }
 
 
-def availability_parts(telemetry=None) -> Dict[str, object]:
+def availability_parts(telemetry) -> Dict[str, object]:
     """Artifact parts for the ``avail`` experiment."""
     scenarios = availability(telemetry=telemetry)
     fault_free = scenarios["fault_free"]

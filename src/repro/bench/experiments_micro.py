@@ -38,6 +38,9 @@ __all__ = [
 #: 8 KiB payload + headers on the wire, used to convert Gbps <-> msgs/s.
 _WIRE_MSG_BITS = (PAGE_SIZE + 66) * 8
 
+#: connections the Figure-3 senders spread their pages over
+_FIG3_CONNECTIONS = 16
+
 
 def fig1_compression(
     sizes_mb: Sequence[int] = (1, 4, 16, 64, 256),
@@ -135,7 +138,7 @@ def fig2_storage_cpu(
             meter = CoreMeter(server.host_cpu)
             meter.start()
 
-            def handler(i, path=path):
+            def handler(i):
                 yield from path.read_page(PAGE_SIZE)
 
             open_loop(env, rate, handler, duration_s)
@@ -170,7 +173,6 @@ def fig2_storage_cpu(
 def fig3_network_cpu(
     gbps_points: Sequence[int] = (10, 30, 50, 70, 90),
     duration_s: float = 0.01,
-    n_connections: int = 16,
 ) -> Sweep:
     """Figure 3: CPU consumption of TCP at increasing bandwidth.
 
@@ -184,15 +186,13 @@ def fig3_network_cpu(
         rate = gbps * Gbps / _WIRE_MSG_BITS
         values = {}
 
-        values.update(_kernel_tcp_point(rate, duration_s,
-                                        n_connections))
-        values.update(_ne_tcp_point(rate, duration_s, n_connections))
+        values.update(_kernel_tcp_point(rate, duration_s))
+        values.update(_ne_tcp_point(rate, duration_s))
         sweep.add(gbps, **values)
     return sweep
 
 
-def _kernel_tcp_point(rate: float, duration_s: float,
-                      n_connections: int) -> dict:
+def _kernel_tcp_point(rate: float, duration_s: float) -> dict:
     env = Environment()
     sender = make_server(env, name="snd", dpu_profile=None)
     receiver = make_server(env, name="rcv", dpu_profile=None)
@@ -203,7 +203,7 @@ def _kernel_tcp_point(rate: float, duration_s: float,
     connections = []
 
     def setup():
-        for _ in range(n_connections):
+        for _ in range(_FIG3_CONNECTIONS):
             connection = yield from tx_stack.connect(4000)
             connections.append(connection)
 
@@ -225,7 +225,7 @@ def _kernel_tcp_point(rate: float, duration_s: float,
     rx_meter.start()
 
     def handler(i):
-        connection = connections[i % n_connections]
+        connection = connections[i % _FIG3_CONNECTIONS]
         yield from connection.send_message(SynthBuffer(PAGE_SIZE))
 
     start = env.now
@@ -237,8 +237,7 @@ def _kernel_tcp_point(rate: float, duration_s: float,
     }
 
 
-def _ne_tcp_point(rate: float, duration_s: float,
-                  n_connections: int) -> dict:
+def _ne_tcp_point(rate: float, duration_s: float) -> dict:
     env = Environment()
     sender = make_server(env, name="snd", dpu_profile=BLUEFIELD2)
     receiver = make_server(env, name="rcv", dpu_profile=BLUEFIELD2)
@@ -249,7 +248,7 @@ def _ne_tcp_point(rate: float, duration_s: float,
     sockets = []
 
     def setup():
-        for _ in range(n_connections):
+        for _ in range(_FIG3_CONNECTIONS):
             socket = yield tx_runtime.network.connect(4000).done
             sockets.append(socket)
 
@@ -271,7 +270,7 @@ def _ne_tcp_point(rate: float, duration_s: float,
     dpu_meter.start()
 
     def handler(i):
-        socket = sockets[i % n_connections]
+        socket = sockets[i % _FIG3_CONNECTIONS]
         yield socket.send(SynthBuffer(PAGE_SIZE)).done
 
     start = env.now

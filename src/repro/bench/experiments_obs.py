@@ -71,8 +71,8 @@ def default_slos() -> Tuple[SloSpec, ...]:
     )
 
 
-def obs_scenario(plane: Optional[ClusterTelemetry],
-                 seed: int = SEED) -> Dict[str, object]:
+def obs_scenario(plane: Optional[ClusterTelemetry]
+                 ) -> Dict[str, object]:
     """One observed cluster run; ``plane=None`` is the control twin.
 
     The scenario is byte-for-byte the same simulation either way —
@@ -80,7 +80,7 @@ def obs_scenario(plane: Optional[ClusterTelemetry],
     asserts.
     """
     env = Environment()
-    plan = FaultPlan(seed=seed).cpu_crash(
+    plan = FaultPlan(seed=SEED).cpu_crash(
         FAULT_START_S, 10 * DURATION_S, site="cpu.node1.dpu.cpu")
     injector = FaultInjector(env, plan)
     cluster = Cluster(env, N_NODES, injector=injector,
@@ -94,7 +94,7 @@ def obs_scenario(plane: Optional[ClusterTelemetry],
     connect_clients(env, clients)
     count = int(RATE_PER_NODE * DURATION_S)
     streams = [
-        shard_stream(seed, i, count, cluster.shardmap.n_shards,
+        shard_stream(SEED, i, count, cluster.shardmap.n_shards,
                      cluster.shard_bytes)
         for i in range(N_NODES)
     ]
@@ -163,12 +163,12 @@ def _merged_connectivity(plane: ClusterTelemetry) -> Dict[str, float]:
     }
 
 
-def obs_parts(telemetry: Optional[ClusterTelemetry] = None
+def obs_parts(telemetry: Optional[ClusterTelemetry]
               ) -> Dict[str, object]:
     """OB: the full observability experiment for the artifact.
 
     ``telemetry`` (from ``--trace-out``) supplies the plane so the CLI
-    can export its merged trace; otherwise an identical private plane
+    can export its merged trace; given None an identical private plane
     is built — the experiment always observes itself, and every
     reported value is simulated either way.
     """

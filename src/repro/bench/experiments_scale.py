@@ -42,10 +42,12 @@ from .tco import storage_server_cost
 __all__ = ["scale_parts", "scale_goodput_and_tco",
            "sharding_properties", "rebalance_scenarios"]
 
-#: weak-scaling load: each node is offered this many requests/s
+#: weak-scaling sweep: each node is offered this many requests/s
+NODE_COUNTS = (1, 2, 4, 8)
 RATE_PER_NODE = 120_000.0
 DURATION_S = 5e-3
 DRAIN_S = 3e-3
+SEED = 31
 #: fraction of requests sent to the client's "home" node instead of
 #: the shard owner (a routing cache lagging the shard map)
 STALE_FRACTION = 0.15
@@ -58,6 +60,13 @@ RACK_NODE_COUNTS = (8, 64, 128)
 RACK_RATE_PER_NODE = 25_000.0
 RACK_DURATION_S = 5e-3
 RACK_SEED = 47
+
+#: the DPU-crash triptych: node1's Arm cores die at FAULT_START_S
+REBALANCE_NODES = 4
+REBALANCE_RATE_PER_NODE = 80_000.0
+REBALANCE_DURATION_S = 12e-3
+REBALANCE_FAULT_START_S = 4e-3
+REBALANCE_SEED = 11
 
 
 def _scale_point(n_nodes: int, rate_per_node: float,
@@ -111,26 +120,21 @@ def _scale_point(n_nodes: int, rate_per_node: float,
     }
 
 
-def scale_goodput_and_tco(
-        node_counts: Tuple[int, ...] = (1, 2, 4, 8),
-        rate_per_node: float = RATE_PER_NODE,
-        duration_s: float = DURATION_S,
-        seed: int = 31) -> Tuple[Sweep, Sweep]:
+def scale_goodput_and_tco() -> Tuple[Sweep, Sweep]:
     """The weak-scaling sweep and its TCO extension, in one pass."""
     goodput = Sweep("nodes")
     tco = Sweep("nodes")
     # The conventional fleet this replaces: N host-served nodes at
     # the same per-node rate (single-node measurement, scaled).
-    baseline = _s9_point(rate_per_node, duration_s, "kv",
+    baseline = _s9_point(RATE_PER_NODE, DURATION_S, "kv",
                          READ_FRACTION, n_connections=4,
                          use_dds=False)
-    line_scale = LINE_RATE_MSGS_PER_S / rate_per_node
+    line_scale = LINE_RATE_MSGS_PER_S / RATE_PER_NODE
     baseline_node_dollars = storage_server_cost(
         baseline["host_cores"] * line_scale, uses_dpu=False)
     reference = None
-    for n_nodes in node_counts:
-        point = _scale_point(n_nodes, rate_per_node, duration_s,
-                             seed)
+    for n_nodes in NODE_COUNTS:
+        point = _scale_point(n_nodes, RATE_PER_NODE, DURATION_S, SEED)
         if reference is None:
             reference = point["goodput_ops_per_s"]
         goodput.add(
@@ -156,7 +160,7 @@ def scale_goodput_and_tco(
     return goodput, tco
 
 
-def _rack_point(n_nodes: int, seed: int = RACK_SEED) -> Dict[str, float]:
+def _rack_point(n_nodes: int) -> Dict[str, float]:
     """One rack point: N nodes, shared client fleet.
 
     Eight clients (sixteen at 128 nodes) spread the aggregate load so
@@ -174,7 +178,7 @@ def _rack_point(n_nodes: int, seed: int = RACK_SEED) -> Dict[str, float]:
     connect_clients(env, clients)
     count = int(rate_per_client * RACK_DURATION_S)
     streams = [
-        shard_stream(seed, i, count, cluster.shardmap.n_shards,
+        shard_stream(RACK_SEED, i, count, cluster.shardmap.n_shards,
                      cluster.shard_bytes)
         for i in range(n_clients)
     ]
@@ -214,9 +218,9 @@ def _rack_point(n_nodes: int, seed: int = RACK_SEED) -> Dict[str, float]:
     }
 
 
-def rack_sweep(node_counts: Tuple[int, ...] = RACK_NODE_COUNTS
-               ) -> Dict[str, Dict[str, float]]:
+def rack_sweep() -> Dict[str, Dict[str, float]]:
     """The 64/128-node extension plus its scaling summary."""
+    node_counts = RACK_NODE_COUNTS
     points = {str(n): _rack_point(n) for n in node_counts}
     per_node = [points[str(n)]["goodput_per_node"]
                 for n in node_counts]
@@ -240,9 +244,9 @@ def rack_sweep(node_counts: Tuple[int, ...] = RACK_NODE_COUNTS
     return points
 
 
-def sharding_properties(n_nodes: int = 8, n_shards: int = 64,
-                        replicas: int = 64) -> Dict[str, float]:
+def sharding_properties() -> Dict[str, float]:
     """Placement-only properties of the consistent-hash shard map."""
+    n_nodes, n_shards, replicas = 8, 64, 64
     names = [f"node{i}" for i in range(n_nodes)]
     shardmap = ShardMap(n_shards, names, replicas)
     counts = [len(shards)
@@ -274,13 +278,12 @@ def sharding_properties(n_nodes: int = 8, n_shards: int = 64,
     }
 
 
-def _rebalance_scenario(mode: str, seed: int = 11,
-                        n_nodes: int = 4,
-                        rate_per_node: float = 80_000.0,
-                        duration_s: float = 12e-3,
-                        fault_start_s: float = 4e-3,
-                        telemetry=None) -> Dict[str, float]:
+def _rebalance_scenario(mode: str, telemetry=None) -> Dict[str, float]:
     """One cluster run: ``fault_free``, ``norebalance``, ``rebalance``."""
+    seed, n_nodes = REBALANCE_SEED, REBALANCE_NODES
+    rate_per_node = REBALANCE_RATE_PER_NODE
+    duration_s = REBALANCE_DURATION_S
+    fault_start_s = REBALANCE_FAULT_START_S
     env = Environment()
     injector = None
     if mode != "fault_free":
@@ -352,7 +355,7 @@ def rebalance_scenarios(telemetry=None) -> Dict[str, Dict[str, float]]:
     }
 
 
-def scale_parts(telemetry=None) -> Dict[str, object]:
+def scale_parts(telemetry) -> Dict[str, object]:
     """SC: the full scale-out experiment for the artifact."""
     goodput, tco = scale_goodput_and_tco()
     return {

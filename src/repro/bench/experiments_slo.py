@@ -587,12 +587,11 @@ def _twin_identical(unprotected: Dict, bare: Dict) -> bool:
             and unprotected["counters"] == bare["counters"])
 
 
-def slo_parts(telemetry=None) -> Dict[str, object]:
+def slo_parts() -> Dict[str, object]:
     """SL: the chaos matrix, the flash baseline, and the hot split.
 
-    ``telemetry`` is accepted for CLI uniformity and unused: every
-    cell builds its own private plane (twelve simulations can't share
-    one scrape loop).
+    Every cell builds its own private plane (twelve simulations can't
+    share one scrape loop).
     """
     matrix: Dict[str, Dict[str, float]] = {}
     protected_violation_s = unprotected_violation_s = 0.0

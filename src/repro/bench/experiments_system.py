@@ -52,7 +52,6 @@ LINE_RATE_MSGS_PER_S = 100 * Gbps / ((PAGE_SIZE + 66) * 8)
 def fig6_sproc(profile: DpuProfile = BLUEFIELD2,
                mode: str = "specified",
                n_invocations: int = 20,
-               pages_per_request: int = 8,
                telemetry=None) -> Dict[str, float]:
     """Run the paper's Figure 6 sproc end to end.
 
@@ -63,6 +62,7 @@ def fig6_sproc(profile: DpuProfile = BLUEFIELD2,
     where compression actually ran.  Pass a fresh
     :class:`~repro.obs.Telemetry` to trace the run.
     """
+    pages_per_request = 8
     if mode not in ("specified", "scheduled"):
         raise ValueError(f"unknown mode {mode!r}")
     env = Environment()
@@ -150,14 +150,15 @@ def fig6_sproc(profile: DpuProfile = BLUEFIELD2,
 # ---------------------------------------------------------------- F7
 
 
-def fig7_rdma(n_clients: int = 16, ops_per_client: int = 50,
-              payload_bytes: int = 4096) -> Dict[str, float]:
+def fig7_rdma(n_clients: int = 16,
+              ops_per_client: int = 50) -> Dict[str, float]:
     """Figure 7: RDMA issuing, native host vs NE-offloaded.
 
     Closed-loop clients issue one-sided WRITEs; reports host
     cycles/op, throughput, and mean op latency for both paths.
     """
     out: Dict[str, float] = {}
+    payload_bytes = 4096
 
     # -- native host issuing ------------------------------------------------
     env = Environment()
@@ -290,7 +291,6 @@ def s9_dds_cores(
     duration_s: float = 0.02,
     workload: str = "pageserver",
     read_fraction: float = 0.9,
-    n_connections: int = 8,
 ) -> Sweep:
     """Section 9: host cores consumed with and without DDS.
 
@@ -304,9 +304,9 @@ def s9_dds_cores(
     for rate_kreq in rates_kreq:
         rate = rate_kreq * 1000.0
         baseline = _s9_point(rate, duration_s, workload, read_fraction,
-                             n_connections, use_dds=False)
+                             n_connections=8, use_dds=False)
         dds = _s9_point(rate, duration_s, workload, read_fraction,
-                        n_connections, use_dds=True)
+                        n_connections=8, use_dds=True)
         saved = baseline["host_cores"] - dds["host_cores"]
         # Cost side of the claim: price both servers at NIC line rate
         # (where the "10s of cores" live), scaling the measured
@@ -333,14 +333,14 @@ def s9_dds_cores(
 
 
 def _make_requests(workload: str, read_fraction: float, count: int,
-                   file_id: int, seed: int = 13):
+                   file_id: int):
     """Pre-generate the encoded request stream for one S9 point."""
     if workload == "pageserver":
         generator = PageServerWorkload(
             database_pages=(256 * MiB) // PAGE_SIZE,
             read_fraction=read_fraction,
             replay_working_set_bytes=32 * MiB,
-            seed=seed,
+            seed=13,
         )
         encoded = []
         for request in generator.requests(count):
@@ -354,7 +354,7 @@ def _make_requests(workload: str, read_fraction: float, count: int,
                 ))
         return encoded
     index = KvStoreIndex(n_keys=100_000)
-    ycsb = YcsbWorkload(index, read_fraction=read_fraction, seed=seed)
+    ycsb = YcsbWorkload(index, read_fraction=read_fraction, seed=13)
     encoded = []
     from ..core.dds import encode_write
     for op in ycsb.ops(count):
@@ -419,7 +419,7 @@ def _s9_point(rate: float, duration_s: float, workload: str,
 # -- structured runners for the CLI / artifact ------------------------------
 
 
-def fig6_parts(telemetry=None) -> Dict[str, Dict[str, float]]:
+def fig6_parts(telemetry) -> Dict[str, Dict[str, float]]:
     """F6: the sproc under each execution mode / profile.
 
     Tracing covers the first configuration only: one Telemetry
@@ -438,7 +438,7 @@ def fig7_parts() -> Dict[str, Dict[str, float]]:
     return {"rdma": fig7_rdma()}
 
 
-def fig8_parts(telemetry=None) -> Dict[str, Dict[str, float]]:
+def fig8_parts(telemetry) -> Dict[str, Dict[str, float]]:
     """F8: remote-read latency, host path vs DDS path."""
     return {"dds_latency": fig8_dds_latency(telemetry=telemetry)}
 

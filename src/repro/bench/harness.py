@@ -70,17 +70,13 @@ class SweepRow:
 class Sweep:
     """An ordered collection of sweep rows."""
 
-    def __init__(self, x_label: str, rows: Optional[List[SweepRow]] = None):
+    def __init__(self, x_label: str):
         self.x_label = x_label
-        self.rows: List[SweepRow] = rows or []
+        self.rows: List[SweepRow] = []
 
     def add(self, x: float, **values: float) -> None:
         """Append one sweep point."""
         self.rows.append(SweepRow(x, dict(values)))
-
-    def series(self, key: str) -> List[float]:
-        """All values of one named series, in sweep order."""
-        return [row[key] for row in self.rows]
 
     def keys(self) -> List[str]:
         """The union of series names across all rows.

@@ -48,8 +48,8 @@ def format_table(headers: Sequence[str],
     return "\n".join(lines)
 
 
-def format_sweep(sweep: Sweep, keys: Optional[Sequence[str]] = None,
-                 x_format=None) -> str:
+def format_sweep(sweep: Sweep,
+                 keys: Optional[Sequence[str]] = None) -> str:
     """Render a :class:`Sweep` as a table, one column per series."""
     if not sweep.rows:
         return "(empty sweep)"
@@ -60,9 +60,8 @@ def format_sweep(sweep: Sweep, keys: Optional[Sequence[str]] = None,
     headers = [sweep.x_label] + keys
     rows = []
     for row in sweep.rows:
-        x_value = x_format(row.x) if x_format else row.x
-        rows.append([x_value] + [row.values.get(key, float("nan"))
-                                 for key in keys])
+        rows.append([row.x] + [row.values.get(key, float("nan"))
+                               for key in keys])
     return format_table(headers, rows)
 
 

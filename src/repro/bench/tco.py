@@ -62,9 +62,7 @@ DEFAULT_COST_ASSUMPTIONS = CostAssumptions()
 
 
 def storage_server_cost(host_cores_consumed: float,
-                        uses_dpu: bool,
-                        assumptions: CostAssumptions =
-                        DEFAULT_COST_ASSUMPTIONS) -> float:
+                        uses_dpu: bool) -> float:
     """Dollars per hour of the data-path resources in use.
 
     Host cores are charged fractionally (they are fungible with other
@@ -73,6 +71,7 @@ def storage_server_cost(host_cores_consumed: float,
     """
     if host_cores_consumed < 0:
         raise ValueError("negative core count")
+    assumptions = DEFAULT_COST_ASSUMPTIONS
     cost = host_cores_consumed * assumptions.host_core_hour_dollars()
     if uses_dpu:
         cost += assumptions.dpu_hour_dollars()

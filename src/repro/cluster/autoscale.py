@@ -87,8 +87,7 @@ class Autoscaler:
     def __init__(self, cluster, plane, rebalancer,
                  interval_s: float = 5.0e-4,
                  policy: Optional[AutoscalePolicy] = None,
-                 node_hook=None,
-                 name: str = "autoscale"):
+                 node_hook=None):
         if interval_s <= 0:
             raise ValueError("interval must be positive")
         self.cluster = cluster
@@ -100,10 +99,9 @@ class Autoscaler:
         #: called with each freshly provisioned node before it joins
         #: the ring — protected scenarios arm admission control here
         self.node_hook = node_hook
-        self.name = name
-        self.scale_ups = Counter(f"{name}.scale_ups")
-        self.scale_downs = Counter(f"{name}.scale_downs")
-        self.splits = Counter(f"{name}.splits")
+        self.scale_ups = Counter("autoscale.scale_ups")
+        self.scale_downs = Counter("autoscale.scale_downs")
+        self.splits = Counter("autoscale.splits")
         #: (sim time, live node count) per evaluation tick — the
         #: convergence record the SL claims read
         self.node_counts: List[Tuple[float, int]] = []
@@ -111,7 +109,7 @@ class Autoscaler:
         self.split_history: List[Tuple[float, int, int, str]] = []
         self._cooldown_until = 0.0
         self._busy = False
-        cluster.env.process(self._loop(), name=f"{name}-loop")
+        cluster.env.process(self._loop(), name="autoscale-loop")
 
     # -- the control loop ----------------------------------------------------
 

@@ -50,6 +50,13 @@ DEFAULT_BREAKER = {
     "reset_timeout_s": 5.0e-3,
 }
 
+#: SE submission-ring slots per node: deep enough that a saturated
+#: node back-pressures through TCP, not through ring overflow
+_SE_RING_CAPACITY = 1 << 16
+
+#: how often a client's service discovery re-reads the member list
+_TOPOLOGY_POLL_S = 5.0e-4
+
 
 def response_ok(buffer: Optional[Buffer]) -> bool:
     """True unless ``buffer`` is a JSON error body (or missing)."""
@@ -139,12 +146,8 @@ class Cluster:
     def __init__(self, env, n_nodes: int, n_shards: int = 32,
                  shard_bytes: int = 16 * PAGE_SIZE,
                  port: int = 9300,
-                 migration_port: Optional[int] = None,
                  replicas: int = 64,
-                 dpu_profile=BLUEFIELD2,
                  injector=None,
-                 breaker_kwargs: Optional[dict] = None,
-                 se_ring_capacity: int = 1 << 16,
                  network_bps: float = 100 * Gbps,
                  telemetry=None):
         if n_nodes < 1:
@@ -156,14 +159,9 @@ class Cluster:
         #: zero-overhead-off — no per-node registries, no scrape loop)
         self.telemetry = telemetry
         self.port = port
-        self.migration_port = (migration_port if migration_port
-                               is not None else port + 1000)
+        self.migration_port = port + 1000
         self.shard_bytes = shard_bytes
-        self._dpu_profile = dpu_profile
         self._injector = injector
-        self._se_ring_capacity = se_ring_capacity
-        self._breaker_kwargs = dict(DEFAULT_BREAKER,
-                                    **(breaker_kwargs or {}))
         #: fabric port speed — the distributed query planner reads
         #: this so plan estimates and the simulated switch agree
         self.network_bps = network_bps
@@ -189,15 +187,13 @@ class Cluster:
         """Assemble one node and attach it to the switch (no ring)."""
         env = self.env
         n_shards = self.shardmap.n_shards
-        server = make_server(env, name=name,
-                             dpu_profile=self._dpu_profile)
+        server = make_server(env, name=name, dpu_profile=BLUEFIELD2)
         node_telemetry = (self.telemetry.node(name)
                           if self.telemetry is not None else None)
         runtime = DpdpuRuntime(server, injector=self._injector,
-                               se_ring_capacity=self._se_ring_capacity,
+                               se_ring_capacity=_SE_RING_CAPACITY,
                                telemetry=node_telemetry)
-        breaker = runtime.network.traffic.protect(
-            env, **self._breaker_kwargs)
+        breaker = runtime.network.traffic.protect(env, **DEFAULT_BREAKER)
         shard_files = {
             shard: runtime.storage.create(f"shard{shard}",
                                           size=self.shard_bytes)
@@ -351,7 +347,7 @@ class ClusterClient:
         self._clients[node_name] = DdsClient(
             connection, name=f"{self.name}->{node_name}")
 
-    def track_topology(self, interval_s: float = 5.0e-4):
+    def track_topology(self):
         """Poll membership and dial nodes that joined after start.
 
         Autoscaled capacity only relieves a congested node's network
@@ -362,7 +358,7 @@ class ClusterClient:
         discovery.
         """
         while True:
-            yield self.env.timeout(interval_s)
+            yield self.env.timeout(_TOPOLOGY_POLL_S)
             for node in self.cluster.nodes:
                 if (not node.retired
                         and node.name not in self._clients):

@@ -40,7 +40,7 @@ from ..errors import MigrationStalledError, ReproError
 from ..obs.trace import TraceContext
 from ..sim.stats import Counter
 from ..units import PAGE_SIZE
-from .router import with_trace_context
+from .router import CONNECT_TIMEOUT_S, with_trace_context
 
 __all__ = ["MigrationService", "Rebalancer", "encode_shard_pull"]
 
@@ -54,6 +54,10 @@ PULL_DEADLINE_S = 4.0e-3
 
 #: fresh-connection retries per shard before the drain gives up
 PULL_RETRY_BUDGET = 2
+
+#: health-probe period per node, and the Arm cycles one probe burns
+PROBE_INTERVAL_S = 1.5e-4
+PROBE_CYCLES = 400.0
 
 
 def encode_shard_pull(shard: int) -> Buffer:
@@ -139,16 +143,11 @@ class MigrationService:
 class Rebalancer:
     """Probes every node's DPU and drains the ones that fail."""
 
-    def __init__(self, cluster, probe_interval_s: float = 1.5e-4,
-                 probe_cycles: float = 400.0,
-                 connect_timeout_s: float = 2.0e-3,
+    def __init__(self, cluster,
                  pull_deadline_s: float = PULL_DEADLINE_S,
                  pull_retry_budget: int = PULL_RETRY_BUDGET):
         self.cluster = cluster
         self.env = cluster.env
-        self.probe_interval_s = probe_interval_s
-        self.probe_cycles = probe_cycles
-        self.connect_timeout_s = connect_timeout_s
         self.pull_deadline_s = pull_deadline_s
         self.pull_retry_budget = pull_retry_budget
         self.migrations = Counter("rebalance.migrations")
@@ -165,12 +164,11 @@ class Rebalancer:
 
     def _probe_loop(self, node):
         while True:
-            yield self.env.timeout(self.probe_interval_s)
+            yield self.env.timeout(PROBE_INTERVAL_S)
             if node.retired:
                 return
             try:
-                yield from node.server.dpu.cpu.execute(
-                    self.probe_cycles)
+                yield from node.server.dpu.cpu.execute(PROBE_CYCLES)
             except ReproError:
                 node.breaker.record_failure()
             else:
@@ -269,7 +267,7 @@ class Rebalancer:
             stack = self.cluster.migration_services[dest.name].stack
             connection = yield from stack.connect(
                 self.cluster.migration_port, remote=source.name,
-                timeout_s=self.connect_timeout_s)
+                timeout_s=CONNECT_TIMEOUT_S)
             se = dest.runtime.storage
             tracer = dest.runtime.telemetry.tracer
             for shard in shards:
@@ -328,7 +326,7 @@ class Rebalancer:
             stack = self.cluster.migration_services[dest.name].stack
             connection = yield from stack.connect(
                 self.cluster.migration_port, remote=source.name,
-                timeout_s=self.connect_timeout_s)
+                timeout_s=CONNECT_TIMEOUT_S)
 
     def _write_page(self, se, file_id: int, offset: int):
         yield from se.dpu_write(file_id, offset,

@@ -52,6 +52,12 @@ FORWARD_DEADLINE_S = 2.5e-3
 #: budget for the degraded host-ring path on a local shard
 FALLBACK_DEADLINE_S = 2.0e-3
 
+#: Arm cycles the owner lookup + re-transmit decision costs per forward
+ROUTE_CYCLES = 300.0
+
+#: budget for (re)connecting to a peer's DDS port
+CONNECT_TIMEOUT_S = 2.0e-3
+
 
 # -- shard request codec -----------------------------------------------------------
 
@@ -72,18 +78,16 @@ def encode_shard_read(shard: int, offset: int,
 
 
 def encode_shard_write(shard: int, offset: int,
-                       size: int = PAGE_SIZE,
                        tenant: str = None) -> Buffer:
-    """A shard-addressed write; payload bytes are synthetic."""
+    """A shard-addressed one-page write; payload bytes are synthetic."""
     header = {"type": "write", "shard": shard,
-              "offset": offset, "size": size}
+              "offset": offset, "size": PAGE_SIZE}
     if tenant is not None:
         header["tenant"] = tenant
-    return SynthBuffer(size + 64, label=json.dumps(header))
+    return SynthBuffer(PAGE_SIZE + 64, label=json.dumps(header))
 
 
-def encode_shard_scan(shard: int, sproc: str,
-                      tenant: str = None) -> Buffer:
+def encode_shard_scan(shard: int, sproc: str) -> Buffer:
     """A shard-addressed scan: run a registered sproc on the owner.
 
     The distributed query engine's sub-query wire format — the sproc
@@ -93,8 +97,6 @@ def encode_shard_scan(shard: int, sproc: str,
     DPU-side forwarding as reads and writes.
     """
     header = {"type": "scan", "shard": shard, "sproc": sproc}
-    if tenant is not None:
-        header["tenant"] = tenant
     return RealBuffer(json.dumps(header).encode())
 
 
@@ -127,17 +129,11 @@ def with_trace_context(message: Buffer, context) -> Buffer:
 class ShardRouter:
     """Forwards misdirected shard requests to their owner, DPU-side."""
 
-    def __init__(self, env, node_name: str, network, port: int,
-                 route_cycles: float = 300.0,
-                 forward_deadline_s: float = FORWARD_DEADLINE_S,
-                 connect_timeout_s: float = 2.0e-3):
+    def __init__(self, env, node_name: str, network, port: int):
         self.env = env
         self.node_name = node_name
         self.network = network
         self.port = port
-        self.route_cycles = route_cycles
-        self.forward_deadline_s = forward_deadline_s
-        self.connect_timeout_s = connect_timeout_s
         self.forwards = Counter(f"router.{node_name}.forwards")
         self.forward_failures = Counter(
             f"router.{node_name}.forward_failures")
@@ -159,18 +155,18 @@ class ShardRouter:
         # if the local Arm cluster is down this raises and the caller
         # answers with an error body (nothing host-side to fall to —
         # the request itself only exists on the DPU).
-        yield from self.network.dpu.cpu.execute(self.route_cycles)
+        yield from self.network.dpu.cpu.execute(ROUTE_CYCLES)
         started = self.env.now
         client = yield from self._peer(owner)
         request = client.submit(message)
         try:
             response = yield from wait(
-                request, timeout_s=self.forward_deadline_s)
+                request, timeout_s=FORWARD_DEADLINE_S)
         except DeadlineExceededError:
             self.forward_failures.add(1)
             raise ClusterError(
                 f"forward {self.node_name} -> {owner} timed out "
-                f"after {self.forward_deadline_s:g}s")
+                f"after {FORWARD_DEADLINE_S:g}s")
         self.forwards.add(1)
         self.forward_latency.observe(self.env.now - started)
         return response
@@ -196,7 +192,7 @@ class ShardRouter:
         try:
             connection = yield from self.network.tcp.connect(
                 self.port, remote=owner,
-                timeout_s=self.connect_timeout_s)
+                timeout_s=CONNECT_TIMEOUT_S)
             self._clients[owner] = DdsClient(
                 connection, name=f"route.{self.node_name}->{owner}")
         finally:
@@ -215,18 +211,15 @@ class ClusterDdsServer(DdsServer):
     def __init__(self, runtime, port: int, node_name: str,
                  shardmap, shard_files: Dict[int, int],
                  shard_bytes: int, router: ShardRouter,
-                 breaker=None,
-                 fallback_deadline_s: float = FALLBACK_DEADLINE_S,
-                 **kwargs):
-        kwargs.setdefault("name", f"dds.{node_name}")
-        super().__init__(runtime, port, **kwargs)
+                 breaker=None, **kwargs):
+        super().__init__(runtime, port, name=f"dds.{node_name}",
+                         **kwargs)
         self.node_name = node_name
         self.shardmap = shardmap
         self.shard_files = shard_files
         self.shard_bytes = shard_bytes
         self.router = router
         self.breaker = breaker
-        self.fallback_deadline_s = fallback_deadline_s
         #: an AdmissionController guarding this ingress (None = open
         #: door — the pre-protection data path, byte-identical)
         self.admission = None
@@ -299,8 +292,10 @@ class ClusterDdsServer(DdsServer):
                      if isinstance(request, dict) else None)
             if shard is None:
                 # Stock DdsServer behaviour for file-addressed ops.
-                yield from self._plain(request, message, sequence,
-                                       ordered, started, root)
+                response = yield from self._dispatch(request, message,
+                                                     started, root)
+                self.request_latency.observe(self.env.now - started)
+                ordered.post(sequence, response)
                 return
             ticket = None
             if self.admission is not None:
@@ -369,36 +364,6 @@ class ClusterDdsServer(DdsServer):
             self.request_latency.observe(self.env.now - started)
             ordered.post(sequence, response)
 
-    def _plain(self, request, message, sequence, ordered, started,
-               root):
-        """The unmodified single-node request path."""
-        if self._offloadable(request):
-            try:
-                with self.tracer.span("dds.offload",
-                                      category="compute",
-                                      target="dpu",
-                                      op=request.get("type")):
-                    response = yield from self._execute_on_dpu(request)
-                self.offloaded.add(1)
-                self.offload_latency.observe(self.env.now - started)
-                root.annotate(path="offloaded")
-                self.request_latency.observe(self.env.now - started)
-                ordered.post(sequence, response)
-                return
-            except OffloadRejected:
-                pass
-        with self.tracer.span("dds.forward", category="compute",
-                              target="host",
-                              op=(request.get("type")
-                                  if request else None)):
-            response = yield from self._forward_to_host(request,
-                                                        message)
-        self.forwarded.add(1)
-        self.forward_latency.observe(self.env.now - started)
-        root.annotate(path="forwarded")
-        self.request_latency.observe(self.env.now - started)
-        ordered.post(sequence, response)
-
     def _serve_shard(self, request: Dict, message: Buffer, root):
         shard = request["shard"]
         if (not isinstance(shard, int)
@@ -464,7 +429,7 @@ class ClusterDdsServer(DdsServer):
                     SynthBuffer(local["size"],
                                 label=f"w{local['offset']}"))
             data = yield from wait(
-                pending, timeout_s=self.fallback_deadline_s)
+                pending, timeout_s=FALLBACK_DEADLINE_S)
         if kind == "read":
             return data if isinstance(data, Buffer) else _SHARD_ACK
         return _SHARD_ACK

@@ -78,25 +78,18 @@ class TokenBucket:
                 self._tokens + (now - self._last) * self.rate_per_s)
             self._last = now
 
-    @property
-    def tokens(self) -> float:
-        """The current fill level (refilled to now)."""
+    def try_take(self) -> bool:
+        """Consume one token if available; False without debiting."""
         self._refill()
-        return self._tokens
-
-    def try_take(self, n: float = 1.0) -> bool:
-        """Consume ``n`` tokens if available; False without debiting."""
-        self._refill()
-        if self._tokens >= n:
-            self._tokens -= n
+        if self._tokens >= 1.0:
+            self._tokens -= 1.0
             return True
         return False
 
-    def retry_after(self, n: float = 1.0) -> float:
-        """Seconds until ``n`` tokens will have accrued."""
+    def retry_after(self) -> float:
+        """Seconds until one token will have accrued."""
         self._refill()
-        deficit = n - self._tokens
-        return max(deficit, 0.0) / self.rate_per_s
+        return max(1.0 - self._tokens, 0.0) / self.rate_per_s
 
 
 class CodelShedder:
@@ -184,7 +177,6 @@ class AdmissionController:
                  registry=None, max_queue: int = 64,
                  service_rate_ops: float = 100_000.0,
                  slo_target_s: float = 1.0e-3,
-                 shed_interval_s: Optional[float] = None,
                  name: str = "admission"):
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
@@ -198,9 +190,7 @@ class AdmissionController:
         self.slo_target_s = slo_target_s
         self.name = name
         self.shedder = CodelShedder(
-            env, target_s=slo_target_s,
-            interval_s=(shed_interval_s if shed_interval_s is not None
-                        else 4.0 * slo_target_s))
+            env, target_s=slo_target_s, interval_s=4.0 * slo_target_s)
         self._buckets: Dict[str, TokenBucket] = {}
         self._inflight = 0
         self._counters: Dict[str, Counter] = {}

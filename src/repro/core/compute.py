@@ -127,15 +127,14 @@ class ComputeEngine:
     """The CE instance bound to one DPU-equipped server."""
 
     def __init__(self, server: Server, policy: str = "hybrid",
-                 host_spillover_backlog: int = 0,
-                 name: str = "ce", telemetry=None):
+                 host_spillover_backlog: int = 0, telemetry=None):
         if server.dpu is None:
             raise SprocError("the Compute Engine requires a DPU")
         self.server = server
         self.env = server.env
         self.dpu = server.dpu
         self.costs = server.costs
-        self.name = name
+        name = "ce"
         self.runtime = None            # set by DpdpuRuntime
         self.tracer = telemetry.tracer if telemetry is not None \
             else NULL_TRACER
@@ -302,10 +301,9 @@ class ComputeEngine:
 
     # -- kernel fusion (Section 5 extension) --------------------------------
 
-    def submit_fused(self, names: List[str], payload,
-                     device: Optional[str] = None,
-                     params: Optional[dict] = None,
-                     tenant: str = "default") -> Optional[KernelRequest]:
+    def submit_fused(self, names: List[str], payload, device: str,
+                     params: Optional[dict] = None
+                     ) -> Optional[KernelRequest]:
         """Run a chain of DP kernels as one fused job.
 
         Fusion amortizes per-job launch latency and keeps
@@ -323,9 +321,7 @@ class ComputeEngine:
             )
         specs = [self._kernel_spec(name) for name in names]
         buffer = as_buffer(payload)
-        if device is None:
-            device = self._best_fused_placement(names, buffer.size)
-        elif device not in FUSABLE_PLACEMENTS:
+        if device not in FUSABLE_PLACEMENTS:
             raise KernelUnavailableError(
                 f"cannot fuse on {device!r}; valid: {FUSABLE_PLACEMENTS}"
             )
@@ -404,32 +400,6 @@ class ComputeEngine:
             request.span.annotate(error=type(exc).__name__)
             request.span.finish()
             request.fail(exc)
-
-    def _best_fused_placement(self, names: List[str],
-                              size: int) -> str:
-        candidates: Dict[str, float] = {}
-        dpu_cycles = sum(
-            self.costs.cpu_cycles(name, size, "dpu") for name in names
-        )
-        candidates["dpu_cpu"] = self.dpu.cpu.seconds_for(dpu_cycles)
-        host_cycles = sum(
-            self.costs.cpu_cycles(name, size, "host") for name in names
-        )
-        candidates["host_cpu"] = (
-            self.server.host_cpu.seconds_for(host_cycles)
-            + 2 * self.dpu.pcie.transfer_time(size)
-        )
-        for kind in ("gpu", "fpga"):
-            peer = self.server.peer(kind)
-            if peer is not None and all(peer.supports(n)
-                                        for n in names):
-                candidates[f"pcie_{kind}"] = (
-                    peer.chain_service_time(
-                        [(name, size) for name in names]
-                    )
-                    + 2 * self.dpu.pcie.transfer_time(size)
-                )
-        return min(candidates, key=candidates.get)
 
     @staticmethod
     def _device_down(device) -> bool:

@@ -44,6 +44,15 @@ __all__ = ["DdsServer", "DdsClient", "OrderedResponder",
 
 _ACK = SynthBuffer(64, label="ack")
 
+#: host application cycles per forwarded read/write, and per log-replay
+#: update (an order of magnitude heavier); the host-served baseline
+#: charges the same two figures
+HOST_REQUEST_CYCLES = 4_000.0
+HOST_REPLAY_CYCLES = 60_000.0
+#: bytes a sproc invocation occupies on the wire (a longer header
+#: travels as its own bytes)
+_SPROC_WIRE_BYTES = 128
+
 
 # -- request codec ---------------------------------------------------------------
 
@@ -78,7 +87,7 @@ def encode_log_replay(file_id: int, offset: int, size: int = PAGE_SIZE,
     return SynthBuffer(size + 64, label=header)
 
 
-def encode_sproc(name: str, arg=None, wire_size: int = 128) -> Buffer:
+def encode_sproc(name: str, arg=None) -> Buffer:
     """A remote stored-procedure invocation (CompuCache-style).
 
     Section 5 adopts sprocs as the general offload abstraction; DDS
@@ -88,9 +97,9 @@ def encode_sproc(name: str, arg=None, wire_size: int = 128) -> Buffer:
     """
     header = json.dumps({"type": "sproc", "name": name, "arg": arg})
     encoded = header.encode()
-    if len(encoded) >= wire_size:
+    if len(encoded) >= _SPROC_WIRE_BYTES:
         return RealBuffer(encoded)
-    return SynthBuffer(wire_size, label=header)
+    return SynthBuffer(_SPROC_WIRE_BYTES, label=header)
 
 
 def default_udf(message: Buffer) -> Optional[Dict]:
@@ -126,8 +135,6 @@ class DdsServer:
     def __init__(self, runtime, port: int,
                  udf: Callable[[Buffer], Optional[Dict]] = default_udf,
                  offload_enabled: bool = True,
-                 host_request_cycles: float = 4_000.0,
-                 host_replay_cycles: float = 60_000.0,
                  name: str = "dds"):
         self.runtime = runtime
         self.env = runtime.env
@@ -138,8 +145,6 @@ class DdsServer:
         self.port = port
         self.udf = udf
         self.offload_enabled = offload_enabled
-        self.host_request_cycles = host_request_cycles
-        self.host_replay_cycles = host_replay_cycles
         self.name = name
         telemetry = getattr(runtime, "telemetry", None)
         self.tracer = (telemetry.tracer if telemetry is not None
@@ -189,31 +194,35 @@ class DdsServer:
                     self.costs.udf_parse_cycles
                 )
             request = self.udf(message)
-            if self._offloadable(request):
-                try:
-                    with self.tracer.span("dds.offload",
-                                          category="compute",
-                                          target="dpu",
-                                          op=request.get("type")):
-                        response = yield from self._execute_on_dpu(
-                            request)
-                    self.offloaded.add(1)
-                    self.offload_latency.observe(self.env.now - started)
-                    root.annotate(path="offloaded")
-                    ordered.post(sequence, response)
-                    return
-                except OffloadRejected:
-                    pass
-            with self.tracer.span("dds.forward", category="compute",
-                                  target="host",
-                                  op=(request.get("type")
-                                      if request else None)):
-                response = yield from self._forward_to_host(request,
-                                                            message)
-            self.forwarded.add(1)
-            self.forward_latency.observe(self.env.now - started)
-            root.annotate(path="forwarded")
+            response = yield from self._dispatch(request, message,
+                                                 started, root)
             ordered.post(sequence, response)
+
+    def _dispatch(self, request: Optional[Dict], message: Buffer,
+                  started: float, root):
+        """Offload a parsed request, or forward it to the host
+        (generator -> the response buffer)."""
+        if self._offloadable(request):
+            try:
+                with self.tracer.span("dds.offload", category="compute",
+                                      target="dpu",
+                                      op=request.get("type")):
+                    response = yield from self._execute_on_dpu(request)
+                self.offloaded.add(1)
+                self.offload_latency.observe(self.env.now - started)
+                root.annotate(path="offloaded")
+                return response
+            except OffloadRejected:
+                pass
+        with self.tracer.span("dds.forward", category="compute",
+                              target="host",
+                              op=(request.get("type")
+                                  if request else None)):
+            response = yield from self._forward_to_host(request, message)
+        self.forwarded.add(1)
+        self.forward_latency.observe(self.env.now - started)
+        root.annotate(path="forwarded")
+        return response
 
     def _offloadable(self, request: Optional[Dict]) -> bool:
         if not self.offload_enabled or request is None:
@@ -278,9 +287,7 @@ class DdsServer:
             working_set = request.get("working_set", 0)
             if working_set:
                 yield from self._charge_replay_memory(request, working_set)
-            yield from self.server.host_cpu.execute(
-                self.host_replay_cycles
-            )
+            yield from self.server.host_cpu.execute(HOST_REPLAY_CYCLES)
             write = self.se.write(
                 request["file_id"], request["offset"],
                 SynthBuffer(request["size"]),
@@ -288,16 +295,12 @@ class DdsServer:
             yield write.done
             response: Buffer = _ACK
         elif kind == "read":
-            yield from self.server.host_cpu.execute(
-                self.host_request_cycles
-            )
+            yield from self.server.host_cpu.execute(HOST_REQUEST_CYCLES)
             read = self.se.read(request["file_id"], request["offset"],
                                 request["size"])
             response = yield read.done
         elif kind == "write":
-            yield from self.server.host_cpu.execute(
-                self.host_request_cycles
-            )
+            yield from self.server.host_cpu.execute(HOST_REQUEST_CYCLES)
             write = self.se.write(
                 request["file_id"], request["offset"],
                 SynthBuffer(request["size"]),
@@ -306,9 +309,7 @@ class DdsServer:
             response = _ACK
         else:
             # Unknown message: host application handles it opaquely.
-            yield from self.server.host_cpu.execute(
-                self.host_request_cycles
-            )
+            yield from self.server.host_cpu.execute(HOST_REQUEST_CYCLES)
             response = _ACK
         yield from dpu.dma.copy(max(response.size, 64),
                                 direction="to_device")
@@ -410,12 +411,6 @@ class DdsClient:
     def read(self, file_id: int, offset: int, size: int = PAGE_SIZE):
         """Synchronous-style read (generator -> Buffer)."""
         request = self.submit(encode_read(file_id, offset, size))
-        yield request.done
-        return request.data
-
-    def write(self, file_id: int, offset: int, size: int = PAGE_SIZE):
-        """Synchronous-style write (generator)."""
-        request = self.submit(encode_write(file_id, offset, size))
         yield request.done
         return request.data
 

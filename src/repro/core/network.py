@@ -46,6 +46,8 @@ __all__ = ["NetworkEngine", "HostSocket", "HostListener",
            "OffloadedQp", "DfiFlow"]
 
 _POLL_INTERVAL = 2e-6          # DPU poller sleep when rings are empty
+_RING_CAPACITY = 4096          # host<->DPU submission/completion slots
+_RX_DEPTH = 64                 # messages a HostSocket buffers host-side
 _flow_ids = itertools.count(1)
 
 
@@ -82,11 +84,10 @@ class HostSocket:
     cross-host-DPU flow-control co-design Section 6 calls for.
     """
 
-    def __init__(self, engine: "NetworkEngine", dpu_connection,
-                 rx_depth: int = 64):
+    def __init__(self, engine: "NetworkEngine", dpu_connection):
         self._engine = engine
         self._conn = dpu_connection
-        self._rx: Store = Store(engine.env, capacity=rx_depth,
+        self._rx: Store = Store(engine.env, capacity=_RX_DEPTH,
                                 name=f"ne-rx:{dpu_connection.cid}")
         self.cid = dpu_connection.cid
 
@@ -185,15 +186,14 @@ class OffloadedQp:
 class NetworkEngine:
     """The NE instance bound to one DPU-equipped server."""
 
-    def __init__(self, server: Server, name: str = "ne",
-                 ring_capacity: int = 4096, telemetry=None):
+    def __init__(self, server: Server, telemetry=None):
         if server.dpu is None:
             raise NetworkError("the Network Engine requires a DPU")
         self.server = server
         self.env = server.env
         self.dpu = server.dpu
         self.costs = server.costs.software
-        self.name = name
+        name = "ne"
         self.tracer = telemetry.tracer if telemetry is not None \
             else NULL_TRACER
         # Steer all TCP/RDMA frames to the DPU in NIC hardware (the
@@ -216,7 +216,7 @@ class NetworkEngine:
             issue_cycles=0.0, poll_cycles=0.0,
             tracer=self.tracer,
         )
-        self.rings = RingPair(self.env, capacity=ring_capacity,
+        self.rings = RingPair(self.env, capacity=_RING_CAPACITY,
                               name=f"{name}.rings",
                               tracer=self.tracer, category="network")
         self.ops_offloaded = Counter(f"{name}.ops")

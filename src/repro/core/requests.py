@@ -91,11 +91,6 @@ class AsyncRequest:
         return self.done.triggered and not self.done.ok
 
     @property
-    def error(self) -> Optional[BaseException]:
-        """The failure exception (None while pending or on success)."""
-        return self.done.value if self.failed else None
-
-    @property
     def data(self) -> Any:
         """The result (valid after completion)."""
         return self._result

@@ -38,15 +38,18 @@ __all__ = ["StorageEngine"]
 
 _POLL_INTERVAL = 2e-6
 
+#: size of the DPU-owned filesystem on the server's first SSD
+FS_CAPACITY_BYTES = 256 * GiB
+#: size of the fast-persistence journal on the DPU's onboard storage
+JOURNAL_BYTES = 1 * GiB
+
 
 class StorageEngine:
     """The SE instance bound to one DPU-equipped server."""
 
-    def __init__(self, server: Server, name: str = "se",
-                 fs_capacity_bytes: int = 256 * GiB,
+    def __init__(self, server: Server,
                  dpu_cache_bytes: int = 0,
                  host_cache_bytes: int = 0,
-                 journal_bytes: int = 1 * GiB,
                  ring_capacity: int = 4096,
                  telemetry=None, injector=None):
         if server.dpu is None:
@@ -57,7 +60,7 @@ class StorageEngine:
         self.env = server.env
         self.dpu = server.dpu
         self.costs = server.costs.software
-        self.name = name
+        self.name = name = "se"
         self.tracer = telemetry.tracer if telemetry is not None \
             else NULL_TRACER
         #: optional FaultInjector for the SE-private pieces the
@@ -65,7 +68,7 @@ class StorageEngine:
         self.injector = injector
         #: the DPU-owned filesystem (file mapping lives here)
         self.fs = FileSystem(
-            BlockDevice(server.ssd(0), capacity_bytes=fs_capacity_bytes,
+            BlockDevice(server.ssd(0), capacity_bytes=FS_CAPACITY_BYTES,
                         tracer=self.tracer),
             name=f"{name}.fs",
             tracer=self.tracer,
@@ -82,7 +85,7 @@ class StorageEngine:
                     queue_depth=64),
             name=f"{name}.pmem",
         )
-        self.journal = Journal(self._journal_device, journal_bytes,
+        self.journal = Journal(self._journal_device, JOURNAL_BYTES,
                                name=f"{name}.journal",
                                tracer=self.tracer, injector=injector)
         self.dpu_cache: Optional[PageCache] = (
@@ -113,24 +116,6 @@ class StorageEngine:
         """Create a file; returns its file id."""
         self._charge_host_async(self.costs.file_frontend_cycles_per_op)
         return self.fs.create(name, size)
-
-    def open(self, name: str) -> int:
-        """Look up a file id by name."""
-        self._charge_host_async(self.costs.file_frontend_cycles_per_op)
-        file_id = self.fs.lookup(name)
-        if file_id is None:
-            raise StorageError(f"no file named {name!r}")
-        return file_id
-
-    def stat(self, file_id: int):
-        """File metadata (size, allocation) from the DPU file mapping."""
-        self._charge_host_async(self.costs.file_frontend_cycles_per_op)
-        return self.fs.stat(file_id)
-
-    def append(self, file_id: int, payload) -> AsyncRequest:
-        """Async append at the current end of file."""
-        inode = self.fs.stat(file_id)
-        return self.write(file_id, inode.size, payload)
 
     # -- host data path (Figure 6's se.read / se.write) ------------------------
 

@@ -17,7 +17,7 @@ Two layers implement that here:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..faults.recovery import CircuitBreaker
 from ..hardware.nic import FlowRule, Nic
@@ -113,23 +113,3 @@ class TrafficDirector:
             self.failbacks.add(1)
             self.tracer.instant("traffic.failback", category="fault",
                                 target="dpu")
-
-    # -- introspection (the audit trail Q2 requires) ---------------------------
-
-    def rules(self) -> List[FlowRule]:
-        """The installed rules, in match order."""
-        return self.nic.flow_table.rules
-
-    def report(self) -> str:
-        """A human-readable steering table with hit counts."""
-        lines = ["traffic director rules (first match wins):"]
-        for rule in self.rules():
-            lines.append(
-                f"  {rule.name:32s} -> {rule.action:4s} "
-                f"({rule.hits} hits)"
-            )
-        lines.append(
-            f"  {'<default>':32s} -> {self.nic.flow_table.default_action:4s} "
-            f"({self.nic.flow_table.default_hits} hits)"
-        )
-        return "\n".join(lines)

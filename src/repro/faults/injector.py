@@ -30,10 +30,8 @@ import zlib
 from typing import Dict, Optional
 
 from ..errors import FaultInjectedError
-from ..obs.trace import NULL_TRACER
 from ..sim.stats import Counter
-
-from .plan import FaultPlan, FaultWindow
+from .plan import FaultPlan
 
 __all__ = ["FaultInjector", "NullInjector", "NULL_INJECTOR"]
 
@@ -41,20 +39,17 @@ __all__ = ["FaultInjector", "NullInjector", "NULL_INJECTOR"]
 class FaultInjector:
     """Deterministic per-site fault decisions against one plan."""
 
-    def __init__(self, env, plan: Optional[FaultPlan] = None,
-                 tracer=None, name: str = "faults"):
+    def __init__(self, env, plan: Optional[FaultPlan] = None):
         self.env = env
         self.plan = plan or FaultPlan()
-        self.name = name
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self._rngs: Dict[str, random.Random] = {}
         #: site -> windows cache (site universe is small and stable)
         self._site_windows: Dict[str, list] = {}
-        self.injected = Counter(f"{name}.injected")
-        self.errors = Counter(f"{name}.errors")
-        self.delays = Counter(f"{name}.delays")
-        self.drops = Counter(f"{name}.drops")
-        self.downs = Counter(f"{name}.down_hits")
+        self.injected = Counter("faults.injected")
+        self.errors = Counter("faults.errors")
+        self.delays = Counter("faults.delays")
+        self.drops = Counter("faults.drops")
+        self.downs = Counter("faults.down_hits")
         #: per-site injection counts for reports/tests
         self.by_site: Dict[str, int] = {}
 
@@ -81,14 +76,9 @@ class FaultInjector:
             if window.kind == kind and window.active(now):
                 yield window
 
-    def _record(self, site: str, kind: str, window: FaultWindow) -> None:
+    def _record(self, site: str) -> None:
         self.injected.add(1)
         self.by_site[site] = self.by_site.get(site, 0) + 1
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "fault.injected", category="faults", site=site,
-                kind=kind, window_start_s=window.start_s,
-            )
 
     # -- the hook API ------------------------------------------------------
 
@@ -104,13 +94,13 @@ class FaultInjector:
             if window.probability >= 1.0 or \
                     rng.random() < window.probability:
                 self.delays.add(1)
-                self._record(site, "delay", window)
+                self._record(site)
                 yield self.env.timeout(window.magnitude)
         for window in self._active(site, "error"):
             if window.probability >= 1.0 or \
                     rng.random() < window.probability:
                 self.errors.add(1)
-                self._record(site, "error", window)
+                self._record(site)
                 raise FaultInjectedError(
                     f"injected {site} error at t={self.env.now:.6f}",
                     site=site, kind="error",
@@ -120,7 +110,7 @@ class FaultInjector:
         """Whether a ``down`` window currently covers ``site``."""
         for window in self._active(site, "down"):
             self.downs.add(1)
-            self._record(site, "down", window)
+            self._record(site)
             return True
         return False
 
@@ -132,14 +122,14 @@ class FaultInjector:
         """
         for window in self._active(site, "down"):
             self.drops.add(1)
-            self._record(site, "down", window)
+            self._record(site)
             return True
         rng = self._rng(site)
         for window in self._active(site, "drop"):
             if window.probability >= 1.0 or \
                     rng.random() < window.probability:
                 self.drops.add(1)
-                self._record(site, "drop", window)
+                self._record(site)
                 return True
         return False
 
@@ -169,11 +159,6 @@ class FaultInjector:
                 accelerator.injector = self
         if getattr(server.nic, "wire", None) is not None:
             server.nic.wire.injector = self
-
-    def counts(self) -> Dict[str, int]:
-        """Per-site injection totals (copy; stable key order)."""
-        return {site: self.by_site[site]
-                for site in sorted(self.by_site)}
 
     def __repr__(self) -> str:
         return (f"FaultInjector(seed={self.plan.seed}, "

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from typing import List, Tuple
+from typing import List
 
 __all__ = ["FaultWindow", "FaultPlan", "KINDS", "default_fault_plan"]
 
@@ -101,29 +101,25 @@ class FaultPlan:
     # -- convenience builders (the fault families the tentpole names) ----
 
     def ssd_errors(self, probability: float, start_s: float = 0.0,
-                   end_s: float = float("inf"),
-                   site: str = "ssd.*") -> "FaultPlan":
-        """Per-I/O read/write failures on matching SSDs."""
-        return self.add(site, "error", start_s, end_s, probability)
+                   end_s: float = float("inf")) -> "FaultPlan":
+        """Per-I/O read/write failures on every SSD."""
+        return self.add("ssd.*", "error", start_s, end_s, probability)
 
     def ssd_latency_spike(self, extra_s: float, probability: float = 1.0,
                           start_s: float = 0.0,
-                          end_s: float = float("inf"),
-                          site: str = "ssd.*") -> "FaultPlan":
-        """Extra per-I/O latency on matching SSDs."""
-        return self.add(site, "delay", start_s, end_s, probability,
+                          end_s: float = float("inf")) -> "FaultPlan":
+        """Extra per-I/O latency on every SSD."""
+        return self.add("ssd.*", "delay", start_s, end_s, probability,
                         magnitude=extra_s)
 
     def packet_loss(self, probability: float, start_s: float = 0.0,
-                    end_s: float = float("inf"),
-                    site: str = "wire*") -> "FaultPlan":
-        """Per-frame drops on matching wires."""
-        return self.add(site, "drop", start_s, end_s, probability)
+                    end_s: float = float("inf")) -> "FaultPlan":
+        """Per-frame drops on every wire."""
+        return self.add("wire*", "drop", start_s, end_s, probability)
 
-    def link_flap(self, start_s: float, end_s: float,
-                  site: str = "wire*") -> "FaultPlan":
+    def link_flap(self, start_s: float, end_s: float) -> "FaultPlan":
         """A full link outage: every frame dropped in the window."""
-        return self.add(site, "down", start_s, end_s)
+        return self.add("wire*", "down", start_s, end_s)
 
     def cpu_crash(self, start_s: float, end_s: float,
                   site: str = "cpu.*.dpu.cpu") -> "FaultPlan":
@@ -152,32 +148,6 @@ class FaultPlan:
     def windows_for(self, site: str) -> List[FaultWindow]:
         """Windows whose pattern matches a concrete ``site``."""
         return [w for w in self.windows if w.matches(site)]
-
-    def span(self) -> Tuple[float, float]:
-        """The [earliest start, latest finite end] of the plan."""
-        if not self.windows:
-            return (0.0, 0.0)
-        starts = [w.start_s for w in self.windows]
-        ends = [w.end_s for w in self.windows
-                if w.end_s != float("inf")]
-        return (min(starts), max(ends) if ends else float("inf"))
-
-    def describe(self) -> str:
-        """A human-readable schedule table."""
-        lines = [f"fault plan (seed={self.seed}, "
-                 f"{len(self.windows)} windows):"]
-        for w in sorted(self.windows,
-                        key=lambda w: (w.start_s, w.site, w.kind)):
-            end = "inf" if w.end_s == float("inf") else f"{w.end_s:g}"
-            extra = ""
-            if w.kind in ("delay", "slow"):
-                extra = f" x{w.magnitude:g}" if w.kind == "slow" \
-                    else f" +{w.magnitude:g}s"
-            lines.append(
-                f"  [{w.start_s:g}, {end}) {w.site:28s} "
-                f"{w.kind:5s} p={w.probability:g}{extra}"
-            )
-        return "\n".join(lines)
 
 
 def default_fault_plan(seed: int = 0,

@@ -20,14 +20,10 @@ class BlockDevice:
     """A fixed-geometry block device backed by an :class:`Ssd`."""
 
     def __init__(self, ssd: Ssd, capacity_bytes: int = 256 * GiB,
-                 block_size: int = 4096, tracer=None, injector=None):
+                 block_size: int = 4096, tracer=None):
         if block_size <= 0 or capacity_bytes < block_size:
             raise ValueError("invalid block device geometry")
         self.ssd = ssd
-        # Block I/O faults surface through the backing device's
-        # ssd.<name>.read / .write sites.
-        if injector is not None and ssd.injector is None:
-            ssd.injector = injector
         self.block_size = block_size
         self.num_blocks = capacity_bytes // block_size
         self.tracer = tracer if tracer is not None else NULL_TRACER

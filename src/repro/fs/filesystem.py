@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..buffers import Buffer, SynthBuffer, as_buffer
 from ..errors import FileNotFoundOnDpuError, FileSystemError
@@ -70,10 +70,6 @@ class FileMapping:
             raise FileNotFoundOnDpuError(f"no file with id {file_id}")
         return inode
 
-    def lookup(self, name: str) -> Optional[int]:
-        """File id for ``name``, or None."""
-        return self._by_name.get(name)
-
     def add(self, inode: Inode) -> None:
         """Register a new inode in the mapping."""
         if inode.name in self._by_name:
@@ -110,10 +106,6 @@ class FileMapping:
             logical += extent.length
         return runs
 
-    def names(self):
-        """All file names in the namespace, sorted."""
-        return sorted(self._by_name)
-
 
 class FileSystem:
     """Extent filesystem over one block device."""
@@ -144,14 +136,6 @@ class FileSystem:
         if size:
             self._grow(inode, size)
         return file_id
-
-    def lookup(self, name: str) -> Optional[int]:
-        """File id for ``name``, or None."""
-        return self.mapping.lookup(name)
-
-    def stat(self, file_id: int) -> Inode:
-        """The file's inode (size, extents)."""
-        return self.mapping.inode(file_id)
 
     def _grow(self, inode: Inode, new_size: int) -> None:
         needed_blocks = (
@@ -210,7 +194,3 @@ class FileSystem:
         # re-reads get the real bytes back, which is what the
         # page-oriented workloads in this repo do.
         self._contents[(file_id, offset)] = buffer
-
-    @property
-    def free_bytes(self) -> int:
-        return self._allocator.free_blocks * self.block_size

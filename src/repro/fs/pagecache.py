@@ -41,10 +41,6 @@ class PageCache:
         self.misses = Counter(f"{name}.misses")
         self.evictions = Counter(f"{name}.evictions")
 
-    @property
-    def used_bytes(self) -> int:
-        return self._used
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -85,11 +81,6 @@ class PageCache:
             self._remove(key)
             return True
         return False
-
-    def clear(self) -> None:
-        """Drop every cached page, releasing memory."""
-        for key in list(self._entries):
-            self._remove(key)
 
     def _remove(self, key: Hashable) -> None:
         page, allocation = self._entries.pop(key)

@@ -102,10 +102,6 @@ class Accelerator:
     def queue_length(self) -> int:
         return self._channels.queue_length
 
-    def utilization(self, elapsed: Optional[float] = None) -> float:
-        """Time-averaged busy channels / total channels."""
-        return self._channels.utilization(elapsed) / self.spec.channels
-
     def __repr__(self) -> str:
         return (
             f"Accelerator({self.name}: {self.spec.throughput_bytes_per_s / 1e9:.2f} "

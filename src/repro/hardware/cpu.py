@@ -15,16 +15,14 @@ Two usage patterns:
   reactors, the NE DMA poller).
 
 Both are accounted in the cluster's busy-time integral, so
-``cores_consumed()`` reports the paper's "CPU cores" metric: the
-time-averaged number of busy cores.
+``busy_seconds()`` over a window is the paper's "CPU cores" metric:
+the time-averaged number of busy cores (``bench.harness.CoreMeter``).
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..errors import FaultInjectedError
-from ..sim import Environment, PriorityResource
+from ..sim import Environment, Resource
 from ..sim.stats import Counter
 
 __all__ = ["CpuCluster", "DedicatedCore"]
@@ -73,7 +71,7 @@ class CpuCluster:
         self.frequency_hz = float(frequency_hz)
         self.name = name
         self.cpu_class = cpu_class
-        self._cores = PriorityResource(env, capacity=cores, name=name)
+        self._cores = Resource(env, capacity=cores, name=name)
         self.cycles_charged = Counter(f"{name}.cycles")
         #: optional FaultInjector; site cpu.<name>.  Only the transient
         #: execute() path is hooked — dedicated cores (reactors, pollers)
@@ -91,7 +89,7 @@ class CpuCluster:
 
     # -- execution -----------------------------------------------------------
 
-    def execute(self, cycles: float, priority: int = 0):
+    def execute(self, cycles: float):
         """Acquire a core, burn ``cycles``, release (generator).
 
         Usage inside a process: ``yield from cluster.execute(c)``.
@@ -117,7 +115,7 @@ class CpuCluster:
             self.cycles_charged.add(cycles)
             yield hold
             return
-        with self._cores.request(priority=priority) as req:
+        with self._cores.request() as req:
             yield req
             yield from self._burn(cycles)
 
@@ -142,12 +140,12 @@ class CpuCluster:
             return True
         return False
 
-    def acquire_core(self, priority: int = 0):
+    def acquire_core(self):
         """Acquire a core long-term (generator returning DedicatedCore).
 
         Usage: ``core = yield from cluster.acquire_core()``.
         """
-        req = self._cores.request(priority=priority)
+        req = self._cores.request()
         yield req
         return DedicatedCore(self, req)
 
@@ -169,18 +167,9 @@ class CpuCluster:
         return self._cores
 
     @property
-    def busy_cores(self) -> int:
-        """Number of cores currently held."""
-        return self._cores.count
-
-    @property
     def queue_length(self) -> int:
         """Number of execution requests waiting for a core."""
         return self._cores.queue_length
-
-    def cores_consumed(self, elapsed: Optional[float] = None) -> float:
-        """Time-averaged number of busy cores (the paper's metric)."""
-        return self._cores.utilization(elapsed)
 
     def busy_seconds(self) -> float:
         """Total core-seconds of occupancy so far."""
@@ -189,5 +178,5 @@ class CpuCluster:
     def __repr__(self) -> str:
         return (
             f"CpuCluster({self.name}: {self.cores} x "
-            f"{self.frequency_hz / 1e9:.2f} GHz, busy={self.busy_cores})"
+            f"{self.frequency_hz / 1e9:.2f} GHz, busy={self._cores.count})"
         )

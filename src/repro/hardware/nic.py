@@ -42,14 +42,13 @@ class FlowRule:
 class FlowTable:
     """Hardware match-action table for ingress steering.
 
-    Rules are evaluated in insertion order; the first match wins.
-    ``default_action`` applies when no rule matches.  Per-rule hit
+    Rules are evaluated in insertion order; the first match wins and
+    a frame no rule matches goes to the host.  Per-rule hit
     counters make the steering auditable (the traffic director's Q2
     instrumentation).
     """
 
-    def __init__(self, default_action: str = "host"):
-        self.default_action = default_action
+    def __init__(self):
         self._rules: List[FlowRule] = []
         self.default_hits = 0
 
@@ -69,10 +68,6 @@ class FlowTable:
                 return True
         return False
 
-    def clear(self) -> None:
-        """Remove every rule."""
-        self._rules.clear()
-
     def classify(self, frame: Any) -> str:
         """Return the action tag for ``frame``."""
         for rule in self._rules:
@@ -80,11 +75,7 @@ class FlowTable:
                 rule.hits += 1
                 return rule.action
         self.default_hits += 1
-        return self.default_action
-
-    @property
-    def rules(self) -> List[FlowRule]:
-        return list(self._rules)
+        return "host"
 
     def __len__(self) -> int:
         return len(self._rules)
@@ -146,7 +137,7 @@ class Nic:
                 yield self.env.timeout(serialization)
         self.tx_bytes.value += nbytes
         self.tx_frames.value += 1
-        carry_at = getattr(self.wire, "carry_at", None)
+        carry_at = self.wire.carry_at
         if carry_at is not None:
             # Port latency folds into the flight delay: the frame
             # arrives at the same instant, without parking the sender
@@ -170,7 +161,7 @@ class Nic:
         """
         if self.wire is None:
             raise RuntimeError(f"{self.name} is not connected to a wire")
-        carry_at = getattr(self.wire, "carry_at", None)
+        carry_at = self.wire.carry_at
         if carry_at is None:
             return False
         serialization = self.serialization_time(nbytes)
@@ -197,7 +188,7 @@ class Nic:
             return
         if self.wire is None:
             raise RuntimeError(f"{self.name} is not connected to a wire")
-        carry_at = getattr(self.wire, "carry_at", None)
+        carry_at = self.wire.carry_at
         total = 0.0
         for _frame, nbytes in frames:
             total += self.serialization_time(nbytes)
@@ -236,7 +227,7 @@ class Nic:
         """
         if self.wire is None:
             raise RuntimeError(f"{self.name} is not connected to a wire")
-        carry_at = getattr(self.wire, "carry_at", None)
+        carry_at = self.wire.carry_at
         if carry_at is None:
             return None
         total = 0.0
@@ -303,13 +294,10 @@ class Wire:
         nic_a.wire = self
         nic_b.wire = self
 
-    def carry(self, sender: Nic, frame: Any, nbytes: int) -> None:
-        """Propagate a frame to the opposite end after the flight delay."""
-        self.carry_at(sender, frame, nbytes, 0.0)
-
     def carry_at(self, sender: Nic, frame: Any, nbytes: int,
                  extra_delay: float) -> None:
-        """Like :meth:`carry`, arriving ``extra_delay`` later.
+        """Propagate a frame to the opposite end, arriving the flight
+        delay plus ``extra_delay`` from now.
 
         Batched transmits schedule every frame of a burst up front;
         the loss draw still happens now, in send order, so seeded

@@ -14,8 +14,6 @@ PCIe switch.  Two models live here:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..sim import Environment, Resource
 from ..sim.stats import Counter
 
@@ -68,11 +66,6 @@ class PcieLink:
                 yield req
                 yield self.env.timeout(duration)
         self.bytes_moved.add(nbytes)
-
-    def utilization(self, elapsed: Optional[float] = None) -> float:
-        """Mean busy fraction across both directions."""
-        return (self._tx.utilization(elapsed) +
-                self._rx.utilization(elapsed)) / 2.0
 
 
 class DmaEngine:

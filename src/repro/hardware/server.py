@@ -25,7 +25,7 @@ from .dpu import Dpu
 from .memory import MemoryRegion
 from .nic import Nic, Wire
 from .profiles import DpuProfile, EPYC_HOST, HostProfile
-from .ssd import Ssd, SsdSpec
+from .ssd import Ssd
 
 __all__ = ["Server", "make_server", "connect"]
 
@@ -38,7 +38,6 @@ class Server:
                  dpu: Optional[Dpu],
                  ssds: List[Ssd],
                  costs: CostModel,
-                 plain_nic_bandwidth_bps: float = 100 * Gbps,
                  peers: Optional[List["PeerAccelerator"]] = None):
         self.env = env
         self.name = name
@@ -59,8 +58,7 @@ class Server:
             # The server's network port is the DPU's NIC.
             self.nic = dpu.nic
         else:
-            self.nic = Nic(env, plain_nic_bandwidth_bps,
-                           name=f"{name}.nic")
+            self.nic = Nic(env, 100 * Gbps, name=f"{name}.nic")
 
     def ssd(self, index: int = 0) -> Ssd:
         """The ``index``-th local SSD."""
@@ -82,8 +80,6 @@ def make_server(env: Environment, name: str = "server",
                 host_profile: HostProfile = EPYC_HOST,
                 dpu_profile: Optional[DpuProfile] = None,
                 ssd_count: int = 1,
-                ssd_spec: Optional[SsdSpec] = None,
-                costs: Optional[CostModel] = None,
                 peer_specs=()) -> Server:
     """Build a server with the given host, DPU SKU, and SSD complement.
 
@@ -94,30 +90,27 @@ def make_server(env: Environment, name: str = "server",
 
     if ssd_count < 0:
         raise ValueError("ssd_count cannot be negative")
-    costs = costs or default_cost_model()
     dpu = (
         Dpu(env, dpu_profile, name=f"{name}.dpu")
         if dpu_profile is not None else None
     )
     ssds = [
-        Ssd(env, ssd_spec, name=f"{name}.ssd{i}")
+        Ssd(env, name=f"{name}.ssd{i}")
         for i in range(ssd_count)
     ]
     peers = [
         PeerAccelerator(env, spec, name=f"{name}.{spec.name}")
         for spec in peer_specs
     ]
-    return Server(env, name, host_profile, dpu, ssds, costs,
-                  peers=peers)
+    return Server(env, name, host_profile, dpu, ssds,
+                  default_cost_model(), peers=peers)
 
 
-def connect(server_a: Server, server_b: Server,
-            propagation_delay_s: float = 2e-6) -> Wire:
+def connect(server_a: Server, server_b: Server) -> Wire:
     """Wire two servers' network ports together (point to point)."""
     if server_a.env is not server_b.env:
         raise ValueError("servers belong to different simulations")
-    return Wire(server_a.env, server_a.nic, server_b.nic,
-                propagation_delay_s)
+    return Wire(server_a.env, server_a.nic, server_b.nic)
 
 
 def attach_to_switch(switch, *servers: Server) -> None:

@@ -1,14 +1,12 @@
 """A top-of-rack switch connecting several servers.
 
 The paper's experiments are single-link, but its motivating scenarios
-(disaggregated data centers, shuffle, DFI flows) are multi-node.  A
-:class:`Switch` implements the same ``carry`` interface as
-:class:`~repro.hardware.nic.Wire`, so NICs plug into either: frames
-carry a ``dst`` address, and each output port serializes deliveries at
-the port rate (output-queued switch model).
-
-Two-port back-compat: a frame without ``dst`` on a two-port switch is
-delivered to the other port, so point-to-point code works unchanged.
+(disaggregated data centers, shuffle, DFI flows) are multi-node.  NICs
+plug into a :class:`Switch` as they do into a
+:class:`~repro.hardware.nic.Wire`: frames carry a ``dst`` address (one
+without, or with an unknown one, is dropped and counted), and each
+output port serializes deliveries at the port rate (output-queued
+switch model).
 
 Output queues honour a two-class QoS scheme: frames whose TCP port is
 registered via :meth:`Switch.prioritize_port` are granted the output
@@ -19,7 +17,7 @@ shares one class and the queues degrade to plain FIFO.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, Set
 
 from ..errors import NetworkError
 from ..sim import Environment
@@ -37,6 +35,11 @@ _CLASS_BULK = 1
 
 class Switch:
     """An output-queued switch with per-port serialization."""
+
+    #: a frame's arrival depends on the output port's queue, so the
+    #: switch cannot schedule deliveries ahead as a ``Wire.carry_at``
+    #: does; NICs fall back to one ``carry`` per frame
+    carry_at = None
 
     def __init__(self, env: Environment,
                  port_bandwidth_bps: float = 100 * Gbps,
@@ -80,26 +83,12 @@ class Switch:
     def carry(self, sender: Nic, frame: Any, nbytes: int) -> None:
         """Route a frame to its destination port."""
         dst = frame.get("dst") if isinstance(frame, dict) else None
-        if dst is None:
-            dst = self._other_end(sender)
-            if dst is None:
-                self.frames_dropped.add(1)
-                return
         receiver = self._ports.get(dst)
         if receiver is None:
             self.frames_dropped.add(1)
             return
         self.env.process(self._forward(dst, receiver, frame, nbytes),
                          name=f"{self.name}-fwd")
-
-    def _other_end(self, sender: Nic) -> Optional[str]:
-        """Two-port back-compat: the address that is not the sender's."""
-        if len(self._ports) != 2:
-            return None
-        for address, nic in self._ports.items():
-            if nic is not sender:
-                return address
-        return None
 
     def _forward(self, dst: str, receiver: Nic, frame: Any,
                  nbytes: int):

@@ -15,7 +15,7 @@ NVMe or io_uring SQ/CQ pair.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, List, Optional
+from typing import Any, List
 
 from ..obs.trace import NULL_TRACER
 from ..sim import Environment, Store
@@ -105,10 +105,6 @@ class RingBuffer:
                             hop.finish()
         return batch
 
-    def peek(self) -> Optional[Any]:
-        """The oldest entry without removing it (None when empty)."""
-        return self._entries[0] if self._entries else None
-
 
 class RingPair:
     """A submission/completion ring pair shared by host and DPU."""
@@ -126,10 +122,6 @@ class RingPair:
     def submit(self, request: Any) -> bool:
         """Host side: enqueue a request descriptor."""
         return self.submission.try_push(request)
-
-    def complete(self, response: Any) -> bool:
-        """DPU side: post a completion."""
-        return self.completion.try_push(response)
 
     def poll_submissions(self, max_items: int = 32) -> List[Any]:
         """DPU side: pull a batch of pending requests."""

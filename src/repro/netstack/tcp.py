@@ -56,6 +56,7 @@ __all__ = ["TcpStack", "TcpConnection", "TcpListener"]
 _MSS = 8960                       # jumbo-frame payload, one 8 KiB page fits
 _HEADER_BYTES = 66                # eth + ip + tcp headers on the wire
 _INIT_CWND = 10 * _MSS
+_BUFFER_BYTES = 1 << 20           # send and receive socket buffers
 _MIN_RTO = 2e-3
 _INIT_RTO = 20e-3
 _MAX_RTO = 0.2                    # backoff ceiling (data RTO and SYN)
@@ -100,8 +101,6 @@ class TcpConnection:
     """One established TCP connection endpoint."""
 
     def __init__(self, stack: "TcpStack", cid: int, port: int,
-                 send_buffer_bytes: int = 1 << 20,
-                 recv_buffer_bytes: int = 1 << 20,
                  remote: Optional[str] = None):
         self.stack = stack
         self.env = stack.env
@@ -113,7 +112,7 @@ class TcpConnection:
 
         # --- sender state ---
         self._snd_buffer = Container(
-            self.env, capacity=send_buffer_bytes, init=send_buffer_bytes
+            self.env, capacity=_BUFFER_BYTES, init=_BUFFER_BYTES
         )
         self._snd_queue = Store(self.env, capacity=64)   # queued messages
         self._snd_base = 0                          # oldest unacked seq
@@ -121,7 +120,7 @@ class TcpConnection:
         self._inflight: Dict[int, dict] = {}        # seq -> segment
         self._cwnd = float(_INIT_CWND)
         self._ssthresh = float(1 << 20)
-        self._peer_rwnd = 1 << 20
+        self._peer_rwnd = _BUFFER_BYTES
         self._dup_acks = 0
         self._srtt: Optional[float] = None
         self._rttvar = 0.0
@@ -139,7 +138,6 @@ class TcpConnection:
 
         # --- receiver state ---
         self._rcv_next = 0
-        self._rcv_buffer_bytes = recv_buffer_bytes
         self._rcv_pending = 0                       # bytes not yet read
         self._out_of_order: Dict[int, dict] = {}
         self._assembly: Dict[int, list] = {}        # msg_id -> buffers
@@ -153,7 +151,7 @@ class TcpConnection:
 
     # ---------------------------------------------------------------- send
 
-    def send_message(self, payload, msg_id: Optional[int] = None):
+    def send_message(self, payload):
         """Queue one message for transmission (generator).
 
         Completes when the message is accepted into the (bounded) send
@@ -434,7 +432,7 @@ class TcpConnection:
                 )
 
     def _advertised_window(self) -> int:
-        return max(0, self._rcv_buffer_bytes - self._rcv_pending)
+        return max(0, _BUFFER_BYTES - self._rcv_pending)
 
     # ----------------------------------------------------------------- ACKs
 

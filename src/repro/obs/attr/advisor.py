@@ -26,12 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ...hardware.costs import DEFAULT_COSTS, CostModel
+from ...hardware.costs import DEFAULT_COSTS
 from ...hardware.profiles import (
     BLUEFIELD2,
     EPYC_HOST,
-    DpuProfile,
-    HostProfile,
 )
 
 __all__ = ["PlacementEstimate", "Recommendation", "OffloadAdvisor"]
@@ -66,12 +64,10 @@ class Recommendation:
 class OffloadAdvisor:
     """Prices kernel placements and recommends the cheapest."""
 
-    def __init__(self, cost_model: CostModel = DEFAULT_COSTS,
-                 host_profile: HostProfile = EPYC_HOST,
-                 dpu_profile: DpuProfile = BLUEFIELD2):
-        self.costs = cost_model
-        self.host = host_profile
-        self.dpu = dpu_profile
+    def __init__(self):
+        self.costs = DEFAULT_COSTS
+        self.host = EPYC_HOST
+        self.dpu = BLUEFIELD2
 
     # -- pricing -------------------------------------------------------------
 

@@ -56,6 +56,9 @@ CATEGORIES: Tuple[str, ...] = (
     "host_cpu", "forward", "retry", "other",
 )
 
+#: the span every DDS server opens per request: an attribution root
+REQUEST_ROOT = "dds.request"
+
 #: ``ce.kernel.*`` / ``ce.fused.*`` device attribute -> category.
 _DEVICE_CATEGORY = {
     "dpu_asic": "asic",
@@ -206,15 +209,15 @@ class SpanIndex:
                               for child in reversed(below)])
         return out
 
-    def request_roots(self, name: str = "dds.request"
-                      ) -> List[Tuple[str, int]]:
-        """Finished request roots: ``name`` spans with no parent.
+    def request_roots(self) -> List[Tuple[str, int]]:
+        """Finished request roots: :data:`REQUEST_ROOT` spans with no
+        parent.
 
         An adopted remote root (one carrying ``remote_parent``) is a
         *subtree* of the origin's request, not a root of its own.
         """
         roots = [key for key, span in self.spans.items()
-                 if span.name == name and span.finished
+                 if span.name == REQUEST_ROOT and span.finished
                  and self.parent_key(key) is None]
         return sorted(roots)
 
@@ -258,13 +261,6 @@ class RequestAttribution:
         """|attributed - measured|; the invariant the claims check."""
         return abs(self.attributed_s - self.total_s)
 
-    def dominant(self) -> Tuple[str, float]:
-        """The largest segment: ``(category, seconds)``."""
-        if not self.segments:
-            return ("queue", 0.0)
-        return max(self.segments.items(),
-                   key=lambda kv: (kv[1], kv[0]))
-
     def to_dict(self) -> Dict[str, Any]:
         """JSON-friendly form (``--attr-out`` reports)."""
         return {
@@ -282,9 +278,8 @@ class RequestAttribution:
         }
 
     def __repr__(self) -> str:
-        top, seconds = self.dominant()
         return (f"RequestAttribution({self.node}:{self.span_id} "
-                f"{self.total_s:.3g}s, top {top}={seconds:.3g}s)")
+                f"{self.total_s:.3g}s)")
 
 
 def attribute_request(index: SpanIndex, root_key: Tuple[str, int]
@@ -441,12 +436,12 @@ class AttributionReport:
         return max((r.conservation_error_s for r in self.requests),
                    default=0.0)
 
-    def conserved_fraction(self, tol_s: float = 1e-9) -> float:
-        """Fraction of requests whose ledger sums within ``tol_s``."""
+    def conserved_fraction(self) -> float:
+        """Fraction of requests whose ledger sums within a nanosecond."""
         if not self.requests:
             return 1.0
         good = sum(1 for r in self.requests
-                   if r.conservation_error_s <= tol_s)
+                   if r.conservation_error_s <= 1e-9)
         return good / len(self.requests)
 
     def to_dict(self, max_requests: int = 0) -> Dict[str, Any]:
@@ -480,8 +475,8 @@ class AttributionReport:
                 f"max_err={self.max_conservation_error_s():.3g}s)")
 
 
-def build_report(tracers: Iterable[Tuple[str, Any]],
-                 root_name: str = "dds.request") -> AttributionReport:
+def build_report(tracers: Iterable[Tuple[str, Any]]
+                 ) -> AttributionReport:
     """Attribute every finished request across a set of node tracers.
 
     ``tracers`` is the ``(node, tracer)`` list a
@@ -490,7 +485,7 @@ def build_report(tracers: Iterable[Tuple[str, Any]],
     """
     index = SpanIndex(tracers)
     requests = [attribute_request(index, root)
-                for root in index.request_roots(root_name)]
+                for root in index.request_roots()]
     kernels: Dict[Tuple[str, str], KernelObservation] = {}
     for _key, span in sorted(
             item for item in index.spans.items()

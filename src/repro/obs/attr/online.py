@@ -27,6 +27,7 @@ from collections import deque
 from typing import Any, Dict, List, Tuple
 
 from .criticalpath import (
+    REQUEST_ROOT,
     AttributionReport,
     KernelObservation,
     RequestAttribution,
@@ -40,12 +41,10 @@ __all__ = ["AttributionCollector"]
 class AttributionCollector:
     """Incremental, windowed request attribution for one plane."""
 
-    def __init__(self, window: int = 8,
-                 root_name: str = "dds.request"):
+    def __init__(self, window: int = 8):
         if window < 1:
             raise ValueError("window must be >= 1")
         self.window = window
-        self.root_name = root_name
         #: every attributed request, in root-finish scan order
         self.requests: List[RequestAttribution] = []
         #: (kernel, device) -> cumulative kernel observation
@@ -73,7 +72,7 @@ class AttributionCollector:
             spans = tracer.spans          # finished, append-only
             finished = spans[cursor:]
             for span in finished:
-                if span.name == self.root_name:
+                if span.name == REQUEST_ROOT:
                     roots.append((node, span.span_id))
                 elif span.name.startswith("ce.kernel."):
                     self._observe_kernel(span)
@@ -131,14 +130,14 @@ class AttributionCollector:
         rows.sort(key=lambda row: (-row[2], row[0], row[1]))
         return rows[:k]
 
-    def window_summary(self, k: int = 5) -> Dict[str, Any]:
+    def window_summary(self) -> Dict[str, Any]:
         """The breach-window summary flight recorder bundles embed."""
         return {
             "requests_attributed": len(self.requests),
             "windows": len(self.windows),
             "top_bottlenecks": [
                 {"node": node, "category": category, "seconds": s}
-                for node, category, s in self.top_bottlenecks(k)
+                for node, category, s in self.top_bottlenecks()
             ],
             "latest_window": (dict(self.windows[-1])
                               if self.windows else {}),

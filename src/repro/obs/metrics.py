@@ -20,7 +20,7 @@ Two ways in:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 from ..sim.stats import Counter, Tally, TimeWeighted
 
@@ -99,10 +99,6 @@ class MetricsRegistry:
     def get(self, name: str, **labels: str) -> Optional[Instrument]:
         """The instrument registered under ``name``, or None."""
         return self._instruments.get(_qualify(name, labels))
-
-    def names(self) -> List[str]:
-        """All registered metric names (with labels), sorted."""
-        return sorted(self._instruments)
 
     def snapshot(self, now: float,
                  prefix: Optional[str] = None) -> Dict[str, float]:

@@ -45,7 +45,7 @@ from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..telemetry import Telemetry
-from ..trace import merge_chrome_events, write_merged_chrome
+from ..trace import merge_chrome_events
 
 __all__ = ["ClusterTelemetry", "TelemetrySnapshot"]
 
@@ -58,6 +58,9 @@ _TENANT_VERDICT = re.compile(
     r"^tenant\.([^.{]+)\.(admitted|rejected|shed)$")
 
 _BREAKER_STATES = {"closed": 0.0, "open": 1.0, "half_open": 2.0}
+
+#: scrapes the plane retains (oldest dropped first)
+_MAX_SNAPSHOTS = 512
 
 
 class TelemetrySnapshot:
@@ -110,7 +113,7 @@ class ClusterTelemetry:
         plane.recorder = FlightRecorder(retain_s=2e-3)
         env.run(until=...)
         plane.latest().derived["goodput_ops_per_s"]
-        plane.write_chrome("cluster_trace.json")     # merged trace
+        write_merged_chrome("t.json", plane.tracers())   # merged trace
 
     One plane observes one cluster: per-node registries adopt
     engine instruments, so re-attaching would collide names.
@@ -119,7 +122,7 @@ class ClusterTelemetry:
     def __init__(self, env=None, tracing: bool = False,
                  name: str = "cluster",
                  scrape_interval_s: float = 5.0e-4,
-                 window: int = 8, max_snapshots: int = 512):
+                 window: int = 8):
         if scrape_interval_s <= 0:
             raise ValueError("scrape interval must be positive")
         if window < 1:
@@ -132,7 +135,7 @@ class ClusterTelemetry:
         #: node name -> that node's Telemetry bundle
         self.nodes: Dict[str, Telemetry] = {}
         #: versioned scrapes, oldest first (bounded)
-        self.snapshots: deque = deque(maxlen=max_snapshots)
+        self.snapshots: deque = deque(maxlen=_MAX_SNAPSHOTS)
         #: evaluated each scrape when set
         self.monitor = None
         self.recorder = None
@@ -158,11 +161,6 @@ class ClusterTelemetry:
                                   name=name, node=name)
             self.nodes[name] = telemetry
         return telemetry
-
-    @property
-    def tracing_enabled(self) -> bool:
-        """True when per-node tracers record spans."""
-        return self.tracing
 
     def tracers(self) -> List[Tuple[str, Any]]:
         """(node, tracer) pairs for every tracing-enabled node."""
@@ -361,10 +359,6 @@ class ClusterTelemetry:
     def to_chrome_events(self) -> List[dict]:
         """The merged multi-node Chrome trace (one pid per node)."""
         return merge_chrome_events(self.tracers())
-
-    def write_chrome(self, path: str) -> int:
-        """Write the merged cluster trace; returns event count."""
-        return write_merged_chrome(path, self.tracers())
 
     def flame_summary(self, max_rows: int = 60) -> str:
         """Per-node flame summaries, concatenated."""

@@ -28,7 +28,6 @@ Bundle layout (``schema repro.obs/incident`` v1)::
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import Any, Dict, List, Optional
 
@@ -108,15 +107,6 @@ class FlightRecorder:
             bundle["attribution"] = attribution.window_summary()
         self.incidents.append(bundle)
         return bundle
-
-    def write(self, path: str, index: int = -1) -> None:
-        """Write one captured incident bundle as JSON."""
-        if not self.incidents:
-            raise ValueError("no incidents captured")
-        with open(path, "w") as handle:
-            json.dump(self.incidents[index], handle, indent=1,
-                      sort_keys=True, default=str)
-            handle.write("\n")
 
     def __repr__(self) -> str:
         return (f"FlightRecorder(retain={self.retain_s:g}s, "

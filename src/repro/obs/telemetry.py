@@ -43,11 +43,6 @@ class Telemetry:
         self.tracer = Tracer(env, node=self.node) if tracing \
             else NULL_TRACER
 
-    @property
-    def tracing_enabled(self) -> bool:
-        """True when spans are actually being recorded."""
-        return self.tracer.enabled
-
     def bind(self, env) -> None:
         """Attach the tracer to a simulation environment's clock."""
         self.tracer.bind(env)
@@ -57,10 +52,6 @@ class Telemetry:
     def to_chrome_events(self):
         """Chrome trace events for this bundle's tracer."""
         return self.tracer.to_chrome_events()
-
-    def write_chrome(self, path: str) -> int:
-        """Write this bundle's trace; returns event count."""
-        return self.tracer.write_chrome(path)
 
     def flame_summary(self, max_rows: int = 60) -> str:
         """Plain-text flame summary of this bundle's tracer."""
@@ -165,5 +156,5 @@ class Telemetry:
         metrics.register(f"{breaker.name}.probes", breaker.probes)
 
     def __repr__(self) -> str:
-        mode = "tracing" if self.tracing_enabled else "metrics-only"
+        mode = "tracing" if self.tracer.enabled else "metrics-only"
         return f"Telemetry({self.name}, {mode}, {len(self.metrics)} metrics)"

@@ -17,7 +17,7 @@ Design constraints (they shape the whole API):
   results (the benchmarks assert this).
 * **Nestable inside simulation processes** — ``with tracer.span(...)``
   nests implicitly, but the implicit stack is kept *per simulation
-  process* (keyed by ``env.active_process``): interleaved processes do
+  process* (keyed by the kernel's active process): interleaved processes do
   not corrupt each other's trees.  Causality that crosses a process
   boundary (a request handed to a reactor through a ring) is expressed
   with an explicit ``parent=`` link and the begin/finish form.
@@ -248,7 +248,7 @@ class NullTracer:
         return NULL_SPAN
 
     def instant(self, name: str, category: str = "app",
-                parent: Any = None, **attrs: Any) -> None:
+                **attrs: Any) -> None:
         """No-op."""
 
     def all_spans(self) -> List[Span]:
@@ -381,12 +381,12 @@ class Tracer:
         return self._make(name, category, parent, attrs, True)
 
     def instant(self, name: str, category: str = "app",
-                parent: Any = None, **attrs: Any) -> None:
+                **attrs: Any) -> None:
         """Record a zero-duration event (decisions, cache hits)."""
         env = self._env
         self.instants.append(
             (env._now, name, category,
-             self._resolve_parent(parent, env._active_process), attrs)
+             self._resolve_parent(None, env._active_process), attrs)
         )
 
     def _on_finish(self, span: Span) -> None:

@@ -58,6 +58,12 @@ __all__ = ["DistributedScanDeployment", "merge_partials",
 
 _query_ids = itertools.count(1)
 
+#: host cores the coordinator spreads TCP ingest and pull evaluation
+#: over, and Arm cores an owner scans its shards with, in the
+#: cluster-aware wall-clock estimates
+_COORDINATOR_CORES = 8
+_NODE_SCAN_CORES = 6
+
 
 # -- per-shard planning ------------------------------------------------------
 
@@ -66,18 +72,13 @@ def plan_distributed(query: ScanQuery,
                      shard_sizes: Dict[int, int],
                      n_columns: int,
                      network_bps: float = 100 * Gbps,
-                     costs=None,
-                     dpu_cores: int = 1,
-                     host_cores: int = 1,
-                     owners: Optional[Dict[int, str]] = None,
-                     coordinator_cores: int = 8,
-                     node_scan_cores: int = 6) -> dict:
+                     owners: Optional[Dict[int, str]] = None) -> dict:
     """Price both plans for every shard; choose independently.
 
     Scatter parallelism is per shard: one scan sproc occupies one Arm
     core on the owner, and one pull evaluation occupies one
-    coordinator host core — hence ``dpu_cores=1`` / ``host_cores=1``
-    defaults (unlike the single-node planner, which fans one big scan
+    coordinator host core — hence one core a side when each shard is
+    priced (unlike the single-node planner, which fans one big scan
     across a node's cores).
 
     The ``*_total_s`` fields are aggregate resource-seconds — the sum
@@ -98,7 +99,7 @@ def plan_distributed(query: ScanQuery,
     estimates — the uniform plan to force when one side owns the
     regime.
     """
-    costs = costs or default_cost_model()
+    costs = default_cost_model()
     per_shard = {}
     choices = {}
     pull_total_s = pushdown_total_s = chosen_total_s = 0.0
@@ -106,7 +107,7 @@ def plan_distributed(query: ScanQuery,
     for shard in sorted(shard_sizes):
         plan = plan_scan(query, shard_sizes[shard], n_columns,
                          network_bps=network_bps, costs=costs,
-                         dpu_cores=dpu_cores, host_cores=host_cores)
+                         dpu_cores=1, host_cores=1)
         per_shard[shard] = plan
         choices[shard] = plan["choice"]
         pull_total_s += plan["pull"].total_s
@@ -124,21 +125,19 @@ def plan_distributed(query: ScanQuery,
         "pushdown_bytes_on_wire": pushdown_wire,
     }
     plan.update(_cluster_wall(shard_sizes, per_shard, costs,
-                              network_bps, dpu_cores, owners or {},
-                              coordinator_cores, node_scan_cores))
+                              network_bps, owners or {}))
     return plan
 
 
 def _cluster_wall(shard_sizes, per_shard, costs, network_bps,
-                  dpu_cores, owners, coordinator_cores,
-                  node_scan_cores) -> dict:
+                  owners) -> dict:
     """Wall-clock estimates for the two *uniform* cluster plans.
 
     Pull concentrates: all table bytes serialize through the one
     coordinator NIC, and the coordinator's host cores pay kernel-TCP
     RX (per message + per byte) plus predicate evaluation for every
-    shard — spread over ``coordinator_cores``.  Pushdown spreads:
-    each owner's Arm cores chew their own shards ``node_scan_cores``
+    shard — spread over ``_COORDINATOR_CORES``.  Pushdown spreads:
+    each owner's Arm cores chew their own shards ``_NODE_SCAN_CORES``
     wide (the busiest owner is the critical path — consistent
     hashing is not perfectly balanced) and only the small results
     transit the coordinator stack.
@@ -170,16 +169,16 @@ def _cluster_wall(shard_sizes, per_shard, costs, network_bps,
             + software.spdk_cycles_per_page * pages
             + 2 * software.dpu_tcp_cycles_per_msg
             + software.dpu_tcp_cycles_per_byte * (size + out_bytes)
-            + estimates["pushdown"].compute_s * _DPU_HZ * dpu_cores)
+            + estimates["pushdown"].compute_s * _DPU_HZ)
     pull_wall_s = (pull_bytes / bytes_per_s
-                   + pull_host_cycles / _HOST_HZ / coordinator_cores)
+                   + pull_host_cycles / _HOST_HZ / _COORDINATOR_CORES)
     slowest_owner_s = (max(node_cycles.values()) / _DPU_HZ
-                       / max(node_scan_cores, 1)
+                       / _NODE_SCAN_CORES
                        if node_cycles else 0.0)
     pushdown_wall_s = (slowest_owner_s
                        + push_bytes / bytes_per_s
                        + push_host_cycles / _HOST_HZ
-                       / coordinator_cores)
+                       / _COORDINATOR_CORES)
     return {
         "pull_wall_s": pull_wall_s,
         "pushdown_wall_s": pushdown_wall_s,
@@ -274,14 +273,14 @@ class DistributedScanDeployment:
         return {shard: self.cluster.shardmap.owner_of_shard(shard)
                 for shard in self.partitions}
 
-    def plan(self, query: ScanQuery, **kwargs) -> dict:
+    def plan(self, query: ScanQuery) -> dict:
         """The cluster-aware plan for ``query`` on this deployment:
         per-shard choices priced at the deployment's actual fabric
         speed and shard placement."""
-        kwargs.setdefault("network_bps", self.network_bps)
-        kwargs.setdefault("owners", self.owners())
         return plan_distributed(query, self.shard_sizes(),
-                                len(self.schema.columns), **kwargs)
+                                len(self.schema.columns),
+                                network_bps=self.network_bps,
+                                owners=self.owners())
 
     def load(self) -> None:
         """Write every partition to its owner (device-timed) and

@@ -35,12 +35,13 @@ __all__ = ["ScanDeployment", "run_scan"]
 
 _scan_ids = itertools.count(1)
 
+_PORT = 9700        # the storage server's DDS port
+
 
 class ScanDeployment:
     """A table served by a DPDPU storage server, plus a compute node."""
 
-    def __init__(self, n_rows: int = 2_000, seed: int = 77,
-                 port: int = 9700):
+    def __init__(self, n_rows: int = 2_000, seed: int = 77):
         self.env = Environment()
         self.generator = TableGenerator(seed=seed)
         self.schema = self.generator.schema
@@ -56,8 +57,7 @@ class ScanDeployment:
         size = max(len(self.table_bytes) * 2, 4 * MiB)
         self.file_id = self.runtime.storage.create("table.csv",
                                                    size=size)
-        self.dds = self.runtime.dds(port=port)
-        self.port = port
+        self.dds = self.runtime.dds(port=_PORT)
         # One kernel TCP stack for the compute node: stacks own their
         # ingress queue, so all scans share this instance.
         self.client_tcp = make_kernel_tcp(self.compute_node,
@@ -149,7 +149,7 @@ def run_scan(deployment: ScanDeployment, query: ScanQuery,
         sproc_name = deployment.register_scan_sproc(query)
 
         def pushdown_client():
-            connection = yield from client_tcp.connect(deployment.port)
+            connection = yield from client_tcp.connect(_PORT)
             dds_client = DdsClient(connection)
             request = dds_client.submit(encode_sproc(sproc_name))
             buffer = yield request.done
@@ -158,7 +158,7 @@ def run_scan(deployment: ScanDeployment, query: ScanQuery,
         env.run(until=env.process(pushdown_client()))
     else:
         def pull_client():
-            connection = yield from client_tcp.connect(deployment.port)
+            connection = yield from client_tcp.connect(_PORT)
             dds_client = DdsClient(connection)
             table_len = len(deployment.table_bytes)
             # One large object read; TCP segments it on the wire, so

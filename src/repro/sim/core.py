@@ -119,11 +119,6 @@ class Event:
         return self._value is not _PENDING
 
     @property
-    def processed(self) -> bool:
-        """True once the event's callbacks have run."""
-        return self.callbacks is None
-
-    @property
     def ok(self) -> bool:
         """True if the event succeeded.  Only valid once triggered."""
         if self._ok is None:
@@ -244,11 +239,6 @@ class Process(Event):
         self._stale: Optional[dict] = None
         Initialize(env, self)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return self._value is _PENDING
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its next resume.
 
@@ -257,7 +247,7 @@ class Process(Event):
         """
         if self._value is not _PENDING:
             raise SimulationError(f"{self.name} has terminated")
-        if self is self.env.active_process:
+        if self is self.env._active_process:
             raise SimulationError("a process cannot interrupt itself")
         event = Event(self.env)
         event._ok = False
@@ -425,11 +415,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time (seconds by convention)."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
 
     # -- event construction ------------------------------------------------
 

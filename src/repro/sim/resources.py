@@ -57,10 +57,6 @@ class _Request(Event):
     def __exit__(self, exc_type, exc_val, exc_tb) -> None:
         self.resource.release(self)
 
-    def cancel(self) -> None:
-        """Withdraw a not-yet-granted request (e.g. after a timeout)."""
-        self.resource._cancel(self)
-
 
 class Resource:
     """``capacity`` identical slots with a FIFO wait queue."""
@@ -123,22 +119,12 @@ class Resource:
         self._account()
         return self._busy_integral
 
-    def utilization(self, elapsed: Optional[float] = None) -> float:
-        """Mean number of busy slots over ``elapsed`` (default: env.now)."""
-        elapsed = self.env.now if elapsed is None else elapsed
-        if elapsed <= 0:
-            return 0.0
-        return self.busy_time() / elapsed
-
     @property
     def total_served(self) -> int:
         """Number of requests granted so far."""
         return self._total_served
 
     # -- fused fast paths ----------------------------------------------------
-
-    def _has_waiters(self) -> bool:
-        return bool(self._waiting)
 
     def try_acquire(self) -> Optional[object]:
         """Claim a free slot *now*, without an event (None if busy).
@@ -316,7 +302,7 @@ class Resource:
         # A waiter queued behind eventless reservations has nobody to
         # wake it: arm one timer at the earliest expiry (at most one
         # pending per resource).
-        if self._res_wake or not self._has_waiters():
+        if self._res_wake or not self._waiting:
             return
         self._res_wake = True
         timer = self.env.timeout(self._res_expiry[0] - self.env.now)
@@ -337,11 +323,8 @@ class Resource:
         request._dead = True
         n_dead = self._n_dead + 1
         self._n_dead = n_dead
-        if n_dead >= 8 and n_dead * 2 > self._waiting_size():
+        if n_dead >= 8 and n_dead * 2 > len(self._waiting):
             self._compact_waiters()
-
-    def _waiting_size(self) -> int:
-        return len(self._waiting)
 
     def _compact_waiters(self) -> None:
         """Rebuild the wait queue without tombstones (order preserved)."""
@@ -355,22 +338,27 @@ class PriorityResource(Resource):
     """A :class:`Resource` whose waiters are served lowest-priority-first.
 
     Ties break FIFO.  Lower numeric priority = more urgent, matching the
-    convention in iPipe-style NIC schedulers.
+    convention in iPipe-style NIC schedulers.  ``_waiting`` is a heap of
+    ``(priority, seq, request)`` here, so everything in the base class
+    that only asks whether or how many are queued (the fused-path
+    guards of ``hold`` / ``reserve`` / ``try_acquire``,
+    ``queue_length``, the compaction trigger) needs no override.
     """
 
-    __slots__ = ("_heap",)
+    __slots__ = ()
 
     def __init__(self, env: Environment, capacity: int = 1,
                  name: str = "priority-resource"):
         super().__init__(env, capacity, name)
-        self._heap: List = []
+        self._waiting: List = []
 
     def _enqueue_waiter(self, request: _Request) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (request.priority, self._seq, request))
+        heapq.heappush(self._waiting,
+                       (request.priority, self._seq, request))
 
     def _next_waiter(self) -> Optional[_Request]:
-        heap = self._heap
+        heap = self._waiting
         while heap:
             _prio, _seq, request = heapq.heappop(heap)
             if not request.triggered and not request._dead:
@@ -379,23 +367,10 @@ class PriorityResource(Resource):
                 self._n_dead -= 1
         return None
 
-    @property
-    def queue_length(self) -> int:
-        n = len(self._heap) - self._n_dead
-        return n if n > 0 else 0
-
-    def _has_waiters(self) -> bool:
-        # Tombstoned entries make this conservative: a heap of dead
-        # waiters just routes one request down the classic slow path.
-        return bool(self._heap)
-
-    def _waiting_size(self) -> int:
-        return len(self._heap)
-
     def _compact_waiters(self) -> None:
-        live = [entry for entry in self._heap if not entry[2]._dead]
+        live = [entry for entry in self._waiting if not entry[2]._dead]
         heapq.heapify(live)
-        self._heap[:] = live
+        self._waiting = live
         self._n_dead = 0
 
 

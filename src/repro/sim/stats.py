@@ -4,7 +4,7 @@ Collectors used throughout the hardware models and benchmarks:
 
 * :class:`Counter` — monotonically increasing tallies (ops, bytes).
 * :class:`Tally` — summary statistics over discrete observations
-  (latency samples): mean, percentiles, min/max.
+  (latency samples): mean, percentiles.
 * :class:`TimeWeighted` — time-averaged level statistics (queue depth,
   busy cores): the integral of the level over time divided by elapsed.
 """
@@ -31,10 +31,6 @@ class Counter:
             raise ValueError("counters only increase")
         self.value += amount
 
-    def rate(self, elapsed: float) -> float:
-        """Counter value per unit time over ``elapsed``."""
-        return self.value / elapsed if elapsed > 0 else 0.0
-
     def __repr__(self) -> str:
         return f"Counter({self.name}={self.value})"
 
@@ -44,13 +40,13 @@ class Tally:
 
     By default keeps all samples (simulations here are small enough).
     Pass ``max_samples`` to bound memory with reservoir sampling
-    (algorithm R, seeded for determinism): ``count``/``total``/``mean``
-    /``minimum``/``maximum`` stay exact, while the percentiles are
-    computed over the uniform reservoir.
+    (algorithm R, seeded for determinism): ``count`` and ``mean`` stay
+    exact, while the percentiles are computed over the uniform
+    reservoir.
     """
 
     def __init__(self, name: str = "tally",
-                 max_samples: Optional[int] = None, seed: int = 0):
+                 max_samples: Optional[int] = None):
         if max_samples is not None and max_samples < 1:
             raise ValueError("max_samples must be >= 1")
         self.name = name
@@ -59,19 +55,13 @@ class Tally:
         self._sorted: Optional[List[float]] = None
         self._count = 0
         self._total = 0.0
-        self._min: Optional[float] = None
-        self._max: Optional[float] = None
-        self._rng = random.Random(seed) if max_samples is not None \
+        self._rng = random.Random(0) if max_samples is not None \
             else None
 
     def observe(self, value: float) -> None:
         """Record one observation."""
         self._count += 1
         self._total += value
-        if self._min is None or value < self._min:
-            self._min = value
-        if self._max is None or value > self._max:
-            self._max = value
         if self.max_samples is None or len(self._samples) < self.max_samples:
             self._samples.append(value)
             self._sorted = None
@@ -86,20 +76,8 @@ class Tally:
         return self._count
 
     @property
-    def total(self) -> float:
-        return self._total
-
-    @property
     def mean(self) -> float:
         return self._total / self._count if self._count else 0.0
-
-    @property
-    def minimum(self) -> float:
-        return self._min if self._min is not None else 0.0
-
-    @property
-    def maximum(self) -> float:
-        return self._max if self._max is not None else 0.0
 
     def _percentile(self, p: float) -> float:
         """Linear-interpolated percentile, ``p`` in [0, 100]."""
@@ -151,10 +129,6 @@ class TimeWeighted:
         self._start_time = start_time
         self._integral = 0.0
         self._peak = initial
-
-    @property
-    def level(self) -> float:
-        return self._level
 
     def set(self, level: float, now: float) -> None:
         """Change the level at time ``now``."""

@@ -20,19 +20,19 @@ _SYLLABLES = (
     "data base sys tem query page disk net work cloud proc"
 ).split()
 
+_VOCABULARY_SIZE = 4096
+_ZIPF_S = 1.2       # word frequency ~ rank^-s
+
 
 class TextCorpus:
     """A deterministic pseudo-natural-language generator."""
 
-    def __init__(self, seed: int = 1234, vocabulary_size: int = 4096,
-                 zipf_s: float = 1.2):
-        if vocabulary_size < 10:
-            raise ValueError("vocabulary too small")
+    def __init__(self, seed: int = 1234):
         rng = random.Random(seed)
-        self._words = self._build_vocabulary(rng, vocabulary_size)
+        self._words = self._build_vocabulary(rng, _VOCABULARY_SIZE)
         # Zipf weights: rank^-s.
-        weights = [1.0 / ((rank + 1) ** zipf_s)
-                   for rank in range(vocabulary_size)]
+        weights = [1.0 / ((rank + 1) ** _ZIPF_S)
+                   for rank in range(_VOCABULARY_SIZE)]
         total = sum(weights)
         self._cumulative: List[float] = []
         acc = 0.0

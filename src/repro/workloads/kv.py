@@ -18,6 +18,8 @@ from ..units import PAGE_SIZE
 
 __all__ = ["KvStoreIndex", "YcsbWorkload", "KvOp"]
 
+_RECORD_SIZE = 256      # bytes per record in the hybrid log
+
 
 @dataclass(frozen=True)
 class KvOp:
@@ -38,14 +40,11 @@ class KvStoreIndex:
     access pattern the DDS/FASTER integration offloads.
     """
 
-    def __init__(self, n_keys: int, record_size: int = 256):
+    def __init__(self, n_keys: int):
         if n_keys < 1:
             raise ValueError("need at least one key")
-        if not 0 < record_size <= PAGE_SIZE:
-            raise ValueError("record size must fit a page")
         self.n_keys = n_keys
-        self.record_size = record_size
-        self.records_per_page = PAGE_SIZE // record_size
+        self.records_per_page = PAGE_SIZE // _RECORD_SIZE
         # Initially keys live densely in key order.
         self._offsets = {
             key: (key // self.records_per_page) * PAGE_SIZE

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, List, Sequence
 
-from ..units import PAGE_SIZE
-
 __all__ = ["Column", "TableSchema", "TableGenerator", "LINEITEM_ISH"]
 
 
@@ -110,28 +108,3 @@ class TableGenerator:
         if count < 0:
             raise ValueError("negative row count")
         return _table_rows(tuple(self.schema.columns), self.seed, count)
-
-    def pages(self, count: int,
-              page_size: int = PAGE_SIZE) -> List[bytes]:
-        """Rows packed into page-sized byte chunks (row-aligned).
-
-        Each page holds whole rows; pages are at most ``page_size``
-        bytes (a row longer than a page is rejected).
-        """
-        rng = random.Random(self.seed)
-        pages: List[bytes] = []
-        current: List[bytes] = []
-        current_size = 0
-        for index in range(count):
-            line = _row(self.schema.columns, rng, index) + b"\n"
-            if len(line) > page_size:
-                raise ValueError("row exceeds page size")
-            if current_size + len(line) > page_size:
-                pages.append(b"".join(current))
-                current = []
-                current_size = 0
-            current.append(line)
-            current_size += len(line)
-        if current:
-            pages.append(b"".join(current))
-        return pages

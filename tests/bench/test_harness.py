@@ -113,7 +113,7 @@ class TestSweepAssertions:
     def test_series_extraction(self):
         sweep = self._sweep([(1, 5), (2, 6)])
         assert [row.x for row in sweep.rows] == [1, 2]
-        assert sweep.series("y") == [5, 6]
+        assert [row["y"] for row in sweep.rows] == [5, 6]
 
 
 class TestReporting:

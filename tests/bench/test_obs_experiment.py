@@ -13,7 +13,7 @@ from repro.obs.claims import CLAIMS, evaluate_all
 @pytest.fixture(scope="module")
 def parts():
     """One full obs run (observed + control twin) for the module."""
-    return obs_parts()
+    return obs_parts(None)
 
 
 class TestRegistration:
@@ -117,11 +117,15 @@ class TestCliTraceOut:
 
     def test_scale_trace_covers_migration(self, tmp_path, monkeypatch):
         # The spans all come from the traced rebalance scenario, which
-        # runs whole; the rack sweep beside it (most of ``scale``'s
-        # real time, never traced) shrinks to a tenth of a
-        # millisecond per point.  CI's conformance job traces the
-        # full experiment.
+        # keeps its crash, its duration and its node count and offers
+        # a quarter of the load; the untraced parts beside it shrink
+        # to two sweep points and a tenth of a millisecond per rack
+        # point.  CI's conformance job traces the full experiment.
         monkeypatch.setattr(experiments_scale, "RACK_DURATION_S", 1e-4)
+        monkeypatch.setattr(experiments_scale, "NODE_COUNTS", (1, 2))
+        monkeypatch.setattr(experiments_scale, "DURATION_S", 1e-3)
+        monkeypatch.setattr(experiments_scale,
+                            "REBALANCE_RATE_PER_NODE", 20_000.0)
         document = self._run(tmp_path, "scale")
         names = {event["name"]
                  for event in document["traceEvents"]

@@ -112,8 +112,8 @@ class TestSweepRoundTrip:
         assert rebuilt.x_label == "rate"
         assert [row.x for row in rebuilt.rows] \
             == [row.x for row in sweep.rows]
-        assert rebuilt.series("a") == sweep.series("a")
-        assert rebuilt.series("b") == sweep.series("b")
+        assert [row.values for row in rebuilt.rows] \
+            == [row.values for row in sweep.rows]
 
     def test_round_trip_preserves_raggedness(self):
         sweep = Sweep("x")

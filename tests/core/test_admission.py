@@ -173,10 +173,9 @@ class TestCodelShed:
         assert not shedder.should_shed()
 
     def test_controller_sheds_via_observe(self, env):
-        controller = _controller(env, slo_target_s=1.0e-3,
-                                 shed_interval_s=2.0e-3)
+        controller = _controller(env, slo_target_s=1.0e-3)
         controller.observe(5.0e-3)
-        env.run(until=3.0e-3)
+        env.run(until=5.0e-3)      # past the 4 x target shed interval
         with pytest.raises(AdmissionRejected) as excinfo:
             controller.admit()
         assert excinfo.value.reason == "shed"

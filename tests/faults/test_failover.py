@@ -32,12 +32,13 @@ class TestProtect:
         director.steer_protocol("tcp", "dpu")
         breaker = director.protect(env, min_failures=3,
                                    rate_threshold=0.5)
-        assert director.rules()[0].action == "dpu"
+        table = director.nic.flow_table
+        frame = {"proto": "tcp", "port": 443}
+        assert table.classify(frame) == "dpu"
         _trip(breaker)
         # The failover rule must win: it sits first in match order.
-        first = director.rules()[0]
-        assert first.action == "host"
-        assert first.predicate({"proto": "tcp", "port": 443})
+        assert table.classify(frame) == "host"
+        assert len(table) == 2
         assert director.failovers.value == 1
 
     def test_close_removes_failover_rule(self, env, director):
@@ -47,7 +48,7 @@ class TestProtect:
         env.run(until=0.6)
         assert breaker.allow()          # half-open probe
         breaker.record_success()
-        assert director.rules() == []
+        assert len(director.nic.flow_table) == 0
         assert director.failbacks.value == 1
 
     def test_retrip_from_half_open_keeps_single_rule(self, env,
@@ -58,10 +59,4 @@ class TestProtect:
         env.run(until=0.6)
         assert breaker.allow()
         breaker.record_failure()        # probe fails: re-trip
-        names = [rule.name for rule in director.rules()]
-        assert names.count("breaker:failover") == 1
-
-    def test_report_lists_failover_rule(self, env, director):
-        breaker = director.protect(env, min_failures=3)
-        _trip(breaker)
-        assert "breaker:failover" in director.report()
+        assert len(director.nic.flow_table) == 1

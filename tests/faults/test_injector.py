@@ -120,7 +120,7 @@ class TestInstall:
         injector = FaultInjector(env, plan)
         injector.should_drop("wire")
         injector.should_drop("wire")
-        assert injector.counts() == {"wire": 2}
+        assert injector.by_site == {"wire": 2}
 
 
 class TestNullInjector:

@@ -46,15 +46,6 @@ class TestFaultPlan:
         assert len(plan.windows_for("cpu.s0.dpu.cpu")) == 1
         assert plan.windows_for("accel.s0.dpu.compression") == []
 
-    def test_span_covers_all_windows(self):
-        plan = FaultPlan().cpu_crash(0.2, 0.4).ring_stall(0.1, 0.9)
-        assert plan.span() == (0.1, 0.9)
-
-    def test_describe_lists_every_window(self):
-        plan = default_fault_plan(seed=0, duration_s=1.0)
-        text = plan.describe()
-        assert text.count("\n") >= len(plan.windows)
-
     def test_default_plan_covers_all_subsystems(self):
         plan = default_fault_plan(seed=0, duration_s=1.0)
         kinds = {(w.site, w.kind) for w in plan.windows}
@@ -74,5 +65,5 @@ class TestFaultPlan:
 
     def test_default_plan_scales_with_duration(self):
         short = default_fault_plan(seed=0, duration_s=1e-3)
-        start, end = short.span()
-        assert end <= 1e-3
+        assert max(window.end_s for window in short.windows
+                   if window.end_s != float("inf")) <= 1e-3

@@ -57,10 +57,10 @@ class TestBlockDevice:
 class TestFileSystem:
     def test_create_and_stat(self, fs):
         file_id = fs.create("table.db", size=1 * MiB)
-        inode = fs.stat(file_id)
+        inode = fs.mapping.inode(file_id)
         assert inode.size == 1 * MiB
         assert inode.allocated_blocks == 256
-        assert fs.lookup("table.db") == file_id
+        assert inode.name == "table.db"
 
     def test_duplicate_name_rejected(self, fs):
         fs.create("x")
@@ -69,7 +69,7 @@ class TestFileSystem:
 
     def test_unknown_file_rejected(self, fs):
         with pytest.raises(FileNotFoundOnDpuError):
-            fs.stat(999)
+            fs.mapping.inode(999)
 
     def test_write_then_read_real_bytes(self, env, fs):
         file_id = fs.create("data", size=64 * KiB)
@@ -102,7 +102,7 @@ class TestFileSystem:
             yield from fs.write(file_id, 0, SynthBuffer(3 * PAGE_SIZE))
 
         _run(env, work(env))
-        assert fs.stat(file_id).size == 3 * PAGE_SIZE
+        assert fs.mapping.inode(file_id).size == 3 * PAGE_SIZE
 
     def test_read_past_eof_rejected(self, env, fs):
         file_id = fs.create("short", size=PAGE_SIZE)

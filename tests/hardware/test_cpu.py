@@ -55,7 +55,7 @@ class TestExecution:
         env.process(work(env))
         env.run(until=4.0)
         # 2 core-seconds over 4 s elapsed -> 0.5 cores consumed.
-        assert cpu.cores_consumed() == pytest.approx(0.5)
+        assert cpu.busy_seconds() / env.now == pytest.approx(0.5)
         assert cpu.busy_seconds() == pytest.approx(2.0)
 
     def test_cycles_counter_accumulates(self, env):
@@ -115,7 +115,7 @@ class TestDedicatedCores:
 
         env.process(poller(env))
         env.run(until=10.0)
-        assert cpu.cores_consumed() == pytest.approx(1.0)
+        assert cpu.busy_seconds() / env.now == pytest.approx(1.0)
 
     def test_release_is_idempotent(self, env):
         cpu = CpuCluster(env, cores=1, frequency_hz=1 * GHZ)
@@ -129,7 +129,7 @@ class TestDedicatedCores:
 
         env.process(reactor(env))
         env.run()
-        assert cpu.busy_cores == 0
+        assert cpu.core_pool.count == 0
 
 
 class TestValidation:

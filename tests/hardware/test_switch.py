@@ -52,19 +52,6 @@ class TestSwitchBasics:
         env.run(until=0.01)
         assert switch.frames_dropped.value == 1
 
-    def test_two_port_backcompat_without_dst(self, env):
-        switch = Switch(env)
-        a = make_server(env, name="a", dpu_profile=None)
-        b = make_server(env, name="b", dpu_profile=None)
-        attach_to_switch(switch, a, b)
-
-        def sender():
-            yield from a.nic.transmit({"payload": 1}, 100)
-
-        env.process(sender())
-        env.run(until=0.01)
-        assert len(b.nic.rx_host) == 1
-
     def test_missing_dst_on_multiport_dropped(self, env):
         switch = Switch(env)
         servers = [make_server(env, name=f"s{i}", dpu_profile=None)
@@ -165,7 +152,7 @@ class TestSwitchMultiNicEdgeCases:
         plain = make_server(env, name="p0", dpu_profile=None)
         sender = make_server(env, name="src", dpu_profile=None)
         attach_to_switch(switch, dpu_server, plain, sender)
-        dpu_server.nic.flow_table.add_rule(
+        rule = dpu_server.nic.flow_table.add_rule(
             lambda frame: frame.get("port") == 9000, "dpu",
             name="offload:9000")
 
@@ -181,7 +168,6 @@ class TestSwitchMultiNicEdgeCases:
         assert len(dpu_server.nic.rx_dpu) == 1     # matched the rule
         assert len(dpu_server.nic.rx_host) == 1    # port 22 default
         assert len(plain.nic.rx_host) == 1         # no rule installed
-        rule = dpu_server.nic.flow_table.rules[0]
         assert rule.hits == 1
 
     def test_detach_unknown_then_valid_keeps_counters_exact(self, env):

@@ -170,18 +170,11 @@ class TestRingBuffer:
         assert ring.poll_batch(max_items=4) == [0, 1, 2, 3]
         assert len(ring) == 6
 
-    def test_peek_does_not_remove(self, env):
-        ring = RingBuffer(env, capacity=4)
-        ring.try_push("x")
-        assert ring.peek() == "x"
-        assert len(ring) == 1
-        assert RingBuffer(env).peek() is None
-
     def test_ring_pair_directions(self, env):
         rings = RingPair(env, capacity=8)
         rings.submit({"op": "read"})
         assert rings.poll_submissions() == [{"op": "read"}]
-        rings.complete({"ok": True})
+        assert rings.completion.try_push({"ok": True})
         assert rings.completion.poll_batch() == [{"ok": True}]
 
     def test_capacity_validation(self, env):

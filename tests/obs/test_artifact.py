@@ -45,7 +45,7 @@ class TestPartCodec:
         assert part["type"] == "sweep"
         rebuilt = decode_part(json.loads(json.dumps(part)))
         assert isinstance(rebuilt, Sweep)
-        assert rebuilt.series("cores") == [0.5, 1.0]
+        assert [row["cores"] for row in rebuilt.rows] == [0.5, 1.0]
 
     def test_flat_dict_becomes_table(self):
         part = encode_part({"a": 1.0, "b": 2.0})
@@ -96,7 +96,8 @@ class TestArtifactDocument:
         write_artifact(str(path), _sample_artifact())
         loaded = load_artifact(str(path))
         part = loaded["experiments"]["figX"]["parts"]["sweep_part"]
-        assert decode_part(part).series("cores") == [0.5, 1.0]
+        assert [row["cores"] for row in decode_part(part).rows] \
+            == [0.5, 1.0]
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"

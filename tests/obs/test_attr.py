@@ -107,7 +107,8 @@ class TestAttributeRequest:
         assert attribution.conservation_error_s < 1e-12
         assert attribution.shard == 3
         assert attribution.path == "local"
-        assert attribution.dominant()[0] == "ssd"
+        assert max(attribution.segments,
+                   key=attribution.segments.get) == "ssd"
 
     def test_open_descendant_clamped_to_root_window(self):
         env = Environment()

@@ -310,16 +310,6 @@ class TestFlightRecorder:
         assert recorder.trigger("fault_injected", plane) is None
         assert len(recorder.incidents) == 2
 
-    def test_write_and_empty_write(self, tmp_path):
-        plane = ClusterTelemetry(env=Environment())
-        recorder = FlightRecorder()
-        with pytest.raises(ValueError):
-            recorder.write(str(tmp_path / "nope.json"))
-        recorder.trigger("fault_injected", plane)
-        path = tmp_path / "incident.json"
-        recorder.write(str(path))
-        assert json.loads(path.read_text())["schema_version"] == 1
-
     def test_validates_parameters(self):
         with pytest.raises(ValueError):
             FlightRecorder(retain_s=0.0)

@@ -95,7 +95,7 @@ class TestRegistryIntegration:
         server = make_server(env, name="s", dpu_profile=BLUEFIELD2)
         telemetry = Telemetry()
         DpdpuRuntime(server, telemetry=telemetry)
-        names = telemetry.metrics.names()
+        names = telemetry.metrics
         for expected in ("host.cpu.cycles", "dpu.cpu.cycles",
                          "ce.kernel.execs", "ne.ops_offloaded",
                          "se.host_ops", "se.fs.bytes_read",
@@ -108,7 +108,7 @@ class TestRegistryIntegration:
         env = Environment()
         server = make_server(env, name="s", dpu_profile=BLUEFIELD2)
         runtime = DpdpuRuntime(server)
-        assert runtime.telemetry.tracing_enabled is False
+        assert runtime.telemetry.tracer.enabled is False
         assert len(runtime.telemetry.metrics) > 0
 
 

@@ -32,7 +32,7 @@ class TestNullTracer:
         # the bundle forwards to whichever tracer it holds
         telemetry = Telemetry(Environment(), tracing=False)
         path = tmp_path / "trace.json"
-        assert telemetry.write_chrome(str(path)) == 0
+        assert telemetry.tracer.write_chrome(str(path)) == 0
         assert json.loads(path.read_text())["traceEvents"] == []
         assert telemetry.tracer.all_spans() == []
         assert telemetry.flame_summary() == "(no spans recorded)"

@@ -178,11 +178,10 @@ class TestInterrupts:
 
     def test_self_interrupt_rejected(self, env):
         def selfish(env):
-            proc = env.active_process
-            proc.interrupt()
+            me.interrupt()
             yield env.timeout(1)
 
-        env.process(selfish(env))
+        me = env.process(selfish(env))
         with pytest.raises(SimulationError):
             env.run()
 

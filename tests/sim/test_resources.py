@@ -57,7 +57,7 @@ class TestResource:
         env.process(user(env))
         env.run(until=8.0)
         # One slot busy for 4s out of 8s elapsed -> 0.5 average busy slots.
-        assert res.utilization() == pytest.approx(0.5)
+        assert res.busy_time() / env.now == pytest.approx(0.5)
 
     def test_cancel_waiting_request(self, env):
         res = Resource(env, capacity=1)
@@ -72,10 +72,8 @@ class TestResource:
             deadline = env.timeout(2.0)
             yield env.any_of([req, deadline])
             if not req.triggered:
-                req.cancel()
                 log.append("gave up")
-            else:
-                res.release(req)
+            res.release(req)        # withdraws a claim not yet granted
 
         log = []
         env.process(holder(env))
@@ -198,14 +196,14 @@ class TestEventlessOccupancy:
         res = Resource(env, capacity=1)
         first = res.request()
         waiter = res.request()
-        assert first.processed and not waiter.triggered
+        assert first.callbacks is None and not waiter.triggered
         res.release(first)
         # the slot is the waiter's, granted but not yet processed
         assert not res.reserve(1.0)
         assert res.hold(1.0) is None
         assert res.try_acquire() is None
         env.run()
-        assert waiter.processed
+        assert waiter.callbacks is None
 
     def test_unhold_at_the_same_instant_restores_the_resource(self, env):
         res = Resource(env, capacity=2)
@@ -233,7 +231,7 @@ class TestEventlessOccupancy:
         res.release(token)
         assert res.try_acquire() is None     # free slot, but one queued
         env.run(until=3.0)
-        assert waiter.processed and res.count == 1
+        assert waiter.callbacks is None and res.count == 1
         res.release(waiter)
         assert res.busy_time() == pytest.approx(3.0)
         assert res.total_served == 2
@@ -278,6 +276,25 @@ class TestEventlessOccupancy:
 
 
 class TestPriorityResource:
+    @pytest.mark.parametrize("kind", [Resource, PriorityResource])
+    def test_fused_paths_decline_while_a_waiter_is_queued(self, env,
+                                                          kind):
+        # A free slot and a queued waiter coexist between a
+        # reservation's expiry and the wake timer armed for it; the
+        # probe, scheduled first, stops the clock in that gap.
+        res = kind(env, capacity=1)
+        probe = env.timeout(1.0)
+        assert res.reserve(1.0)
+        waiter = res.request()
+        env.run(until=probe)
+        assert res.busy_time() == pytest.approx(1.0)
+        assert res.count == 0 and not waiter.triggered
+        assert res.hold(1.0) is None
+        assert not res.reserve(1.0)
+        assert res.try_acquire() is None
+        env.run()
+        assert waiter.triggered and env.now == 1.0
+
     def test_lower_priority_number_served_first(self, env):
         res = PriorityResource(env, capacity=1)
         order = []
@@ -334,7 +351,7 @@ class TestPriorityResource:
         def quitter(env):
             req = res.request(priority=0)
             yield env.timeout(1.0)
-            req.cancel()
+            res.release(req)
 
         def patient(env):
             with res.request(priority=5) as req:

@@ -171,7 +171,7 @@ class TestProcessesAndInterrupts:
         def interrupter():
             yield env.timeout(1.0)
             for tag, proc in enumerate(procs):
-                if proc.is_alive and tag % 7 == 0:
+                if not proc.triggered and tag % 7 == 0:
                     proc.interrupt(cause=tag)
                     struck[tag] = env.now
                     yield env.timeout(0.001)

@@ -16,12 +16,6 @@ class TestCounter:
         with pytest.raises(ValueError):
             counter.add(-1)
 
-    def test_rate_zero_elapsed(self):
-        counter = Counter("c")
-        counter.add(10)
-        assert counter.rate(0.0) == 0.0
-        assert counter.rate(2.0) == 5.0
-
 
 class TestTallyEdgeCases:
     def test_empty_tally_percentiles_are_zero(self):
@@ -30,8 +24,6 @@ class TestTallyEdgeCases:
         assert tally.p99 == 0.0
         assert tally.p999 == 0.0
         assert tally.mean == 0.0
-        assert tally.minimum == 0.0
-        assert tally.maximum == 0.0
 
     def test_single_sample(self):
         tally = Tally("t")
@@ -55,12 +47,9 @@ class TestTallyReservoir:
         for value in values:
             tally.observe(value)
         assert len(tally._samples) == 64
-        # Count, total, mean, min, max stay exact under sampling.
+        # Count and mean stay exact under sampling.
         assert tally.count == 5000
-        assert tally.total == pytest.approx(sum(values))
         assert tally.mean == pytest.approx(sum(values) / 5000)
-        assert tally.minimum == pytest.approx(min(values))
-        assert tally.maximum == pytest.approx(max(values))
         # Percentiles come from the reservoir: plausible, not exact.
         assert 0 <= tally.p50 <= 100
 

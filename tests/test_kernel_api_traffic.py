@@ -8,7 +8,7 @@ thing this file exists to catch.  A name must be read somewhere under
 an unused member that shares a name with a used one; it cannot flag a
 used one.
 
-Two rules, neither with an allow-list:
+Three rules, none with an allow-list:
 
 * the event kernel and the bench harness — each public method and
   property of ``Environment``, ``Resource``, ``EventPopulation``,
@@ -25,7 +25,19 @@ Two rules, neither with an allow-list:
   ``obs`` and ``units.py`` — every public method and property of every
   module-level class, and every public module-level function and
   class, is read outside its own definition (a sibling method is a
-  caller: these classes use their own public surface).
+  caller: these classes use their own public surface);
+* every defaulted parameter of every function and method under
+  ``src/repro`` (``core`` and ``algos`` included) is set — by keyword,
+  or positionally far enough — by at least one call site anywhere in
+  the repo, tests included.  A default nobody overrides is a constant
+  with a second spelling: it becomes the module constant it already
+  equals, or goes with the branch only another value reached.  The
+  parameters only tests set are printed (``pytest -s``), not enforced.
+  Dunder methods other than ``__init__`` are outside this rule — no
+  call site names them.
+
+What no name census can see — a dead method whose name a live one
+shares — the execution census sees: ``python tests/traffic_census.py``.
 
 Three surfaces stay outside the second rule, each for a stated reason:
 
@@ -186,3 +198,154 @@ def test_every_public_product_name_has_a_product_caller(path):
         and member.name not in _reads_outside(member)[0]]
     _assert_none_unread(path,
                         _unread_module_names(path) + unread_members)
+
+
+# -- the parameter census ---------------------------------------------------
+
+_EVERY_ROOT = (*_CALLER_ROOTS, "hostbench", "tests", "benchmarks")
+
+
+def _functions(tree):
+    """``(def node, enclosing class node or None)`` for every function
+    and method in ``tree``, nested ones included."""
+    stack = [(tree, None)]
+    while stack:
+        node, owner = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield child, owner
+                stack.append((child, None))
+            else:
+                stack.append(
+                    (child, child if isinstance(child, ast.ClassDef)
+                     else owner))
+
+
+def _name_of(node):
+    return node.id if isinstance(node, ast.Name) \
+        else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _is_super_init(call):
+    function = call.func
+    return isinstance(function, ast.Attribute) \
+        and function.attr == "__init__" \
+        and isinstance(function.value, ast.Call) \
+        and _name_of(function.value.func) == "super"
+
+
+def _passed(roots):
+    """``{callee name: [most positional arguments, keywords]}`` over
+    every call site under ``roots``.  A constructor is filed under its
+    class; ``super().__init__(...)`` under the enclosing class's bases;
+    ``partial(f, ...)`` under ``f``; a class with no ``__init__`` hands
+    its call sites to its bases, and ``g(**kwargs)`` forwarding its own
+    ``**kwargs`` to ``f`` hands ``f`` the keywords ``g`` is called
+    with."""
+    passed = collections.defaultdict(lambda: [0, set()])
+    hands = []              # (from, to, positionals too)
+
+    def file(names, arguments, keywords):
+        starred = any(isinstance(argument, ast.Starred)
+                      for argument in arguments)
+        for name in names:
+            entry = passed[name]
+            entry[0] = max(entry[0],
+                           10 ** 6 if starred else len(arguments))
+            entry[1].update(keyword.arg for keyword in keywords)
+
+    trees = [ast.parse(source.read_text()) for root in roots
+             for source in sorted((_REPO / root).rglob("*.py"))]
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and not any(
+                    getattr(member, "name", "") == "__init__"
+                    for member in node.body):
+                hands += [(node.name, _name_of(base), True)
+                          for base in node.bases]
+            if not isinstance(node, ast.Call) or _is_super_init(node):
+                continue
+            name, arguments = _name_of(node.func), node.args
+            if name == "partial" and arguments:
+                name, arguments = _name_of(arguments[0]), arguments[1:]
+            file([name], arguments, node.keywords)
+        for function, owner in _functions(tree):
+            forwarder = owner.name if owner and \
+                function.name == "__init__" else function.name
+            for node in ast.walk(function):
+                if not isinstance(node, ast.Call):
+                    continue
+                if _is_super_init(node) and owner:
+                    file([_name_of(base) for base in owner.bases],
+                         node.args, node.keywords)
+                if function.args.kwarg and any(
+                        keyword.arg is None
+                        and _name_of(keyword.value)
+                        == function.args.kwarg.arg
+                        for keyword in node.keywords):
+                    target = owner.bases[0] if _is_super_init(node) \
+                        and owner else node.func
+                    hands.append((forwarder, _name_of(target), False))
+    for _ in range(3):      # chains are short: heir -> base -> base
+        for giver, taker, positionals in hands:
+            if positionals:
+                passed[taker][0] = max(passed[taker][0],
+                                       passed[giver][0])
+            passed[taker][1] |= passed[giver][1]
+    return passed
+
+
+def _defaulted_parameters():
+    """``(path:Qual.name, callee name, parameter, positional index or
+    None)`` for every defaulted parameter under ``src/repro``.  Dunder
+    methods other than ``__init__`` are outside the rule: no call site
+    names them."""
+    for source in sorted((_REPO / "src/repro").rglob("*.py")):
+        where = source.relative_to(_REPO / "src/repro")
+        for function, owner in _functions(_caller_trees()[source]):
+            name = function.name
+            if name == "__init__" and owner:
+                callee = owner.name
+            elif name.startswith("__"):
+                continue
+            else:
+                callee = name
+            label = f"{where}:{owner.name + '.' if owner else ''}{name}"
+            bound = owner is not None and not any(
+                _name_of(decorator) == "staticmethod"
+                for decorator in function.decorator_list)
+            arguments = function.args
+            positional = arguments.posonlyargs + arguments.args
+            first = len(positional) - len(arguments.defaults)
+            for index, argument in enumerate(positional[first:], first):
+                yield label, callee, argument.arg, index - bound
+            for argument, default in zip(arguments.kwonlyargs,
+                                         arguments.kw_defaults):
+                if default is not None:
+                    yield label, callee, argument.arg, None
+
+
+def _never_set(roots):
+    passed = _passed(roots)
+    return [f"{label}({parameter}=)"
+            for label, callee, parameter, index
+            in _defaulted_parameters()
+            if parameter not in passed[callee][1]
+            and (index is None or passed[callee][0] <= index)]
+
+
+def test_every_defaulted_parameter_is_set_by_some_caller():
+    """A default nobody overrides is a constant with a second spelling.
+    Any call site in the repo counts, tests included; the parameters
+    only tests set are printed (``pytest -s``), not enforced."""
+    everywhere = _never_set(_EVERY_ROOT)
+    tests_only = sorted(set(_never_set(_CALLER_ROOTS + ("hostbench",)))
+                        - set(everywhere))
+    print(f"{len(list(_defaulted_parameters()))} defaulted parameters "
+          f"under src/repro; {len(tests_only)} set by tests alone:")
+    print("\n".join(tests_only))
+    assert not everywhere, (
+        f"{len(everywhere)} defaulted parameters no call site in "
+        f"{_EVERY_ROOT} sets — make each the constant it already "
+        "equals, or delete it with the branch only another value "
+        "reached:\n" + "\n".join(everywhere))
