@@ -20,7 +20,7 @@ Run:  python examples/predicate_pushdown.py
 import random
 
 from repro.buffers import RealBuffer
-from repro.core import DpdpuRuntime
+from repro.core import DdsClient, DpdpuRuntime, encode_sproc
 from repro.baselines.host_tcp import make_kernel_tcp
 from repro.hardware import BLUEFIELD2, connect, make_server
 from repro.sim import Environment
@@ -64,32 +64,31 @@ def run_query(pushdown: bool) -> dict:
         fields = row.split(b",")
         return fields[1] == b"east" and int(fields[2]) >= 40
 
-    def query_sproc(ctx, request):
+    def query_sproc(ctx, _arg):
         read = ctx.se.read(file_id, 0, len(table))
         data = yield from ctx.wait(read)
-        if pushdown:
-            filtered = yield from ctx.wait(
-                ctx.dpk("filter")(data, params={"predicate": predicate})
-            )
-            projected = yield from ctx.wait(
-                ctx.dpk("project")(filtered,
-                                   params={"columns": [0, 3]})
-            )
-            payload = projected
-        else:
-            payload = data
-        yield from request["client"].send_message(payload)
-        return payload.size
+        if not pushdown:
+            return data
+        filtered = yield from ctx.wait(
+            ctx.dpk("filter")(data, params={"predicate": predicate})
+        )
+        projected = yield from ctx.wait(
+            ctx.dpk("project")(filtered, params={"columns": [0, 3]})
+        )
+        return projected
 
     runtime.compute.register_sproc("query", query_sproc)
+    # DDS exposes registered sprocs to remote clients: the DBMS names
+    # the sproc in a request and the sproc's buffer is the response.
+    runtime.dds(port=PORT)
 
     client_tcp = make_kernel_tcp(client_machine, "dbms")
-    listener = client_tcp.listen(PORT)
     stats = {}
 
-    def client_side():
-        connection = yield listener.accept()
-        message = yield connection.recv_message()
+    def dbms():
+        connection = yield from client_tcp.connect(PORT)
+        request = DdsClient(connection).submit(encode_sproc("query"))
+        message = yield request.done
         rows = [r for r in message.data.split(b"\n") if r]
         if not pushdown:
             rows = [b",".join([f.split(b",")[0], f.split(b",")[3]])
@@ -98,16 +97,7 @@ def run_query(pushdown: bool) -> dict:
         stats["bytes_on_wire"] = message.size
         stats["elapsed"] = env.now
 
-    rx_proc = env.process(client_side())
-
-    def driver():
-        connection = yield from runtime.network.tcp.connect(PORT)
-        yield runtime.compute.invoke(
-            "query", {"client": connection}
-        ).done
-
-    env.process(driver())
-    env.run(until=rx_proc)
+    env.run(until=env.process(dbms()))
     return stats
 
 

@@ -14,7 +14,8 @@ scan is cheaper to pull.  The planner captures that crossover.
 Run:  python examples/scan_planner.py
 """
 
-from repro.query import ScanDeployment, ScanQuery, explain, plan_scan, run_scan
+from repro.query import (DistributedScanDeployment, ScanQuery, explain,
+                         plan_scan, run_distributed_scan)
 from repro.units import Gbps, fmt_bytes, fmt_time
 
 QUERIES = {
@@ -39,7 +40,10 @@ QUERIES = {
 
 
 def main():
-    deployment = ScanDeployment(n_rows=2_000)
+    # One storage node: the single-node deployment is the one-node
+    # case of the scatter-gather engine, not a second executor.
+    deployment = DistributedScanDeployment(n_nodes=1, n_rows=2_000,
+                                           n_shards=1)
     table_bytes = len(deployment.table_bytes)
     n_columns = len(deployment.schema.columns)
     print(f"table: {deployment.n_rows} rows, {fmt_bytes(table_bytes)}\n")
@@ -53,8 +57,9 @@ def main():
                   f"planner chooses {plan['choice']}")
         print(explain(plan_scan(query, table_bytes, n_columns)))
 
-        pushdown = run_scan(deployment, query, plan="pushdown")
-        pull = run_scan(deployment, query, plan="pull")
+        pushdown = run_distributed_scan(deployment, query,
+                                        plan="pushdown")
+        pull = run_distributed_scan(deployment, query, plan="pull")
         assert pushdown["result"].matches(pull["result"]), \
             "plans disagree!"
         print(f"measured: pushdown moved "

@@ -88,7 +88,6 @@ class DedupIndex:
     def __init__(self):
         self._seen: Dict[int, Chunk] = {}
         self.unique_bytes = 0
-        self.duplicate_bytes = 0
         self.total_bytes = 0
 
     def ingest(self, data: bytes, **chunk_kwargs) -> List[Tuple[Chunk, bool]]:
@@ -99,9 +98,7 @@ class DedupIndex:
         out = []
         for chunk in chunk_stream(data, **chunk_kwargs):
             duplicate = chunk.fingerprint in self._seen
-            if duplicate:
-                self.duplicate_bytes += chunk.length
-            else:
+            if not duplicate:
                 self._seen[chunk.fingerprint] = chunk
                 self.unique_bytes += chunk.length
             self.total_bytes += chunk.length

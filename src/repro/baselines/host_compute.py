@@ -8,10 +8,9 @@ so the comparison against the DPU ASIC path is apples to apples.
 from __future__ import annotations
 
 from ..buffers import as_buffer
-from ..core.kernels import BUILTIN_KERNELS, KernelResult
+from ..core.kernels import BUILTIN_KERNELS
 from ..hardware.costs import default_cost_model
 from ..hardware.cpu import CpuCluster
-from ..sim.stats import Tally
 
 __all__ = ["HostComputeBaseline"]
 
@@ -22,7 +21,6 @@ class HostComputeBaseline:
     def __init__(self, cpu: CpuCluster):
         self.cpu = cpu
         self.costs = default_cost_model()
-        self.job_latency = Tally("host-compute.latency")
 
     def run_kernel(self, kernel_name: str, payload,
                    parallelism: int = 1):
@@ -35,7 +33,6 @@ class HostComputeBaseline:
             raise ValueError("parallelism must be >= 1")
         spec = BUILTIN_KERNELS[kernel_name]
         buffer = as_buffer(payload)
-        started = self.cpu.env.now
         total_cycles = self.costs.cpu_cycles(
             kernel_name, buffer.size, self.cpu.cpu_class
         )
@@ -45,6 +42,4 @@ class HostComputeBaseline:
             for _ in range(parallelism)
         ]
         yield self.cpu.env.all_of(workers)
-        result: KernelResult = spec.run(buffer, {})
-        self.job_latency.observe(self.cpu.env.now - started)
-        return result
+        return spec.run(buffer, {})

@@ -10,17 +10,15 @@ the server whose "10s of CPU cores" DDS saves (Section 9).
 from __future__ import annotations
 
 from ..buffers import Buffer, SynthBuffer
-from ..core.dds import (HOST_REPLAY_CYCLES, HOST_REQUEST_CYCLES,
-                        default_udf)
+from ..core.dds import HOST_REPLAY_CYCLES, HOST_REQUEST_CYCLES
 from ..core.storage import FS_CAPACITY_BYTES
+from ..core.wire import ACK, default_udf
 from ..fs import BlockDevice, FileSystem
 from ..hardware.server import Server
 from ..netstack.tcp import TcpStack
 from ..sim.stats import Counter, Tally
 
 __all__ = ["HostServedStorage"]
-
-_ACK = SynthBuffer(64, label="ack")
 
 
 class HostServedStorage:
@@ -105,7 +103,7 @@ class HostServedStorage:
             yield self.env.timeout(wake)
             yield from cpu.execute(cycles)
         if request is None:
-            return _ACK
+            return ACK
         if kind == "read":
             buffer = yield from self.fs.read(
                 request["file_id"], request["offset"], request["size"]
@@ -116,4 +114,4 @@ class HostServedStorage:
             request["file_id"], request["offset"],
             SynthBuffer(request["size"]),
         )
-        return _ACK
+        return ACK

@@ -15,7 +15,7 @@ from __future__ import annotations
 from ..hardware.costs import SoftwarePathCosts
 from ..hardware.cpu import CpuCluster
 from ..hardware.ssd import Ssd
-from ..sim.stats import Counter, Tally
+from ..sim.stats import Tally
 from ..units import PAGE_SIZE
 
 __all__ = ["HostStoragePath", "STORAGE_PATHS"]
@@ -44,7 +44,6 @@ class HostStoragePath:
         else:
             self._cycles_per_page = costs.spdk_cycles_per_page
             self._wakeup_latency_s = 0.0     # polled-mode driver
-        self.pages_read = Counter("host-storage.pages")
         self.latency = Tally("host-storage.latency")
 
     def read_page(self, nbytes: int = PAGE_SIZE):
@@ -56,5 +55,4 @@ class HostStoragePath:
         if self._wakeup_latency_s:
             # Completion interrupt + context switch back to the caller.
             yield self.cpu.env.timeout(self._wakeup_latency_s)
-        self.pages_read.add(pages)
         self.latency.observe(self.cpu.env.now - started)

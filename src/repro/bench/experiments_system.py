@@ -16,7 +16,8 @@ from typing import Dict, Sequence
 from ..baselines import HostServedStorage, make_host_rdma_node
 from ..baselines.host_tcp import make_kernel_tcp
 from ..buffers import SynthBuffer
-from ..core import DdsClient, DpdpuRuntime, encode_log_replay, encode_read
+from ..core import (DdsClient, DpdpuRuntime, encode_log_replay,
+                    encode_read, encode_write)
 from ..hardware import (
     BLUEFIELD2,
     GENERIC_DPU,
@@ -356,7 +357,6 @@ def _make_requests(workload: str, read_fraction: float, count: int,
     index = KvStoreIndex(n_keys=100_000)
     ycsb = YcsbWorkload(index, read_fraction=read_fraction, seed=13)
     encoded = []
-    from ..core.dds import encode_write
     for op in ycsb.ops(count):
         offset = op.offset % (192 * MiB)
         if op.kind == "get":

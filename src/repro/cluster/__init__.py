@@ -6,12 +6,13 @@ question — what N of them look like as a serving tier.  See
 ``docs/SCALING.md`` for the model and the determinism contract.
 """
 
+from ..core.wire import (encode_shard_pull, encode_shard_read,
+                         encode_shard_scan, encode_shard_write,
+                         response_ok, stamp_expiry)
 from .autoscale import AutoscalePolicy, Autoscaler
-from .cluster import (Cluster, ClusterClient, ClusterNode,
-                      response_ok, response_rejected, stamp_expiry)
-from .rebalance import MigrationService, Rebalancer, encode_shard_pull
-from .router import (ClusterDdsServer, ShardRouter, encode_shard_read,
-                     encode_shard_scan, encode_shard_write)
+from .cluster import Cluster, ClusterClient, ClusterNode
+from .rebalance import MigrationService, Rebalancer
+from .router import ClusterDdsServer, ShardRouter
 from .sharding import ShardMap, stable_hash
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
     "encode_shard_scan",
     "encode_shard_write",
     "response_ok",
-    "response_rejected",
     "stable_hash",
     "stamp_expiry",
 ]

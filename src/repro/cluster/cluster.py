@@ -23,13 +23,13 @@ allocation step.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional
 
 from ..baselines.host_tcp import make_kernel_tcp
-from ..buffers import Buffer, RealBuffer
+from ..buffers import Buffer
 from ..core.dds import DdsClient
 from ..core.dpdpu import DpdpuRuntime
+from ..core.wire import classify, response_ok, stamp_expiry
 from ..hardware import BLUEFIELD2, Switch, make_server
 from ..sim.stats import Counter
 from ..units import Gbps, PAGE_SIZE
@@ -37,8 +37,7 @@ from .rebalance import MigrationService
 from .router import ClusterDdsServer, ShardRouter
 from .sharding import ShardMap, stable_hash
 
-__all__ = ["Cluster", "ClusterNode", "ClusterClient",
-           "response_ok", "response_rejected", "stamp_expiry"]
+__all__ = ["Cluster", "ClusterNode", "ClusterClient"]
 
 #: breaker tuning for DPU-failure detection: ~7 probes per window,
 #: trips after 4 consecutive failures, and stays open long enough
@@ -56,61 +55,6 @@ _SE_RING_CAPACITY = 1 << 16
 
 #: how often a client's service discovery re-reads the member list
 _TOPOLOGY_POLL_S = 5.0e-4
-
-
-def response_ok(buffer: Optional[Buffer]) -> bool:
-    """True unless ``buffer`` is a JSON error body (or missing)."""
-    if buffer is None:
-        return False
-    if isinstance(buffer, RealBuffer):
-        try:
-            document = json.loads(buffer.data.decode())
-        except (ValueError, UnicodeDecodeError):
-            return True
-        return not (isinstance(document, dict) and "error" in document)
-    return True
-
-
-def stamp_expiry(message: Buffer, expires_s: float) -> Buffer:
-    """A copy of a JSON request carrying an absolute deadline.
-
-    Deadline propagation: the client stamps when the answer stops
-    being useful, and every hop can compute the request's *remaining*
-    budget from its own clock.  Unlike a relative budget, the stamp
-    ages through every queue the request sits in — client stack,
-    switch port, node ingress — which is exactly the queueing that
-    server-side latency signals never see.  Non-JSON messages pass
-    through untouched.
-    """
-    if not isinstance(message, RealBuffer):
-        return message
-    try:
-        document = json.loads(message.data.decode())
-    except (ValueError, UnicodeDecodeError):
-        return message
-    if not isinstance(document, dict):
-        return message
-    document["expires_s"] = expires_s
-    return RealBuffer(json.dumps(document).encode())
-
-
-def response_rejected(buffer: Optional[Buffer]) -> bool:
-    """True for a typed admission rejection (retry-after contract).
-
-    Rejections are the protocol working as designed — the server told
-    the client to back off and when to retry — so availability SLIs
-    exclude them rather than booking them as failures.  Everything
-    else (late answers, isolation violations, internal errors) still
-    counts against the SLO.
-    """
-    if not isinstance(buffer, RealBuffer):
-        return False
-    try:
-        document = json.loads(buffer.data.decode())
-    except (ValueError, UnicodeDecodeError):
-        return False
-    return (isinstance(document, dict)
-            and document.get("error") == "AdmissionRejected")
 
 
 class ClusterNode:
@@ -406,12 +350,14 @@ class ClusterClient:
         return request
 
     def _observe_sli(self, request) -> None:
-        if not request.failed and response_rejected(request.data):
+        verdict = ("error" if request.failed
+                   else classify(request.data))
+        if verdict == "rejected":
             # Typed rejection with a retry-after hint: the admission
             # contract working, not unavailability.
             return
         self._sli_answered.add(1)
-        if (not request.failed and response_ok(request.data)
+        if (verdict == "ok"
                 and request.latency <= self._sli_deadline_s):
             self._sli_ontime.add(1)
 

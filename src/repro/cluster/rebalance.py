@@ -30,19 +30,19 @@ finishes.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List
 
 from ..baselines.host_tcp import make_kernel_tcp
-from ..buffers import Buffer, RealBuffer, SynthBuffer
-from ..core.dds import default_udf
+from ..buffers import SynthBuffer
+from ..core.wire import (default_udf, encode_shard_pull, json_body,
+                         with_trace_context)
 from ..errors import MigrationStalledError, ReproError
 from ..obs.trace import TraceContext
 from ..sim.stats import Counter
 from ..units import PAGE_SIZE
-from .router import CONNECT_TIMEOUT_S, with_trace_context
+from .router import CONNECT_TIMEOUT_S
 
-__all__ = ["MigrationService", "Rebalancer", "encode_shard_pull"]
+__all__ = ["MigrationService", "Rebalancer"]
 
 #: host cycles to locate a shard's pages and set up the export
 EXPORT_CYCLES = 2_000.0
@@ -58,12 +58,6 @@ PULL_RETRY_BUDGET = 2
 #: health-probe period per node, and the Arm cycles one probe burns
 PROBE_INTERVAL_S = 1.5e-4
 PROBE_CYCLES = 400.0
-
-
-def encode_shard_pull(shard: int) -> Buffer:
-    """A migration-protocol request: ship me this shard's pages."""
-    header = json.dumps({"type": "migrate_shard", "shard": shard})
-    return RealBuffer(header.encode())
 
 
 class MigrationService:
@@ -105,9 +99,8 @@ class MigrationService:
                     or request.get("shard")
                     not in self.node.shard_files):
                 self.export_errors.add(1)
-                yield from connection.send_message(RealBuffer(
-                    json.dumps({"error": "bad migrate request"})
-                    .encode()))
+                yield from connection.send_message(
+                    json_body({"error": "bad migrate request"}))
                 continue
             shard = request["shard"]
             file_id = self.node.shard_files[shard]
@@ -150,11 +143,8 @@ class Rebalancer:
         self.env = cluster.env
         self.pull_deadline_s = pull_deadline_s
         self.pull_retry_budget = pull_retry_budget
-        self.migrations = Counter("rebalance.migrations")
         self.migrated_shards = Counter("rebalance.shards")
         self.migrated_bytes = Counter("rebalance.bytes")
-        self.migration_failures = Counter("rebalance.failures")
-        self.pull_timeouts = Counter("rebalance.pull_timeouts")
         #: shard -> sim time its override landed
         self.cutover_times: Dict[int, float] = {}
         self._draining = set()
@@ -224,7 +214,6 @@ class Rebalancer:
 
     def _drain(self, failed):
         """Move every shard off ``failed``, then retire it."""
-        self.migrations.add(1)
         shardmap = self.cluster.shardmap
         plan = shardmap.plan_without(failed.name)
         by_dest: Dict[str, List[int]] = {}
@@ -291,7 +280,6 @@ class Rebalancer:
                     self.cutover_times[shard] = self.env.now
         except ReproError:
             status["failed"] += 1
-            self.migration_failures.add(1)
 
     def _pull_shard(self, source, dest, connection, shard, tracer,
                     pull):
@@ -315,7 +303,6 @@ class Rebalancer:
             yield self.env.any_of([receive, expiry])
             if receive.triggered:
                 return connection, receive.value
-            self.pull_timeouts.add(1)
             pull.annotate(stalled_attempt=attempts)
             if attempts > self.pull_retry_budget:
                 raise MigrationStalledError(

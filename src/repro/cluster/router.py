@@ -25,10 +25,9 @@ timeouts, which post a JSON error body — because the per-connection
 
 from __future__ import annotations
 
-import json
 from typing import Dict
 
-from ..buffers import Buffer, RealBuffer, SynthBuffer
+from ..buffers import Buffer, SynthBuffer
 from ..errors import (AdmissionRejected, ClusterError,
                       DeadlineExceededError, IsolationViolation,
                       OffloadRejected, ReproError)
@@ -36,14 +35,11 @@ from ..obs.trace import TraceContext
 from ..sim.stats import Counter, Tally
 from ..units import PAGE_SIZE
 from ..core.admission import ADMISSION_CYCLES
-from ..core.dds import DdsClient, DdsServer, default_udf
+from ..core.dds import DdsClient, DdsServer
 from ..core.requests import wait
+from ..core.wire import ACK, error_body, with_trace_context
 
-__all__ = ["ClusterDdsServer", "ShardRouter",
-           "encode_shard_read", "encode_shard_scan",
-           "encode_shard_write", "with_trace_context"]
-
-_SHARD_ACK = SynthBuffer(64, label="shard-ack")
+__all__ = ["ClusterDdsServer", "ShardRouter"]
 
 #: how long a forwarded request may wait on the peer before the
 #: router gives up and the origin node answers with an error body
@@ -57,70 +53,6 @@ ROUTE_CYCLES = 300.0
 
 #: budget for (re)connecting to a peer's DDS port
 CONNECT_TIMEOUT_S = 2.0e-3
-
-
-# -- shard request codec -----------------------------------------------------------
-
-
-def encode_shard_read(shard: int, offset: int,
-                      size: int = PAGE_SIZE,
-                      tenant: str = None) -> Buffer:
-    """A shard-addressed read (the owner resolves the backing file).
-
-    ``tenant`` attributes the request for admission control; omitted
-    it is unmetered (the pre-admission wire format, byte-identical).
-    """
-    header = {"type": "read", "shard": shard,
-              "offset": offset, "size": size}
-    if tenant is not None:
-        header["tenant"] = tenant
-    return RealBuffer(json.dumps(header).encode())
-
-
-def encode_shard_write(shard: int, offset: int,
-                       tenant: str = None) -> Buffer:
-    """A shard-addressed one-page write; payload bytes are synthetic."""
-    header = {"type": "write", "shard": shard,
-              "offset": offset, "size": PAGE_SIZE}
-    if tenant is not None:
-        header["tenant"] = tenant
-    return SynthBuffer(PAGE_SIZE + 64, label=json.dumps(header))
-
-
-def encode_shard_scan(shard: int, sproc: str) -> Buffer:
-    """A shard-addressed scan: run a registered sproc on the owner.
-
-    The distributed query engine's sub-query wire format — the sproc
-    (a precompiled filter/project/aggregate pipeline over the shard's
-    local file) is named, never shipped, exactly like the stock
-    ``sproc`` DDS request.  Misdirected scans ride the same
-    DPU-side forwarding as reads and writes.
-    """
-    header = {"type": "scan", "shard": shard, "sproc": sproc}
-    return RealBuffer(json.dumps(header).encode())
-
-
-def with_trace_context(message: Buffer, context) -> Buffer:
-    """Re-encode ``message`` with ``context`` in its JSON header.
-
-    The rebuilt message is a :class:`SynthBuffer` of the *same size*
-    as the original (``default_udf`` parses its label exactly like
-    payload bytes), so transmission, parsing, and storage costs are
-    identical with tracing on or off — the zero-perturbation contract
-    the benchmarks assert.  Messages without a parseable header pass
-    through untouched.
-    """
-    if context is None:
-        return message
-    header = default_udf(message)
-    if not isinstance(header, dict):
-        return message
-    header = dict(header)
-    header["trace"] = context.to_wire()
-    return SynthBuffer(message.size,
-                       compress_ratio=getattr(message,
-                                              "compress_ratio", 3.0),
-                       label=json.dumps(header))
 
 
 # -- DPU-side forwarding -----------------------------------------------------------
@@ -334,15 +266,10 @@ class ClusterDdsServer(DdsServer):
                                       reason=reason)
                         root.annotate(path="rejected", shard=shard,
                                       reason=reason)
-                        body = json.dumps({
-                            "error": type(exc).__name__,
-                            "detail": str(exc),
-                            "reason": reason,
-                            "retry_after_s": getattr(
-                                exc, "retry_after_s", 0.0),
-                        })
-                        ordered.post(sequence,
-                                     RealBuffer(body.encode()))
+                        ordered.post(sequence, error_body(
+                            exc, reason=reason,
+                            retry_after_s=getattr(
+                                exc, "retry_after_s", 0.0)))
                         return
                     gate.annotate(verdict="admitted")
             try:
@@ -352,9 +279,7 @@ class ClusterDdsServer(DdsServer):
                 self.shard_errors.add(1)
                 root.annotate(path="error",
                               error=type(exc).__name__)
-                body = json.dumps({"error": type(exc).__name__,
-                                   "detail": str(exc)})
-                response = RealBuffer(body.encode())
+                response = error_body(exc)
             else:
                 if self.admission is not None:
                     self.admission.observe(self.env.now - started)
@@ -431,8 +356,8 @@ class ClusterDdsServer(DdsServer):
             data = yield from wait(
                 pending, timeout_s=FALLBACK_DEADLINE_S)
         if kind == "read":
-            return data if isinstance(data, Buffer) else _SHARD_ACK
-        return _SHARD_ACK
+            return data if isinstance(data, Buffer) else ACK
+        return ACK
 
     def _serve_scan(self, request: Dict, shard: int):
         """Run a registered scan sproc next to this node's shard file.
@@ -453,8 +378,7 @@ class ClusterDdsServer(DdsServer):
                               shard=shard, sproc=name):
             try:
                 response = yield from self._invoke_sproc(
-                    {"type": "sproc", "name": name,
-                     "arg": request.get("arg")})
+                    name, request.get("arg"))
             except ReproError:
                 if self.breaker is not None:
                     self.breaker.record_failure()

@@ -7,15 +7,7 @@ point and the package docstrings for the mapping to paper sections.
 
 from .admission import AdmissionController, CodelShedder, TokenBucket
 from .compute import ComputeEngine, KernelRequest, SprocContext
-from .dds import (
-    DdsClient,
-    DdsServer,
-    default_udf,
-    encode_log_replay,
-    encode_read,
-    encode_sproc,
-    encode_write,
-)
+from .dds import DdsClient, DdsServer
 from .dpdpu import DpdpuRuntime
 from .handles import DpKernelHandle
 from .kernels import BUILTIN_KERNELS, DpKernelSpec, KernelResult
@@ -26,6 +18,8 @@ from .scheduler import POLICIES, ScheduledTask, SprocScheduler
 from .storage import StorageEngine
 from .traffic import TrafficDirector
 from .tenancy import Tenant, TenantRegistry
+from .wire import (default_udf, encode_log_replay, encode_read,
+                   encode_sproc, encode_write)
 
 __all__ = [
     "AdmissionController",

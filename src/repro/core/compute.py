@@ -113,7 +113,6 @@ class _Sproc:
         self.name = name
         self.fn = fn
         self.estimated_cycles = estimated_cycles
-        self.invocations = Counter(f"sproc.{name}.invocations")
         self.latency = Tally(f"sproc.{name}.latency")
 
     def observe_cost(self, cycles: float) -> None:
@@ -531,7 +530,6 @@ class ComputeEngine:
                     return
             elapsed = self.env.now - started
             sproc.observe_cost(elapsed * self.dpu.cpu.frequency_hz)
-            sproc.invocations.add(1)
             sproc.latency.observe(self.env.now - result_request.issued_at)
             span.annotate(
                 actual_cycles=elapsed * self.dpu.cpu.frequency_hz

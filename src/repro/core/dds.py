@@ -22,105 +22,30 @@ Mapping to the paper's three DDS questions:
   zero-copy buffer hand-off between NE and SE.
 
 Requests are JSON headers carried in message buffers — the UDF really
-parses bytes.  Responses return in request order on each connection.
+parses bytes; the format lives in :mod:`repro.core.wire`.  Responses
+return in request order on each connection.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Callable, Dict, Optional
 
-from ..buffers import Buffer, RealBuffer, SynthBuffer
+from ..buffers import Buffer, SynthBuffer
 from ..errors import OffloadRejected
 from ..obs.trace import NULL_TRACER
 from ..sim import Store
 from ..sim.stats import Counter, Tally
 from ..units import PAGE_SIZE
 from .requests import AsyncRequest
+from .wire import ACK, default_udf, encode_read, error_body, json_body
 
-__all__ = ["DdsServer", "DdsClient", "OrderedResponder",
-           "encode_read", "encode_write", "encode_log_replay",
-           "encode_sproc", "default_udf"]
-
-_ACK = SynthBuffer(64, label="ack")
+__all__ = ["DdsServer", "DdsClient", "OrderedResponder"]
 
 #: host application cycles per forwarded read/write, and per log-replay
 #: update (an order of magnitude heavier); the host-served baseline
 #: charges the same two figures
 HOST_REQUEST_CYCLES = 4_000.0
 HOST_REPLAY_CYCLES = 60_000.0
-#: bytes a sproc invocation occupies on the wire (a longer header
-#: travels as its own bytes)
-_SPROC_WIRE_BYTES = 128
-
-
-# -- request codec ---------------------------------------------------------------
-
-
-def encode_read(file_id: int, offset: int,
-                size: int = PAGE_SIZE) -> Buffer:
-    """A remote read request: a small real-bytes JSON message."""
-    header = json.dumps({"type": "read", "file_id": file_id,
-                         "offset": offset, "size": size})
-    return RealBuffer(header.encode())
-
-
-def encode_write(file_id: int, offset: int,
-                 size: int = PAGE_SIZE) -> Buffer:
-    """A remote write: header in the label, payload bytes synthetic."""
-    header = json.dumps({"type": "write", "file_id": file_id,
-                         "offset": offset, "size": size})
-    return SynthBuffer(size + 64, label=header)
-
-
-def encode_log_replay(file_id: int, offset: int, size: int = PAGE_SIZE,
-                      working_set: int = 0) -> Buffer:
-    """A log-replay update — the paper's canonical non-offloadable op.
-
-    ``working_set`` declares the hot-page memory the operation's
-    replay context needs; the offload engine forwards the request to
-    the host when DPU memory cannot hold it.
-    """
-    header = json.dumps({"type": "log_replay", "file_id": file_id,
-                         "offset": offset, "size": size,
-                         "working_set": working_set})
-    return SynthBuffer(size + 64, label=header)
-
-
-def encode_sproc(name: str, arg=None) -> Buffer:
-    """A remote stored-procedure invocation (CompuCache-style).
-
-    Section 5 adopts sprocs as the general offload abstraction; DDS
-    exposes them to remote clients: the request names a sproc
-    registered with the server's Compute Engine and carries a JSON
-    argument.
-    """
-    header = json.dumps({"type": "sproc", "name": name, "arg": arg})
-    encoded = header.encode()
-    if len(encoded) >= _SPROC_WIRE_BYTES:
-        return RealBuffer(encoded)
-    return SynthBuffer(_SPROC_WIRE_BYTES, label=header)
-
-
-def default_udf(message: Buffer) -> Optional[Dict]:
-    """The paper's 'simple UDF': extract file id, offset, size, type.
-
-    Returns the parsed request, or ``None`` for messages the UDF does
-    not recognize (which must then be forwarded to the host).
-    """
-    if isinstance(message, RealBuffer):
-        raw: Optional[str] = message.data.decode(errors="replace")
-    else:
-        raw = message.label or None
-    if not raw:
-        return None
-    try:
-        request = json.loads(raw)
-    except (ValueError, TypeError):
-        return None
-    if not isinstance(request, dict) or "type" not in request:
-        return None
-    return request
 
 
 # -- the server --------------------------------------------------------------------
@@ -243,30 +168,28 @@ class DdsServer:
                 SynthBuffer(request["size"],
                             label=f"w{request['offset']}"),
             )
-            return _ACK
+            return ACK
         if kind == "sproc":
-            return (yield from self._invoke_sproc(request))
+            return (yield from self._invoke_sproc(
+                request.get("name"), request.get("arg")))
         raise OffloadRejected(f"cannot offload {kind!r}")
 
-    def _invoke_sproc(self, request: Dict):
+    def _invoke_sproc(self, name, arg):
         """Run a registered sproc on behalf of a remote client."""
         compute = self.runtime.compute
-        name = request.get("name")
         if name not in compute.sproc_names():
             raise OffloadRejected(f"no sproc named {name!r}")
-        invocation = compute.invoke(name, request.get("arg"))
+        invocation = compute.invoke(name, arg)
         try:
             result = yield invocation.done
         except OffloadRejected:
             raise
         except BaseException as exc:
             # Sproc errors become an error reply, not a dead request.
-            error = json.dumps({"error": type(exc).__name__,
-                                "detail": str(exc)})
-            return RealBuffer(error.encode())
+            return error_body(exc)
         if isinstance(result, Buffer):
             return result
-        return RealBuffer(json.dumps({"result": result}).encode())
+        return json_body({"result": result})
 
     def _forward_to_host(self, request: Optional[Dict],
                          message: Buffer):
@@ -293,7 +216,7 @@ class DdsServer:
                 SynthBuffer(request["size"]),
             )
             yield write.done
-            response: Buffer = _ACK
+            response: Buffer = ACK
         elif kind == "read":
             yield from self.server.host_cpu.execute(HOST_REQUEST_CYCLES)
             read = self.se.read(request["file_id"], request["offset"],
@@ -306,11 +229,11 @@ class DdsServer:
                 SynthBuffer(request["size"]),
             )
             yield write.done
-            response = _ACK
+            response = ACK
         else:
             # Unknown message: host application handles it opaquely.
             yield from self.server.host_cpu.execute(HOST_REQUEST_CYCLES)
-            response = _ACK
+            response = ACK
         yield from dpu.dma.copy(max(response.size, 64),
                                 direction="to_device")
         return response

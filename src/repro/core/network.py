@@ -28,7 +28,6 @@ interface from its RDMA execution.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Optional
 
 from ..buffers import as_buffer
@@ -48,7 +47,6 @@ __all__ = ["NetworkEngine", "HostSocket", "HostListener",
 _POLL_INTERVAL = 2e-6          # DPU poller sleep when rings are empty
 _RING_CAPACITY = 4096          # host<->DPU submission/completion slots
 _RX_DEPTH = 64                 # messages a HostSocket buffers host-side
-_flow_ids = itertools.count(1)
 
 
 class HostListener:
@@ -441,12 +439,10 @@ class DfiFlow:
                  depth: int):
         if depth < 1:
             raise ValueError("flow depth must be >= 1")
-        self.flow_id = next(_flow_ids)
         self._engine = engine
         self._qp_facade = engine.rdma_qp(remote_node)
         self._remote_qp = self._qp_facade._qp.peer
         self._window = Store(engine.env, capacity=depth)
-        self.batches_pushed = Counter(f"flow{self.flow_id}.batches")
 
     def push(self, records) -> AsyncRequest:
         """Push one record batch (generator-free, returns a request).
@@ -462,7 +458,6 @@ class DfiFlow:
             send_request = self._qp_facade.send(buffer)
             yield send_request.done
             yield self._window.get()
-            self.batches_pushed.add(1)
             request.complete(buffer.size)
 
         self._engine.env.process(pump())

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Callable, List
 
 from ..sim import Environment, Store
-from ..sim.stats import Tally
 from .requests import AsyncRequest
 
 __all__ = ["Pipeline"]
@@ -45,7 +44,6 @@ class Pipeline:
         self.name = name
         self.depth = depth
         self._stages: List[_Stage] = []
-        self.stage_latency = Tally(f"{name}.item_latency")
 
     def add_stage(self, name: str, fn: Callable,
                   workers: int = 1) -> "Pipeline":
@@ -73,7 +71,7 @@ class Pipeline:
 
         def feeder():
             for item in items:
-                yield queues[0].put((self.env.now, item))
+                yield queues[0].put(item)
             for _ in range(self._stages[0].workers):
                 yield queues[0].put(_SENTINEL)
 
@@ -83,12 +81,11 @@ class Pipeline:
             inbox = queues[stage_index]
             outbox = queues[stage_index + 1]
             while True:
-                entry = yield inbox.get()
-                if entry is _SENTINEL:
+                item = yield inbox.get()
+                if item is _SENTINEL:
                     break
                 if errors:
                     continue           # drain after a failure
-                entered_at, item = entry
                 try:
                     value = yield from stage.fn(item)
                 except BaseException as exc:
@@ -97,11 +94,8 @@ class Pipeline:
                 if value is not None:
                     if stage_index + 1 == len(self._stages):
                         outputs.append(value)
-                        self.stage_latency.observe(
-                            self.env.now - entered_at
-                        )
                     else:
-                        yield outbox.put((entered_at, value))
+                        yield outbox.put(value)
 
         def supervisor():
             workers = []

@@ -35,7 +35,6 @@ class AsyncRequest:
         #: the trace span covering this request (NULL_SPAN when
         #: tracing is off or the issuing engine is uninstrumented)
         self.span = NULL_SPAN
-        self.deadline_s: Optional[float] = None
         if deadline_s is not None:
             self.set_deadline(deadline_s)
 
@@ -67,7 +66,6 @@ class AsyncRequest:
             raise ValueError(f"deadline must be positive, got {deadline_s}")
         if self.done.triggered:
             raise ValueError("request already finished")
-        self.deadline_s = deadline_s
 
         def watcher():
             yield self.env.timeout(deadline_s)

@@ -47,7 +47,6 @@ class Tenant:
         self.rate_limit_ops_per_s = rate_limit_ops_per_s
         self.burst_ops = burst_ops
         self._asic_slots: Dict[str, PriorityResource] = {}
-        self.kernel_invocations = Counter(f"tenant.{name}.kernels")
         self.rejections = Counter(f"tenant.{name}.rejections")
 
     def _slots(self, asic_kind: str) -> PriorityResource:
@@ -74,7 +73,6 @@ class Tenant:
             )
         request = slots.request(priority=priority)
         yield request
-        self.kernel_invocations.add(1)
         return request
 
     def asic_in_use(self, asic_kind: str) -> int:

@@ -22,7 +22,7 @@ Determinism guarantee: with a fixed plan seed, the same simulation
 makes exactly the same fault decisions — see ``docs/ROBUSTNESS.md``.
 """
 
-from .injector import FaultInjector, NULL_INJECTOR
+from .injector import FaultInjector
 from .plan import FaultPlan, FaultWindow, default_fault_plan
 from .recovery import CircuitBreaker, RetryPolicy, retrying
 
@@ -31,7 +31,6 @@ __all__ = [
     "FaultPlan",
     "default_fault_plan",
     "FaultInjector",
-    "NULL_INJECTOR",
     "RetryPolicy",
     "retrying",
     "CircuitBreaker",

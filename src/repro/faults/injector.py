@@ -18,9 +18,8 @@ from ``crc32(f"{plan.seed}:{site}")``, so (a) the same run replays the
 same decisions, and (b) adding a window for one site never perturbs
 another site's roll sequence.
 
-``NULL_INJECTOR`` is the shared no-op used when fault injection is
-off; hooks guard with ``if injector is not None`` instead, so the null
-object only serves call sites that want unconditional calls.
+Fault injection off is ``injector is None``: every hook guards with
+``if injector is not None``, so a plain run makes no injector call.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from ..errors import FaultInjectedError
 from ..sim.stats import Counter
 from .plan import FaultPlan
 
-__all__ = ["FaultInjector", "NullInjector", "NULL_INJECTOR"]
+__all__ = ["FaultInjector"]
 
 
 class FaultInjector:
@@ -164,30 +163,3 @@ class FaultInjector:
         return (f"FaultInjector(seed={self.plan.seed}, "
                 f"{len(self.plan.windows)} windows, "
                 f"{int(self.injected.value)} injected)")
-
-
-class NullInjector:
-    """A no-op injector: never faults, never rolls, costs nothing."""
-
-    def perturb(self, site: str):
-        """No-op generator: adds no delay, raises nothing."""
-        return
-        yield  # pragma: no cover — makes this a generator function
-
-    def is_down(self, site: str) -> bool:
-        """Always up."""
-        return False
-
-    def should_drop(self, site: str) -> bool:
-        """Never drops."""
-        return False
-
-    def slowdown(self, site: str) -> float:
-        """Unit stretch: no slowdown."""
-        return 1.0
-
-    def __repr__(self) -> str:
-        return "NullInjector()"
-
-
-NULL_INJECTOR = NullInjector()

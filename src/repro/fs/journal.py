@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
-from ..errors import FaultInjectedError, StorageError
+from ..errors import StorageError
 from ..hardware.ssd import Ssd
 from ..obs.trace import NULL_TRACER
 from ..sim.stats import Counter, Tally
@@ -47,7 +47,6 @@ class Journal:
         self.injector = injector
         if injector is not None and ssd.injector is None:
             ssd.injector = injector
-        self.faults = Counter(f"{name}.faults")
         self._records: List[JournalRecord] = []
         self._next_lsn = 1
         self._used = 0
@@ -72,11 +71,7 @@ class Journal:
                 f"({self._used}+{size} > {self.capacity_bytes}); truncate"
             )
         if self.injector is not None:
-            try:
-                yield from self.injector.perturb(f"journal.{self.name}")
-            except FaultInjectedError:
-                self.faults.add(1)
-                raise
+            yield from self.injector.perturb(f"journal.{self.name}")
         start = self.ssd.env.now
         with self.tracer.span("journal.append", category="storage",
                               kind=kind, bytes=size):

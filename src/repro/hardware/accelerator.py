@@ -21,7 +21,7 @@ from typing import Optional
 
 from ..errors import FaultInjectedError
 from ..sim import Environment, PriorityResource
-from ..sim.stats import Counter, Tally
+from ..sim.stats import Counter
 
 __all__ = ["AcceleratorSpec", "Accelerator"]
 
@@ -63,11 +63,8 @@ class Accelerator:
         self._channels = PriorityResource(env, capacity=spec.channels,
                                           name=self.name)
         self.jobs = Counter(f"{self.name}.jobs")
-        self.bytes_in = Counter(f"{self.name}.bytes")
-        self.job_latency = Tally(f"{self.name}.latency")
         #: optional FaultInjector; site accel.<name>
         self.injector = None
-        self.faults = Counter(f"{self.name}.faults")
 
     def service_time(self, nbytes: int) -> float:
         """Time one job of ``nbytes`` spends executing (no queueing)."""
@@ -85,18 +82,14 @@ class Accelerator:
         if self.injector is not None:
             site = f"accel.{self.name}"
             if self.injector.is_down(site):
-                self.faults.add(1)
                 raise FaultInjectedError(
                     f"{site} offline at t={self.env.now:.6f}",
                     site=site, kind="down",
                 )
-        start = self.env.now
         with self._channels.request(priority=priority) as req:
             yield req
             yield self.env.timeout(self.service_time(nbytes))
         self.jobs.add(1)
-        self.bytes_in.add(nbytes)
-        self.job_latency.observe(self.env.now - start)
 
     @property
     def queue_length(self) -> int:

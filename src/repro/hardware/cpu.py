@@ -77,7 +77,6 @@ class CpuCluster:
         #: execute() path is hooked — dedicated cores (reactors, pollers)
         #: keep running so services survive a crash window and recover.
         self.injector = None
-        self.faults = Counter(f"{name}.faults")
 
     # -- conversions ---------------------------------------------------------
 
@@ -103,7 +102,6 @@ class CpuCluster:
         if self.injector is not None:
             site = f"cpu.{self.name}"
             if self.injector.is_down(site):
-                self.faults.add(1)
                 raise FaultInjectedError(
                     f"{site} crashed at t={self.env.now:.6f}",
                     site=site, kind="down",

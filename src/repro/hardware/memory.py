@@ -16,7 +16,6 @@ from typing import Optional
 
 from ..errors import CapacityError
 from ..sim import Container, Environment
-from ..sim.stats import Counter
 
 __all__ = ["MemoryRegion", "Allocation"]
 
@@ -61,8 +60,6 @@ class MemoryRegion:
         self.name = name
         self._free = Container(env, capacity=capacity_bytes,
                                init=capacity_bytes, name=name)
-        self.alloc_count = Counter(f"{name}.allocs")
-        self.alloc_failures = Counter(f"{name}.alloc_failures")
 
     @property
     def used_bytes(self) -> int:
@@ -81,12 +78,11 @@ class MemoryRegion:
         """Allocate without blocking; ``None`` if it does not fit."""
         self._validate(nbytes)
         if not self.fits(nbytes):
-            self.alloc_failures.add(1)
             return None
         if nbytes > 0:
             # Container.get succeeds synchronously when level suffices.
             self._free.get(nbytes)
-        return self._record(nbytes, tag)
+        return Allocation(self, nbytes, tag)
 
     def allocate(self, nbytes: int, tag: str = ""):
         """Blocking allocation (generator): waits until space frees up."""
@@ -98,10 +94,6 @@ class MemoryRegion:
             )
         if nbytes > 0:
             yield self._free.get(nbytes)
-        return self._record(nbytes, tag)
-
-    def _record(self, nbytes: int, tag: str) -> Allocation:
-        self.alloc_count.add(1)
         return Allocation(self, nbytes, tag)
 
     def _release(self, nbytes: int) -> None:

@@ -50,7 +50,6 @@ class FlowTable:
 
     def __init__(self):
         self._rules: List[FlowRule] = []
-        self.default_hits = 0
 
     def add_rule(self, predicate: Callable[[Any], bool],
                  action: str, name: str = "") -> FlowRule:
@@ -74,7 +73,6 @@ class FlowTable:
             if rule.predicate(frame):
                 rule.hits += 1
                 return rule.action
-        self.default_hits += 1
         return "host"
 
     def __len__(self) -> int:
@@ -89,7 +87,6 @@ class Nic:
         if bandwidth_bps <= 0:
             raise ValueError("bandwidth must be positive")
         self.env = env
-        self.bandwidth_bps = float(bandwidth_bps)
         self.bytes_per_s = bandwidth_bps / 8.0
         self.port_latency_s = port_latency_s
         self.name = name
@@ -102,7 +99,6 @@ class Nic:
         self.tx_bytes = Counter(f"{name}.tx_bytes")
         self.rx_bytes = Counter(f"{name}.rx_bytes")
         self.tx_frames = Counter(f"{name}.tx_frames")
-        self.rx_frames = Counter(f"{name}.rx_frames")
         #: the Wire or Switch this port plugs into
         self.wire = None
         #: fabric address; assigned by Switch.attach (None on a Wire)
@@ -253,7 +249,6 @@ class Nic:
         store's event machinery for the per-frame hot path.
         """
         self.rx_bytes.value += nbytes
-        self.rx_frames.value += 1
         action = self.flow_table.classify(frame)
         store = self.rx_dpu if action == "dpu" else self.rx_host
         tap = store._tap

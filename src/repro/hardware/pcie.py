@@ -88,8 +88,6 @@ class DmaEngine:
         self.setup_latency_s = setup_latency_s
         self.name = name
         self._channels = Resource(env, capacity=channels, name=name)
-        self.copies = Counter(f"{name}.copies")
-        self.bytes_copied = Counter(f"{name}.bytes")
 
     def copy(self, nbytes: int, direction: str = "to_device"):
         """DMA ``nbytes`` across the link (generator).
@@ -109,13 +107,9 @@ class DmaEngine:
             if pipe.reserve(link_time):
                 yield hold
                 link.bytes_moved.add(nbytes)
-                self.copies.add(1)
-                self.bytes_copied.add(nbytes)
                 return
             self._channels.unhold(hold)
         with self._channels.request() as req:
             yield req
             yield self.env.timeout(self.setup_latency_s)
             yield from link.transfer(nbytes, direction)
-        self.copies.add(1)
-        self.bytes_copied.add(nbytes)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..sim import Environment, Resource
-from ..sim.stats import Counter, Tally
+from ..sim.stats import Counter
 from ..units import GB
 
 __all__ = ["PeerAcceleratorSpec", "PeerAccelerator", "GPU_SPEC",
@@ -110,8 +110,6 @@ class PeerAccelerator:
         self._channels = Resource(env, capacity=spec.channels,
                                   name=self.name)
         self.jobs = Counter(f"{self.name}.jobs")
-        self.bytes_in = Counter(f"{self.name}.bytes")
-        self.job_latency = Tally(f"{self.name}.latency")
 
     def supports(self, kernel_name: str) -> bool:
         """Whether this device implements the kernel."""
@@ -144,13 +142,10 @@ class PeerAccelerator:
 
     def run_chain(self, stages):
         """Execute a fused chain of ``(kernel, nbytes)`` (generator)."""
-        started = self.env.now
         with self._channels.request() as request:
             yield request
             yield self.env.timeout(self.chain_service_time(stages))
         self.jobs.add(1)
-        self.bytes_in.add(stages[0][1] if stages else 0)
-        self.job_latency.observe(self.env.now - started)
 
     def __repr__(self) -> str:
         return f"PeerAccelerator({self.name}, kind={self.kind})"

@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..errors import FaultInjectedError
 from ..sim import Environment, Resource
-from ..sim.stats import Counter, Tally
+from ..sim.stats import Counter
 from ..units import GB, US
 
 __all__ = ["SsdSpec", "Ssd"]
@@ -60,11 +59,8 @@ class Ssd:
         self.writes = Counter(f"{name}.writes")
         self.bytes_read = Counter(f"{name}.bytes_read")
         self.bytes_written = Counter(f"{name}.bytes_written")
-        self.read_latency = Tally(f"{name}.read_latency")
-        self.write_latency = Tally(f"{name}.write_latency")
         #: optional FaultInjector; sites ssd.<name>.read / ssd.<name>.write
         self.injector = None
-        self.faults = Counter(f"{name}.faults")
 
     # -- device operations ---------------------------------------------------
 
@@ -81,12 +77,7 @@ class Ssd:
             raise ValueError(f"negative size {nbytes}")
         if self.injector is not None:
             site = f"ssd.{self.name}.{'write' if is_write else 'read'}"
-            try:
-                yield from self.injector.perturb(site)
-            except FaultInjectedError:
-                self.faults.add(1)
-                raise
-        start = self.env.now
+            yield from self.injector.perturb(site)
         spec = self.spec
         if is_write:
             access, xfer, bandwidth = (
@@ -124,15 +115,12 @@ class Ssd:
                 with xfer.request() as chan:
                     yield chan
                     yield self.env.timeout(transfer)
-        elapsed = self.env.now - start
         if is_write:
             self.writes.add(1)
             self.bytes_written.add(nbytes)
-            self.write_latency.observe(elapsed)
         else:
             self.reads.add(1)
             self.bytes_read.add(nbytes)
-            self.read_latency.observe(elapsed)
 
     def __repr__(self) -> str:
         return f"Ssd({self.name}, qd={self.spec.queue_depth})"

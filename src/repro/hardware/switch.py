@@ -56,7 +56,6 @@ class Switch:
         self._priority_ports: Set[int] = set()
         self.frames_forwarded = Counter(f"{name}.frames")
         self.frames_dropped = Counter(f"{name}.drops")
-        self.priority_frames = Counter(f"{name}.priority_frames")
 
     def prioritize_port(self, port: int) -> None:
         """Serve frames for this TCP port ahead of best-effort traffic.
@@ -96,7 +95,6 @@ class Switch:
         if (self._priority_ports and isinstance(frame, dict)
                 and frame.get("port") in self._priority_ports):
             qos = _CLASS_CONTROL
-            self.priority_frames.add(1)
         with self._output_queues[dst].request(priority=qos) as request:
             yield request
             yield self.env.timeout(

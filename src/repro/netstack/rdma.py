@@ -20,7 +20,6 @@ retransmission machinery is modelled.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Optional, Tuple
 
 from ..buffers import Buffer, SynthBuffer, as_buffer
@@ -30,13 +29,10 @@ from ..hardware.cpu import CpuCluster
 from ..hardware.nic import Nic
 from ..obs.trace import NULL_TRACER
 from ..sim import Environment, Event, Store
-from ..sim.stats import Counter, Tally
 
 __all__ = ["RdmaMemoryRegion", "RdmaNode", "RdmaQp", "connect_qp"]
 
 _HEADER_BYTES = 58                 # eth + ip + ib/roce headers
-_wr_ids = itertools.count(1)
-_qp_ids = itertools.count(1)
 
 
 class RdmaMemoryRegion:
@@ -85,8 +81,6 @@ class RdmaQp:
         self.rq: Store = Store(self.env, name=f"qp{qp_id}.rq")
         self._pending: Dict[int, Event] = {}
         self._pending_spans: Dict[int, object] = {}
-        self.ops_posted = Counter(f"qp{qp_id}.ops")
-        self.op_latency = Tally(f"qp{qp_id}.latency")
 
     # -- posting verbs (charges the initiator's CPU) -------------------------
 
@@ -118,7 +112,7 @@ class RdmaQp:
     def _post(self, op: str, wire_bytes: int, body: dict):
         if self.peer is None:
             raise NetworkError("queue pair is not connected")
-        wr_id = next(_wr_ids)
+        wr_id = self.env.next_id("rdma-wr")
         completion = self.env.event()
         self._pending[wr_id] = completion
         if self.node.tracer.enabled:
@@ -126,7 +120,6 @@ class RdmaQp:
                 f"rdma.{op}", category="network", qp=self.qp_id,
                 wr_id=wr_id, wire_bytes=wire_bytes,
             )
-        self.ops_posted.add(1)
         frame = {
             "proto": "rdma", "op": op, "qp": self.peer.qp_id,
             "src_qp": self.qp_id, "wr_id": wr_id,
@@ -152,7 +145,6 @@ class RdmaQp:
                   buffer: Optional[Buffer], posted_at: float) -> None:
         completion = self._pending.pop(wr_id, None)
         record = {"wr_id": wr_id, "op": op, "buffer": buffer}
-        self.op_latency.observe(self.env.now - posted_at)
         span = self._pending_spans.pop(wr_id, None)
         if span is not None:
             span.annotate(latency_s=self.env.now - posted_at)
@@ -186,7 +178,6 @@ class RdmaNode:
         )
         self.regions: Dict[str, RdmaMemoryRegion] = {}
         self.qps: Dict[int, RdmaQp] = {}
-        self.ops_served = Counter(f"{name}.remote_ops")
         env.process(self._nic_loop(rx_queue), name=f"{name}-nic")
 
     # -- setup -----------------------------------------------------------------
@@ -201,7 +192,7 @@ class RdmaNode:
 
     def create_qp(self) -> RdmaQp:
         """Create an unconnected queue pair on this node."""
-        qp = RdmaQp(self, next(_qp_ids))
+        qp = RdmaQp(self, self.env.next_id("rdma-qp"))
         self.qps[qp.qp_id] = qp
         return qp
 
@@ -241,7 +232,6 @@ class RdmaNode:
         region = self.regions.get(frame["region"])
         if region is not None:
             region.write(frame["offset"], frame["buffer"])
-        self.ops_served.add(1)
         self._reply(frame, {"op": "ack"}, _HEADER_BYTES)
 
     def _handle_read(self, frame: dict) -> None:
@@ -251,7 +241,6 @@ class RdmaNode:
             if region is not None
             else SynthBuffer(frame["size"], label="unregistered")
         )
-        self.ops_served.add(1)
         self._reply(frame, {"op": "read_resp", "buffer": buffer},
                     buffer.size + _HEADER_BYTES)
 
@@ -260,7 +249,6 @@ class RdmaNode:
         if qp is not None:
             qp.rq.put({"buffer": frame["buffer"],
                        "src_qp": frame["src_qp"]})
-        self.ops_served.add(1)
         self._reply(frame, {"op": "ack"}, _HEADER_BYTES)
 
     def _handle_ack(self, frame: dict) -> None:

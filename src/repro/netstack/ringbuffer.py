@@ -19,7 +19,7 @@ from typing import Any, List
 
 from ..obs.trace import NULL_TRACER
 from ..sim import Environment, Store
-from ..sim.stats import Counter, TimeWeighted
+from ..sim.stats import TimeWeighted
 
 __all__ = ["RingBuffer", "RingPair"]
 
@@ -40,10 +40,6 @@ class RingBuffer:
         #: optional FaultInjector; site ring.<name> (stall windows)
         self.injector = injector
         self._entries: deque = deque()
-        self.pushes = Counter(f"{name}.pushes")
-        self.push_failures = Counter(f"{name}.push_failures")
-        self.stalls = Counter(f"{name}.stalls")
-        self.pops = Counter(f"{name}.pops")
         self.occupancy = TimeWeighted(f"{name}.occupancy")
         #: Wakeup channel for the consumer's polling loop.  A real
         #: consumer spins on the ring head; simulating every empty
@@ -69,11 +65,8 @@ class RingBuffer:
         """
         if self.injector is not None and \
                 self.injector.is_down(f"ring.{self.name}"):
-            self.stalls.add(1)
-            self.push_failures.add(1)
             return False
         if self.full:
-            self.push_failures.add(1)
             return False
         if self.tracer.enabled and isinstance(item, dict):
             item["_ring_span"] = self.tracer.begin(
@@ -81,7 +74,6 @@ class RingBuffer:
                 parent=item.get("span"), depth=len(self._entries),
             )
         self._entries.append(item)
-        self.pushes.add(1)
         self.occupancy.set(len(self._entries), self.env.now)
         if not self.signal.items and not self.signal._putters:
             self.signal.put(True)
@@ -95,7 +87,6 @@ class RingBuffer:
         while self._entries and len(batch) < max_items:
             batch.append(self._entries.popleft())
         if batch:
-            self.pops.add(len(batch))
             self.occupancy.set(len(self._entries), self.env.now)
             if self.tracer.enabled:
                 for item in batch:
@@ -107,15 +98,14 @@ class RingBuffer:
 
 
 class RingPair:
-    """A submission/completion ring pair shared by host and DPU."""
+    """The host-to-DPU submission ring under direction-named verbs
+    (completions return as events on the request, not through a ring).
+    """
 
     def __init__(self, env: Environment, capacity: int = 1024,
                  name: str = "rings", tracer=None,
                  category: str = "app", injector=None):
         self.submission = RingBuffer(env, capacity, f"{name}.sq",
-                                     tracer=tracer, category=category,
-                                     injector=injector)
-        self.completion = RingBuffer(env, capacity, f"{name}.cq",
                                      tracer=tracer, category=category,
                                      injector=injector)
 

@@ -32,7 +32,6 @@ integral, which is what Figures 2/3 measure.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import Dict, Optional
 
@@ -49,7 +48,7 @@ from ..hardware.nic import Nic
 from ..obs.trace import NULL_TRACER
 from ..sim import Environment, Store
 from ..sim.resources import Container
-from ..sim.stats import Counter, Tally
+from ..sim.stats import Counter
 
 __all__ = ["TcpStack", "TcpConnection", "TcpListener"]
 
@@ -60,8 +59,6 @@ _BUFFER_BYTES = 1 << 20           # send and receive socket buffers
 _MIN_RTO = 2e-3
 _INIT_RTO = 20e-3
 _MAX_RTO = 0.2                    # backoff ceiling (data RTO and SYN)
-
-_conn_ids = itertools.count(1)
 
 #: Upper bound on segments coalesced into one CPU charge + NIC burst
 #: (TSO-style); bounds head-of-line blocking on the TX serializer.
@@ -132,9 +129,7 @@ class TcpConnection:
         self._rto_timer = None
         self._rto_deadline = 0.0
         self._window_open = self.env.event()
-        self._sender_proc = self.env.process(
-            self._sender_loop(), name=f"tcp-send-{cid}"
-        )
+        self.env.process(self._sender_loop(), name=f"tcp-send-{cid}")
 
         # --- receiver state ---
         self._rcv_next = 0
@@ -145,9 +140,6 @@ class TcpConnection:
 
         # --- metrics ---
         self.retransmits = Counter(f"tcp{cid}.retransmits")
-        self.messages_sent = Counter(f"tcp{cid}.msgs_sent")
-        self.messages_received = Counter(f"tcp{cid}.msgs_recv")
-        self.message_latency = Tally(f"tcp{cid}.msg_latency")
 
     # ---------------------------------------------------------------- send
 
@@ -164,7 +156,6 @@ class TcpConnection:
             "buffer": buffer,
             "enqueued_at": self.env.now,
         })
-        self.messages_sent.add(1)
 
     def try_send_message(self, payload) -> bool:
         """Queue one message *now* if the send queue has room.
@@ -186,7 +177,6 @@ class TcpConnection:
         })
         if queue._getters:
             queue._drain()
-        self.messages_sent.add(1)
         return True
 
     def drain(self):
@@ -420,10 +410,6 @@ class TcpConnection:
             message = _concat(parts)
             self._assembly[0] = []
             self._messages.put(message)
-            self.messages_received.add(1)
-            self.message_latency.observe(
-                self.env.now - segment["enqueued_at"]
-            )
             if self.stack.tracer.enabled:
                 self.stack.tracer.instant(
                     "tcp.msg_rx", category="network", cid=self.cid,
@@ -573,7 +559,6 @@ class TcpStack:
         self.cpu = cpu
         self.costs = costs
         self.name = name
-        self.mode = mode
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if mode == "kernel":
             self._per_msg = costs.tcp_cycles_per_msg
@@ -598,19 +583,15 @@ class TcpStack:
         # dedicated process instead of spawning a process per frame;
         # the NIC TX serializer imposed FIFO order anyway.
         self._ctrl_queue: Store = Store(env, name=f"{name}.ctrl")
-        self._ctrl_proc = env.process(
-            self._ctrl_loop(), name=f"{name}-ctrl"
-        )
+        env.process(self._ctrl_loop(), name=f"{name}-ctrl")
         # Receive-side CPU work is accumulated and drained by a pool of
         # softirq worker processes (one per core, mirroring how a real
         # kernel spreads softirq work) instead of one process per
         # frame.  The busy-time integral charged is identical.
         self._pending_cycles = 0.0
         self._softirq_idle: deque = deque()
-        self._softirq_procs = [
+        for i in range(cpu.cores):
             env.process(self._softirq_loop(), name=f"{name}-softirq{i}")
-            for i in range(cpu.cores)
-        ]
 
     # -- public API -----------------------------------------------------------
 
@@ -637,7 +618,7 @@ class TcpStack:
         :class:`DeadlineExceededError` once the budget is spent,
         instead of grinding through the full SYN retry schedule.
         """
-        cid = next(_conn_ids)
+        cid = self.env.next_id("tcp")
         connection = TcpConnection(self, cid, port, remote=remote)
         self._connections[cid] = connection
         established = self.env.event()

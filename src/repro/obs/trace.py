@@ -216,7 +216,9 @@ class NullTracer:
 
     Instrumented code holds a reference to one of these unless real
     telemetry was injected, so the tracing-off cost of a call site is
-    one method call returning a shared constant.
+    one method call returning a shared constant.  It opens (no-op)
+    spans and nothing else: whatever reads a trace back — contexts,
+    span lists, exports — sits behind ``tracer.enabled``.
     """
 
     enabled = False
@@ -224,18 +226,6 @@ class NullTracer:
 
     def bind(self, env) -> None:
         """No-op (a real tracer binds to the environment's clock)."""
-
-    def ref(self, span: Any) -> str:
-        """No-op; the empty ref."""
-        return ""
-
-    def context_for(self, span: Any) -> None:
-        """No context when tracing is off."""
-        return None
-
-    def adopt(self, span: Any, context: Any) -> Any:
-        """No-op; returns the span unchanged."""
-        return span
 
     def span(self, name: str, category: str = "app",
              parent: Any = None, **attrs: Any) -> _NullSpan:
@@ -250,22 +240,6 @@ class NullTracer:
     def instant(self, name: str, category: str = "app",
                 **attrs: Any) -> None:
         """No-op."""
-
-    def all_spans(self) -> List[Span]:
-        """Nothing recorded."""
-        return []
-
-    def to_chrome_events(self) -> List[dict]:
-        """Nothing recorded, nothing exported."""
-        return []
-
-    def write_chrome(self, path: str) -> int:
-        """Write an empty Chrome trace document; returns 0."""
-        return _write_chrome(path, [], "repro.obs.Tracer")
-
-    def flame_summary(self, max_rows: int = 60) -> str:
-        """Nothing recorded."""
-        return "(no spans recorded)"
 
 
 #: The process-wide disabled tracer instance.

@@ -1,8 +1,9 @@
 """Distributed scatter-gather scans over a sharded DPDPU cluster.
 
-The single-node pushdown story (:mod:`repro.query.executor`) scaled
-out: a table is hash-partitioned over the shards of a
-:class:`~repro.cluster.Cluster`, and a coordinator machine answers a
+Scan execution over a live deployment: a table is hash-partitioned
+over the shards of a :class:`~repro.cluster.Cluster` (one node and one
+shard is the single-node deployment — the same code, not a special
+case), and a coordinator machine answers a
 :class:`~repro.query.scan.ScanQuery` by consulting the
 :class:`~repro.cluster.ShardMap`, scattering one sub-query per
 populated shard to its owning node, and merging the partial results.
@@ -37,26 +38,22 @@ order, so ``--jobs N`` artifact runs stay byte-identical.
 
 from __future__ import annotations
 
-import itertools
-import json
 from typing import Dict, Optional
 
-from ..buffers import RealBuffer
+from ..buffers import RealBuffer, split_records
 from ..cluster import (Cluster, ClusterClient, encode_shard_read,
                        encode_shard_scan, response_ok)
+from ..core.wire import json_body, parse_body
 from ..errors import ClusterError
 from ..sim import Environment
 from ..units import Gbps, PAGE_SIZE
 from ..workloads.tables import TableGenerator
 from ..hardware.costs import default_cost_model
-from .executor import _decode_pushdown
 from .planner import _DPU_HZ, _HOST_HZ, plan_scan
 from .scan import QueryResult, ScanQuery
 
 __all__ = ["DistributedScanDeployment", "merge_partials",
            "plan_distributed", "run_distributed_scan"]
-
-_query_ids = itertools.count(1)
 
 #: host cores the coordinator spreads TCP ingest and pull evaluation
 #: over, and Arm cores an owner scans its shards with, in the
@@ -262,6 +259,10 @@ class DistributedScanDeployment:
             self.cluster, "coordinator", home="node0",
             stale_fraction=stale_fraction)
         self._loaded = False
+        #: scans registered so far, the id in their sproc names: the
+        #: deployment's own count, four digits wide on the wire, so a
+        #: scan's bytes do not depend on how many ran before it
+        self._scans = 0
 
     def shard_sizes(self) -> Dict[int, int]:
         """Bytes of table data living in each populated shard."""
@@ -312,12 +313,12 @@ class DistributedScanDeployment:
         — and forwarding guarantees that is always the owner.
         Returns shard -> sproc name.
         """
-        qid = next(_query_ids)
+        self._scans += 1
         schema = self.schema
         predicate_index = schema.index_of(query.predicate_column)
         names: Dict[int, str] = {}
         for shard in sorted(self.partitions):
-            name = f"scan{qid}_s{shard}"
+            name = f"scan{self._scans:04d}_s{shard}"
             names[shard] = name
             length = len(self.partitions[shard])
             for node in self.cluster.nodes:
@@ -353,8 +354,7 @@ def _make_scan_sproc(query: ScanQuery, schema, predicate_index: int,
                                              "extract": float},
             )
             yield from ctx.wait(aggregate_request)
-            return RealBuffer(
-                json.dumps(aggregate_request.meta).encode())
+            return json_body(aggregate_request.meta)
         if query.projection:
             indices = [schema.index_of(column)
                        for column in query.projection]
@@ -365,6 +365,18 @@ def _make_scan_sproc(query: ScanQuery, schema, predicate_index: int,
         return filtered
 
     return scan_sproc
+
+
+def _decode_pushdown(buffer, query: ScanQuery) -> QueryResult:
+    """A scan sproc's response as this shard's partial result."""
+    if query.is_aggregate:
+        meta = parse_body(buffer)
+        return QueryResult(
+            rows=None, count=meta["count"], total=meta["sum"],
+            minimum=meta["min"], maximum=meta["max"],
+        )
+    rows = list(split_records(buffer.data, b"\n"))
+    return QueryResult(rows=rows, count=len(rows))
 
 
 # -- execution ---------------------------------------------------------------

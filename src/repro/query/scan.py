@@ -11,7 +11,7 @@ it two ways:
   the data (the Section 4 composition) and ship only results.
 
 The planner (:mod:`repro.query.planner`) picks between them from
-cost estimates; the executor (:mod:`repro.query.executor`) runs
+cost estimates; the executor (:mod:`repro.query.distributed`) runs
 either plan and both must return identical answers.
 """
 

@@ -46,15 +46,15 @@ class EventPopulation(Event):
     fired once the vector is exhausted.
     """
 
-    __slots__ = ("times", "handler", "name", "_times_list", "_idx", "_n",
-                 "_tick", "_cbs")
+    __slots__ = ("handler", "name", "_times_list", "_idx", "_n", "_tick",
+                 "_cbs")
 
     def __init__(self, env: Environment, times: Iterable[float],
                  handler: Callable[[int], object],
                  name: str = "population"):
         super().__init__(env)
         times_list: List[float] = [float(t) for t in times]
-        self.times = self._times_list = times_list
+        self._times_list = times_list
         self.handler = handler
         self.name = name
         self._idx = 0

@@ -171,13 +171,12 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed delay."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         super().__init__(env)
-        self.delay = delay
         self._ok = True
         self._value = value
         env._enqueue(self, NORMAL, delay)
@@ -410,11 +409,19 @@ class Environment:
         #: freelist telemetry, surfaced by the ``perf`` experiment
         self.pool_hits = 0
         self.pool_misses = 0
+        self._ids: dict = {}
 
     @property
     def now(self) -> float:
         """Current simulated time (seconds by convention)."""
         return self._now
+
+    def next_id(self, kind: str) -> int:
+        """The next number, from 1, in this simulation's ``kind``
+        sequence: connection and queue-pair numbers are unique within a
+        simulation and do not remember an earlier one in the process."""
+        number = self._ids[kind] = self._ids.get(kind, 0) + 1
+        return number
 
     # -- event construction ------------------------------------------------
 
@@ -435,7 +442,6 @@ class Environment:
             if delay < 0:
                 raise ValueError(f"negative delay {delay}")
             timeout = pool.pop()
-            timeout.delay = delay
             timeout.callbacks = []
             timeout._value = value
             timeout._ok = True

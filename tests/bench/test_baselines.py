@@ -136,7 +136,7 @@ class TestFactories:
     def test_kernel_tcp_mode(self, env):
         server = make_server(env)
         stack = make_kernel_tcp(server)
-        assert stack.mode == "kernel"
+        assert stack._per_msg == server.costs.software.tcp_cycles_per_msg
         assert stack.cpu is server.host_cpu
 
     def test_host_rdma_node_uses_host_cpu(self, env):

@@ -119,9 +119,12 @@ class TestCliTraceOut:
         # The spans all come from the traced rebalance scenario, which
         # keeps its crash, its duration and its node count and offers
         # a quarter of the load; the untraced parts beside it shrink
-        # to two sweep points and a tenth of a millisecond per rack
-        # point.  CI's conformance job traces the full experiment.
+        # to two sweep points and one 8-node rack point of a tenth of a
+        # millisecond (merely building a 64- or 128-node rack costs
+        # more than the traced scenario).  CI's conformance job traces
+        # the full experiment.
         monkeypatch.setattr(experiments_scale, "RACK_DURATION_S", 1e-4)
+        monkeypatch.setattr(experiments_scale, "RACK_NODE_COUNTS", (8,))
         monkeypatch.setattr(experiments_scale, "NODE_COUNTS", (1, 2))
         monkeypatch.setattr(experiments_scale, "DURATION_S", 1e-3)
         monkeypatch.setattr(experiments_scale,

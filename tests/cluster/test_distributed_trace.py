@@ -210,7 +210,7 @@ class TestMigrationTrace:
         rebalancer = Rebalancer(cluster)
         env.run(until=HORIZON_S)
         pulls = _spans_named(plane, "rebalance.pull")
-        if rebalancer.migration_failures.value:
+        if not cluster.node("node1").retired:       # the drain failed
             assert any("error" in span.attrs for span in pulls)
         assert all(span.finished for span in pulls)
 

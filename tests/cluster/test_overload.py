@@ -16,10 +16,10 @@ from repro.cluster import (
     ClusterClient,
     encode_shard_write,
     response_ok,
-    response_rejected,
     stamp_expiry,
 )
 from repro.core import AdmissionController, default_udf
+from repro.core.wire import classify
 from repro.core.tenancy import TenantRegistry
 from repro.obs import ClusterTelemetry
 from repro.sim import Environment
@@ -72,22 +72,22 @@ class TestTypedRejection:
         second = client.submit(_request_body(0, tenant="batch"), 0)
         env.run(until=env.now + 5.0e-3)
         assert response_ok(first.data)
-        assert response_rejected(second.data)
+        assert classify(second.data) == "rejected"
         envelope = _envelope(second)
         assert envelope["error"] == "AdmissionRejected"
         assert envelope["reason"] == "rate_limit"
         assert envelope["retry_after_s"] > 0
 
     def test_response_rejected_is_specific(self):
-        assert not response_rejected(None)
-        assert not response_rejected(SynthBuffer(PAGE_SIZE))
-        assert not response_rejected(RealBuffer(b"\x00raw"))
+        assert classify(None) == "error"
+        assert classify(SynthBuffer(PAGE_SIZE)) == "ok"
+        assert classify(RealBuffer(b"\x00raw")) == "ok"
         other = json.dumps({"error": "ClusterError", "detail": "x"})
-        assert not response_rejected(RealBuffer(other.encode()))
+        assert classify(RealBuffer(other.encode())) == "error"
         rejected = json.dumps({"error": "AdmissionRejected",
                                "reason": "shed",
                                "retry_after_s": 1e-3})
-        assert response_rejected(RealBuffer(rejected.encode()))
+        assert classify(RealBuffer(rejected.encode())) == "rejected"
 
     def test_unprotected_node_never_rejects(self, env):
         cluster = Cluster(env, 2)

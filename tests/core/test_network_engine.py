@@ -187,7 +187,6 @@ class TestDfiFlow:
         env.process(consumer(env))
         env.run(until=5.0)
         assert got == [f"b{i}" for i in range(10)]
-        assert flow.batches_pushed.value == 10
 
     def test_window_limits_inflight(self, env, pair):
         runtime_a, runtime_b = pair

@@ -161,10 +161,11 @@ class TestTenancy:
                     dpk(SynthBuffer(1 * MiB), "dpu_asic", tenant=tenant)
                 )
         env.run(until=env.all_of([r.done for r in requests]))
-        analytics = ce.tenants.get("analytics")
-        oltp = ce.tenants.get("oltp")
-        assert analytics.kernel_invocations.value == 4
-        assert oltp.kernel_invocations.value == 4
+        assert all(r.completed and not r.failed for r in requests)
+        asic = ce.server.dpu.accelerator("compression")
+        assert asic.jobs.value == 8
+        for tenant in ("analytics", "oltp"):
+            assert ce.tenants.get(tenant).asic_in_use("compression") == 0
 
 
 class TestTenancyUnderConcurrentShards:

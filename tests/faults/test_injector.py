@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import FaultInjectedError
-from repro.faults import FaultInjector, FaultPlan, NULL_INJECTOR
+from repro.faults import FaultInjector, FaultPlan
 from repro.hardware import BLUEFIELD2, make_server
 from repro.sim import Environment
 
@@ -121,13 +121,3 @@ class TestInstall:
         injector.should_drop("wire")
         injector.should_drop("wire")
         assert injector.by_site == {"wire": 2}
-
-
-class TestNullInjector:
-    def test_null_injector_never_faults(self, env):
-        assert not NULL_INJECTOR.is_down("cpu.dpu")
-        assert not NULL_INJECTOR.should_drop("wire")
-        assert NULL_INJECTOR.slowdown("cpu.dpu") == 1.0
-        outcome = _drain(env, NULL_INJECTOR.perturb("ssd.db.read"))
-        assert "error" not in outcome
-        assert env.now == 0.0

@@ -83,7 +83,7 @@ class TestMemoryRegion:
         mem = MemoryRegion(env, 1 * MiB)
         assert mem.try_allocate(1 * MiB) is not None
         assert mem.try_allocate(1) is None
-        assert mem.alloc_failures.value == 1
+        assert mem.used_bytes == 1 * MiB
 
     def test_blocking_allocate_waits_for_free(self, env):
         mem = MemoryRegion(env, 1 * MiB)
@@ -167,7 +167,7 @@ class TestPcieAndDma:
         env.run()
         # Two copies share the to_device pipe: serialization dominates.
         assert env.now == pytest.approx(2.0)
-        assert dma.copies.value == 2
+        assert link.bytes_moved.value == 2 * GB
 
     def test_unknown_direction_rejected(self, env):
         link = PcieLink(env, bandwidth_bps=1 * GB * 8)
@@ -307,4 +307,4 @@ class TestSsd:
         assert ssd.writes.value == 1
         assert ssd.reads.value == 1
         assert ssd.bytes_written.value == PAGE_SIZE
-        assert ssd.write_latency.count == 1
+        assert ssd.bytes_read.value == PAGE_SIZE

@@ -294,7 +294,6 @@ class TestSwitchQos:
         # The first bulk frame already held the port; the priority
         # frame is served next, ahead of the queued bulk.
         assert order == [0, "prio", 1, 2, 3, 4]
-        assert switch.priority_frames.value == 1
 
     def test_unregistered_ports_stay_fifo(self, env):
         switch, servers = self._fabric(env)
@@ -303,7 +302,6 @@ class TestSwitchQos:
         order = [frame["seq"]
                  for frame in servers[1].nic.rx_host.items]
         assert order == [0, 1, 2, 3, 4, "prio"]
-        assert switch.priority_frames.value == 0
 
     def test_priority_needs_a_port_field(self, env):
         switch, servers = self._fabric(env)
@@ -311,5 +309,4 @@ class TestSwitchQos:
         switch.carry(servers[0].nic, {"dst": "s1", "note": "raw"},
                      100)
         env.run(until=0.01)
-        assert switch.priority_frames.value == 0
         assert len(servers[1].nic.rx_host) == 1

@@ -52,18 +52,20 @@ class TestOneSided:
         node_b.register_region("pool", 16 * MiB)
         qp_a, _ = connect_qp(node_a, node_b)
 
+        acked = []
+
         def initiator(env):
             for i in range(50):
                 done = yield from qp_a.post_write(
                     "pool", i * PAGE_SIZE, PAGE_SIZE
                 )
-                yield done
+                acked.append((yield done))
 
         env.process(initiator(env))
         env.run(until=5.0)
         assert cpu_a.busy_seconds() > 0          # issuing costs cycles
         assert cpu_b.busy_seconds() == 0         # remote CPU untouched
-        assert node_b.ops_served.value == 50
+        assert len(acked) == 50                  # the remote NIC served all
 
     def test_issue_cost_matches_model(self, env):
         node_a, node_b, cpu_a, _ = _make_nodes(env)
@@ -161,7 +163,7 @@ class TestRingBuffer:
         assert ring.try_push(1)
         assert ring.try_push(2)
         assert not ring.try_push(3)
-        assert ring.push_failures.value == 1
+        assert ring.poll_batch() == [1, 2]
 
     def test_poll_batch_respects_limit(self, env):
         ring = RingBuffer(env, capacity=16)
@@ -174,8 +176,7 @@ class TestRingBuffer:
         rings = RingPair(env, capacity=8)
         rings.submit({"op": "read"})
         assert rings.poll_submissions() == [{"op": "read"}]
-        assert rings.completion.try_push({"ok": True})
-        assert rings.completion.poll_batch() == [{"ok": True}]
+        assert rings.poll_submissions() == []
 
     def test_capacity_validation(self, env):
         with pytest.raises(ValueError):

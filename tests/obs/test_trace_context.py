@@ -3,7 +3,6 @@
 import json
 
 from repro.obs import (
-    NULL_TRACER,
     TraceContext,
     Tracer,
     merge_chrome_events,
@@ -84,12 +83,6 @@ class TestContextMinting:
         span = tracer.begin("request")
         assert tracer.adopt(span, None) is span
         assert "remote_parent" not in span.attrs
-
-    def test_null_tracer_context_protocol(self):
-        assert NULL_TRACER.context_for(NULL_TRACER.span("x")) is None
-        span = NULL_TRACER.span("x")
-        assert NULL_TRACER.adopt(span, None) is span
-        assert NULL_TRACER.ref(span) == ""
 
 
 def _two_node_trace():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import NULL_SPAN, NULL_TRACER, Telemetry, Tracer
+from repro.obs import NULL_SPAN, NULL_TRACER, Tracer
 from repro.sim import Environment
 
 
@@ -27,15 +27,6 @@ class TestNullTracer:
         with pytest.raises(RuntimeError):
             with NULL_TRACER.span("x"):
                 raise RuntimeError("boom")
-
-    def test_metrics_only_bundle_still_exports(self, tmp_path):
-        # the bundle forwards to whichever tracer it holds
-        telemetry = Telemetry(Environment(), tracing=False)
-        path = tmp_path / "trace.json"
-        assert telemetry.tracer.write_chrome(str(path)) == 0
-        assert json.loads(path.read_text())["traceEvents"] == []
-        assert telemetry.tracer.all_spans() == []
-        assert telemetry.flame_summary() == "(no spans recorded)"
 
 
 class TestSpanNesting:

@@ -210,6 +210,31 @@ class TestDistributedExecution:
                 deployment.table_bytes, deployment.schema))
             assert footprint() == before
 
+    def test_a_scan_does_not_remember_how_many_ran_before_it(self):
+        """Scan ids are the deployment's and four digits wide on the
+        wire: the first scan on a fresh deployment costs what the
+        first scan on any deployment costs, however many scans this
+        process has already run (a process-global id gained a digit
+        and, with it, bytes in every sub-query)."""
+        def fresh():
+            return DistributedScanDeployment(
+                n_nodes=2, n_rows=600, n_shards=4, port=9880)
+
+        query = _aggregate_query()
+        seasoned = fresh()
+        first, *_rest = [run_distributed_scan(seasoned, query,
+                                              plan="pushdown")
+                         for _ in range(10)]
+        newcomer = fresh()
+        again = run_distributed_scan(newcomer, query, plan="pushdown")
+        assert again["elapsed_s"] == first["elapsed_s"]
+        assert again["bytes_received"] == first["bytes_received"]
+        assert _exact(again["result"], first["result"])
+        eleventh = seasoned.register_scan_sprocs(query)
+        second = newcomer.register_scan_sprocs(query)
+        assert eleventh[0] == "scan0011_s0"
+        assert second[0] == "scan0002_s0"
+
     def test_unknown_plan_rejected(self, deployment):
         with pytest.raises(ValueError):
             run_distributed_scan(deployment, _selective_query(),

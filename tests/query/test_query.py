@@ -3,12 +3,12 @@
 import pytest
 
 from repro.query import (
+    DistributedScanDeployment,
     PlanEstimate,
-    ScanDeployment,
     ScanQuery,
     explain,
     plan_scan,
-    run_scan,
+    run_distributed_scan as run_scan,
 )
 from repro.units import Gbps, MB
 
@@ -106,9 +106,13 @@ class TestPlanner:
 
 
 class TestExecution:
+    """The single-node deployment — one storage node, the whole table
+    in one shard — is the scatter-gather engine's smallest case."""
+
     @pytest.fixture(scope="class")
     def deployment(self):
-        return ScanDeployment(n_rows=1200, seed=31)
+        return DistributedScanDeployment(n_nodes=1, n_rows=1200,
+                                         n_shards=1, seed=31)
 
     def test_plans_agree_on_projection_query(self, deployment):
         query = _selective_query()
@@ -138,7 +142,7 @@ class TestExecution:
 
     def test_auto_plan_runs(self, deployment):
         outcome = run_scan(deployment, _selective_query())
-        assert outcome["plan"] in ("pull", "pushdown")
+        assert outcome["choices"][0] in ("pull", "pushdown")
         assert outcome["result"].count > 0
 
     def test_unknown_plan_rejected(self, deployment):

@@ -15,7 +15,7 @@ from repro.buffers import (RealBuffer, record_column, split_columns,
                            split_records)
 from repro.core.kernels import BUILTIN_KERNELS
 from repro.query import ScanQuery
-from repro.query.executor import _decode_pushdown
+from repro.query.distributed import _decode_pushdown
 from repro.workloads.tables import Column, TableGenerator, TableSchema
 
 from scan_reference import (on_column, reference_aggregate,
@@ -53,7 +53,7 @@ FIELD = st.sampled_from([b"", b"0", b"7", b"12", b"3.5", b"A", b"xy z"])
 @st.composite
 def tables(draw):
     """(bytes, width) — width is None for a ragged table."""
-    n_rows = draw(st.integers(0, 200))
+    n_rows = draw(st.integers(0, 60))
     width = draw(st.one_of(st.none(), st.integers(1, 9)))
     if width is None:
         rows = draw(st.lists(st.lists(FIELD, min_size=1, max_size=9),
@@ -73,7 +73,7 @@ def is_low(value: bytes) -> bool:
 
 
 class TestAgainstPerRecordOracle:
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(tables(), st.integers(0, 9))
     def test_filter_on_a_column(self, table, column):
         data, _width = table
@@ -93,7 +93,7 @@ class TestAgainstPerRecordOracle:
             assert (run("filter", buffer, predicate=keep)
                     == reference_filter(data, keep))
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(tables(), st.one_of(st.none(), st.integers(0, 9)))
     def test_aggregate(self, table, column):
         data, _width = table
@@ -105,7 +105,7 @@ class TestAgainstPerRecordOracle:
             assert new == "error" if expected == "error" else (
                 new == (repr(expected).encode(), expected))
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(tables(), st.lists(st.integers(0, 9), max_size=4))
     def test_project_skips_what_a_record_lacks(self, table, picks):
         data, _width = table
@@ -113,7 +113,7 @@ class TestAgainstPerRecordOracle:
             assert (run("project", buffer, columns=picks)
                     == reference_project(data, picks))
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(tables(), st.data())
     def test_evaluate(self, table, draw):
         data, width = table

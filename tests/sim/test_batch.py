@@ -89,8 +89,8 @@ class TestPopulationVsScalarIdentity:
 class TestTimesFromAnyIterable:
     def test_times_is_a_list_of_floats(self):
         pop = EventPopulation(Environment(), [1, 2, 3], lambda k: None)
-        assert type(pop.times) is list
-        assert all(type(t) is float for t in pop.times)
+        assert type(pop._times_list) is list
+        assert all(type(t) is float for t in pop._times_list)
 
     def test_any_iterable_of_times_fires_identically(self):
         times = [0.25, 0.5, 0.5, 2.0]
@@ -117,5 +117,6 @@ class TestTimesFromAnyIterable:
                               lambda k: log.append((env.now, k)) or None)
         env.run()
         assert log == list(zip(times, range(4)))
-        assert type(pop.times) is list and type(pop.times[0]) is float
+        assert type(pop._times_list) is list \
+            and type(pop._times_list[0]) is float
 

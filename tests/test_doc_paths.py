@@ -3,8 +3,8 @@
 Each backticked ``path/to/file.py|md|json|yml|toml`` in README.md,
 EXPERIMENTS.md, DESIGN.md and ``docs/*.md`` must resolve against the
 repo root, ``src/`` or ``src/repro/`` (the three spellings the docs
-use).  ``docs/PERFORMANCE.md`` is excepted: it is a change log, and
-its "removed" tables name deleted files on purpose.
+use).  No document is excepted: history that names deleted files
+lives in ``CHANGES.md``, which is not checked.
 """
 
 import re
@@ -15,8 +15,7 @@ import pytest
 _REPO = Path(__file__).resolve().parent.parent
 _DOCS = sorted(
     [_REPO / "README.md", _REPO / "EXPERIMENTS.md", _REPO / "DESIGN.md"]
-    + [path for path in (_REPO / "docs").glob("*.md")
-       if path.name != "PERFORMANCE.md"])
+    + list((_REPO / "docs").glob("*.md")))
 _PATH = re.compile(r"`([\w.-]+(?:/[\w.-]+)+\.(?:py|md|json|yml|toml))`")
 _ROOTS = (_REPO, _REPO / "src", _REPO / "src" / "repro")
 

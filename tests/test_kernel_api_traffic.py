@@ -53,6 +53,7 @@ Three surfaces stay outside the second rule, each for a stated reason:
 """
 
 import ast
+import builtins
 import collections
 import functools
 from pathlib import Path
@@ -349,3 +350,93 @@ def test_every_defaulted_parameter_is_set_by_some_caller():
         f"{_EVERY_ROOT} sets — make each the constant it already "
         "equals, or delete it with the branch only another value "
         "reached:\n" + "\n".join(everywhere))
+
+
+# -- the reader census ------------------------------------------------------
+
+_READER_ROOTS = ("src/repro", "hostbench", "examples", "benchmarks")
+_BLIND_WRITES = ("add", "observe")
+
+
+def _is_self_attribute(node):
+    return isinstance(node, ast.Attribute) \
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+
+
+def _attributes_read(tree):
+    """Every attribute name ``tree`` loads for its value.  Feeding a
+    collector is not a read: ``<x>.name.add(...)``,
+    ``<x>.name.observe(...)`` and ``<x>.name.value += ...`` only write
+    through ``name``.  ``getattr(<x>, "name")`` is one."""
+    written_through = set()
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            function = node.func
+            if isinstance(function, ast.Attribute) \
+                    and function.attr in _BLIND_WRITES:
+                written_through.add(id(function.value))
+            elif _name_of(function) in ("getattr", "hasattr") \
+                    and len(node.args) > 1 \
+                    and isinstance(node.args[1], ast.Constant):
+                read.add(node.args[1].value)
+        elif isinstance(node, ast.AugAssign) \
+                and isinstance(node.target, ast.Attribute) \
+                and node.target.attr == "value":
+            written_through.add(id(node.target.value))
+    read.update(node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and id(node) not in written_through)
+    return read
+
+
+def _is_exception_class(name, classes, seen=()):
+    builtin = getattr(builtins, name, None)
+    if isinstance(builtin, type) and issubclass(builtin, BaseException):
+        return True
+    return name in classes and name not in seen and any(
+        _is_exception_class(_name_of(base), classes, seen + (name,))
+        for base in classes[name].bases)
+
+
+def test_every_instance_attribute_has_a_reader():
+    """``self.x = ...`` is invisible to a member census.  Every
+    instance attribute a ``src/repro`` class assigns is read somewhere
+    in the product — by name, so the rule can miss an unread attribute
+    that shares a name with a read one and cannot flag a read one.  A
+    counter nobody reads is paid for per event and printed by no
+    report: it goes, with its updates.  Outside the rule: the fields of
+    exception classes, which exist for the handler that catches one."""
+    read = set()
+    sources = {}
+    for root in _READER_ROOTS:
+        for source in sorted((_REPO / root).rglob("*.py")):
+            if "tests" in source.relative_to(_REPO).parts:
+                continue
+            tree = ast.parse(source.read_text())
+            read |= _attributes_read(tree)
+            if root == "src/repro":
+                sources[source] = tree
+    classes = {node.name: node for tree in sources.values()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    assigned, unread = 0, []
+    for source, tree in sources.items():
+        where = source.relative_to(_REPO / "src/repro")
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef) \
+                    or _is_exception_class(node.name, classes):
+                continue
+            names = {target.attr for target in ast.walk(node)
+                     if _is_self_attribute(target)
+                     and isinstance(target.ctx, ast.Store)}
+            assigned += len(names)
+            unread += [f"{where}:{node.name}.{name}"
+                       for name in sorted(names - read)]
+    print(f"{assigned} instance attributes assigned under src/repro, "
+          f"{len(unread)} never read")
+    assert not unread, (
+        f"{len(unread)} instance attributes nothing under "
+        f"{_READER_ROOTS} reads — delete each with its updates, or "
+        "the reader that justified it is gone:\n" + "\n".join(unread))

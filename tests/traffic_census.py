@@ -33,7 +33,6 @@ SRC = REPO / "src"
 
 _RECOVERY = "crash recovery: no experiment ends a crash (ROADMAP 4)"
 _DEADLINE = "client deadlines/teardown: no client times out (ROADMAP 4)"
-_NULL = "the disabled twin of a traced/injected call site (ROADMAP 3)"
 _MISMATCH = "runs only when --identity finds a difference (ROADMAP 7b)"
 _PAPER = "paper-named interface, tests are its callers (PAPER.md s1)"
 
@@ -82,17 +81,6 @@ KEPT = {
     "obs/regress.py:Difference.describe": _MISMATCH,
     "obs/regress.py:AttributionShift.describe": _MISMATCH,
     "obs/regress.py:AttributionShift.share_delta": _MISMATCH,
-    "obs/trace.py:NullTracer.adopt": _NULL,
-    "obs/trace.py:NullTracer.all_spans": _NULL,
-    "obs/trace.py:NullTracer.context_for": _NULL,
-    "obs/trace.py:NullTracer.flame_summary": _NULL,
-    "obs/trace.py:NullTracer.ref": _NULL,
-    "obs/trace.py:NullTracer.to_chrome_events": _NULL,
-    "obs/trace.py:NullTracer.write_chrome": _NULL,
-    "faults/injector.py:NullInjector.is_down": _NULL,
-    "faults/injector.py:NullInjector.perturb": _NULL,
-    "faults/injector.py:NullInjector.should_drop": _NULL,
-    "faults/injector.py:NullInjector.slowdown": _NULL,
     # -- paper-named ---------------------------------------------------
     "core/pipeline.py:Pipeline.add_stage": _PAPER,
     "core/pipeline.py:Pipeline.run": _PAPER,
