@@ -3,9 +3,10 @@
 row path" is this script's output.
 
 Runs against whichever tree ``PYTHONPATH`` names, so the same file
-measures a parent checkout (kernels take a whole-record predicate, the
-sproc wraps it in a row-splitting lambda) and this one (kernels take a
-``column`` and remember how the buffer tokenises)::
+measures an older checkout (kernels take a whole-record predicate, the
+sproc wraps it in a row-splitting lambda, or the decode sits in two
+256-entry ``lru_cache``s) and this one (kernels take a ``column`` and
+read one byte-bounded decode cache)::
 
     PYTHONPATH=src python benchmarks/scan_row_path.py            # rows
     PYTHONPATH=src python benchmarks/scan_row_path.py --passes   # cold/warm
@@ -26,8 +27,12 @@ from repro.query import (DistributedScanDeployment, ScanQuery,
                          run_distributed_scan)
 from repro.workloads import TableGenerator
 
-CACHES = [getattr(buffers, name) for name in
-          ("split_records", "split_columns") if hasattr(buffers, name)]
+#: an older tree's per-function ``lru_cache``s
+LRU_CACHES = [getattr(buffers, name) for name in
+              ("split_records", "split_columns")
+              if hasattr(getattr(buffers, name, None), "cache_clear")]
+#: whether the decode is remembered at all
+REMEMBERED = bool(LRU_CACHES) or hasattr(buffers, "_decoded")
 SCHEMA = TableGenerator().schema
 ROWS = 1_500
 
@@ -48,8 +53,21 @@ SHAPES = {
 
 
 def clear_caches():
-    for cache in CACHES:
+    for cache in LRU_CACHES:
         cache.cache_clear()
+    if hasattr(buffers, "_decoded"):
+        buffers._decoded.clear()
+
+
+class CountedEvictions(dict):
+    """The decode cache, counting what its byte ceiling pushes out (a
+    hit pops and re-inserts; only an eviction deletes)."""
+
+    evictions = 0
+
+    def __delitem__(self, key):
+        self.evictions += 1
+        super().__delitem__(key)
 
 
 def pushdown(query: ScanQuery, data: bytes) -> bytes:
@@ -59,7 +77,7 @@ def pushdown(query: ScanQuery, data: bytes) -> bytes:
 
     def on(name, value_fn, key):
         index = SCHEMA.index_of(name)
-        if CACHES:
+        if REMEMBERED:
             return {"column": index, key: value_fn}
         return {key: lambda row: value_fn(row.split(b",")[index])}
 
@@ -92,7 +110,7 @@ def best_us(call, cold: bool, rounds: int = 5, loops: int = 50):
 def row_path():
     data = TableGenerator(seed=13).rows(ROWS)
     print(f"one {ROWS}-row partition ({len(data)} B), min of 5 x 50, "
-          f"{'decode remembered' if CACHES else 'no decode cache'}")
+          f"{'decode remembered' if REMEMBERED else 'no decode cache'}")
     print(f"{'shape':<11}{'path':<10}{'cold us':>9}{'warm us':>9}"
           f"{'cold ns/row':>13}{'warm ns/row':>13}")
     for shape, fields in SHAPES.items():
@@ -154,6 +172,8 @@ def footprint(rows: int, shards: int):
         n_nodes=4, n_rows=rows, n_shards=shards, seed=13,
         port=9400).partitions
     clear_caches()
+    if hasattr(buffers, "_decoded"):
+        buffers._decoded = CountedEvictions()
     gc.collect()
     tracemalloc.start()
     for data in partitions.values():
@@ -166,10 +186,32 @@ def footprint(rows: int, shards: int):
     gc.collect()
     held, _peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    for cache in CACHES:
+    for cache in LRU_CACHES:
         info = cache.cache_info()
         print(f"{cache.__name__}: {info.currsize} of {info.maxsize} "
               f"entries ({info.misses} misses, {info.hits} hits)")
+    if LRU_CACHES:
+        evictions = sum(cache.cache_info().misses
+                        - cache.cache_info().currsize
+                        for cache in LRU_CACHES)
+    else:
+        decoded = buffers._decoded
+        evictions = decoded.evictions
+        charged = sum(entry[1] for entry in decoded.values())
+        print(f"decode cache: {len(decoded)} entries, "
+              f"{charged / 2**20:.1f} of "
+              f"{buffers._DECODE_CACHE_BYTES / 2**20:.0f} MiB charged")
+    # Every partition's column decode is still held (a hit), so its
+    # fields are live objects and ``id`` tells them apart.
+    fields = distinct = 0
+    for data in partitions.values():
+        columns, _width = buffers.split_columns(data, b"\n", b",")
+        fields += len({id(value) for column in columns
+                       for value in column})
+        distinct += sum(len(set(column)) for column in columns)
+    print(f"evictions: {evictions}")
+    print(f"field objects in the partitions' column decodes: {fields} "
+          f"for {distinct} distinct values per column")
     print(f"held after the sweep: {held / 2**20:.1f} MiB for "
           f"{rows} rows in {len(partitions)} partitions "
           f"({sum(map(len, partitions.values())) / 2**20:.1f} MiB "
@@ -181,7 +223,8 @@ if __name__ == "__main__":
     parser.add_argument("--passes", action="store_true",
                         help="cold/warm passes over fresh deployments")
     parser.add_argument("--footprint", action="store_true",
-                        help="entries and MiB the decode caches hold")
+                        help="entries, MiB, evictions and field objects "
+                        "the decode caches hold")
     parser.add_argument("--seeds", default="101,102,103,104,105")
     parser.add_argument("--rows", type=int, default=48_000)
     parser.add_argument("--shards", type=int, default=32)

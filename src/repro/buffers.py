@@ -19,9 +19,10 @@ agnostic to which kind it is handling.
 from __future__ import annotations
 
 import zlib
-from functools import lru_cache
+from functools import wraps
 from itertools import zip_longest
-from typing import Optional, Tuple
+from sys import getsizeof
+from typing import Optional
 
 __all__ = ["Buffer", "RealBuffer", "SynthBuffer", "as_buffer",
            "split_records", "split_columns", "record_column"]
@@ -164,33 +165,68 @@ def as_buffer(payload, compress_ratio: float = 3.0,
 
 # -- record decode ------------------------------------------------------------
 
-#: Distinct buffers whose decoded form is remembered: scans re-read a
-#: few immutable partitions many times.  What is kept represents the
-#: *input* bytes, keyed by content — never a kernel's output.  (No
-#: default arguments: ``lru_cache`` keys a call that spells the framing
-#: out apart from one that leaves it implied.)
-_DECODE_CACHE_ENTRIES = 256
+#: Bytes the remembered decodes may hold together, charged by the
+#: estimated size of what they decoded (not of the input bytes their
+#: keys reference); the least recently used goes first.  Scans re-read
+#: a few immutable partitions many times; ``scan_pushdown`` and the
+#: ``query`` experiment peak at ≈ 19 MiB.  What is kept represents the
+#: *input* bytes, keyed by content — never a kernel's output.
+_DECODE_CACHE_BYTES = 32 << 20
+
+#: ``(decode, *arguments) -> (decoded, charge, first key)``, least
+#: recently used first (a hit is popped and put back at the end)
+_decoded: dict = {}
+
+_BYTES_HEADER = getsizeof(b"")
 
 
-@lru_cache(maxsize=_DECODE_CACHE_ENTRIES)
-def split_records(data: bytes, delimiter: bytes) -> Tuple[bytes, ...]:
-    """The non-blank records of ``data``, in order."""
-    return tuple(filter(None, data.split(delimiter)))
+def _remembered(decode):
+    """``decode`` memoised within the byte ceiling; it returns what it
+    decoded and its charge, the caller gets the first.  Arguments are
+    positional without defaults, so equal framings key alike."""
+    @wraps(decode)
+    def remembered(*args):
+        key = (decode, *args)
+        entry = _decoded.pop(key, None)  # the one content comparison
+        if entry is not None:
+            # Back under its first key: equal input bytes are held once.
+            _decoded[entry[2]] = entry
+            return entry[0]
+        _decoded[key] = entry = (*decode(*args), key)
+        while (sum(held[1] for held in _decoded.values())
+               > _DECODE_CACHE_BYTES):
+            del _decoded[next(iter(_decoded))]
+        return entry[0]
+    return remembered
 
 
-@lru_cache(maxsize=_DECODE_CACHE_ENTRIES)
-def split_columns(data: bytes, delimiter: bytes,
-                  separator: bytes) -> Tuple[tuple, int]:
+@_remembered
+def split_records(data: bytes, delimiter: bytes):
+    """The non-blank records of ``data``, in order, as a tuple."""
+    records = tuple(filter(None, data.split(delimiter)))
+    return records, (getsizeof(records) + _BYTES_HEADER * len(records)
+                     + len(data))
+
+
+@_remembered
+def split_columns(data: bytes, delimiter: bytes, separator: bytes):
     """``(columns, width)``: the records of ``data`` transposed.
 
     ``columns[j][i]`` is field ``j`` of record ``i``, or None where a
     ragged record is too short to have one; every record has at least
     ``width`` fields, so the input is rectangular exactly when
-    ``width == len(columns)``.
+    ``width == len(columns)``.  Equal fields of ``data`` are one
+    object.
     """
     rows = [record.split(separator)
             for record in split_records(data, delimiter)]
-    return tuple(zip_longest(*rows)), min(map(len, rows), default=0)
+    shared: dict = {}
+    columns = tuple(tuple(map(shared.setdefault, column, column))
+                    for column in zip_longest(*rows))
+    shared.pop(None, None)
+    return ((columns, min(map(len, rows), default=0)),
+            _BYTES_HEADER * len(shared) + sum(map(len, shared))
+            + sum(map(getsizeof, columns)))
 
 
 def record_column(data: bytes, column: Optional[int],

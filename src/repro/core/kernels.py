@@ -210,8 +210,11 @@ def _project_fn(buffer: Buffer, params: Dict[str, Any]) -> KernelResult:
         delimiter = params.get("delimiter", b"\n")
         separator = params.get("separator", b",")
         columns, width = split_columns(buffer.data, delimiter, separator)
-        picks = [c for c in params.get("columns", [0])
-                 if c < len(columns)]
+        picks = params.get("columns", [0])
+        for c in picks:
+            if c < 0:  # no record has it: raise what filter raises
+                record_column(buffer.data, c, delimiter, separator)
+        picks = [c for c in picks if c < len(columns)]
         if picks and all(0 <= c < width for c in picks):
             rows = zip(*[columns[c] for c in picks])
         else:

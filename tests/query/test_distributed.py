@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.buffers as buffers
 from repro.cluster import encode_shard_scan, response_ok
 from repro.query import (
     DistributedScanDeployment,
@@ -12,6 +13,7 @@ from repro.query import (
     run_distributed_scan,
 )
 from repro.units import Gbps, KB
+from repro.workloads.tables import _table_rows
 
 from scan_reference import reference_evaluate
 
@@ -320,6 +322,61 @@ class TestParseOnceScanMany:
         assert answers[0] != answers[1]
         assert [len(row) for row in answers[0]] == [
             len(row) for row in answers[1]]
+
+
+class _CountedEvictions(dict):
+    """The decode cache; a hit pops and re-inserts, an eviction deletes."""
+
+    evictions = 0
+
+    def __delitem__(self, key):
+        self.evictions += 1
+        super().__delitem__(key)
+
+
+class TestScansHaveNoProcessHistory:
+    """What a scan costs and answers does not depend on what this
+    process decoded or generated before it (ROADMAP item 3, the scan
+    slice): the decode cache and the ``_table_rows`` memo are
+    representations of an input, never of a result."""
+
+    @staticmethod
+    def _history():
+        deployment = DistributedScanDeployment(
+            n_nodes=2, n_rows=600, n_shards=4, seed=13, port=9900)
+        history = []
+        for query in (_aggregate_query(), _selective_query(),
+                      _wide_query()):
+            for plan in ("pushdown", "pull"):
+                scan = run_distributed_scan(deployment, query, plan=plan)
+                result = scan["result"]
+                history.append((
+                    scan["elapsed_s"], scan["bytes_received"],
+                    scan["host_busy_s"], scan["dpu_busy_s"],
+                    result.rows, result.count, result.total,
+                    result.minimum, result.maximum))
+        return history
+
+    def test_cold_warm_and_evicting_scans_are_identical(self,
+                                                        monkeypatch):
+        monkeypatch.setattr(buffers, "_decoded", _CountedEvictions())
+        _table_rows.cache_clear()
+        cold = self._history()
+        assert buffers._decoded.evictions == 0
+        # A new deployment over equal rows: the table comes from the
+        # memo and every partition's decode is already held.
+        held = dict(buffers._decoded)
+        warm = self._history()
+        assert _table_rows.cache_info().hits >= 1
+        assert all(buffers._decoded[key] is entry
+                   for key, entry in held.items())
+        # Room for one buffer's decode: every new decode evicts.
+        monkeypatch.setattr(buffers, "_DECODE_CACHE_BYTES", max(
+            entry[1] for entry in held.values()))
+        buffers._decoded.clear()
+        evicting = self._history()
+        assert buffers._decoded.evictions >= len(evicting)
+        assert cold == warm == evicting
 
 
 class TestStaleRouting:
