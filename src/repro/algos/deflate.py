@@ -64,18 +64,13 @@ def _build_length_lookup() -> List[Tuple[int, int, int]]:
     return table
 
 
-def _build_dist_lookup() -> List[Tuple[int, int, int]]:
-    # The distance codes tile 1..32768 in order: one run per code.
-    table: List[Tuple[int, int, int]] = [(0, 0, 0)]
-    for code_index, (extra, _) in enumerate(_DIST_CODES):
-        table.extend([(code_index, extra, offset)
-                      for offset in range(1 << extra)])
-    return table
-
-
-#: direct lookup tables: length/distance -> (code, extra bits, extra value)
+#: direct lookup table: length -> (code, extra bits, extra value)
 _LENGTH_LOOKUP = _build_length_lookup()
-_DIST_LOOKUP = _build_dist_lookup()
+#: distance -> its code (index 0 unused); the codes tile 1..32768 in
+#: order, one run of ``1 << extra`` distances per code
+_DIST_CODE = b"".join(
+    [b"\0"] + [bytes([code]) * (1 << extra)
+               for code, (extra, _) in enumerate(_DIST_CODES)])
 
 
 def _fixed_literal_lengths() -> List[int]:
@@ -217,12 +212,13 @@ def _emit_tokens(writer: BitWriter, tokens: List[Token],
     # and merge each match length's code with its extra bits likewise.
     lit = [(reverse_bits(code, nbits), nbits)
            for code, nbits in zip(lit_codes, lit_lengths)]
-    dist = [(reverse_bits(code, nbits), nbits)
-            for code, nbits in zip(dist_codes, dist_lengths)]
+    dist = [(reverse_bits(code, nbits), nbits, nbits + extra, base)
+            for code, nbits, (extra, base)
+            in zip(dist_codes, dist_lengths, _DIST_CODES)]
     by_length = [(lit[code][0] | extra_val << lit[code][1],
                   lit[code][1] + extra)
                  for code, extra, extra_val in _LENGTH_LOOKUP]
-    dist_lookup = _DIST_LOOKUP
+    dist_code = _DIST_CODE
     pieces = []
     append = pieces.append
     for length, value in tokens:
@@ -230,9 +226,8 @@ def _emit_tokens(writer: BitWriter, tokens: List[Token],
             append(lit[value])
         else:
             append(by_length[length])
-            dcode, dextra, dextra_val = dist_lookup[value]
-            bits, nbits = dist[dcode]
-            append((bits | dextra_val << nbits, nbits + dextra))
+            bits, nbits, total, base = dist[dist_code[value]]
+            append((bits | (value - base) << nbits, total))
     append(lit[_END_OF_BLOCK])
     writer.write_pieces(pieces)
 
@@ -294,7 +289,7 @@ def _emit_dynamic(writer: BitWriter, tokens: List[Token],
             lit_freq[value] += 1
         else:
             lit_freq[_LENGTH_LOOKUP[length][0]] += 1
-            dist_freq[_DIST_LOOKUP[value][0]] += 1
+            dist_freq[_DIST_CODE[value]] += 1
 
     lit_lengths = code_lengths_from_frequencies(lit_freq, 15)
     dist_lengths = code_lengths_from_frequencies(dist_freq, 15)

@@ -31,6 +31,8 @@ __all__ = ["Buffer", "RealBuffer", "SynthBuffer", "as_buffer",
 class Buffer:
     """Abstract payload moving through the data path."""
 
+    __slots__ = ()
+
     @property
     def size(self) -> int:
         """Payload size in bytes."""

@@ -66,10 +66,10 @@ class KernelRequest(AsyncRequest):
     carries kernel-specific results (match counts, ratios, ...).
     """
 
-    def __init__(self, env, kernel_name: str, device: str,
-                 input_size: int):
-        super().__init__(env, f"dpk:{kernel_name}",
-                         {"device": device, "input_size": input_size})
+    __slots__ = ("kernel_name", "device", "meta")
+
+    def __init__(self, env, kernel_name: str, device: str):
+        super().__init__(env, f"dpk:{kernel_name}")
         self.kernel_name = kernel_name
         self.device = device
         self.meta: Dict[str, Any] = {}
@@ -212,7 +212,7 @@ class ComputeEngine:
             peer = self._peer_for(device)
             if peer is None or not peer.supports(name):
                 return None
-        request = KernelRequest(self.env, name, device, buffer.size)
+        request = KernelRequest(self.env, name, device)
         request.span = self.tracer.begin(
             f"ce.kernel.{name}", category="compute", device=device,
             input_bytes=buffer.size,
@@ -329,7 +329,7 @@ class ComputeEngine:
             if peer is None or not all(peer.supports(n) for n in names):
                 return None
         label = "+".join(names)
-        request = KernelRequest(self.env, label, device, buffer.size)
+        request = KernelRequest(self.env, label, device)
         request.span = self.tracer.begin(
             f"ce.fused.{label}", category="compute", device=device,
             input_bytes=buffer.size, stages=len(names),

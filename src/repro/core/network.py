@@ -97,8 +97,7 @@ class HostSocket:
         """
         buffer = as_buffer(payload)
         engine = self._engine
-        request = AsyncRequest(engine.env, "ne:send",
-                               {"size": buffer.size})
+        request = AsyncRequest(engine.env, "ne:send")
         request.span = engine.tracer.begin(
             "ne.send", category="network", cid=self.cid,
             bytes=buffer.size,

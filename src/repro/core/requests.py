@@ -22,12 +22,13 @@ __all__ = ["AsyncRequest", "wait"]
 class AsyncRequest:
     """A handle to in-progress work in one of the engines."""
 
+    __slots__ = ("env", "kind", "issued_at", "completed_at", "done",
+                 "_result", "span")
+
     def __init__(self, env: Environment, kind: str,
-                 detail: Optional[dict] = None,
                  deadline_s: Optional[float] = None):
         self.env = env
         self.kind = kind
-        self.detail = detail or {}
         self.issued_at = env.now
         self.completed_at: Optional[float] = None
         self.done: Event = env.event()

@@ -122,9 +122,7 @@ class StorageEngine:
     def read(self, file_id: int, offset: int,
              size: int = PAGE_SIZE) -> AsyncRequest:
         """Async read; completes with the page :class:`Buffer`."""
-        request = AsyncRequest(self.env, "se:read",
-                               {"file_id": file_id, "offset": offset,
-                                "size": size})
+        request = AsyncRequest(self.env, "se:read")
         request.span = self.tracer.begin(
             "se.read", category="storage", file_id=file_id,
             offset=offset, size=size,
@@ -150,9 +148,7 @@ class StorageEngine:
     def write(self, file_id: int, offset: int, payload) -> AsyncRequest:
         """Async write; completes (with the byte count) at durability."""
         buffer = as_buffer(payload)
-        request = AsyncRequest(self.env, "se:write",
-                               {"file_id": file_id, "offset": offset,
-                                "size": buffer.size})
+        request = AsyncRequest(self.env, "se:write")
         request.span = self.tracer.begin(
             "se.write", category="storage", file_id=file_id,
             offset=offset, size=buffer.size,

@@ -491,9 +491,8 @@ class Tracer:
             start = span.start_s
             end = span.end_s if span.end_s is not None else now
             if ids is not None:
-                span_id = ids[span_id]
-                if parent_id is not None:
-                    parent_id = ids[parent_id]
+                # a parent this node never recorded is not linked
+                span_id, parent_id = ids[span_id], ids.get(parent_id)
             args = {"span_id": span_id}
             if parent_id is not None:
                 args["parent_id"] = parent_id
@@ -507,9 +506,10 @@ class Tracer:
         for when, name, category, parent_id, attrs in self.instants:
             tid = track_ids.get(roots.get(parent_id), 0)
             args = dict(attrs)
+            if ids is not None:
+                parent_id = ids.get(parent_id)
             if parent_id is not None:
-                args["parent_id"] = (parent_id if ids is None
-                                     else ids[parent_id])
+                args["parent_id"] = parent_id
             events.append({
                 "name": name, "cat": category, "ph": "i", "s": "t",
                 "ts": when * 1e6, "pid": pid, "tid": tid, "args": args,

@@ -11,6 +11,7 @@ realistically without shipping a dataset.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from typing import List
 
 __all__ = ["TextCorpus", "make_text"]
@@ -51,15 +52,9 @@ class TextCorpus:
         return sorted(words)
 
     def _pick_word(self, rng: random.Random) -> str:
-        target = rng.random()
-        lo, hi = 0, len(self._cumulative) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cumulative[mid] < target:
-                lo = mid + 1
-            else:
-                hi = mid
-        return self._words[lo]
+        # the last word also takes a target past a rounded-down total
+        return self._words[bisect_left(self._cumulative, rng.random(), 0,
+                                       len(self._cumulative) - 1)]
 
     def generate(self, nbytes: int, stream_seed: int = 0) -> bytes:
         """Generate exactly ``nbytes`` of text, cut mid-word if need be."""

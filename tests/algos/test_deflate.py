@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from repro.algos import BitWriter, compression_ratio, deflate, inflate
 from repro.algos.deflate import (
     _CLC_ORDER,
+    _DIST_CODE,
     _DIST_CODES,
-    _DIST_LOOKUP,
     _LENGTH_CODES,
     _LENGTH_LOOKUP,
     _lz77_tokens,
@@ -424,8 +424,11 @@ def _scan_and_test_lookup(codes, limit, first_symbol):
 
 class TestCodeLookupTables:
     def test_distance_table_equals_scan_and_test_oracle(self):
-        assert _DIST_LOOKUP == _scan_and_test_lookup(
-            _DIST_CODES, 32 * 1024, 0)
+        assert isinstance(_DIST_CODE, bytes)
+        assert len(_DIST_CODE) == 32 * 1024 + 1
+        assert list(_DIST_CODE) == [code for code, _, _ in
+                                    _scan_and_test_lookup(
+                                        _DIST_CODES, 32 * 1024, 0)]
 
     def test_length_table_equals_scan_and_test_oracle(self):
         assert _LENGTH_LOOKUP == _scan_and_test_lookup(
@@ -433,10 +436,8 @@ class TestCodeLookupTables:
 
     def test_every_distance_round_trips_through_its_code(self):
         for distance in range(1, 32 * 1024 + 1):
-            code, extra, value = _DIST_LOOKUP[distance]
-            code_extra, base = _DIST_CODES[code]
-            assert code_extra == extra and 0 <= value < (1 << extra)
-            assert base + value == distance
+            extra, base = _DIST_CODES[_DIST_CODE[distance]]
+            assert 0 <= distance - base < (1 << extra)
 
     def test_every_length_round_trips_through_its_code(self):
         for length in range(3, 258 + 1):

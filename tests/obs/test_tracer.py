@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import NULL_SPAN, NULL_TRACER, Tracer
+from repro.obs import NULL_SPAN, NULL_TRACER, Tracer, merge_chrome_events
 from repro.sim import Environment
 
 
@@ -193,6 +193,27 @@ class TestExports:
         assert tracer.to_chrome_events() == []
         assert "no spans" in tracer.flame_summary()
         assert tracer.write_chrome(str(tmp_path / "t.json")) == 0
+
+    def test_merge_leaves_an_unknown_span_parent_unlinked(self):
+        tracer = Tracer(Environment())
+        with tracer.span("orphan", parent=999):
+            pass
+        [alone] = [e for e in tracer.to_chrome_events() if e["ph"] == "X"]
+        assert alone["args"] == {"span_id": 1, "parent_id": 999}
+        merged = merge_chrome_events({"a": tracer})
+        [event] = [e for e in merged if e["ph"] == "X"]
+        assert event["args"] == {"span_id": 1}
+        assert event["tid"] == alone["tid"] == 1    # its own track
+
+    def test_merge_leaves_an_unknown_instant_parent_unlinked(self):
+        tracer = self._traced()
+        tracer.instants.append((4.0, "stray", "app", 999, {"n": 1}))
+        merged = merge_chrome_events({"a": tracer})
+        [stray] = [e for e in merged if e["name"] == "stray"]
+        assert stray["args"] == {"n": 1} and stray["tid"] == 0
+        [decision] = [e for e in merged if e["name"] == "decision"]
+        [request] = [e for e in merged if e["name"] == "request"]
+        assert decision["args"]["parent_id"] == request["args"]["span_id"]
 
     def test_unfinished_span_clamped_to_now(self):
         env = Environment()

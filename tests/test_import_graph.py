@@ -1,14 +1,17 @@
 """The import graph is pinned: engines do not load the observatory.
 
 What a process pays before its first event is what its imports load.
-These tests fix *which modules* the layers pull in — in a fresh
-interpreter, so this test run's own imports do not leak in — and that
-the lazily resolved ``repro.obs`` names still behave like ordinary
-module attributes.  Nothing here is timed.
+These tests fix *which modules* the layers pull in and how much those
+modules allocate — in a fresh interpreter, so this test run's own
+imports do not leak in — that the lazily resolved ``repro.obs`` names
+still behave like ordinary module attributes, and that the objects
+made per request carry no instance dict.  Nothing here is timed.
 """
 
 import subprocess
 import sys
+
+import pytest
 
 _LAYERS = ("sim", "hardware", "netstack", "fs", "core", "cluster",
            "query", "workloads", "baselines")
@@ -48,6 +51,41 @@ def test_layers_do_not_import_the_observatory_or_numpy():
         f"print([m for m in {_NOT_LOADED_BY_THE_LAYERS!r} "
         "if m in sys.modules])")
     assert loaded.strip() == "[]"
+
+
+def test_layers_hold_little_after_import():
+    # A module-level table of tuples is what breaks this: DEFLATE's
+    # 32 769 distance entries as tuples held 3.2 MiB on one line.
+    imports = "; ".join(f"import repro.{layer}" for layer in _LAYERS)
+    sizes = _run_code(f"""
+import os, tracemalloc
+tracemalloc.start()
+{imports}
+import repro
+root = os.path.join(os.path.dirname(repro.__file__), "*")
+snapshot = tracemalloc.take_snapshot().filter_traces(
+    [tracemalloc.Filter(True, root)])
+print(*(stat.size for stat in snapshot.statistics("lineno")))
+""")
+    sizes = [int(size) for size in sizes.split()]
+    assert sizes
+    assert sum(sizes) < 1.5 * 2**20
+    assert max(sizes) <= 256 * 2**10
+
+
+def test_requests_and_buffers_carry_no_instance_dict():
+    from repro.buffers import RealBuffer, SynthBuffer
+    from repro.core.compute import KernelRequest
+    from repro.core.requests import AsyncRequest
+    from repro.sim import Environment
+
+    env = Environment()
+    for instance in (AsyncRequest(env, "op"),
+                     KernelRequest(env, "compress", "dpu_cpu"),
+                     RealBuffer(b"page"), SynthBuffer(4096)):
+        assert not hasattr(instance, "__dict__"), instance
+        with pytest.raises(AttributeError):
+            instance.detail = {}
 
 
 def test_every_public_obs_name_resolves_lazily():

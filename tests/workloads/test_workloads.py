@@ -1,5 +1,8 @@
 """Workload generator tests: corpus, KV/YCSB, page server, arrivals."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro.algos import compression_ratio
@@ -59,6 +62,31 @@ class TestCorpus:
         corpus = TextCorpus(seed=100)
         long = corpus.generate(4097, 3)
         assert corpus.generate(4096, 3) == long[:4096]
+
+    @pytest.mark.parametrize("seed", [1234, 7, 100])
+    def test_word_pick_equals_the_binary_search_it_replaced(self, seed):
+        corpus = TextCorpus(seed=seed)
+        picks, reference = random.Random(seed), random.Random(seed)
+        for _ in range(20_000):
+            assert corpus._pick_word(picks) == _reference_pick(
+                corpus, reference)
+        # the ends: below the first weight, and past a rounded-down total
+        for target in (0.0, corpus._cumulative[0], 1.0, 2.0):
+            fixed = SimpleNamespace(random=lambda: target)
+            assert corpus._pick_word(fixed) == _reference_pick(corpus, fixed)
+
+
+def _reference_pick(corpus, rng):
+    """The hand-written binary search ``TextCorpus._pick_word`` had."""
+    target = rng.random()
+    lo, hi = 0, len(corpus._cumulative) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if corpus._cumulative[mid] < target:
+            lo = mid + 1
+        else:
+            hi = mid
+    return corpus._words[lo]
 
 
 def _hot_key_fraction(workload, sample=10_000, top_keys=100):
