@@ -11,7 +11,7 @@ The benchmark observatory rides on the same runner:
 
 * ``--json-out BENCH_<runid>.json`` serializes every selected
   experiment's structured result into a schema-versioned artifact
-  with provenance (git sha, python version, per-experiment wall
+  with provenance (source hash, python version, per-experiment wall
   clock, hardware profiles, workload seed);
 * ``--check ARTIFACT.json`` evaluates the declarative claims registry
   (F1–F3, F6–F8, S9, A1–A6 and the system experiments — see
@@ -25,7 +25,7 @@ The benchmark observatory rides on the same runner:
   experiment runs; with one, the selected experiments run and exactly
   what ran is compared against the baseline (``fig8 query --identity
   BENCH_baseline.json``: "compared 2 of 19 baseline experiments").
-  Wall clocks, argv, commit, interpreter and platform are printed
+  Wall clocks, argv, source hash, interpreter and platform are printed
   beside the verdict and never compared;
 * ``--trace-out PATH`` runs the traceable experiments (fig6, fig8,
   scale, avail, obs, attr) with sim-time tracing on and exports
@@ -355,7 +355,7 @@ def _leaves(value, prefix=""):
 
 def _information_table(baseline: dict, candidate: dict) -> str:
     """Exactly what ``strip_volatile`` set aside, side by side: the
-    commit, interpreter and platform of each run and its wall
+    source hash, interpreter and platform of each run and its wall
     clocks.  Shown for the reader; never part of the verdict."""
     sides = []
     for document in (baseline, candidate):
@@ -424,7 +424,7 @@ def main(argv=None) -> int:
     parser.add_argument("--identity", metavar="ARTIFACT", default=None,
                         nargs="+",
                         help="exact comparison, wall clocks and "
-                             "host/commit provenance excluded: with "
+                             "host/source provenance excluded: with "
                              "two paths compare BASELINE CANDIDATE "
                              "and exit (no experiments run); with "
                              "one, run the selected experiments and "

@@ -19,9 +19,11 @@ and feeds the ``AT.*`` claims:
   ComputeEngine run places kernels on the host, ``build_report``
   turns the spans into a kernel census, and the advisor names the
   cycles an offload would return to the host.
-* **control** — the same scenario with no plane at all must produce
-  byte-identical client outcomes and counters: attribution reads,
-  never perturbs (the ``OB.*`` contract, extended).
+
+That attribution reads and never perturbs — the scenario with no
+plane at all gives byte-identical client outcomes and counters — is
+a tier-1 test (``tests/obs/test_zero_perturbation.py``), not a part
+of this experiment.
 """
 
 from __future__ import annotations
@@ -156,8 +158,7 @@ def attr_parts(telemetry: Optional[ClusterTelemetry]
     plane.monitor = SloMonitor(default_slos())
     plane.recorder = FlightRecorder(retain_s=RETAIN_S)
     plane.attribution = AttributionCollector()
-    observed = obs_scenario(plane)
-    control = obs_scenario(None)
+    obs_scenario(plane)
 
     report = plane.attribution.report()
     totals = report.totals()
@@ -181,26 +182,9 @@ def attr_parts(telemetry: Optional[ClusterTelemetry]
         "incidents": float(len(incidents)),
     }
 
-    identical = (
-        observed["ok"] == control["ok"]
-        and observed["errors"] == control["errors"]
-        and observed["pending"] == control["pending"]
-        and observed["counters"] == control["counters"]
-    )
-    control_part = {
-        "observed_ok": float(observed["ok"]),
-        "control_ok": float(control["ok"]),
-        "observed_errors": float(observed["errors"]),
-        "control_errors": float(control["errors"]),
-        "observed_pending": float(observed["pending"]),
-        "control_pending": float(control["pending"]),
-        "attr_sim_identical": float(identical),
-    }
-
     return {
         "conservation": conservation,
         "breakdown": report.by_node(),
         "advisor": advisor_static_check(),
         "online": advisor_online(),
-        "control": control_part,
     }

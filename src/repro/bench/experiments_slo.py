@@ -2,7 +2,7 @@
 
 The robustness experiment the admission/backpressure/autoscale stack
 exists for.  Four chaos scenarios — a flash crowd, a regional (DPU)
-failover, a noisy neighbor, and a rolling upgrade — each run three
+failover, a noisy neighbor, and a rolling upgrade — each run two
 ways over identical seeded arrivals:
 
 * **protected** — per-node :class:`~repro.core.AdmissionController`
@@ -12,10 +12,12 @@ ways over identical seeded arrivals:
   :class:`~repro.cluster.Autoscaler`;
 * **unprotected** — the same simulation with the door wide open (a
   telemetry plane still watches, because measuring is not
-  protecting);
-* **bare** — the unprotected scenario with no plane at all: the
-  protection-off control twin that must be byte-identical to the
-  unprotected run (``twin_identical``).
+  protecting).
+
+That the watching plane perturbs nothing — the unprotected arm run
+with no plane at all is byte-identical — is a tier-1 test over
+:data:`SCENARIOS` (``tests/obs/test_zero_perturbation.py``), not a
+part of this experiment.
 
 Goodput is *on-time* goodput — an ok response later than
 ``DEADLINE_S`` counts as late, because an open-loop overload answers
@@ -27,8 +29,8 @@ interval.
 Parts:
 
 * ``matrix`` (nested, one row per scenario) — protected vs
-  unprotected on-time goodput, their ratio, violation-seconds both
-  ways, and the twin-identity bit;
+  unprotected on-time goodput, their ratio, and violation-seconds
+  both ways;
 * ``flash`` — surge-window goodput rates against a no-surge
   steady-state baseline: admission plus reject-driven autoscaling
   keeps ≥ 90 % of steady goodput through a 2x offered surge while
@@ -37,8 +39,7 @@ Parts:
   scale-up happened, and the count converged within the window;
 * ``hotshard`` — a skewed stream drives one shard hot; the
   autoscaler split halves the hot shard's p99 under live traffic;
-* ``summary`` — matrix-wide violation-seconds ratio and the
-  replay-identity conjunction.
+* ``summary`` — the matrix-wide violation-seconds ratio.
 
 Everything is a pure function of the seeds and sim time — arrivals,
 admission verdicts, autoscale decisions and splits all replay
@@ -188,10 +189,9 @@ def _arm_admission(env, cluster, plane,
         tenants = TenantRegistry(env)
         for tenant, kwargs in sorted(limits.items()):
             tenants.register(tenant, **kwargs)
-        registry = (plane.node(node.name).metrics
-                    if plane is not None else None)
         node.dds.admission = AdmissionController(
-            env, tenants, registry=registry, max_queue=MAX_QUEUE,
+            env, tenants, registry=plane.node(node.name).metrics,
+            max_queue=MAX_QUEUE,
             service_rate_ops=SERVICE_RATE_OPS,
             slo_target_s=DEADLINE_S,
             name=f"admission.{node.name}")
@@ -255,10 +255,9 @@ def _run_flash(protected: bool, plane: Optional[ClusterTelemetry],
     """Flash crowd against two nodes; autoscaler when protected.
 
     Every mode runs client-side topology tracking — in an
-    unprotected run no node ever joins, so the poll is a no-op and
-    the control twin stays byte-identical.  ``surge=False`` is the
-    steady-state baseline the flash claims normalize against — same
-    everything, base rate throughout.
+    unprotected run no node ever joins, so the poll is a no-op.
+    ``surge=False`` is the steady-state baseline the flash claims
+    normalize against — same everything, base rate throughout.
     """
     env = Environment()
     cluster = Cluster(env, 2, replicas=CLUSTER_REPLICAS, telemetry=plane)
@@ -331,17 +330,16 @@ def _run_failover(protected: bool,
     rebalancer = Rebalancer(cluster)
     if protected:
         hook = _arm_admission(env, cluster, plane)
-        if plane is not None:
-            Autoscaler(
-                cluster, plane, rebalancer,
-                interval_s=SCRAPE_INTERVAL_S,
-                policy=AutoscalePolicy(
-                    p99_high_s=1.2e-3, p99_low_s=0.0,
-                    occupancy_low=0.0, min_nodes=3, max_nodes=5,
-                    cooldown_s=5.0e-4, hot_shard_ratio=1e6,
-                    min_heat=1e9, min_windows=1,
-                    reject_rate_high=FLASH_REJECT_RATE_HIGH),
-                node_hook=hook)
+        Autoscaler(
+            cluster, plane, rebalancer,
+            interval_s=SCRAPE_INTERVAL_S,
+            policy=AutoscalePolicy(
+                p99_high_s=1.2e-3, p99_low_s=0.0,
+                occupancy_low=0.0, min_nodes=3, max_nodes=5,
+                cooldown_s=5.0e-4, hot_shard_ratio=1e6,
+                min_heat=1e9, min_windows=1,
+                reject_rate_high=FLASH_REJECT_RATE_HIGH),
+            node_hook=hook)
     clients = [ClusterClient(cluster, f"client{i}",
                              home=f"node{i % 3}", stale_fraction=0.1,
                              sli_plane=plane,
@@ -451,7 +449,7 @@ def _run_upgrade(protected: bool,
                for i in range(UPGRADE_CLIENTS)]
     connect_clients(env, clients)
     # The replacement node joins in every mode, so every mode's
-    # clients dial it — identical in unprotected and bare.
+    # clients dial it.
     follow_topology(env, clients)
 
     def join_replacement():
@@ -582,27 +580,18 @@ def _run_hotshard() -> Dict[str, object]:
 # -- the artifact ------------------------------------------------------------------
 
 
-def _twin_identical(unprotected: Dict, bare: Dict) -> bool:
-    return (unprotected["per_client"] == bare["per_client"]
-            and unprotected["counters"] == bare["counters"])
-
-
 def slo_parts() -> Dict[str, object]:
     """SL: the chaos matrix, the flash baseline, and the hot split.
 
-    Every cell builds its own private plane (twelve simulations can't
-    share one scrape loop).
+    Every simulation builds its own private plane (ten simulations
+    can't share one scrape loop).
     """
     matrix: Dict[str, Dict[str, float]] = {}
     protected_violation_s = unprotected_violation_s = 0.0
-    twins = []
     cells: Dict[str, Dict[str, Dict]] = {}
     for key, runner in SCENARIOS:
         protected = runner(True, _plane(f"slo-{key}-p"))
         unprotected = runner(False, _plane(f"slo-{key}-u"))
-        bare = runner(False, None)
-        identical = _twin_identical(unprotected, bare)
-        twins.append(identical)
         protected_violation_s += protected["violation_s"]
         unprotected_violation_s += unprotected["violation_s"]
         matrix[key] = {
@@ -619,7 +608,6 @@ def slo_parts() -> Dict[str, object]:
             # unprotected run has none to give.
             "protected_errors": float(protected["errors"]),
             "unprotected_errors": float(unprotected["errors"]),
-            "twin_identical": float(identical),
         }
         if "pro_outcome" in protected:
             pro_p = protected["pro_outcome"]["ok"]
@@ -692,7 +680,6 @@ def slo_parts() -> Dict[str, object]:
         "violation_seconds_ratio": (
             unprotected_violation_s
             / max(protected_violation_s, SCRAPE_INTERVAL_S)),
-        "twins_identical": float(all(twins)),
     }
     return {
         "matrix": matrix,

@@ -4,7 +4,7 @@ One ``python -m repro.bench --json-out BENCH_<runid>.json`` run
 serializes every experiment's structured result — the same
 :class:`~repro.bench.harness.Sweep` / dict objects the experiment
 functions return — into a single auditable document with provenance
-(git sha, python version, per-experiment wall clock, hardware
+(source hash, python version, per-experiment wall clock, hardware
 profiles, workload seed).  The claims registry
 (:mod:`repro.obs.claims`) and the exact comparison
 (:mod:`repro.obs.regress`) both consume this format, so a committed
@@ -17,7 +17,7 @@ Artifact layout (``SCHEMA_VERSION`` 1)::
     {
       "schema": "repro.bench/artifact",
       "schema_version": 1,
-      "provenance": {"git_sha": ..., "python": ..., ...},
+      "provenance": {"src_sha256": ..., "python": ..., ...},
       "experiments": {
         "fig1": {
           "title": "Figure 1: ...",
@@ -38,10 +38,11 @@ A1/A2/F6 shape).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import platform
-import subprocess
 import sys
+from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 __all__ = [
@@ -110,23 +111,25 @@ def decode_part(part: Dict[str, Any]) -> Any:
 # -- provenance -------------------------------------------------------------
 
 
-def _git(*args: str) -> Optional[str]:
-    try:
-        out = subprocess.run(
-            ["git", *args], capture_output=True, text=True, timeout=10,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    if out.returncode != 0:
-        return None
-    return out.stdout.strip()
+def _source_sha256() -> str:
+    """sha256 over every ``.py`` file of the imported ``repro``
+    package: each file's path relative to the package, then its
+    bytes, in path order.  True of the code that ran, whatever the
+    checkout's commit or dirt."""
+    package = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for relative in sorted(path.relative_to(package).as_posix()
+                           for path in package.rglob("*.py")):
+        data = (package / relative).read_bytes()
+        digest.update(f"{relative}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def collect_provenance(argv: Optional[List[str]] = None) -> Dict[str, Any]:
     """Everything needed to interpret (and trust) an artifact later."""
     from ..hardware import DPU_PROFILES
 
-    status = _git("status", "--porcelain")
     profiles = {
         name: {
             "vendor": profile.vendor,
@@ -139,8 +142,7 @@ def collect_provenance(argv: Optional[List[str]] = None) -> Dict[str, Any]:
         for name, profile in sorted(DPU_PROFILES.items())
     }
     return {
-        "git_sha": _git("rev-parse", "HEAD"),
-        "git_dirty": bool(status) if status is not None else None,
+        "src_sha256": _source_sha256(),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
@@ -196,8 +198,9 @@ def strip_volatile(document: Dict[str, Any]) -> Dict[str, Any]:
     which commit of an unchanged simulator ran them.  This canonical
     form drops the fields that name the run rather than its results:
     wall clocks (per-experiment and total), the recorded command line,
-    and the provenance of checkout and host (``git_sha``,
-    ``git_dirty``, ``python``, ``implementation``, ``platform``).
+    and the provenance of source and host (``src_sha256``, ``python``,
+    ``implementation``, ``platform``; ``git_sha`` and ``git_dirty`` in
+    artifacts written before the source hash replaced them).
     ``--identity`` shows those and never compares them.  Everything
     else — every simulated metric, and the inputs that define them
     (``workload_seed``, ``hardware_profiles``, the schema) — must
@@ -209,8 +212,8 @@ def strip_volatile(document: Dict[str, Any]) -> Dict[str, Any]:
     canonical.pop("total_wall_clock_s", None)
     provenance = canonical.get("provenance")
     if isinstance(provenance, dict):
-        for name in ("argv", "git_sha", "git_dirty", "python",
-                     "implementation", "platform"):
+        for name in ("argv", "src_sha256", "git_sha", "git_dirty",
+                     "python", "implementation", "platform"):
             provenance.pop(name, None)
     experiments = canonical.get("experiments")
     if isinstance(experiments, dict):

@@ -23,8 +23,8 @@ placement worth it?*  Three layers:
   and host-core deltas.
 
 Everything here only *reads* spans and registries — attribution can
-never perturb simulated results (the ``attr`` bench experiment's
-control twin proves it byte for byte).
+never perturb simulated results (``tests/obs/test_zero_perturbation.py``
+proves it byte for byte).
 """
 
 from .advisor import OffloadAdvisor, PlacementEstimate, Recommendation

@@ -17,8 +17,8 @@ folds the resulting ledgers into:
 
 Like the rest of the plane, the collector only ever reads spans; it
 never yields, sleeps, or charges cycles — attribution-on runs stay
-byte-identical to attribution-off runs (the ``attr`` experiment's
-control twin asserts this).
+byte-identical to attribution-off runs
+(``tests/obs/test_zero_perturbation.py`` asserts this).
 """
 
 from __future__ import annotations

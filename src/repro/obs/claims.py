@@ -537,14 +537,9 @@ CLAIMS: Tuple[Claim, ...] = (
        "with spans from every node",
        "band", part="slo", metric="slo_breach_recorded",
        lo=1.0, hi=1.0),
-    _c("OB.zero_perturbation", "obs",
-       "the identical scenario run with no telemetry at all "
-       "produces byte-identical client outcomes and counters",
-       "band", part="control", metric="tracing_sim_identical",
-       lo=1.0, hi=1.0),
     _c("OB.span_volume_bounded", "obs",
        "tracing costs a bounded number of spans per request",
-       "band", part="control", metric="spans_per_request",
+       "band", part="run", metric="spans_per_request",
        lo=1.0, hi=12.0),
 
     # AT — latency attribution, conservation, offload advisor
@@ -583,11 +578,6 @@ CLAIMS: Tuple[Claim, ...] = (
        "attribution summary",
        "band", part="conservation",
        metric="incidents_with_attribution", lo=1.0, hi=math.inf),
-    _c("AT.zero_perturbation", "attr",
-       "the identical scenario run with attribution off produces "
-       "byte-identical client outcomes and counters",
-       "band", part="control", metric="attr_sim_identical",
-       lo=1.0, hi=1.0),
 
     # SL — overload-safe self-healing vs the chaos matrix
     _c("SL.flash_goodput_held", "slo",
@@ -642,11 +632,6 @@ CLAIMS: Tuple[Claim, ...] = (
        "splitting the hot shard at least halves its p99 latency",
        "band", part="hotshard", metric="p99_split_ratio",
        lo=2.0, hi=math.inf),
-    _c("SL.twins_identical", "slo",
-       "every protection-off control twin is byte-identical to the "
-       "bare unprotected baseline",
-       "band", part="summary", metric="twins_identical",
-       lo=1.0, hi=1.0),
 
     # Q — distributed scan queries: pushdown vs pull
     _c("Q.identical_answers", "query",

@@ -115,7 +115,7 @@ class TestIdentityGate:
                                                       capsys):
         document = json.loads(BASELINE.read_text())
         document["provenance"].update(
-            git_sha="0" * 40, git_dirty=False, python="3.9.0",
+            src_sha256="0" * 64, python="3.9.0",
             implementation="PyPy", platform="elsewhere", argv=["-j4"])
         document["total_wall_clock_s"] *= 3
         for entry in document["experiments"].values():
@@ -125,7 +125,7 @@ class TestIdentityGate:
         assert main(["--identity", str(BASELINE), str(moved)]) == 0
         out = capsys.readouterr().out
         assert "identical" in out
-        for shown in ("provenance.git_sha", "0" * 40, "elsewhere",
+        for shown in ("provenance.src_sha256", "0" * 64, "elsewhere",
                       "experiments.slo.wall_clock_s",
                       "total_wall_clock_s"):
             assert shown in out

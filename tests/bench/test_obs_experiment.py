@@ -12,7 +12,7 @@ from repro.obs.claims import CLAIMS, evaluate_all
 
 @pytest.fixture(scope="module")
 def parts():
-    """One full obs run (observed + control twin) for the module."""
+    """One full obs run for the module."""
     return obs_parts(None)
 
 
@@ -31,7 +31,7 @@ class TestRegistration:
 
 class TestParts:
     def test_part_layout(self, parts):
-        assert set(parts) == {"trace", "plane", "slo", "control"}
+        assert set(parts) == {"trace", "plane", "slo", "run"}
         for table in parts.values():
             json.dumps(table)    # artifact-ready
 
@@ -59,12 +59,6 @@ class TestParts:
         assert slo["incidents"] >= 1
         assert slo["slo_breach_recorded"] == 1.0
 
-    def test_control_twin_is_identical(self, parts):
-        control = parts["control"]
-        assert control["tracing_sim_identical"] == 1.0
-        assert control["observed_ok"] == control["control_ok"]
-        assert control["observed_errors"] == control["control_errors"]
-
 
 class TestClaims:
     def test_all_ob_claims_pass(self, parts):
@@ -75,7 +69,7 @@ class TestClaims:
                         "workload_seed": 17})
         results = [r for r in evaluate_all(artifact, CLAIMS)
                    if r.claim.id.startswith("OB.")]
-        assert len(results) == 12
+        assert len(results) == 11
         failed = [(r.claim.id, r.measured, r.expected)
                   for r in results if r.status != "PASS"]
         assert failed == []

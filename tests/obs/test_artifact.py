@@ -1,9 +1,12 @@
 """The schema-versioned run artifact: encode, validate, round-trip."""
 
+import hashlib
 import json
+import os
 
 import pytest
 
+import repro
 from repro.bench.harness import Sweep
 from repro.obs.artifact import (
     SCHEMA_NAME,
@@ -80,6 +83,28 @@ class TestProvenance:
         assert "bluefield2" in provenance["hardware_profiles"]
         bf2 = provenance["hardware_profiles"]["bluefield2"]
         assert "compression" in bf2["accelerators"]
+
+    def test_src_sha256_hashes_the_imported_package_sources(self):
+        # recomputed by another walk: every .py under the package the
+        # interpreter imported, by relative path, framed path-length-bytes
+        root = os.path.dirname(os.path.abspath(repro.__file__))
+        files = {}
+        for directory, _dirs, names in os.walk(root):
+            for name in names:
+                if name.endswith(".py"):
+                    path = os.path.join(directory, name)
+                    relative = os.path.relpath(path, root)
+                    files[relative.replace(os.sep, "/")] = path
+        digest = hashlib.sha256()
+        for relative in sorted(files):
+            with open(files[relative], "rb") as handle:
+                data = handle.read()
+            digest.update(f"{relative}\0{len(data)}\0".encode())
+            digest.update(data)
+        provenance = collect_provenance(argv=[])
+        assert provenance["src_sha256"] == digest.hexdigest()
+        assert "git_sha" not in provenance
+        assert "git_dirty" not in provenance
 
 
 class TestArtifactDocument:

@@ -61,9 +61,9 @@ class TestCompare:
         assert differences(_artifact(wall=1.0), _artifact(wall=1.9)) == []
 
     def test_what_names_the_run_is_not_compared(self):
-        here = _artifact(git_sha="aaa", git_dirty=False,
+        here = _artifact(src_sha256="aaa",
                          implementation="CPython", argv=["a4"])
-        there = _artifact(git_sha="bbb", git_dirty=True,
+        there = _artifact(src_sha256="bbb",
                           implementation="PyPy", argv=["--jobs", "4"])
         there["provenance"].update(python="4", platform="elsewhere")
         assert differences(here, there) == []
