@@ -5,8 +5,9 @@ row path" is this script's output.
 Runs against whichever tree ``PYTHONPATH`` names, so the same file
 measures an older checkout (kernels take a whole-record predicate, the
 sproc wraps it in a row-splitting lambda, or the decode sits in two
-256-entry ``lru_cache``s) and this one (kernels take a ``column`` and
-read one byte-bounded decode cache)::
+256-entry ``lru_cache``s) and this one (kernels take a ``column``, read
+one byte-bounded decode cache and ask a column predicate once per
+distinct value)::
 
     PYTHONPATH=src python benchmarks/scan_row_path.py            # rows
     PYTHONPATH=src python benchmarks/scan_row_path.py --passes   # cold/warm
@@ -198,7 +199,10 @@ def footprint(rows: int, shards: int):
         decoded = buffers._decoded
         evictions = decoded.evictions
         charged = sum(entry[1] for entry in decoded.values())
-        print(f"decode cache: {len(decoded)} entries, "
+        codes = [entry[1] for key, entry in decoded.items()
+                 if key[0].__name__ == "column_codes"]
+        print(f"decode cache: {len(decoded)} entries "
+              f"({len(codes)} column codes, {sum(codes) / 2**20:.2f} MiB), "
               f"{charged / 2**20:.1f} of "
               f"{buffers._DECODE_CACHE_BYTES / 2**20:.0f} MiB charged")
     # Every partition's column decode is still held (a hit), so its

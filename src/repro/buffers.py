@@ -22,10 +22,11 @@ import zlib
 from functools import wraps
 from itertools import zip_longest
 from sys import getsizeof
-from typing import Optional
+from typing import Iterable, Optional
 
 __all__ = ["Buffer", "RealBuffer", "SynthBuffer", "as_buffer",
-           "split_records", "split_columns", "record_column"]
+           "split_records", "split_columns", "record_column",
+           "column_codes", "column_verdicts"]
 
 
 class Buffer:
@@ -172,7 +173,8 @@ def as_buffer(payload, compress_ratio: float = 3.0,
 #: keys reference); the least recently used goes first.  Scans re-read
 #: a few immutable partitions many times; ``scan_pushdown`` and the
 #: ``query`` experiment peak at ≈ 19 MiB.  What is kept represents the
-#: *input* bytes, keyed by content — never a kernel's output.
+#: *input* bytes, keyed by content — never a kernel's output or a
+#: predicate's verdict.
 _DECODE_CACHE_BYTES = 32 << 20
 
 #: ``(decode, *arguments) -> (decoded, charge, first key)``, least
@@ -248,3 +250,38 @@ def record_column(data: bytes, column: Optional[int],
             raise ValueError(f"record {index} has {count} fields; "
                              f"no column {column}")
     return ()
+
+
+@_remembered
+def column_codes(data: bytes, column: int, delimiter: bytes,
+                 separator: bytes):
+    """``(distinct, codes)``: field ``column`` of every record of
+    ``data`` dictionary-encoded.  ``distinct`` holds the values in
+    first-occurrence order and ``codes[i]`` is the index of record
+    ``i``'s value in it (``bytes`` while every index fits one byte, a
+    tuple past that); a record without the field raises as
+    :func:`record_column` does."""
+    values = record_column(data, column, delimiter, separator)
+    index = {value: code
+             for code, value in enumerate(dict.fromkeys(values))}
+    distinct = tuple(index)
+    codes = (bytes if len(distinct) <= 0x100 else tuple)(
+        map(index.__getitem__, values))
+    return ((distinct, codes),
+            getsizeof(distinct) + getsizeof(codes)
+            + sum(map(getsizeof, distinct))
+            + sum(map(getsizeof, index.values())))
+
+
+def column_verdicts(data: bytes, column: Optional[int], delimiter: bytes,
+                    separator: bytes, test) -> Iterable:
+    """``test``'s verdict for every record of ``data``, in record order.
+
+    On field ``column``, ``test`` is called once per distinct value, in
+    first-occurrence order, on every call (no verdict outlives it), so
+    it must be a pure function of the value; with ``column`` None it is
+    called on each whole record, once per record."""
+    if column is None:
+        return map(test, split_records(data, delimiter))
+    distinct, codes = column_codes(data, column, delimiter, separator)
+    return map(list(map(test, distinct)).__getitem__, codes)

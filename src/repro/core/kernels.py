@@ -29,8 +29,8 @@ from ..algos import (
     deflate,
     inflate,
 )
-from ..buffers import (Buffer, RealBuffer, SynthBuffer, record_column,
-                       split_columns, split_records)
+from ..buffers import (Buffer, RealBuffer, SynthBuffer, column_verdicts,
+                       record_column, split_columns, split_records)
 
 __all__ = ["DpKernelSpec", "KernelResult", "BUILTIN_KERNELS",
            "builtin_kernel_specs"]
@@ -155,8 +155,8 @@ def _crc32_fn(buffer: Buffer, params: Dict[str, Any]) -> KernelResult:
 
 
 def _record_values(buffer: RealBuffer, params: Dict[str, Any]) -> tuple:
-    """What ``predicate`` / ``extract`` see: field ``column`` of every
-    record, or the whole record when no ``column`` is named."""
+    """What ``extract`` sees: field ``column`` of every record, or the
+    whole record when no ``column`` is named."""
     return record_column(buffer.data, params.get("column"),
                          params.get("delimiter", b"\n"),
                          params.get("separator", b","))
@@ -171,11 +171,12 @@ def _filter_fn(buffer: Buffer, params: Dict[str, Any]) -> KernelResult:
     """Predicate pushdown: keep records whose ``column`` value (the
     whole record without one) satisfies ``predicate``."""
     if isinstance(buffer, RealBuffer):
-        predicate = params.get("predicate", lambda value: True)
         delimiter = params.get("delimiter", b"\n")
         records = split_records(buffer.data, delimiter)
-        kept = list(compress(
-            records, map(predicate, _record_values(buffer, params))))
+        kept = list(compress(records, column_verdicts(
+            buffer.data, params.get("column"), delimiter,
+            params.get("separator", b","),
+            params.get("predicate", lambda value: True))))
         selectivity = len(kept) / len(records) if records else 0.0
         return KernelResult(
             _join_records(kept, delimiter),

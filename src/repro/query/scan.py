@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import Callable, List, Optional
 
-from ..buffers import record_column
+from ..buffers import column_verdicts, record_column
 from ..workloads.tables import TableSchema
 
 __all__ = ["ScanQuery", "QueryResult"]
@@ -33,7 +33,8 @@ class ScanQuery:
 
     #: column the predicate applies to
     predicate_column: str
-    #: bytes-level test on that column's value
+    #: bytes-level test on that column's value; a pure function of the
+    #: value, since a scan calls it once per distinct value
     predicate: Callable[[bytes], bool]
     #: columns to return (names); ignored when aggregating
     projection: List[str] = field(default_factory=list)
@@ -66,7 +67,9 @@ class ScanQuery:
         def column(name):
             return record_column(table_bytes, schema.index_of(name))
 
-        passed = map(self.predicate, column(self.predicate_column))
+        passed = column_verdicts(
+            table_bytes, schema.index_of(self.predicate_column), b"\n",
+            b",", self.predicate)
         if self.is_aggregate:
             values = list(map(float, compress(
                 column(self.aggregate_column), passed)))

@@ -325,12 +325,15 @@ class TestParseOnceScanMany:
 
 
 class _CountedEvictions(dict):
-    """The decode cache; a hit pops and re-inserts, an eviction deletes."""
+    """The decode cache; a hit pops and re-inserts, an eviction deletes.
+    ``evicted`` lists the decode function of every evicted entry."""
 
-    evictions = 0
+    def __init__(self):
+        super().__init__()
+        self.evicted = []
 
     def __delitem__(self, key):
-        self.evictions += 1
+        self.evicted.append(key[0])
         super().__delitem__(key)
 
 
@@ -362,7 +365,7 @@ class TestScansHaveNoProcessHistory:
         monkeypatch.setattr(buffers, "_decoded", _CountedEvictions())
         _table_rows.cache_clear()
         cold = self._history()
-        assert buffers._decoded.evictions == 0
+        assert buffers._decoded.evicted == []
         # A new deployment over equal rows: the table comes from the
         # memo and every partition's decode is already held.
         held = dict(buffers._decoded)
@@ -375,7 +378,9 @@ class TestScansHaveNoProcessHistory:
             entry[1] for entry in held.values()))
         buffers._decoded.clear()
         evicting = self._history()
-        assert buffers._decoded.evictions >= len(evicting)
+        evicted = buffers._decoded.evicted
+        assert len(evicted) >= len(evicting)
+        assert buffers.column_codes.__wrapped__ in evicted
         assert cold == warm == evicting
 
 

@@ -1,22 +1,25 @@
 """The shared record decode: parse a buffer once, scan it many times.
 
-``repro.buffers.split_records`` / ``split_columns`` remember how an
-immutable buffer tokenises, within one byte ceiling; the ``filter`` /
-``aggregate`` / ``project`` kernels and ``ScanQuery.evaluate`` read
-that and still run the predicate on every record of every scan.  The
-old per-record bodies live in :mod:`scan_reference` and are the oracle
+``repro.buffers.split_records`` / ``split_columns`` / ``column_codes``
+remember how an immutable buffer tokenises, within one byte ceiling;
+the ``filter`` / ``aggregate`` / ``project`` kernels and
+``ScanQuery.evaluate`` read that.  A predicate on a column runs once
+per distinct value on every scan, ``extract`` once per record.  The old
+per-record bodies live in :mod:`scan_reference` and are the oracle
 here.
 """
+
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.buffers as buffers
-from repro.buffers import (RealBuffer, record_column, split_columns,
-                           split_records)
+from repro.buffers import (RealBuffer, column_codes, record_column,
+                           split_columns, split_records)
 from repro.core.kernels import BUILTIN_KERNELS
-from repro.query import ScanQuery
+from repro.query import QueryResult, ScanQuery
 from repro.query.distributed import _decode_pushdown
 from repro.workloads.tables import Column, TableGenerator, TableSchema
 
@@ -161,7 +164,13 @@ class TestPredicateRunsOnEveryScan:
         return [row.split(b",")[self.QUANTITY]
                 for row in self.TABLE.splitlines()]
 
-    def _three_scans(self, scan):
+    def _three_scans(self, scan, by_value=False):
+        """``by_value``: a predicate sees each distinct value once per
+        scan, in first-occurrence order, and the column's codes are a
+        third decode entry."""
+        expected = self._expected_calls()
+        if by_value:
+            expected = list(dict.fromkeys(expected))
         clear_decode()
         seen, held = [], []
         for buffer in (self.TABLE, copy_of(self.TABLE), self.TABLE):
@@ -170,19 +179,35 @@ class TestPredicateRunsOnEveryScan:
             held.append({key: id(entry)
                          for key, entry in buffers._decoded.items()})
         # One parse serves all three scans; the predicate served each.
-        assert len(held[0]) == 2 and held[0] == held[1] == held[2]
+        assert (len(held[0]) == 2 + by_value
+                and held[0] == held[1] == held[2])
         for result, calls in seen:
-            assert calls == self._expected_calls()
+            assert calls == expected
             assert result == seen[0][0]
 
+    @staticmethod
+    def _one_predicate():
+        """``(predicate, into)``: one predicate object for all three
+        scans, so a verdict kept per predicate would show; it records
+        its calls in the list last handed to ``into``."""
+        sink = [[]]
+
+        def predicate(value):
+            sink[0].append(value)
+            return int(value) >= 45
+
+        def into(calls):
+            sink[0] = calls
+        return predicate, into
+
     def test_filter(self):
+        predicate, into = self._one_predicate()
+
         def scan(buffer, calls):
-            def predicate(value):
-                calls.append(value)
-                return int(value) >= 45
+            into(calls)
             return run("filter", buffer, column=self.QUANTITY,
                        predicate=predicate)
-        self._three_scans(scan)
+        self._three_scans(scan, by_value=True)
 
     def test_aggregate(self):
         def scan(buffer, calls):
@@ -198,14 +223,164 @@ class TestPredicateRunsOnEveryScan:
         {"aggregate_column": "extendedprice"}])
     def test_evaluate(self, shape):
         schema = TableGenerator().schema
+        predicate, into = self._one_predicate()
+        query = ScanQuery("quantity", predicate, **shape)
 
         def scan(buffer, calls):
-            def predicate(value):
-                calls.append(value)
-                return int(value) >= 45
-            return ScanQuery("quantity", predicate,
-                             **shape).evaluate(buffer, schema)
-        self._three_scans(scan)
+            into(calls)
+            return query.evaluate(buffer, schema)
+        self._three_scans(scan, by_value=True)
+
+
+# -- one verdict per distinct value equals one per record ---------------------
+
+#: what a predicate may return: bools and truthy or falsy non-bools
+VERDICT = st.sampled_from([True, False, 0, 1, 2, b"", b"x", None, (),
+                           (0,)])
+
+
+@st.composite
+def coded_tables(draw):
+    """(bytes, width, values): 1-60 distinct numeric values, blank
+    lines, and ragged records when ``width`` is None."""
+    values = [b"%d" % (7 * i) for i in range(draw(st.integers(1, 60)))]
+    width = draw(st.one_of(st.none(), st.integers(1, 4)))
+    field = st.sampled_from(values)
+    record = (st.lists(field, min_size=1, max_size=4) if width is None
+              else st.lists(field, min_size=width, max_size=width))
+    rows = draw(st.lists(st.one_of(record.map(b",".join), st.just(b"")),
+                         max_size=40))
+    return b"\n".join(rows) + draw(st.sampled_from([b"", b"\n"])), \
+        width, values
+
+
+@st.composite
+def judges(draw, values):
+    """``(make, bad)``: one predicate over ``values``, a drawn verdict
+    per value, raising at the value ``bad`` (or none).  Each ``make()``
+    is a fresh copy and the list of values that copy is called with."""
+    verdicts = dict(zip(values, draw(st.lists(
+        VERDICT, min_size=len(values), max_size=len(values)))))
+    bad = draw(st.one_of(st.none(), st.sampled_from(values)))
+
+    def make():
+        calls = []
+
+        def predicate(value):
+            calls.append(value)
+            if value == bad:
+                raise ArithmeticError(f"cannot judge {value!r}")
+            return verdicts[value]
+        return predicate, calls
+    return make, bad
+
+
+def raised(call):
+    """The call's value, or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as error:
+        return type(error), str(error)
+
+
+def per_row_filter(data, column, predicate):
+    """The ``filter`` kernel with one ``predicate`` call per record."""
+    verdicts = list(map(predicate, record_column(data, column)))
+    records = split_records(data, b"\n")
+    kept = list(compress(records, verdicts))
+    return (b"\n".join(kept) + b"\n" if kept else b"",
+            {"in": len(records), "out": len(kept),
+             "selectivity": len(kept) / len(records) if records else 0.0})
+
+
+def per_row_evaluate(query, data, schema):
+    """``ScanQuery.evaluate`` with one ``predicate`` call per record."""
+    def column(name):
+        return record_column(data, schema.index_of(name))
+
+    verdicts = list(map(query.predicate, column(query.predicate_column)))
+    if query.is_aggregate:
+        values = list(map(float, compress(column(query.aggregate_column),
+                                          verdicts)))
+        return QueryResult(
+            rows=None, count=len(values), total=sum(values),
+            minimum=min(values) if values else None,
+            maximum=max(values) if values else None)
+    if query.projection:
+        rows = list(map(b",".join, compress(
+            zip(*map(column, query.projection)), verdicts)))
+    else:
+        rows = list(compress(split_records(data, b"\n"), verdicts))
+    return QueryResult(rows=rows, count=len(rows))
+
+
+class TestVerdictsByValueEqualPerRow:
+    @pytest.mark.parametrize("values, form", [(256, bytes), (257, tuple)])
+    def test_codes_past_one_byte(self, values, form):
+        data = b"".join(b"%d,%d\n" % (i, i * 7 % values)
+                        for i in range(3 * values))
+        distinct, codes = column_codes(data, 1, b"\n", b",")
+        assert len(distinct) == values and type(codes) is form
+        column = record_column(data, 1)
+        assert [distinct[code] for code in codes] == list(column)
+
+        def predicate(value):
+            return int(value) % 3 == 0
+        assert (run("filter", data, column=1, predicate=predicate)
+                == per_row_filter(data, 1, predicate))
+
+    @staticmethod
+    def _each_value_once(calls, data, column, bad):
+        """Called with the column's distinct values in first-occurrence
+        order, up to the one that raises; never when the decode
+        raises."""
+        try:
+            distinct = list(dict.fromkeys(record_column(data, column)))
+        except ValueError:
+            distinct = []
+        if bad in distinct:
+            distinct = distinct[:distinct.index(bad) + 1]
+        assert calls == distinct
+
+    @settings(max_examples=150, deadline=None)
+    @given(coded_tables(), st.integers(0, 4), st.data())
+    def test_filter(self, table, column, draw):
+        data, _width, values = table
+        make, bad = draw.draw(judges(values))
+        expected = raised(lambda: per_row_filter(data, column, make()[0]))
+        clear_decode()
+        for buffer in (data, copy_of(data), data):
+            predicate, calls = make()
+            assert raised(lambda: run("filter", buffer, column=column,
+                                      predicate=predicate)) == expected
+            self._each_value_once(calls, data, column, bad)
+
+    @settings(max_examples=150, deadline=None)
+    @given(coded_tables(), st.data())
+    def test_evaluate(self, table, draw):
+        data, width, values = table
+        names = [f"c{i}" for i in range(width or 4)]
+        schema = TableSchema([Column(name, None) for name in names])
+        shape = draw.draw(st.sampled_from(
+            ["rows", "projection", "aggregate"]))
+        fields = dict(
+            predicate_column=draw.draw(st.sampled_from(names)),
+            projection=(draw.draw(st.lists(st.sampled_from(names),
+                                           min_size=1, max_size=3))
+                        if shape == "projection" else []),
+            aggregate_column=(draw.draw(st.sampled_from(names))
+                              if shape == "aggregate" else None))
+        where = names.index(fields["predicate_column"])
+        make, bad = draw.draw(judges(values))
+        expected = raised(lambda: per_row_evaluate(
+            ScanQuery(predicate=make()[0], **fields), data, schema))
+        clear_decode()
+        for buffer in (data, copy_of(data), data):
+            predicate, calls = make()
+            query = ScanQuery(predicate=predicate, **fields)
+            assert raised(lambda: query.evaluate(buffer,
+                                                 schema)) == expected
+            self._each_value_once(calls, data, where, bad)
 
 
 # -- what is remembered cannot be changed by a reader -------------------------
@@ -263,12 +438,13 @@ class TestDecodeIsImmutableAndBounded:
             assert charged() <= ceiling
             record_column(b"0,x\n" + table, 0)  # buffer 0 is read again
         newest = columns_key(index - 1)
-        assert list(buffers._decoded)[-2] == newest
+        assert list(buffers._decoded)[-3:-1] == [newest, (
+            column_codes.__wrapped__, newest[1], 1, b"\n", b",")]
         assert columns_key(0) in buffers._decoded
         assert columns_key(1) not in buffers._decoded
         held = buffers._decoded[newest][0]
         assert split_columns(copy_of(newest[1]), b"\n", b",") is held
-        assert 2 < len(buffers._decoded) < index
+        assert 2 < len(buffers._decoded) < 2 * index
 
     def test_equal_fields_of_a_buffer_are_one_object(self):
         table = TableGenerator(seed=13).rows(48_000)
