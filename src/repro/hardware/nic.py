@@ -160,7 +160,7 @@ class Nic:
         carry_at = self.wire.carry_at
         if carry_at is None:
             return False
-        serialization = self.serialization_time(nbytes)
+        serialization = nbytes / self.bytes_per_s
         if not self._tx.reserve(serialization):
             return False
         self.tx_bytes.value += nbytes
@@ -185,9 +185,10 @@ class Nic:
         if self.wire is None:
             raise RuntimeError(f"{self.name} is not connected to a wire")
         carry_at = self.wire.carry_at
+        rate = self.bytes_per_s
         total = 0.0
         for _frame, nbytes in frames:
-            total += self.serialization_time(nbytes)
+            total += nbytes / rate
         hold = self._tx.hold(total) if carry_at is not None else None
         if hold is None:
             for frame, nbytes in frames:
@@ -195,11 +196,13 @@ class Nic:
             return
         boundary = 0.0
         port = self.port_latency_s
+        tx_bytes = self.tx_bytes.value
         for frame, nbytes in frames:
-            boundary += self.serialization_time(nbytes)
-            self.tx_bytes.add(nbytes)
-            self.tx_frames.add(1)
+            boundary += nbytes / rate
+            tx_bytes += nbytes
             carry_at(self, frame, nbytes, boundary + port)
+        self.tx_bytes.value = tx_bytes
+        self.tx_frames.value += len(frames)
         yield hold
 
     def transmit_batch_after(self, delay: float,
@@ -226,18 +229,21 @@ class Nic:
         carry_at = self.wire.carry_at
         if carry_at is None:
             return None
+        rate = self.bytes_per_s
         total = 0.0
         for _frame, nbytes in frames:
-            total += self.serialization_time(nbytes)
+            total += nbytes / rate
         if not self._tx.reserve(total):
             return None
         boundary = 0.0
         port = self.port_latency_s
+        tx_bytes = self.tx_bytes.value
         for frame, nbytes in frames:
-            boundary += self.serialization_time(nbytes)
-            self.tx_bytes.add(nbytes)
-            self.tx_frames.add(1)
+            boundary += nbytes / rate
+            tx_bytes += nbytes
             carry_at(self, frame, nbytes, delay + boundary + port)
+        self.tx_bytes.value = tx_bytes
+        self.tx_frames.value += len(frames)
         return delay + total
 
     def deliver(self, frame: Any, nbytes: int) -> None:
@@ -308,9 +314,17 @@ class Wire:
         if self.injector is not None and self.injector.should_drop("wire"):
             self.frames_dropped.add(1)
             return
+        timer = self.env.timeout(extra_delay + self.propagation_delay_s,
+                                 (receiver, frame, nbytes))
+        timer.callbacks.append(_arrive)
 
-        def _arrive(_event):
-            receiver.deliver(frame, nbytes)
 
-        event = self.env.timeout(extra_delay + self.propagation_delay_s)
-        event.callbacks.append(_arrive)
+def _arrive(timer) -> None:
+    """A wire timer's one callback: hand its frame to the receiver.
+
+    The value is dropped first, so a timer the environment recycles
+    does not keep the frame alive.
+    """
+    receiver, frame, nbytes = timer._value
+    timer._value = None
+    receiver.deliver(frame, nbytes)

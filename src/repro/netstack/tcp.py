@@ -47,7 +47,7 @@ from ..hardware.cpu import CpuCluster
 from ..hardware.nic import Nic
 from ..obs.trace import NULL_TRACER
 from ..sim import Environment, Store
-from ..sim.resources import Container
+from ..sim.resources import REFUSED, Container
 from ..sim.stats import Counter
 
 __all__ = ["TcpStack", "TcpConnection", "TcpListener"]
@@ -135,7 +135,7 @@ class TcpConnection:
         self._rcv_next = 0
         self._rcv_pending = 0                       # bytes not yet read
         self._out_of_order: Dict[int, dict] = {}
-        self._assembly: Dict[int, list] = {}        # msg_id -> buffers
+        self._assembly: list = []                   # current message's parts
         self._messages = Store(self.env)            # reassembled Buffers
 
         # --- metrics ---
@@ -168,16 +168,10 @@ class TcpConnection:
         """
         if self.closed:
             raise ConnectionClosedError(f"connection {self.cid} is closed")
-        queue = self._snd_queue
-        if queue._putters or len(queue.items) >= queue.capacity:
-            return False
-        queue.items.append({
+        return self._snd_queue.try_put({
             "buffer": as_buffer(payload),
             "enqueued_at": self.env.now,
         })
-        if queue._getters:
-            queue._drain()
-        return True
 
     def drain(self):
         """Generator that completes when all queued data is ACKed."""
@@ -188,8 +182,11 @@ class TcpConnection:
         env = self.env
         stack = self.stack
         queue = self._snd_queue
+        snd_buffer = self._snd_buffer
         while True:
-            item = yield queue.get()
+            item = queue.try_get()
+            if item is REFUSED:
+                item = yield queue.get()
             if stack.tracer.enabled:
                 yield from self._send_message_traced(item)
                 continue
@@ -200,18 +197,22 @@ class TcpConnection:
                 chunk = min(_MSS, size - offset)
                 # Blocking prelude, identical to the unbatched path:
                 # send-buffer credit and an open window for the first
-                # segment of the burst.
-                yield self._snd_buffer.get(chunk)
-                yield from self._await_window(chunk)
+                # segment of the burst.  Both are taken inline when
+                # available; an event is paid only to wait.
+                if not snd_buffer.try_get(chunk):
+                    yield snd_buffer.get(chunk)
+                if (self._snd_next - self._snd_base + chunk
+                        > min(self._cwnd, self._peer_rwnd)):
+                    yield from self._await_window(chunk)
                 # Burst builder (TSO-style): greedily gather every
                 # segment sendable *right now* — across queued
                 # messages, while the window and buffer credit last —
                 # without yielding, so the snapshot stays consistent.
-                batch = []
+                frames = []                 # (segment, wire bytes)
                 cycles = 0.0
                 window = min(self._cwnd, self._peer_rwnd)
                 inflight_bytes = self._snd_next - self._snd_base
-                credit = self._snd_buffer.level
+                credit = snd_buffer.level
                 now = env.now
                 per_msg = stack._per_msg
                 per_byte = stack._per_byte
@@ -236,18 +237,19 @@ class TcpConnection:
                         "sent_at": now, "retransmitted": False,
                     }
                     self._inflight[seq] = segment
-                    batch.append(segment)
+                    frames.append((segment, chunk + _HEADER_BYTES))
                     cycles += per_msg + per_byte * chunk
                     inflight_bytes += chunk
                     offset += chunk
                     if last:
-                        item = self._next_queued()
-                        if item is None:
+                        item = queue.try_get()
+                        if item is REFUSED:
+                            item = None
                             break
                         buffer = item["buffer"]
                         offset = 0
                         size = max(buffer.size, 1)
-                    if len(batch) >= _MAX_BURST:
+                    if len(frames) >= _MAX_BURST:
                         break
                     chunk = min(_MSS, size - offset)
                     if inflight_bytes + chunk > window:
@@ -255,17 +257,15 @@ class TcpConnection:
                     if credit < chunk:
                         break
                     credit -= chunk
-                    # Inline by construction: credit tracks the level
+                    # Granted by construction: credit tracks the level
                     # and this process is the only getter.
-                    self._snd_buffer.get(chunk)
+                    snd_buffer.try_get(chunk)
                 # One fused CPU charge and one NIC burst for the lot.
                 # Fastest path: both the charge and the serializer
                 # become eventless reservations and the sender parks
                 # on a single timeout spanning charge + serialization
                 # — frame arrival times and the resume instant match
                 # the evented sequence exactly.
-                frames = [(seg, seg["len"] + _HEADER_BYTES)
-                          for seg in batch]
                 cpu = stack.cpu
                 wait = None
                 charged = False
@@ -281,24 +281,14 @@ class TcpConnection:
                             # transmit below.
                             yield env.timeout(charge_s)
                 if wait is not None:
-                    stack.segments_tx.add(len(batch))
+                    stack.segments_tx.value += len(frames)
                     yield env.timeout(wait)
                 else:
                     if not charged:
                         yield from stack._charge_cycles(cycles)
-                    stack.segments_tx.add(len(batch))
+                    stack.segments_tx.value += len(frames)
                     yield from stack.nic.transmit_batch(frames)
                 self._arm_rto()
-
-    def _next_queued(self) -> Optional[dict]:
-        """Pop the next queued message synchronously (burst builder)."""
-        queue = self._snd_queue
-        if not queue.items:
-            return None
-        item = queue.items.popleft()
-        if queue._putters:
-            queue._drain()      # wake a send_message blocked on space
-        return item
 
     def _send_message_traced(self, item: dict):
         """Unbatched per-segment path, kept for traced runs so every
@@ -367,25 +357,24 @@ class TcpConnection:
         advertised window (application-level back-pressure).
         """
         event = self._messages.get()
-
-        def _consumed(consumed_event):
-            if consumed_event.ok:
-                before = self._advertised_window()
-                self._rcv_pending -= max(consumed_event.value.size, 1)
-                # Window update: if consumption reopened a (nearly)
-                # closed window, tell the sender — otherwise a
-                # zero-window stall never resolves (TCP's classic
-                # window-update/persist problem).
-                if before < _MSS <= self._advertised_window():
-                    self.stack._post_ack(self)
-
         if event.callbacks is None:
             # The store had a message on hand and completed the get
             # inline; account for the consumption immediately.
-            _consumed(event)
+            self._consumed(event)
         else:
-            event.callbacks.append(_consumed)
+            event.callbacks.append(self._consumed)
         return event
+
+    def _consumed(self, event) -> None:
+        if event.ok:
+            before = self._advertised_window()
+            self._rcv_pending -= max(event.value.size, 1)
+            # Window update: if consumption reopened a (nearly) closed
+            # window, tell the sender — otherwise a zero-window stall
+            # never resolves (TCP's classic window-update/persist
+            # problem).
+            if before < _MSS <= self._advertised_window():
+                self.stack._post_ack(self)
 
     def _on_data(self, segment: dict) -> None:
         seq = segment["seq"]
@@ -404,12 +393,13 @@ class TcpConnection:
     def _accept_segment(self, segment: dict) -> None:
         self._rcv_next += segment["len"]
         self._rcv_pending += segment["len"]
-        parts = self._assembly.setdefault(0, [])
+        parts = self._assembly
         parts.append(segment["payload"])
         if segment["last"]:
             message = _concat(parts)
-            self._assembly[0] = []
-            self._messages.put(message)
+            self._assembly = []
+            if not self._messages.try_put(message):
+                self._messages.put(message)
             if self.stack.tracer.enabled:
                 self.stack.tracer.instant(
                     "tcp.msg_rx", category="network", cid=self.cid,
@@ -436,11 +426,14 @@ class TcpConnection:
                 if seq + segment["len"] > ack:
                     break
                 newly_acked.append(seq)
+            snd_buffer = self._snd_buffer
             for seq in newly_acked:
                 segment = self._inflight.pop(seq)
                 if not segment["retransmitted"]:
                     self._update_rtt(self.env.now - segment["sent_at"])
-                self._snd_buffer.put(max(segment["len"], 1))
+                credit = max(segment["len"], 1)
+                if not snd_buffer.try_put(credit):
+                    snd_buffer.put(credit)
                 self._grow_cwnd(segment["len"])
             self._snd_base = ack
             self._dup_acks = 0
@@ -660,7 +653,7 @@ class TcpStack:
     # -- frame processing -------------------------------------------------------
 
     def _dispatch_frame(self, frame: dict) -> None:
-        self.segments_rx.add(1)
+        self.segments_rx.value += 1
         kind = frame["kind"]
         if kind == "data":
             self._charge_async(
@@ -725,9 +718,10 @@ class TcpStack:
         queue = self._ctrl_queue
         if (not queue.items and queue._getters
                 and self.nic.try_transmit(frame, _HEADER_BYTES)):
-            self.segments_tx.add(1)
+            self.segments_tx.value += 1
             return
-        queue.put(frame)
+        if not queue.try_put(frame):
+            queue.put(frame)
 
     def _ctrl_loop(self):
         queue = self._ctrl_queue

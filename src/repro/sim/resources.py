@@ -25,6 +25,10 @@ processed, so a yielding process continues immediately instead of
 taking a trip through the event queue.  The simulated clock never
 advances during an inline completion, so simulated timings are
 unchanged — only the number of real scheduler iterations shrinks.
+:class:`Container` and :class:`Store` also offer that completion with
+no event at all: ``try_get`` / ``try_put`` take or give *now* and
+refuse, changing nothing, exactly when ``get`` / ``put`` would queue —
+``get`` / ``put`` are built on them, so the condition lives once.
 """
 
 from __future__ import annotations
@@ -35,7 +39,11 @@ from typing import Any, Callable, List, Optional
 
 from .core import Environment, Event, SimulationError, _completed_event
 
-__all__ = ["Resource", "PriorityResource", "Container", "Store"]
+__all__ = ["Resource", "PriorityResource", "Container", "Store", "REFUSED"]
+
+#: What :meth:`Store.try_get` returns when :meth:`Store.get` would have
+#: queued (a store may hold ``None``, so ``None`` cannot say it).
+REFUSED = object()
 
 
 class _Request(Event):
@@ -398,18 +406,46 @@ class Container:
         """Units currently available."""
         return self._level
 
-    def get(self, amount: float) -> Event:
-        """Event that fires once ``amount`` units have been removed."""
+    def try_get(self, amount: float) -> bool:
+        """Remove ``amount`` units *now*, without an event.
+
+        The eventless form of :meth:`get`: True when the units were on
+        hand and nobody was queued ahead, so they are taken at this
+        instant; False, with nothing changed, exactly when :meth:`get`
+        would have queued.
+        """
         if amount <= 0:
             raise ValueError("amount must be positive")
-        if not self._getters and amount <= self._level:
-            # Inline completion: units are on hand and nobody is
-            # queued ahead, so take them without a queue round trip.
-            self._level -= amount
-            event = _completed_event(self.env, amount)
-            if self._putters:
-                self._drain()
-            return event
+        if self._getters or amount > self._level:
+            return False
+        self._level -= amount
+        if self._putters:
+            self._drain()
+        return True
+
+    def try_put(self, amount: float) -> bool:
+        """Add ``amount`` units *now*, without an event.
+
+        The eventless form of :meth:`put`: False, with nothing changed,
+        exactly when :meth:`put` would have queued.
+        """
+        if amount <= 0:
+            raise ValueError("amount must be positive")
+        if amount > self.capacity:
+            raise ValueError(
+                f"put of {amount} exceeds capacity {self.capacity}"
+            )
+        if self._putters or self._level + amount > self.capacity:
+            return False
+        self._level += amount
+        if self._getters:
+            self._drain()
+        return True
+
+    def get(self, amount: float) -> Event:
+        """Event that fires once ``amount`` units have been removed."""
+        if self.try_get(amount):
+            return _completed_event(self.env, amount)
         event = Event(self.env)
         self._getters.append((amount, event))
         self._drain()
@@ -417,18 +453,8 @@ class Container:
 
     def put(self, amount: float) -> Event:
         """Event that fires once ``amount`` units have been added."""
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        if amount > self.capacity:
-            raise ValueError(
-                f"put of {amount} exceeds capacity {self.capacity}"
-            )
-        if not self._putters and self._level + amount <= self.capacity:
-            self._level += amount
-            event = _completed_event(self.env, None)
-            if self._getters:
-                self._drain()
-            return event
+        if self.try_put(amount):
+            return _completed_event(self.env, None)
         event = Event(self.env)
         self._putters.append((amount, event))
         self._drain()
@@ -503,20 +529,52 @@ class Store:
             raise SimulationError(f"store {self.name} already has a tap")
         self._tap = (predicate, handler)
 
-    def put(self, item: Any) -> Event:
-        """Event that fires once ``item`` is accepted into the store."""
+    def try_put(self, item: Any) -> bool:
+        """Accept ``item`` *now*, without an event.
+
+        The eventless form of :meth:`put`: True when a tap consumed the
+        item or there was room with nobody queued ahead; False, with
+        nothing changed, exactly when :meth:`put` would have queued.
+        """
         tap = self._tap
         if tap is not None and tap[0](item):
             tap[1](item)
+            return True
+        if self._putters or len(self.items) >= self.capacity:
+            return False
+        self.items.append(item)
+        if self._getters:
+            self._drain()
+        return True
+
+    def try_get(self, predicate: Optional[Callable[[Any], bool]] = None
+                ) -> Any:
+        """Take the next (matching) item *now*, without an event.
+
+        The eventless form of :meth:`get`: returns the item, or
+        :data:`REFUSED`, with nothing changed, exactly when :meth:`get`
+        would have queued (no matching item, or a getter queued ahead).
+        """
+        items = self.items
+        if not items or self._getters:
+            return REFUSED
+        if predicate is None:
+            item = items.popleft()
+        else:
+            for index, item in enumerate(items):
+                if predicate(item):
+                    del items[index]
+                    break
+            else:
+                return REFUSED
+        if self._putters:
+            self._drain()
+        return item
+
+    def put(self, item: Any) -> Event:
+        """Event that fires once ``item`` is accepted into the store."""
+        if self.try_put(item):
             return _completed_event(self.env, None)
-        # Fast path: room available and nobody queued ahead — the item
-        # is admitted inline, without a queue round trip.
-        if not self._putters and len(self.items) < self.capacity:
-            self.items.append(item)
-            event = _completed_event(self.env, None)
-            if self._getters:
-                self._drain()
-            return event
         event = Event(self.env)
         self._putters.append((item, event))
         self._drain()
@@ -528,22 +586,9 @@ class Store:
         With ``predicate``, the first *matching* item is removed and
         returned; non-matching items stay queued for other getters.
         """
-        items = self.items
-        if items and not self._getters:
-            # Fast path: a (matching) item is on hand and nobody is
-            # queued ahead — complete inline, no queue round trip.
-            if predicate is None:
-                event = _completed_event(self.env, items.popleft())
-                if self._putters:
-                    self._drain()
-                return event
-            for index, candidate in enumerate(items):
-                if predicate(candidate):
-                    del items[index]
-                    event = _completed_event(self.env, candidate)
-                    if self._putters:
-                        self._drain()
-                    return event
+        item = self.try_get(predicate)
+        if item is not REFUSED:
+            return _completed_event(self.env, item)
         event = _StoreGet(self.env, predicate)
         self._getters.append(event)
         self._drain()
@@ -561,29 +606,32 @@ class Store:
                 items.append(item)
                 event.succeed()
                 progressed = True
-            # Serve getters in arrival order.
+            # Serve getters in arrival order; a new deque only when
+            # one of them stays queued.
             getters = self._getters
             if getters:
-                remaining: deque = deque()
+                remaining = None
                 for getter in getters:
                     predicate = getter._predicate
+                    served = False
                     if predicate is None:
                         if items:
                             getter.succeed(items.popleft())
-                            progressed = True
-                        else:
-                            remaining.append(getter)
-                        continue
-                    index = None
-                    for i, candidate in enumerate(items):
-                        if predicate(candidate):
-                            index = i
-                            break
-                    if index is None:
-                        remaining.append(getter)
+                            served = True
                     else:
-                        item = items[index]
-                        del items[index]
-                        getter.succeed(item)
+                        for index, item in enumerate(items):
+                            if predicate(item):
+                                del items[index]
+                                getter.succeed(item)
+                                served = True
+                                break
+                    if served:
                         progressed = True
-                self._getters = remaining
+                    elif remaining is None:
+                        remaining = deque((getter,))
+                    else:
+                        remaining.append(getter)
+                if remaining is None:
+                    getters.clear()
+                else:
+                    self._getters = remaining
