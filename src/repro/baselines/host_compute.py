@@ -22,24 +22,12 @@ class HostComputeBaseline:
         self.cpu = cpu
         self.costs = default_cost_model()
 
-    def run_kernel(self, kernel_name: str, payload,
-                   parallelism: int = 1):
-        """Run one kernel job (generator -> KernelResult).
-
-        ``parallelism`` splits the input across that many cores, the
-        way a multi-threaded compressor would.
-        """
-        if parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
+    def run_kernel(self, kernel_name: str, payload):
+        """Run one kernel job on one core (generator -> KernelResult)."""
         spec = BUILTIN_KERNELS[kernel_name]
         buffer = as_buffer(payload)
-        total_cycles = self.costs.cpu_cycles(
+        cycles = self.costs.cpu_cycles(
             kernel_name, buffer.size, self.cpu.cpu_class
         )
-        share = total_cycles / parallelism
-        workers = [
-            self.cpu.env.process(self.cpu.execute(share))
-            for _ in range(parallelism)
-        ]
-        yield self.cpu.env.all_of(workers)
+        yield from self.cpu.execute(cycles)
         return spec.run(buffer, {})

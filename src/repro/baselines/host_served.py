@@ -25,8 +25,6 @@ class HostServedStorage:
     """A host-only remote storage server over kernel TCP."""
 
     def __init__(self, server: Server, port: int):
-        if not server.ssds:
-            raise ValueError("storage server needs an SSD")
         self.server = server
         self.env = server.env
         self.costs = server.costs.software

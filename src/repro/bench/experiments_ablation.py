@@ -43,10 +43,11 @@ __all__ = [
 # ---------------------------------------------------------------- A1
 
 
-def ablation_scheduling(
-    n_short: int = 300,
-    n_long: int = 30,
-) -> Dict[str, Dict[str, float]]:
+#: A1's burst: short sprocs, and the elephants spread evenly among them
+N_SHORT, N_LONG = 300, 30
+
+
+def ablation_scheduling() -> Dict[str, Dict[str, float]]:
     """A1: p99 queueing delay of short sprocs under each policy.
 
     A *burst* workload (everything arrives at once, as a packet burst
@@ -73,11 +74,11 @@ def ablation_scheduling(
         engine.register_sproc("long", long_sproc,
                               estimated_cycles=5_000_000)
 
-        long_every = (n_short + n_long) // max(n_long, 1)
+        long_every = (N_SHORT + N_LONG) // N_LONG
         requests = []
         longs_submitted = 0
-        for i in range(n_short + n_long):
-            if i % long_every == 0 and longs_submitted < n_long:
+        for i in range(N_SHORT + N_LONG):
+            if i % long_every == 0 and longs_submitted < N_LONG:
                 requests.append(engine.invoke("long", tenant="batch"))
                 longs_submitted += 1
             else:
@@ -112,10 +113,12 @@ def ablation_portability() -> Dict[str, Dict[str, float]]:
 # ---------------------------------------------------------------- A3
 
 
-def ablation_caching(
-    dpu_share_points: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
-    n_requests: int = 1500,
-) -> Sweep:
+#: A3's DPU shares of the cache budget, and requests per phase
+DPU_SHARES = (0.0, 0.25, 0.5, 0.75, 1.0)
+N_CACHE_REQUESTS = 1500
+
+
+def ablation_caching() -> Sweep:
     """A3: split one cache budget between host and DPU memory.
 
     The workload is half *local* reads (host application via the SE
@@ -127,7 +130,7 @@ def ablation_caching(
     total_cache_bytes = 24 * MiB
     hot_pages = 4096                 # 32 MiB hot set > either half
     sweep = Sweep("dpu_share")
-    for dpu_share in dpu_share_points:
+    for dpu_share in DPU_SHARES:
         env = Environment()
         server = make_server(env, dpu_profile=BLUEFIELD2)
         se = StorageEngine(
@@ -159,9 +162,9 @@ def ablation_caching(
                     remote_latency.append(env.now - started)
 
         def run_mixed():
-            for i in range(n_requests):            # warmup
+            for i in range(N_CACHE_REQUESTS):      # warmup
                 yield from one_request(i, record=False)
-            for i in range(n_requests):            # measured
+            for i in range(N_CACHE_REQUESTS):      # measured
                 yield from one_request(i, record=True)
 
         env.run(until=env.process(run_mixed()))
@@ -184,7 +187,11 @@ def ablation_caching(
 # ---------------------------------------------------------------- A4
 
 
-def ablation_persistence(n_writes: int = 100) -> Dict[str, float]:
+#: A4's writes per path
+N_WRITES = 100
+
+
+def ablation_persistence() -> Dict[str, float]:
     """A4: ack latency of regular vs fast-persistent writes."""
     env = Environment()
     server = make_server(env, dpu_profile=BLUEFIELD2)
@@ -194,12 +201,12 @@ def ablation_persistence(n_writes: int = 100) -> Dict[str, float]:
     persistent = []
 
     def driver():
-        for i in range(n_writes):
+        for i in range(N_WRITES):
             request = se.write(file_id, (i % 4096) * PAGE_SIZE,
                                SynthBuffer(PAGE_SIZE))
             yield request.done
             regular.append(request.latency)
-        for i in range(n_writes):
+        for i in range(N_WRITES):
             request = se.write_persistent(
                 file_id, (i % 4096) * PAGE_SIZE, SynthBuffer(PAGE_SIZE)
             )

@@ -77,6 +77,13 @@ RECOVERY_POLICY = RetryPolicy(
 #: deadline on one host-fallback read before the client gives up
 FALLBACK_DEADLINE_S = 2e-3
 
+#: the page-read workload: fault-plan seed, ops, and the span they
+#: arrive over
+SEED, N_OPS, DURATION_S = 7, 400, 10e-3
+
+#: how long a client SYNs into a black hole before it gives up
+CONNECT_TIMEOUT_S = 5e-3
+
 
 def _percentile(values: List[float], q: float) -> float:
     """The ``q``-quantile of ``values`` (0.0 for an empty list)."""
@@ -87,8 +94,7 @@ def _percentile(values: List[float], q: float) -> float:
     return ordered[index]
 
 
-def _run_scenario(inject: bool, recover: bool, seed: int,
-                  n_ops: int, duration_s: float,
+def _run_scenario(inject: bool, recover: bool,
                   telemetry=None) -> Dict[str, float]:
     """One availability scenario; returns its flat metric row.
 
@@ -102,7 +108,7 @@ def _run_scenario(inject: bool, recover: bool, seed: int,
     injector = None
     if inject:
         injector = FaultInjector(
-            env, default_fault_plan(seed=seed, duration_s=duration_s)
+            env, default_fault_plan(seed=SEED, duration_s=DURATION_S)
         )
     runtime = DpdpuRuntime(server, injector=injector,
                            telemetry=telemetry)
@@ -171,9 +177,9 @@ def _run_scenario(inject: bool, recover: bool, seed: int,
         latencies.append(env.now - started)
 
     def driver():
-        interval = duration_s / n_ops
+        interval = DURATION_S / N_OPS
         ops = []
-        for index in range(n_ops):
+        for index in range(N_OPS):
             ops.append(env.process(one_op(index),
                                    name=f"avail-op-{index}"))
             yield env.timeout(interval)
@@ -184,11 +190,11 @@ def _run_scenario(inject: bool, recover: bool, seed: int,
     ok = int(outcomes.value)
     failed = int(failures.value)
     row = {
-        "ops": float(n_ops),
+        "ops": float(N_OPS),
         "ok": float(ok),
         "failed": float(failed),
-        "error_rate": failed / n_ops,
-        "goodput_ops_per_s": ok / duration_s,
+        "error_rate": failed / N_OPS,
+        "goodput_ops_per_s": ok / DURATION_S,
         "makespan_s": env.now,
         "mean_s": (sum(latencies) / len(latencies)) if latencies else 0.0,
         "p99_s": _percentile(latencies, 0.99),
@@ -201,30 +207,21 @@ def _run_scenario(inject: bool, recover: bool, seed: int,
     return row
 
 
-def availability(seed: int = 7, n_ops: int = 400,
-                 duration_s: float = 10e-3,
-                 telemetry=None) -> Dict[str, Dict[str, float]]:
+def availability(telemetry=None) -> Dict[str, Dict[str, float]]:
     """The three availability scenarios over one identical workload.
 
     ``telemetry`` rides the ``faults_recovery`` run only — the one
     whose retry loops and breaker failovers the trace exists to show.
     """
     return {
-        "fault_free": _run_scenario(
-            inject=False, recover=False, seed=seed,
-            n_ops=n_ops, duration_s=duration_s),
-        "faults_norec": _run_scenario(
-            inject=True, recover=False, seed=seed,
-            n_ops=n_ops, duration_s=duration_s),
-        "faults_recovery": _run_scenario(
-            inject=True, recover=True, seed=seed,
-            n_ops=n_ops, duration_s=duration_s,
-            telemetry=telemetry),
+        "fault_free": _run_scenario(inject=False, recover=False),
+        "faults_norec": _run_scenario(inject=True, recover=False),
+        "faults_recovery": _run_scenario(inject=True, recover=True,
+                                         telemetry=telemetry),
     }
 
 
-def availability_tcp_blackhole(timeout_s: float = 5e-3
-                               ) -> Dict[str, float]:
+def availability_tcp_blackhole() -> Dict[str, float]:
     """Connection establishment against a black-holed peer.
 
     The healthy control connects in microseconds; with every frame on
@@ -251,7 +248,7 @@ def availability_tcp_blackhole(timeout_s: float = 5e-3
 
     def healthy_client():
         started = env.now
-        yield from stack_a.connect(5000, timeout_s=timeout_s)
+        yield from stack_a.connect(5000, timeout_s=CONNECT_TIMEOUT_S)
         control["connect_s"] = env.now - started
 
     env.run(until=env.process(healthy_client()))
@@ -266,7 +263,7 @@ def availability_tcp_blackhole(timeout_s: float = 5e-3
     def blackholed_client():
         started = env.now
         try:
-            yield from stack_a.connect(5000, timeout_s=timeout_s)
+            yield from stack_a.connect(5000, timeout_s=CONNECT_TIMEOUT_S)
         except DeadlineExceededError:
             result["deadline_hit"] = 1.0
         else:
@@ -276,7 +273,7 @@ def availability_tcp_blackhole(timeout_s: float = 5e-3
     env.run(until=env.process(blackholed_client()))
 
     return {
-        "timeout_s": timeout_s,
+        "timeout_s": CONNECT_TIMEOUT_S,
         "healthy_connect_s": control["connect_s"],
         "blackhole_elapsed_s": result["elapsed_s"],
         "deadline_hit": result["deadline_hit"],

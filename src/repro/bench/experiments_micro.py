@@ -42,16 +42,21 @@ _WIRE_MSG_BITS = (PAGE_SIZE + 66) * 8
 _FIG3_CONNECTIONS = 16
 
 
-def fig1_compression(
-    sizes_mb: Sequence[int] = (1, 4, 16, 64, 256),
-) -> Sweep:
+#: Figure 1's data sizes
+FIG1_SIZES_MB = (1, 4, 16, 64, 256)
+
+#: text the real-bytes companion compresses
+FIG1_REAL_BYTES = 256 * 1024
+
+
+def fig1_compression() -> Sweep:
     """Figure 1: DEFLATE latency vs data size on three devices.
 
     Series: ``epyc_s`` (EPYC core), ``arm_s`` (Arm A72 core),
     ``bf2_asic_s`` (BlueField-2 compression accelerator).
     """
     sweep = Sweep("size_mb")
-    for size_mb in sizes_mb:
+    for size_mb in FIG1_SIZES_MB:
         nbytes = size_mb * MB
         env = Environment()
         epyc = make_server(env, name="epyc", host_profile=EPYC_HOST)
@@ -85,14 +90,14 @@ def fig1_compression(
     return sweep
 
 
-def fig1_real_bytes_checkpoint(nbytes: int = 256 * 1024) -> dict:
+def fig1_real_bytes_checkpoint() -> dict:
     """Figure 1 companion: run *real* DEFLATE on synthetic text.
 
     Validates that the functional path really compresses natural-text
     data at natural-text ratios (the simulated latencies above assume
     streaming compression regardless of content).
     """
-    text = make_text(nbytes)
+    text = make_text(FIG1_REAL_BYTES)
     env = Environment()
     epyc = make_server(env, name="epyc")
     baseline = HostComputeBaseline(epyc.host_cpu)
@@ -103,7 +108,7 @@ def fig1_real_bytes_checkpoint(nbytes: int = 256 * 1024) -> dict:
         result = yield from baseline.run_kernel(
             "compress", RealBuffer(text)
         )
-        outcome["ratio"] = nbytes / result.buffer.size
+        outcome["ratio"] = FIG1_REAL_BYTES / result.buffer.size
         outcome["compressed_bytes"] = result.buffer.size
 
     env.process(job())

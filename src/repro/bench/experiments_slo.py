@@ -174,23 +174,18 @@ def _plane(name: str) -> ClusterTelemetry:
     return plane
 
 
-def _arm_admission(env, cluster, plane,
-                   tenant_limits: Optional[Dict[str, Dict]] = None
-                   ) -> Callable:
+def _arm_admission(env, cluster, plane) -> Callable:
     """Put an AdmissionController on every node; return the hook.
 
     The returned callable arms one more node — handed to the
     :class:`Autoscaler` as ``node_hook`` so scaled-up nodes are born
     protected too.
     """
-    limits = tenant_limits or {}
 
     def arm(node):
-        tenants = TenantRegistry(env)
-        for tenant, kwargs in sorted(limits.items()):
-            tenants.register(tenant, **kwargs)
         node.dds.admission = AdmissionController(
-            env, tenants, registry=plane.node(node.name).metrics,
+            env, TenantRegistry(env),
+            registry=plane.node(node.name).metrics,
             max_queue=MAX_QUEUE,
             service_rate_ops=SERVICE_RATE_OPS,
             slo_target_s=DEADLINE_S,
@@ -385,11 +380,13 @@ def _run_noisy(protected: bool,
                       telemetry=plane)
     Rebalancer(cluster)
     if protected:
-        _arm_admission(env, cluster, plane, tenant_limits={
-            "batch": {"rate_limit_ops_per_s": BATCH_BUDGET_OPS,
-                      "burst_ops": 16.0},
-            "pro": {},
-        })
+        _arm_admission(env, cluster, plane)
+        for node in cluster.nodes:
+            tenants = node.dds.admission.tenants
+            tenants.register("batch",
+                             rate_limit_ops_per_s=BATCH_BUDGET_OPS,
+                             burst_ops=16.0)
+            tenants.register("pro")
     pro = ClusterClient(cluster, "pro", home="node0",
                         sli_plane=plane, sli_deadline_s=DEADLINE_S,
                         stamp_deadline_s=DEADLINE_S)

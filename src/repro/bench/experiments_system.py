@@ -151,8 +151,11 @@ def fig6_sproc(profile: DpuProfile = BLUEFIELD2,
 # ---------------------------------------------------------------- F7
 
 
-def fig7_rdma(n_clients: int = 16,
-              ops_per_client: int = 50) -> Dict[str, float]:
+#: Figure 7's closed-loop clients and the WRITEs each issues
+FIG7_CLIENTS, FIG7_OPS_PER_CLIENT = 16, 50
+
+
+def fig7_rdma() -> Dict[str, float]:
     """Figure 7: RDMA issuing, native host vs NE-offloaded.
 
     Closed-loop clients issue one-sided WRITEs; reports host
@@ -170,12 +173,12 @@ def fig7_rdma(n_clients: int = 16,
     remote = make_host_rdma_node(target, "tgt-rdma")
     remote.register_region("pool", 256 * MiB)
     from ..netstack.rdma import connect_qp
-    qps = [connect_qp(local, remote)[0] for _ in range(n_clients)]
+    qps = [connect_qp(local, remote)[0] for _ in range(FIG7_CLIENTS)]
     base_cycles = initiator.host_cpu.cycles_charged.value
 
     def native_client(qp, index):
-        for i in range(ops_per_client):
-            offset = ((index * ops_per_client + i) * payload_bytes) \
+        for i in range(FIG7_OPS_PER_CLIENT):
+            offset = ((index * FIG7_OPS_PER_CLIENT + i) * payload_bytes) \
                 % (128 * MiB)
             done = yield from qp.post_write(
                 "pool", offset, SynthBuffer(payload_bytes)
@@ -186,13 +189,13 @@ def fig7_rdma(n_clients: int = 16,
     procs = [env.process(native_client(qp, i))
              for i, qp in enumerate(qps)]
     env.run(until=env.all_of(procs))
-    total_ops = n_clients * ops_per_client
+    total_ops = FIG7_CLIENTS * FIG7_OPS_PER_CLIENT
     out["native_host_cycles_per_op"] = (
         (initiator.host_cpu.cycles_charged.value - base_cycles)
         / total_ops
     )
     out["native_ops_per_s"] = total_ops / (env.now - start)
-    out["native_latency_s"] = (env.now - start) / ops_per_client
+    out["native_latency_s"] = (env.now - start) / FIG7_OPS_PER_CLIENT
 
     # -- NE offloaded issuing -------------------------------------------------
     env = Environment()
@@ -202,13 +205,13 @@ def fig7_rdma(n_clients: int = 16,
     runtime = DpdpuRuntime(initiator)
     remote = make_host_rdma_node(target, "tgt-rdma")
     remote.register_region("pool", 256 * MiB)
-    facades = [runtime.network.rdma_qp(remote) for _ in range(n_clients)]
+    facades = [runtime.network.rdma_qp(remote) for _ in range(FIG7_CLIENTS)]
     env.run(until=1e-6)
     base_cycles = initiator.host_cpu.cycles_charged.value
 
     def offloaded_client(qp, index):
-        for i in range(ops_per_client):
-            offset = ((index * ops_per_client + i) * payload_bytes) \
+        for i in range(FIG7_OPS_PER_CLIENT):
+            offset = ((index * FIG7_OPS_PER_CLIENT + i) * payload_bytes) \
                 % (128 * MiB)
             yield qp.write("pool", offset,
                            SynthBuffer(payload_bytes)).done
@@ -223,7 +226,7 @@ def fig7_rdma(n_clients: int = 16,
         / total_ops
     )
     out["offloaded_ops_per_s"] = total_ops / (env.now - start)
-    out["offloaded_latency_s"] = (env.now - start) / ops_per_client
+    out["offloaded_latency_s"] = (env.now - start) / FIG7_OPS_PER_CLIENT
     out["host_cycles_saved_factor"] = (
         out["native_host_cycles_per_op"]
         / max(out["offloaded_host_cycles_per_op"], 1e-9)
@@ -234,8 +237,11 @@ def fig7_rdma(n_clients: int = 16,
 # ---------------------------------------------------------------- F8
 
 
-def fig8_dds_latency(n_reads: int = 200,
-                     telemetry=None) -> Dict[str, float]:
+#: Figure 8's remote reads per path
+FIG8_READS = 200
+
+
+def fig8_dds_latency(telemetry=None) -> Dict[str, float]:
     """Figure 8: remote 8 KiB read latency, host path vs DDS path.
 
     Pass a fresh :class:`~repro.obs.Telemetry` to trace the DDS path
@@ -263,7 +269,7 @@ def fig8_dds_latency(n_reads: int = 200,
         def client_proc():
             connection = yield from client_tcp.connect(9100)
             dds_client = DdsClient(connection)
-            for i in range(n_reads):
+            for i in range(FIG8_READS):
                 yield from dds_client.read(
                     file_id,
                     (i % (256 * MiB // PAGE_SIZE)) * PAGE_SIZE,

@@ -7,7 +7,7 @@ table reports; EXPERIMENTS.md quotes them from the committed
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 from .harness import Sweep
 
@@ -48,15 +48,14 @@ def format_table(headers: Sequence[str],
     return "\n".join(lines)
 
 
-def format_sweep(sweep: Sweep,
-                 keys: Optional[Sequence[str]] = None) -> str:
+def format_sweep(sweep: Sweep) -> str:
     """Render a :class:`Sweep` as a table, one column per series."""
     if not sweep.rows:
         return "(empty sweep)"
     # Union of keys across every row (not just the first), so a
     # series that starts late in a ragged sweep still gets a column;
     # rows missing it render as NaN.
-    keys = list(keys) if keys else sweep.keys()
+    keys = sweep.keys()
     headers = [sweep.x_label] + keys
     rows = []
     for row in sweep.rows:

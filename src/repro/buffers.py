@@ -150,8 +150,7 @@ class SynthBuffer(Buffer):
         )
 
 
-def as_buffer(payload, compress_ratio: float = 3.0,
-              label: Optional[str] = None) -> Buffer:
+def as_buffer(payload) -> Buffer:
     """Coerce ``payload`` into a :class:`Buffer`.
 
     bytes-likes become :class:`RealBuffer`; integers are interpreted as
@@ -162,7 +161,7 @@ def as_buffer(payload, compress_ratio: float = 3.0,
     if isinstance(payload, (bytes, bytearray, memoryview)):
         return RealBuffer(payload)
     if isinstance(payload, int):
-        return SynthBuffer(payload, compress_ratio, label or "")
+        return SynthBuffer(payload)
     raise TypeError(f"cannot make a buffer from {type(payload).__name__}")
 
 

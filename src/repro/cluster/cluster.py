@@ -49,6 +49,9 @@ DEFAULT_BREAKER = {
     "reset_timeout_s": 5.0e-3,
 }
 
+#: bytes in one shard's backing file
+SHARD_BYTES = 16 * PAGE_SIZE
+
 #: SE submission-ring slots per node: deep enough that a saturated
 #: node back-pressures through TCP, not through ring overflow
 _SE_RING_CAPACITY = 1 << 16
@@ -88,7 +91,6 @@ class Cluster:
     """N sharded DDS nodes on one simulated top-of-rack switch."""
 
     def __init__(self, env, n_nodes: int, n_shards: int = 32,
-                 shard_bytes: int = 16 * PAGE_SIZE,
                  port: int = 9300,
                  replicas: int = 64,
                  injector=None,
@@ -96,15 +98,13 @@ class Cluster:
                  telemetry=None):
         if n_nodes < 1:
             raise ValueError("need at least one node")
-        if shard_bytes % PAGE_SIZE:
-            raise ValueError("shard_bytes must be page-aligned")
         self.env = env
         #: the ClusterTelemetry plane observing this cluster (or None:
         #: zero-overhead-off — no per-node registries, no scrape loop)
         self.telemetry = telemetry
         self.port = port
         self.migration_port = port + 1000
-        self.shard_bytes = shard_bytes
+        self.shard_bytes = SHARD_BYTES
         self._injector = injector
         #: fabric port speed — the distributed query planner reads
         #: this so plan estimates and the simulated switch agree

@@ -136,13 +136,9 @@ class MigrationService:
 class Rebalancer:
     """Probes every node's DPU and drains the ones that fail."""
 
-    def __init__(self, cluster,
-                 pull_deadline_s: float = PULL_DEADLINE_S,
-                 pull_retry_budget: int = PULL_RETRY_BUDGET):
+    def __init__(self, cluster):
         self.cluster = cluster
         self.env = cluster.env
-        self.pull_deadline_s = pull_deadline_s
-        self.pull_retry_budget = pull_retry_budget
         self.migrated_shards = Counter("rebalance.shards")
         self.migrated_bytes = Counter("rebalance.bytes")
         #: shard -> sim time its override landed
@@ -237,11 +233,11 @@ class Rebalancer:
     def _pull(self, source, dest, shards, status, cutover=None):
         """One destination pulls its assigned shards, sequentially.
 
-        Each shard's transfer is bounded by ``pull_deadline_s``.  A
+        Each shard's transfer is bounded by :data:`PULL_DEADLINE_S`.  A
         stalled export cannot be salvaged on the same connection —
         the abandoned receive leaves a dangling store get that would
         swallow the next payload — so every retry reconnects fresh,
-        up to ``pull_retry_budget`` times per shard before the drain
+        up to :data:`PULL_RETRY_BUDGET` times per shard before the drain
         is declared failed with :class:`MigrationStalledError`.
         """
         if cutover is None:
@@ -299,16 +295,16 @@ class Rebalancer:
                     request, tracer.context_for(pull))
             yield from connection.send_message(request)
             receive = connection.recv_message()
-            expiry = self.env.timeout(self.pull_deadline_s)
+            expiry = self.env.timeout(PULL_DEADLINE_S)
             yield self.env.any_of([receive, expiry])
             if receive.triggered:
                 return connection, receive.value
             pull.annotate(stalled_attempt=attempts)
-            if attempts > self.pull_retry_budget:
+            if attempts > PULL_RETRY_BUDGET:
                 raise MigrationStalledError(
                     f"shard {shard} pull from {source.name} stalled "
                     f"{attempts} times (deadline "
-                    f"{self.pull_deadline_s:g}s)",
+                    f"{PULL_DEADLINE_S:g}s)",
                     shard=shard, attempts=attempts)
             stack = self.cluster.migration_services[dest.name].stack
             connection = yield from stack.connect(

@@ -29,8 +29,8 @@ from typing import Dict
 
 from ..buffers import Buffer, SynthBuffer
 from ..errors import (AdmissionRejected, ClusterError,
-                      DeadlineExceededError, IsolationViolation,
-                      OffloadRejected, ReproError)
+                      DeadlineExceededError, OffloadRejected,
+                      ReproError)
 from ..obs.trace import TraceContext
 from ..sim.stats import Counter, Tally
 from ..units import PAGE_SIZE
@@ -142,10 +142,8 @@ class ClusterDdsServer(DdsServer):
 
     def __init__(self, runtime, port: int, node_name: str,
                  shardmap, shard_files: Dict[int, int],
-                 shard_bytes: int, router: ShardRouter,
-                 breaker=None, **kwargs):
-        super().__init__(runtime, port, name=f"dds.{node_name}",
-                         **kwargs)
+                 shard_bytes: int, router: ShardRouter, breaker):
+        super().__init__(runtime, port, name=f"dds.{node_name}")
         self.node_name = node_name
         self.shardmap = shardmap
         self.shard_files = shard_files
@@ -208,8 +206,7 @@ class ClusterDdsServer(DdsServer):
                     yield from self.se.dpu.cpu.execute(
                         self.costs.udf_parse_cycles)
             except ReproError:
-                if self.breaker is not None:
-                    self.breaker.record_failure()
+                self.breaker.record_failure()
                 yield from self.server.host_cpu.execute(
                     self.costs.udf_parse_cycles)
             request = self.udf(message)
@@ -256,20 +253,17 @@ class ClusterDdsServer(DdsServer):
                     try:
                         ticket = self.admission.admit(
                             request.get("tenant"),
-                            deadline_s=deadline_s,
-                            asic_kind=request.get("asic"))
-                    except (AdmissionRejected,
-                            IsolationViolation) as exc:
+                            deadline_s=deadline_s)
+                    except AdmissionRejected as exc:
                         self.shard_rejections.add(1)
-                        reason = getattr(exc, "reason", "isolation")
+                        reason = exc.reason
                         gate.annotate(verdict="rejected",
                                       reason=reason)
                         root.annotate(path="rejected", shard=shard,
                                       reason=reason)
                         ordered.post(sequence, error_body(
                             exc, reason=reason,
-                            retry_after_s=getattr(
-                                exc, "retry_after_s", 0.0)))
+                            retry_after_s=exc.retry_after_s))
                         return
                     gate.annotate(verdict="admitted")
             try:
@@ -322,7 +316,7 @@ class ClusterDdsServer(DdsServer):
         if kind == "scan":
             return (yield from self._serve_scan(request, shard))
         local = self._translate(request, shard, kind)
-        if self.breaker is None or self.breaker.allow():
+        if self.breaker.allow():
             try:
                 with self.tracer.span("cluster.shard_dpu",
                                       category="storage",
@@ -331,11 +325,9 @@ class ClusterDdsServer(DdsServer):
             except OffloadRejected:
                 pass
             except ReproError:
-                if self.breaker is not None:
-                    self.breaker.record_failure()
+                self.breaker.record_failure()
             else:
-                if self.breaker is not None:
-                    self.breaker.record_success()
+                self.breaker.record_success()
                 return response
         else:
             self.shard_failovers.add(1)
@@ -367,7 +359,7 @@ class ClusterDdsServer(DdsServer):
         typed error body for the coordinator to re-plan around, not a
         degraded host path.
         """
-        if self.breaker is not None and not self.breaker.allow():
+        if not self.breaker.allow():
             self.shard_failovers.add(1)
             raise ClusterError(
                 f"scan on shard {shard} unavailable: "
@@ -380,11 +372,9 @@ class ClusterDdsServer(DdsServer):
                 response = yield from self._invoke_sproc(
                     name, request.get("arg"))
             except ReproError:
-                if self.breaker is not None:
-                    self.breaker.record_failure()
+                self.breaker.record_failure()
                 raise
-        if self.breaker is not None:
-            self.breaker.record_success()
+        self.breaker.record_success()
         return response
 
     def _translate(self, request: Dict, shard: int,

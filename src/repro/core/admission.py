@@ -19,17 +19,13 @@ every tenant's p99 down with them.  The escalation ladder is
 4. **CoDel-style shedding** — when completion latency stays above
    the SLO target for a full interval, the :class:`CodelShedder`
    starts dropping requests at the CoDel cadence (interval/sqrt(n)),
-   keeping the queue at the target rather than at its capacity;
-5. **strict-tenant isolation at the door** — a strict tenant whose
-   ASIC envelope is already saturated is refused here, for the cost
-   of a header parse, instead of deep in the compute engine.
+   keeping the queue at the target rather than at its capacity.
 
 Every decision is deterministic: buckets and the shedder are pure
 functions of sim time and the arrival sequence — no wall clock, no
 randomness — so protected runs replay byte-identically.
 
-Rejections raise :class:`~repro.errors.AdmissionRejected` (or
-:class:`~repro.errors.IsolationViolation` for rung 5) before any
+Rejections raise :class:`~repro.errors.AdmissionRejected` before any
 DPU/host work is scheduled for the request.
 """
 
@@ -38,7 +34,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional
 
-from ..errors import AdmissionRejected, IsolationViolation
+from ..errors import AdmissionRejected
 from ..sim import Environment
 from ..sim.stats import Counter
 
@@ -219,15 +215,12 @@ class AdmissionController:
         counter.add(1)
 
     def admit(self, tenant_name: Optional[str] = None,
-              deadline_s: Optional[float] = None,
-              asic_kind: Optional[str] = None) -> _Ticket:
+              deadline_s: Optional[float] = None) -> _Ticket:
         """Run the escalation ladder for one arrival.
 
         Returns a ticket whose ``release()`` must be called when the
         request completes (or fails); raises
-        :class:`~repro.errors.AdmissionRejected` or — for a strict
-        tenant over its ASIC envelope —
-        :class:`~repro.errors.IsolationViolation`.  Plain function:
+        :class:`~repro.errors.AdmissionRejected`.  Plain function:
         costs no sim time (the caller charges the decision cycles).
         """
         name = tenant_name if tenant_name is not None else "default"
@@ -247,19 +240,6 @@ class AdmissionController:
                     reason="rate_limit",
                     retry_after_s=bucket.retry_after(),
                     tenant=name)
-
-        # 5 (checked early because it is terminal — retrying cannot
-        # help until the tenant's own jobs finish): strict isolation
-        if (tenant is not None and tenant.strict
-                and asic_kind is not None
-                and tenant.asic_in_use(asic_kind)
-                >= tenant.max_asic_jobs):
-            self._count(name, "rejected")
-            tenant.rejections.add(1)
-            raise IsolationViolation(
-                f"tenant {name!r} exceeded {tenant.max_asic_jobs} "
-                f"concurrent jobs on {asic_kind} (refused at "
-                f"admission)")
 
         # 2. the bounded ingress queue
         if self._inflight >= self.max_queue:

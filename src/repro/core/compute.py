@@ -300,9 +300,8 @@ class ComputeEngine:
 
     # -- kernel fusion (Section 5 extension) --------------------------------
 
-    def submit_fused(self, names: List[str], payload, device: str,
-                     params: Optional[dict] = None
-                     ) -> Optional[KernelRequest]:
+    def submit_fused(self, names: List[str], payload,
+                     device: str) -> Optional[KernelRequest]:
         """Run a chain of DP kernels as one fused job.
 
         Fusion amortizes per-job launch latency and keeps
@@ -335,31 +334,29 @@ class ComputeEngine:
             input_bytes=buffer.size, stages=len(names),
         )
         self.env.process(
-            self._execute_fused(specs, buffer, device, params or {},
-                                request),
+            self._execute_fused(specs, buffer, device, request),
             name=f"dpk-fused-{label}",
         )
         return request
 
-    def _run_chain_fn(self, specs, buffer: Buffer, params: dict):
-        """Apply the functional chain; returns (stages, result)."""
+    def _run_chain_fn(self, specs, buffer: Buffer):
+        """Apply the functional chain, each kernel with its default
+        parameters; returns (stages, result)."""
         stages = []
         current = buffer
         meta: Dict[str, Any] = {}
         for spec in specs:
             stages.append((spec.name, current.size))
-            result = spec.run(current, params.get(spec.name, params))
+            result = spec.run(current, {})
             current = result.buffer
             meta.update(result.meta)
         return stages, current, meta
 
     def _execute_fused(self, specs, buffer: Buffer, device: str,
-                       params: dict, request: KernelRequest):
+                       request: KernelRequest):
         started = self.env.now
         try:
-            stages, out_buffer, meta = self._run_chain_fn(
-                specs, buffer, params
-            )
+            stages, out_buffer, meta = self._run_chain_fn(specs, buffer)
             if device.startswith("pcie_"):
                 peer = self._peer_for(device)
                 yield from self.dpu.dma.copy(buffer.size,

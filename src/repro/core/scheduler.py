@@ -34,6 +34,12 @@ __all__ = ["SprocScheduler", "ScheduledTask", "POLICIES"]
 
 POLICIES = ("fcfs", "drr", "hybrid")
 
+#: DRR credit a tenant's queue earns per round
+DRR_QUANTUM_CYCLES = 50_000.0
+
+#: the hybrid policy's estimate below which a sproc takes the FCFS lane
+HYBRID_THRESHOLD_CYCLES = 100_000.0
+
 
 class ScheduledTask:
     """One sproc invocation awaiting dispatch."""
@@ -55,8 +61,6 @@ class SprocScheduler:
 
     def __init__(self, env: Environment, cpu: CpuCluster,
                  policy: str = "hybrid",
-                 drr_quantum_cycles: float = 50_000.0,
-                 hybrid_threshold_cycles: float = 100_000.0,
                  spillover_cpu: Optional[CpuCluster] = None,
                  spillover_backlog: int = 0,
                  name: str = "sched", tracer=None):
@@ -67,8 +71,8 @@ class SprocScheduler:
         self.env = env
         self.cpu = cpu
         self.policy = policy
-        self.quantum = drr_quantum_cycles
-        self.threshold = hybrid_threshold_cycles
+        self.quantum = DRR_QUANTUM_CYCLES
+        self.threshold = HYBRID_THRESHOLD_CYCLES
         #: iPipe-style load migration: when the DPU backlog exceeds
         #: ``spillover_backlog`` tasks, overflow dispatches to
         #: ``spillover_cpu`` (host cores) instead of queueing.

@@ -54,8 +54,6 @@ class StorageEngine:
                  telemetry=None, injector=None):
         if server.dpu is None:
             raise StorageError("the Storage Engine requires a DPU")
-        if not server.ssds:
-            raise StorageError("the Storage Engine requires an SSD")
         self.server = server
         self.env = server.env
         self.dpu = server.dpu

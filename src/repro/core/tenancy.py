@@ -7,16 +7,15 @@ per-device concurrency varies and which lack virtualization support.
 A :class:`Tenant` carries:
 
 * a cap on concurrent DP-kernel executions on *each* accelerator kind
-  (``max_asic_jobs``), enforced with either queuing (default) or
-  strict rejection (:class:`~repro.errors.IsolationViolation`),
-* the DRR scheduling class used by the sproc scheduler.
+  (``max_asic_jobs``), enforced by queuing,
+* the DRR scheduling class used by the sproc scheduler,
+* an optional ingress rate budget the admission controller enforces.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..errors import IsolationViolation
 from ..sim import Environment, PriorityResource
 from ..sim.stats import Counter
 
@@ -28,7 +27,6 @@ class Tenant:
 
     def __init__(self, env: Environment, name: str,
                  max_asic_jobs: int = 2,
-                 strict: bool = False,
                  rate_limit_ops_per_s: Optional[float] = None,
                  burst_ops: Optional[float] = None):
         if max_asic_jobs < 1:
@@ -41,7 +39,6 @@ class Tenant:
         self.env = env
         self.name = name
         self.max_asic_jobs = max_asic_jobs
-        self.strict = strict
         #: ingress ops/s budget enforced by the admission controller
         #: (None = unmetered); ``burst_ops`` caps the token bucket.
         self.rate_limit_ops_per_s = rate_limit_ops_per_s
@@ -60,30 +57,12 @@ class Tenant:
     def acquire_asic_slot(self, asic_kind: str, priority: int = 0):
         """Claim one of the tenant's ASIC-job slots (generator).
 
-        ``priority`` orders waiters (lower = more urgent).  Strict
-        tenants raise :class:`IsolationViolation` instead of queuing
-        when the envelope is exhausted.
+        ``priority`` orders waiters (lower = more urgent); a full
+        envelope queues the caller.
         """
-        slots = self._slots(asic_kind)
-        if self.strict and slots.count >= slots.capacity:
-            self.rejections.add(1)
-            raise IsolationViolation(
-                f"tenant {self.name!r} exceeded {self.max_asic_jobs} "
-                f"concurrent jobs on {asic_kind}"
-            )
-        request = slots.request(priority=priority)
+        request = self._slots(asic_kind).request(priority=priority)
         yield request
         return request
-
-    def asic_in_use(self, asic_kind: str) -> int:
-        """Slots currently held on ``asic_kind`` (0 if never used).
-
-        The admission controller consults this to refuse a strict
-        tenant's over-envelope request at ingress, before any compute
-        is scheduled for it.
-        """
-        slots = self._asic_slots.get(asic_kind)
-        return slots.count if slots is not None else 0
 
     def release_asic_slot(self, asic_kind: str, request) -> None:
         """Return a slot claimed with :meth:`acquire_asic_slot`."""

@@ -14,7 +14,6 @@ __all__ = [
     "FileSystemError",
     "FileNotFoundOnDpuError",
     "OffloadRejected",
-    "IsolationViolation",
     "FaultInjectedError",
     "DeadlineExceededError",
     "RetriesExhaustedError",
@@ -112,10 +111,6 @@ class OffloadRejected(ReproError):
     """The offload engine declined a request (must go to the host)."""
 
 
-class IsolationViolation(ReproError):
-    """A tenant exceeded its resource envelope."""
-
-
 class ClusterError(ReproError):
     """Cluster-layer failure (bad shard, dead owner, routing timeout)."""
 
@@ -126,9 +121,8 @@ class AdmissionRejected(ReproError):
     Raised *before* any expensive work is scheduled — the point of
     admission control is that rejection costs a header parse, not a
     DPU round-trip.  ``reason`` is one of ``"rate_limit"``,
-    ``"queue_full"``, ``"deadline"``, ``"shed"`` or ``"isolation"``;
-    ``retry_after_s`` hints when the client should try again (0 when
-    retrying is pointless, e.g. an isolation violation).
+    ``"queue_full"``, ``"deadline"`` or ``"shed"``; ``retry_after_s``
+    hints when the client should try again.
     """
 
     def __init__(self, message: str, reason: str = "",

@@ -127,10 +127,9 @@ class FaultPlan:
         return self.add(site, "down", start_s, end_s)
 
     def cpu_slowdown(self, factor: float, start_s: float = 0.0,
-                     end_s: float = float("inf"),
-                     site: str = "cpu.*.dpu.cpu") -> "FaultPlan":
+                     end_s: float = float("inf")) -> "FaultPlan":
         """Arm-core slowdown: cycles stretched by ``factor``."""
-        return self.add(site, "slow", start_s, end_s,
+        return self.add("cpu.*.dpu.cpu", "slow", start_s, end_s,
                         magnitude=factor)
 
     def accelerator_down(self, kind: str, start_s: float,

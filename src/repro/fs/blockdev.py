@@ -15,17 +15,20 @@ from ..units import GiB
 
 __all__ = ["BlockDevice"]
 
+#: the device's block size
+BLOCK_SIZE = 4096
+
 
 class BlockDevice:
     """A fixed-geometry block device backed by an :class:`Ssd`."""
 
     def __init__(self, ssd: Ssd, capacity_bytes: int = 256 * GiB,
-                 block_size: int = 4096, tracer=None):
-        if block_size <= 0 or capacity_bytes < block_size:
+                 tracer=None):
+        if capacity_bytes < BLOCK_SIZE:
             raise ValueError("invalid block device geometry")
         self.ssd = ssd
-        self.block_size = block_size
-        self.num_blocks = capacity_bytes // block_size
+        self.block_size = BLOCK_SIZE
+        self.num_blocks = capacity_bytes // BLOCK_SIZE
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.reads = Counter("blockdev.reads")
         self.writes = Counter("blockdev.writes")

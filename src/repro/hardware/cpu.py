@@ -176,5 +176,6 @@ class CpuCluster:
     def __repr__(self) -> str:
         return (
             f"CpuCluster({self.name}: {self.cores} x "
-            f"{self.frequency_hz / 1e9:.2f} GHz, busy={self._cores.count})"
+            f"{self.frequency_hz / 1e9:.2f} GHz, "
+            f"busy={len(self._cores.users)})"
         )

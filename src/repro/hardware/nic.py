@@ -21,6 +21,12 @@ from ..sim.stats import Counter
 
 __all__ = ["Nic", "Wire", "FlowTable"]
 
+#: a port's fixed latency, pipelined behind serialization
+PORT_LATENCY_S = 1e-6
+
+#: a cable's propagation delay
+PROPAGATION_DELAY_S = 2e-6
+
 
 class FlowRule:
     """One match-action entry: predicate, action, hit counter."""
@@ -83,12 +89,12 @@ class Nic:
     """One network port with TX serialization and an RX dispatcher."""
 
     def __init__(self, env: Environment, bandwidth_bps: float,
-                 port_latency_s: float = 1e-6, name: str = "nic"):
+                 name: str = "nic"):
         if bandwidth_bps <= 0:
             raise ValueError("bandwidth must be positive")
         self.env = env
         self.bytes_per_s = bandwidth_bps / 8.0
-        self.port_latency_s = port_latency_s
+        self.port_latency_s = PORT_LATENCY_S
         self.name = name
         self._tx = Resource(env, capacity=1, name=f"{name}.tx")
         self.flow_table = FlowTable()
@@ -140,8 +146,7 @@ class Nic:
             # on an extra timer (it is pipelined regardless).
             carry_at(self, frame, nbytes, self.port_latency_s)
             return
-        if self.port_latency_s:
-            yield self.env.timeout(self.port_latency_s)
+        yield self.env.timeout(self.port_latency_s)
         self.wire.carry(self, frame, nbytes)
 
     def try_transmit(self, frame: Any, nbytes: int) -> bool:
@@ -273,12 +278,11 @@ class Wire:
     """
 
     def __init__(self, env: Environment, nic_a: Nic, nic_b: Nic,
-                 propagation_delay_s: float = 2e-6,
                  loss_rate: float = 0.0, loss_seed: int = 0):
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss rate {loss_rate} out of [0, 1)")
         self.env = env
-        self.propagation_delay_s = propagation_delay_s
+        self.propagation_delay_s = PROPAGATION_DELAY_S
         self.loss_rate = loss_rate
         # One RNG stream per direction: a direction's drop pattern then
         # depends only on its own frame order (which batched transmits

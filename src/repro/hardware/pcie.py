@@ -19,19 +19,24 @@ from ..sim.stats import Counter
 
 __all__ = ["PcieLink", "DmaEngine"]
 
+#: a link's per-transfer latency
+PCIE_LATENCY_S = 600e-9
+
+#: the DMA block's channels and per-copy descriptor setup
+DMA_CHANNELS = 4
+DMA_SETUP_LATENCY_S = 0.8e-6
+
 
 class PcieLink:
     """A PCIe point-to-point link (e.g. DPU <-> host root complex)."""
 
     def __init__(self, env: Environment, bandwidth_bps: float,
-                 latency_s: float = 600e-9, name: str = "pcie"):
+                 name: str = "pcie"):
         if bandwidth_bps <= 0:
             raise ValueError("bandwidth must be positive")
-        if latency_s < 0:
-            raise ValueError("latency cannot be negative")
         self.env = env
         self.bandwidth_bytes_per_s = bandwidth_bps / 8.0
-        self.latency_s = latency_s
+        self.latency_s = PCIE_LATENCY_S
         self.name = name
         # Independent serialization queues per direction (full duplex).
         self._tx = Resource(env, capacity=1, name=f"{name}.tx")
@@ -79,15 +84,12 @@ class DmaEngine:
     """
 
     def __init__(self, env: Environment, link: PcieLink,
-                 channels: int = 4, setup_latency_s: float = 0.8e-6,
                  name: str = "dma"):
-        if channels < 1:
-            raise ValueError("need at least one DMA channel")
         self.env = env
         self.link = link
-        self.setup_latency_s = setup_latency_s
+        self.setup_latency_s = DMA_SETUP_LATENCY_S
         self.name = name
-        self._channels = Resource(env, capacity=channels, name=name)
+        self._channels = Resource(env, capacity=DMA_CHANNELS, name=name)
 
     def copy(self, nbytes: int, direction: str = "to_device"):
         """DMA ``nbytes`` across the link (generator).

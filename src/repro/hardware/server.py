@@ -79,25 +79,19 @@ class Server:
 def make_server(env: Environment, name: str = "server",
                 host_profile: HostProfile = EPYC_HOST,
                 dpu_profile: Optional[DpuProfile] = None,
-                ssd_count: int = 1,
                 peer_specs=()) -> Server:
-    """Build a server with the given host, DPU SKU, and SSD complement.
+    """Build a server with the given host and DPU SKU and one SSD.
 
     ``peer_specs`` adds PCIe peer accelerators (GPU/FPGA), e.g.
     ``peer_specs=(GPU_SPEC,)``.
     """
     from .peer import PeerAccelerator
 
-    if ssd_count < 0:
-        raise ValueError("ssd_count cannot be negative")
     dpu = (
         Dpu(env, dpu_profile, name=f"{name}.dpu")
         if dpu_profile is not None else None
     )
-    ssds = [
-        Ssd(env, name=f"{name}.ssd{i}")
-        for i in range(ssd_count)
-    ]
+    ssds = [Ssd(env, name=f"{name}.ssd0")]
     peers = [
         PeerAccelerator(env, spec, name=f"{name}.{spec.name}")
         for spec in peer_specs

@@ -28,6 +28,9 @@ from .nic import Nic
 
 __all__ = ["Switch"]
 
+#: fixed per-frame forwarding latency, ahead of output serialization
+FORWARDING_LATENCY_S = 1e-6
+
 #: QoS classes for the output-port serializer (lower = more urgent)
 _CLASS_CONTROL = 0
 _CLASS_BULK = 1
@@ -43,13 +46,12 @@ class Switch:
 
     def __init__(self, env: Environment,
                  port_bandwidth_bps: float = 100 * Gbps,
-                 forwarding_latency_s: float = 1e-6,
                  name: str = "switch"):
         if port_bandwidth_bps <= 0:
             raise ValueError("port bandwidth must be positive")
         self.env = env
         self.port_bytes_per_s = port_bandwidth_bps / 8.0
-        self.forwarding_latency_s = forwarding_latency_s
+        self.forwarding_latency_s = FORWARDING_LATENCY_S
         self.name = name
         self._ports: Dict[str, Nic] = {}
         self._output_queues: Dict[str, PriorityResource] = {}

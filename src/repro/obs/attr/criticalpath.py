@@ -59,6 +59,9 @@ CATEGORIES: Tuple[str, ...] = (
 #: the span every DDS server opens per request: an attribution root
 REQUEST_ROOT = "dds.request"
 
+#: rows in a bottleneck ranking
+TOP_K = 5
+
 #: ``ce.kernel.*`` / ``ce.fused.*`` device attribute -> category.
 _DEVICE_CATEGORY = {
     "dpu_asic": "asic",
@@ -418,9 +421,9 @@ class AttributionReport:
                 ledger[category] = ledger.get(category, 0.0) + seconds
         return out
 
-    def top_bottlenecks(self, k: int = 5
-                        ) -> List[Tuple[str, str, float]]:
-        """Top-k ``(node, category, seconds)``, largest first.
+    def top_bottlenecks(self) -> List[Tuple[str, str, float]]:
+        """The :data:`TOP_K` largest ``(node, category, seconds)``,
+        largest first.
 
         Ties are broken by ``(node, category)`` so the ranking is
         fully deterministic.
@@ -429,7 +432,7 @@ class AttributionReport:
                 for node, ledger in self.by_node().items()
                 for category, seconds in ledger.items()]
         rows.sort(key=lambda row: (-row[2], row[0], row[1]))
-        return rows[:k]
+        return rows[:TOP_K]
 
     def max_conservation_error_s(self) -> float:
         """The worst per-request |attributed - measured| gap."""
@@ -444,14 +447,9 @@ class AttributionReport:
                    if r.conservation_error_s <= 1e-9)
         return good / len(self.requests)
 
-    def to_dict(self, max_requests: int = 0) -> Dict[str, Any]:
-        """The ``--attr-out`` report document (JSON-able).
-
-        ``max_requests`` bounds the per-request detail (0 = totals
-        only); aggregates always cover every request.
-        """
-        detail = (self.requests[:max_requests] if max_requests
-                  else [])
+    def to_dict(self) -> Dict[str, Any]:
+        """The ``--attr-out`` report document (JSON-able): aggregates
+        over every request."""
         return {
             "schema": self.SCHEMA_NAME,
             "schema_version": self.SCHEMA_VERSION,
@@ -467,7 +465,6 @@ class AttributionReport:
                 self.max_conservation_error_s(),
             "kernels": [obs.to_dict()
                         for _key, obs in sorted(self.kernels.items())],
-            "request_detail": [r.to_dict() for r in detail],
         }
 
     def __repr__(self) -> str:

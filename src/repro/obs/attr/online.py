@@ -9,7 +9,7 @@ cursor suffices — attributes any request root that just closed, and
 folds the resulting ledgers into:
 
 * per-window attribution snapshots (category seconds per node),
-  bounded by the plane's sliding ``window``;
+  the last :data:`WINDOW` of them;
 * a cumulative :class:`~.criticalpath.AttributionReport`;
 * the sliding-window top-k bottleneck ranking
   (:meth:`top_bottlenecks`) that the flight recorder embeds in
@@ -28,6 +28,7 @@ from typing import Any, Dict, List, Tuple
 
 from .criticalpath import (
     REQUEST_ROOT,
+    TOP_K,
     AttributionReport,
     KernelObservation,
     RequestAttribution,
@@ -37,21 +38,21 @@ from .criticalpath import (
 
 __all__ = ["AttributionCollector"]
 
+#: scrape windows the sliding ranking sums over
+WINDOW = 8
+
 
 class AttributionCollector:
     """Incremental, windowed request attribution for one plane."""
 
-    def __init__(self, window: int = 8):
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = window
+    def __init__(self):
         #: every attributed request, in root-finish scan order
         self.requests: List[RequestAttribution] = []
         #: (kernel, device) -> cumulative kernel observation
         self.kernels: Dict[Tuple[str, str], KernelObservation] = {}
-        #: last ``window`` per-scrape summaries, oldest first; each is
+        #: last ``WINDOW`` per-scrape summaries, oldest first; each is
         #: {node: {category: seconds}} for roots finished that window
-        self.windows: deque = deque(maxlen=window)
+        self.windows: deque = deque(maxlen=WINDOW)
         self._cursors: Dict[str, int] = {}
         #: every span seen so far; each scrape adds only the new ones
         self._index = SpanIndex()
@@ -113,9 +114,9 @@ class AttributionCollector:
         return AttributionReport(list(self.requests),
                                  dict(self.kernels))
 
-    def top_bottlenecks(self, k: int = 5
-                        ) -> List[Tuple[str, str, float]]:
-        """Top-k ``(node, category, seconds)`` over the sliding window.
+    def top_bottlenecks(self) -> List[Tuple[str, str, float]]:
+        """Top :data:`TOP_K` ``(node, category, seconds)`` over the
+        sliding window.
 
         Deterministic: ties break by ``(node, category)``.
         """
@@ -128,7 +129,7 @@ class AttributionCollector:
         rows = [(node, category, seconds)
                 for (node, category), seconds in sums.items()]
         rows.sort(key=lambda row: (-row[2], row[0], row[1]))
-        return rows[:k]
+        return rows[:TOP_K]
 
     def window_summary(self) -> Dict[str, Any]:
         """The breach-window summary flight recorder bundles embed."""

@@ -62,6 +62,9 @@ _BREAKER_STATES = {"closed": 0.0, "open": 1.0, "half_open": 2.0}
 #: scrapes the plane retains (oldest dropped first)
 _MAX_SNAPSHOTS = 512
 
+#: scrapes each derived series keeps, oldest first
+WINDOW = 8
+
 
 class TelemetrySnapshot:
     """One versioned scrape of every node's registry."""
@@ -119,19 +122,16 @@ class ClusterTelemetry:
     engine instruments, so re-attaching would collide names.
     """
 
-    def __init__(self, env=None, tracing: bool = False,
+    def __init__(self, tracing: bool = False,
                  name: str = "cluster",
-                 scrape_interval_s: float = 5.0e-4,
-                 window: int = 8):
+                 scrape_interval_s: float = 5.0e-4):
         if scrape_interval_s <= 0:
             raise ValueError("scrape interval must be positive")
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self._env = env
+        #: the attached cluster's environment (None until attach)
+        self._env = None
         self.name = name
         self.tracing = bool(tracing)
         self.scrape_interval_s = scrape_interval_s
-        self.window = window
         #: node name -> that node's Telemetry bundle
         self.nodes: Dict[str, Telemetry] = {}
         #: versioned scrapes, oldest first (bounded)
@@ -194,7 +194,7 @@ class ClusterTelemetry:
         if self._running:
             return
         if self._env is None:
-            raise ValueError("attach a cluster (or pass env) first")
+            raise ValueError("attach a cluster first")
         self._running = True
         self._prev_t = self._env.now
         self._env.process(self._scrape_loop(),
@@ -230,7 +230,7 @@ class ClusterTelemetry:
             for key, value in values.items():
                 series = windows.get(key)
                 if series is None:
-                    series = windows[key] = deque(maxlen=self.window)
+                    series = windows[key] = deque(maxlen=WINDOW)
                 series.append(value)
         if self.attribution is not None:
             self.attribution.collect(self)
@@ -329,7 +329,7 @@ class ClusterTelemetry:
 
         ``metric`` is a derived-series name (``"goodput_ops_per_s"``,
         ``"breaker_state"``, ...); ``key`` is a node name — or a shard
-        number string for ``"shard_heat"``.  At most :attr:`window`
+        number string for ``"shard_heat"``.  At most :data:`WINDOW`
         entries, oldest first.
         """
         return list(self._windows.get(metric, {}).get(key, ()))

@@ -36,18 +36,17 @@ __all__ = ["FlightRecorder"]
 SCHEMA_NAME = "repro.obs/incident"
 SCHEMA_VERSION = 1
 
+#: incident bundles one recorder keeps before it refuses more
+MAX_INCIDENTS = 8
+
 
 class FlightRecorder:
     """Bounded telemetry history that dumps on incident triggers."""
 
-    def __init__(self, retain_s: float = 2.0e-3,
-                 max_incidents: int = 8):
+    def __init__(self, retain_s: float = 2.0e-3):
         if retain_s <= 0:
             raise ValueError("retain_s must be positive")
-        if max_incidents < 1:
-            raise ValueError("max_incidents must be >= 1")
         self.retain_s = retain_s
-        self.max_incidents = max_incidents
         self._ring: deque = deque()
         #: captured incident bundles, in trigger order (bounded)
         self.incidents: List[Dict[str, Any]] = []
@@ -71,7 +70,7 @@ class FlightRecorder:
         whose nodes supply the span history; capacity bounds both
         memory and bundle spam during a sustained breach.
         """
-        if len(self.incidents) >= self.max_incidents:
+        if len(self.incidents) >= MAX_INCIDENTS:
             return None
         now = self._ring[-1].t_s if self._ring else 0.0
         horizon = now - self.retain_s

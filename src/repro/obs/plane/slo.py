@@ -113,10 +113,6 @@ class SloMonitor:
         self.violations.extend(fired)
         return fired
 
-    def first_violation(self, spec: Optional[str] = None
-                        ) -> Optional[SloViolation]:
-        """Earliest fired violation (optionally for one spec)."""
-        for violation in self.violations:
-            if spec is None or violation.spec == spec:
-                return violation
-        return None
+    def first_violation(self) -> Optional[SloViolation]:
+        """Earliest fired violation."""
+        return self.violations[0] if self.violations else None

@@ -394,15 +394,12 @@ FANOUT_WINDOW = 4
 
 def run_distributed_scan(deployment: DistributedScanDeployment,
                          query: ScanQuery,
-                         plan: Optional[str] = None,
-                         fanout_window: int = FANOUT_WINDOW) -> dict:
+                         plan: Optional[str] = None) -> dict:
     """Scatter ``query`` over the cluster, gather, merge; with stats.
 
     ``plan`` forces "pull" or "pushdown" on every shard; ``None``
     lets :func:`plan_distributed` choose per shard.
     """
-    if fanout_window < 1:
-        raise ValueError("fanout window must be >= 1")
     query.validate_against(deployment.schema)
     deployment.load()
     if plan is None:
@@ -463,7 +460,7 @@ def run_distributed_scan(deployment: DistributedScanDeployment,
         # how many core-holding sprocs one node ever runs at once.
         pending = []
         for shard in shards:
-            if len(pending) >= fanout_window:
+            if len(pending) >= FANOUT_WINDOW:
                 yield pending.pop(0)
             pending.append(env.process(sub_query(shard)))
         for process in pending:

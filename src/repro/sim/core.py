@@ -399,8 +399,8 @@ class Environment:
     #: ``hostbench/workloads/base.py``; leaves with hostbench v2.
     calendar_promotions = 0
 
-    def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+    def __init__(self):
+        self._now = 0.0
         self._queue: list = []
         self._eid = 0
         self._active_process: Optional[Process] = None

@@ -112,11 +112,6 @@ class Resource:
             self._cancel(request)
 
     @property
-    def count(self) -> int:
-        """Number of slots currently in use."""
-        return len(self.users)
-
-    @property
     def queue_length(self) -> int:
         """Number of live requests waiting for a slot (O(1))."""
         n = len(self._waiting) - self._n_dead

@@ -121,14 +121,12 @@ class TimeWeighted:
     "cores consumed" measurements.
     """
 
-    def __init__(self, name: str = "level", initial: float = 0.0,
-                 start_time: float = 0.0):
+    def __init__(self, name: str = "level"):
         self.name = name
-        self._level = initial
-        self._last_time = start_time
-        self._start_time = start_time
+        self._level = 0.0
+        self._last_time = 0.0
         self._integral = 0.0
-        self._peak = initial
+        self._peak = 0.0
 
     def set(self, level: float, now: float) -> None:
         """Change the level at time ``now``."""
@@ -140,12 +138,11 @@ class TimeWeighted:
         self._peak = max(self._peak, level)
 
     def average(self, now: float) -> float:
-        """Time-weighted mean level from start to ``now``."""
-        elapsed = now - self._start_time
-        if elapsed <= 0:
+        """Time-weighted mean level from time zero to ``now``."""
+        if now <= 0:
             return self._level
         integral = self._integral + self._level * (now - self._last_time)
-        return integral / elapsed
+        return integral / now
 
     @property
     def peak(self) -> float:

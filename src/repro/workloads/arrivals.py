@@ -251,23 +251,19 @@ class ParetoSizes:
     ``size(i)`` is a pure function of ``(seed, i)`` — the i-th
     request has the same size no matter how many siblings were
     sampled — which keeps multi-driver scenarios deterministic.
-    Sizes are clamped to ``[min_size, max_size]`` and rounded to
-    ``align`` bytes.
+    Sizes are clamped to ``[min_size, max_size]`` and rounded down to
+    64 bytes.
     """
 
     def __init__(self, alpha: float = 1.3, min_size: int = 512,
-                 max_size: int = 262_144, align: int = 64,
-                 seed: int = 0):
+                 max_size: int = 262_144, seed: int = 0):
         if alpha <= 0:
             raise ValueError("alpha must be positive")
         if not 0 < min_size <= max_size:
             raise ValueError("need 0 < min_size <= max_size")
-        if align < 1:
-            raise ValueError("align must be >= 1")
         self.alpha = alpha
         self.min_size = min_size
         self.max_size = max_size
-        self.align = align
         self.seed = seed
 
     def size(self, index: int) -> int:
@@ -275,7 +271,7 @@ class ParetoSizes:
         unit = _unit_stream(self.seed, "pareto", index)
         raw = self.min_size / (1.0 - unit) ** (1.0 / self.alpha)
         clamped = min(max(raw, self.min_size), self.max_size)
-        aligned = int(clamped // self.align) * self.align
+        aligned = int(clamped // 64) * 64
         return max(aligned, self.min_size)
 
 

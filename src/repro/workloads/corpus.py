@@ -79,6 +79,6 @@ class TextCorpus:
         return " ".join(out).encode()[:nbytes]
 
 
-def make_text(nbytes: int, seed: int = 1234) -> bytes:
-    """One-shot corpus generation."""
-    return TextCorpus(seed=seed).generate(nbytes)
+def make_text(nbytes: int) -> bytes:
+    """One-shot corpus generation (always the same text for a size)."""
+    return TextCorpus().generate(nbytes)

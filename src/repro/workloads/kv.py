@@ -20,6 +20,9 @@ __all__ = ["KvStoreIndex", "YcsbWorkload", "KvOp"]
 
 _RECORD_SIZE = 256      # bytes per record in the hybrid log
 
+#: YCSB's zipfian skew over the key space
+ZIPF_THETA = 0.99
+
 
 @dataclass(frozen=True)
 class KvOp:
@@ -79,22 +82,19 @@ class YcsbWorkload:
     """
 
     def __init__(self, index: KvStoreIndex, read_fraction: float = 0.95,
-                 zipf_theta: float = 0.99, seed: int = 42):
+                 seed: int = 42):
         if not 0.0 <= read_fraction <= 1.0:
             raise ValueError("read_fraction must be in [0, 1]")
-        if not 0.0 <= zipf_theta < 1.0:
-            raise ValueError("zipf theta must be in [0, 1)")
         self.index = index
         self.read_fraction = read_fraction
-        self.theta = zipf_theta
         self._rng = random.Random(seed)
         n = index.n_keys
         # Standard YCSB zipfian constants.
-        self._zetan = sum(1.0 / (i ** zipf_theta)
+        self._zetan = sum(1.0 / (i ** ZIPF_THETA)
                           for i in range(1, n + 1))
-        self._alpha = 1.0 / (1.0 - zipf_theta) if zipf_theta else 1.0
-        self._zeta2 = sum(1.0 / (i ** zipf_theta) for i in (1, 2))
-        self._eta = ((1 - (2.0 / n) ** (1 - zipf_theta))
+        self._alpha = 1.0 / (1.0 - ZIPF_THETA)
+        self._zeta2 = sum(1.0 / (i ** ZIPF_THETA) for i in (1, 2))
+        self._eta = ((1 - (2.0 / n) ** (1 - ZIPF_THETA))
                      / (1 - self._zeta2 / self._zetan)) if n > 1 else 0.0
 
     def _zipf_key(self) -> int:
@@ -105,7 +105,7 @@ class YcsbWorkload:
         uz = u * self._zetan
         if uz < 1.0:
             return 0
-        if uz < 1.0 + 0.5 ** self.theta:
+        if uz < 1.0 + 0.5 ** ZIPF_THETA:
             return 1
         return int(n * ((self._eta * u - self._eta + 1) ** self._alpha)) \
             % n

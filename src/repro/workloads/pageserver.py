@@ -8,7 +8,7 @@ memory"), which is why DDS must split traffic between DPU and host.
 
 The generator emits a stream of remote requests: ``GetPage`` reads
 (offloadable) and ``ApplyLog`` updates (host-only, each pinning
-working-set memory), with configurable mix and skew.
+working-set memory), with a configurable mix and a fixed 80/20 skew.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ from typing import Iterator
 from ..units import MiB, PAGE_SIZE
 
 __all__ = ["PageServerWorkload", "PageRequest"]
+
+#: share of page accesses that hit the hottest 20% of pages
+SKEW = 0.8
 
 
 @dataclass(frozen=True)
@@ -39,22 +42,19 @@ class PageServerWorkload:
     def __init__(self, database_pages: int = 131_072,   # 1 GiB of pages
                  read_fraction: float = 0.9,
                  replay_working_set_bytes: int = 64 * MiB,
-                 skew: float = 0.8, seed: int = 7):
+                 seed: int = 7):
         if database_pages < 1:
             raise ValueError("database needs pages")
         if not 0.0 <= read_fraction <= 1.0:
             raise ValueError("read_fraction must be in [0, 1]")
-        if not 0.0 <= skew <= 1.0:
-            raise ValueError("skew must be in [0, 1]")
         self.database_pages = database_pages
         self.read_fraction = read_fraction
         self.replay_working_set_bytes = replay_working_set_bytes
-        self.skew = skew
         self._rng = random.Random(seed)
 
     def _page(self) -> int:
-        # 80/20-style skew: `skew` of accesses hit 20% of pages.
-        if self._rng.random() < self.skew:
+        # 80/20-style skew: SKEW of accesses hit 20% of pages.
+        if self._rng.random() < SKEW:
             return self._rng.randrange(
                 max(1, self.database_pages // 5)
             )

@@ -98,9 +98,8 @@ def _table_rows(columns: tuple, seed: int, count: int) -> bytes:
 class TableGenerator:
     """Deterministic CSV rows from a schema."""
 
-    def __init__(self, schema: TableSchema = LINEITEM_ISH,
-                 seed: int = 77):
-        self.schema = schema
+    def __init__(self, seed: int = 77):
+        self.schema = LINEITEM_ISH
         self.seed = seed
 
     def rows(self, count: int) -> bytes:

@@ -14,9 +14,10 @@ each serialization boundary).  An idle switch adds ``forwarding_latency
 that.
 
 Two fabrics: a *dyadic* one whose rates and latencies are powers of two,
-so every term and every partial sum is exact and the checks are ``==``;
-and the datacenter one (100 Gbps, 1 us, 2 us), whose arrivals are held
-to 1e-15 relative.  A busy integral there is a sum of differences of
+so every term and every partial sum is exact and the checks are ``==``
+(its latencies are set on the built devices, in place of the model's
+constants); and the datacenter one (100 Gbps, 1 us, 2 us — the
+constants themselves), whose arrivals are held to 1e-15 relative.  A busy integral there is a sum of differences of
 absolute instants, each exact to an ULP of the clock, so it is held to
 one ULP of the final clock per frame.  Pure arithmetic, stdlib only.
 """
@@ -52,9 +53,10 @@ def _busy_close(env, actual, expected, rel):
 def _wire(fabric):
     bandwidth, port, propagation, _delay, _rel = FABRICS[fabric]
     env = Environment()
-    sender = Nic(env, bandwidth, port_latency_s=port, name="tx")
-    receiver = Nic(env, bandwidth, port_latency_s=port, name="rx")
-    Wire(env, sender, receiver, propagation_delay_s=propagation)
+    sender = Nic(env, bandwidth, name="tx")
+    receiver = Nic(env, bandwidth, name="rx")
+    sender.port_latency_s = receiver.port_latency_s = port
+    Wire(env, sender, receiver).propagation_delay_s = propagation
     arrivals = {}
     receiver.rx_host.set_tap(
         lambda frame: True,
@@ -148,12 +150,12 @@ def _switched(fabric):
     bandwidth, port, _propagation, _delay, _rel = FABRICS[fabric]
     env = Environment()
     forwarding = port / 2
-    switch = Switch(env, port_bandwidth_bps=2 * bandwidth,
-                    forwarding_latency_s=forwarding)
+    switch = Switch(env, port_bandwidth_bps=2 * bandwidth)
+    switch.forwarding_latency_s = forwarding
     nics = {}
     for address in ("a", "b", "c"):
-        nics[address] = Nic(env, bandwidth, port_latency_s=port,
-                            name=address)
+        nics[address] = Nic(env, bandwidth, name=address)
+        nics[address].port_latency_s = port
         switch.attach(nics[address], address)
     arrivals = {}
     nics["c"].rx_host.set_tap(

@@ -13,7 +13,7 @@ from repro.buffers import RealBuffer
 from repro.core import DdsClient
 from repro.hardware import connect, make_server
 from repro.sim import Environment
-from repro.units import MB, MiB, PAGE_SIZE
+from repro.units import MiB, PAGE_SIZE
 
 
 @pytest.fixture
@@ -33,29 +33,6 @@ class TestHostCompute:
         env.run(until=env.process(job()))
         # 2000 base + 20/byte at 3 GHz.
         assert env.now == pytest.approx((2000 + 20_000) / 3e9)
-
-    def test_parallelism_divides_latency(self, env):
-        server = make_server(env)
-        baseline = HostComputeBaseline(server.host_cpu)
-        size = 10 * MB
-
-        def job(parallelism, out):
-            started = env.now
-            yield from baseline.run_kernel(
-                "compress", size, parallelism=parallelism
-            )
-            out.append(env.now - started)
-
-        times = []
-        env.run(until=env.process(job(1, times)))
-        env.run(until=env.process(job(8, times)))
-        assert times[0] / times[1] == pytest.approx(8.0, rel=0.01)
-
-    def test_invalid_parallelism(self, env):
-        server = make_server(env)
-        baseline = HostComputeBaseline(server.host_cpu)
-        with pytest.raises(ValueError):
-            list(baseline.run_kernel("compress", 100, parallelism=0))
 
 
 class TestHostStoragePath:
@@ -125,11 +102,6 @@ class TestHostServed:
         assert served.requests_served.value == 10
         # Everything ran on the host CPU.
         assert storage.host_cpu.busy_seconds() > 0
-
-    def test_requires_ssd(self, env):
-        server = make_server(env, ssd_count=0)
-        with pytest.raises(ValueError):
-            HostServedStorage(server, port=1)
 
 
 class TestFactories:

@@ -1,8 +1,10 @@
-"""Fast smoke tests of every experiment function (tiny parameters).
+"""Fast smoke tests of every experiment function.
 
-The full sweeps run in ``benchmarks/``; these verify the experiment
-machinery end to end at a fraction of the cost, so a broken
-experiment fails in the unit suite, not only in the long bench run.
+The full suite is ``python -m repro.bench``, and the claims in
+``repro/obs/claims.py`` assert its results.  Here an experiment that
+costs well under a second runs at full size; the sweeps that cost
+more (F2, F3, S9, A5) run reduced, so a broken experiment fails in the
+unit suite, not only in the long bench run.
 """
 
 import pytest
@@ -27,13 +29,13 @@ from repro.hardware import BLUEFIELD2, GENERIC_DPU
 
 class TestMicroExperiments:
     def test_fig1_shape(self):
-        sweep = fig1_compression(sizes_mb=(1, 8))
-        assert len(sweep.rows) == 2
+        sweep = fig1_compression()
+        assert len(sweep.rows) == 5
         for row in sweep.rows:
             assert row["arm_s"] > row["epyc_s"] > row["bf2_asic_s"]
 
     def test_fig1_checkpoint(self):
-        outcome = fig1_real_bytes_checkpoint(64 * 1024)
+        outcome = fig1_real_bytes_checkpoint()
         assert outcome["ratio"] > 2.0
 
     def test_fig2_point(self):
@@ -69,11 +71,11 @@ class TestSystemExperiments:
             fig6_sproc(BLUEFIELD2, "oracle")
 
     def test_fig7_saving(self):
-        outcome = fig7_rdma(n_clients=4, ops_per_client=10)
+        outcome = fig7_rdma()
         assert outcome["host_cycles_saved_factor"] > 3.0
 
     def test_fig8_dds_wins(self):
-        outcome = fig8_dds_latency(n_reads=30)
+        outcome = fig8_dds_latency()
         assert outcome["dds_mean_s"] < outcome["host_path_mean_s"]
 
     def test_s9_point(self):
@@ -94,7 +96,7 @@ class TestSystemExperiments:
 
 class TestAblations:
     def test_scheduling_ordering(self):
-        results = ablation_scheduling(n_short=80, n_long=8)
+        results = ablation_scheduling()
         assert results["fcfs"]["short_wait_p99_s"] > \
             results["hybrid"]["short_wait_p99_s"]
 
@@ -105,13 +107,12 @@ class TestAblations:
         assert results["generic-dpu"]["asic_fraction"] == 0.0
 
     def test_caching_extremes(self):
-        sweep = ablation_caching(dpu_share_points=(0.0, 1.0),
-                                 n_requests=400)
-        all_host, all_dpu = sweep.rows
+        sweep = ablation_caching()
+        all_host, all_dpu = sweep.rows[0], sweep.rows[-1]
         assert all_dpu["remote_mean_s"] < all_host["remote_mean_s"]
 
     def test_persistence_speedup(self):
-        outcome = ablation_persistence(n_writes=20)
+        outcome = ablation_persistence()
         assert outcome["speedup"] > 1.5
 
     def test_partial_offload_tracks_mix(self):

@@ -64,14 +64,6 @@ class TestFormatSweep:
         assert "a" in header and "b" in header
         assert "nan" in text
 
-    def test_explicit_keys_still_honored(self):
-        sweep = Sweep("x")
-        sweep.add(1, a=1.0, b=2.0)
-        text = format_sweep(sweep, keys=["b"])
-        header = text.splitlines()[0]
-        assert "b" in header
-        assert " a" not in header
-
     def test_row_with_no_values(self):
         sweep = Sweep("x")
         sweep.add(1)

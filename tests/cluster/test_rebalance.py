@@ -1,7 +1,7 @@
 """DPU failure -> probe detection -> shard migration -> cutover."""
 
 from repro.cluster import ClusterClient, Cluster, Rebalancer
-from repro.cluster import encode_shard_read
+from repro.cluster import encode_shard_read, rebalance
 from repro.faults import FaultInjector, FaultPlan
 from repro.sim import Environment
 
@@ -96,14 +96,14 @@ class TestRebalance:
 
 
 class TestPullDeadline:
-    def test_stalled_pull_exhausts_retries_and_fails(self):
+    def test_stalled_pull_exhausts_retries_and_fails(self, monkeypatch):
         env = Environment()
         cluster = Cluster(env, 2)
         # A deadline far below one shard's transfer time: every
         # attempt stalls, the retry budget burns down, and the pull
         # is declared failed without cutting the shard over.
-        rebalancer = Rebalancer(cluster, pull_deadline_s=1.0e-6,
-                                pull_retry_budget=2)
+        monkeypatch.setattr(rebalance, "PULL_DEADLINE_S", 1.0e-6)
+        rebalancer = Rebalancer(cluster)
         source = cluster.node("node0")
         dest = cluster.node("node1")
         shard = next(iter(source.owned_shards()))
@@ -120,8 +120,7 @@ class TestPullDeadline:
     def test_generous_deadline_lands_the_cutover(self):
         env = Environment()
         cluster = Cluster(env, 2)
-        rebalancer = Rebalancer(cluster, pull_deadline_s=20.0e-3,
-                                pull_retry_budget=2)
+        rebalancer = Rebalancer(cluster)
         source = cluster.node("node0")
         dest = cluster.node("node1")
         shard = next(iter(source.owned_shards()))

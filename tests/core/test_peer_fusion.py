@@ -119,19 +119,16 @@ class TestFusion:
         compressed = ce.get_dpk("compress")(RealBuffer(records),
                                             "dpu_cpu")
         env.run(until=compressed.done)
-        params = {"predicate": lambda r: int(r.split(b",")[1]) > 750}
 
         fused = ce.submit_fused(["decompress", "filter"],
-                                compressed.data, "pcie_gpu",
-                                params=params)
+                                compressed.data, "pcie_gpu")
         env.run(until=fused.done)
 
         step1 = ce.get_dpk("decompress")(compressed.data, "dpu_cpu")
         env.run(until=step1.done)
-        step2 = ce.get_dpk("filter")(step1.data, "dpu_cpu",
-                                     params=params)
+        step2 = ce.get_dpk("filter")(step1.data, "dpu_cpu")
         env.run(until=step2.done)
-        assert fused.data.data == step2.data.data
+        assert fused.data.data == step2.data.data == records
 
     def test_fusion_is_faster_than_separate_on_gpu(self, env, ce):
         payload = SynthBuffer(8 * MiB, label="c.z")

@@ -181,11 +181,6 @@ class TestValidation:
         with pytest.raises(StorageError):
             StorageEngine(server)
 
-    def test_requires_ssd(self, env):
-        server = make_server(env, dpu_profile=BLUEFIELD2, ssd_count=0)
-        with pytest.raises(StorageError):
-            StorageEngine(server)
-
     def test_runtime_facade_wires_engines(self, env):
         server = make_server(env, dpu_profile=BLUEFIELD2)
         runtime = DpdpuRuntime(server)

@@ -1,11 +1,11 @@
-"""Smoke tests for the availability experiment (tiny parameters)."""
+"""Smoke tests for the availability experiment, at full size."""
 
 from repro.bench import availability, availability_tcp_blackhole
 
 
 class TestAvailabilityScenarios:
     def test_recovery_beats_unprotected(self):
-        scenarios = availability(seed=11, n_ops=80, duration_s=4e-3)
+        scenarios = availability()
         fault_free = scenarios["fault_free"]
         norec = scenarios["faults_norec"]
         recovery = scenarios["faults_recovery"]
@@ -16,14 +16,15 @@ class TestAvailabilityScenarios:
         assert recovery["retries"] + recovery["failovers"] > 0.0
 
     def test_scenarios_are_deterministic(self):
-        first = availability(seed=11, n_ops=40, duration_s=2e-3)
-        second = availability(seed=11, n_ops=40, duration_s=2e-3)
+        first = availability()
+        second = availability()
         assert first == second
 
 
 class TestTcpBlackhole:
     def test_connect_gives_up_at_deadline(self):
-        outcome = availability_tcp_blackhole(timeout_s=2e-3)
+        outcome = availability_tcp_blackhole()
         assert outcome["deadline_hit"] == 1.0
-        assert outcome["blackhole_elapsed_s"] <= 2e-3 * 1.1
+        assert outcome["blackhole_elapsed_s"] \
+            <= outcome["timeout_s"] * 1.1
         assert outcome["healthy_connect_s"] < 1e-3

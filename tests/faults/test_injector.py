@@ -69,12 +69,10 @@ class TestStateChecks:
         assert injector.drops.value == 1
 
     def test_slowdown_multiplies_active_windows(self, env):
-        plan = (FaultPlan()
-                .cpu_slowdown(2.0, site="cpu.dpu")
-                .cpu_slowdown(3.0, site="cpu.dpu"))
+        plan = FaultPlan().cpu_slowdown(2.0).cpu_slowdown(3.0)
         injector = FaultInjector(env, plan)
-        assert injector.slowdown("cpu.dpu") == pytest.approx(6.0)
-        assert injector.slowdown("cpu.host") == 1.0
+        assert injector.slowdown("cpu.node0.dpu.cpu") == pytest.approx(6.0)
+        assert injector.slowdown("cpu.node0.host") == 1.0
 
 
 class TestDeterminism:

@@ -30,8 +30,8 @@ def _run(env, gen):
 
 class TestBlockDevice:
     def test_geometry(self, env):
-        device = BlockDevice(Ssd(env), capacity_bytes=1 * MiB,
-                             block_size=4096)
+        device = BlockDevice(Ssd(env), capacity_bytes=1 * MiB)
+        assert device.block_size == 4096
         assert device.num_blocks == 256
 
     def test_out_of_range_rejected(self, env):

@@ -129,7 +129,7 @@ class TestDedicatedCores:
 
         env.process(reactor(env))
         env.run()
-        assert cpu.core_pool.count == 0
+        assert len(cpu.core_pool.users) == 0
 
 
 class TestValidation:

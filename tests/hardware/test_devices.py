@@ -14,6 +14,9 @@ from repro.hardware import (
     SsdSpec,
     Wire,
 )
+from repro.hardware.nic import PORT_LATENCY_S, PROPAGATION_DELAY_S
+from repro.hardware.pcie import (DMA_CHANNELS, DMA_SETUP_LATENCY_S,
+                                 PCIE_LATENCY_S)
 from repro.sim import Environment
 from repro.units import GB, Gbps, KiB, MiB, PAGE_SIZE
 
@@ -121,17 +124,17 @@ class TestMemoryRegion:
 
 class TestPcieAndDma:
     def test_transfer_time_includes_latency(self, env):
-        link = PcieLink(env, bandwidth_bps=8 * GB * 8, latency_s=1e-6)
+        link = PcieLink(env, bandwidth_bps=8 * GB * 8)
 
         def move(env):
             yield from link.transfer(8 * GB, direction="to_host")
             return env.now
 
         proc = env.process(move(env))
-        assert env.run(until=proc) == pytest.approx(1.0 + 1e-6)
+        assert env.run(until=proc) == 1.0 + PCIE_LATENCY_S
 
     def test_directions_are_independent(self, env):
-        link = PcieLink(env, bandwidth_bps=1 * GB * 8, latency_s=0.0)
+        link = PcieLink(env, bandwidth_bps=1 * GB * 8)
 
         def up(env):
             yield from link.transfer(1 * GB, direction="to_host")
@@ -142,10 +145,10 @@ class TestPcieAndDma:
         env.process(up(env))
         env.process(down(env))
         env.run()
-        assert env.now == pytest.approx(1.0)   # full duplex
+        assert env.now == 1.0 + PCIE_LATENCY_S   # full duplex
 
     def test_same_direction_serializes(self, env):
-        link = PcieLink(env, bandwidth_bps=1 * GB * 8, latency_s=0.0)
+        link = PcieLink(env, bandwidth_bps=1 * GB * 8)
 
         def up(env):
             yield from link.transfer(1 * GB, direction="to_host")
@@ -153,21 +156,24 @@ class TestPcieAndDma:
         env.process(up(env))
         env.process(up(env))
         env.run()
-        assert env.now == pytest.approx(2.0)
+        assert env.now == pytest.approx(2 * (1.0 + PCIE_LATENCY_S))
 
     def test_dma_channels_limit_concurrency(self, env):
-        link = PcieLink(env, bandwidth_bps=1 * GB * 8, latency_s=0.0)
-        dma = DmaEngine(env, link, channels=2, setup_latency_s=0.0)
+        link = PcieLink(env, bandwidth_bps=1 * GB * 8)
+        dma = DmaEngine(env, link)
 
         def copy(env):
             yield from dma.copy(1 * GB, direction="to_device")
 
-        for _ in range(2):
+        for _ in range(DMA_CHANNELS + 1):
             env.process(copy(env))
         env.run()
-        # Two copies share the to_device pipe: serialization dominates.
-        assert env.now == pytest.approx(2.0)
-        assert link.bytes_moved.value == 2 * GB
+        # Every copy shares the to_device pipe: serialization
+        # dominates, and the channels never hold one back further.
+        transfer = 1.0 + PCIE_LATENCY_S
+        assert env.now == pytest.approx(
+            (DMA_CHANNELS + 1) * transfer + DMA_SETUP_LATENCY_S)
+        assert link.bytes_moved.value == (DMA_CHANNELS + 1) * GB
 
     def test_unknown_direction_rejected(self, env):
         link = PcieLink(env, bandwidth_bps=1 * GB * 8)
@@ -184,7 +190,7 @@ class TestNicAndWire:
     def test_frame_travels_between_nics(self, env):
         nic_a = Nic(env, 100 * Gbps, name="a")
         nic_b = Nic(env, 100 * Gbps, name="b")
-        Wire(env, nic_a, nic_b, propagation_delay_s=1e-6)
+        Wire(env, nic_a, nic_b)
 
         def sender(env):
             yield from nic_a.transmit({"seq": 1}, PAGE_SIZE)
@@ -198,7 +204,8 @@ class TestNicAndWire:
         now, seq = env.run(until=proc)
         assert seq == 1
         # port latency + serialization + propagation
-        expected = 1e-6 + PAGE_SIZE * 8 / (100 * Gbps) + 1e-6
+        expected = (PORT_LATENCY_S + PAGE_SIZE * 8 / (100 * Gbps)
+                    + PROPAGATION_DELAY_S)
         assert now == pytest.approx(expected)
 
     def test_flow_table_steers_to_dpu(self, env):
@@ -219,9 +226,9 @@ class TestNicAndWire:
         assert len(nic_b.rx_host) == 1
 
     def test_tx_serialization_caps_throughput(self, env):
-        nic_a = Nic(env, 10 * Gbps, name="a", port_latency_s=0.0)
+        nic_a = Nic(env, 10 * Gbps, name="a")
         nic_b = Nic(env, 10 * Gbps, name="b")
-        Wire(env, nic_a, nic_b, propagation_delay_s=0.0)
+        Wire(env, nic_a, nic_b)
 
         def sender(env):
             for _ in range(100):
@@ -229,7 +236,9 @@ class TestNicAndWire:
 
         env.process(sender(env))
         env.run()
-        assert env.now == pytest.approx(100 * 125_000 * 8 / (10 * Gbps))
+        assert env.now == pytest.approx(100 * 125_000 * 8 / (10 * Gbps)
+                                        + PORT_LATENCY_S
+                                        + PROPAGATION_DELAY_S)
 
     def test_unconnected_nic_raises(self, env):
         nic = Nic(env, 10 * Gbps)
@@ -283,7 +292,7 @@ class TestSsd:
             proc = ssd.read(PAGE_SIZE)
             step = next(proc)
             while True:
-                peak.append(ssd._queue.count)
+                peak.append(len(ssd._queue.users))
                 try:
                     value = yield step
                     step = proc.send(value)

@@ -98,9 +98,8 @@ class TestServer:
         assert server.host_cpu.cpu_class == "host"
 
     def test_ssd_complement(self, env):
-        server = make_server(env, ssd_count=3)
-        assert len(server.ssds) == 3
-        assert server.ssd(1).name == "server.ssd1"
+        server = make_server(env)
+        assert [ssd.name for ssd in server.ssds] == ["server.ssd0"]
 
     def test_connect_requires_same_env(self, env):
         a = make_server(env, name="a")

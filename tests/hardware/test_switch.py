@@ -74,8 +74,7 @@ class TestSwitchBasics:
             switch.attach(b.nic, "x")
 
     def test_output_port_serializes(self, env):
-        switch = Switch(env, port_bandwidth_bps=10 * Gbps,
-                        forwarding_latency_s=0.0)
+        switch = Switch(env, port_bandwidth_bps=10 * Gbps)
         servers = [make_server(env, name=f"s{i}", dpu_profile=None)
                    for i in range(3)]
         attach_to_switch(switch, *servers)

@@ -99,8 +99,8 @@ class _Case:
         env = self.env
         nic_a = Nic(env, bandwidth, name="a")
         nic_b = Nic(env, bandwidth, name="b")
-        Wire(env, nic_a, nic_b, propagation_delay_s=propagation_s,
-             loss_rate=loss_rate, loss_seed=5)
+        wire = Wire(env, nic_a, nic_b, loss_rate=loss_rate, loss_seed=5)
+        wire.propagation_delay_s = propagation_s
         return (self.stack(nic_a, "tcp_a", tracer=tracer),
                 self.stack(nic_b, "tcp_b"))
 

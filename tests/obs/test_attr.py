@@ -13,6 +13,7 @@ from repro.obs.attr import (
     build_report,
     categorize,
 )
+from repro.obs.attr.online import WINDOW
 from repro.sim import Environment
 
 
@@ -217,17 +218,17 @@ class TestReport:
         assert report.by_node()["node0"]["ssd"] == \
             pytest.approx(6e-4)
         assert report.by_shard()["3"]["ssd"] == pytest.approx(6e-4)
-        top = report.top_bottlenecks(2)
+        top = report.top_bottlenecks()
         assert top[0] == ("node0", "ssd", pytest.approx(6e-4))
-        document = report.to_dict(max_requests=1)
+        document = report.to_dict()
         assert document["schema"] == "repro.obs/attr"
         assert document["requests"] == 2
-        assert len(document["request_detail"]) == 1
+        assert document["top_bottlenecks"][0]["category"] == "ssd"
         assert document["max_conservation_error_s"] <= 1e-9
 
     def test_bottleneck_ranking_is_deterministic_on_ties(self):
         report = self._report()
-        rows = report.top_bottlenecks(10)
+        rows = report.top_bottlenecks()
         assert rows == sorted(
             rows, key=lambda row: (-row[2], row[0], row[1]))
 
@@ -247,7 +248,7 @@ class TestAttributionCollector:
         env = Environment()
         tracer = Tracer(env, node="node0")
         plane = _PlaneStub([("node0", tracer)])
-        collector = AttributionCollector(window=4)
+        collector = AttributionCollector()
         _run_simple_request(env, tracer)
         collector.collect(plane)
         _run_simple_request(env, tracer)
@@ -264,18 +265,18 @@ class TestAttributionCollector:
         env = Environment()
         tracer = Tracer(env, node="node0")
         plane = _PlaneStub([("node0", tracer)])
-        collector = AttributionCollector(window=2)
-        for _ in range(4):
+        collector = AttributionCollector()
+        for _ in range(WINDOW + 2):
             _run_simple_request(env, tracer)
             collector.collect(plane)
-        assert len(collector.windows) == 2       # maxlen enforced
-        top = collector.top_bottlenecks(3)
+        assert len(collector.windows) == WINDOW       # maxlen enforced
+        top = collector.top_bottlenecks()
         assert top[0][0:2] == ("node0", "ssd")
-        # only the last 2 windows count: 2 requests x 3e-4 ssd
-        assert top[0][2] == pytest.approx(6e-4)
+        # only the last WINDOW windows count: one request x 3e-4 ssd
+        assert top[0][2] == pytest.approx(WINDOW * 3e-4)
         summary = collector.window_summary()
-        assert summary["requests_attributed"] == 4
-        assert summary["windows"] == 2
+        assert summary["requests_attributed"] == WINDOW + 2
+        assert summary["windows"] == WINDOW
         assert summary["top_bottlenecks"][0]["category"] == "ssd"
         assert "node0" in summary["latest_window"]
 
@@ -297,7 +298,3 @@ class TestAttributionCollector:
         assert observation.calls == 1
         assert observation.mean_bytes == 1024
         assert observation.mean_latency_s == pytest.approx(1e-5)
-
-    def test_rejects_degenerate_window(self):
-        with pytest.raises(ValueError):
-            AttributionCollector(window=0)

@@ -12,22 +12,6 @@ class TestCreateOrFetch:
         assert registry.counter("se.ops") is registry.counter("se.ops")
         assert len(registry) == 1
 
-    def test_labels_qualify_the_name(self):
-        registry = MetricsRegistry()
-        dpu = registry.counter("cache.hits", tier="dpu")
-        host = registry.counter("cache.hits", tier="host")
-        assert dpu is not host
-        assert "cache.hits{tier=dpu}" in registry
-        assert "cache.hits{tier=host}" in registry
-        assert registry.get("cache.hits", tier="dpu") is dpu
-
-    def test_label_order_is_canonical(self):
-        registry = MetricsRegistry()
-        first = registry.counter("m", b="2", a="1")
-        second = registry.counter("m", a="1", b="2")
-        assert first is second
-        assert len(registry) == 1 and "m{a=1,b=2}" in registry
-
     def test_kind_mismatch_raises(self):
         registry = MetricsRegistry()
         registry.register("x", Tally("x"))
@@ -99,36 +83,14 @@ class TestSnapshot:
     def test_empty_registry_renders(self):
         assert "no metrics" in MetricsRegistry().render_table(0.0)
 
-
-class TestPrefixFilter:
-    def _populated(self):
+    def test_render_table_is_sorted(self):
         registry = MetricsRegistry()
         registry.counter("se.ops").add(1)
         registry.counter("se.bytes").add(2)
         registry.counter("ne.ops").add(3)
-        return registry
-
-    def test_snapshot_prefix_filters(self):
-        registry = self._populated()
-        snapshot = registry.snapshot(now=0.0, prefix="se.")
-        assert list(snapshot) == ["se.bytes", "se.ops"]
-
-    def test_render_table_prefix_filters(self):
-        registry = self._populated()
-        text = registry.render_table(now=0.0, prefix="se.")
-        assert "se.ops" in text
-        assert "ne.ops" not in text
-
-    def test_render_table_prefix_no_match(self):
-        registry = self._populated()
-        text = registry.render_table(now=0.0, prefix="zz.")
-        assert "no metrics" in text and "zz." in text
-
-    def test_render_table_is_sorted(self):
-        registry = self._populated()
         lines = registry.render_table(now=0.0).splitlines()
         names = [line.split()[0] for line in lines[2:]]
-        assert names == sorted(names)
+        assert names == ["ne.ops", "se.bytes", "se.ops"]
 
 
 class TestDiff:
@@ -174,10 +136,10 @@ class TestDiff:
         assert diff["se.queue.peak"] == 4.0
         assert diff["se.queue.avg"] == pytest.approx(3.0)
 
-    def test_prefix_filters_and_keys_sorted(self):
+    def test_keys_are_the_snapshots(self):
         registry = MetricsRegistry()
         registry.counter("se.ops").add(1)
-        registry.counter("se.bytes").add(2)
-        registry.counter("ne.ops").add(3)
-        diff = registry.diff({}, now=0.0, prefix="se.")
-        assert list(diff) == ["se.bytes", "se.ops"]
+        registry.register("se.lat", Tally("se.lat")).observe(2.0)
+        registry.register("ne.depth", TimeWeighted("ne.depth"))
+        assert list(registry.diff({}, now=1.0)) \
+            == list(registry.snapshot(now=1.0))

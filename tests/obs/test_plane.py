@@ -11,15 +11,22 @@ from repro.obs import (
     SloSpec,
     SloViolation,
 )
-from repro.obs.plane.collector import TelemetrySnapshot
+from repro.obs.plane.collector import WINDOW, TelemetrySnapshot
+from repro.obs.plane.recorder import MAX_INCIDENTS
 from repro.sim import Environment
 from repro.sim.stats import Tally
 
 
-def _manual_plane(window: int = 3) -> ClusterTelemetry:
+def _detached_plane(tracing: bool = False) -> ClusterTelemetry:
+    """A plane on its own environment, with no cluster attached."""
+    plane = ClusterTelemetry(tracing=tracing)
+    plane._env = Environment()     # what attach() takes from a cluster
+    return plane
+
+
+def _manual_plane() -> ClusterTelemetry:
     """A plane with one hand-registered node, scraped by hand."""
-    plane = ClusterTelemetry(env=Environment(), tracing=False,
-                             window=window)
+    plane = _detached_plane()
     metrics = plane.node("node0").metrics
     metrics.counter("dds.node0.shard_local")
     metrics.counter("dds.node0.shard_routed")
@@ -52,8 +59,6 @@ class TestClusterTelemetryBasics:
     def test_validates_parameters(self):
         with pytest.raises(ValueError):
             ClusterTelemetry(scrape_interval_s=0.0)
-        with pytest.raises(ValueError):
-            ClusterTelemetry(window=0)
 
     def test_node_bundles_are_cached_and_node_tagged(self):
         plane = ClusterTelemetry(tracing=True)
@@ -72,7 +77,7 @@ class TestClusterTelemetryBasics:
     def test_one_plane_per_cluster(self):
         # attach() is exercised against a real Cluster in the
         # distributed-trace tests; here only the double-attach guard.
-        plane = ClusterTelemetry(env=Environment())
+        plane = _detached_plane()
         plane._cluster = object()
         with pytest.raises(ValueError):
             plane.attach(object())
@@ -169,13 +174,13 @@ class TestScrape:
         assert _Spy.calls == 2
 
     def test_series_is_window_bounded(self):
-        plane = _manual_plane(window=3)
-        for ops in (1, 2, 3, 4, 5):
+        plane = _manual_plane()
+        for ops in range(1, WINDOW + 3):
             _advance_and_scrape(plane, ops=ops)
         values = plane.series("goodput_ops_per_s", "node0")
-        assert len(values) == 3
+        assert len(values) == WINDOW
         assert values[-1] == pytest.approx(
-            5 / plane.scrape_interval_s)
+            (WINDOW + 2) / plane.scrape_interval_s)
 
     def test_to_dict_round_trips_as_json(self):
         plane = _manual_plane()
@@ -234,10 +239,11 @@ class TestSloMonitor:
                     bound=100.0, kind="min")])
         monitor.evaluate(self._snapshot(1, 1e-3, 50.0))
         monitor.evaluate(self._snapshot(2, 2e-3, 40.0))
-        first = monitor.first_violation("floor")
+        first = monitor.first_violation()
         assert isinstance(first, SloViolation)
+        assert first.spec == "floor"
         assert first.t_s == 1e-3
-        assert monitor.first_violation("ghost") is None
+        assert SloMonitor([]).first_violation() is None
         with pytest.raises(ValueError):
             SloSpec("x", metric="m", bound=1.0, kind="median")
         with pytest.raises(ValueError):
@@ -256,7 +262,7 @@ class TestFlightRecorder:
         assert retained == [2e-3, 3e-3]
 
     def test_bundle_layout(self):
-        plane = ClusterTelemetry(env=Environment(), tracing=True)
+        plane = _detached_plane(tracing=True)
         tracer = plane.node("node0").tracer
         tracer.begin("request").finish()
         plane.node("node1")    # second node, no spans
@@ -280,7 +286,7 @@ class TestFlightRecorder:
     def test_bundle_embeds_attribution_summary(self):
         from repro.obs import AttributionCollector
 
-        plane = ClusterTelemetry(env=Environment(), tracing=True)
+        plane = _detached_plane(tracing=True)
         plane.node("node0")
         plane.attribution = AttributionCollector()
         plane.attribution.collect(plane)
@@ -293,7 +299,7 @@ class TestFlightRecorder:
         assert summary["top_bottlenecks"] == []
 
     def test_open_spans_always_included(self):
-        plane = ClusterTelemetry(env=Environment(), tracing=True)
+        plane = _detached_plane(tracing=True)
         tracer = plane.node("node0").tracer
         tracer.begin("stuck")    # never finished
         recorder = FlightRecorder(retain_s=1e-3)
@@ -303,18 +309,16 @@ class TestFlightRecorder:
         assert bundle["nodes"]["node0"]["spans"][0]["name"] == "stuck"
 
     def test_capacity_bounds_bundle_spam(self):
-        plane = ClusterTelemetry(env=Environment())
-        recorder = FlightRecorder(retain_s=1e-3, max_incidents=2)
-        assert recorder.trigger("fault_injected", plane) is not None
-        assert recorder.trigger("fault_injected", plane) is not None
+        plane = _detached_plane()
+        recorder = FlightRecorder(retain_s=1e-3)
+        for _ in range(MAX_INCIDENTS):
+            assert recorder.trigger("fault_injected", plane) is not None
         assert recorder.trigger("fault_injected", plane) is None
-        assert len(recorder.incidents) == 2
+        assert len(recorder.incidents) == MAX_INCIDENTS
 
     def test_validates_parameters(self):
         with pytest.raises(ValueError):
             FlightRecorder(retain_s=0.0)
-        with pytest.raises(ValueError):
-            FlightRecorder(max_incidents=0)
 
 
 class TestTenantSeries:

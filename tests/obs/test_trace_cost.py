@@ -126,8 +126,9 @@ class TestGoldenDigests:
     def test_attribution_report(self, tracers):
         report = build_report(tracers)
         assert report.requests
-        assert _sha256(report.to_dict(max_requests=10**9)) \
-            == self.REPORT
+        document = dict(report.to_dict(), request_detail=[
+            request.to_dict() for request in report.requests])
+        assert _sha256(document) == self.REPORT
 
 
 # -- the attribution sweep against its predecessor --------------------------

@@ -17,9 +17,9 @@ from repro.sim import Environment
 
 
 class TestTracedFig8:
-    def _traced(self, n_reads=30):
+    def _traced(self):
         telemetry = Telemetry(tracing=True)
-        results = fig8_dds_latency(n_reads=n_reads, telemetry=telemetry)
+        results = fig8_dds_latency(telemetry=telemetry)
         return telemetry, results
 
     def test_exports_all_three_engine_categories(self, tmp_path):
@@ -53,17 +53,15 @@ class TestTracedFig8:
         assert open_spans == []
 
     def test_tracing_does_not_perturb_results(self):
-        baseline = fig8_dds_latency(n_reads=25)
-        traced = fig8_dds_latency(n_reads=25,
-                                  telemetry=Telemetry(tracing=True))
-        metrics_only = fig8_dds_latency(n_reads=25,
-                                        telemetry=Telemetry())
+        baseline = fig8_dds_latency()
+        traced = fig8_dds_latency(telemetry=Telemetry(tracing=True))
+        metrics_only = fig8_dds_latency(telemetry=Telemetry())
         assert traced == baseline
         assert metrics_only == baseline
 
     def test_trace_is_deterministic(self):
         def signature():
-            telemetry, _ = self._traced(n_reads=10)
+            telemetry, _ = self._traced()
             return [(s.name, s.span_id, s.parent_id, s.start_s, s.end_s)
                     for s in telemetry.tracer.all_spans()]
 

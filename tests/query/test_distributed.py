@@ -242,11 +242,6 @@ class TestDistributedExecution:
             run_distributed_scan(deployment, _selective_query(),
                                  plan="teleport")
 
-    def test_bad_fanout_window_rejected(self, deployment):
-        with pytest.raises(ValueError):
-            run_distributed_scan(deployment, _selective_query(),
-                                 fanout_window=0)
-
     def test_unknown_column_rejected(self, deployment):
         query = ScanQuery(predicate_column="ghost",
                           predicate=lambda value: True)

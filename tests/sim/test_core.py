@@ -18,9 +18,6 @@ class TestClock:
     def test_starts_at_zero(self, env):
         assert env.now == 0.0
 
-    def test_custom_start_time(self):
-        assert Environment(initial_time=42.0).now == 42.0
-
     def test_timeout_advances_clock(self, env):
         env.process(_sleep(env, 2.5))
         env.run()

@@ -89,7 +89,7 @@ def test_property_resource_conserves_work(delays, capacity):
     # Lower bound: perfect parallel speedup; upper: serial.
     assert env.now >= total / capacity - 1e-9
     assert env.now <= total + 1e-9
-    assert resource.count == 0          # everything released
+    assert len(resource.users) == 0          # everything released
 
 
 @settings(max_examples=40, deadline=None)

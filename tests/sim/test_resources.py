@@ -138,7 +138,7 @@ def _drive_occupancy(mode, jobs, capacity):
             queued = res.queue_length > 0
             ok = res.reserve(duration)
             live = sum(1 for expiry in reserved if expiry > env.now)
-            assert res.count + live + ok <= capacity
+            assert len(res.users) + live + ok <= capacity
             assert not (ok and queued)
             if ok:
                 reserved.append(env.now + duration)
@@ -152,7 +152,7 @@ def _drive_occupancy(mode, jobs, capacity):
     for tag, (at, duration) in enumerate(jobs):
         env.process(job(tag, at, duration))
     env.run(until=jobs[-1][0] + 10.0 * len(jobs))
-    assert res.count == 0 and res.queue_length == 0
+    assert len(res.users) == 0 and res.queue_length == 0
     return grants, res.busy_time(), res.total_served
 
 
@@ -209,11 +209,11 @@ class TestEventlessOccupancy:
         res = Resource(env, capacity=2)
         assert res.reserve(2.0)
         env.run(until=1.0)
-        before = (res.busy_time(), res.total_served, res.count)
+        before = (res.busy_time(), res.total_served, len(res.users))
         hold = res.hold(5.0)
-        assert res.count == 1 and res.total_served == before[1] + 1
+        assert len(res.users) == 1 and res.total_served == before[1] + 1
         res.unhold(hold)
-        assert (res.busy_time(), res.total_served, res.count) == before
+        assert (res.busy_time(), res.total_served, len(res.users)) == before
         env.run()
         # the cancelled hold neither fired nor moved the clock
         assert env.now == 1.0
@@ -223,7 +223,7 @@ class TestEventlessOccupancy:
     def test_try_acquire_token_occupies_and_releases(self, env):
         res = Resource(env, capacity=1)
         token = res.try_acquire()
-        assert token is not None and res.count == 1
+        assert token is not None and len(res.users) == 1
         assert res.try_acquire() is None     # full
         waiter = res.request()
         env.run(until=2.0)
@@ -231,7 +231,7 @@ class TestEventlessOccupancy:
         res.release(token)
         assert res.try_acquire() is None     # free slot, but one queued
         env.run(until=3.0)
-        assert waiter.callbacks is None and res.count == 1
+        assert waiter.callbacks is None and len(res.users) == 1
         res.release(waiter)
         assert res.busy_time() == pytest.approx(3.0)
         assert res.total_served == 2
@@ -288,7 +288,7 @@ class TestPriorityResource:
         waiter = res.request()
         env.run(until=probe)
         assert res.busy_time() == pytest.approx(1.0)
-        assert res.count == 0 and not waiter.triggered
+        assert len(res.users) == 0 and not waiter.triggered
         assert res.hold(1.0) is None
         assert not res.reserve(1.0)
         assert res.try_acquire() is None

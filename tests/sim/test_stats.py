@@ -78,9 +78,9 @@ class TestTallyReservoir:
 
 class TestTimeWeighted:
     def test_zero_elapsed_returns_current_level(self):
-        level = TimeWeighted("l", initial=3.0, start_time=5.0)
-        assert level.average(5.0) == 3.0
-        assert level.average(4.0) == 3.0    # now < start: no window
+        level = TimeWeighted("l")
+        level.set(3.0, 0.0)
+        assert level.average(0.0) == 3.0
 
     def test_average_integrates(self):
         level = TimeWeighted("l")

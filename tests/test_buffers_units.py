@@ -103,10 +103,10 @@ class TestAsBuffer:
         assert isinstance(as_buffer(b"abc"), RealBuffer)
 
     def test_int_becomes_synth(self):
-        buffer = as_buffer(4096, compress_ratio=2.0, label="x")
+        buffer = as_buffer(4096)
         assert isinstance(buffer, SynthBuffer)
         assert buffer.size == 4096
-        assert buffer.compress_ratio == 2.0
+        assert buffer == SynthBuffer(4096)
 
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):

@@ -8,7 +8,8 @@ thing this file exists to catch.  A name must be read somewhere under
 an unused member that shares a name with a used one; it cannot flag a
 used one.
 
-Three rules, none with an allow-list:
+Three rules; only the third has an exception table, and its reasons
+come from a closed list:
 
 * the event kernel and the bench harness — each public method and
   property of ``Environment``, ``Resource``, ``EventPopulation``,
@@ -28,13 +29,21 @@ Three rules, none with an allow-list:
   caller: these classes use their own public surface);
 * every defaulted parameter of every function and method under
   ``src/repro`` (``core`` and ``algos`` included) is set — by keyword,
-  or positionally far enough — by at least one call site anywhere in
-  the repo, tests included.  A default nobody overrides is a constant
+  or positionally far enough — by at least one call site under
+  ``src/repro``, ``hostbench`` or ``examples``; tests do not count
+  here either.  A default no product caller overrides is a constant
   with a second spelling: it becomes the module constant it already
   equals, or goes with the branch only another value reached.  The
-  parameters only tests set are printed (``pytest -s``), not enforced.
-  Dunder methods other than ``__init__`` are outside this rule — no
-  call site names them.
+  one exception table, ``KEPT_PARAMETERS``, gives each survivor a
+  reason from a closed list (``REASONS``): (a) a PAPER.md-named
+  interface, (b) a known-answer ``algos`` surface, (c) a seam where a
+  test substitutes a fake, (d) a ROADMAP item that names its future
+  product caller, (e) a reduced tier-1 sweep of an experiment whose
+  full size costs over 1 s.  An entry the product now sets, or whose
+  parameter is gone, fails as well.  ``python
+  tests/test_kernel_api_traffic.py`` prints the counts.  Dunder
+  methods other than ``__init__`` are outside this rule — no call
+  site names them.
 
 What no name census can see — a dead method whose name a live one
 shares — the execution census sees: ``python tests/traffic_census.py``.
@@ -56,6 +65,7 @@ import ast
 import builtins
 import collections
 import functools
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -203,7 +213,71 @@ def test_every_public_product_name_has_a_product_caller(path):
 
 # -- the parameter census ---------------------------------------------------
 
-_EVERY_ROOT = (*_CALLER_ROOTS, "hostbench", "tests", "benchmarks")
+_PARAMETER_ROOTS = ("src/repro", "hostbench", "examples")
+
+#: the only reasons a defaulted parameter may go without product traffic
+REASONS = {
+    "a": "a PAPER.md-named interface, tests are its callers",
+    "b": "a known-answer repro.algos surface",
+    "c": "a seam where a test substitutes a fake",
+    "d": "a ROADMAP item names its future product caller",
+    "e": "a reduced tier-1 sweep; the full experiment costs over 1 s "
+         "(wall_clock_s in BENCH_baseline.json)",
+}
+
+#: defaulted parameters no product call site sets: (reason, detail)
+KEPT_PARAMETERS = {
+    "core/dds.py:DdsServer.__init__(udf=)":
+        ("a", "the offload engine's user UDF (PAPER.md s1, SE)"),
+    "core/dpdpu.py:DpdpuRuntime.pipeline(depth=)":
+        ("a", "sproc pipelines (PAPER.md s1, CE)"),
+    "core/dpdpu.py:DpdpuRuntime.pipeline(name=)":
+        ("a", "sproc pipelines (PAPER.md s1, CE)"),
+    "core/pipeline.py:Pipeline.add_stage(workers=)":
+        ("a", "sproc pipelines (PAPER.md s1, CE)"),
+    "core/network.py:NetworkEngine.flow(depth=)":
+        ("a", "the DFI-style flow interface (PAPER.md s1, NE)"),
+    "core/wire.py:encode_sproc(arg=)":
+        ("a", "a sproc's argument on a remote invocation (PAPER.md "
+              "s1, CE)"),
+    "algos/crc.py:Crc32.__init__(data=)":
+        ("b", "checked against zlib.crc32"),
+    "algos/dedup.py:chunk_stream(avg_size=)":
+        ("b", "content-defined chunking against its size bounds"),
+    "algos/dedup.py:chunk_stream(max_size=)":
+        ("b", "content-defined chunking against its size bounds"),
+    "algos/dedup.py:chunk_stream(min_size=)":
+        ("b", "content-defined chunking against its size bounds"),
+    "obs/artifact.py:make_artifact(provenance=)":
+        ("c", "tests pin the host provenance of hand-built artifacts"),
+    "obs/claims.py:evaluate_all(claims=)":
+        ("c", "tests evaluate hand-built claim tables"),
+    "core/compute.py:ComputeEngine.__init__(host_spillover_backlog=)":
+        ("d", "ROADMAP 5(b): the host spill-over knockout"),
+    "core/dds.py:DdsServer.__init__(offload_enabled=)":
+        ("d", "ROADMAP 5(b): the SE offload-engine knockout"),
+    "core/requests.py:AsyncRequest.__init__(deadline_s=)":
+        ("d", "ROADMAP 4: client deadlines"),
+    "fs/journal.py:Journal.replay(apply=)":
+        ("d", "ROADMAP 4: crash recovery replays the journal"),
+    "sim/core.py:Process.interrupt(cause=)":
+        ("d", "ROADMAP 4: crash end restarts a DPU's engines"),
+    "hardware/nic.py:Wire.__init__(loss_rate=)":
+        ("d", "ROADMAP 4(a): stack equivalence under generated loss"),
+    "hardware/nic.py:Wire.__init__(loss_seed=)":
+        ("d", "ROADMAP 4(a): stack equivalence under generated loss"),
+    "bench/experiments_ablation.py:ablation_partial_offload(rate_kreq=)":
+        ("e", "a5 2.1 s"),
+    "bench/experiments_ablation.py:ablation_partial_offload"
+    "(read_fractions=)":
+        ("e", "a5 2.1 s"),
+    "bench/experiments_micro.py:fig2_storage_cpu(rates_kpages=)":
+        ("e", "fig2 1.6 s"),
+    "bench/experiments_micro.py:fig3_network_cpu(gbps_points=)":
+        ("e", "fig3 3.2 s"),
+    "bench/experiments_system.py:s9_dds_cores(rates_kreq=)":
+        ("e", "s9 5.9 s"),
+}
 
 
 def _functions(tree):
@@ -235,14 +309,15 @@ def _is_super_init(call):
         and _name_of(function.value.func) == "super"
 
 
-def _passed(roots):
+def _passed(trees):
     """``{callee name: [most positional arguments, keywords]}`` over
-    every call site under ``roots``.  A constructor is filed under its
+    every call site in ``trees``.  A constructor is filed under its
     class; ``super().__init__(...)`` under the enclosing class's bases;
     ``partial(f, ...)`` under ``f``; a class with no ``__init__`` hands
     its call sites to its bases, and ``g(**kwargs)`` forwarding its own
     ``**kwargs`` to ``f`` hands ``f`` the keywords ``g`` is called
-    with."""
+    with.  A keyword spread from any other mapping (``f(**limits)``)
+    names nothing: pass what a call sets by name."""
     passed = collections.defaultdict(lambda: [0, set()])
     hands = []              # (from, to, positionals too)
 
@@ -255,8 +330,6 @@ def _passed(roots):
                            10 ** 6 if starred else len(arguments))
             entry[1].update(keyword.arg for keyword in keywords)
 
-    trees = [ast.parse(source.read_text()) for root in roots
-             for source in sorted((_REPO / root).rglob("*.py"))]
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef) and not any(
@@ -296,14 +369,14 @@ def _passed(roots):
     return passed
 
 
-def _defaulted_parameters():
+def _defaulted_parameters(trees):
     """``(path:Qual.name, callee name, parameter, positional index or
-    None)`` for every defaulted parameter under ``src/repro``.  Dunder
-    methods other than ``__init__`` are outside the rule: no call site
-    names them."""
-    for source in sorted((_REPO / "src/repro").rglob("*.py")):
+    None)`` for every defaulted parameter in ``trees`` (``{path:
+    tree}`` under ``src/repro``).  Dunder methods other than
+    ``__init__`` are outside the rule: no call site names them."""
+    for source, tree in trees.items():
         where = source.relative_to(_REPO / "src/repro")
-        for function, owner in _functions(_caller_trees()[source]):
+        for function, owner in _functions(tree):
             name = function.name
             if name == "__init__" and owner:
                 callee = owner.name
@@ -326,30 +399,86 @@ def _defaulted_parameters():
                     yield label, callee, argument.arg, None
 
 
-def _never_set(roots):
-    passed = _passed(roots)
+def _never_set(definitions, callers):
+    """Labels ``label(parameter=)`` of the ``definitions`` parameters
+    no call site in ``callers`` (parsed trees) sets."""
+    passed = _passed(callers)
     return [f"{label}({parameter}=)"
-            for label, callee, parameter, index
-            in _defaulted_parameters()
+            for label, callee, parameter, index in definitions
             if parameter not in passed[callee][1]
             and (index is None or passed[callee][0] <= index)]
 
 
+@functools.lru_cache(maxsize=None)
+def _parameter_census():
+    """``(defaulted, never set by product traffic)`` under src/repro."""
+    sources = {source: tree for source, tree in _caller_trees().items()
+               if source.is_relative_to(_REPO / "src/repro")}
+    callers = [ast.parse(source.read_text())
+               for root in _PARAMETER_ROOTS
+               for source in sorted((_REPO / root).rglob("*.py"))]
+    defaulted = list(_defaulted_parameters(sources))
+    return defaulted, _never_set(defaulted, callers)
+
+
+def parameter_table():
+    """The census as a Markdown table: product-set, kept with a
+    reason, and the total."""
+    defaulted, never = _parameter_census()
+    kept = sum(1 for label in never if label in KEPT_PARAMETERS)
+    rows = [("set by product traffic", len(defaulted) - len(never)),
+            ("kept with a reason", kept),
+            ("neither (fails tier-1)", len(never) - kept),
+            ("defaulted parameters under src/repro", len(defaulted))]
+    return "\n".join(["| parameters | count |", "|---|---:|"]
+                     + [f"| {name} | {count} |" for name, count in rows])
+
+
 def test_every_defaulted_parameter_is_set_by_some_caller():
-    """A default nobody overrides is a constant with a second spelling.
-    Any call site in the repo counts, tests included; the parameters
-    only tests set are printed (``pytest -s``), not enforced."""
-    everywhere = _never_set(_EVERY_ROOT)
-    tests_only = sorted(set(_never_set(_CALLER_ROOTS + ("hostbench",)))
-                        - set(everywhere))
-    print(f"{len(list(_defaulted_parameters()))} defaulted parameters "
-          f"under src/repro; {len(tests_only)} set by tests alone:")
-    print("\n".join(tests_only))
-    assert not everywhere, (
-        f"{len(everywhere)} defaulted parameters no call site in "
-        f"{_EVERY_ROOT} sets — make each the constant it already "
+    """A default no product call site overrides is a constant with a
+    second spelling: it becomes the constant it already equals, or
+    goes with the branch only another value reached.  Tests are not
+    callers; :data:`KEPT_PARAMETERS` holds each exception with its
+    reason, and an entry the product now sets, or whose parameter is
+    gone, fails too, so the table cannot rot."""
+    _defaulted, never = _parameter_census()
+    print(parameter_table())
+    unlisted = sorted(set(never) - set(KEPT_PARAMETERS))
+    rotten = sorted(set(KEPT_PARAMETERS) - set(never))
+    assert not unlisted, (
+        f"{len(unlisted)} defaulted parameters no call site in "
+        f"{_PARAMETER_ROOTS} sets — make each the constant it already "
         "equals, or delete it with the branch only another value "
-        "reached:\n" + "\n".join(everywhere))
+        "reached:\n" + "\n".join(unlisted))
+    assert not rotten, (
+        "KEPT_PARAMETERS entries the product now sets, or that no "
+        "longer exist — delete them:\n" + "\n".join(rotten))
+
+
+def test_every_kept_parameter_has_a_closed_reason():
+    assert {reason for reason, _detail in KEPT_PARAMETERS.values()} \
+        <= set(REASONS)
+    assert all(detail for _reason, detail in KEPT_PARAMETERS.values())
+
+
+def test_forwarded_keywords_reach_the_constructor():
+    """``register(name, **kwargs)`` handing its keywords to ``Tenant``
+    counts the keywords its callers name; a spread mapping names
+    none."""
+    tree = ast.parse(textwrap.dedent("""
+        class Tenant:
+            def __init__(self, name, rate=None, burst=None):
+                pass
+        class Registry:
+            def register(self, name, **kwargs):
+                return Tenant(name, **kwargs)
+        registry.register("batch", rate=100.0)
+        registry.register("pro", **limits)
+    """))
+    definitions = [("t.py:Tenant.__init__", "Tenant", parameter, index)
+                   for index, parameter in ((1, "rate"), (2, "burst"))]
+    assert _never_set(definitions, [tree]) \
+        == ["t.py:Tenant.__init__(burst=)"]
 
 
 # -- the reader census ------------------------------------------------------
@@ -440,3 +569,7 @@ def test_every_instance_attribute_has_a_reader():
         f"{len(unread)} instance attributes nothing under "
         f"{_READER_ROOTS} reads — delete each with its updates, or "
         "the reader that justified it is gone:\n" + "\n".join(unread))
+
+
+if __name__ == "__main__":
+    print(parameter_table())

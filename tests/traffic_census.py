@@ -8,7 +8,10 @@ nine examples and the three CLIs (``--jobs 2``, ``--list``,
 ``--check``, both ``--identity`` forms, ``python -m repro.algos``,
 ``python -m repro.obs.plane`` with both output flags) — and prints
 every function under ``src/repro`` whose code object was never
-entered.  Tests are not traffic.
+entered.  Tests are not traffic, and neither is a call made while a
+generator is being closed: the collector finalizes a finished run's
+abandoned processes whenever it happens to run, so what that reaches
+would change from one run to the next.
 
 Exempt by rule: dunder methods, abstract stubs (a body that only
 raises ``NotImplementedError``) and ``repro.algos`` (known-answer
@@ -35,6 +38,9 @@ _RECOVERY = "crash recovery: no experiment ends a crash (ROADMAP 4)"
 _DEADLINE = "client deadlines/teardown: no client times out (ROADMAP 4)"
 _MISMATCH = "runs only when --identity finds a difference (ROADMAP 7b)"
 _PAPER = "paper-named interface, tests are its callers (PAPER.md s1)"
+_TEARDOWN = ("a waiter abandoned mid-queue: only a finished run's "
+             "processes, closed at teardown; no run cancels a queued "
+             "request (ROADMAP 4 deadlines would)")
 
 #: never entered by any traffic, kept for a stated reason
 KEPT = {
@@ -58,10 +64,9 @@ KEPT = {
         "(ROADMAP 5b knockout)",
     "cluster/autoscale.py:Autoscaler._scale_down":
         "retiring idle capacity: every slo cell ends loaded (ROADMAP 4b)",
-    "core/tenancy.py:Tenant.asic_in_use":
-        "strict-tenant ASIC envelope at admission: no experiment sends "
-        "an asic-tagged request (ROADMAP 5b)",
-    "sim/resources.py:Resource.count": "read by Tenant.asic_in_use",
+    "sim/resources.py:Resource._cancel": _TEARDOWN,
+    "sim/resources.py:Resource._compact_waiters": _TEARDOWN,
+    "sim/resources.py:PriorityResource._compact_waiters": _TEARDOWN,
     "sim/core.py:Timeout.fail": "refuses a hand-triggered timer",
     "sim/core.py:Timeout.succeed": "refuses a hand-triggered timer",
     "sim/core.py:Environment.peek":
@@ -70,8 +75,8 @@ KEPT = {
     "hardware/memory.py:MemoryRegion.used_bytes":
         "DPU DRAM occupancy: becomes a bound resource (ROADMAP 5)",
     "obs/attr/criticalpath.py:RequestAttribution.to_dict":
-        "--attr-out per-request detail: hashed by the tracer goldens "
-        "in tests/obs/test_trace_cost.py (ROADMAP 3)",
+        "the per-request ledger the tracer goldens in "
+        "tests/obs/test_trace_cost.py hash (ROADMAP 3)",
     "obs/attr/online.py:AttributionCollector._observe_kernel":
         "the advisor's kernel census on a scraped plane: cluster "
         "experiments run no DP kernel (ROADMAP 5 width)",
@@ -171,7 +176,11 @@ def main(argv):
     entered = set()
 
     def profile(frame, event, _arg):
-        if event == "call":
+        # a generator being closed (the collector finalizing a finished
+        # run's abandoned processes, at whatever moment it runs) is
+        # teardown, not traffic
+        if event == "call" \
+                and not isinstance(sys.exc_info()[1], GeneratorExit):
             code = frame.f_code
             entered.add((code.co_filename, code.co_firstlineno))
 

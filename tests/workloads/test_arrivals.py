@@ -163,7 +163,7 @@ class TestParetoSizes:
             or sizes.size(8) != ParetoSizes(seed=5).size(8)
 
     def test_bounds_and_alignment(self):
-        sizes = ParetoSizes(min_size=512, max_size=65_536, align=64)
+        sizes = ParetoSizes(min_size=512, max_size=65_536)
         for i in range(512):
             size = sizes.size(i)
             assert 512 <= size <= 65_536
