@@ -46,16 +46,21 @@ def main():
                                            n_shards=1)
     table_bytes = len(deployment.table_bytes)
     n_columns = len(deployment.schema.columns)
+    # The planner prices at the storage node's DPU clock and the
+    # compute node's host clock.
+    dpu = deployment.cluster.nodes[0].server.dpu.profile
+    host = deployment.coordinator.server.host_profile
     print(f"table: {deployment.n_rows} rows, {fmt_bytes(table_bytes)}\n")
 
     for title, query in QUERIES.items():
         print(f"--- {title} ---")
         for bandwidth in (100 * Gbps, 5 * Gbps):
-            plan = plan_scan(query, table_bytes, n_columns,
+            plan = plan_scan(query, table_bytes, n_columns, dpu, host,
                              network_bps=bandwidth)
             print(f"at {bandwidth / Gbps:.0f} Gbps: "
                   f"planner chooses {plan['choice']}")
-        print(explain(plan_scan(query, table_bytes, n_columns)))
+        print(explain(plan_scan(query, table_bytes, n_columns, dpu,
+                                host)))
 
         pushdown = run_distributed_scan(deployment, query,
                                         plan="pushdown")

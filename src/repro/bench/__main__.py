@@ -372,9 +372,16 @@ def _run_identity(baseline_path: str, baseline: dict,
                   candidate: dict, candidate_name: str) -> int:
     """--identity: the candidate must reproduce the baseline exactly
     (see :func:`repro.obs.regress.differences`); what is not compared
-    is printed beside the verdict."""
+    is printed beside the verdict, and a source hash that moved gets
+    its own line above it."""
     found = differences(baseline, candidate)
     print(banner(f"identity: {baseline_path} vs {candidate_name}"))
+    old, new = (document.get("provenance", {}).get("src_sha256")
+                for document in (baseline, candidate))
+    if old != new:
+        print(f"source differs: {baseline_path} was made from "
+              f"src_sha256 {str(old)[:12]}, {candidate_name} from "
+              f"{str(new)[:12]}")
     print(_information_table(baseline, candidate))
     if not found:
         print(f"identical: {candidate_name} reproduces "

@@ -12,9 +12,10 @@ and feeds the ``AT.*`` claims:
   an ``--identity`` mismatch reads on both artifacts to name the
   segment whose share moved.
 * **advisor** — the offload advisor's static sanity check: for each
-  priced kernel/size, *measure* every placement the way Figure 1
-  does (host EPYC core, Arm core, BlueField-2 ASIC) and require the
-  advisor's recommendation to match the measured-best placement.
+  priced kernel/size, *measure* every placement through the Compute
+  Engine's own specified execution on one BlueField-2 server (ASIC,
+  Arm cores, host cores across PCIe) and require the advisor's
+  recommendation to match the measured-best placement.
 * **online** — the advisor fed from observed spans: a traced
   ComputeEngine run places kernels on the host, ``build_report``
   turns the spans into a kernel census, and the advisor names the
@@ -30,10 +31,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..baselines import HostComputeBaseline
 from ..buffers import SynthBuffer
-from ..core.compute import ComputeEngine
-from ..hardware import ARM_HOST, BLUEFIELD2, EPYC_HOST, make_server
+from ..core.compute import PLACEMENTS, ComputeEngine
+from ..hardware import BLUEFIELD2, make_server
 from ..obs import (
     AttributionCollector,
     ClusterTelemetry,
@@ -65,62 +65,39 @@ ONLINE_WORKLOAD = (
 )
 
 
-def _measure_placements(kernel: str, nbytes: int
-                        ) -> Dict[str, float]:
-    """Figure-1-style measured latency of each feasible placement."""
-    env = Environment()
-    epyc = make_server(env, name="epyc", host_profile=EPYC_HOST)
-    arm = make_server(env, name="arm", host_profile=ARM_HOST)
-    arm.host_cpu.cpu_class = "dpu"     # charge A72 cycles/byte
-    dpu_server = make_server(env, name="bf2", dpu_profile=BLUEFIELD2)
-
-    timings: Dict[str, float] = {}
-
-    def core_job(path, tag):
-        started = env.now
-        yield from path.run_kernel(kernel, SynthBuffer(nbytes))
-        timings[tag] = env.now - started
-
-    env.process(core_job(HostComputeBaseline(epyc.host_cpu), "host"))
-    env.process(core_job(HostComputeBaseline(arm.host_cpu), "arm"))
-    asic_kind = dpu_server.costs.kernel(kernel).asic_kind
-    if asic_kind and dpu_server.dpu.has_accelerator(asic_kind):
-        asic = dpu_server.dpu.accelerator(asic_kind)
-
-        def asic_job():
-            started = env.now
-            yield from asic.run_job(nbytes)
-            timings["asic"] = env.now - started
-
-        env.process(asic_job())
-    env.run()
-    return timings
-
-
 def advisor_static_check() -> Dict[str, Dict[str, float]]:
     """Advisor recommendation vs measured-best static placement.
 
-    One nested config per kernel/size; ``matches`` is 1.0 when the
-    advisor's argmin placement equals the measured argmin (same
-    deterministic tie-break: latency, then placement name).
+    Every placement the Compute Engine can run a kernel at is
+    measured by specified execution, one run at a time on one idle
+    BlueField-2 server.  One nested config per kernel/size;
+    ``matches`` is 1.0 when the advisor's argmin placement equals the
+    measured argmin (ties broken in placement order by both).
     """
-    advisor = OffloadAdvisor()
+    env = Environment()
+    server = make_server(env, name="bf2", dpu_profile=BLUEFIELD2)
+    engine = ComputeEngine(server)
+    advisor = OffloadAdvisor(server)
     rows: Dict[str, Dict[str, float]] = {}
     for kernel in STATIC_KERNELS:
         for size_mb in STATIC_SIZES_MB:
             nbytes = size_mb * MB
-            measured = _measure_placements(kernel, nbytes)
+            measured: Dict[str, float] = {}
+            for placement in PLACEMENTS:
+                request = engine.submit_kernel(
+                    kernel, SynthBuffer(nbytes), device=placement)
+                if request is not None:
+                    env.run()
+                    measured[placement] = request.latency
             recommendation = advisor.recommend(kernel, nbytes)
-            measured_best = min(
-                measured.items(), key=lambda kv: (kv[1], kv[0]))[0]
             row: Dict[str, float] = {}
             for placement, seconds in sorted(measured.items()):
                 row[f"measured_{placement}_s"] = seconds
-            for placement, estimate in \
+            for placement, price in \
                     sorted(recommendation.estimates.items()):
-                row[f"est_{placement}_s"] = estimate.latency_s
-            row["matches"] = float(
-                recommendation.placement == measured_best)
+                row[f"est_{placement}_s"] = price.service_s + price.pcie_s
+            row["matches"] = float(recommendation.placement
+                                   == min(measured, key=measured.get))
             row["host_cycles_saved_per_call"] = \
                 recommendation.host_cycles_saved_per_call
             rows[f"{kernel}_{size_mb}mb"] = row
@@ -132,8 +109,9 @@ def advisor_online() -> Dict[str, Dict[str, float]]:
 
     Every kernel runs pinned to the host CPU; the advisor then reads
     the ``ce.kernel.*`` census out of the attribution report and
-    prices the alternatives — ``compress@host_cpu`` should come back
-    "move to the ASIC" with the freed host cycles quantified, while
+    prices the alternatives on the same server —
+    ``compress@host_cpu`` should come back "move to ``dpu_asic``"
+    with the freed host cycles quantified, while
     ``crc32@host_cpu`` stays put (``already_recommended``).
     """
     env = Environment()
@@ -146,7 +124,7 @@ def advisor_online() -> Dict[str, Dict[str, float]]:
                                  device="host_cpu")
             env.run()
     report = build_report([("attr", telemetry.tracer)])
-    return OffloadAdvisor().advise(report)
+    return OffloadAdvisor(server).advise(report)
 
 
 def attr_parts(telemetry: Optional[ClusterTelemetry]

@@ -32,10 +32,10 @@ from ..core.dpdpu import DpdpuRuntime
 from ..core.wire import classify, response_ok, stamp_expiry
 from ..hardware import BLUEFIELD2, Switch, make_server
 from ..sim.stats import Counter
-from ..units import Gbps, PAGE_SIZE
+from ..units import Gbps
 from .rebalance import MigrationService
 from .router import ClusterDdsServer, ShardRouter
-from .sharding import ShardMap, stable_hash
+from .sharding import SHARD_BYTES, ShardMap, stable_hash
 
 __all__ = ["Cluster", "ClusterNode", "ClusterClient"]
 
@@ -48,9 +48,6 @@ DEFAULT_BREAKER = {
     "rate_threshold": 0.5,
     "reset_timeout_s": 5.0e-3,
 }
-
-#: bytes in one shard's backing file
-SHARD_BYTES = 16 * PAGE_SIZE
 
 #: SE submission-ring slots per node: deep enough that a saturated
 #: node back-pressures through TCP, not through ring overflow
@@ -65,7 +62,7 @@ class ClusterNode:
 
     def __init__(self, cluster: "Cluster", name: str, server, runtime,
                  dds: ClusterDdsServer, router: ShardRouter, breaker,
-                 shard_files: Dict[int, int], shard_bytes: int):
+                 shard_files: Dict[int, int]):
         self.cluster = cluster
         self.name = name
         self.server = server
@@ -74,7 +71,6 @@ class ClusterNode:
         self.router = router
         self.breaker = breaker
         self.shard_files = shard_files
-        self.shard_bytes = shard_bytes
         #: set by the rebalancer once the node is fully drained
         self.retired = False
 
@@ -147,11 +143,9 @@ class Cluster:
         dds = ClusterDdsServer(
             runtime, self.port, node_name=name,
             shardmap=self.shardmap, shard_files=shard_files,
-            shard_bytes=self.shard_bytes, router=router,
-            breaker=breaker)
+            router=router, breaker=breaker)
         node = ClusterNode(self, name, server, runtime, dds,
-                           router, breaker, shard_files,
-                           self.shard_bytes)
+                           router, breaker, shard_files)
         self.nodes.append(node)
         self._by_name[name] = node
         self.switch.attach(server.nic, name)

@@ -41,6 +41,7 @@ from ..obs.trace import TraceContext
 from ..sim.stats import Counter
 from ..units import PAGE_SIZE
 from .router import CONNECT_TIMEOUT_S
+from .sharding import SHARD_BYTES
 
 __all__ = ["MigrationService", "Rebalancer"]
 
@@ -104,7 +105,6 @@ class MigrationService:
                 continue
             shard = request["shard"]
             file_id = self.node.shard_files[shard]
-            shard_bytes = self.node.shard_bytes
             tracer = self.node.runtime.telemetry.tracer
             with tracer.span("mig.export", category="storage",
                              shard=shard) as span:
@@ -116,7 +116,7 @@ class MigrationService:
                         request.get("trace")))
                 yield from host_cpu.execute(EXPORT_CYCLES)
                 reads = [se.read(file_id, offset, PAGE_SIZE)
-                         for offset in range(0, shard_bytes, PAGE_SIZE)]
+                         for offset in range(0, SHARD_BYTES, PAGE_SIZE)]
                 try:
                     yield self.env.all_of([r.done for r in reads])
                 except ReproError:
@@ -126,11 +126,11 @@ class MigrationService:
                     # synthetic, and a wedged puller would strand
                     # every later shard.
                     self.export_errors.add(1)
-                payload = SynthBuffer(shard_bytes,
+                payload = SynthBuffer(SHARD_BYTES,
                                       label=f"shard{shard}")
                 yield from connection.send_message(payload)
             self.exports.add(1)
-            self.exported_bytes.add(shard_bytes)
+            self.exported_bytes.add(SHARD_BYTES)
 
 
 class Rebalancer:

@@ -38,6 +38,7 @@ from ..core.admission import ADMISSION_CYCLES
 from ..core.dds import DdsClient, DdsServer
 from ..core.requests import wait
 from ..core.wire import ACK, error_body, with_trace_context
+from .sharding import SHARD_BYTES
 
 __all__ = ["ClusterDdsServer", "ShardRouter"]
 
@@ -142,12 +143,11 @@ class ClusterDdsServer(DdsServer):
 
     def __init__(self, runtime, port: int, node_name: str,
                  shardmap, shard_files: Dict[int, int],
-                 shard_bytes: int, router: ShardRouter, breaker):
+                 router: ShardRouter, breaker):
         super().__init__(runtime, port, name=f"dds.{node_name}")
         self.node_name = node_name
         self.shardmap = shardmap
         self.shard_files = shard_files
-        self.shard_bytes = shard_bytes
         self.router = router
         self.breaker = breaker
         #: an AdmissionController guarding this ingress (None = open
@@ -295,7 +295,7 @@ class ClusterDdsServer(DdsServer):
                 f"got {kind!r}")
         self._shard_counter(shard).add(1)
         # Shard-relative offset decides the owner for split shards.
-        relative = int(request.get("offset", 0)) % self.shard_bytes
+        relative = int(request.get("offset", 0)) % SHARD_BYTES
         owner = self.shardmap.owner_of_shard(shard, offset=relative)
         if owner != self.node_name:
             self.shard_routed.add(1)
@@ -381,10 +381,10 @@ class ClusterDdsServer(DdsServer):
                    kind: str) -> Dict:
         """Shard-relative request -> file operation on this node."""
         size = int(request.get("size", PAGE_SIZE))
-        offset = int(request.get("offset", 0)) % self.shard_bytes
-        if offset + size > self.shard_bytes:
+        offset = int(request.get("offset", 0)) % SHARD_BYTES
+        if offset + size > SHARD_BYTES:
             raise ClusterError(
                 f"op [{offset}, {offset + size}) overruns shard of "
-                f"{self.shard_bytes} bytes")
+                f"{SHARD_BYTES} bytes")
         return {"type": kind, "file_id": self.shard_files[shard],
                 "offset": offset, "size": size}

@@ -27,7 +27,12 @@ import bisect
 import zlib
 from typing import Dict, List, Sequence, Tuple
 
+from ..units import PAGE_SIZE
+
 __all__ = ["ShardMap", "stable_hash"]
+
+#: bytes in one shard's backing file
+SHARD_BYTES = 16 * PAGE_SIZE
 
 
 def stable_hash(text: str) -> int:

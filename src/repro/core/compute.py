@@ -31,6 +31,7 @@ from ..errors import (
     KernelUnavailableError,
     SprocError,
 )
+from ..hardware.costs import PLACEMENTS, server_price, server_prices
 from ..hardware.server import Server
 from ..obs.trace import NULL_TRACER
 from ..sim.stats import Counter, Tally
@@ -42,12 +43,6 @@ from .tenancy import TenantRegistry
 
 __all__ = ["ComputeEngine", "KernelRequest", "SprocContext",
            "PLACEMENTS"]
-
-#: Valid explicit placements for specified execution.  The ``pcie_*``
-#: entries are the Section 5 extension: common data-center
-#: accelerators (GPUs, FPGAs) reachable over PCIe peer-to-peer.
-PLACEMENTS = ("dpu_asic", "dpu_cpu", "host_cpu", "pcie_gpu",
-              "pcie_fpga")
 
 #: Placements a *fused* kernel chain may target: fixed-function ASICs
 #: cannot fuse across kernels, but CPUs and peer accelerators can.
@@ -199,19 +194,16 @@ class ComputeEngine:
         buffer = as_buffer(payload)
         scheduled = device is None
         if device is None:
-            device = self._best_placement(spec, buffer.size)
+            # scheduled execution: minimize estimated completion time
+            estimates = self._estimates(name, buffer.size)
+            device = min(estimates, key=estimates.get)
         elif device not in PLACEMENTS:
             raise KernelUnavailableError(
                 f"unknown placement {device!r}; valid: {PLACEMENTS}"
             )
-        elif device == "dpu_asic" and not (
-                spec.asic_kind
-                and self.dpu.has_accelerator(spec.asic_kind)):
+        elif server_price(self.server, name, buffer.size,
+                          device) is None:
             return None
-        elif device.startswith("pcie_"):
-            peer = self._peer_for(device)
-            if peer is None or not peer.supports(name):
-                return None
         request = KernelRequest(self.env, name, device)
         request.span = self.tracer.begin(
             f"ce.kernel.{name}", category="compute", device=device,
@@ -230,15 +222,16 @@ class ComputeEngine:
                        device: str, tenant, priority: int):
         """The device-specific timing of one kernel run (generator)."""
         if device == "dpu_asic":
-            asic = self.dpu.accelerator(spec.asic_kind)
+            kind = self.costs.kernel(spec.name).asic_kind
+            asic = self.dpu.accelerator(kind)
             slot = yield from tenant.acquire_asic_slot(
-                spec.asic_kind, priority=priority
+                kind, priority=priority
             )
             try:
                 yield from asic.run_job(buffer.size,
                                         priority=priority)
             finally:
-                tenant.release_asic_slot(spec.asic_kind, slot)
+                tenant.release_asic_slot(kind, slot)
         elif device == "dpu_cpu":
             cycles = self.costs.cpu_cycles(spec.name, buffer.size,
                                            "dpu")
@@ -365,20 +358,9 @@ class ComputeEngine:
                 yield from self.dpu.dma.copy(out_buffer.size,
                                              direction="to_device")
             else:
-                cpu_class = "dpu" if device == "dpu_cpu" else "host"
                 cpu = (self.dpu.cpu if device == "dpu_cpu"
                        else self.server.host_cpu)
-                # One base cost for the whole chain, then per-stage
-                # streaming cycles over each stage's input size.
-                cycles = self.costs.kernel(specs[0].name).base_cycles
-                for (name, size) in stages:
-                    kernel_cost = self.costs.kernel(name)
-                    per_byte = (
-                        kernel_cost.dpu_cycles_per_byte
-                        if cpu_class == "dpu"
-                        else kernel_cost.host_cycles_per_byte
-                    )
-                    cycles += per_byte * size
+                cycles = self.costs.chain_cycles(stages, cpu.cpu_class)
                 if device == "host_cpu":
                     yield from self.dpu.dma.copy(buffer.size,
                                                  direction="to_host")
@@ -407,61 +389,45 @@ class ComputeEngine:
             return injector.is_down(f"cpu.{device.name}")
         return injector.is_down(f"accel.{device.name}")
 
-    def _best_placement(self, spec: DpKernelSpec, size: int) -> str:
-        """Scheduled execution: minimize estimated completion time.
+    def _estimates(self, name: str, size: int) -> Dict[str, float]:
+        """Estimated completion seconds of every eligible placement.
 
-        Placements whose device is inside a fault ``down`` window are
-        skipped outright — no point scheduling onto a crashed Arm
-        cluster or an offline ASIC (host cores are always eligible).
+        Each placement's idle cost is :func:`server_prices`; the
+        engine adds only the live backlog, as a factor on the service
+        time.  The ASIC and the Arm cores are skipped outright inside
+        a fault ``down`` window — no point scheduling onto a crashed
+        Arm cluster or an offline ASIC (host cores and peers are
+        always eligible).
         """
+        server = self.server
         candidates: Dict[str, float] = {}
-        if spec.asic_kind:
-            asic = self.dpu.accelerator(spec.asic_kind)
-            if asic is not None and self._device_down(asic):
-                asic = None
-            if asic is not None:
-                service = asic.service_time(size)
-                backlog = max(
-                    asic.queue_length,
-                    self._inflight.get("dpu_asic", 0)
-                    - asic.spec.channels,
-                )
-                candidates["dpu_asic"] = service * (
-                    1 + max(0, backlog) / asic.spec.channels
-                )
-        dpu_cpu = self.dpu.cpu
-        if not self._device_down(dpu_cpu):
-            dpu_cycles = self.costs.cpu_cycles(spec.name, size, "dpu")
-            dpu_backlog = max(dpu_cpu.queue_length,
-                              self._inflight.get("dpu_cpu", 0)
-                              - dpu_cpu.cores)
-            candidates["dpu_cpu"] = dpu_cpu.seconds_for(dpu_cycles) * (
-                1 + max(0, dpu_backlog) / dpu_cpu.cores
+        for placement, price in server_prices(server, name,
+                                              size).items():
+            if placement == "dpu_asic":
+                device = self.dpu.accelerator(
+                    self.costs.kernel(name).asic_kind)
+                queued, width = device.queue_length, device.spec.channels
+            elif placement == "dpu_cpu":
+                device = self.dpu.cpu
+                queued, width = device.queue_length, device.cores
+            elif placement == "host_cpu":
+                device = None
+                queued = server.host_cpu.queue_length
+                width = server.host_cpu.cores
+            else:
+                device = None
+                peer = self._peer_for(placement)
+                queued = peer._channels.queue_length
+                width = peer.spec.channels
+            if device is not None and self._device_down(device):
+                continue
+            backlog = max(queued,
+                          self._inflight.get(placement, 0) - width)
+            candidates[placement] = (
+                price.service_s * (1 + max(0, backlog) / width)
+                + price.pcie_s
             )
-        host_cycles = self.costs.cpu_cycles(spec.name, size, "host")
-        host_cpu = self.server.host_cpu
-        host_backlog = max(host_cpu.queue_length,
-                           self._inflight.get("host_cpu", 0)
-                           - host_cpu.cores)
-        candidates["host_cpu"] = (
-            host_cpu.seconds_for(host_cycles)
-            * (1 + max(0, host_backlog) / host_cpu.cores)
-            + 2 * self.dpu.pcie.transfer_time(size)
-        )
-        for kind in ("gpu", "fpga"):
-            peer = self.server.peer(kind)
-            if peer is not None and peer.supports(spec.name):
-                service = peer.service_time(spec.name, size)
-                backlog = max(
-                    peer._channels.queue_length,
-                    self._inflight.get(f"pcie_{kind}", 0)
-                    - peer.spec.channels,
-                )
-                candidates[f"pcie_{kind}"] = (
-                    service * (1 + max(0, backlog) / peer.spec.channels)
-                    + 2 * self.dpu.pcie.transfer_time(size)
-                )
-        return min(candidates, key=candidates.get)
+        return candidates
 
     # ---------------------------------------------------------------- sprocs
 

@@ -7,7 +7,8 @@ Each kernel has:
   :mod:`repro.algos`, applied when payloads are real bytes, or a
   metadata transform for synthetic buffers), and
 * a **cost identity**: a :class:`~repro.hardware.costs.KernelCost`
-  for CPU execution plus the accelerator *kind* that can serve it.
+  (keyed by the same name) for CPU execution plus the accelerator
+  *kind* that can serve it.
 
 The contract the paper states — "each DP kernel can be executed on any
 compute hardware; the actual execution during runtime depends purely
@@ -58,7 +59,6 @@ class DpKernelSpec:
 
     name: str
     fn: KernelFn
-    asic_kind: Optional[str]
 
     def run(self, buffer: Buffer,
             params: Optional[Dict[str, Any]] = None) -> KernelResult:
@@ -232,21 +232,21 @@ def _project_fn(buffer: Buffer, params: Dict[str, Any]) -> KernelResult:
     return KernelResult(out, {"records": None})
 
 
-#: Name -> spec for every kernel shipped with the Compute Engine.  The
-#: accelerator kinds line up with :data:`DEFAULT_KERNEL_COSTS`.
+#: Name -> spec for every kernel shipped with the Compute Engine.  Which
+#: accelerator kind serves each is :data:`DEFAULT_KERNEL_COSTS`'s to say.
 BUILTIN_KERNELS: Dict[str, DpKernelSpec] = {
     spec.name: spec
     for spec in [
-        DpKernelSpec("compress", _compress_fn, "compression"),
-        DpKernelSpec("decompress", _decompress_fn, "compression"),
-        DpKernelSpec("encrypt", _encrypt_fn, "encryption"),
-        DpKernelSpec("decrypt", _decrypt_fn, "encryption"),
-        DpKernelSpec("regex", _regex_fn, "regex"),
-        DpKernelSpec("dedup", _dedup_fn, "dedup"),
-        DpKernelSpec("crc32", _crc32_fn, None),
-        DpKernelSpec("filter", _filter_fn, None),
-        DpKernelSpec("aggregate", _aggregate_fn, None),
-        DpKernelSpec("project", _project_fn, None),
+        DpKernelSpec("compress", _compress_fn),
+        DpKernelSpec("decompress", _decompress_fn),
+        DpKernelSpec("encrypt", _encrypt_fn),
+        DpKernelSpec("decrypt", _decrypt_fn),
+        DpKernelSpec("regex", _regex_fn),
+        DpKernelSpec("dedup", _dedup_fn),
+        DpKernelSpec("crc32", _crc32_fn),
+        DpKernelSpec("filter", _filter_fn),
+        DpKernelSpec("aggregate", _aggregate_fn),
+        DpKernelSpec("project", _project_fn),
     ]
 }
 

@@ -24,20 +24,43 @@ the most important ones:
 
 All CPU costs are *cycles* so they scale with core frequency; all
 accelerator costs are *bytes/second* plus a fixed job-setup latency.
+:meth:`CostModel.price` is the one place those become seconds for a
+kernel placement, read from a server's own profiles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 __all__ = [
     "SoftwarePathCosts",
     "KernelCost",
     "CostModel",
+    "PlacementPrice",
+    "PLACEMENTS",
+    "server_price",
+    "server_prices",
     "DEFAULT_COSTS",
     "default_cost_model",
 ]
+
+#: Where a DP kernel can run (paper Section 5): the DPU's ASIC, its
+#: Arm cores, the host's cores across PCIe, or a PCIe peer-to-peer
+#: accelerator (the Section 5 extension: GPUs, FPGAs).
+PLACEMENTS = ("dpu_asic", "dpu_cpu", "host_cpu", "pcie_gpu",
+              "pcie_fpga")
+
+#: CPU class -> the :class:`KernelCost` field holding its cycles/byte
+_PER_BYTE = {"host": "host_cycles_per_byte",
+             "dpu": "dpu_cycles_per_byte"}
+
+
+def _per_byte(cpu_class: str) -> str:
+    field_name = _PER_BYTE.get(cpu_class)
+    if field_name is None:
+        raise ValueError(f"unknown cpu class {cpu_class!r}")
+    return field_name
 
 
 @dataclass(frozen=True)
@@ -122,8 +145,9 @@ class KernelCost:
     base_cycles: float = 2_000.0
 
 
-#: DP kernels shipped with the Compute Engine, with CPU cost models.
-#: ASIC-side rates are in the DPU profiles.
+#: DP kernels shipped with the Compute Engine, with CPU cost models —
+#: and the one kernel -> accelerator-kind table (ASIC-side rates are
+#: in the DPU profiles).
 DEFAULT_KERNEL_COSTS: Dict[str, KernelCost] = {
     kc.name: kc
     for kc in [
@@ -172,13 +196,100 @@ class CostModel:
         ``cpu_class`` is ``"host"`` or ``"dpu"``.
         """
         kernel_cost = self.kernel(kernel_name)
-        if cpu_class == "host":
-            per_byte = kernel_cost.host_cycles_per_byte
-        elif cpu_class == "dpu":
-            per_byte = kernel_cost.dpu_cycles_per_byte
-        else:
-            raise ValueError(f"unknown cpu class {cpu_class!r}")
-        return kernel_cost.base_cycles + per_byte * nbytes
+        return (kernel_cost.base_cycles
+                + getattr(kernel_cost, _per_byte(cpu_class)) * nbytes)
+
+    def chain_cycles(self, stages, cpu_class: str) -> float:
+        """Cycles to run a chain of ``(kernel, nbytes)`` stages as one
+        job on a CPU class: the first kernel's base cost once, then
+        each stage's per-byte cycles over its own input size."""
+        field_name = _per_byte(cpu_class)
+        cycles = self.kernel(stages[0][0]).base_cycles
+        for kernel_name, nbytes in stages:
+            cycles += getattr(self.kernel(kernel_name),
+                              field_name) * nbytes
+        return cycles
+
+    def price(self, kernel_name: str, nbytes: int, placement: str,
+              dpu, host, peers) -> Optional["PlacementPrice"]:
+        """What one run of ``kernel_name`` over ``nbytes`` costs at
+        ``placement`` with nothing queued, or ``None`` where that
+        placement cannot run it.
+
+        ``dpu`` is a :class:`~repro.hardware.profiles.DpuProfile`,
+        ``host`` a :class:`~repro.hardware.profiles.HostProfile` and
+        ``peers`` the specs of the server's PCIe peer accelerators
+        (:class:`~repro.hardware.peer.PeerAcceleratorSpec`).  Cores
+        charge cycles over their clock; an ASIC or a peer charges its
+        setup (launch) latency plus bytes over its rate.  The host and
+        the peers are across the DPU's PCIe link, so they also pay
+        ``pcie_s``, the input and the output serialized over it.
+        """
+        if placement == "dpu_cpu":
+            cycles = self.cpu_cycles(kernel_name, nbytes, "dpu")
+            return PlacementPrice(cycles / dpu.arm_frequency_hz,
+                                  0.0, 0.0)
+        if placement == "dpu_asic":
+            spec = dpu.accelerator_spec(self.kernel(kernel_name).asic_kind)
+            if spec is None:
+                return None
+            return PlacementPrice(
+                spec.setup_latency_s
+                + nbytes / spec.throughput_bytes_per_s, 0.0, 0.0)
+        pcie_s = 2 * (nbytes / (dpu.pcie_bandwidth_bps / 8.0))
+        if placement == "host_cpu":
+            cycles = self.cpu_cycles(kernel_name, nbytes, "host")
+            return PlacementPrice(cycles / host.frequency_hz, pcie_s,
+                                  cycles)
+        for spec in peers:
+            if placement == f"pcie_{spec.kind}":
+                rate = spec.rate_for(kernel_name)
+                if rate is None:
+                    return None
+                return PlacementPrice(
+                    spec.launch_latency_s + nbytes / rate, pcie_s, 0.0)
+        return None
+
+
+class PlacementPrice(NamedTuple):
+    """:meth:`CostModel.price`'s answer for one placement."""
+
+    #: seconds the device spends running the kernel
+    service_s: float
+    #: seconds the input and the output spend serialized over PCIe
+    pcie_s: float
+    #: host cycles the run consumes
+    host_cycles: float
+
+
+def _server_profiles(server):
+    """What :meth:`CostModel.price` reads of ``server``: its DPU
+    profile, its host profile and its peers' specs."""
+    return (server.dpu.profile, server.host_profile,
+            [peer.spec for peer in server.peers.values()])
+
+
+def server_price(server, kernel_name: str, nbytes: int,
+                 placement: str) -> Optional[PlacementPrice]:
+    """:meth:`CostModel.price` read from ``server``'s own cost model,
+    DPU and host profiles and peer specs."""
+    return server.costs.price(kernel_name, nbytes, placement,
+                              *_server_profiles(server))
+
+
+def server_prices(server, kernel_name: str,
+                  nbytes: int) -> Dict[str, PlacementPrice]:
+    """:func:`server_price` of every placement that can run
+    ``kernel_name``, in :data:`PLACEMENTS` order."""
+    price = server.costs.price
+    dpu, host, peers = _server_profiles(server)
+    prices = {}
+    for placement in PLACEMENTS:
+        placement_price = price(kernel_name, nbytes, placement, dpu,
+                                host, peers)
+        if placement_price is not None:
+            prices[placement] = placement_price
+    return prices
 
 
 #: The library-wide default cost model instance.

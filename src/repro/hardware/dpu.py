@@ -53,10 +53,6 @@ class Dpu:
         """The live accelerator of ``kind``, or None if this SKU lacks it."""
         return self.accelerators.get(kind)
 
-    def has_accelerator(self, kind: str) -> bool:
-        """Whether this DPU instance has an ASIC of ``kind``."""
-        return kind in self.accelerators
-
     def __repr__(self) -> str:
         asics = ", ".join(sorted(self.accelerators)) or "none"
         return (

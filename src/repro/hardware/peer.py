@@ -115,10 +115,6 @@ class PeerAccelerator:
         """Whether this device implements the kernel."""
         return self.spec.supports(kernel_name)
 
-    def service_time(self, kernel_name: str, nbytes: int) -> float:
-        """Execution time for one kernel job (launch + streaming)."""
-        return self.chain_service_time([(kernel_name, nbytes)])
-
     def chain_service_time(self, stages) -> float:
         """Execution time for a fused chain of ``(kernel, nbytes)``.
 

@@ -17,17 +17,17 @@ placement worth it?*  Three layers:
   node/shard, and the breach-window summary the flight recorder
   embeds in incident bundles.
 * :mod:`.advisor` — :class:`OffloadAdvisor`, the quantitative
-  offload advisor (ROADMAP item 3, v0): reads attribution plus the
-  :mod:`repro.hardware.costs` price curves and recommends a
-  placement (host / arm / asic) per kernel with estimated latency
-  and host-core deltas.
+  offload advisor: a view over the Compute Engine's own placement
+  price (:func:`repro.hardware.costs.server_prices`) that reads the
+  attribution kernel census and recommends a placement per kernel
+  with estimated latency and host-core deltas.
 
 Everything here only *reads* spans and registries — attribution can
 never perturb simulated results (``tests/obs/test_zero_perturbation.py``
 proves it byte for byte).
 """
 
-from .advisor import OffloadAdvisor, PlacementEstimate, Recommendation
+from .advisor import OffloadAdvisor, Recommendation
 from .criticalpath import (
     CATEGORIES,
     AttributionReport,
@@ -44,7 +44,6 @@ __all__ = [
     "AttributionCollector",
     "AttributionReport",
     "OffloadAdvisor",
-    "PlacementEstimate",
     "Recommendation",
     "RequestAttribution",
     "SpanIndex",

@@ -564,8 +564,9 @@ CLAIMS: Tuple[Claim, ...] = (
        "band", part="conservation", metric="failover_requests",
        lo=1.0, hi=math.inf),
     _c("AT.advisor_matches_best_static", "attr",
-       "the offload advisor's recommendation equals the measured "
-       "best static placement for every priced kernel/size",
+       "the offload advisor's recommendation equals the best "
+       "placement measured through the CE's specified execution, "
+       "for every priced kernel/size",
        "band", part="advisor", config="*", metric="matches",
        lo=1.0, hi=1.0),
     _c("AT.advisor_quantifies_offload", "attr",

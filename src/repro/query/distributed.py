@@ -48,8 +48,9 @@ from ..errors import ClusterError
 from ..sim import Environment
 from ..units import Gbps, PAGE_SIZE
 from ..workloads.tables import TableGenerator
-from ..hardware.costs import default_cost_model
-from .planner import _DPU_HZ, _HOST_HZ, plan_scan
+from ..hardware.costs import DEFAULT_COSTS
+from ..hardware.profiles import DpuProfile, HostProfile
+from .planner import plan_scan
 from .scan import QueryResult, ScanQuery
 
 __all__ = ["DistributedScanDeployment", "merge_partials",
@@ -68,9 +69,14 @@ _NODE_SCAN_CORES = 6
 def plan_distributed(query: ScanQuery,
                      shard_sizes: Dict[int, int],
                      n_columns: int,
+                     dpu: DpuProfile, host: HostProfile,
                      network_bps: float = 100 * Gbps,
                      owners: Optional[Dict[int, str]] = None) -> dict:
     """Price both plans for every shard; choose independently.
+
+    ``dpu`` is the owning nodes' DPU profile and ``host`` the
+    coordinator's host profile; every clock the estimates divide by
+    is theirs (:func:`plan_scan`).
 
     Scatter parallelism is per shard: one scan sproc occupies one Arm
     core on the owner, and one pull evaluation occupies one
@@ -96,14 +102,14 @@ def plan_distributed(query: ScanQuery,
     estimates — the uniform plan to force when one side owns the
     regime.
     """
-    costs = default_cost_model()
+    costs = DEFAULT_COSTS
     per_shard = {}
     choices = {}
     pull_total_s = pushdown_total_s = chosen_total_s = 0.0
     pull_wire = pushdown_wire = 0.0
     for shard in sorted(shard_sizes):
-        plan = plan_scan(query, shard_sizes[shard], n_columns,
-                         network_bps=network_bps, costs=costs,
+        plan = plan_scan(query, shard_sizes[shard], n_columns, dpu,
+                         host, network_bps=network_bps,
                          dpu_cores=1, host_cores=1)
         per_shard[shard] = plan
         choices[shard] = plan["choice"]
@@ -122,12 +128,13 @@ def plan_distributed(query: ScanQuery,
         "pushdown_bytes_on_wire": pushdown_wire,
     }
     plan.update(_cluster_wall(shard_sizes, per_shard, costs,
-                              network_bps, owners or {}))
+                              network_bps, owners or {},
+                              dpu.arm_frequency_hz, host.frequency_hz))
     return plan
 
 
 def _cluster_wall(shard_sizes, per_shard, costs, network_bps,
-                  owners) -> dict:
+                  owners, dpu_hz, host_hz) -> dict:
     """Wall-clock estimates for the two *uniform* cluster plans.
 
     Pull concentrates: all table bytes serialize through the one
@@ -166,15 +173,15 @@ def _cluster_wall(shard_sizes, per_shard, costs, network_bps,
             + software.spdk_cycles_per_page * pages
             + 2 * software.dpu_tcp_cycles_per_msg
             + software.dpu_tcp_cycles_per_byte * (size + out_bytes)
-            + estimates["pushdown"].compute_s * _DPU_HZ)
+            + estimates["pushdown"].compute_s * dpu_hz)
     pull_wall_s = (pull_bytes / bytes_per_s
-                   + pull_host_cycles / _HOST_HZ / _COORDINATOR_CORES)
-    slowest_owner_s = (max(node_cycles.values()) / _DPU_HZ
+                   + pull_host_cycles / host_hz / _COORDINATOR_CORES)
+    slowest_owner_s = (max(node_cycles.values()) / dpu_hz
                        / _NODE_SCAN_CORES
                        if node_cycles else 0.0)
     pushdown_wall_s = (slowest_owner_s
                        + push_bytes / bytes_per_s
-                       + push_host_cycles / _HOST_HZ
+                       + push_host_cycles / host_hz
                        / _COORDINATOR_CORES)
     return {
         "pull_wall_s": pull_wall_s,
@@ -277,9 +284,11 @@ class DistributedScanDeployment:
     def plan(self, query: ScanQuery) -> dict:
         """The cluster-aware plan for ``query`` on this deployment:
         per-shard choices priced at the deployment's actual fabric
-        speed and shard placement."""
+        speed, shard placement, node DPU and coordinator host."""
         return plan_distributed(query, self.shard_sizes(),
                                 len(self.schema.columns),
+                                self.cluster.nodes[0].server.dpu.profile,
+                                self.coordinator.server.host_profile,
                                 network_bps=self.network_bps,
                                 owners=self.owners())
 

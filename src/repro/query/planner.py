@@ -1,7 +1,8 @@
 """Plan choice for remote scans: pull vs DPU pushdown.
 
 The planner prices both plans with the same calibrated cost model the
-simulator uses, then picks the cheaper:
+simulator uses, at the clocks of the profiles it is handed (the
+storage node's DPU, the compute node's host), then picks the cheaper:
 
 * **pull** — every table byte crosses the network (kernel-TCP RX
   cycles on the compute node) and the compute node's cores evaluate
@@ -19,17 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..hardware.costs import CostModel, default_cost_model
+from ..hardware.costs import DEFAULT_COSTS
+from ..hardware.profiles import DpuProfile, HostProfile
 from ..units import Gbps
 from .scan import ScanQuery
 
 __all__ = ["PlanEstimate", "explain", "plan_scan"]
-
-#: DPU Arm core and host core frequencies assumed by the estimator
-#: (the BF-2 / EPYC defaults; override via arguments if profiling a
-#: different deployment).
-_DPU_HZ = 2.5e9
-_HOST_HZ = 3.0e9
 
 
 @dataclass(frozen=True)
@@ -59,11 +55,14 @@ def _output_fraction(query: ScanQuery, n_columns: int) -> float:
 
 
 def plan_scan(query: ScanQuery, table_bytes: int, n_columns: int,
+              dpu: DpuProfile, host: HostProfile,
               network_bps: float = 100 * Gbps,
-              costs: CostModel = None,
               dpu_cores: int = 6, host_cores: int = 4) -> dict:
     """Estimate both plans and choose.
 
+    ``dpu`` is the storage node's DPU profile and ``host`` the compute
+    node's host profile: pushdown cycles run at
+    ``dpu.arm_frequency_hz``, pull cycles at ``host.frequency_hz``.
     ``dpu_cores`` / ``host_cores`` are the degrees of scan parallelism
     each side can devote (the DPU keeps two of its eight Arm cores for
     the NE/SE pollers; the compute node shares its cores with the rest
@@ -74,7 +73,7 @@ def plan_scan(query: ScanQuery, table_bytes: int, n_columns: int,
         raise ValueError("negative table size")
     if dpu_cores < 1 or host_cores < 1:
         raise ValueError("parallelism must be >= 1")
-    costs = costs or default_cost_model()
+    costs = DEFAULT_COSTS
     network_bytes_per_s = network_bps / 8.0
 
     # -- pull: all bytes cross; host evaluates filter (+ projection).
@@ -92,7 +91,7 @@ def plan_scan(query: ScanQuery, table_bytes: int, n_columns: int,
         plan="pull",
         bytes_on_wire=float(table_bytes),
         network_s=table_bytes / network_bytes_per_s,
-        compute_s=pull_compute_cycles / _HOST_HZ / host_cores,
+        compute_s=pull_compute_cycles / host.frequency_hz / host_cores,
     )
 
     # -- pushdown: DPU evaluates; only the output crosses.
@@ -109,7 +108,7 @@ def plan_scan(query: ScanQuery, table_bytes: int, n_columns: int,
         plan="pushdown",
         bytes_on_wire=out_bytes + 128,      # result + header
         network_s=(out_bytes + 128) / network_bytes_per_s,
-        compute_s=push_cycles / _DPU_HZ / dpu_cores,
+        compute_s=push_cycles / dpu.arm_frequency_hz / dpu_cores,
     )
 
     choice = ("pushdown" if pushdown.total_s <= pull.total_s

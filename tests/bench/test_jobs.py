@@ -136,6 +136,24 @@ class TestIdentityGate:
         assert "provenance.workload_seed: 13 -> 14" \
             in capsys.readouterr().err
 
+    def test_a_moved_source_hash_gets_one_line(self, tmp_path, capsys):
+        document = json.loads(BASELINE.read_text())
+        blessed = document["provenance"]["src_sha256"]
+        same = tmp_path / "same.json"
+        same.write_text(json.dumps(document))
+        assert main(["--identity", str(BASELINE), str(same)]) == 0
+        assert "source differs" not in capsys.readouterr().out
+        document["provenance"]["src_sha256"] = "f" * 64
+        moved = tmp_path / "moved.json"
+        moved.write_text(json.dumps(document))
+        assert main(["--identity", str(BASELINE), str(moved)]) == 0
+        out = capsys.readouterr().out
+        line = (f"source differs: {BASELINE} was made from src_sha256 "
+                f"{blessed[:12]}, {moved} from ffffffffffff")
+        assert out.count("source differs") == 1
+        assert line in out
+        assert out.index(line) < out.index("not compared")
+
     def test_unequal_experiment_sets_exit_one(self, tmp_path, capsys):
         document = json.loads(BASELINE.read_text())
         del document["experiments"]["slo"]

@@ -124,11 +124,6 @@ class TestRegistry:
         from repro.hardware.costs import DEFAULT_KERNEL_COSTS
         assert set(BUILTIN_KERNELS) == set(DEFAULT_KERNEL_COSTS)
 
-    def test_asic_kinds_consistent_with_costs(self):
-        from repro.hardware.costs import DEFAULT_KERNEL_COSTS
-        for name, spec in BUILTIN_KERNELS.items():
-            assert spec.asic_kind == DEFAULT_KERNEL_COSTS[name].asic_kind
-
     def test_specs_copy_is_independent(self):
         specs = builtin_kernel_specs()
         specs.pop("compress")

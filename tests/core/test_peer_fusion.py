@@ -40,7 +40,7 @@ class TestPeerDevice:
     def test_service_time_includes_launch(self, env):
         peer = PeerAccelerator(env, GPU_SPEC)
         expected = GPU_SPEC.launch_latency_s + (1 * GB) / (12 * GB)
-        assert peer.service_time("compress", 1 * GB) == \
+        assert peer.chain_service_time([("compress", 1 * GB)]) == \
             pytest.approx(expected)
 
     def test_chain_single_launch(self, env):
@@ -48,8 +48,8 @@ class TestPeerDevice:
         chained = peer.chain_service_time(
             [("decompress", 1 * GB), ("filter", 3 * GB)]
         )
-        separate = (peer.service_time("decompress", 1 * GB)
-                    + peer.service_time("filter", 3 * GB))
+        separate = (peer.chain_service_time([("decompress", 1 * GB)])
+                    + peer.chain_service_time([("filter", 3 * GB)]))
         assert chained == pytest.approx(
             separate - GPU_SPEC.launch_latency_s
         )
@@ -57,7 +57,7 @@ class TestPeerDevice:
     def test_unsupported_kernel_raises(self, env):
         peer = PeerAccelerator(env, FPGA_SPEC)
         with pytest.raises(KeyError):
-            peer.service_time("aggregate", 100)
+            peer.chain_service_time([("aggregate", 100)])
 
     def test_channels_limit_concurrency(self, env):
         spec = PeerAcceleratorSpec(

@@ -64,12 +64,10 @@ class TestDpuAssembly:
             "compression", "encryption", "regex", "dedup"
         }
         assert dpu.accelerator("regex") is not None
-        assert dpu.has_accelerator("compression")
 
     def test_missing_accelerator_is_none(self, env):
         dpu = Dpu(env, BLUEFIELD3)
         assert dpu.accelerator("regex") is None
-        assert not dpu.has_accelerator("regex")
 
     def test_cpu_cluster_is_dpu_class(self, env):
         dpu = Dpu(env, BLUEFIELD2)

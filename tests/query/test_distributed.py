@@ -4,6 +4,7 @@ import pytest
 
 import repro.buffers as buffers
 from repro.cluster import encode_shard_scan, response_ok
+from repro.hardware import BLUEFIELD2, EPYC_HOST
 from repro.query import (
     DistributedScanDeployment,
     QueryResult,
@@ -16,6 +17,9 @@ from repro.units import Gbps, KB
 from repro.workloads.tables import _table_rows
 
 from scan_reference import reference_evaluate
+
+#: the storage-node DPU and compute-node host the planner prices at
+BF2_EPYC = (BLUEFIELD2, EPYC_HOST)
 
 
 def _selective_query():
@@ -55,7 +59,7 @@ _SIZES = {0: 40 * KB, 1: 40 * KB, 2: 30 * KB}
 
 class TestDistributedPlanner:
     def test_per_shard_choice_is_independent(self):
-        plan = plan_distributed(_selective_query(), _SIZES, 7)
+        plan = plan_distributed(_selective_query(), _SIZES, 7, *BF2_EPYC)
         assert set(plan["choices"]) == set(_SIZES)
         for choice in plan["choices"].values():
             assert choice in ("pull", "pushdown")
@@ -68,13 +72,13 @@ class TestDistributedPlanner:
                         "quantity", "extendedprice", "discount"],
             estimated_selectivity=0.95,
         )
-        plan = plan_distributed(query, _SIZES, 7,
+        plan = plan_distributed(query, _SIZES, 7, *BF2_EPYC,
                                 network_bps=100 * Gbps)
         assert all(choice == "pull"
                    for choice in plan["choices"].values())
 
     def test_selective_aggregate_on_slow_fabric_pushes(self):
-        plan = plan_distributed(_aggregate_query(), _SIZES, 7,
+        plan = plan_distributed(_aggregate_query(), _SIZES, 7, *BF2_EPYC,
                                 network_bps=2 * Gbps)
         assert all(choice == "pushdown"
                    for choice in plan["choices"].values())
@@ -82,14 +86,14 @@ class TestDistributedPlanner:
 
     def test_wide_scan_never_pushes(self):
         for bps in (2 * Gbps, 100 * Gbps):
-            plan = plan_distributed(_wide_query(), _SIZES, 7,
+            plan = plan_distributed(_wide_query(), _SIZES, 7, *BF2_EPYC,
                                     network_bps=bps)
             assert all(choice == "pull"
                        for choice in plan["choices"].values())
             assert plan["cluster_choice"] == "pull"
 
     def test_totals_equal_component_sums(self):
-        plan = plan_distributed(_selective_query(), _SIZES, 7)
+        plan = plan_distributed(_selective_query(), _SIZES, 7, *BF2_EPYC)
         for side in ("pull", "pushdown"):
             total = sum(plan["per_shard"][shard][side].total_s
                         for shard in _SIZES)
@@ -104,7 +108,7 @@ class TestDistributedPlanner:
         assert plan["chosen_total_s"] == pytest.approx(chosen)
 
     def test_cluster_wall_estimates_present(self):
-        plan = plan_distributed(_aggregate_query(), _SIZES, 7)
+        plan = plan_distributed(_aggregate_query(), _SIZES, 7, *BF2_EPYC)
         assert plan["pull_wall_s"] > 0
         assert plan["pushdown_wall_s"] > 0
         assert plan["cluster_choice"] in ("pull", "pushdown")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.hardware import BLUEFIELD2, EPYC_HOST
 from repro.query import (
     DistributedScanDeployment,
     PlanEstimate,
@@ -11,6 +12,9 @@ from repro.query import (
     run_distributed_scan as run_scan,
 )
 from repro.units import Gbps, MB
+
+#: the storage-node DPU and compute-node host the planner prices at
+BF2_EPYC = (BLUEFIELD2, EPYC_HOST)
 
 
 def _selective_query():
@@ -33,26 +37,26 @@ def _aggregate_query():
 
 class TestPlanner:
     def test_returns_both_estimates(self):
-        plan = plan_scan(_selective_query(), 10 * MB, 7)
+        plan = plan_scan(_selective_query(), 10 * MB, 7, *BF2_EPYC)
         assert isinstance(plan["pull"], PlanEstimate)
         assert isinstance(plan["pushdown"], PlanEstimate)
         assert plan["choice"] in ("pull", "pushdown")
 
     def test_pushdown_ships_fewer_bytes(self):
-        plan = plan_scan(_selective_query(), 10 * MB, 7)
+        plan = plan_scan(_selective_query(), 10 * MB, 7, *BF2_EPYC)
         assert plan["pushdown"].bytes_on_wire < \
             plan["pull"].bytes_on_wire / 10
 
     def test_slow_network_favours_pushdown(self):
         query = _selective_query()
-        fast = plan_scan(query, 10 * MB, 7, network_bps=200 * Gbps)
-        slow = plan_scan(query, 10 * MB, 7, network_bps=2 * Gbps)
+        fast = plan_scan(query, 10 * MB, 7, *BF2_EPYC, network_bps=200 * Gbps)
+        slow = plan_scan(query, 10 * MB, 7, *BF2_EPYC, network_bps=2 * Gbps)
         assert slow["choice"] == "pushdown"
         # On a very fast network the host's faster cores win.
         assert fast["choice"] == "pull"
 
     def test_aggregates_ship_constant_bytes(self):
-        plan = plan_scan(_aggregate_query(), 100 * MB, 7)
+        plan = plan_scan(_aggregate_query(), 100 * MB, 7, *BF2_EPYC)
         assert plan["pushdown"].bytes_on_wire < 1000
 
     def test_nonselective_wide_query_prefers_pull(self):
@@ -61,7 +65,7 @@ class TestPlanner:
             predicate=lambda value: True,
             estimated_selectivity=1.0,
         )
-        plan = plan_scan(query, 10 * MB, 7, network_bps=100 * Gbps)
+        plan = plan_scan(query, 10 * MB, 7, *BF2_EPYC, network_bps=100 * Gbps)
         # Nothing is saved on the wire; the DPU's slower cores lose.
         assert plan["choice"] == "pull"
 
@@ -77,7 +81,7 @@ class TestPlanner:
                     projection=["orderkey"],
                     estimated_selectivity=selectivity,
                 )
-                plans.append(plan_scan(query, 64 * MB, 7,
+                plans.append(plan_scan(query, 64 * MB, 7, *BF2_EPYC,
                                        network_bps=network_bps))
             return plans
 
@@ -92,7 +96,7 @@ class TestPlanner:
         assert fractions == sorted(fractions)
 
     def test_explain_renders(self):
-        text = explain(plan_scan(_selective_query(), 1 * MB, 7))
+        text = explain(plan_scan(_selective_query(), 1 * MB, 7, *BF2_EPYC))
         assert "chosen plan" in text
         assert "pushdown" in text
 
@@ -102,7 +106,7 @@ class TestPlanner:
                       predicate=lambda v: True,
                       estimated_selectivity=1.5)
         with pytest.raises(ValueError):
-            plan_scan(_selective_query(), -1, 7)
+            plan_scan(_selective_query(), -1, 7, *BF2_EPYC)
 
 
 class TestExecution:

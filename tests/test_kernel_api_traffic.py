@@ -65,6 +65,7 @@ import ast
 import builtins
 import collections
 import functools
+import re
 import textwrap
 from pathlib import Path
 
@@ -459,6 +460,28 @@ def test_every_kept_parameter_has_a_closed_reason():
     assert {reason for reason, _detail in KEPT_PARAMETERS.values()} \
         <= set(REASONS)
     assert all(detail for _reason, detail in KEPT_PARAMETERS.values())
+
+
+def test_every_cited_roadmap_item_is_open():
+    """A kept function or parameter that names a ROADMAP item as its
+    future caller names an open one: item numbers are never reused,
+    so a citation of a closed or renumbered item is a stale reason."""
+    from tests import traffic_census
+    roadmap = (_REPO / "ROADMAP.md").read_text()
+    section = roadmap.split("\n## Open items", 1)[1].split("\n## ", 1)[0]
+    open_items = set(re.findall(r"^(\d+)\. \*\*", section, re.M))
+    reasons = [*traffic_census.KEPT.values(),
+               traffic_census._RECOVERY, traffic_census._DEADLINE,
+               traffic_census._MISMATCH, traffic_census._TEARDOWN,
+               *(detail for _reason, detail in KEPT_PARAMETERS.values())]
+    cited = {(number, reason) for reason in reasons
+             for number in re.findall(r"ROADMAP (?:item )?(\d+)", reason)}
+    assert cited, "no ROADMAP citation found: the pattern is stale"
+    stale = sorted(f"ROADMAP {number}: {reason}"
+                   for number, reason in cited if number not in open_items)
+    assert not stale, (
+        f"cited ROADMAP items that are not open (open: "
+        f"{sorted(open_items, key=int)}):\n" + "\n".join(stale))
 
 
 def test_forwarded_keywords_reach_the_constructor():

@@ -36,7 +36,7 @@ SRC = REPO / "src"
 
 _RECOVERY = "crash recovery: no experiment ends a crash (ROADMAP 4)"
 _DEADLINE = "client deadlines/teardown: no client times out (ROADMAP 4)"
-_MISMATCH = "runs only when --identity finds a difference (ROADMAP 7b)"
+_MISMATCH = "runs only when --identity finds a difference (ROADMAP 7)"
 _PAPER = "paper-named interface, tests are its callers (PAPER.md s1)"
 _TEARDOWN = ("a waiter abandoned mid-queue: only a finished run's "
              "processes, closed at teardown; no run cancels a queued "
@@ -58,7 +58,7 @@ KEPT = {
     "netstack/tcp.py:TcpConnection._fast_retransmit":
         "loss recovery: no experiment drops a data segment (ROADMAP 4a)",
     "fs/pagecache.py:PageCache.invalidate":
-        "cache coherence after an overwrite: A3 only reads (ROADMAP 5)",
+        "cache coherence after an overwrite: A3 only reads (ROADMAP 9a)",
     "core/scheduler.py:SprocScheduler._spill":
         "host spill-over under DPU backlog: off in every experiment "
         "(ROADMAP 5b knockout)",
@@ -71,15 +71,15 @@ KEPT = {
     "sim/core.py:Timeout.succeed": "refuses a hand-triggered timer",
     "sim/core.py:Environment.peek":
         "how the schedule-order reference interpreter and the "
-        "eventless-occupancy tests see the next event (ROADMAP 6)",
+        "eventless-occupancy tests see the next event (ROADMAP 2b)",
     "hardware/memory.py:MemoryRegion.used_bytes":
-        "DPU DRAM occupancy: becomes a bound resource (ROADMAP 5)",
+        "DPU DRAM occupancy: becomes a bound resource (ROADMAP 9a)",
     "obs/attr/criticalpath.py:RequestAttribution.to_dict":
         "the per-request ledger the tracer goldens in "
         "tests/obs/test_trace_cost.py hash (ROADMAP 3)",
     "obs/attr/online.py:AttributionCollector._observe_kernel":
         "the advisor's kernel census on a scraped plane: cluster "
-        "experiments run no DP kernel (ROADMAP 5 width)",
+        "experiments run no DP kernel (ROADMAP 9)",
     "obs/regress.py:attribution_shifts": _MISMATCH,
     "obs/regress.py:render_differences": _MISMATCH,
     "obs/regress.py:_breakdown": _MISMATCH,
@@ -100,12 +100,13 @@ KEPT = {
     "netstack/rdma.py:RdmaNode._handle_send": "two-sided verbs under DfiFlow",
     "netstack/rdma.py:RdmaNode._charge_poll": "two-sided verbs under DfiFlow",
     # -- one half of a pair whose other half has traffic --------------
+    "hardware/costs.py:CostModel.chain_cycles":
+        "a chain fused on a CPU placement: A6 fuses on the GPU only; "
+        "tests/core/test_peer_fusion.py fuses on dpu_cpu",
     "core/kernels.py:_decrypt_fn":
         "inverse of the encrypt kernel; the round-trip test is its caller",
     "buffers.py:RealBuffer.fingerprint":
         "the Buffer interface on real bytes (crc32 kernels read .data)",
-    "hardware/peer.py:PeerAccelerator.service_time":
-        "scheduler-scored peer placement: A6 names its device",
 }
 
 
