@@ -7,7 +7,7 @@ ways over identical seeded arrivals:
 
 * **protected** — per-node :class:`~repro.core.AdmissionController`
   at the DDS ingress (token buckets from tenant budgets, bounded
-  queue, deadline-aware early rejection, CoDel shed) plus, where the
+  queue, deadline-aware early rejection) plus, where the
   scenario calls for it, the telemetry-driven
   :class:`~repro.cluster.Autoscaler`;
 * **unprotected** — the same simulation with the door wide open (a
@@ -68,8 +68,9 @@ __all__ = ["slo_parts", "SCENARIOS"]
 
 SEED = 23
 
-#: the on-time bound an answer must meet to count as goodput, and
-#: the SLO target the monitor and the shed policy both watch
+#: the on-time bound an answer must meet to count as goodput, the
+#: deadline the monitor watches, and the budget admission's deadline
+#: rung gives a request that carries none
 DEADLINE_S = 1.5e-3
 SCRAPE_INTERVAL_S = 2.5e-4
 

@@ -274,9 +274,6 @@ class ClusterDdsServer(DdsServer):
                 root.annotate(path="error",
                               error=type(exc).__name__)
                 response = error_body(exc)
-            else:
-                if self.admission is not None:
-                    self.admission.observe(self.env.now - started)
             finally:
                 if ticket is not None:
                     ticket.release()

@@ -5,7 +5,7 @@ This package is the paper's contribution; everything else in
 point and the package docstrings for the mapping to paper sections.
 """
 
-from .admission import AdmissionController, CodelShedder, TokenBucket
+from .admission import AdmissionController, TokenBucket
 from .compute import ComputeEngine, KernelRequest, SprocContext
 from .dds import DdsClient, DdsServer
 from .dpdpu import DpdpuRuntime
@@ -23,7 +23,6 @@ from .wire import (default_udf, encode_log_replay, encode_read,
 
 __all__ = [
     "AdmissionController",
-    "CodelShedder",
     "TokenBucket",
     "ComputeEngine",
     "KernelRequest",

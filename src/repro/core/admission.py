@@ -15,15 +15,11 @@ every tenant's p99 down with them.  The escalation ladder is
 3. **deadline-aware early rejection** — when the expected wait
    (inflight / service rate) already exceeds the request's latency
    budget, admitting it only wastes work: reject now, retry-after
-   tells the client when the queue will have drained;
-4. **CoDel-style shedding** — when completion latency stays above
-   the SLO target for a full interval, the :class:`CodelShedder`
-   starts dropping requests at the CoDel cadence (interval/sqrt(n)),
-   keeping the queue at the target rather than at its capacity.
+   tells the client when the queue will have drained.
 
-Every decision is deterministic: buckets and the shedder are pure
-functions of sim time and the arrival sequence — no wall clock, no
-randomness — so protected runs replay byte-identically.
+Every decision is deterministic: the buckets are pure functions of
+sim time and the arrival sequence — no wall clock, no randomness — so
+protected runs replay byte-identically.
 
 Rejections raise :class:`~repro.errors.AdmissionRejected` before any
 DPU/host work is scheduled for the request.
@@ -31,14 +27,13 @@ DPU/host work is scheduled for the request.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Optional
 
 from ..errors import AdmissionRejected
 from ..sim import Environment
 from ..sim.stats import Counter
 
-__all__ = ["TokenBucket", "CodelShedder", "AdmissionController"]
+__all__ = ["TokenBucket", "AdmissionController"]
 
 #: Arm cycles an admission decision costs (a header field lookup and
 #: a couple of comparisons — the point of rejecting at the door)
@@ -88,60 +83,6 @@ class TokenBucket:
         return max(1.0 - self._tokens, 0.0) / self.rate_per_s
 
 
-class CodelShedder:
-    """CoDel's controlling law, applied to admission instead of dequeue.
-
-    Completion latencies stream in via :meth:`observe`.  Once latency
-    has stayed at or above ``target_s`` for a full ``interval_s``,
-    the shedder enters the dropping state and :meth:`should_shed`
-    starts returning True at the CoDel cadence — the next drop
-    ``interval / sqrt(drop_count)`` after the last, so shedding
-    intensifies while the overload persists.  A single observation
-    below target resets everything, exactly like CoDel leaving the
-    dropping state.
-    """
-
-    def __init__(self, env: Environment, target_s: float,
-                 interval_s: float):
-        if target_s <= 0 or interval_s <= 0:
-            raise ValueError("target and interval must be positive")
-        self.env = env
-        self.target_s = target_s
-        self.interval_s = interval_s
-        self._first_above: Optional[float] = None
-        self._dropping = False
-        self._drop_count = 0
-        self._next_drop = 0.0
-
-    def observe(self, latency_s: float) -> None:
-        """Feed one completed request's service latency."""
-        if latency_s < self.target_s:
-            self._first_above = None
-            self._dropping = False
-            self._drop_count = 0
-        elif self._first_above is None:
-            self._first_above = self.env.now + self.interval_s
-
-    def should_shed(self) -> bool:
-        """Consult (and advance) the drop schedule for one arrival."""
-        now = self.env.now
-        if self._first_above is None or now < self._first_above:
-            self._dropping = False
-            return False
-        if not self._dropping:
-            self._dropping = True
-            self._drop_count = 1
-            self._next_drop = (now + self.interval_s
-                               / math.sqrt(self._drop_count))
-            return True
-        if now >= self._next_drop:
-            self._drop_count += 1
-            self._next_drop = (now + self.interval_s
-                               / math.sqrt(self._drop_count))
-            return True
-        return False
-
-
 class _Ticket:
     """An admitted request's hold on the ingress queue."""
 
@@ -158,19 +99,19 @@ class _Ticket:
 
 
 class AdmissionController:
-    """The per-node ingress gate: rate limits, bounds, shed policy.
+    """The per-node ingress gate: rate limits, bounds, deadlines.
 
     One controller guards one node's DDS ingress.  ``tenants`` is the
     node's :class:`~repro.core.tenancy.TenantRegistry`; tenants with
     a ``rate_limit_ops_per_s`` budget get a token bucket, the rest
     are unmetered.  ``registry`` (a
-    :class:`~repro.obs.metrics.MetricsRegistry`, optional) receives
-    the per-tenant ``tenant.<name>.admitted/rejected/shed`` counters
+    :class:`~repro.obs.metrics.MetricsRegistry`) receives
+    the per-tenant ``tenant.<name>.admitted/rejected`` counters
     the telemetry plane derives overload attribution from.
     """
 
     def __init__(self, env: Environment, tenants,
-                 registry=None, max_queue: int = 64,
+                 registry, max_queue: int = 64,
                  service_rate_ops: float = 100_000.0,
                  slo_target_s: float = 1.0e-3,
                  name: str = "admission"):
@@ -185,8 +126,6 @@ class AdmissionController:
         self.service_rate_ops = service_rate_ops
         self.slo_target_s = slo_target_s
         self.name = name
-        self.shedder = CodelShedder(
-            env, target_s=slo_target_s, interval_s=4.0 * slo_target_s)
         self._buckets: Dict[str, TokenBucket] = {}
         self._inflight = 0
         self._counters: Dict[str, Counter] = {}
@@ -207,11 +146,7 @@ class AdmissionController:
         key = f"tenant.{tenant_name}.{verdict}"
         counter = self._counters.get(key)
         if counter is None:
-            if self.registry is not None:
-                counter = self.registry.counter(key)
-            else:
-                counter = Counter(key)
-            self._counters[key] = counter
+            counter = self._counters[key] = self.registry.counter(key)
         counter.add(1)
 
     def admit(self, tenant_name: Optional[str] = None,
@@ -263,20 +198,6 @@ class AdmissionController:
                 retry_after_s=expected_wait - budget,
                 tenant=name)
 
-        # 4. CoDel shed while p99 breaches the SLO target
-        if self.shedder.should_shed():
-            self._count(name, "shed")
-            raise AdmissionRejected(
-                "shedding: latency above SLO target for a full "
-                "interval",
-                reason="shed",
-                retry_after_s=self.shedder.interval_s,
-                tenant=name)
-
         self._inflight += 1
         self._count(name, "admitted")
         return _Ticket(self)
-
-    def observe(self, latency_s: float) -> None:
-        """Feed a completion latency to the shed policy."""
-        self.shedder.observe(latency_s)

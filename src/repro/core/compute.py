@@ -44,9 +44,10 @@ from .tenancy import TenantRegistry
 __all__ = ["ComputeEngine", "KernelRequest", "SprocContext",
            "PLACEMENTS"]
 
-#: Placements a *fused* kernel chain may target: fixed-function ASICs
-#: cannot fuse across kernels, but CPUs and peer accelerators can.
-FUSABLE_PLACEMENTS = ("dpu_cpu", "host_cpu", "pcie_gpu", "pcie_fpga")
+#: Placements a *fused* kernel chain may target: the PCIe peers, whose
+#: per-job launch and intermediate crossings fusion saves (Section 5).
+#: Fixed-function ASICs cannot fuse across kernels.
+FUSABLE_PLACEMENTS = ("pcie_gpu", "pcie_fpga")
 
 #: Graceful degradation under injected faults: where a *scheduled*
 #: kernel falls back when its placement fails mid-run.  Host CPU is
@@ -300,8 +301,8 @@ class ComputeEngine:
         Fusion amortizes per-job launch latency and keeps
         intermediates inside the device — one input transfer, one
         output transfer, one launch for the whole chain (the Section 5
-        rationale for GPUs/FPGAs).  Fixed-function ASICs cannot fuse,
-        so valid placements are :data:`FUSABLE_PLACEMENTS`.
+        rationale for GPUs/FPGAs), so valid placements are the peers
+        in :data:`FUSABLE_PLACEMENTS`.
 
         Returns ``None`` when the specified placement cannot run the
         whole chain (missing peer, unsupported kernel).
@@ -316,10 +317,9 @@ class ComputeEngine:
             raise KernelUnavailableError(
                 f"cannot fuse on {device!r}; valid: {FUSABLE_PLACEMENTS}"
             )
-        if device.startswith("pcie_"):
-            peer = self._peer_for(device)
-            if peer is None or not all(peer.supports(n) for n in names):
-                return None
+        peer = self._peer_for(device)
+        if peer is None or not all(peer.supports(n) for n in names):
+            return None
         label = "+".join(names)
         request = KernelRequest(self.env, label, device)
         request.span = self.tracer.begin(
@@ -327,7 +327,7 @@ class ComputeEngine:
             input_bytes=buffer.size, stages=len(names),
         )
         self.env.process(
-            self._execute_fused(specs, buffer, device, request),
+            self._execute_fused(specs, buffer, peer, request),
             name=f"dpk-fused-{label}",
         )
         return request
@@ -345,29 +345,15 @@ class ComputeEngine:
             meta.update(result.meta)
         return stages, current, meta
 
-    def _execute_fused(self, specs, buffer: Buffer, device: str,
+    def _execute_fused(self, specs, buffer: Buffer, peer,
                        request: KernelRequest):
         started = self.env.now
         try:
             stages, out_buffer, meta = self._run_chain_fn(specs, buffer)
-            if device.startswith("pcie_"):
-                peer = self._peer_for(device)
-                yield from self.dpu.dma.copy(buffer.size,
-                                             direction="to_host")
-                yield from peer.run_chain(stages)
-                yield from self.dpu.dma.copy(out_buffer.size,
-                                             direction="to_device")
-            else:
-                cpu = (self.dpu.cpu if device == "dpu_cpu"
-                       else self.server.host_cpu)
-                cycles = self.costs.chain_cycles(stages, cpu.cpu_class)
-                if device == "host_cpu":
-                    yield from self.dpu.dma.copy(buffer.size,
-                                                 direction="to_host")
-                yield from cpu.execute(cycles)
-                if device == "host_cpu":
-                    yield from self.dpu.dma.copy(out_buffer.size,
-                                                 direction="to_device")
+            yield from self.dpu.dma.copy(buffer.size, direction="to_host")
+            yield from peer.run_chain(stages)
+            yield from self.dpu.dma.copy(out_buffer.size,
+                                         direction="to_device")
             request.meta = meta
             self.kernel_executions.add(1)
             self.kernel_latency.observe(self.env.now - started)

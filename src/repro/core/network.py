@@ -60,7 +60,7 @@ class HostListener:
     def accept(self) -> AsyncRequest:
         """Async request completing with a :class:`HostSocket`."""
         request = AsyncRequest(self._engine.env, "ne:accept")
-        self._engine._charge_host_async(
+        self._engine.server.host_cpu.charge(
             self._engine.costs.ring_read_cycles_per_op
         )
         # Complete straight off the store event — no waiter process.
@@ -105,7 +105,7 @@ class HostSocket:
         cost = (engine.costs.offloaded_tcp_host_cycles_per_msg
                 + engine.costs.offloaded_tcp_host_cycles_per_byte
                 * buffer.size)
-        engine._charge_host_async(cost)
+        engine.server.host_cpu.charge(cost)
         accepted = engine.rings.submit({
             "op": "tcp_send", "conn": self._conn, "buffer": buffer,
             "request": request, "span": request.span,
@@ -120,7 +120,7 @@ class HostSocket:
         """Receive one message; completes with its Buffer."""
         engine = self._engine
         request = AsyncRequest(engine.env, "ne:recv")
-        engine._charge_host_async(engine.costs.ring_read_cycles_per_op)
+        engine.server.host_cpu.charge(engine.costs.ring_read_cycles_per_op)
         # Complete straight off the store event — no waiter process.
         event = self._rx.get()
         if event.callbacks is None:
@@ -152,7 +152,7 @@ class OffloadedQp:
             bytes=(buffer.size if buffer is not None
                    else descriptor.get("size", 0)),
         )
-        engine._charge_host_async(engine.costs.ring_write_cycles_per_op)
+        engine.server.host_cpu.charge(engine.costs.ring_write_cycles_per_op)
         descriptor["request"] = request
         descriptor["op"] = "rdma"
         descriptor["qp"] = self._qp
@@ -237,7 +237,7 @@ class NetworkEngine:
         ``remote`` names the destination server on switched fabrics.
         """
         request = AsyncRequest(self.env, "ne:connect")
-        self._charge_host_async(self.costs.ring_write_cycles_per_op)
+        self.server.host_cpu.charge(self.costs.ring_write_cycles_per_op)
         if not self.rings.submit({"op": "tcp_connect", "port": port,
                                   "remote": remote,
                                   "request": request}):
@@ -411,15 +411,9 @@ class NetworkEngine:
         if completion.get("buffer") is not None:
             size += completion["buffer"].size
         yield from self.dpu.dma.copy(size, direction="to_host")
-        self._charge_host_async(self.costs.ring_read_cycles_per_op)
+        self.server.host_cpu.charge(self.costs.ring_read_cycles_per_op)
         request.span.finish()
         request.complete(completion.get("buffer"))
-
-    # -- cost helpers -------------------------------------------------------------
-
-    def _charge_host_async(self, cycles: float) -> None:
-        if cycles > 0 and not self.server.host_cpu.charge_async(cycles):
-            self.env.process(self.server.host_cpu.execute(cycles))
 
 
 class DfiFlow:

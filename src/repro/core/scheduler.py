@@ -160,31 +160,29 @@ class SprocScheduler:
             yield self._kick.get()
             while self.backlog:
                 task = self._pick()
-                if task is None:
-                    break
                 core = yield from self.cpu.acquire_core()
                 self._start(task, core)
             # Drain stale kicks so the store does not grow unboundedly.
             while len(self._kick.items):
                 yield self._kick.get()
 
-    def _pick(self) -> Optional[ScheduledTask]:
-        """Select the next task according to the active policy."""
+    def _pick(self) -> ScheduledTask:
+        """Select the next task according to the active policy (there
+        is one: the backlog is not empty)."""
         if self._fcfs:
             return self._fcfs.popleft()
         return self._pick_drr()
 
-    def _pick_drr(self) -> Optional[ScheduledTask]:
+    def _pick_drr(self) -> ScheduledTask:
         # Classic DRR: visit classes round-robin, granting one quantum
         # per visit; dispatch when the class's deficit covers its head
         # task.  Terminates because every full rotation strictly grows
-        # each non-empty class's deficit.
-        while self._drr_order:
+        # each non-empty class's deficit.  A class is in the order
+        # exactly while its queue is non-empty (_enqueue_drr adds it on
+        # its first task, this pops it with its last).
+        while True:
             tenant = self._drr_order[0]
-            queue = self._drr_queues.get(tenant)
-            if not queue:
-                self._drr_order.popleft()
-                continue
+            queue = self._drr_queues[tenant]
             head = queue[0]
             if self._deficits[tenant] >= head.estimated_cycles:
                 self._deficits[tenant] -= head.estimated_cycles
@@ -195,7 +193,6 @@ class SprocScheduler:
                 return head
             self._deficits[tenant] += self.quantum
             self._drr_order.rotate(-1)
-        return None
 
     def _start(self, task: ScheduledTask, core) -> None:
         task.started_at = self.env.now

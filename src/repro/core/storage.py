@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..buffers import Buffer, SynthBuffer, as_buffer
-from ..errors import FaultInjectedError, ReproError, StorageError
+from ..errors import ReproError, StorageError
 from ..fs import BlockDevice, FileSystem, Journal, PageCache
 from ..hardware.server import Server
 from ..obs.trace import NULL_TRACER
@@ -112,7 +112,7 @@ class StorageEngine:
 
     def create(self, name: str, size: int = 0) -> int:
         """Create a file; returns its file id."""
-        self._charge_host_async(self.costs.file_frontend_cycles_per_op)
+        self.server.host_cpu.charge(self.costs.file_frontend_cycles_per_op)
         return self.fs.create(name, size)
 
     # -- host data path (Figure 6's se.read / se.write) ------------------------
@@ -125,7 +125,7 @@ class StorageEngine:
             "se.read", category="storage", file_id=file_id,
             offset=offset, size=size,
         )
-        self._charge_host_async(self.costs.file_frontend_cycles_per_op)
+        self.server.host_cpu.charge(self.costs.file_frontend_cycles_per_op)
         if self.host_cache is not None:
             cached = self.host_cache.get((file_id, offset, size))
             if cached is not None:
@@ -151,7 +151,7 @@ class StorageEngine:
             "se.write", category="storage", file_id=file_id,
             offset=offset, size=buffer.size,
         )
-        self._charge_host_async(self.costs.file_frontend_cycles_per_op)
+        self.server.host_cpu.charge(self.costs.file_frontend_cycles_per_op)
         if not self.rings.submit({"op": "write", "file_id": file_id,
                                   "offset": offset, "buffer": buffer,
                                   "request": request,
@@ -175,7 +175,7 @@ class StorageEngine:
             "se.persist", category="storage", file_id=file_id,
             offset=offset, size=buffer.size,
         )
-        self._charge_host_async(self.costs.file_frontend_cycles_per_op)
+        self.server.host_cpu.charge(self.costs.file_frontend_cycles_per_op)
         if not self.rings.submit({"op": "persist", "file_id": file_id,
                                   "offset": offset, "buffer": buffer,
                                   "request": request,
@@ -301,7 +301,7 @@ class StorageEngine:
             request.fail(exc)
             return
         self.host_ops.add(1)
-        self._charge_host_async(self.costs.ring_read_cycles_per_op)
+        self.server.host_cpu.charge(self.costs.ring_read_cycles_per_op)
         self.host_op_latency.observe(self.env.now - request.issued_at)
         request.span.finish()
         request.complete(result)
@@ -380,17 +380,3 @@ class StorageEngine:
         for cache in (self.dpu_cache, self.host_cache):
             if cache is not None:
                 cache.invalidate((file_id, offset, size))
-
-    def _charge_host_async(self, cycles: float) -> None:
-        if cycles <= 0:
-            return
-        if self.server.host_cpu.charge_async(cycles):
-            return
-
-        def charge():
-            try:
-                yield from self.server.host_cpu.execute(cycles)
-            except FaultInjectedError:
-                pass    # accounting-only cycles lost in a crash window
-
-        self.env.process(charge())

@@ -121,7 +121,7 @@ class AdmissionRejected(ReproError):
     Raised *before* any expensive work is scheduled — the point of
     admission control is that rejection costs a header parse, not a
     DPU round-trip.  ``reason`` is one of ``"rate_limit"``,
-    ``"queue_full"``, ``"deadline"`` or ``"shed"``; ``retry_after_s``
+    ``"queue_full"`` or ``"deadline"``; ``retry_after_s``
     hints when the client should try again.
     """
 

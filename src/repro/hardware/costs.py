@@ -199,17 +199,6 @@ class CostModel:
         return (kernel_cost.base_cycles
                 + getattr(kernel_cost, _per_byte(cpu_class)) * nbytes)
 
-    def chain_cycles(self, stages, cpu_class: str) -> float:
-        """Cycles to run a chain of ``(kernel, nbytes)`` stages as one
-        job on a CPU class: the first kernel's base cost once, then
-        each stage's per-byte cycles over its own input size."""
-        field_name = _per_byte(cpu_class)
-        cycles = self.kernel(stages[0][0]).base_cycles
-        for kernel_name, nbytes in stages:
-            cycles += getattr(self.kernel(kernel_name),
-                              field_name) * nbytes
-        return cycles
-
     def price(self, kernel_name: str, nbytes: int, placement: str,
               dpu, host, peers) -> Optional["PlacementPrice"]:
         """What one run of ``kernel_name`` over ``nbytes`` costs at

@@ -138,6 +138,21 @@ class CpuCluster:
             return True
         return False
 
+    def charge(self, cycles: float) -> None:
+        """Burn ``cycles`` nothing waits on (frontend bookkeeping, ring
+        accounting): an eventless reservation when a core is free now
+        (:meth:`charge_async`), else a worker process.  A charge that
+        lands in a crash window is dropped — accounting-only cycles
+        lost with the core, not an error that ends the run."""
+        if cycles > 0 and not self.charge_async(cycles):
+            self.env.process(self._charge_worker(cycles))
+
+    def _charge_worker(self, cycles: float):
+        try:
+            yield from self.execute(cycles)
+        except FaultInjectedError:
+            pass
+
     def acquire_core(self):
         """Acquire a core long-term (generator returning DedicatedCore).
 

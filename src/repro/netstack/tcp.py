@@ -218,13 +218,12 @@ class TcpConnection:
                 per_byte = stack._per_byte
                 while True:
                     if offset == 0 and chunk >= buffer.size:
-                        payload = buffer    # whole message, one segment
-                    elif buffer.size:
+                        # whole message (an empty one too), one segment
+                        payload = buffer
+                    else:
                         payload = buffer.slice(
                             offset, min(chunk, buffer.size - offset)
                         )
-                    else:
-                        payload = buffer
                     last = offset + chunk >= size
                     seq = self._snd_next
                     self._snd_next += chunk
@@ -307,13 +306,12 @@ class TcpConnection:
                 yield self._snd_buffer.get(chunk)
                 yield from self._await_window(chunk)
                 if offset == 0 and chunk >= buffer.size:
-                    payload = buffer    # whole message, one segment
-                elif buffer.size:
+                    # whole message (an empty one too), one segment
+                    payload = buffer
+                else:
                     payload = buffer.slice(
                         offset, min(chunk, buffer.size - offset)
                     )
-                else:
-                    payload = buffer
                 last = offset + chunk >= size
                 yield from self._transmit_segment(
                     payload, chunk, last, item["enqueued_at"]

@@ -13,13 +13,11 @@ Three classic primitives built on :mod:`repro.sim.core`:
 All requests are events, so processes compose them freely with
 ``any_of``/``all_of`` (e.g. request-with-timeout).
 
-Hot paths: every class here carries ``__slots__``, wait queues are
-deques (O(1) at both ends), and request cancellation is uniformly
-lazy — a withdrawn request is tombstoned and skipped at grant time
-instead of an O(n) removal.  Tombstones are compacted away once they
-outnumber the live waiters (mass cancellation during overload shed
-would otherwise leave every grant loop scanning corpses).  Requests
-that can be satisfied at issue time (a free slot, an available item,
+Hot paths: every class here carries ``__slots__`` and wait queues
+are deques (O(1) at both ends).  A withdrawn request is removed from
+its queue outright: only a finished run's processes, closed at
+teardown, withdraw one, so the O(n) removal is never on a hot path.
+Requests that can be satisfied at issue time (a free slot, an available item,
 sufficient level) complete *inline*: the returned event is already
 processed, so a yielding process continues immediately instead of
 taking a trip through the event queue.  The simulated clock never
@@ -49,14 +47,12 @@ REFUSED = object()
 class _Request(Event):
     """A pending claim on one slot of a :class:`Resource`."""
 
-    __slots__ = ("resource", "priority", "_dead")
+    __slots__ = ("resource", "priority")
 
     def __init__(self, resource: "Resource", priority: int = 0):
         super().__init__(resource.env)
         self.resource = resource
         self.priority = priority
-        #: lazy-cancel tombstone, skipped at grant time
-        self._dead = False
         resource._do_request(self)
 
     def __enter__(self) -> "_Request":
@@ -71,7 +67,7 @@ class Resource:
 
     __slots__ = ("env", "capacity", "name", "users", "_waiting", "_seq",
                  "_busy_integral", "_last_change", "_total_served",
-                 "_res_expiry", "_res_count", "_res_wake", "_n_dead")
+                 "_res_expiry", "_res_count", "_res_wake")
 
     def __init__(self, env: Environment, capacity: int = 1,
                  name: str = "resource"):
@@ -93,8 +89,6 @@ class Resource:
         self._res_expiry: List[float] = []
         self._res_count = 0
         self._res_wake = False
-        #: tombstoned (lazily cancelled) entries still in the wait queue
-        self._n_dead = 0
 
     # -- public API ---------------------------------------------------------
 
@@ -113,9 +107,8 @@ class Resource:
 
     @property
     def queue_length(self) -> int:
-        """Number of live requests waiting for a slot (O(1))."""
-        n = len(self._waiting) - self._n_dead
-        return n if n > 0 else 0
+        """Number of requests waiting for a slot (O(1))."""
+        return len(self._waiting)
 
     def busy_time(self) -> float:
         """Slot-seconds of usage so far (integral of busy slots)."""
@@ -280,10 +273,8 @@ class Resource:
         waiting = self._waiting
         while waiting:
             request = waiting.popleft()
-            if not request._dead and not request.triggered:
+            if not request.triggered:
                 return request
-            if request._dead:
-                self._n_dead -= 1
         return None
 
     def _grant(self, request: _Request) -> None:
@@ -317,24 +308,10 @@ class Resource:
         self._grant_waiters()
 
     def _cancel(self, request: _Request) -> None:
-        # Lazy deletion: tombstone and skip at grant time.  Compact
-        # once tombstones dominate the wait queue (mass cancellation
-        # during overload shed) so grant loops and wake timers stop
-        # scanning corpses.
-        if request._dead:
-            return
-        request._dead = True
-        n_dead = self._n_dead + 1
-        self._n_dead = n_dead
-        if n_dead >= 8 and n_dead * 2 > len(self._waiting):
-            self._compact_waiters()
-
-    def _compact_waiters(self) -> None:
-        """Rebuild the wait queue without tombstones (order preserved)."""
-        live = [r for r in self._waiting if not r._dead]
-        self._waiting.clear()
-        self._waiting.extend(live)
-        self._n_dead = 0
+        # A waiter withdrawn before its grant (a process closed while
+        # it queued): it leaves the queue.
+        if request in self._waiting:
+            self._waiting.remove(request)
 
 
 class PriorityResource(Resource):
@@ -345,7 +322,7 @@ class PriorityResource(Resource):
     ``(priority, seq, request)`` here, so everything in the base class
     that only asks whether or how many are queued (the fused-path
     guards of ``hold`` / ``reserve`` / ``try_acquire``,
-    ``queue_length``, the compaction trigger) needs no override.
+    ``queue_length``) needs no override.
     """
 
     __slots__ = ()
@@ -364,17 +341,14 @@ class PriorityResource(Resource):
         heap = self._waiting
         while heap:
             _prio, _seq, request = heapq.heappop(heap)
-            if not request.triggered and not request._dead:
+            if not request.triggered:
                 return request
-            if request._dead:
-                self._n_dead -= 1
         return None
 
-    def _compact_waiters(self) -> None:
-        live = [entry for entry in self._waiting if not entry[2]._dead]
-        heapq.heapify(live)
-        self._waiting = live
-        self._n_dead = 0
+    def _cancel(self, request: _Request) -> None:
+        self._waiting = [entry for entry in self._waiting
+                         if entry[2] is not request]
+        heapq.heapify(self._waiting)
 
 
 class Container:

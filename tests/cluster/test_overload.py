@@ -22,6 +22,7 @@ from repro.core import AdmissionController, default_udf
 from repro.core.wire import classify
 from repro.core.tenancy import TenantRegistry
 from repro.obs import ClusterTelemetry
+from repro.obs.metrics import MetricsRegistry
 from repro.sim import Environment
 from repro.units import PAGE_SIZE
 
@@ -38,7 +39,8 @@ def _arm(env, cluster, tenant_limits=None, **kwargs):
         for name, limits in (tenant_limits or {}).items():
             tenants.register(name, **limits)
         node.dds.admission = AdmissionController(
-            env, tenants, name=f"admission.{node.name}", **kwargs)
+            env, tenants, MetricsRegistry(), name=f"admission.{node.name}",
+            **kwargs)
 
 
 def _request_body(shard, **extra):
@@ -85,7 +87,7 @@ class TestTypedRejection:
         other = json.dumps({"error": "ClusterError", "detail": "x"})
         assert classify(RealBuffer(other.encode())) == "error"
         rejected = json.dumps({"error": "AdmissionRejected",
-                               "reason": "shed",
+                               "reason": "deadline",
                                "retry_after_s": 1e-3})
         assert classify(RealBuffer(rejected.encode())) == "rejected"
 

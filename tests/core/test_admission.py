@@ -1,11 +1,9 @@
-"""The admission ladder: budgets, bounds, deadlines, CoDel shed."""
-
-import math
+"""The admission ladder: budgets, bounds, deadlines."""
 
 import pytest
 
 from repro.core import AdmissionController
-from repro.core.admission import CodelShedder, TokenBucket
+from repro.core.admission import TokenBucket
 from repro.core.tenancy import TenantRegistry
 from repro.errors import AdmissionRejected
 from repro.obs.metrics import MetricsRegistry
@@ -19,8 +17,8 @@ def env():
 
 def _controller(env, tenants=None, **kwargs):
     registry = tenants if tenants is not None else TenantRegistry(env)
-    defaults = dict(max_queue=8, service_rate_ops=1000.0,
-                    slo_target_s=1.0e-3)
+    defaults = dict(registry=MetricsRegistry(), max_queue=8,
+                    service_rate_ops=1000.0, slo_target_s=1.0e-3)
     defaults.update(kwargs)
     return AdmissionController(env, registry, **defaults)
 
@@ -132,46 +130,6 @@ class TestStrictIsolation:
             tenant.acquire_asic_slot("compress")))
         controller = _controller(env, tenants)
         controller.admit("lenient").release()
-
-
-class TestCodelShed:
-    def test_sheds_after_a_full_interval_above_target(self, env):
-        shedder = CodelShedder(env, target_s=1.0e-3,
-                               interval_s=4.0e-3)
-        shedder.observe(2.0e-3)
-        assert not shedder.should_shed()  # interval not elapsed
-        env.run(until=5.0e-3)
-        assert shedder.should_shed()
-
-    def test_drop_cadence_intensifies(self, env):
-        shedder = CodelShedder(env, target_s=1.0e-3,
-                               interval_s=4.0e-3)
-        shedder.observe(2.0e-3)
-        env.run(until=5.0e-3)
-        assert shedder.should_shed()
-        gap_1 = shedder._next_drop - env.now
-        assert gap_1 == pytest.approx(4.0e-3)
-        env.run(until=env.now + gap_1)
-        assert shedder.should_shed()
-        gap_2 = shedder._next_drop - env.now
-        assert gap_2 == pytest.approx(4.0e-3 / math.sqrt(2))
-
-    def test_one_healthy_latency_resets(self, env):
-        shedder = CodelShedder(env, target_s=1.0e-3,
-                               interval_s=4.0e-3)
-        shedder.observe(2.0e-3)
-        env.run(until=5.0e-3)
-        assert shedder.should_shed()
-        shedder.observe(0.5e-3)
-        assert not shedder.should_shed()
-
-    def test_controller_sheds_via_observe(self, env):
-        controller = _controller(env, slo_target_s=1.0e-3)
-        controller.observe(5.0e-3)
-        env.run(until=5.0e-3)      # past the 4 x target shed interval
-        with pytest.raises(AdmissionRejected) as excinfo:
-            controller.admit()
-        assert excinfo.value.reason == "shed"
 
 
 class TestTenantCounters:

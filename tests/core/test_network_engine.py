@@ -4,6 +4,7 @@ import pytest
 
 from repro.buffers import RealBuffer, SynthBuffer
 from repro.core import DpdpuRuntime
+from repro.faults import FaultInjector, FaultPlan
 from repro.hardware import BLUEFIELD2, connect, make_server
 from repro.netstack import RdmaNode
 from repro.sim import Environment
@@ -221,3 +222,18 @@ class TestDfiFlow:
                           runtime_b.server.costs.software, "flow-remote3")
         with pytest.raises(ValueError):
             runtime_a.network.flow(remote, depth=0)
+
+
+class TestHostChargeInACrash:
+    def test_connect_during_a_host_cpu_crash_keeps_the_run(self, env):
+        # The ring write a connect charges to the host is bookkeeping
+        # nothing waits on: inside a host-CPU crash window it is
+        # dropped, as the storage engine's frontend charges are, and
+        # the run goes on.
+        server = make_server(env, name="s", dpu_profile=BLUEFIELD2)
+        plan = FaultPlan().cpu_crash(0.0, 1.0, site="cpu.s.host_cpu")
+        FaultInjector(env, plan).install(server)
+        runtime = DpdpuRuntime(server)
+        runtime.network.connect(9000)
+        env.run(until=2.0)
+        assert server.host_cpu.cycles_charged.value == 0

@@ -146,24 +146,18 @@ class TestFusion:
         # crossings: a clear win.
         assert fused_latency < 0.6 * separate_latency
 
-    def test_fused_on_cpu_saves_base_cycles(self, env, ce):
-        payload = SynthBuffer(1 * MiB)
-        base = ce.dpu.cpu.cycles_charged.value
-        fused = ce.submit_fused(["encrypt", "crc32"], payload,
-                                "dpu_cpu")
-        env.run(until=fused.done)
-        fused_cycles = ce.dpu.cpu.cycles_charged.value - base
-        costs = ce.costs
-        expected = (
-            costs.kernel("encrypt").base_cycles
-            + costs.kernel("encrypt").dpu_cycles_per_byte * payload.size
-            + costs.kernel("crc32").dpu_cycles_per_byte * payload.size
-        )
-        assert fused_cycles == pytest.approx(expected)
+    def test_fusion_on_a_cpu_is_refused(self, ce):
+        # Fusion saves a peer's launch and PCIe crossings; a CPU has
+        # neither to save.
+        for device in ("dpu_cpu", "host_cpu"):
+            with pytest.raises(KernelUnavailableError):
+                ce.submit_fused(["encrypt", "crc32"], SynthBuffer(10),
+                                device)
+        assert FUSABLE_PLACEMENTS == ("pcie_gpu", "pcie_fpga")
 
     def test_fusion_validation(self, ce):
         with pytest.raises(KernelUnavailableError):
-            ce.submit_fused(["compress"], SynthBuffer(10), "dpu_cpu")
+            ce.submit_fused(["compress"], SynthBuffer(10), "pcie_gpu")
         with pytest.raises(KernelUnavailableError):
             ce.submit_fused(["compress", "crc32"], SynthBuffer(10),
                             "dpu_asic")
@@ -172,7 +166,7 @@ class TestFusion:
     def test_fused_meta_merges_stages(self, env, ce):
         payload = RealBuffer(b"abc 123 def 456 " * 50)
         fused = ce.submit_fused(["compress", "crc32"], payload,
-                                "dpu_cpu")
+                                "pcie_gpu")
         env.run(until=fused.done)
         assert "ratio" in fused.meta          # from compress
         assert "crc32" in fused.meta          # from crc32

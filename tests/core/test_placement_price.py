@@ -123,14 +123,6 @@ def test_server_prices_read_the_servers_own_profiles():
                 (name, placement)
 
 
-def test_chain_cycles_one_stage_is_cpu_cycles():
-    for name in BUILTIN_KERNELS:
-        for cpu_class in ("host", "dpu"):
-            assert DEFAULT_COSTS.chain_cycles([(name, 12_345)],
-                                              cpu_class) \
-                == DEFAULT_COSTS.cpu_cycles(name, 12_345, cpu_class)
-
-
 # -- (b) the backlog factor on top is the pre-price formula -----------------
 
 

@@ -19,6 +19,7 @@ from repro.core.admission import AdmissionController
 from repro.core.tenancy import TenantRegistry
 from repro.errors import AdmissionRejected, ClusterError
 from repro.obs import TraceContext
+from repro.obs.metrics import MetricsRegistry
 from repro.sim import Environment
 from repro.units import PAGE_SIZE
 
@@ -248,7 +249,8 @@ def _rejection():
     env = Environment()
     tenants = TenantRegistry(env)
     tenants.register("batch", rate_limit_ops_per_s=100.0, burst_ops=1.0)
-    admission = AdmissionController(env, tenants, name="admission")
+    admission = AdmissionController(env, tenants, MetricsRegistry(),
+                                    name="admission")
     admission.admit("batch")
     with pytest.raises(AdmissionRejected) as caught:
         admission.admit("batch")

@@ -462,9 +462,16 @@ def test_every_kept_parameter_has_a_closed_reason():
     assert all(detail for _reason, detail in KEPT_PARAMETERS.values())
 
 
+def test_every_kept_arm_has_a_closed_reason():
+    from tests import traffic_census
+    kept = traffic_census.KEPT_ARMS.values()
+    assert {reason for reason, _detail in kept} <= set(REASONS)
+    assert all(detail for _reason, detail in kept)
+
+
 def test_every_cited_roadmap_item_is_open():
-    """A kept function or parameter that names a ROADMAP item as its
-    future caller names an open one: item numbers are never reused,
+    """A kept function, arm or parameter that names a ROADMAP item as
+    its future caller names an open one: item numbers are never reused,
     so a citation of a closed or renumbered item is a stale reason."""
     from tests import traffic_census
     roadmap = (_REPO / "ROADMAP.md").read_text()
@@ -473,7 +480,9 @@ def test_every_cited_roadmap_item_is_open():
     reasons = [*traffic_census.KEPT.values(),
                traffic_census._RECOVERY, traffic_census._DEADLINE,
                traffic_census._MISMATCH, traffic_census._TEARDOWN,
-               *(detail for _reason, detail in KEPT_PARAMETERS.values())]
+               *(detail for _reason, detail in KEPT_PARAMETERS.values()),
+               *(detail for _reason, detail
+                 in traffic_census.KEPT_ARMS.values())]
     cited = {(number, reason) for reason in reasons
              for number in re.findall(r"ROADMAP (?:item )?(\d+)", reason)}
     assert cited, "no ROADMAP citation found: the pattern is stale"

@@ -1,26 +1,48 @@
-"""Execution census: which ``src/repro`` functions no traffic enters.
+"""Execution census: which ``src/repro`` functions, and which arms of
+the functions that do run, no traffic reaches.
 
 ``python tests/traffic_census.py [--check]`` runs, in this process and
-under ``sys.setprofile``, everything the product is judged by — the 19
-``repro.bench`` experiments, the traced ``fig6 fig8 obs attr avail``
-run, the five hostbench workloads at full and ``--reduced`` size, the
-nine examples and the three CLIs (``--jobs 2``, ``--list``,
-``--check``, both ``--identity`` forms, ``python -m repro.algos``,
-``python -m repro.obs.plane`` with both output flags) — and prints
-every function under ``src/repro`` whose code object was never
-entered.  Tests are not traffic, and neither is a call made while a
-generator is being closed: the collector finalizes a finished run's
-abandoned processes whenever it happens to run, so what that reaches
-would change from one run to the next.
+under ``sys.settrace``, everything the product is judged by — the 19
+``repro.bench`` experiments, the traced run of every traceable one
+(``--trace-out`` with no ids), the five hostbench workloads at full and
+``--reduced`` size, the nine examples and the three CLIs (``--jobs 2``,
+``--jobs 0``, ``--list``, ``--check``, both ``--identity`` forms,
+``python -m repro.algos``, ``python -m repro.obs.plane`` with both
+output flags) — and prints two tables from that one run:
 
-Exempt by rule: dunder methods, abstract stubs (a body that only
-raises ``NotImplementedError``) and ``repro.algos`` (known-answer
-surfaces whose callers are the golden tests); a function nested in a
-never-entered one is counted with it.  Every other survivor is in
-``KEPT`` with its reason; ``--check`` exits 1 on a never-entered
-function missing from ``KEPT`` and on a ``KEPT`` entry that did get
-traffic, so the table cannot rot.  About six minutes (``setprofile``
-costs x3-4); stdlib only.
+* **functions** — every function under ``src/repro`` whose code object
+  was never entered;
+* **arms** — every arm of an entered function that never ran.  An arm
+  is an ``if`` / ``elif`` / ``else``, loop (and loop-``else``),
+  ``with``, ``try`` / ``try``-``else``, ``except``, ``finally`` or
+  ``case`` body; it ran when its first statement did.  An arm inside
+  an arm that never ran is counted with it.
+
+Tests are not traffic, and neither is a frame into which
+``GeneratorExit`` was thrown, nor a call made while one is being
+handled: the collector finalizes a finished run's abandoned processes
+whenever it happens to run, so what that reaches would change from one
+run to the next.
+
+Exempt by rule, as safety code that needs no traffic to earn its
+place: ``repro.algos`` (known-answer surfaces whose callers are the
+golden tests, not traced at all); dunder methods and abstract stubs (a
+body that only raises ``NotImplementedError``); and these arms —
+
+* a body that only raises, or only fails a request or event (a span's
+  ``annotate`` / ``finish`` beside it is allowed);
+* an ``except`` or ``finally`` body;
+* validation of outside input: a ``__main__`` usage error (a body that
+  returns a non-zero exit status), an ``obs/artifact.py`` validator, an
+  ``obs/claims.py`` FAIL or SKIP verdict;
+* a one-statement guard that returns a literal.
+
+Every other survivor is in ``KEPT`` (functions) or ``KEPT_ARMS`` (arms,
+keyed ``path:Qual.name:<first statement>``) with its reason;
+``--check`` exits 1 on a survivor missing from its table and on a table
+entry that did get traffic, so neither table can rot.  About 16
+minutes on a 2-core host (every traced line is a Python call); stdlib
+only.
 """
 
 import ast
@@ -65,8 +87,7 @@ KEPT = {
     "cluster/autoscale.py:Autoscaler._scale_down":
         "retiring idle capacity: every slo cell ends loaded (ROADMAP 4b)",
     "sim/resources.py:Resource._cancel": _TEARDOWN,
-    "sim/resources.py:Resource._compact_waiters": _TEARDOWN,
-    "sim/resources.py:PriorityResource._compact_waiters": _TEARDOWN,
+    "sim/resources.py:PriorityResource._cancel": _TEARDOWN,
     "sim/core.py:Timeout.fail": "refuses a hand-triggered timer",
     "sim/core.py:Timeout.succeed": "refuses a hand-triggered timer",
     "sim/core.py:Environment.peek":
@@ -100,47 +121,484 @@ KEPT = {
     "netstack/rdma.py:RdmaNode._handle_send": "two-sided verbs under DfiFlow",
     "netstack/rdma.py:RdmaNode._charge_poll": "two-sided verbs under DfiFlow",
     # -- one half of a pair whose other half has traffic --------------
-    "hardware/costs.py:CostModel.chain_cycles":
-        "a chain fused on a CPU placement: A6 fuses on the GPU only; "
-        "tests/core/test_peer_fusion.py fuses on dpu_cpu",
     "core/kernels.py:_decrypt_fn":
         "inverse of the encrypt kernel; the round-trip test is its caller",
     "buffers.py:RealBuffer.fingerprint":
         "the Buffer interface on real bytes (crc32 kernels read .data)",
 }
 
+_A_KERNEL = ("a DP kernel on the buffer kind no experiment feeds it: "
+             "kernels take synthetic or real bytes (PAPER.md s1, CE)")
+_A_PAYLOAD = ("a DP-kernel handle takes raw bytes or a size, as "
+              "Figure 6's ce.get_dpk does (PAPER.md s1, CE)")
+_A_DFI = "two-sided verbs under the DFI-style flow interface (PAPER.md s1)"
+_A_SOCKET = "the NE's offloaded TCP socket ops (PAPER.md s1, NE)"
+_A_UDF = ("the offload engine's UDF contract: a message it cannot parse "
+          "passes or is answered opaquely (PAPER.md s1, SE)")
+_A_SCHEDULE = ("scheduled execution over every placement, PCIe peers "
+               "included: A6 specifies its GPU (PAPER.md s1, CE)")
+_D_FAULT = ("a fault path no experiment's plan reaches; item 4's random "
+            "FaultPlans will (ROADMAP 4)")
+_D_LOSS = ("loss, reorder and flow control: no experiment drops, reorders "
+           "or backs up a segment; item 4's generated loss will "
+           "(ROADMAP 4)")
+_D_TWIN = ("the other half of an inline/queued pair, which every run "
+           "takes; item 2(b) leaves one way to occupy a slot (ROADMAP 2)")
+_D_TRACE = ("tracing no traced experiment reaches; item 3 runs every "
+            "experiment traced (ROADMAP 3)")
+_D_GUARD = ("an empty, repeated or out-of-order input no run produces; "
+            "item 4's generated schedules and fault plans will "
+            "(ROADMAP 4)")
 
-def defined_functions():
-    """``{(path, first line): (key, line count, exempt by rule)}`` for
-    every function and method under ``src/repro``.  The key is
-    ``pkg/file.py:Qual.name``; the first line is the code object's
-    (its first decorator)."""
-    found = {}
+#: arms of entered functions that never ran: (a reason from the closed
+#: list ``REASONS`` of ``tests/test_kernel_api_traffic.py``, detail)
+KEPT_ARMS = {
+    # -- (a) paper-named interfaces -------------------------------------
+    "baselines/host_served.py:HostServedStorage._handle:return ACK":
+        ("a", _A_UDF),
+    "buffers.py:as_buffer:return RealBuffer(payload)": ("a", _A_PAYLOAD),
+    "buffers.py:as_buffer:return SynthBuffer(payload)": ("a", _A_PAYLOAD),
+    "buffers.py:record_column:count = len(fields) - fields.count(None)":
+        ("a", "which record a filter/project column is missing from "
+              "(PAPER.md s1, CE)"),
+    "cluster/router.py:ClusterDdsServer._handle:response = yield from "
+    "self._dispatch(request, message,":
+        ("a", "a cluster node serves a file-addressed request as a "
+              "plain DDS server does (PAPER.md s1, SE)"),
+    "core/compute.py:ComputeEngine._estimates:device = None #2":
+        ("a", _A_SCHEDULE),
+    "core/dds.py:DdsServer._forward_to_host:yield from "
+    "self.server.host_cpu.execute(HOST_REQUEST_CYCLES)":
+        ("a", "the traffic director's host path for a read: every "
+              "experiment offloads reads (PAPER.md s1, SE)"),
+    "core/dds.py:DdsServer._forward_to_host:yield from "
+    "self.server.host_cpu.execute(HOST_REQUEST_CYCLES) #2":
+        ("a", "the traffic director's host path for a write: every "
+              "experiment offloads writes (PAPER.md s1, SE)"),
+    "core/dds.py:DdsServer._forward_to_host:yield from "
+    "self.server.host_cpu.execute(HOST_REQUEST_CYCLES) #3":
+        ("a", _A_UDF),
+    "core/kernels.py:_decompress_fn:out: Buffer = "
+    "RealBuffer(inflate(buffer.data))": ("a", _A_KERNEL),
+    "core/kernels.py:_encrypt_fn:out = buffer.with_size(buffer.size, "
+    "label_suffix=\".enc\")": ("a", _A_KERNEL),
+    "core/kernels.py:_regex_fn:density = params.get(\"match_density\", "
+    "1 / 64)": ("a", _A_KERNEL),
+    "core/kernels.py:_project_fn:record_column(buffer.data, c, "
+    "delimiter, separator)":
+        ("a", "project raises what filter raises for a negative "
+              "column (PAPER.md s1, CE)"),
+    "core/kernels.py:_project_fn:rows = ([fields[c] for c in picks if "
+    "fields[c] is not None]":
+        ("a", "project over ragged records (PAPER.md s1, CE)"),
+    "core/network.py:NetworkEngine._do_rdma:done = yield from "
+    "qp.post_send(item[\"buffer\"])": ("a", _A_DFI),
+    "core/network.py:NetworkEngine._poller:"
+    "self.env.process(self._do_tcp_connect(item))": ("a", _A_SOCKET),
+    "core/network.py:NetworkEngine._poller:"
+    "self.env.process(self._do_tcp_send(item))": ("a", _A_SOCKET),
+    "core/requests.py:wait:yield request.done":
+        ("a", "the async-I/O front-end's wait with no budget "
+              "(PAPER.md s1)"),
+    "core/wire.py:_restamp:return message": ("a", _A_UDF),
+    "core/wire.py:encode_sproc:return RealBuffer(encoded)":
+        ("a", "a sproc argument longer than the fixed header "
+              "(PAPER.md s1, CE)"),
+    "fs/filesystem.py:FileSystem.write:self._grow(inode, end)":
+        ("a", "the POSIX-like file API grows a file written past its "
+              "end; every experiment pre-sizes its files (PAPER.md s1)"),
+    "netstack/rdma.py:RdmaMemoryRegion.read:return stored":
+        ("a", "one-sided RDMA reads back what a write stored; F7 reads "
+              "a region nobody wrote (PAPER.md s1, NE)"),
+    "netstack/rdma.py:RdmaNode._nic_loop:self._handle_send(frame)":
+        ("a", _A_DFI),
+    "query/scan.py:QueryResult.matches.close:return a == b":
+        ("a", "comparing aggregates over no rows (min/max None); every "
+              "query selects some (PAPER.md s1, CE)"),
+    # -- (c) a test hands in another form -------------------------------
+    "obs/trace.py:_named_tracers:return sorted(tracers.items())":
+        ("c", "a test merges a {node: tracer} dict; the plane passes "
+              "(node, tracer) pairs"),
+    # -- (d) a ROADMAP item names the caller ----------------------------
+    "baselines/host_served.py:HostServedStorage._handle:"
+    "yield self.env.timeout(wake)": ("d", _D_TWIN),
+    "bench/experiments_availability.py:availability_tcp_blackhole."
+    "blackholed_client:result[\"deadline_hit\"] = 0.0":
+        ("d", "a connect that gets through a down link, reported as "
+              "deadline_hit 0: the outcome AV measures against; item 5 "
+              "makes claims fail (ROADMAP 5)"),
+    "bench/experiments_obs.py:_merged_connectivity:dangling += 1":
+        ("d", "the count OB's connectivity claim fails on: a span whose "
+              "parent is missing; item 5 makes claims fail (ROADMAP 5)"),
+    "cluster/autoscale.py:Autoscaler._decide:"
+    "return self._scale_down(live)":
+        ("d", "retiring idle capacity: every slo cell ends loaded "
+              "(ROADMAP 4b)"),
+    "cluster/cluster.py:ClusterClient.connect_all:continue":
+        ("d", "skips a node retired by scale-down (ROADMAP 4b)"),
+    "cluster/rebalance.py:MigrationService._serve:"
+    "self.export_errors.add(1)": ("d", _D_FAULT),
+    "cluster/router.py:ClusterDdsServer._serve_scan:"
+    "self.shard_failovers.add(1)": ("d", _D_FAULT),
+    "cluster/sharding.py:ShardMap.remove_node:del self._splits[shard]":
+        ("d", _D_FAULT),
+    "core/compute.py:ComputeEngine._device_down:"
+    "return injector.is_down(f\"cpu.{device.name}\")": ("d", _D_FAULT),
+    "core/compute.py:ComputeEngine._estimates:continue": ("d", _D_FAULT),
+    "core/network.py:HostListener.accept:"
+    "request.complete(event._value)": ("d", _D_TWIN),
+    "core/network.py:HostSocket.recv:request.complete(event._value)":
+        ("d", _D_TWIN),
+    "core/requests.py:AsyncRequest.__init__:"
+    "self.set_deadline(deadline_s)": ("d", _DEADLINE),
+    "core/scheduler.py:SprocScheduler.submit:"
+    "injector = getattr(self.cpu, \"injector\", None)":
+        ("d", "host spill-over: off in every experiment (ROADMAP 5b "
+              "knockout)"),
+    "core/storage.py:StorageEngine._invalidate:"
+    "cache.invalidate((file_id, offset, size))":
+        ("d", "cache coherence after an overwrite: A3 only reads "
+              "(ROADMAP 9a)"),
+    "core/traffic.py:TrafficDirector.protect:return self.breaker":
+        ("d", "protecting twice keeps one breaker; item 4 re-admits a "
+              "recovered node (ROADMAP 4)"),
+    "core/wire.py:with_trace_context:return message": ("d", _D_TRACE),
+    "faults/injector.py:FaultInjector.install:"
+    "server.nic.wire.injector = self": ("d", _D_FAULT),
+    "faults/injector.py:FaultInjector.should_drop:"
+    "if window.probability >= 1.0 or \\": ("d", _D_LOSS),
+    "faults/recovery.py:CircuitBreaker.record_success:self.on_close()":
+        ("d", _RECOVERY),
+    "faults/recovery.py:RetryPolicy.delay_s:return raw":
+        ("d", "a retry without jitter: item 4's client retry budget "
+              "(ROADMAP 4)"),
+    "fs/journal.py:Journal.append:"
+    "yield from self.injector.perturb(f\"journal.{self.name}\")":
+        ("d", _D_FAULT),
+    "fs/pagecache.py:PageCache.put:self._remove(key)":
+        ("d", "a page cached again after an overwrite: A3 only reads "
+              "(ROADMAP 9a)"),
+    "hardware/accelerator.py:Accelerator.run_job:"
+    "site = f\"accel.{self.name}\"": ("d", _D_FAULT),
+    "hardware/nic.py:FlowTable.remove_rule:del self._rules[index]":
+        ("d", _RECOVERY),
+    "hardware/nic.py:Wire.carry_at:self.frames_dropped.add(1)":
+        ("d", _D_LOSS),
+    "hardware/switch.py:Switch.carry:self.frames_dropped.add(1)":
+        ("d", _D_FAULT),
+    "netstack/rdma.py:RdmaQp._complete:"
+    "span.annotate(latency_s=self.env.now - posted_at)": ("d", _D_TRACE),
+    "netstack/rdma.py:RdmaQp._post:"
+    "self._pending_spans[wr_id] = self.node.tracer.begin(":
+        ("d", _D_TRACE),
+    "netstack/tcp.py:TcpConnection._accept_segment:"
+    "self._messages.put(message)": ("d", _D_TWIN),
+    "netstack/tcp.py:TcpConnection._consumed:self.stack._post_ack(self)":
+        ("d", _D_LOSS),
+    "netstack/tcp.py:TcpConnection._on_ack:self._dup_acks += 1":
+        ("d", _D_LOSS),
+    "netstack/tcp.py:TcpConnection._on_ack:snd_buffer.put(credit)":
+        ("d", _D_TWIN),
+    "netstack/tcp.py:TcpConnection._on_data:self._accept_segment(":
+        ("d", _D_LOSS),
+    "netstack/tcp.py:TcpConnection._on_data:"
+    "self._out_of_order[seq] = segment": ("d", _D_LOSS),
+    "netstack/tcp.py:TcpConnection._send_message_traced:"
+    "payload = buffer.slice(":
+        ("d", "the traced sender item 3(a) deletes (ROADMAP 3)"),
+    "netstack/tcp.py:TcpConnection._sender_loop:break #3":
+        ("d", _D_LOSS),
+    "netstack/tcp.py:TcpConnection.recv_message:self._consumed(event)":
+        ("d", _D_TWIN),
+    "netstack/tcp.py:TcpStack._dispatch_frame:"
+    "connection = self._connections.get(frame[\"cid\"])":
+        ("d", _DEADLINE),
+    "netstack/tcp.py:TcpStack._on_syn:pass": ("d", _D_LOSS),
+    "netstack/tcp.py:TcpStack._post_ctrl:queue.put(frame)":
+        ("d", _D_TWIN),
+    "netstack/tcp.py:TcpStack.connect:break": ("d", _DEADLINE),
+    "obs/attr/criticalpath.py:SpanIndex.parent_key:"
+    "local = (node, span.parent_id)":
+        ("d", "the ledger asks only request roots for a parent; item 3 "
+              "attributes every span (ROADMAP 3)"),
+    "obs/attr/criticalpath.py:categorize:"
+    "device = span.attrs.get(\"device\", \"\")":
+        ("d", "a DP kernel on a traced cluster: cluster experiments run "
+              "none (ROADMAP 9)"),
+    "obs/attr/online.py:AttributionCollector.collect:"
+    "self._observe_kernel(span)":
+        ("d", "a DP kernel on a traced cluster: cluster experiments run "
+              "none (ROADMAP 9)"),
+    "obs/metrics.py:MetricsRegistry.counter:"
+    "if not isinstance(existing, Counter):": ("d", _D_GUARD),
+    "obs/metrics.py:MetricsRegistry.register:"
+    "if existing is instrument:": ("d", _D_GUARD),
+    "obs/plane/recorder.py:FlightRecorder.trigger:"
+    "nodes[name] = {\"spans\": [], \"open_spans\": 0}":
+        ("d", "an incident on a plane whose tracing is off: item 4's "
+              "stall detector files one (ROADMAP 4)"),
+    "obs/regress.py:differences:found.append(Difference(path, old, new))":
+        ("d", _MISMATCH),
+    "obs/telemetry.py:Telemetry.register_runtime:"
+    "metrics.register(f\"se.cache.{label}.hits\", cache.hits)":
+        ("d", "a traced runtime with an SE page cache: A3 runs "
+              "untraced (ROADMAP 3)"),
+    "obs/trace.py:Tracer._on_finish:stack.remove(span)": ("d", _D_TRACE),
+    "obs/trace.py:Tracer.ancestry:if finished is None:": ("d", _D_TRACE),
+    "sim/batch.py:EventPopulation.__init__:self.succeed(0)":
+        ("d", _D_GUARD),
+    "sim/core.py:AllOf._check:event._defused = True": ("d", _D_FAULT),
+    "sim/core.py:ConditionEvent.__init__:"
+    "self.succeed(self._collect())": ("d", _D_GUARD),
+    "sim/core.py:Process._resume:count = stale.get(event)":
+        ("d", _RECOVERY),
+    "sim/core.py:Process._resume:error = SimulationError(":
+        ("d", _D_GUARD),
+    "sim/resources.py:Container._drain:amount, event = putters[0]":
+        ("d", _D_TWIN),
+    "sim/resources.py:Container.try_get:self._drain()": ("d", _D_TWIN),
+    "sim/resources.py:Resource.release:self._cancel(request)":
+        ("d", _TEARDOWN),
+    "sim/resources.py:Resource.try_acquire:self._account()":
+        ("d", _D_TWIN),
+    "sim/resources.py:Store._drain:remaining.append(getter)":
+        ("d", _D_TWIN),
+    "sim/resources.py:Store.try_get:"
+    "for index, item in enumerate(items):": ("d", _D_TWIN),
+    "sim/resources.py:Store.try_put:tap[1](item)": ("d", _D_TWIN),
+    "sim/stats.py:TimeWeighted.average:return self._level":
+        ("d", _D_GUARD),
+}
 
-    def walk(node, path, prefix):
+
+def _qualified_defs(tree, where):
+    """``(key, node)`` for every function and method in ``tree``; the
+    key is ``pkg/file.py:Qual.name``."""
+
+    def walk(node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = min([child.lineno] + [
-                    decorator.lineno
-                    for decorator in child.decorator_list])
-                where = path.relative_to(SRC / "repro")
-                last = child.body[-1]
-                found[str(path), first] = (
-                    f"{where}:{prefix}{child.name}",
-                    child.end_lineno - first + 1,
-                    child.name.startswith("__")
-                    or where.parts[0] == "algos"
-                    or isinstance(last, ast.Raise)
-                    and "NotImplementedError" in ast.unparse(last))
+                yield f"{where}:{prefix}{child.name}", child
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
-                walk(child, path, f"{prefix}{child.name}.")
+                yield from walk(child, f"{prefix}{child.name}.")
             else:
-                walk(child, path, prefix)
+                yield from walk(child, prefix)
 
-    for path in sorted((SRC / "repro").rglob("*.py")):
-        walk(ast.parse(path.read_text()), path, "")
+    return walk(tree, "")
+
+
+def _first_line(function):
+    """The code object's first line: its first decorator's."""
+    return min([function.lineno] + [decorator.lineno
+                                    for decorator in function.decorator_list])
+
+
+def sources(root):
+    """``(path, path under root, lines, syntax tree)`` of every module
+    under ``root`` outside ``algos``."""
+    for path in sorted(root.rglob("*.py")):
+        where = path.relative_to(root)
+        if where.parts[0] != "algos":
+            text = path.read_text()
+            yield path, where, text.splitlines(), ast.parse(text)
+
+
+def defined_functions(modules):
+    """``{(path, first line): (key, line count, exempt by rule)}`` for
+    every function and method in ``modules``."""
+    found = {}
+    for path, where, _lines, tree in modules:
+        for key, function in _qualified_defs(tree, where):
+            first, last = _first_line(function), function.body[-1]
+            found[str(path), first] = (
+                key, function.end_lineno - first + 1,
+                function.name.startswith("__")
+                or isinstance(last, ast.Raise)
+                and "NotImplementedError" in ast.unparse(last))
     return found
+
+
+# -- arms -------------------------------------------------------------------
+
+#: the body fields of a compound statement, and what each body is called
+_ARM_FIELDS = {
+    ast.For: (("body", "for"), ("orelse", "for-else")),
+    ast.AsyncFor: (("body", "for"), ("orelse", "for-else")),
+    ast.While: (("body", "while"), ("orelse", "while-else")),
+    ast.With: (("body", "with"),),
+    ast.AsyncWith: (("body", "with"),),
+    ast.Try: (("body", "try"), ("orelse", "try-else"),
+              ("finalbody", "finally")),
+}
+_NESTED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _header(statement):
+    """The lines of ``statement`` whose execution means it began: a
+    compound statement's header, a simple statement's every line."""
+    if isinstance(statement, (ast.If, ast.While)):
+        last = statement.test.end_lineno
+    elif isinstance(statement, (ast.For, ast.AsyncFor)):
+        last = statement.iter.end_lineno
+    elif isinstance(statement, (ast.With, ast.AsyncWith)):
+        last = statement.items[-1].context_expr.end_lineno
+    elif hasattr(statement, "subject"):         # match (3.10+)
+        last = statement.subject.end_lineno
+    elif isinstance(statement, ast.Try):
+        return _header(statement.body[0])
+    elif isinstance(statement, _NESTED):
+        return range(_first_line(statement), statement.body[0].lineno)
+    else:
+        last = statement.end_lineno
+    return range(statement.lineno, last + 1)
+
+
+def _arms(body):
+    """``(kind, body, inner arms)`` for every arm of a function body,
+    nested functions and classes excluded (they are functions of their
+    own)."""
+    for statement in body:
+        if isinstance(statement, _NESTED):
+            continue
+        pairs = [(getattr(statement, field), kind)
+                 for field, kind in _ARM_FIELDS.get(type(statement), ())]
+        if isinstance(statement, ast.If):
+            # an elif chain is one statement with one arm per branch
+            pairs.append((statement.body, "if"))
+            tail = statement
+            while len(tail.orelse) == 1 \
+                    and isinstance(tail.orelse[0], ast.If):
+                tail = tail.orelse[0]
+                pairs.append((tail.body, "elif"))
+            pairs.append((tail.orelse, "else"))
+        pairs += [(handler.body, "except")
+                  for handler in getattr(statement, "handlers", ())]
+        pairs += [(case.body, "case")
+                  for case in getattr(statement, "cases", ())]
+        for arm, kind in pairs:
+            if arm:
+                yield kind, arm, list(_arms(arm))
+
+
+def _call_name(node):
+    if isinstance(node, (ast.Expr, ast.Return)) \
+            and isinstance(node.value, ast.Call):
+        function = node.value.func
+        return getattr(function, "attr", getattr(function, "id", None))
+    return None
+
+
+def _fails_only(arm):
+    """A body that only raises or fails a request or event (a span's
+    annotate/finish beside it allowed), maybe ending in a bare
+    ``return``."""
+    if isinstance(arm[-1], ast.Return) and arm[-1].value is None:
+        arm = arm[:-1]
+    names = [_call_name(statement) for statement in arm]
+    return bool(arm) and all(
+        isinstance(statement, ast.Raise)
+        or name in ("fail", "annotate", "finish")
+        for statement, name in zip(arm, names)) \
+        and any(isinstance(statement, ast.Raise) or name == "fail"
+                for statement, name in zip(arm, names))
+
+
+def _returns_literal(arm):
+    if len(arm) != 1 or not isinstance(arm[0], ast.Return):
+        return False
+    if arm[0].value is None:
+        return True
+    try:
+        ast.literal_eval(arm[0].value)
+    except ValueError:
+        return False
+    return True
+
+
+def _names(arm):
+    return {node.id for statement in arm for node in ast.walk(statement)
+            if isinstance(node, ast.Name)}
+
+
+def _validates_input(where, arm):
+    """A ``__main__`` usage error (ends returning a non-zero status), an
+    ``obs/artifact.py`` validator (only appends to ``errors``) or an
+    ``obs/claims.py`` FAIL / SKIP verdict."""
+    if where.name == "__main__.py":
+        last = arm[-1]
+        return isinstance(last, ast.Return) \
+            and isinstance(last.value, ast.Constant) \
+            and type(last.value.value) is int and last.value.value != 0
+    if str(where) == "obs/artifact.py":
+        return all(isinstance(statement, (ast.Continue, ast.Return))
+                   or _call_name(statement) == "append"
+                   and "errors" in _names([statement])
+                   for statement in arm)
+    if str(where) == "obs/claims.py":
+        return bool({"FAIL", "SKIP"} & _names(arm))
+    return False
+
+
+def exempt_arm(where, kind, arm):
+    """The rule that exempts this arm, or ``None``."""
+    if kind in ("except", "finally"):
+        return f"{kind} body"
+    if _fails_only(arm):
+        return "only raises or fails"
+    if _validates_input(where, arm):
+        return "validates outside input"
+    if _returns_literal(arm):
+        return "returns a literal"
+    return None
+
+
+def defined_arms(modules):
+    """``{(path, first line of the enclosing function): [(key, kind,
+    header lines, line count, exempting rule, inner arms)]}``; the key
+    is ``path:Qual.name:<first statement's first line>``, numbered
+    ``#2``, ``#3`` on a repeat within one function."""
+    found = {}
+    for path, where, lines, tree in modules:
+        for key, function in _qualified_defs(tree, where):
+            seen = {}
+
+            def build(arms):
+                built = []
+                for kind, arm, inner in arms:
+                    text = lines[arm[0].lineno - 1].strip()
+                    arm_key = f"{key}:{text}"
+                    seen[arm_key] = seen.get(arm_key, 0) + 1
+                    if seen[arm_key] > 1:
+                        arm_key += f" #{seen[arm_key]}"
+                    built.append((
+                        arm_key, kind, _header(arm[0]),
+                        arm[-1].end_lineno - arm[0].lineno + 1,
+                        exempt_arm(where, kind, arm), build(inner)))
+                return built
+
+            found[str(path), _first_line(function)] = build(
+                _arms(function.body))
+    return found
+
+
+def _count_arms(arms):
+    return sum(1 + _count_arms(inner) for *_rest, inner in arms)
+
+
+def unrun_arms(arms, executed):
+    """The outermost arms in ``arms`` none of whose header lines is in
+    ``executed``."""
+    unrun = []
+    for key, kind, header, count, rule, inner in arms:
+        if any(line in executed for line in header):
+            unrun += unrun_arms(inner, executed)
+        else:
+            unrun.append((key, kind, count, rule))
+    return unrun
+
+
+# -- the run ----------------------------------------------------------------
 
 
 def run_traffic(scratch):
@@ -157,10 +615,9 @@ def run_traffic(scratch):
     for argv in (["--list"], ["--json-out", artifact],
                  ["--check", artifact], ["--identity", blessed, artifact],
                  ["fig8", "--identity", blessed],
-                 ["fig1", "fig8", "--jobs", "2"],
-                 ["fig6", "fig8", "obs", "attr", "avail", "--trace-out",
-                  f"{scratch}/trace.json", "--attr-out",
-                  f"{scratch}/attr.json"]):
+                 ["fig1", "fig8", "--jobs", "2"], ["fig1", "--jobs", "0"],
+                 ["--trace-out", f"{scratch}/trace.json",
+                  "--attr-out", f"{scratch}/attr.json"]):
         bench(argv)
     for name in WORKLOADS:
         for size in ([], ["--reduced"]):
@@ -172,28 +629,58 @@ def run_traffic(scratch):
         runpy.run_path(str(example), run_name="__main__")
 
 
+def traced(traffic, root):
+    """Run ``traffic()`` under ``sys.settrace``; return the ``(path,
+    first line)`` of every code object entered under ``root``
+    (``algos`` excepted) and ``{path: lines executed}``."""
+    skip = str(root / "algos")
+    root = str(root)
+    entered, executed, tracers = set(), {}, {}
+
+    def on_call(frame, _event, _arg):
+        code = frame.f_code
+        tracer = tracers.get(code)
+        if tracer is None:
+            path = code.co_filename
+            tracer = tracers[code] = \
+                path.startswith(root) and not path.startswith(skip) \
+                and line_tracer(executed.setdefault(path, set()).add)
+        if not tracer or isinstance(sys.exc_info()[1], GeneratorExit):
+            return None
+        entered.add((code.co_filename, code.co_firstlineno))
+        return tracer
+
+    def line_tracer(add):
+        def on_line(frame, event, arg):
+            if event == "line":
+                add(frame.f_lineno)
+            elif event == "exception" and arg[0] is GeneratorExit:
+                # a process being closed: nothing it runs now is traffic
+                frame.f_trace_lines = False
+            return on_line
+        return on_line
+
+    sys.settrace(on_call)
+    try:
+        traffic()
+    finally:
+        sys.settrace(None)
+    return entered, executed
+
+
 def main(argv):
-    functions = defined_functions()
-    entered = set()
-
-    def profile(frame, event, _arg):
-        # a generator being closed (the collector finalizing a finished
-        # run's abandoned processes, at whatever moment it runs) is
-        # teardown, not traffic
-        if event == "call" \
-                and not isinstance(sys.exc_info()[1], GeneratorExit):
-            code = frame.f_code
-            entered.add((code.co_filename, code.co_firstlineno))
-
+    modules = list(sources(SRC / "repro"))
     with tempfile.TemporaryDirectory() as scratch, \
             open(os.devnull, "w") as null, \
             contextlib.redirect_stdout(null):
-        sys.setprofile(profile)
-        try:
-            run_traffic(scratch)
-        finally:
-            sys.setprofile(None)
+        entered, executed = traced(lambda: run_traffic(scratch),
+                                   SRC / "repro")
+    return report(defined_functions(modules), defined_arms(modules),
+                  entered, executed, "--check" in argv)
 
+
+def report(functions, arms, entered, executed, check):
+    """Print both tables; the exit status ``--check`` gives."""
     never = {key: (lines, exempt)
              for where, (key, lines, exempt) in functions.items()
              if where not in entered}
@@ -204,6 +691,7 @@ def main(argv):
     never = {key: lines for key, (lines, _by_rule) in never.items()}
     unlisted = sorted(set(never) - exempt - set(KEPT))
     rotten = sorted(set(KEPT) - set(never))
+    print("never-entered functions:")
     for key in sorted(never):
         reason = ("exempt by rule" if key in exempt
                   else KEPT.get(key, "NO TRAFFIC AND NOT IN KEPT"))
@@ -212,9 +700,35 @@ def main(argv):
           f"({sum(never.values())} lines): {len(exempt)} exempt by "
           f"rule, {len(never) - len(exempt) - len(unlisted)} kept "
           f"with a reason, {len(unlisted)} unlisted")
+
+    entered_arms = [function_arms for where, function_arms in arms.items()
+                    if where in entered]
+    unrun = sorted(arm for where, function_arms in arms.items()
+                   if where in entered
+                   for arm in unrun_arms(function_arms,
+                                         executed.get(where[0], ())))
+    unlisted_arms = []
+    print("\narms of entered functions that never ran:")
+    for key, kind, count, rule in unrun:
+        if rule:
+            reason = f"exempt: {rule}"
+        elif key in KEPT_ARMS:
+            reason = "({}) {}".format(*KEPT_ARMS[key])
+        else:
+            reason = "NO TRAFFIC AND NOT IN KEPT_ARMS"
+            unlisted_arms.append(key)
+        print(f"{count:4d}  {kind:<10} {key}  -- {reason}")
+    listed = {key for key, _kind, _count, rule in unrun if not rule}
+    rotten += sorted(set(KEPT_ARMS) - listed)
+    print(f"{sum(map(_count_arms, entered_arms))} arms in "
+          f"{len(entered_arms)} entered functions, {len(unrun)} never "
+          f"ran ({sum(count for _key, _kind, count, _rule in unrun)} "
+          f"lines): {len(unrun) - len(listed)} exempt by rule, "
+          f"{len(listed) - len(unlisted_arms)} kept with a reason, "
+          f"{len(unlisted_arms)} unlisted")
     for key in rotten:
         print(f"KEPT entry has traffic (or is gone), delete it: {key}")
-    return 1 if "--check" in argv and (unlisted or rotten) else 0
+    return 1 if check and (unlisted or unlisted_arms or rotten) else 0
 
 
 if __name__ == "__main__":
