@@ -37,7 +37,7 @@ from ..netstack.rdma import RdmaNode, connect_qp
 from ..netstack.ringbuffer import RingPair
 from ..netstack.tcp import TcpStack
 from ..obs.trace import NULL_TRACER
-from ..sim import Store
+from ..sim import Store, when_done
 from ..sim.stats import Counter
 from .requests import AsyncRequest
 
@@ -64,12 +64,8 @@ class HostListener:
             self._engine.costs.ring_read_cycles_per_op
         )
         # Complete straight off the store event — no waiter process.
-        event = self._pending.get()
-        if event.callbacks is None:
-            request.complete(event._value)
-        else:
-            event.callbacks.append(
-                lambda ev: request.complete(ev._value))
+        when_done(self._pending.get(),
+                  lambda event: request.complete(event._value))
         return request
 
 
@@ -122,12 +118,8 @@ class HostSocket:
         request = AsyncRequest(engine.env, "ne:recv")
         engine.server.host_cpu.charge(engine.costs.ring_read_cycles_per_op)
         # Complete straight off the store event — no waiter process.
-        event = self._rx.get()
-        if event.callbacks is None:
-            request.complete(event._value)
-        else:
-            event.callbacks.append(
-                lambda ev: request.complete(ev._value))
+        when_done(self._rx.get(),
+                  lambda event: request.complete(event._value))
         return request
 
     def close(self) -> None:

@@ -108,6 +108,8 @@ class CpuCluster:
                 )
             cycles *= self.injector.slowdown(site)
         duration = self.seconds_for(cycles)
+        # Not Resource.occupy: the queued arm counts cycles_charged at
+        # the grant (_burn), where host_core_occupancy reads it.
         hold = self._cores.hold(duration) if duration > 0 else None
         if hold is not None:
             self.cycles_charged.add(cycles)

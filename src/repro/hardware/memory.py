@@ -6,8 +6,9 @@ an order of magnitude larger than DPU memory"), so what matters is who
 allocated how much, and what happens when an allocation does not fit.
 
 Allocations can be blocking (``yield region.allocate(n)`` waits for
-space) or immediate (``try_allocate`` returns False when full) — the SE
-offload engine uses the latter to decide host fallback.
+space) or immediate (``try_allocate`` returns None when it would have
+to wait) — the SE page cache uses the latter to decide whether a page
+is cached.
 """
 
 from __future__ import annotations
@@ -65,23 +66,13 @@ class MemoryRegion:
     def used_bytes(self) -> int:
         return self.capacity_bytes - int(self._free.level)
 
-    @property
-    def free_bytes(self) -> int:
-        return int(self._free.level)
-
-    def fits(self, nbytes: int) -> bool:
-        """Whether an allocation of ``nbytes`` would succeed right now."""
-        return 0 <= nbytes <= self.free_bytes
-
     def try_allocate(self, nbytes: int,
                      tag: str = "") -> Optional[Allocation]:
-        """Allocate without blocking; ``None`` if it does not fit."""
+        """Allocate without blocking; ``None`` when the bytes are not
+        free or a blocking :meth:`allocate` waits ahead."""
         self._validate(nbytes)
-        if not self.fits(nbytes):
+        if nbytes > 0 and not self._free.try_get(nbytes):
             return None
-        if nbytes > 0:
-            # Container.get succeeds synchronously when level suffices.
-            self._free.get(nbytes)
         return Allocation(self, nbytes, tag)
 
     def allocate(self, nbytes: int, tag: str = ""):

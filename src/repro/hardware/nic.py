@@ -130,6 +130,9 @@ class Nic:
         if self.wire is None:
             raise RuntimeError(f"{self.name} is not connected to a wire")
         serialization = self.serialization_time(nbytes)
+        # Not Resource.occupy: on a switch the hold must outlive the
+        # port-latency timer below, or the timeout pool reuses it
+        # sooner and moves hostbench's pinned pool_hit_ratio.
         hold = self._tx.hold(serialization)
         if hold is not None:
             yield hold
@@ -148,30 +151,6 @@ class Nic:
             return
         yield self.env.timeout(self.port_latency_s)
         self.wire.carry(self, frame, nbytes)
-
-    def try_transmit(self, frame: Any, nbytes: int) -> bool:
-        """Send a frame *now* without a process, if the TX port is free.
-
-        Fire-and-forget fast path for senders with nothing to do after
-        the send (ACKs, SYN-ACKs): the serializer is claimed with a
-        self-releasing hold and delivery is scheduled at the same
-        instant a blocking :meth:`transmit` would produce.  Returns
-        False when the serializer is contended or the wire cannot
-        schedule delivery — callers then queue the frame for a sender
-        process.
-        """
-        if self.wire is None:
-            raise RuntimeError(f"{self.name} is not connected to a wire")
-        carry_at = self.wire.carry_at
-        if carry_at is None:
-            return False
-        serialization = nbytes / self.bytes_per_s
-        if not self._tx.reserve(serialization):
-            return False
-        self.tx_bytes.value += nbytes
-        self.tx_frames.value += 1
-        carry_at(self, frame, nbytes, serialization + self.port_latency_s)
-        return True
 
     def transmit_batch(self, frames: List[Tuple[Any, int]]):
         """Send several frames back-to-back (generator).
@@ -255,18 +234,14 @@ class Nic:
         """Called by the wire when a frame arrives at this NIC.
 
         The flow table classifies the frame and places it in the
-        matching ingress queue — this steering costs no CPU.  A queue
-        with a matching synchronous tap is fed directly, skipping the
-        store's event machinery for the per-frame hot path.
+        matching ingress queue — this steering costs no CPU.  The
+        queues are unbounded, so :meth:`Store.try_put` (which feeds a
+        matching tap first) never refuses and no event is made.
         """
         self.rx_bytes.value += nbytes
         action = self.flow_table.classify(frame)
         store = self.rx_dpu if action == "dpu" else self.rx_host
-        tap = store._tap
-        if tap is not None and tap[0](frame):
-            tap[1](frame)
-            return
-        store.put(frame)
+        store.try_put(frame)
 
 
 class Wire:

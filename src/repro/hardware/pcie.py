@@ -61,15 +61,8 @@ class PcieLink:
 
         Total time = queueing + propagation latency + serialization.
         """
-        pipe = self._pipe(direction)
-        duration = self.latency_s + self.transfer_time(nbytes)
-        hold = pipe.hold(duration)
-        if hold is not None:
-            yield hold
-        else:
-            with pipe.request() as req:
-                yield req
-                yield self.env.timeout(duration)
+        yield from self._pipe(direction).occupy(
+            self.latency_s + self.transfer_time(nbytes))
         self.bytes_moved.add(nbytes)
 
 

@@ -90,31 +90,12 @@ class Ssd:
                 spec.read_bandwidth_bps / 8.0,
             )
         transfer = nbytes / bandwidth
-        # Hot path: a free command slot is claimed without a request
-        # event, and an uncontended channel fuses acquire + transfer +
-        # release into one scheduler entry (identical busy intervals).
-        token = self._queue.try_acquire()
-        if token is not None:
-            try:
-                # Flash access overlaps across commands in the queue.
-                yield self.env.timeout(access)
-                # Channel transfer serializes; the throughput cap.
-                hold = xfer.hold(transfer)
-                if hold is not None:
-                    yield hold
-                else:
-                    with xfer.request() as chan:
-                        yield chan
-                        yield self.env.timeout(transfer)
-            finally:
-                self._queue.release(token)
-        else:
-            with self._queue.request() as slot:
-                yield slot
-                yield self.env.timeout(access)
-                with xfer.request() as chan:
-                    yield chan
-                    yield self.env.timeout(transfer)
+        with self._queue.request() as slot:
+            yield slot
+            # Flash access overlaps across commands in the queue.
+            yield self.env.timeout(access)
+            # Channel transfer serializes; the throughput cap.
+            yield from xfer.occupy(transfer)
         if is_write:
             self.writes.add(1)
             self.bytes_written.add(nbytes)

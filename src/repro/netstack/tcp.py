@@ -46,7 +46,7 @@ from ..hardware.costs import SoftwarePathCosts
 from ..hardware.cpu import CpuCluster
 from ..hardware.nic import Nic
 from ..obs.trace import NULL_TRACER
-from ..sim import Environment, Store
+from ..sim import Environment, Store, when_done
 from ..sim.resources import REFUSED, Container
 from ..sim.stats import Counter
 
@@ -355,12 +355,7 @@ class TcpConnection:
         advertised window (application-level back-pressure).
         """
         event = self._messages.get()
-        if event.callbacks is None:
-            # The store had a message on hand and completed the get
-            # inline; account for the consumption immediately.
-            self._consumed(event)
-        else:
-            event.callbacks.append(self._consumed)
+        when_done(event, self._consumed)
         return event
 
     def _consumed(self, event) -> None:
@@ -709,13 +704,15 @@ class TcpStack:
         self._post_ctrl(ack)
 
     def _post_ctrl(self, frame: dict) -> None:
-        # Fire-and-forget when no control frame is queued or being
-        # sent (the ctrl process is parked as the queue's getter) and
-        # the TX port is free — ordering among control frames is
-        # preserved because any backlog forces the queue path.
+        # Fire-and-forget, as a one-frame burst starting now, when no
+        # control frame is queued or being sent (the ctrl process is
+        # parked as the queue's getter) and the TX port is free —
+        # ordering among control frames is preserved because any
+        # backlog forces the queue path.
         queue = self._ctrl_queue
         if (not queue.items and queue._getters
-                and self.nic.try_transmit(frame, _HEADER_BYTES)):
+                and self.nic.transmit_batch_after(
+                    0.0, [(frame, _HEADER_BYTES)]) is not None):
             self.segments_tx.value += 1
             return
         if not queue.try_put(frame):

@@ -30,6 +30,7 @@ from .core import (
     Process,
     SimulationError,
     Timeout,
+    when_done,
 )
 from .resources import Container, PriorityResource, Resource, Store
 from .stats import Counter, Tally, TimeWeighted
@@ -51,4 +52,5 @@ __all__ = [
     "Counter",
     "Tally",
     "TimeWeighted",
+    "when_done",
 ]

@@ -40,6 +40,7 @@ __all__ = [
     "AnyOf",
     "URGENT",
     "NORMAL",
+    "when_done",
 ]
 
 #: Scheduling priority for events that must run before same-time peers
@@ -88,6 +89,16 @@ def _completed_event(env: "Environment", value: Any) -> "Event":
     event._defused = True
     event._cancelled = False
     return event
+
+
+def when_done(event: "Event", callback) -> None:
+    """Call ``callback(event)`` once ``event`` is processed: at once if
+    it already is (an inline completion), else as one of its callbacks.
+    """
+    if event.callbacks is None:
+        callback(event)
+    else:
+        event.callbacks.append(callback)
 
 
 class Event:
@@ -336,10 +347,7 @@ class ConditionEvent(Event):
             self.succeed(self._collect())
             return
         for ev in self._events:
-            if ev.callbacks is None:
-                self._check(ev)
-            else:
-                ev.callbacks.append(self._check)
+            when_done(ev, self._check)
 
     def _collect(self) -> dict:
         return {

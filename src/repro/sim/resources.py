@@ -27,6 +27,10 @@ unchanged — only the number of real scheduler iterations shrinks.
 no event at all: ``try_get`` / ``try_put`` take or give *now* and
 refuse, changing nothing, exactly when ``get`` / ``put`` would queue —
 ``get`` / ``put`` are built on them, so the condition lives once.
+A :class:`Resource` slot is taken fused (``hold``: one self-releasing
+timeout; ``reserve``: no event) only when one private guard finds a
+free slot with nobody queued, and ``occupy`` is the one place that
+falls back to ``request()`` plus a timeout when it does not.
 """
 
 from __future__ import annotations
@@ -122,30 +126,21 @@ class Resource:
 
     # -- fused fast paths ----------------------------------------------------
 
-    def try_acquire(self) -> Optional[object]:
-        """Claim a free slot *now*, without an event (None if busy).
+    def occupy(self, duration: float):
+        """Hold one slot for ``duration`` (generator).
 
-        Fast path for acquire/release pairs that never need to wait:
-        no :class:`_Request` is allocated and no ``yield`` round trip
-        happens.  The returned opaque token must be passed to
-        :meth:`release` exactly once.  Falls back to ``None`` whenever
-        the resource is full or anyone is queued (FIFO fairness).
+        The one place that chooses between a fused claim and a queued
+        one: :meth:`hold` when a slot is free and nobody queues, else
+        ``request()`` and a timeout.  The slot is busy for the same
+        simulated interval either way.
         """
-        now = self.env.now
-        res = self._res_expiry
-        if res and res[0] <= now:
-            self._account()
-        elif now != self._last_change:
-            self._busy_integral += \
-                (len(self.users) + self._res_count) * (now - self._last_change)
-            self._last_change = now
-        if len(self.users) + self._res_count >= self.capacity \
-                or self._waiting:
-            return None
-        token = object()
-        self.users.append(token)
-        self._total_served += 1
-        return token
+        hold = self.hold(duration)
+        if hold is not None:
+            yield hold
+            return
+        with self.request() as req:
+            yield req
+            yield self.env.timeout(duration)
 
     def hold(self, duration: float) -> Optional[Event]:
         """Claim a free slot for exactly ``duration``, auto-releasing.
@@ -156,19 +151,11 @@ class Resource:
         and releases the slot at the same instant, instead of a
         request event, a timeout, and a release on resume.  Returns
         ``None`` when the resource is contended — callers then take
-        the classic ``request()`` path.  The slot is busy for the same
-        simulated interval either way.
+        the classic ``request()`` path (:meth:`occupy` makes that
+        choice).  The slot is busy for the same simulated interval
+        either way.
         """
-        now = self.env.now
-        res = self._res_expiry
-        if res and res[0] <= now:
-            self._account()
-        elif now != self._last_change:
-            self._busy_integral += \
-                (len(self.users) + self._res_count) * (now - self._last_change)
-            self._last_change = now
-        if len(self.users) + self._res_count >= self.capacity \
-                or self._waiting:
+        if not self._claimable():
             return None
         timeout = self.env.timeout(duration)
         self.users.append(timeout)
@@ -191,18 +178,9 @@ class Resource:
         full or anyone is queued; callers then fall back to the
         evented paths.
         """
-        now = self.env.now
-        res = self._res_expiry
-        if res and res[0] <= now:
-            self._account()
-        elif now != self._last_change:
-            self._busy_integral += \
-                (len(self.users) + self._res_count) * (now - self._last_change)
-            self._last_change = now
-        if len(self.users) + self._res_count >= self.capacity \
-                or self._waiting:
+        if not self._claimable():
             return False
-        heapq.heappush(res, now + duration)
+        heapq.heappush(self._res_expiry, self.env.now + duration)
         self._res_count += 1
         self._total_served += 1
         return True
@@ -225,6 +203,22 @@ class Resource:
         self._grant_waiters()
 
     # -- internals ----------------------------------------------------------
+
+    def _claimable(self) -> bool:
+        """The fused claims' guard: bring the busy integral up to now,
+        then require a free slot with nobody queued (FIFO fairness).
+        The common case, no reservation expired, is ``_account``
+        inlined: this guard runs on every fused claim."""
+        now = self.env.now
+        res = self._res_expiry
+        if res and res[0] <= now:
+            self._account()
+        elif now != self._last_change:
+            self._busy_integral += \
+                (len(self.users) + self._res_count) * (now - self._last_change)
+            self._last_change = now
+        return (len(self.users) + self._res_count < self.capacity
+                and not self._waiting)
 
     def _account(self) -> None:
         now = self.env.now
@@ -252,6 +246,8 @@ class Resource:
 
     def _do_request(self, request: _Request) -> None:
         self._account()
+        # Not _claimable: no test of _waiting here, the queue jump
+        # ROADMAP 1(b) fixes.
         if len(self.users) + self._res_count < self.capacity:
             # Inline grant: the request is brand-new, so no listener
             # exists yet and completing it without a queue round trip
@@ -320,9 +316,8 @@ class PriorityResource(Resource):
     Ties break FIFO.  Lower numeric priority = more urgent, matching the
     convention in iPipe-style NIC schedulers.  ``_waiting`` is a heap of
     ``(priority, seq, request)`` here, so everything in the base class
-    that only asks whether or how many are queued (the fused-path
-    guards of ``hold`` / ``reserve`` / ``try_acquire``,
-    ``queue_length``) needs no override.
+    that only asks whether or how many are queued (the fused claims'
+    guard ``_claimable``, ``queue_length``) needs no override.
     """
 
     __slots__ = ()

@@ -7,9 +7,10 @@ serializing ``delay`` from now arrives at
 
 and the TX serializer is busy for ``sum(n / rate)``.  Every way the
 product puts frames on a wire is held to that: ``transmit_batch_after``
-(the TCP sender's eventless burst), ``transmit_batch`` (the control
-sender's), a loop of ``transmit`` and ``try_transmit`` (one frame at
-each serialization boundary).  An idle switch adds ``forwarding_latency
+(the TCP sender's eventless burst; with one frame and no delay, the
+control sender's fire-and-forget ACK), ``transmit_batch`` (the control
+sender's), a loop of ``transmit``, and one-frame bursts at each
+serialization boundary.  An idle switch adds ``forwarding_latency
 + n / port_rate`` per frame, and its output port is busy for exactly
 that.
 
@@ -129,16 +130,18 @@ def test_a_loop_of_transmit(fabric):
 
 
 @pytest.mark.parametrize("fabric", sorted(FABRICS))
-def test_try_transmit_at_each_boundary(fabric):
+def test_one_frame_bursts_at_each_boundary(fabric):
     env, sender, arrivals = _wire(fabric)
     rate = FABRICS[fabric][0] / 8.0
 
     def one_at_a_time():
         for frame, nbytes in _frames():
-            assert sender.try_transmit(frame, nbytes)
+            wait = sender.transmit_batch_after(0.0, [(frame, nbytes)])
+            assert wait == nbytes / rate
             # the serializer is busy until the boundary: a second frame
             # now is refused, and nothing is counted for it
-            assert not sender.try_transmit({"i": -1}, 64)
+            assert sender.transmit_batch_after(0.0, [({"i": -1}, 64)]) \
+                is None
             yield env.timeout(nbytes / rate)
 
     _after_delay(fabric, env, one_at_a_time)

@@ -88,6 +88,29 @@ class TestMemoryRegion:
         assert mem.try_allocate(1) is None
         assert mem.used_bytes == 1 * MiB
 
+    def test_try_allocate_refuses_while_a_blocking_allocate_waits(self,
+                                                                   env):
+        mem = MemoryRegion(env, 100)
+        big = mem.try_allocate(80)
+        granted = []
+
+        def waiter(env):
+            alloc = yield from mem.allocate(50)
+            granted.append(env.now)
+            alloc.free()
+
+        env.process(waiter(env))
+        env.run(until=1.0)
+        assert not granted
+        # 20 bytes are free, but the 50 waits ahead: no queue jump,
+        # and nothing handed out that was not taken
+        assert mem.try_allocate(10) is None
+        assert mem.used_bytes == 80
+        big.free()
+        env.run(until=2.0)
+        assert granted == [1.0]
+        assert mem.used_bytes == 0
+
     def test_blocking_allocate_waits_for_free(self, env):
         mem = MemoryRegion(env, 1 * MiB)
         first = mem.try_allocate(1 * MiB)

@@ -6,6 +6,7 @@ from repro.sim import (
     Environment,
     Interrupt,
     SimulationError,
+    when_done,
 )
 
 
@@ -258,6 +259,18 @@ class TestEvents:
         env.process(_sleep(env, 1.0))
         with pytest.raises(SimulationError):
             env.run(until=gate)
+
+    def test_when_done_calls_now_or_on_processing(self, env):
+        seen = []
+        done = env.timeout(0.0, "early")
+        env.run()
+        when_done(done, lambda event: seen.append((env.now, event.value)))
+        assert seen == [(0.0, "early")]          # already processed: now
+        later = env.timeout(2.0, "late")
+        when_done(later, lambda event: seen.append((env.now, event.value)))
+        assert len(seen) == 1                    # pending: not yet
+        env.run()
+        assert seen == [(0.0, "early"), (2.0, "late")]
 
 
 def _sleep(env, delay, value=None):

@@ -117,7 +117,8 @@ def _drive_occupancy(mode, jobs, capacity):
     ``mode`` picks how an arriving job takes its slot: ``"evented"`` is
     request + timeout + release; ``"hold"`` and ``"reserve"`` try the
     eventless claim first and fall back to the evented path when it is
-    refused, which is how every caller in ``repro.hardware`` uses them.
+    refused, which is how every caller in ``repro.hardware`` uses them;
+    ``"occupy"`` is ``Resource.occupy``, which makes that choice itself.
     Returns ``(grants, busy_time, total_served)`` at a common horizon;
     ``grants`` is ``[(tag, grant instant)]`` in grant order.
     """
@@ -126,8 +127,24 @@ def _drive_occupancy(mode, jobs, capacity):
     grants = []
     reserved = []   # expiry instants of accepted reserve() calls
 
+    def occupy(tag, duration):
+        # yield from res.occupy(duration), noting when the slot is ours:
+        # at the first claim (a hold, an inline grant), else at its grant
+        steps = res.occupy(duration)
+        claim = next(steps)
+        granted_now = claim in res.users
+        if granted_now:
+            grants.append((tag, env.now))
+        yield claim
+        if not granted_now:
+            grants.append((tag, env.now))
+        yield from steps
+
     def job(tag, at, duration):
         yield env.timeout(at)
+        if mode == "occupy":
+            yield from occupy(tag, duration)
+            return
         if mode == "hold":
             hold = res.hold(duration)
             if hold is not None:
@@ -157,7 +174,7 @@ def _drive_occupancy(mode, jobs, capacity):
 
 
 class TestEventlessOccupancy:
-    """``hold`` / ``reserve`` / ``try_acquire`` / ``unhold`` against the
+    """``occupy`` / ``hold`` / ``reserve`` / ``unhold`` against the
     evented ``request()`` path they stand in for."""
 
     @pytest.mark.parametrize("capacity", [1, 2, 4])
@@ -170,12 +187,17 @@ class TestEventlessOccupancy:
             "hold", jobs, capacity)
         _res_grants, res_busy, res_served = _drive_occupancy(
             "reserve", jobs, capacity)
+        occ_grants, occ_busy, occ_served = _drive_occupancy(
+            "occupy", jobs, capacity)
         assert len(ev_grants) == len(jobs)
         # the schedule must contend, or the fallbacks were never taken
         assert any(at != jobs[tag][0] for tag, at in ev_grants)
         assert hold_grants == ev_grants
-        assert ev_served == hold_served == res_served == len(jobs)
+        assert occ_grants == ev_grants
+        assert ev_served == hold_served == res_served == occ_served \
+            == len(jobs)
         assert hold_busy == pytest.approx(ev_busy, abs=1e-9)
+        assert occ_busy == pytest.approx(ev_busy, abs=1e-9)
         assert res_busy == pytest.approx(ev_busy, abs=1e-9)
         assert ev_busy == pytest.approx(
             sum(duration for _at, duration in jobs), abs=1e-9)
@@ -201,7 +223,6 @@ class TestEventlessOccupancy:
         # the slot is the waiter's, granted but not yet processed
         assert not res.reserve(1.0)
         assert res.hold(1.0) is None
-        assert res.try_acquire() is None
         env.run()
         assert waiter.callbacks is None
 
@@ -219,22 +240,6 @@ class TestEventlessOccupancy:
         assert env.now == 1.0
         env.run(until=3.0)
         assert res.busy_time() == pytest.approx(2.0)
-
-    def test_try_acquire_token_occupies_and_releases(self, env):
-        res = Resource(env, capacity=1)
-        token = res.try_acquire()
-        assert token is not None and len(res.users) == 1
-        assert res.try_acquire() is None     # full
-        waiter = res.request()
-        env.run(until=2.0)
-        assert not waiter.triggered
-        res.release(token)
-        assert res.try_acquire() is None     # free slot, but one queued
-        env.run(until=3.0)
-        assert waiter.callbacks is None and len(res.users) == 1
-        res.release(waiter)
-        assert res.busy_time() == pytest.approx(3.0)
-        assert res.total_served == 2
 
     @pytest.mark.xfail(
         strict=True,
@@ -321,7 +326,6 @@ class TestPriorityResource:
         assert len(res.users) == 0 and not waiter.triggered
         assert res.hold(1.0) is None
         assert not res.reserve(1.0)
-        assert res.try_acquire() is None
         env.run()
         assert waiter.triggered and env.now == 1.0
 

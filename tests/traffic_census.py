@@ -245,10 +245,6 @@ KEPT_ARMS = {
     "core/compute.py:ComputeEngine._device_down:"
     "return injector.is_down(f\"cpu.{device.name}\")": ("d", _D_FAULT),
     "core/compute.py:ComputeEngine._estimates:continue": ("d", _D_FAULT),
-    "core/network.py:HostListener.accept:"
-    "request.complete(event._value)": ("d", _D_TWIN),
-    "core/network.py:HostSocket.recv:request.complete(event._value)":
-        ("d", _D_TWIN),
     "core/requests.py:AsyncRequest.__init__:"
     "self.set_deadline(deadline_s)": ("d", _DEADLINE),
     "core/scheduler.py:SprocScheduler.submit:"
@@ -308,8 +304,6 @@ KEPT_ARMS = {
         ("d", "the traced sender item 3(a) deletes (ROADMAP 3)"),
     "netstack/tcp.py:TcpConnection._sender_loop:break #3":
         ("d", _D_LOSS),
-    "netstack/tcp.py:TcpConnection.recv_message:self._consumed(event)":
-        ("d", _D_TWIN),
     "netstack/tcp.py:TcpStack._dispatch_frame:"
     "connection = self._connections.get(frame[\"cid\"])":
         ("d", _DEADLINE),
@@ -359,13 +353,10 @@ KEPT_ARMS = {
     "sim/resources.py:Container.try_get:self._drain()": ("d", _D_TWIN),
     "sim/resources.py:Resource.release:self._cancel(request)":
         ("d", _TEARDOWN),
-    "sim/resources.py:Resource.try_acquire:self._account()":
-        ("d", _D_TWIN),
     "sim/resources.py:Store._drain:remaining.append(getter)":
         ("d", _D_TWIN),
     "sim/resources.py:Store.try_get:"
     "for index, item in enumerate(items):": ("d", _D_TWIN),
-    "sim/resources.py:Store.try_put:tap[1](item)": ("d", _D_TWIN),
     "sim/stats.py:TimeWeighted.average:return self._level":
         ("d", _D_GUARD),
 }
