@@ -98,6 +98,7 @@ from ..obs.artifact import (
 from ..obs.attr import build_report
 from ..obs.claims import FAIL, evaluate_all, render_claim_report
 from ..obs.regress import differences, render_differences
+from ..sim.stats import fold_sum
 
 #: experiments whose runner accepts a Telemetry (for --trace-out)
 TRACEABLE = ("fig6", "fig8", "scale", "avail", "obs", "attr")
@@ -547,9 +548,9 @@ def main(argv=None) -> int:
                              total_wall_clock_s=suite_wall)
     if args.json_out:
         write_artifact(args.json_out, document)
-        metric_count = sum(len(entry["parts"])
-                           for entry in document["experiments"]
-                           .values())
+        metric_count = fold_sum(len(entry["parts"])
+                                for entry in document["experiments"]
+                                .values())
         print(f"\n[artifact: {len(results)} experiments, "
               f"{metric_count} parts in {suite_wall:.1f}s "
               f"(jobs={args.jobs}) -> {args.json_out}]")

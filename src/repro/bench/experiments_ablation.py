@@ -23,6 +23,7 @@ from ..sim import Environment
 from ..units import MiB, PAGE_SIZE
 from .harness import Sweep
 from .experiments_system import fig6_sproc
+from ..sim.stats import fold_sum
 
 __all__ = [
     "ablation_scheduling",
@@ -170,10 +171,10 @@ def ablation_caching() -> Sweep:
         env.run(until=env.process(run_mixed()))
         sweep.add(
             dpu_share,
-            local_mean_s=sum(local_latency) / len(local_latency),
-            remote_mean_s=sum(remote_latency) / len(remote_latency),
+            local_mean_s=fold_sum(local_latency) / len(local_latency),
+            remote_mean_s=fold_sum(remote_latency) / len(remote_latency),
             combined_mean_s=(
-                (sum(local_latency) + sum(remote_latency))
+                (fold_sum(local_latency) + fold_sum(remote_latency))
                 / (len(local_latency) + len(remote_latency))
             ),
             dpu_hit_rate=(se.dpu_cache.hit_rate()
@@ -214,8 +215,8 @@ def ablation_persistence() -> Dict[str, float]:
             persistent.append(request.latency)
 
     env.run(until=env.process(driver()))
-    regular_mean = sum(regular) / len(regular)
-    persistent_mean = sum(persistent) / len(persistent)
+    regular_mean = fold_sum(regular) / len(regular)
+    persistent_mean = fold_sum(persistent) / len(persistent)
     return {
         "regular_write_mean_s": regular_mean,
         "persistent_ack_mean_s": persistent_mean,

@@ -46,6 +46,7 @@ from ..obs import (
 from ..sim import Environment
 from ..units import MB, MiB
 from .experiments_obs import RETAIN_S, default_slos, obs_scenario
+from ..sim.stats import fold_sum
 
 __all__ = [
     "advisor_online",
@@ -140,9 +141,9 @@ def attr_parts(telemetry: Optional[ClusterTelemetry]
 
     report = plane.attribution.report()
     totals = report.totals()
-    total_s = sum(totals.values())
-    forwarded = sum(1 for r in report.requests if r.forwarded)
-    failover = sum(1 for r in report.requests if r.failover)
+    total_s = fold_sum(totals.values())
+    forwarded = fold_sum(1 for r in report.requests if r.forwarded)
+    failover = fold_sum(1 for r in report.requests if r.failover)
     incidents = plane.recorder.incidents
     conservation = {
         "requests_attributed": float(len(report.requests)),
@@ -151,12 +152,12 @@ def attr_parts(telemetry: Optional[ClusterTelemetry]
         "forwarded_requests": float(forwarded),
         "failover_requests": float(failover),
         "categories_observed": float(
-            sum(1 for v in totals.values() if v > 0)),
+            fold_sum(1 for v in totals.values() if v > 0)),
         "queue_fraction": (totals.get("queue", 0.0) / total_s
                            if total_s > 0 else 0.0),
         "incidents_with_attribution": float(
-            sum(1 for bundle in incidents
-                if "attribution" in bundle)),
+            fold_sum(1 for bundle in incidents
+                     if "attribution" in bundle)),
         "incidents": float(len(incidents)),
     }
 

@@ -55,7 +55,7 @@ from ..hardware import (
 from ..netstack import TcpStack
 from ..obs.trace import NULL_TRACER
 from ..sim import Environment
-from ..sim.stats import Counter
+from ..sim.stats import Counter, fold_sum
 from ..units import GHZ, Gbps, MiB, PAGE_SIZE
 
 __all__ = [
@@ -196,7 +196,7 @@ def _run_scenario(inject: bool, recover: bool,
         "error_rate": failed / N_OPS,
         "goodput_ops_per_s": ok / DURATION_S,
         "makespan_s": env.now,
-        "mean_s": (sum(latencies) / len(latencies)) if latencies else 0.0,
+        "mean_s": (fold_sum(latencies) / len(latencies)) if latencies else 0.0,
         "p99_s": _percentile(latencies, 0.99),
         "retries": retries.value,
         "failovers": failovers.value,

@@ -45,6 +45,7 @@ from ..sim import Environment
 from ..workloads.arrivals import open_loop
 from .harness import (connect_clients, shard_stream, submit_handler,
                       tally)
+from ..sim.stats import fold_sum
 
 __all__ = ["obs_parts", "obs_scenario", "default_slos"]
 
@@ -227,9 +228,9 @@ def obs_parts(telemetry: Optional[ClusterTelemetry]
         "nodes": float(len(plane.nodes)),
         "derived_series": float(len(plane.latest().derived)
                                 if plane.latest() else 0),
-        "node1_goodput_pre_fault": (sum(pre) / len(pre)
+        "node1_goodput_pre_fault": (fold_sum(pre) / len(pre)
                                     if pre else 0.0),
-        "node1_goodput_post_fault": (sum(post) / len(post)
+        "node1_goodput_post_fault": (fold_sum(post) / len(post)
                                      if post else 0.0),
         "breaker_opened": float(max(breaker_series, default=0.0)
                                 >= 1.0),
@@ -248,8 +249,8 @@ def obs_parts(telemetry: Optional[ClusterTelemetry]
         "incident_snapshots": (float(len(incident["snapshots"]))
                                if incident else 0.0),
         "incident_span_nodes": (
-            float(sum(1 for entry in incident["nodes"].values()
-                      if entry["spans"]))
+            float(fold_sum(1 for entry in incident["nodes"].values()
+                           if entry["spans"]))
             if incident else 0.0),
         "slo_breach_recorded": float(any(
             bundle["reason"] == "slo_violation"

@@ -43,6 +43,7 @@ from ..query import (DistributedScanDeployment, QueryResult, ScanQuery,
                      run_distributed_scan)
 from ..units import Gbps
 from .harness import Sweep
+from ..sim.stats import fold_sum
 
 __all__ = ["query_parts", "scatter_scaling", "planner_regimes",
            "identity_matrix", "stale_routing"]
@@ -157,7 +158,7 @@ def planner_regimes() -> Dict[str, Dict[str, float]]:
         measured = ("pushdown"
                     if push["elapsed_s"] < pull["elapsed_s"]
                     else "pull")
-        pushdown_shards = sum(
+        pushdown_shards = fold_sum(
             1 for choice in plan["choices"].values()
             if choice == "pushdown")
         rows[name] = {

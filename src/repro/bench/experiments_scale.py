@@ -38,6 +38,7 @@ from .experiments_system import LINE_RATE_MSGS_PER_S, _s9_point
 from .harness import (READ_FRACTION, CoreMeter, Sweep, connect_clients,
                       shard_stream, submit_handler, tally)
 from .tco import storage_server_cost
+from ..sim.stats import fold_sum
 
 __all__ = ["scale_parts", "scale_goodput_and_tco",
            "sharding_properties", "rebalance_scenarios"]
@@ -102,13 +103,13 @@ def _scale_point(n_nodes: int, rate_per_node: float,
     env.run(until=start + duration_s)
     # Cores are measured over the load window only (S9 convention);
     # the drain below is just for in-flight requests to land.
-    total_host_cores = sum(meter.cores() for meter in meters)
-    total_dpu_cores = sum(meter.cores() for meter in dpu_meters)
+    total_host_cores = fold_sum(meter.cores() for meter in meters)
+    total_dpu_cores = fold_sum(meter.cores() for meter in dpu_meters)
     env.run(until=start + duration_s + DRAIN_S)
     ok = tally(clients)["ok"]
     snapshot = cluster.metrics_snapshot()
-    local = sum(s["shard_local"] for s in snapshot.values())
-    routed = sum(s["shard_routed"] for s in snapshot.values())
+    local = fold_sum(s["shard_local"] for s in snapshot.values())
+    routed = fold_sum(s["shard_routed"] for s in snapshot.values())
     served = local + routed
     return {
         "goodput_ops_per_s": ok / duration_s,
@@ -195,13 +196,13 @@ def _rack_point(n_nodes: int) -> Dict[str, float]:
                   submit_handler(clients[i], streams[i]),
                   RACK_DURATION_S, name=f"rack{i}")
     env.run(until=start + RACK_DURATION_S)
-    total_host_cores = sum(meter.cores() for meter in meters)
-    total_dpu_cores = sum(meter.cores() for meter in dpu_meters)
+    total_host_cores = fold_sum(meter.cores() for meter in meters)
+    total_dpu_cores = fold_sum(meter.cores() for meter in dpu_meters)
     env.run(until=start + RACK_DURATION_S + DRAIN_S)
     ok = tally(clients)["ok"]
     snapshot = cluster.metrics_snapshot()
-    local = sum(s["shard_local"] for s in snapshot.values())
-    routed = sum(s["shard_routed"] for s in snapshot.values())
+    local = fold_sum(s["shard_local"] for s in snapshot.values())
+    routed = fold_sum(s["shard_routed"] for s in snapshot.values())
     served = local + routed
     return {
         "nodes": float(n_nodes),

@@ -63,6 +63,7 @@ from ..workloads.arrivals import (ParetoSizes, TenantMix, flash_crowd,
                                   poisson_arrivals)
 from .harness import (connect_clients, follow_topology, shard_stream,
                       submit_handler, tally)
+from ..sim.stats import fold_sum
 
 __all__ = ["slo_parts", "SCENARIOS"]
 
@@ -630,8 +631,8 @@ def slo_parts() -> Dict[str, object]:
     window = window_hi - window_lo
 
     def surge_rate(run: Dict) -> float:
-        ontime = sum(_ontime_in_window(client, window_lo, window_hi)
-                     for client in run["clients"])
+        ontime = fold_sum(_ontime_in_window(client, window_lo, window_hi)
+                          for client in run["clients"])
         return ontime / window
 
     steady_rate = surge_rate(steady)

@@ -29,6 +29,7 @@ from ..sim import Environment
 from ..units import Gbps, MiB, PAGE_SIZE
 from ..workloads import PageServerWorkload, YcsbWorkload, KvStoreIndex, open_loop
 from .harness import CoreMeter, Sweep
+from ..sim.stats import fold_sum
 
 __all__ = [
     "fig6_sproc",
@@ -144,7 +145,7 @@ def fig6_sproc(profile: DpuProfile = BLUEFIELD2,
         devices_used.count("dpu_asic") / len(devices_used)
         if devices_used else 0.0
     )
-    outcome["bytes_received"] = float(sum(received))
+    outcome["bytes_received"] = float(fold_sum(received))
     return outcome
 
 

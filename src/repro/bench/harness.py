@@ -22,6 +22,7 @@ from ..hardware.cpu import CpuCluster
 from ..sim import Environment
 from ..units import PAGE_SIZE
 from ..workloads.arrivals import ParetoSizes
+from ..sim.stats import fold_sum
 
 __all__ = ["CoreMeter", "SweepRow", "Sweep", "READ_FRACTION",
            "connect_clients", "follow_topology", "shard_stream",
@@ -193,7 +194,7 @@ def tally(clients: Sequence[ClusterClient],
     per_client = [client.outcomes(deadline_s=deadline_s)
                   for client in clients]
     totals: Dict[str, object] = {
-        key: sum(outcome[key] for outcome in per_client)
+        key: fold_sum(outcome[key] for outcome in per_client)
         for key in per_client[0]}
     totals["per_client"] = per_client
     return totals

@@ -24,6 +24,8 @@ from itertools import zip_longest
 from sys import getsizeof
 from typing import Iterable, Optional
 
+from .sim.stats import fold_sum
+
 __all__ = ["Buffer", "RealBuffer", "SynthBuffer", "as_buffer",
            "split_records", "split_columns", "record_column",
            "column_codes", "column_verdicts"]
@@ -196,7 +198,7 @@ def _remembered(decode):
             _decoded[entry[2]] = entry
             return entry[0]
         _decoded[key] = entry = (*decode(*args), key)
-        while (sum(held[1] for held in _decoded.values())
+        while (fold_sum(held[1] for held in _decoded.values())
                > _DECODE_CACHE_BYTES):
             del _decoded[next(iter(_decoded))]
         return entry[0]
@@ -228,8 +230,8 @@ def split_columns(data: bytes, delimiter: bytes, separator: bytes):
                     for column in zip_longest(*rows))
     shared.pop(None, None)
     return ((columns, min(map(len, rows), default=0)),
-            _BYTES_HEADER * len(shared) + sum(map(len, shared))
-            + sum(map(getsizeof, columns)))
+            _BYTES_HEADER * len(shared) + fold_sum(map(len, shared))
+            + fold_sum(map(getsizeof, columns)))
 
 
 def record_column(data: bytes, column: Optional[int],
@@ -268,8 +270,8 @@ def column_codes(data: bytes, column: int, delimiter: bytes,
         map(index.__getitem__, values))
     return ((distinct, codes),
             getsizeof(distinct) + getsizeof(codes)
-            + sum(map(getsizeof, distinct))
-            + sum(map(getsizeof, index.values())))
+            + fold_sum(map(getsizeof, distinct))
+            + fold_sum(map(getsizeof, index.values())))
 
 
 def column_verdicts(data: bytes, column: Optional[int], delimiter: bytes,

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..sim.stats import Counter
+from ..sim.stats import Counter, fold_sum
 from ..units import PAGE_SIZE
 
 __all__ = ["AutoscalePolicy", "Autoscaler"]
@@ -141,7 +141,7 @@ class Autoscaler:
         series = self.plane.series(metric, key)
         if len(series) < self.policy.min_windows:
             return None
-        return sum(series) / len(series)
+        return fold_sum(series) / len(series)
 
     def _decide(self):
         """Pick at most one action for this tick (or None)."""
@@ -217,7 +217,7 @@ class Autoscaler:
                     means.append(mean)
         if not means:
             return None
-        return sum(means) / self.plane.scrape_interval_s
+        return fold_sum(means) / self.plane.scrape_interval_s
 
     def _pick_split(self, live):
         """The (shard, dest) to split, or None."""
@@ -230,7 +230,7 @@ class Autoscaler:
             return None
         shard_key, top_heat = top[0]
         shard = int(shard_key)
-        mean_heat = sum(heat.values()) / len(heat)
+        mean_heat = fold_sum(heat.values()) / len(heat)
         if (top_heat < self.policy.min_heat
                 or top_heat < self.policy.hot_shard_ratio * mean_heat
                 or shard in self.cluster.shardmap.splits):

@@ -32,6 +32,7 @@ from ..algos import (
 )
 from ..buffers import (Buffer, RealBuffer, SynthBuffer, column_verdicts,
                        record_column, split_columns, split_records)
+from ..sim.stats import fold_sum
 
 __all__ = ["DpKernelSpec", "KernelResult", "BUILTIN_KERNELS",
            "builtin_kernel_specs"]
@@ -195,7 +196,7 @@ def _aggregate_fn(buffer: Buffer, params: Dict[str, Any]) -> KernelResult:
         extract = params.get("extract", lambda value: 1)
         values = list(map(extract, _record_values(buffer, params)))
         result = {
-            "count": len(values), "sum": sum(values),
+            "count": len(values), "sum": fold_sum(values),
             "min": min(values) if values else None,
             "max": max(values) if values else None,
         }

@@ -28,7 +28,7 @@ from typing import Callable, Deque, Dict, Optional
 from ..hardware.cpu import CpuCluster
 from ..obs.trace import NULL_TRACER
 from ..sim import Environment, Store
-from ..sim.stats import Counter, Tally
+from ..sim.stats import Counter, Tally, fold_sum
 
 __all__ = ["SprocScheduler", "ScheduledTask", "POLICIES"]
 
@@ -136,7 +136,7 @@ class SprocScheduler:
     @property
     def backlog(self) -> int:
         return (len(self._fcfs)
-                + sum(len(q) for q in self._drr_queues.values()))
+                + fold_sum(len(q) for q in self._drr_queues.values()))
 
     def _spill(self, task: ScheduledTask) -> None:
         """Run a task on the host cluster (load migration)."""

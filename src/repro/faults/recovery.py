@@ -35,7 +35,7 @@ from ..errors import (
     RetriesExhaustedError,
 )
 from ..obs.trace import NULL_TRACER
-from ..sim.stats import Counter
+from ..sim.stats import Counter, fold_sum
 
 __all__ = ["RetryPolicy", "retrying", "CircuitBreaker"]
 
@@ -195,7 +195,7 @@ class CircuitBreaker:
         self._expire()
         if not self._events:
             return 0.0
-        failures = sum(1 for _, ok in self._events if not ok)
+        failures = fold_sum(1 for _, ok in self._events if not ok)
         return failures / len(self._events)
 
     # -- state machine -----------------------------------------------------
@@ -240,7 +240,7 @@ class CircuitBreaker:
         self._expire()
         if self.state != self.CLOSED:
             return
-        failures = sum(1 for _, ok in self._events if not ok)
+        failures = fold_sum(1 for _, ok in self._events if not ok)
         if failures >= self.min_failures and \
                 self.failure_rate() >= self.rate_threshold:
             self._trip()

@@ -26,7 +26,7 @@ from typing import Dict, List, Tuple
 from ..buffers import Buffer, SynthBuffer, as_buffer
 from ..errors import FileNotFoundOnDpuError, FileSystemError
 from ..obs.trace import NULL_TRACER
-from ..sim.stats import Counter
+from ..sim.stats import Counter, fold_sum
 from .blockdev import BlockDevice
 from .extents import Extent, ExtentAllocator
 
@@ -44,7 +44,7 @@ class Inode:
 
     @property
     def allocated_blocks(self) -> int:
-        return sum(extent.length for extent in self.extents)
+        return fold_sum(extent.length for extent in self.extents)
 
 
 class FileMapping:

@@ -48,7 +48,7 @@ from ..hardware.nic import Nic
 from ..obs.trace import NULL_TRACER
 from ..sim import Environment, Store, when_done
 from ..sim.resources import REFUSED, Container
-from ..sim.stats import Counter
+from ..sim.stats import Counter, fold_sum
 
 __all__ = ["TcpStack", "TcpConnection", "TcpListener"]
 
@@ -71,7 +71,7 @@ def _concat(buffers) -> Buffer:
         return buffers[0]
     if all(isinstance(b, RealBuffer) for b in buffers):
         return RealBuffer(b"".join(b.data for b in buffers))
-    total = sum(b.size for b in buffers)
+    total = fold_sum(b.size for b in buffers)
     first = buffers[0]
     ratio = getattr(first, "compress_ratio", 3.0)
     label = getattr(first, "label", "")

@@ -39,6 +39,8 @@ from bisect import insort
 from functools import lru_cache
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from ...sim.stats import fold_sum
+
 __all__ = [
     "CATEGORIES",
     "SpanIndex",
@@ -257,7 +259,7 @@ class RequestAttribution:
     @property
     def attributed_s(self) -> float:
         """Sum of all segments (== :attr:`total_s` up to float eps)."""
-        return sum(self.segments.values())
+        return fold_sum(self.segments.values())
 
     @property
     def conservation_error_s(self) -> float:
@@ -443,8 +445,8 @@ class AttributionReport:
         """Fraction of requests whose ledger sums within a nanosecond."""
         if not self.requests:
             return 1.0
-        good = sum(1 for r in self.requests
-                   if r.conservation_error_s <= 1e-9)
+        good = fold_sum(1 for r in self.requests
+                        if r.conservation_error_s <= 1e-9)
         return good / len(self.requests)
 
     def to_dict(self) -> Dict[str, Any]:

@@ -37,6 +37,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from ..sim.stats import fold_sum
+
 __all__ = [
     "Claim",
     "ClaimResult",
@@ -806,16 +808,16 @@ def _check_linear(claim, part):
     n = len(xs)
     if n < 3:
         return FAIL, f"{n} points", ">= 3 sweep points"
-    mean_x, mean_y = sum(xs) / n, sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
+    mean_x, mean_y = fold_sum(xs) / n, fold_sum(ys) / n
+    sxx = fold_sum((x - mean_x) ** 2 for x in xs)
     if sxx == 0:
         return FAIL, "degenerate sweep", f"R^2 >= {floor}"
-    slope = sum((x - mean_x) * (y - mean_y)
-                for x, y in zip(xs, ys)) / sxx
+    slope = fold_sum((x - mean_x) * (y - mean_y)
+                     for x, y in zip(xs, ys)) / sxx
     intercept = mean_y - slope * mean_x
-    ss_res = sum((y - (slope * x + intercept)) ** 2
-                 for x, y in zip(xs, ys))
-    ss_tot = sum((y - mean_y) ** 2 for y in ys)
+    ss_res = fold_sum((y - (slope * x + intercept)) ** 2
+                      for x, y in zip(xs, ys))
+    ss_tot = fold_sum((y - mean_y) ** 2 for y in ys)
     r2 = 1 - ss_res / ss_tot if ss_tot else 1.0
     status = PASS if r2 >= floor else FAIL
     return status, f"R^2 = {r2:.4f}", f"R^2 >= {floor}"
@@ -1002,7 +1004,7 @@ def render_claim_report(results: List[ClaimResult]) -> str:
             result.measured or result.detail,
             result.expected,
         ])
-    counts = {status: sum(1 for r in results if r.status == status)
+    counts = {status: fold_sum(1 for r in results if r.status == status)
               for status in (PASS, FAIL, SKIP)}
     table = format_table(["status", "claim", "measured", "expected"],
                          rows)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .artifact import strip_volatile
+from ..sim.stats import fold_sum
 
 __all__ = ["Difference", "AttributionShift", "attribution_shifts",
            "differences", "render_differences"]
@@ -139,8 +140,8 @@ def attribution_shifts(baseline: Dict[str, Any],
     base, cand = _breakdown(baseline), _breakdown(candidate)
     if base is None or cand is None:
         return []
-    base_total = sum(v for row in base.values() for v in row.values())
-    cand_total = sum(v for row in cand.values() for v in row.values())
+    base_total = fold_sum(v for row in base.values() for v in row.values())
+    cand_total = fold_sum(v for row in cand.values() for v in row.values())
     if base_total <= 0 or cand_total <= 0:
         return []
     shifts = []

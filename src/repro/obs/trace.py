@@ -93,7 +93,7 @@ class Span:
         """Close the span at the current simulated time (idempotent)."""
         if self.end_s is None:
             tracer = self._tracer
-            self.end_s = tracer._env._now
+            self.end_s = tracer._env.now
             tracer._on_finish(self)
 
     def __enter__(self) -> "Span":
@@ -252,7 +252,7 @@ _DETACHED = object()
 class _Unbound:
     """What an unbound tracer reads: time 0.0, no active process."""
 
-    _now = 0.0
+    now = 0.0
     _active_process = None
 
 
@@ -304,7 +304,7 @@ class Tracer:
     @property
     def now(self) -> float:
         """Current simulated time (0.0 before binding)."""
-        return self._env._now
+        return self._env.now
 
     # -- span creation ------------------------------------------------------
 
@@ -321,7 +321,7 @@ class Tracer:
         env = self._env
         key = env._active_process
         span = Span(self, name, category, next(self._ids),
-                    self._resolve_parent(parent, key), env._now, attrs,
+                    self._resolve_parent(parent, key), env.now, attrs,
                     _DETACHED if detached else key)
         self._open[span.span_id] = span
         return span
@@ -359,7 +359,7 @@ class Tracer:
         """Record a zero-duration event (decisions, cache hits)."""
         env = self._env
         self.instants.append(
-            (env._now, name, category,
+            (env.now, name, category,
              self._resolve_parent(None, env._active_process), attrs)
         )
 

@@ -52,6 +52,7 @@ from ..hardware.costs import DEFAULT_COSTS
 from ..hardware.profiles import DpuProfile, HostProfile
 from .planner import plan_scan
 from .scan import QueryResult, ScanQuery
+from ..sim.stats import fold_sum
 
 __all__ = ["DistributedScanDeployment", "merge_partials",
            "plan_distributed", "run_distributed_scan"]
@@ -212,9 +213,9 @@ def merge_partials(query: ScanQuery, partials) -> QueryResult:
         maxima = [p.maximum for p in partials if p.maximum is not None]
         return QueryResult(
             rows=None,
-            count=sum(p.count for p in partials),
-            total=sum(p.total for p in partials
-                      if p.total is not None),
+            count=fold_sum(p.count for p in partials),
+            total=fold_sum(p.total for p in partials
+                           if p.total is not None),
             minimum=min(minima) if minima else None,
             maximum=max(maxima) if maxima else None,
         )
@@ -431,11 +432,11 @@ def run_distributed_scan(deployment: DistributedScanDeployment,
     host_cpus = ([coordinator.server.host_cpu]
                  + [node.server.host_cpu for node in cluster.nodes])
     dpu_cpus = [node.server.dpu.cpu for node in cluster.nodes]
-    host_busy_before = sum(cpu.busy_seconds() for cpu in host_cpus)
-    dpu_busy_before = sum(cpu.busy_seconds() for cpu in dpu_cpus)
+    host_busy_before = fold_sum(cpu.busy_seconds() for cpu in host_cpus)
+    dpu_busy_before = fold_sum(cpu.busy_seconds() for cpu in dpu_cpus)
     rx_before = coordinator.server.nic.rx_bytes.value
-    forwards_before = sum(node.router.forwards.value
-                          for node in cluster.nodes)
+    forwards_before = fold_sum(node.router.forwards.value
+                               for node in cluster.nodes)
     requests_before = len(coordinator.requests)
     started = env.now
 
@@ -518,12 +519,12 @@ def run_distributed_scan(deployment: DistributedScanDeployment,
         "elapsed_s": env.now - started,
         "bytes_received": (coordinator.server.nic.rx_bytes.value
                            - rx_before),
-        "host_busy_s": (sum(cpu.busy_seconds()
-                            for cpu in host_cpus)
+        "host_busy_s": (fold_sum(cpu.busy_seconds()
+                                 for cpu in host_cpus)
                         - host_busy_before),
-        "dpu_busy_s": (sum(cpu.busy_seconds() for cpu in dpu_cpus)
+        "dpu_busy_s": (fold_sum(cpu.busy_seconds() for cpu in dpu_cpus)
                        - dpu_busy_before),
-        "forwards": (sum(node.router.forwards.value
-                         for node in cluster.nodes)
+        "forwards": (fold_sum(node.router.forwards.value
+                              for node in cluster.nodes)
                      - forwards_before),
     }

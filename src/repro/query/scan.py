@@ -23,6 +23,7 @@ from typing import Callable, List, Optional
 
 from ..buffers import column_verdicts, record_column
 from ..workloads.tables import TableSchema
+from ..sim.stats import fold_sum
 
 __all__ = ["ScanQuery", "QueryResult"]
 
@@ -76,7 +77,7 @@ class ScanQuery:
             return QueryResult(
                 rows=None,
                 count=len(values),
-                total=sum(values),
+                total=fold_sum(values),
                 minimum=min(values) if values else None,
                 maximum=max(values) if values else None,
             )

@@ -20,6 +20,7 @@ as they would join the old driver process.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Callable, Iterable, List
 
 from .core import NORMAL, Environment, Event
@@ -78,15 +79,18 @@ class EventPopulation(Event):
         tick = self._tick
         tick.callbacks = self._cbs
         env = self.env
-        delay = self._times_list[self._idx] - env._now
-        env._enqueue(tick, NORMAL, delay if delay > 0.0 else 0.0)
+        now = env.now
+        delay = self._times_list[self._idx] - now
+        env._eid += 1
+        heappush(env._queue, (now + (delay if delay > 0.0 else 0.0),
+                              NORMAL, env._eid, tick))
 
     def _advance(self, _event: Event) -> None:
         env = self.env
         idx = self._idx
         n = self._n
         times = self._times_list
-        now = env._now
+        now = env.now
         handler = self.handler
         name = self.name
         process = env.process

@@ -14,13 +14,20 @@ The queue is one binary heap of ``(time, priority, eid, event)``
 entries and :meth:`Environment.run` is the one loop that drains it.
 
 Fast paths (see ``docs/PERFORMANCE.md``): every event class uses
-``__slots__``; :meth:`Environment.run` pops and fires entries inline;
-:meth:`Process.interrupt` lazily abandons the interrupted wait instead
-of an O(n) callback removal; timeouts are recycled through a freelist
-when provably unreferenced; and :meth:`Timeout.cancel` marks dead
-timers that the scheduler skips without perturbing the clock.  None of
-these change simulated results — they only reduce the real time spent
-per simulated event.
+``__slots__``; the clock ``Environment.now`` is a plain attribute that
+only ``run()`` advances, so reading it is never a call; the hot events
+(``Timeout``, ``Process`` with its ``Initialize``, and the resource
+layer's requests) set their slots in one frame, with no constructor
+chain, and the hot pushes (``succeed``, a process's normal end, those
+constructors, a population's tick) put their ``(time, priority, eid,
+event)`` entry on the heap themselves — ``_enqueue`` is the entry
+point for the cold callers; :meth:`Environment.run` pops and fires
+entries inline; :meth:`Process.interrupt` lazily abandons the
+interrupted wait instead of an O(n) callback removal; timeouts are
+recycled through a freelist when provably unreferenced; and
+:meth:`Timeout.cancel` marks dead timers that the scheduler skips
+without perturbing the clock. None of these change simulated results —
+they only reduce the real time spent per simulated event.
 """
 
 from __future__ import annotations
@@ -114,6 +121,10 @@ class Event:
                  "_cancelled")
 
     def __init__(self, env: "Environment"):
+        # The hot events (Timeout, Process and its Initialize, the
+        # resource layer's _Request / _StoreGet, _completed_event and
+        # the population's tick) set these six slots themselves: a new
+        # slot here goes there too.
         self.env = env
         self.callbacks: Optional[list] = []
         self._value: Any = _PENDING
@@ -149,7 +160,9 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.env._enqueue(self, NORMAL)
+        env = self.env
+        env._eid += 1
+        heappush(env._queue, (env.now, NORMAL, env._eid, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -164,7 +177,7 @@ class Event:
         self._ok = False
         self._value = exception
         self._defused = False
-        self.env._enqueue(self, NORMAL)
+        self.env._enqueue(self, NORMAL, 0.0)
         return self
 
     def _defuse(self) -> None:
@@ -187,10 +200,14 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
-        self._ok = True
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env._enqueue(self, NORMAL, delay)
+        self._ok = True
+        self._defused = True
+        self._cancelled = False
+        env._eid += 1
+        heappush(env._queue, (env.now + delay, NORMAL, env._eid, self))
 
     def succeed(self, value: Any = None) -> "Event":
         raise SimulationError("Timeout events trigger themselves")
@@ -212,16 +229,10 @@ class Timeout(Event):
 
 
 class Initialize(Event):
-    """Internal event used to start a process at creation time."""
+    """Internal event used to start a process at creation time (built
+    by :class:`Process`, which sets its slots)."""
 
     __slots__ = ()
-
-    def __init__(self, env: "Environment", process: "Process"):
-        super().__init__(env)
-        self._ok = True
-        self._value = None
-        self.callbacks.append(process._resume)
-        env._enqueue(self, URGENT)
 
 
 class Process(Event):
@@ -238,7 +249,12 @@ class Process(Event):
                  name: Optional[str] = None):
         if not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._defused = True
+        self._cancelled = False
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Optional[Event] = None
@@ -247,7 +263,15 @@ class Process(Event):
         #: an event consumes one count instead of resuming the process
         #: (lazy cancellation).
         self._stale: Optional[dict] = None
-        Initialize(env, self)
+        init = Initialize.__new__(Initialize)
+        init.env = env
+        init.callbacks = [self._resume]
+        init._value = None
+        init._ok = True
+        init._defused = True
+        init._cancelled = False
+        env._eid += 1
+        heappush(env._queue, (env.now, URGENT, env._eid, init))
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its next resume.
@@ -263,7 +287,7 @@ class Process(Event):
         event._ok = False
         event._value = Interrupt(cause)
         event.callbacks.append(self._resume)
-        self.env._enqueue(event, URGENT)
+        self.env._enqueue(event, URGENT, 0.0)
         # Abandon the event we were waiting on so that its eventual
         # trigger does not resume us a second time.  Lazy: the callback
         # entry stays; _resume recognizes and discards the stale wake.
@@ -301,13 +325,14 @@ class Process(Event):
             except StopIteration as exc:
                 self._ok = True
                 self._value = exc.value
-                env._enqueue(self, NORMAL)
+                env._eid += 1
+                heappush(env._queue, (env.now, NORMAL, env._eid, self))
                 break
             except BaseException as exc:
                 self._ok = False
                 self._value = exc
                 self._defused = False
-                env._enqueue(self, NORMAL)
+                env._enqueue(self, NORMAL, 0.0)
                 break
 
             if not isinstance(next_event, Event):
@@ -408,7 +433,9 @@ class Environment:
     calendar_promotions = 0
 
     def __init__(self):
-        self._now = 0.0
+        #: current simulated time (seconds by convention); a plain
+        #: attribute that only ``run()`` advances
+        self.now = 0.0
         self._queue: list = []
         self._eid = 0
         self._active_process: Optional[Process] = None
@@ -418,11 +445,6 @@ class Environment:
         self.pool_hits = 0
         self.pool_misses = 0
         self._ids: dict = {}
-
-    @property
-    def now(self) -> float:
-        """Current simulated time (seconds by convention)."""
-        return self._now
 
     def next_id(self, kind: str) -> int:
         """The next number, from 1, in this simulation's ``kind``
@@ -458,7 +480,7 @@ class Environment:
             self.pool_hits += 1
             self._eid += 1
             heappush(self._queue,
-                     (self._now + delay, NORMAL, self._eid, timeout))
+                     (self.now + delay, NORMAL, self._eid, timeout))
             return timeout
         self.pool_misses += 1
         return Timeout(self, delay, value)
@@ -478,11 +500,12 @@ class Environment:
 
     # -- scheduling and execution -------------------------------------------
 
-    def _enqueue(self, event: Event, priority: int,
-                 delay: float = 0.0) -> None:
+    def _enqueue(self, event: Event, priority: int, delay: float) -> None:
+        # The general push, for the cold callers (a failure, an
+        # interrupt, a process's failed end); the hot ones push inline.
         self._eid += 1
         heappush(self._queue,
-                 (self._now + delay, priority, self._eid, event))
+                 (self.now + delay, priority, self._eid, event))
 
     def peek(self) -> float:
         """Time of the next *live* event, or ``inf`` if none remain.
@@ -515,9 +538,9 @@ class Environment:
             stop_event = until
         elif until is not None:
             stop_time = float(until)
-            if stop_time < self._now:
+            if stop_time < self.now:
                 raise ValueError(
-                    f"until={stop_time} is in the past (now={self._now})"
+                    f"until={stop_time} is in the past (now={self.now})"
                 )
 
         queue = self._queue
@@ -530,7 +553,7 @@ class Environment:
             if stop_event is not None and stop_event.callbacks is None:
                 break
             if queue[0][0] > stop_time:
-                self._now = stop_time
+                self.now = stop_time
                 break
             when, _prio, _eid, event = heappop_(queue)
             if event._cancelled:
@@ -539,7 +562,7 @@ class Environment:
                         and getrefcount(event) == 2):
                     pool.append(event)
                 continue
-            self._now = when
+            self.now = when
             callbacks = event.callbacks
             event.callbacks = None
             for callback in callbacks:
@@ -556,7 +579,7 @@ class Environment:
                 pool.append(event)
         else:
             if stop_time != float("inf"):
-                self._now = stop_time
+                self.now = stop_time
 
         if stop_event is not None:
             if stop_event._value is _PENDING:

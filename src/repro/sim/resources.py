@@ -39,7 +39,8 @@ import heapq
 from collections import deque
 from typing import Any, Callable, List, Optional
 
-from .core import Environment, Event, SimulationError, _completed_event
+from .core import (_PENDING, Environment, Event, SimulationError,
+                   _completed_event)
 
 __all__ = ["Resource", "PriorityResource", "Container", "Store", "REFUSED"]
 
@@ -54,7 +55,12 @@ class _Request(Event):
     __slots__ = ("resource", "priority")
 
     def __init__(self, resource: "Resource", priority: int = 0):
-        super().__init__(resource.env)
+        self.env = resource.env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._defused = True
+        self._cancelled = False
         self.resource = resource
         self.priority = priority
         resource._do_request(self)
@@ -269,7 +275,7 @@ class Resource:
         waiting = self._waiting
         while waiting:
             request = waiting.popleft()
-            if not request.triggered:
+            if request._value is _PENDING:
                 return request
         return None
 
@@ -336,7 +342,7 @@ class PriorityResource(Resource):
         heap = self._waiting
         while heap:
             _prio, _seq, request = heapq.heappop(heap)
-            if not request.triggered:
+            if request._value is _PENDING:
                 return request
         return None
 
@@ -453,7 +459,12 @@ class _StoreGet(Event):
 
     def __init__(self, env: Environment,
                  predicate: Optional[Callable[[Any], bool]]):
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._defused = True
+        self._cancelled = False
         self._predicate = predicate
 
 

@@ -7,15 +7,24 @@ Collectors used throughout the hardware models and benchmarks:
   (latency samples): mean, percentiles.
 * :class:`TimeWeighted` — time-averaged level statistics (queue depth,
   busy cores): the integral of the level over time divided by elapsed.
+* :func:`fold_sum` — the one way ``src/repro`` adds up a sequence, so
+  a float total rounds the same on every interpreter.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import List, Optional
+import sys
+from functools import partial, reduce
+from operator import add
+from typing import Iterable, List, Optional
 
-__all__ = ["Counter", "Tally", "TimeWeighted"]
+__all__ = ["Counter", "Tally", "TimeWeighted", "fold_sum"]
+
+#: a left fold in C: the builtin below 3.12; from 3.12 the builtin adds
+#: floats with compensated summation (gh-100425), so ``reduce(add, …)``
+_LEFT_FOLD = sum if sys.version_info < (3, 12) else partial(reduce, add)
 
 
 class Counter:
@@ -150,3 +159,15 @@ class TimeWeighted:
 
     def __repr__(self) -> str:
         return f"TimeWeighted({self.name}: level={self._level})"
+
+
+def fold_sum(values: Iterable) -> float:
+    """``values`` added left to right, from 0.
+
+    The one way ``src/repro`` adds up a sequence: 3.11's ``sum`` and
+    a plain ``reduce(add, values, 0)`` round every partial total the
+    same, so a float total — and every simulated number built on one —
+    is the same on every interpreter.  The choice between them is made
+    once, at import, and both fold in C.
+    """
+    return _LEFT_FOLD(values, 0)

@@ -43,6 +43,7 @@ import zlib
 from typing import Callable, Dict, Sequence
 
 from ..sim import Environment, EventPopulation
+from ..sim.stats import fold_sum
 
 __all__ = [
     "arrival_count",
@@ -293,7 +294,7 @@ class TenantMix:
         self.names = sorted(weights)
         self.weights = {name: weights[name] for name in self.names}
         self.seed = seed
-        total = sum(self.weights.values())
+        total = fold_sum(self.weights.values())
         self._cumulative = []
         acc = 0.0
         for name in self.names:

@@ -14,6 +14,8 @@ import random
 from bisect import bisect_left
 from typing import List
 
+from ..sim.stats import fold_sum
+
 __all__ = ["TextCorpus", "make_text"]
 
 _SYLLABLES = (
@@ -34,7 +36,7 @@ class TextCorpus:
         # Zipf weights: rank^-s.
         weights = [1.0 / ((rank + 1) ** _ZIPF_S)
                    for rank in range(_VOCABULARY_SIZE)]
-        total = sum(weights)
+        total = fold_sum(weights)
         self._cumulative: List[float] = []
         acc = 0.0
         for weight in weights:

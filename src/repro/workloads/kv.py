@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from ..units import PAGE_SIZE
+from ..sim.stats import fold_sum
 
 __all__ = ["KvStoreIndex", "YcsbWorkload", "KvOp"]
 
@@ -90,10 +91,10 @@ class YcsbWorkload:
         self._rng = random.Random(seed)
         n = index.n_keys
         # Standard YCSB zipfian constants.
-        self._zetan = sum(1.0 / (i ** ZIPF_THETA)
-                          for i in range(1, n + 1))
+        self._zetan = fold_sum(1.0 / (i ** ZIPF_THETA)
+                               for i in range(1, n + 1))
         self._alpha = 1.0 / (1.0 - ZIPF_THETA)
-        self._zeta2 = sum(1.0 / (i ** ZIPF_THETA) for i in (1, 2))
+        self._zeta2 = fold_sum(1.0 / (i ** ZIPF_THETA) for i in (1, 2))
         self._eta = ((1 - (2.0 / n) ** (1 - ZIPF_THETA))
                      / (1 - self._zeta2 / self._zetan)) if n > 1 else 0.0
 
