@@ -7,7 +7,7 @@ recovery side:
 
 * :mod:`repro.faults.plan` — :class:`FaultWindow` / :class:`FaultPlan`:
   a seeded, declarative schedule of faults in simulated time (SSD
-  errors and latency spikes, NIC loss and link flaps, DPU Arm
+  errors and latency spikes, link flaps, DPU Arm
   crash/slowdown, accelerator unavailability, ring stalls);
 * :mod:`repro.faults.injector` — :class:`FaultInjector`: the runtime
   that hardware/netstack/fs hooks consult.  Per-site seeded RNG

@@ -9,9 +9,9 @@ one of three entry points:
   error window's roll hits.  Generator, so it composes with the
   device's own timing;
 * ``injector.is_down(site)`` — state check for ``down`` windows (link
-  flaps, crashed Arm cores, offline ASICs, stalled rings);
-* ``injector.should_drop(site)`` / ``injector.slowdown(site)`` —
-  per-frame drop rolls and CPU stretch factors.
+  flaps, crashed Arm cores, offline ASICs, stalled rings).  A wire asks
+  it per frame: a link flap is the one way a frame is lost;
+* ``injector.slowdown(site)`` — CPU stretch factors.
 
 Determinism: every concrete site gets its own ``random.Random`` seeded
 from ``crc32(f"{plan.seed}:{site}")``, so (a) the same run replays the
@@ -47,7 +47,6 @@ class FaultInjector:
         self.injected = Counter("faults.injected")
         self.errors = Counter("faults.errors")
         self.delays = Counter("faults.delays")
-        self.drops = Counter("faults.drops")
         self.downs = Counter("faults.down_hits")
         #: per-site injection counts for reports/tests
         self.by_site: Dict[str, int] = {}
@@ -111,25 +110,6 @@ class FaultInjector:
             self.downs.add(1)
             self._record(site)
             return True
-        return False
-
-    def should_drop(self, site: str) -> bool:
-        """Per-frame decision for wire sites: drop this frame?
-
-        ``down`` windows drop everything; ``drop`` windows roll the
-        site RNG against their probability.
-        """
-        for window in self._active(site, "down"):
-            self.drops.add(1)
-            self._record(site)
-            return True
-        rng = self._rng(site)
-        for window in self._active(site, "drop"):
-            if window.probability >= 1.0 or \
-                    rng.random() < window.probability:
-                self.drops.add(1)
-                self._record(site)
-                return True
         return False
 
     def slowdown(self, site: str) -> float:

@@ -22,7 +22,6 @@ Fault kinds:
 
 ``error``   the operation raises :class:`FaultInjectedError`
 ``delay``   the operation takes ``magnitude`` extra seconds
-``drop``    the frame is silently dropped (wire sites)
 ``down``    the component is unavailable for the whole window
             (link flap, accelerator offline, Arm-core crash,
             ring stall — state, not a per-op roll)
@@ -37,7 +36,7 @@ from typing import List
 
 __all__ = ["FaultWindow", "FaultPlan", "KINDS", "default_fault_plan"]
 
-KINDS = ("error", "delay", "drop", "down", "slow")
+KINDS = ("error", "delay", "down", "slow")
 
 
 @dataclass(frozen=True)
@@ -112,11 +111,6 @@ class FaultPlan:
         return self.add("ssd.*", "delay", start_s, end_s, probability,
                         magnitude=extra_s)
 
-    def packet_loss(self, probability: float, start_s: float = 0.0,
-                    end_s: float = float("inf")) -> "FaultPlan":
-        """Per-frame drops on every wire."""
-        return self.add("wire*", "drop", start_s, end_s, probability)
-
     def link_flap(self, start_s: float, end_s: float) -> "FaultPlan":
         """A full link outage: every frame dropped in the window."""
         return self.add("wire*", "down", start_s, end_s)
@@ -156,8 +150,9 @@ def default_fault_plan(seed: int = 0,
     Scaled to a ``duration_s``-long run: transient SSD errors and a
     latency-spike window, a mid-run DPU Arm-core crash followed by a
     slowdown (the recovering core), a link flap, an accelerator
-    outage, and a short ring stall.  Every family the tentpole names
-    is represented, so recovery machinery gets exercised end to end.
+    outage, and a short ring stall, so recovery machinery gets
+    exercised end to end.  The link flap reaches a server only through
+    a wired NIC; the availability experiment's server has none.
     """
     plan = FaultPlan(seed=seed)
     # Transient SSD read errors across the middle of the run.
@@ -171,9 +166,8 @@ def default_fault_plan(seed: int = 0,
     plan.cpu_crash(start_s=0.4 * duration_s, end_s=0.55 * duration_s)
     plan.cpu_slowdown(3.0, start_s=0.55 * duration_s,
                       end_s=0.7 * duration_s)
-    # A link flap plus background packet loss.
+    # A link flap.
     plan.link_flap(start_s=0.75 * duration_s, end_s=0.78 * duration_s)
-    plan.packet_loss(0.01, start_s=0.0, end_s=duration_s)
     # Compression ASIC offline for a window.
     plan.accelerator_down("compression", start_s=0.3 * duration_s,
                           end_s=0.5 * duration_s)

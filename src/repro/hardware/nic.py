@@ -13,7 +13,6 @@ host without burning CPU cycles, mirroring OVS-style hardware steering.
 
 from __future__ import annotations
 
-import random
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..sim import Environment, Resource, Store
@@ -247,28 +246,15 @@ class Nic:
 class Wire:
     """A point-to-point full-duplex cable between two NICs.
 
-    ``loss_rate`` injects deterministic (seeded) frame drops for
-    exercising protocol recovery paths; production links default to
-    lossless.
+    Lossless, except while a fault injector's ``down`` window (a link
+    flap) covers the ``wire`` site: every frame sent then is lost.
     """
 
-    def __init__(self, env: Environment, nic_a: Nic, nic_b: Nic,
-                 loss_rate: float = 0.0, loss_seed: int = 0):
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError(f"loss rate {loss_rate} out of [0, 1)")
+    def __init__(self, env: Environment, nic_a: Nic, nic_b: Nic):
         self.env = env
         self.propagation_delay_s = PROPAGATION_DELAY_S
-        self.loss_rate = loss_rate
-        # One RNG stream per direction: a direction's drop pattern then
-        # depends only on its own frame order (which batched transmits
-        # preserve), not on how the two directions happen to interleave
-        # in real time.
-        self._rng = {
-            id(nic_a): random.Random(2 * loss_seed),
-            id(nic_b): random.Random(2 * loss_seed + 1),
-        }
         self.frames_dropped = Counter("wire.drops")
-        #: optional FaultInjector; site "wire" (loss windows, link flaps)
+        #: optional FaultInjector; site "wire" (link flaps)
         self.injector = None
         self._ends = {id(nic_a): nic_b, id(nic_b): nic_a}
         nic_a.wire = self
@@ -279,18 +265,14 @@ class Wire:
         """Propagate a frame to the opposite end, arriving the flight
         delay plus ``extra_delay`` from now.
 
-        Batched transmits schedule every frame of a burst up front;
-        the loss draw still happens now, in send order, so seeded
-        loss sequences match the unbatched schedule.
+        Batched transmits schedule every frame of a burst up front, so
+        every frame of a burst meets the link state of the instant the
+        burst was scheduled.
         """
         receiver = self._ends.get(id(sender))
         if receiver is None:
             raise RuntimeError("sender is not attached to this wire")
-        if self.loss_rate and \
-                self._rng[id(sender)].random() < self.loss_rate:
-            self.frames_dropped.add(1)
-            return
-        if self.injector is not None and self.injector.should_drop("wire"):
+        if self.injector is not None and self.injector.is_down("wire"):
             self.frames_dropped.add(1)
             return
         timer = self.env.timeout(extra_delay + self.propagation_delay_s,

@@ -14,13 +14,16 @@ Implemented behaviour:
   reassembly at the receiver,
 * receive-window flow control (bounded receive buffer, advertised
   window honoured by the sender),
-* congestion control: slow start, congestion avoidance (AIMD), fast
-  retransmit on three duplicate ACKs, RTO with exponential backoff and
-  RFC 6298 RTT estimation,
+* congestion control: slow start, congestion avoidance (AIMD), and
+  one loss recovery — the RTO, with exponential backoff and RFC 6298
+  RTT estimation (it resends the oldest unacknowledged segment; the
+  receiver's out-of-order buffer keeps what arrived past the hole),
 * message framing on top of the stream (one ``send_message`` becomes
   one or more MSS-sized segments; the receiver reassembles the
-  original buffer),
-* loss injection via the wire for exercising the recovery paths.
+  original buffer).
+
+Frames are lost only while a fault injector's link flap covers the
+wire (:meth:`~repro.faults.FaultPlan.link_flap`).
 
 CPU accounting: transmit-side cycles are charged inline in the sender
 process (the data path really waits for them); receive-side cycles are
@@ -118,7 +121,6 @@ class TcpConnection:
         self._cwnd = float(_INIT_CWND)
         self._ssthresh = float(1 << 20)
         self._peer_rwnd = _BUFFER_BYTES
-        self._dup_acks = 0
         self._srtt: Optional[float] = None
         self._rttvar = 0.0
         self._rto = _INIT_RTO
@@ -429,15 +431,10 @@ class TcpConnection:
                     snd_buffer.put(credit)
                 self._grow_cwnd(segment["len"])
             self._snd_base = ack
-            self._dup_acks = 0
             if self._inflight:
                 self._arm_rto()
             # else: a pending timer finds _inflight empty when it
             # fires and disarms itself.
-        elif ack == self._snd_base and self._inflight:
-            self._dup_acks += 1
-            if self._dup_acks == 3:
-                self._fast_retransmit()
         self._open_window()
 
     def _open_window(self) -> None:
@@ -462,11 +459,6 @@ class TcpConnection:
             self._srtt = 0.875 * self._srtt + 0.125 * sample
         self._rto = min(_MAX_RTO,
                         max(_MIN_RTO, self._srtt + 4 * self._rttvar))
-
-    def _fast_retransmit(self) -> None:
-        self._ssthresh = max(self._cwnd / 2, 2 * _MSS)
-        self._cwnd = self._ssthresh + 3 * _MSS
-        self._retransmit_base()
 
     def _retransmit_base(self) -> None:
         segment = self._inflight.get(self._snd_base)
@@ -612,7 +604,7 @@ class TcpStack:
         syn = {"proto": "tcp", "kind": "syn", "cid": cid, "port": port,
                "dst": remote, "src": self.address}
         # SYN retransmission with exponential backoff (capped at
-        # _MAX_RTO): connection setup must survive a lossy link too.
+        # _MAX_RTO): connection setup must survive a link flap too.
         syn_timeout = _INIT_RTO
         started = self.env.now
         for _attempt in range(8):

@@ -132,15 +132,14 @@ class Telemetry:
     def register_injector(self, injector) -> None:
         """Adopt a :class:`~repro.faults.FaultInjector`'s counters.
 
-        Registered under ``faults.*`` so injected errors, delays,
-        drops, and down-window hits land in the same snapshot as the
+        Registered under ``faults.*`` so injected errors, delays and
+        down-window hits land in the same snapshot as the
         engine metrics they perturb.
         """
         metrics = self.metrics
         metrics.register("faults.injected", injector.injected)
         metrics.register("faults.errors", injector.errors)
         metrics.register("faults.delays", injector.delays)
-        metrics.register("faults.drops", injector.drops)
         metrics.register("faults.down_hits", injector.downs)
 
     def register_breaker(self, breaker) -> None:

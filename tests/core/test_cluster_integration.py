@@ -1,9 +1,10 @@
-"""Cluster-scale integration: multiple DDS servers, lossy links."""
+"""Cluster-scale integration: multiple DDS servers, a flapping link."""
 
 import pytest
 
 from repro.baselines.host_tcp import make_kernel_tcp
 from repro.core import DdsClient, DpdpuRuntime
+from repro.faults import FaultInjector, FaultPlan
 from repro.hardware import (
     BLUEFIELD2,
     Switch,
@@ -13,6 +14,9 @@ from repro.hardware import (
 )
 from repro.sim import Environment
 from repro.units import MiB, PAGE_SIZE
+
+#: a 100 us link flap a millisecond in: the 25 reads below take ~2.3 ms
+FLAP_AT_S = 1e-3
 
 
 @pytest.fixture
@@ -71,14 +75,15 @@ class TestMultiServerCluster:
                 / env.now < 0.01
 
     def test_dds_survives_lossy_network(self, env):
-        """Kernel-TCP client over a 2%-loss link: retransmission keeps
-        DDS request/response streams intact."""
+        """Kernel-TCP client over a link that flaps mid-run:
+        retransmission keeps DDS request/response streams intact."""
         storage = make_server(env, name="storage",
                               dpu_profile=BLUEFIELD2)
         compute_node = make_server(env, name="compute",
                                    dpu_profile=None)
         wire = connect(storage, compute_node)
-        wire.loss_rate = 0.02
+        wire.injector = FaultInjector(
+            env, FaultPlan().link_flap(FLAP_AT_S, FLAP_AT_S + 100e-6))
         runtime = DpdpuRuntime(storage)
         file_id = runtime.storage.create("db", size=64 * MiB)
         dds = runtime.dds(port=9601)

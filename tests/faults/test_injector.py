@@ -62,11 +62,11 @@ class TestStateChecks:
         assert not injector.is_down("cpu.host")
         assert injector.downs.value == 1
 
-    def test_should_drop_during_down_window(self, env):
+    def test_link_flap_takes_the_wire_down(self, env):
         plan = FaultPlan().link_flap(0.0, 1.0)
         injector = FaultInjector(env, plan)
-        assert injector.should_drop("wire")
-        assert injector.drops.value == 1
+        assert injector.is_down("wire")
+        assert injector.downs.value == 1
 
     def test_slowdown_multiplies_active_windows(self, env):
         plan = FaultPlan().cpu_slowdown(2.0).cpu_slowdown(3.0)
@@ -77,10 +77,12 @@ class TestStateChecks:
 
 class TestDeterminism:
     def _decisions(self, seed, n=200):
+        """Which of ``n`` operations a 30 % error window fails."""
         env = Environment()
-        plan = FaultPlan(seed=seed).packet_loss(0.3)
+        plan = FaultPlan(seed=seed).ssd_errors(0.3)
         injector = FaultInjector(env, plan)
-        return [injector.should_drop("wire") for _ in range(n)]
+        return ["error" in _drain(env, injector.perturb("ssd.db.read"))
+                for _ in range(n)]
 
     def test_same_seed_same_decisions(self):
         assert self._decisions(42) == self._decisions(42)
@@ -116,6 +118,6 @@ class TestInstall:
     def test_counts_are_per_site(self, env):
         plan = FaultPlan().link_flap(0.0, 1.0)
         injector = FaultInjector(env, plan)
-        injector.should_drop("wire")
-        injector.should_drop("wire")
+        injector.is_down("wire")
+        injector.is_down("wire")
         assert injector.by_site == {"wire": 2}

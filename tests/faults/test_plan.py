@@ -22,6 +22,11 @@ class TestFaultWindow:
         with pytest.raises(ValueError):
             FaultWindow("ssd.*", "explode", 0.0, 1.0, 1.0)
 
+    def test_rejects_a_drop_window(self):
+        # a link flap ("down") is the one way a frame is lost
+        with pytest.raises(ValueError):
+            FaultWindow("wire", "drop", 0.0, 1.0, 0.5)
+
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             FaultWindow("ssd.*", "error", 0.0, 1.0, 1.5)
@@ -35,7 +40,7 @@ class TestFaultPlan:
     def test_builders_chain(self):
         plan = (FaultPlan(seed=3)
                 .ssd_errors(0.1)
-                .packet_loss(0.05)
+                .link_flap(0.1, 0.15)
                 .cpu_crash(0.2, 0.4)
                 .ring_stall(0.5, 0.6))
         assert len(plan.windows) == 4

@@ -3,19 +3,19 @@
 import pytest
 
 from repro.buffers import RealBuffer, SynthBuffer
+from repro.faults import FaultInjector, FaultPlan
 from repro.hardware import CpuCluster, Nic, Wire, default_cost_model
 from repro.netstack import TcpStack
 from repro.sim import Environment
 from repro.units import GHZ, Gbps, PAGE_SIZE
 
 
-def _make_pair(env, bandwidth=100 * Gbps, loss_rate=0.0, loss_seed=1):
+def _make_pair(env, bandwidth=100 * Gbps):
     """Two servers' worth of NIC + CPU + kernel TCP stack."""
     costs = default_cost_model().software
     nic_a = Nic(env, bandwidth, name="a")
     nic_b = Nic(env, bandwidth, name="b")
-    wire = Wire(env, nic_a, nic_b, loss_rate=loss_rate,
-                loss_seed=loss_seed)
+    wire = Wire(env, nic_a, nic_b)
     cpu_a = CpuCluster(env, 8, 3 * GHZ, name="cpu_a")
     cpu_b = CpuCluster(env, 8, 3 * GHZ, name="cpu_b")
     stack_a = TcpStack(env, nic_a, nic_a.rx_host, cpu_a, costs, "tcp_a")
@@ -159,9 +159,10 @@ class TestTransfer:
 
 class TestLossRecovery:
     def test_transfer_completes_despite_loss(self, env):
-        stack_a, stack_b, _, _, wire = _make_pair(
-            env, loss_rate=0.03, loss_seed=11
-        )
+        # a 5 us link flap in the middle of the 300 kB transfer
+        stack_a, stack_b, _, _, wire = _make_pair(env)
+        wire.injector = FaultInjector(
+            env, FaultPlan().link_flap(60e-6, 65e-6))
         listener = stack_b.listen(7010)
         payload = bytes(i % 256 for i in range(300_000))
         received = []

@@ -1,22 +1,26 @@
-"""Property-based TCP tests: arbitrary message streams, lossy links."""
+"""Property-based TCP tests: arbitrary message streams, link flaps."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.buffers import RealBuffer
+from repro.faults import FaultInjector, FaultPlan
 from repro.hardware import CpuCluster, Nic, Wire, default_cost_model
 from repro.netstack import TcpStack
 from repro.sim import Environment
 from repro.units import GHZ, Gbps
 
 
-def _transfer(messages, loss_rate=0.0, loss_seed=0):
-    """Send ``messages`` (bytes) over a fresh TCP pair; return received."""
+def _transfer(messages, flap=None):
+    """Send ``messages`` (bytes) over a fresh TCP pair, the wire down
+    over the ``(start_s, end_s)`` of ``flap``; return what arrived."""
     env = Environment()
     costs = default_cost_model().software
     nic_a = Nic(env, 100 * Gbps, name="a")
     nic_b = Nic(env, 100 * Gbps, name="b")
-    Wire(env, nic_a, nic_b, loss_rate=loss_rate, loss_seed=loss_seed)
+    wire = Wire(env, nic_a, nic_b)
+    if flap is not None:
+        wire.injector = FaultInjector(env, FaultPlan().link_flap(*flap))
     cpu_a = CpuCluster(env, 8, 3 * GHZ, name="ca")
     cpu_b = CpuCluster(env, 8, 3 * GHZ, name="cb")
     stack_a = TcpStack(env, nic_a, nic_a.rx_host, cpu_a, costs, "a")
@@ -37,7 +41,7 @@ def _transfer(messages, loss_rate=0.0, loss_seed=0):
 
     env.process(client())
     server_proc = env.process(server())
-    env.run(until=60.0 if loss_rate else 10.0)
+    env.run(until=60.0 if flap else 10.0)
     return received
 
 
@@ -52,11 +56,13 @@ def test_property_lossless_stream_preserved(messages):
 @settings(max_examples=8, deadline=None)
 @given(messages=st.lists(st.binary(min_size=1, max_size=40_000),
                          min_size=1, max_size=6),
-       seed=st.integers(min_value=0, max_value=1000))
-def test_property_lossy_stream_recovers(messages, seed):
-    """Retransmission recovers any stream on a 2%-loss link."""
-    assert _transfer(messages, loss_rate=0.02,
-                     loss_seed=seed) == messages
+       start_us=st.integers(min_value=0, max_value=300),
+       length_us=st.integers(min_value=1, max_value=50))
+def test_property_lossy_stream_recovers(messages, start_us, length_us):
+    """The retransmission timer recovers any stream from a link flap,
+    wherever it falls and however long it lasts."""
+    flap = (start_us * 1e-6, (start_us + length_us) * 1e-6)
+    assert _transfer(messages, flap) == messages
 
 
 @settings(max_examples=15, deadline=None)

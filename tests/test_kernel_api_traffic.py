@@ -39,7 +39,9 @@ come from a closed list:
   interface, (b) a known-answer ``algos`` surface, (c) a seam where a
   test substitutes a fake, (d) a ROADMAP item that names its future
   product caller, (e) a reduced tier-1 sweep of an experiment whose
-  full size costs over 1 s.  An entry the product now sets, or whose
+  full size costs over 1 s, (f) a guard on degenerate input whose
+  caller is the tier-1 test it names (the execution census's arms
+  only).  An entry the product now sets, or whose
   parameter is gone, fails as well.  ``python
   tests/test_kernel_api_traffic.py`` prints the counts.  Dunder
   methods other than ``__init__`` are outside this rule — no call
@@ -224,6 +226,7 @@ REASONS = {
     "d": "a ROADMAP item names its future product caller",
     "e": "a reduced tier-1 sweep; the full experiment costs over 1 s "
          "(wall_clock_s in BENCH_baseline.json)",
+    "f": "a guard on degenerate input; the named tier-1 test is its caller",
 }
 
 #: defaulted parameters no product call site sets: (reason, detail)
@@ -263,10 +266,6 @@ KEPT_PARAMETERS = {
         ("d", "ROADMAP 4: crash recovery replays the journal"),
     "sim/core.py:Process.interrupt(cause=)":
         ("d", "ROADMAP 4: crash end restarts a DPU's engines"),
-    "hardware/nic.py:Wire.__init__(loss_rate=)":
-        ("d", "ROADMAP 4(a): stack equivalence under generated loss"),
-    "hardware/nic.py:Wire.__init__(loss_seed=)":
-        ("d", "ROADMAP 4(a): stack equivalence under generated loss"),
     "bench/experiments_ablation.py:ablation_partial_offload(rate_kreq=)":
         ("e", "a5 2.1 s"),
     "bench/experiments_ablation.py:ablation_partial_offload"
@@ -467,6 +466,39 @@ def test_every_kept_arm_has_a_closed_reason():
     kept = traffic_census.KEPT_ARMS.values()
     assert {reason for reason, _detail in kept} <= set(REASONS)
     assert all(detail for _reason, detail in kept)
+
+
+def _defines(tree, names):
+    """Whether ``tree`` defines the class/function path ``names``."""
+    body = tree.body
+    for name in names:
+        found = [node for node in body
+                 if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                 and node.name == name]
+        if not found:
+            return False
+        body = found[0].body
+    return True
+
+
+def test_every_guard_arm_names_an_existing_test():
+    """A reason-(f) arm's caller is a tier-1 test: its detail names it
+    as a pytest node id, and that test function exists."""
+    from tests import traffic_census
+    guards = {key: detail for key, (reason, detail)
+              in traffic_census.KEPT_ARMS.items() if reason == "f"}
+    assert guards
+    missing = []
+    for key, detail in sorted(guards.items()):
+        node_ids = re.findall(r"(tests/[\w/]+\.py)::([\w:]+)", detail)
+        if not node_ids or not all(
+                (_REPO / path).is_file()
+                and _defines(ast.parse((_REPO / path).read_text()),
+                             names.split("::"))
+                for path, names in node_ids):
+            missing.append(f"{key}: {detail}")
+    assert not missing, ("(f) rows whose named test does not exist:\n"
+                         + "\n".join(missing))
 
 
 def test_every_cited_roadmap_item_is_open():

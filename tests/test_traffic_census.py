@@ -1,16 +1,26 @@
 """The execution census's arm finder and its exemption rules, on a
-small synthetic module: no traffic runs here, only the module."""
+small synthetic module: no traffic runs here, only the module.
+
+The census reads what ``traced`` recorded of the module's traffic;
+``ENTERED`` and ``EXECUTED`` are that record, so the arm finder is
+tested on every interpreter, and on 3.12+ (``sys.monitoring``) one
+test holds ``traced`` to it."""
 
 import ast
 import importlib.util
+import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from tests import traffic_census
 from tests.traffic_census import (
+    REPO,
     defined_arms,
     defined_functions,
     exempt_arm,
+    render_tables,
     sources,
     traced,
     unrun_arms,
@@ -55,31 +65,59 @@ def worker():
         helper()
 
 
+def swallows():
+    try:
+        yield 1
+    except GeneratorExit:
+        pass
+    helper()
+
+
 def never():
     return 2
 '''
 
+#: what ``traced`` records of ``_traffic``: the first line of every
+#: function entered, and every line run outside teardown
+ENTERED = {2, 33, 40}
+EXECUTED = {4, 5, 6, 9, 10, 12, 16, 18, 19, 22, 26, 34, 35, 41, 42}
 
-def _census(tmp_path):
+
+def _root(tmp_path):
     root = tmp_path / "repro"
     root.mkdir()
     (root / "mod.py").write_text(MODULE)
     (root / "algos").mkdir()
     (root / "algos" / "golden.py").write_text("def f():\n    return 1\n")
+    return root
+
+
+def _traffic(module):
+    module.served(5, None)
+    for generator in (module.swallows(), module.worker()):
+        next(generator)
+        generator.close()    # teardown: helper() is not traffic
+    module.served(-3, None)  # traffic again once swallows() returned
+
+
+def _census(tmp_path):
+    root = _root(tmp_path)
+    path = str(root / "mod.py")
+    return (list(sources(root)), {(path, line) for line in ENTERED},
+            {path: EXECUTED})
+
+
+@pytest.mark.skipif(sys.version_info < (3, 12),
+                    reason="the census runs under sys.monitoring (3.12+)")
+def test_traced_records_traffic_and_not_teardown(tmp_path):
+    root = _root(tmp_path)
     spec = importlib.util.spec_from_file_location("mod", root / "mod.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-
-    def traffic():
-        module.served(5, None)
-        module.served(-3, None)
-        process = module.worker()
-        next(process)
-        process.close()      # teardown: helper() is not traffic
-
-    entered, executed = traced(traffic, root)
-    modules = list(sources(root))
-    return modules, entered, executed
+    entered, executed = traced(lambda: _traffic(module), root)
+    path = str(root / "mod.py")
+    assert entered == {(path, line) for line in ENTERED}
+    assert executed == {path: EXECUTED}
 
 
 def test_functions_and_arms_nothing_ran(tmp_path):
@@ -99,6 +137,7 @@ def test_functions_and_arms_nothing_ran(tmp_path):
         ("mod.py:served:y += i", "for", None),     # inner if with it
         ("mod.py:served:y = 0", "elif", None),
         ("mod.py:served:y = 0 #2", "except", "except body"),
+        ("mod.py:swallows:pass", "except", "except body"),
         # run only while the generator was being closed
         ("mod.py:worker:helper()", "finally", "finally body"),
     ]
@@ -156,3 +195,13 @@ def test_check_fails_an_unlisted_arm_and_a_rotten_row(tmp_path,
     # an arm that never ran, unlisted
     del kept_arms["mod.py:served:y = 0"]
     assert traffic_census.report(*tables) == 1
+
+
+def test_robustness_doc_shows_the_kept_tables_as_they_are():
+    """docs/ROBUSTNESS.md's census tables are ``render_tables()``: the
+    ``KEPT`` and ``KEPT_ARMS`` rows with the lines each holds today."""
+    rendered = render_tables()
+    assert rendered in (REPO / "docs" / "ROBUSTNESS.md").read_text(), (
+        "paste this over the tables in docs/ROBUSTNESS.md (print it "
+        "with: PYTHONPATH=src python -c 'from tests.traffic_census "
+        "import render_tables; print(render_tables())'):\n" + rendered)

@@ -2,8 +2,9 @@
 the functions that do run, no traffic reaches.
 
 ``python tests/traffic_census.py [--check]`` runs, in this process and
-under ``sys.settrace``, everything the product is judged by — the 19
-``repro.bench`` experiments, the traced run of every traceable one
+under ``sys.monitoring`` (PEP 669, so Python 3.12+), everything the
+product is judged by — the 19 ``repro.bench`` experiments, the traced
+run of every traceable one
 (``--trace-out`` with no ids), the five hostbench workloads at full and
 ``--reduced`` size, the nine examples and the three CLIs (``--jobs 2``,
 ``--jobs 0``, ``--list``, ``--check``, both ``--identity`` forms,
@@ -40,9 +41,12 @@ body that only raises ``NotImplementedError``); and these arms —
 Every other survivor is in ``KEPT`` (functions) or ``KEPT_ARMS`` (arms,
 keyed ``path:Qual.name:<first statement>``) with its reason;
 ``--check`` exits 1 on a survivor missing from its table and on a table
-entry that did get traffic, so neither table can rot.  About 16
-minutes on a 2-core host (every traced line is a Python call); stdlib
-only.
+entry that did get traffic, so neither table can rot.  Each code
+object's start and each line is reported once and then switched off,
+so the run costs little more than the traffic itself; stdlib only.
+The module imports on any supported Python: tier-1 reads its tables,
+and :func:`render_tables` renders ``docs/ROBUSTNESS.md``'s copy of
+them from the tables and the source alone, with no traffic.
 """
 
 import ast
@@ -63,6 +67,9 @@ _PAPER = "paper-named interface, tests are its callers (PAPER.md s1)"
 _TEARDOWN = ("a waiter abandoned mid-queue: only a finished run's "
              "processes, closed at teardown; no run cancels a queued "
              "request (ROADMAP 4 deadlines would)")
+_SCALE_DOWN = ("retiring idle capacity: every slo cell ends loaded; "
+               "hostbench's cluster workloads set its policy fields, so "
+               "it goes with the next hostbench change (ROADMAP 1a)")
 
 #: never entered by any traffic, kept for a stated reason
 KEPT = {
@@ -77,15 +84,12 @@ KEPT = {
     "netstack/tcp.py:TcpConnection.close": _DEADLINE,
     "netstack/tcp.py:TcpConnection.drain": _DEADLINE,
     "core/network.py:HostSocket.close": _DEADLINE,
-    "netstack/tcp.py:TcpConnection._fast_retransmit":
-        "loss recovery: no experiment drops a data segment (ROADMAP 4a)",
     "fs/pagecache.py:PageCache.invalidate":
         "cache coherence after an overwrite: A3 only reads (ROADMAP 9a)",
     "core/scheduler.py:SprocScheduler._spill":
         "host spill-over under DPU backlog: off in every experiment "
         "(ROADMAP 5b knockout)",
-    "cluster/autoscale.py:Autoscaler._scale_down":
-        "retiring idle capacity: every slo cell ends loaded (ROADMAP 4b)",
+    "cluster/autoscale.py:Autoscaler._scale_down": _SCALE_DOWN,
     "sim/resources.py:Resource._cancel": _TEARDOWN,
     "sim/resources.py:PriorityResource._cancel": _TEARDOWN,
     "sim/core.py:Timeout.fail": "refuses a hand-triggered timer",
@@ -140,15 +144,12 @@ _A_SCHEDULE = ("scheduled execution over every placement, PCIe peers "
 _D_FAULT = ("a fault path no experiment's plan reaches; item 4's random "
             "FaultPlans will (ROADMAP 4)")
 _D_LOSS = ("loss, reorder and flow control: no experiment drops, reorders "
-           "or backs up a segment; item 4's generated loss will "
+           "or backs up a segment; item 4's random fault plans flap links "
            "(ROADMAP 4)")
 _D_TWIN = ("the other half of an inline/queued pair, which every run "
            "takes; item 2(b) leaves one way to occupy a slot (ROADMAP 2)")
 _D_TRACE = ("tracing no traced experiment reaches; item 3 runs every "
             "experiment traced (ROADMAP 3)")
-_D_GUARD = ("an empty, repeated or out-of-order input no run produces; "
-            "item 4's generated schedules and fault plans will "
-            "(ROADMAP 4)")
 
 #: arms of entered functions that never ran: (a reason from the closed
 #: list ``REASONS`` of ``tests/test_kernel_api_traffic.py``, detail)
@@ -231,11 +232,7 @@ KEPT_ARMS = {
         ("d", "the count OB's connectivity claim fails on: a span whose "
               "parent is missing; item 5 makes claims fail (ROADMAP 5)"),
     "cluster/autoscale.py:Autoscaler._decide:"
-    "return self._scale_down(live)":
-        ("d", "retiring idle capacity: every slo cell ends loaded "
-              "(ROADMAP 4b)"),
-    "cluster/cluster.py:ClusterClient.connect_all:continue":
-        ("d", "skips a node retired by scale-down (ROADMAP 4b)"),
+    "return self._scale_down(live)": ("d", _SCALE_DOWN),
     "cluster/rebalance.py:MigrationService._serve:"
     "self.export_errors.add(1)": ("d", _D_FAULT),
     "cluster/router.py:ClusterDdsServer._serve_scan:"
@@ -261,8 +258,6 @@ KEPT_ARMS = {
     "core/wire.py:with_trace_context:return message": ("d", _D_TRACE),
     "faults/injector.py:FaultInjector.install:"
     "server.nic.wire.injector = self": ("d", _D_FAULT),
-    "faults/injector.py:FaultInjector.should_drop:"
-    "if window.probability >= 1.0 or \\": ("d", _D_LOSS),
     "faults/recovery.py:CircuitBreaker.record_success:self.on_close()":
         ("d", _RECOVERY),
     "faults/recovery.py:RetryPolicy.delay_s:return raw":
@@ -278,8 +273,6 @@ KEPT_ARMS = {
     "site = f\"accel.{self.name}\"": ("d", _D_FAULT),
     "hardware/nic.py:FlowTable.remove_rule:del self._rules[index]":
         ("d", _RECOVERY),
-    "hardware/nic.py:Wire.carry_at:self.frames_dropped.add(1)":
-        ("d", _D_LOSS),
     "hardware/switch.py:Switch.carry:self.frames_dropped.add(1)":
         ("d", _D_FAULT),
     "netstack/rdma.py:RdmaQp._complete:"
@@ -290,8 +283,6 @@ KEPT_ARMS = {
     "netstack/tcp.py:TcpConnection._accept_segment:"
     "self._messages.put(message)": ("d", _D_TWIN),
     "netstack/tcp.py:TcpConnection._consumed:self.stack._post_ack(self)":
-        ("d", _D_LOSS),
-    "netstack/tcp.py:TcpConnection._on_ack:self._dup_acks += 1":
         ("d", _D_LOSS),
     "netstack/tcp.py:TcpConnection._on_ack:snd_buffer.put(credit)":
         ("d", _D_TWIN),
@@ -323,10 +314,6 @@ KEPT_ARMS = {
     "self._observe_kernel(span)":
         ("d", "a DP kernel on a traced cluster: cluster experiments run "
               "none (ROADMAP 9)"),
-    "obs/metrics.py:MetricsRegistry.counter:"
-    "if not isinstance(existing, Counter):": ("d", _D_GUARD),
-    "obs/metrics.py:MetricsRegistry.register:"
-    "if existing is instrument:": ("d", _D_GUARD),
     "obs/plane/recorder.py:FlightRecorder.trigger:"
     "nodes[name] = {\"spans\": [], \"open_spans\": 0}":
         ("d", "an incident on a plane whose tracing is off: item 4's "
@@ -339,15 +326,9 @@ KEPT_ARMS = {
               "untraced (ROADMAP 3)"),
     "obs/trace.py:Tracer._on_finish:stack.remove(span)": ("d", _D_TRACE),
     "obs/trace.py:Tracer.ancestry:if finished is None:": ("d", _D_TRACE),
-    "sim/batch.py:EventPopulation.__init__:self.succeed(0)":
-        ("d", _D_GUARD),
     "sim/core.py:AllOf._check:event._defused = True": ("d", _D_FAULT),
-    "sim/core.py:ConditionEvent.__init__:"
-    "self.succeed(self._collect())": ("d", _D_GUARD),
     "sim/core.py:Process._resume:count = stale.get(event)":
         ("d", _RECOVERY),
-    "sim/core.py:Process._resume:error = SimulationError(":
-        ("d", _D_GUARD),
     "sim/resources.py:Container._drain:amount, event = putters[0]":
         ("d", _D_TWIN),
     "sim/resources.py:Container.try_get:self._drain()": ("d", _D_TWIN),
@@ -357,8 +338,37 @@ KEPT_ARMS = {
         ("d", _D_TWIN),
     "sim/resources.py:Store.try_get:"
     "for index, item in enumerate(items):": ("d", _D_TWIN),
+    # -- (f) a guard on degenerate input, its tier-1 test the caller ----
+    "cluster/cluster.py:ClusterClient.connect_all:continue":
+        ("f", "a node retired by a crash drain or by scale-down is not "
+              "dialled: tests/cluster/test_rebalance.py::TestRebalance::"
+              "test_reads_succeed_against_new_owners"),
+    "obs/metrics.py:MetricsRegistry.counter:"
+    "if not isinstance(existing, Counter):":
+        ("f", "a name registered as another kind: tests/obs/"
+              "test_metrics_registry.py::TestCreateOrFetch::"
+              "test_kind_mismatch_raises"),
+    "obs/metrics.py:MetricsRegistry.register:"
+    "if existing is instrument:":
+        ("f", "the same instrument registered twice: tests/obs/"
+              "test_metrics_registry.py::TestAdoption::"
+              "test_register_same_object_is_idempotent"),
+    "sim/batch.py:EventPopulation.__init__:self.succeed(0)":
+        ("f", "an empty population: tests/sim/test_batch.py::"
+              "TestPopulationVsScalarIdentity::"
+              "test_empty_population_succeeds_immediately"),
+    "sim/core.py:ConditionEvent.__init__:"
+    "self.succeed(self._collect())":
+        ("f", "a condition over no events: tests/sim/test_core.py::"
+              "TestConditions::test_empty_all_of_fires_immediately"),
+    "sim/core.py:Process._resume:error = SimulationError(":
+        ("f", "a process that yields a non-event: tests/sim/"
+              "test_core.py::TestProcesses::"
+              "test_yield_non_event_is_error"),
     "sim/stats.py:TimeWeighted.average:return self._level":
-        ("d", _D_GUARD),
+        ("f", "an average over no elapsed time: tests/sim/"
+              "test_stats.py::TestTimeWeighted::"
+              "test_zero_elapsed_returns_current_level"),
 }
 
 
@@ -589,6 +599,54 @@ def unrun_arms(arms, executed):
     return unrun
 
 
+# -- the tables docs/ROBUSTNESS.md shows ------------------------------------
+
+def _split_citation(reason):
+    """``(why, where traffic should come from)``: a trailing
+    ``(ROADMAP ...)`` or ``(PAPER.md ...)`` is the second."""
+    why, opened, cited = reason.rpartition(" (")
+    if opened and cited.endswith(")") \
+            and cited.startswith(("ROADMAP", "PAPER.md")):
+        return why, cited[:-1]
+    return reason, "\u2014"
+
+
+def render_tables():
+    """``KEPT`` and ``KEPT_ARMS`` as ``docs/ROBUSTNESS.md`` shows them,
+    each row with the lines it holds, and each table's total line.
+
+    Built from the two tables and the source alone, so it needs no
+    traffic; a row whose function or arm is gone raises ``KeyError``.
+    The census's summary lines, which do need traffic, are not part of
+    it."""
+    modules = list(sources(SRC / "repro"))
+    lines = {key: count for key, count, _exempt
+             in defined_functions(modules).values()}
+    arms = {}
+
+    def flatten(built):
+        for key, kind, _header, count, _rule, inner in built:
+            arms[key] = kind, count
+            flatten(inner)
+
+    for built in defined_arms(modules).values():
+        flatten(built)
+    rows = ["| function | lines | why it stays | traffic should come from |",
+            "|---|---|---|---|"]
+    for key in sorted(KEPT):
+        rows.append("| `{}` | {} | {} | {} |".format(
+            key, lines[key], *_split_citation(KEPT[key])))
+    rows += ["", f"{len(KEPT)} functions, "
+             f"{sum(lines[key] for key in KEPT)} lines.", "",
+             "| arm | kind | lines | reason |", "|---|---|---|---|"]
+    for key in sorted(KEPT_ARMS):
+        rows.append("| `{}` | {} | {} | ({}) {} |".format(
+            key, *arms[key], *KEPT_ARMS[key]))
+    rows += ["", f"{len(KEPT_ARMS)} arms, "
+             f"{sum(arms[key][1] for key in KEPT_ARMS)} lines."]
+    return "\n".join(rows)
+
+
 # -- the run ----------------------------------------------------------------
 
 
@@ -621,45 +679,86 @@ def run_traffic(scratch):
 
 
 def traced(traffic, root):
-    """Run ``traffic()`` under ``sys.settrace``; return the ``(path,
-    first line)`` of every code object entered under ``root``
-    (``algos`` excepted) and ``{path: lines executed}``."""
+    """Run ``traffic()`` under ``sys.monitoring`` (PEP 669, Python
+    3.12+); return the ``(path, first line)`` of every code object
+    entered under ``root`` (``algos`` excepted) and ``{path: lines
+    executed}``.
+
+    A code object's start and each of its lines is reported once and
+    then disabled, so traffic runs at close to full speed.  Teardown —
+    a frame ``GeneratorExit`` was thrown into, until it ends, and
+    everything it calls — records nothing and disables nothing: a line
+    first reached there still counts when traffic reaches it later."""
+    monitoring = sys.monitoring
+    events, disable = monitoring.events, monitoring.DISABLE
+    tool = monitoring.COVERAGE_ID
     skip = str(root / "algos")
     root = str(root)
-    entered, executed, tracers = set(), {}, {}
+    entered, executed = set(), {}
+    #: frames GeneratorExit was thrown into, innermost last
+    closing = []
 
-    def on_call(frame, _event, _arg):
-        code = frame.f_code
-        tracer = tracers.get(code)
-        if tracer is None:
-            path = code.co_filename
-            tracer = tracers[code] = \
-                path.startswith(root) and not path.startswith(skip) \
-                and line_tracer(executed.setdefault(path, set()).add)
-        if not tracer or isinstance(sys.exc_info()[1], GeneratorExit):
+    def counted(code):
+        path = code.co_filename
+        return path.startswith(root) and not path.startswith(skip)
+
+    def teardown():
+        frame = sys._getframe(2)                # the monitored frame
+        while closing:
+            caller = frame
+            while caller is not None and caller is not closing[-1]:
+                caller = caller.f_back
+            if caller is not None:
+                return True
+            closing.pop()       # it caught GeneratorExit and returned
+        return False
+
+    def on_start(code, _offset):
+        if not counted(code):
+            return disable
+        if teardown():
             return None
         entered.add((code.co_filename, code.co_firstlineno))
-        return tracer
+        return disable
 
-    def line_tracer(add):
-        def on_line(frame, event, arg):
-            if event == "line":
-                add(frame.f_lineno)
-            elif event == "exception" and arg[0] is GeneratorExit:
-                # a process being closed: nothing it runs now is traffic
-                frame.f_trace_lines = False
-            return on_line
-        return on_line
+    def on_line(code, line):
+        if not counted(code):
+            return disable
+        if teardown():
+            return None
+        executed.setdefault(code.co_filename, set()).add(line)
+        return disable
 
-    sys.settrace(on_call)
+    def on_throw(_code, _offset, exception):
+        if isinstance(exception, GeneratorExit):
+            closing.append(sys._getframe(1))
+
+    def on_unwind(_code, _offset, _exception):
+        if closing and closing[-1] is sys._getframe(1):
+            closing.pop()
+
+    callbacks = {events.PY_START: on_start, events.LINE: on_line,
+                 events.PY_THROW: on_throw, events.PY_UNWIND: on_unwind}
+    monitoring.use_tool_id(tool, "traffic census")
     try:
+        for event, callback in callbacks.items():
+            monitoring.register_callback(tool, event, callback)
+        monitoring.restart_events()
+        monitoring.set_events(tool, sum(callbacks))
         traffic()
     finally:
-        sys.settrace(None)
+        monitoring.set_events(tool, 0)
+        for event in callbacks:
+            monitoring.register_callback(tool, event, None)
+        monitoring.free_tool_id(tool)
     return entered, executed
 
 
 def main(argv):
+    if sys.version_info < (3, 12):
+        print("the census runs under sys.monitoring: Python 3.12+",
+              file=sys.stderr)
+        return 2
     modules = list(sources(SRC / "repro"))
     with tempfile.TemporaryDirectory() as scratch, \
             open(os.devnull, "w") as null, \
