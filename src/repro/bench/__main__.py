@@ -98,6 +98,7 @@ from ..obs.artifact import (
 from ..obs.attr import build_report
 from ..obs.claims import FAIL, evaluate_all, render_claim_report
 from ..obs.regress import differences, render_differences
+from ..obs.trace import _write_chrome
 from ..sim.stats import fold_sum
 
 #: experiments whose runner accepts a Telemetry (for --trace-out)
@@ -276,15 +277,8 @@ def _write_trace(path, traced):
                 event["args"] = {"name": label}
             events.append(event)
         pid_base += width
-    document = {
-        "traceEvents": events,
-        "displayTimeUnit": "ns",
-        "otherData": {"clock": "simulated seconds",
-                      "source": "python -m repro.bench"},
-    }
-    with open(path, "w") as handle:
-        json.dump(document, handle, indent=1, default=str)
-    print(f"\n[trace: {len(events)} events -> {path}]")
+    count = _write_chrome(path, events, "python -m repro.bench")
+    print(f"\n[trace: {count} events -> {path}]")
     for key, telemetry in traced:
         print(f"\nflame summary ({key}):")
         print(telemetry.flame_summary())

@@ -37,15 +37,13 @@ from ..hardware import BLUEFIELD2, make_server
 from ..obs import (
     AttributionCollector,
     ClusterTelemetry,
-    FlightRecorder,
     OffloadAdvisor,
-    SloMonitor,
     Telemetry,
     build_report,
 )
 from ..sim import Environment
 from ..units import MB, MiB
-from .experiments_obs import RETAIN_S, default_slos, obs_scenario
+from .experiments_obs import incident_plane, obs_scenario
 from ..sim.stats import fold_sum
 
 __all__ = [
@@ -132,10 +130,7 @@ def attr_parts(telemetry: Optional[ClusterTelemetry]
                ) -> Dict[str, object]:
     """AT: the full attribution experiment for the artifact;
     ``telemetry=None`` builds the tracing plane it needs."""
-    plane = (telemetry if telemetry is not None
-             else ClusterTelemetry(tracing=True, name="attr"))
-    plane.monitor = SloMonitor(default_slos())
-    plane.recorder = FlightRecorder(retain_s=RETAIN_S)
+    plane = incident_plane(telemetry, "attr")
     plane.attribution = AttributionCollector()
     obs_scenario(plane)
 

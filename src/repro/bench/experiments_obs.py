@@ -37,17 +37,13 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..cluster import Cluster, ClusterClient, Rebalancer
-from ..faults import FaultInjector, FaultPlan
 from ..obs import (ClusterTelemetry, FlightRecorder, SloMonitor,
                    SloSpec, merge_chrome_events)
-from ..sim import Environment
-from ..workloads.arrivals import open_loop
-from .harness import (connect_clients, shard_stream, submit_handler,
-                      tally)
+from .experiments_scale import crash_scenario
+from .harness import tally
 from ..sim.stats import fold_sum
 
-__all__ = ["obs_parts", "obs_scenario", "default_slos"]
+__all__ = ["obs_parts", "obs_scenario", "default_slos", "incident_plane"]
 
 SEED = 17
 N_NODES = 3
@@ -75,44 +71,32 @@ def default_slos() -> Tuple[SloSpec, ...]:
     )
 
 
+def incident_plane(telemetry: Optional[ClusterTelemetry],
+                   name: str) -> ClusterTelemetry:
+    """The traced plane an ``obs``/``attr`` run observes itself with:
+    ``telemetry`` (from ``--trace-out``) or an identical private one,
+    watched by the SLO monitor and the flight recorder."""
+    plane = (telemetry if telemetry is not None
+             else ClusterTelemetry(tracing=True, name=name))
+    plane.monitor = SloMonitor(default_slos())
+    plane.recorder = FlightRecorder(retain_s=RETAIN_S)
+    return plane
+
+
 def obs_scenario(plane: Optional[ClusterTelemetry]
                  ) -> Dict[str, object]:
     """One observed cluster run; ``plane=None`` runs it unobserved.
 
     The scenario is byte-for-byte the same simulation either way —
-    the plane only reads.
+    the plane only reads.  It is the ``scale`` experiment's rebalance
+    run (:func:`~repro.bench.experiments_scale.crash_scenario`) on
+    three nodes.
     """
-    env = Environment()
-    plan = FaultPlan(seed=SEED).cpu_crash(
-        FAULT_START_S, 10 * DURATION_S, site="cpu.node1.dpu.cpu")
-    injector = FaultInjector(env, plan)
-    cluster = Cluster(env, N_NODES, injector=injector,
-                      telemetry=plane)
-    rebalancer = Rebalancer(cluster)
-    clients = [
-        ClusterClient(cluster, f"client{i}", home=f"node{i}",
-                      stale_fraction=STALE_FRACTION)
-        for i in range(N_NODES)
-    ]
-    connect_clients(env, clients)
-    count = int(RATE_PER_NODE * DURATION_S)
-    streams = [
-        shard_stream(SEED, i, count, cluster.shardmap.n_shards,
-                     cluster.shard_bytes)
-        for i in range(N_NODES)
-    ]
-    start = env.now
-    for i in range(N_NODES):
-        open_loop(env, RATE_PER_NODE,
-                  submit_handler(clients[i], streams[i]), DURATION_S,
-                  name=f"load{i}")
-    env.run(until=start + DURATION_S + DRAIN_S)
-    return {
-        **tally(clients),
-        "counters": cluster.metrics_snapshot(),
-        "cluster": cluster,
-        "rebalancer": rebalancer,
-    }
+    run = crash_scenario(SEED, N_NODES, RATE_PER_NODE, DURATION_S,
+                         DRAIN_S, FAULT_START_S, STALE_FRACTION, plane,
+                         "rebalance")
+    return {**tally(run.clients),
+            "counters": run.cluster.metrics_snapshot()}
 
 
 def _span_census(plane: ClusterTelemetry) -> Dict[str, float]:
@@ -170,15 +154,10 @@ def obs_parts(telemetry: Optional[ClusterTelemetry]
               ) -> Dict[str, object]:
     """OB: the full observability experiment for the artifact.
 
-    ``telemetry`` (from ``--trace-out``) supplies the plane so the CLI
-    can export its merged trace; given None an identical private plane
-    is built — the experiment always observes itself, and every
-    reported value is simulated either way.
+    The experiment always observes itself (:func:`incident_plane`),
+    and every reported value is simulated either way.
     """
-    plane = (telemetry if telemetry is not None
-             else ClusterTelemetry(tracing=True, name="obs"))
-    plane.monitor = SloMonitor(default_slos())
-    plane.recorder = FlightRecorder(retain_s=RETAIN_S)
+    plane = incident_plane(telemetry, "obs")
     observed = obs_scenario(plane)
 
     census = _span_census(plane)

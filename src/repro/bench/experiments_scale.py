@@ -30,18 +30,16 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..cluster import Cluster, ClusterClient, Rebalancer, ShardMap
-from ..faults import FaultInjector, FaultPlan
-from ..sim import Environment
-from ..workloads.arrivals import open_loop
+from ..cluster import ShardMap
 from .experiments_system import LINE_RATE_MSGS_PER_S, _s9_point
-from .harness import (READ_FRACTION, CoreMeter, Sweep, connect_clients,
-                      shard_stream, submit_handler, tally)
+from .harness import (READ_FRACTION, ClusterRun, Sweep, open_load,
+                      run_cluster, tally)
 from .tco import storage_server_cost
 from ..sim.stats import fold_sum
 
 __all__ = ["scale_parts", "scale_goodput_and_tco",
-           "sharding_properties", "rebalance_scenarios"]
+           "sharding_properties", "rebalance_scenarios",
+           "crash_scenario"]
 
 #: weak-scaling sweep: each node is offered this many requests/s
 NODE_COUNTS = (1, 2, 4, 8)
@@ -49,6 +47,8 @@ RATE_PER_NODE = 120_000.0
 DURATION_S = 5e-3
 DRAIN_S = 3e-3
 SEED = 31
+#: virtual ring points per node (the cluster's default)
+REPLICAS = 64
 #: fraction of requests sent to the client's "home" node instead of
 #: the shard owner (a routing cache lagging the shard map)
 STALE_FRACTION = 0.15
@@ -70,52 +70,37 @@ REBALANCE_FAULT_START_S = 4e-3
 REBALANCE_SEED = 11
 
 
-def _scale_point(n_nodes: int, rate_per_node: float,
-                 duration_s: float, seed: int) -> Dict[str, float]:
-    """One weak-scaling point: N nodes, N shard-aware clients."""
-    env = Environment()
-    cluster = Cluster(env, n_nodes)
-    clients = [
-        ClusterClient(cluster, f"client{i}", home=f"node{i}",
-                      stale_fraction=STALE_FRACTION if n_nodes > 1
-                      else 0.0)
-        for i in range(n_nodes)
-    ]
-    connect_clients(env, clients)
-    count = int(rate_per_node * duration_s)
-    streams = [
-        shard_stream(seed, i, count, cluster.shardmap.n_shards,
-                     cluster.shard_bytes)
-        for i in range(n_nodes)
-    ]
-    meters = [CoreMeter(node.server.host_cpu)
-              for node in cluster.nodes]
-    dpu_meters = [CoreMeter(node.server.dpu.cpu)
-                  for node in cluster.nodes]
-    for meter in meters + dpu_meters:
-        meter.start()
-
-    start = env.now
-    for i in range(n_nodes):
-        open_loop(env, rate_per_node,
-                  submit_handler(clients[i], streams[i]), duration_s,
-                  name=f"load{i}")
-    env.run(until=start + duration_s)
-    # Cores are measured over the load window only (S9 convention);
-    # the drain below is just for in-flight requests to land.
-    total_host_cores = fold_sum(meter.cores() for meter in meters)
-    total_dpu_cores = fold_sum(meter.cores() for meter in dpu_meters)
-    env.run(until=start + duration_s + DRAIN_S)
-    ok = tally(clients)["ok"]
-    snapshot = cluster.metrics_snapshot()
+def _scale_point(n_nodes: int, n_clients: int, rate_per_client: float,
+                 duration_s: float, seed: int,
+                 prefix: str) -> Dict[str, float]:
+    """One scale-out point: N nodes, client ``i`` homed on node
+    ``i mod N``, each offering ``rate_per_client``."""
+    run = run_cluster(
+        n_nodes=n_nodes, replicas=REPLICAS, plane=None, crash=None,
+        rebalance=False, setup=None,
+        clients=[(f"client{i}", f"node{i % n_nodes}")
+                 for i in range(n_clients)],
+        stale_fraction=STALE_FRACTION if n_nodes > 1 else 0.0,
+        deadline_s=None, follow=False, meter=True,
+        load=open_load(seed, rate_per_client,
+                       int(rate_per_client * duration_s), duration_s,
+                       prefix),
+        duration_s=duration_s, drain_s=DRAIN_S)
+    ok = tally(run.clients)["ok"]
+    snapshot = run.cluster.metrics_snapshot()
     local = fold_sum(s["shard_local"] for s in snapshot.values())
     routed = fold_sum(s["shard_routed"] for s in snapshot.values())
     served = local + routed
     return {
+        "nodes": float(n_nodes),
+        "clients": float(n_clients),
+        "offered_ops_per_s": rate_per_client * n_clients,
         "goodput_ops_per_s": ok / duration_s,
-        "total_host_cores": total_host_cores,
-        "total_dpu_cores": total_dpu_cores,
-        "host_cores_per_node": total_host_cores / n_nodes,
+        "goodput_per_node": ok / duration_s / n_nodes,
+        "total_host_cores": run.host_cores,
+        "total_dpu_cores": run.dpu_cores,
+        "host_cores_per_node": run.host_cores / n_nodes,
+        "dpu_cores_per_node": run.dpu_cores / n_nodes,
         "routed_fraction": routed / served if served else 0.0,
         "ok": float(ok),
     }
@@ -135,7 +120,8 @@ def scale_goodput_and_tco() -> Tuple[Sweep, Sweep]:
         baseline["host_cores"] * line_scale, uses_dpu=False)
     reference = None
     for n_nodes in NODE_COUNTS:
-        point = _scale_point(n_nodes, RATE_PER_NODE, DURATION_S, SEED)
+        point = _scale_point(n_nodes, n_nodes, RATE_PER_NODE,
+                             DURATION_S, SEED, "load")
         if reference is None:
             reference = point["goodput_ops_per_s"]
         goodput.add(
@@ -161,68 +147,19 @@ def scale_goodput_and_tco() -> Tuple[Sweep, Sweep]:
     return goodput, tco
 
 
-def _rack_point(n_nodes: int) -> Dict[str, float]:
-    """One rack point: N nodes, shared client fleet.
+def rack_sweep() -> Dict[str, Dict[str, float]]:
+    """The 64/128-node extension plus its scaling summary.
 
     Eight clients (sixteen at 128 nodes) spread the aggregate load so
     no single client stack saturates.
     """
-    env = Environment()
-    cluster = Cluster(env, n_nodes)
-    n_clients = max(8, n_nodes // 8)
-    rate_per_client = RACK_RATE_PER_NODE * n_nodes / n_clients
-    clients = [
-        ClusterClient(cluster, f"client{i}", home=f"node{i % n_nodes}",
-                      stale_fraction=STALE_FRACTION)
-        for i in range(n_clients)
-    ]
-    connect_clients(env, clients)
-    count = int(rate_per_client * RACK_DURATION_S)
-    streams = [
-        shard_stream(RACK_SEED, i, count, cluster.shardmap.n_shards,
-                     cluster.shard_bytes)
-        for i in range(n_clients)
-    ]
-    meters = [CoreMeter(node.server.host_cpu)
-              for node in cluster.nodes]
-    dpu_meters = [CoreMeter(node.server.dpu.cpu)
-                  for node in cluster.nodes]
-    for meter in meters + dpu_meters:
-        meter.start()
-
-    start = env.now
-    for i in range(n_clients):
-        open_loop(env, rate_per_client,
-                  submit_handler(clients[i], streams[i]),
-                  RACK_DURATION_S, name=f"rack{i}")
-    env.run(until=start + RACK_DURATION_S)
-    total_host_cores = fold_sum(meter.cores() for meter in meters)
-    total_dpu_cores = fold_sum(meter.cores() for meter in dpu_meters)
-    env.run(until=start + RACK_DURATION_S + DRAIN_S)
-    ok = tally(clients)["ok"]
-    snapshot = cluster.metrics_snapshot()
-    local = fold_sum(s["shard_local"] for s in snapshot.values())
-    routed = fold_sum(s["shard_routed"] for s in snapshot.values())
-    served = local + routed
-    return {
-        "nodes": float(n_nodes),
-        "clients": float(n_clients),
-        "offered_ops_per_s": RACK_RATE_PER_NODE * n_nodes,
-        "goodput_ops_per_s": ok / RACK_DURATION_S,
-        "goodput_per_node": ok / RACK_DURATION_S / n_nodes,
-        "total_host_cores": total_host_cores,
-        "total_dpu_cores": total_dpu_cores,
-        "host_cores_per_node": total_host_cores / n_nodes,
-        "dpu_cores_per_node": total_dpu_cores / n_nodes,
-        "routed_fraction": routed / served if served else 0.0,
-        "ok": float(ok),
-    }
-
-
-def rack_sweep() -> Dict[str, Dict[str, float]]:
-    """The 64/128-node extension plus its scaling summary."""
     node_counts = RACK_NODE_COUNTS
-    points = {str(n): _rack_point(n) for n in node_counts}
+    points = {}
+    for n in node_counts:
+        clients = max(8, n // 8)
+        points[str(n)] = _scale_point(
+            n, clients, RACK_RATE_PER_NODE * n / clients,
+            RACK_DURATION_S, RACK_SEED, "rack")
     per_node = [points[str(n)]["goodput_per_node"]
                 for n in node_counts]
     dpu_cores = [points[str(n)]["dpu_cores_per_node"]
@@ -279,51 +216,47 @@ def sharding_properties() -> Dict[str, float]:
     }
 
 
-def _rebalance_scenario(mode: str, telemetry=None) -> Dict[str, float]:
-    """One cluster run: ``fault_free``, ``norebalance``, ``rebalance``."""
-    seed, n_nodes = REBALANCE_SEED, REBALANCE_NODES
-    rate_per_node = REBALANCE_RATE_PER_NODE
-    duration_s = REBALANCE_DURATION_S
-    fault_start_s = REBALANCE_FAULT_START_S
-    env = Environment()
-    injector = None
-    if mode != "fault_free":
-        plan = FaultPlan(seed=seed).cpu_crash(
-            fault_start_s, 10 * duration_s,
-            site="cpu.node1.dpu.cpu")
-        injector = FaultInjector(env, plan)
-    cluster = Cluster(env, n_nodes, injector=injector,
-                      telemetry=telemetry)
-    rebalancer = (Rebalancer(cluster) if mode == "rebalance"
-                  else None)
-    clients = [
-        ClusterClient(cluster, f"client{i}", home=f"node{i}",
-                      stale_fraction=0.1)
-        for i in range(n_nodes)
-    ]
-    connect_clients(env, clients)
-    count = int(rate_per_node * duration_s)
-    streams = [
-        shard_stream(seed, i, count, cluster.shardmap.n_shards,
-                     cluster.shard_bytes)
-        for i in range(n_nodes)
-    ]
+def crash_scenario(seed: int, n_nodes: int, rate_per_node: float,
+                   duration_s: float, drain_s: float,
+                   fault_start_s: float, stale_fraction: float, plane,
+                   mode: str) -> ClusterRun:
+    """A stale-routed open-loop cluster run around a node1 DPU crash.
 
-    start = env.now
-    for i in range(n_nodes):
-        open_loop(env, rate_per_node,
-                  submit_handler(clients[i], streams[i]), duration_s,
-                  name=f"load{i}")
-    env.run(until=start + duration_s + 4e-3)
-    totals = tally(clients)
+    ``mode`` is ``fault_free`` (no crash), ``norebalance`` (the crash,
+    unhealed) or ``rebalance`` (a :class:`~repro.cluster.Rebalancer`
+    migrates node1's shards away).  The ``obs``/``attr`` incident is
+    the ``rebalance`` mode under a plane.
+    """
+    return run_cluster(
+        n_nodes=n_nodes, replicas=REPLICAS, plane=plane,
+        crash=(None if mode == "fault_free"
+               else (seed, fault_start_s)),
+        rebalance=mode == "rebalance", setup=None,
+        clients=[(f"client{i}", f"node{i}") for i in range(n_nodes)],
+        stale_fraction=stale_fraction, deadline_s=None, follow=False,
+        meter=False,
+        load=open_load(seed, rate_per_node,
+                       int(rate_per_node * duration_s), duration_s,
+                       "load"),
+        duration_s=duration_s, drain_s=drain_s)
+
+
+def _rebalance_scenario(mode: str, telemetry) -> Dict[str, float]:
+    """One triptych run (see :func:`crash_scenario`'s ``mode``)."""
+    duration_s = REBALANCE_DURATION_S
+    run = crash_scenario(REBALANCE_SEED, REBALANCE_NODES,
+                         REBALANCE_RATE_PER_NODE, duration_s, 4e-3,
+                         REBALANCE_FAULT_START_S, 0.1, telemetry, mode)
+    totals = tally(run.clients)
     ok, errors, pending = (totals["ok"], totals["errors"],
                            totals["pending"])
     total = ok + errors + pending
-    node1 = cluster.node("node1")
+    node1 = run.cluster.node("node1")
+    rebalancer = run.rebalancer
     recovery_s = 0.0
     if rebalancer is not None and rebalancer.cutover_times:
         recovery_s = (max(rebalancer.cutover_times.values())
-                      - fault_start_s)
+                      - REBALANCE_FAULT_START_S)
     return {
         "ok": float(ok),
         "errors": float(errors),
@@ -340,7 +273,7 @@ def _rebalance_scenario(mode: str, telemetry=None) -> Dict[str, float]:
     }
 
 
-def rebalance_scenarios(telemetry=None) -> Dict[str, Dict[str, float]]:
+def rebalance_scenarios(telemetry) -> Dict[str, Dict[str, float]]:
     """The DPU-crash triptych: fault-free, unprotected, rebalanced.
 
     ``telemetry`` (a :class:`~repro.obs.plane.ClusterTelemetry`) is
@@ -349,10 +282,9 @@ def rebalance_scenarios(telemetry=None) -> Dict[str, Dict[str, float]]:
     carries forwarded, failed-over, and migration traces.
     """
     return {
-        "fault_free": _rebalance_scenario("fault_free"),
-        "norebalance": _rebalance_scenario("norebalance"),
-        "rebalance": _rebalance_scenario("rebalance",
-                                         telemetry=telemetry),
+        "fault_free": _rebalance_scenario("fault_free", None),
+        "norebalance": _rebalance_scenario("norebalance", None),
+        "rebalance": _rebalance_scenario("rebalance", telemetry),
     }
 
 

@@ -50,18 +50,16 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..cluster import (AutoscalePolicy, Autoscaler, Cluster,
-                       ClusterClient, Rebalancer, response_ok)
+from ..cluster import (AutoscalePolicy, Autoscaler, ClusterClient,
+                       response_ok)
 from ..core import AdmissionController
 from ..core.tenancy import TenantRegistry
-from ..faults import FaultInjector, FaultPlan
 from ..obs import ClusterTelemetry, SloMonitor, SloSpec
-from ..sim import Environment
 from ..units import PAGE_SIZE
 from ..workloads.arrivals import (ParetoSizes, TenantMix, flash_crowd,
                                   mmpp_arrivals, open_loop,
                                   poisson_arrivals)
-from .harness import (connect_clients, follow_topology, shard_stream,
+from .harness import (ClusterRun, open_load, run_cluster, shard_stream,
                       submit_handler, tally)
 from ..sim.stats import fold_sum
 
@@ -161,22 +159,19 @@ FLASH_TENANTS = {"web": 0.6, "mobile": 0.3, "api": 0.1}
 ONTIME_FLOOR = 0.5
 
 
-def _slos() -> Tuple[SloSpec, ...]:
-    """The matrix's SLO: a per-window on-time answer floor."""
-    return (
-        SloSpec("ontime_floor", metric="ontime_fraction",
-                bound=ONTIME_FLOOR, kind="min", min_windows=2),
-    )
-
-
 def _plane(name: str) -> ClusterTelemetry:
+    """A metrics plane watching the matrix's SLO, a per-window on-time
+    answer floor."""
     plane = ClusterTelemetry(tracing=False, name=name,
                              scrape_interval_s=SCRAPE_INTERVAL_S)
-    plane.monitor = SloMonitor(_slos())
+    plane.monitor = SloMonitor((
+        SloSpec("ontime_floor", metric="ontime_fraction",
+                bound=ONTIME_FLOOR, kind="min", min_windows=2),
+    ))
     return plane
 
 
-def _arm_admission(env, cluster, plane) -> Callable:
+def _arm_admission(cluster, plane) -> Callable:
     """Put an AdmissionController on every node; return the hook.
 
     The returned callable arms one more node — handed to the
@@ -186,7 +181,7 @@ def _arm_admission(env, cluster, plane) -> Callable:
 
     def arm(node):
         node.dds.admission = AdmissionController(
-            env, TenantRegistry(env),
+            cluster.env, TenantRegistry(cluster.env),
             registry=plane.node(node.name).metrics,
             max_queue=MAX_QUEUE,
             service_rate_ops=SERVICE_RATE_OPS,
@@ -198,27 +193,32 @@ def _arm_admission(env, cluster, plane) -> Callable:
     return arm
 
 
-def _violation_seconds(plane: Optional[ClusterTelemetry]) -> float:
-    """Seconds of scrape windows with at least one SLO breach.
-
-    Unique windows, not raw violation entries: eight clients
-    breaching the same window is one window of unavailability, and
-    counting entries would reward runs that simply watch fewer
-    clients.
-    """
-    if plane is None or plane.monitor is None:
-        return 0.0
-    windows = {violation.version
-               for violation in plane.monitor.violations}
-    return len(windows) * SCRAPE_INTERVAL_S
+def _autoscaler(run: ClusterRun, plane: ClusterTelemetry,
+                policy: AutoscalePolicy) -> Autoscaler:
+    """Admission on every node, present and future, under an
+    autoscaler with ``policy``."""
+    return Autoscaler(run.cluster, plane, run.rebalancer,
+                      interval_s=SCRAPE_INTERVAL_S, policy=policy,
+                      node_hook=_arm_admission(run.cluster, plane))
 
 
-def _collect(clients: List[ClusterClient], cluster: Cluster,
+def _collect(run: ClusterRun,
              plane: Optional[ClusterTelemetry]) -> Dict[str, object]:
+    """A run's outcomes, counters and SLO-violation seconds.
+
+    Violation seconds count unique scrape windows with a breach, not
+    raw violation entries: eight clients breaching the same window is
+    one window of unavailability, and counting entries would reward
+    runs that simply watch fewer clients.
+    """
+    windows = ({violation.version
+                for violation in plane.monitor.violations}
+               if plane is not None else ())
     return {
-        **tally(clients, deadline_s=DEADLINE_S),
-        "counters": cluster.metrics_snapshot(),
-        "violation_s": _violation_seconds(plane),
+        **tally(run.clients, deadline_s=DEADLINE_S),
+        "counters": run.cluster.metrics_snapshot(),
+        "violation_s": len(windows) * SCRAPE_INTERVAL_S,
+        "clients": run.clients,
     }
 
 
@@ -256,54 +256,43 @@ def _run_flash(protected: bool, plane: Optional[ClusterTelemetry],
     ``surge=False`` is the steady-state baseline the flash claims
     normalize against — same everything, base rate throughout.
     """
-    env = Environment()
-    cluster = Cluster(env, 2, replicas=CLUSTER_REPLICAS, telemetry=plane)
-    rebalancer = Rebalancer(cluster)
-    autoscaler = None
-    if protected:
-        hook = _arm_admission(env, cluster, plane)
-        autoscaler = Autoscaler(
-            cluster, plane, rebalancer,
-            interval_s=SCRAPE_INTERVAL_S,
-            policy=AutoscalePolicy(
-                p99_high_s=1.2e-3, p99_low_s=0.0,
-                occupancy_low=0.0, min_nodes=2, max_nodes=4,
-                cooldown_s=1.0e-3, hot_shard_ratio=1e6,
-                min_heat=1e9, min_windows=2,
-                reject_rate_high=FLASH_REJECT_RATE_HIGH),
-            node_hook=hook)
-    clients = [ClusterClient(cluster, f"client{i}",
-                             home=f"node{i % 2}",
-                             sli_plane=plane,
-                             sli_deadline_s=DEADLINE_S,
-                             stamp_deadline_s=DEADLINE_S)
-               for i in range(FLASH_CLIENTS)]
-    connect_clients(env, clients)
-    follow_topology(env, clients)
     mix = TenantMix(FLASH_TENANTS, seed=SEED)
     peak = int(FLASH_PEAK_RATE * FLASH_DURATION_S) + 1
-    streams = [
-        shard_stream(SEED, i, peak, cluster.shardmap.n_shards,
-                     cluster.shard_bytes, tenant_for=mix.tenant)
-        for i in range(FLASH_CLIENTS)
-    ]
-    start = env.now
-    for i in range(FLASH_CLIENTS):
-        if surge:
-            flash_crowd(env, submit_handler(clients[i], streams[i]),
-                        FLASH_DURATION_S, FLASH_BASE_RATE,
-                        FLASH_PEAK_RATE, FLASH_SURGE_START_S,
-                        FLASH_SURGE_S, ramp_s=FLASH_RAMP_S,
-                        seed=SEED + i, name=f"flash{i}")
-        else:
-            poisson_arrivals(env, FLASH_BASE_RATE,
-                             submit_handler(clients[i], streams[i]),
-                             FLASH_DURATION_S, seed=SEED + i,
-                             name=f"steady{i}")
-    env.run(until=start + FLASH_DURATION_S + DRAIN_S)
-    result = _collect(clients, cluster, plane)
-    result["clients"] = clients
-    result["autoscaler"] = autoscaler
+
+    def setup(run):
+        return _autoscaler(run, plane, AutoscalePolicy(
+            p99_high_s=1.2e-3, p99_low_s=0.0, occupancy_low=0.0,
+            min_nodes=2, max_nodes=4, cooldown_s=1.0e-3,
+            hot_shard_ratio=1e6, min_heat=1e9, min_windows=2,
+            reject_rate_high=FLASH_REJECT_RATE_HIGH))
+
+    def load(run):
+        cluster = run.cluster
+        for i, client in enumerate(run.clients):
+            handler = submit_handler(client, shard_stream(
+                SEED, i, peak, cluster.shardmap.n_shards,
+                cluster.shard_bytes, tenant_for=mix.tenant))
+            if surge:
+                flash_crowd(run.env, handler, FLASH_DURATION_S,
+                            FLASH_BASE_RATE, FLASH_PEAK_RATE,
+                            FLASH_SURGE_START_S, FLASH_SURGE_S,
+                            ramp_s=FLASH_RAMP_S, seed=SEED + i,
+                            name=f"flash{i}")
+            else:
+                poisson_arrivals(run.env, FLASH_BASE_RATE, handler,
+                                 FLASH_DURATION_S, seed=SEED + i,
+                                 name=f"steady{i}")
+
+    run = run_cluster(
+        n_nodes=2, replicas=CLUSTER_REPLICAS, plane=plane, crash=None,
+        rebalance=True, setup=setup if protected else None,
+        clients=[(f"client{i}", f"node{i % 2}")
+                 for i in range(FLASH_CLIENTS)],
+        stale_fraction=0.0, deadline_s=DEADLINE_S, follow=True,
+        meter=False, load=load, duration_s=FLASH_DURATION_S,
+        drain_s=DRAIN_S)
+    result = _collect(run, plane)
+    result["autoscaler"] = run.armed
     return result
 
 
@@ -318,45 +307,26 @@ def _run_failover(protected: bool,
     and provisions replacement capacity while the drain is still in
     flight.
     """
-    env = Environment()
-    plan = FaultPlan(seed=SEED).cpu_crash(
-        FAULT_START_S, 10 * FAILOVER_DURATION_S,
-        site="cpu.node1.dpu.cpu")
-    injector = FaultInjector(env, plan)
-    cluster = Cluster(env, 3, replicas=CLUSTER_REPLICAS, injector=injector, telemetry=plane)
-    rebalancer = Rebalancer(cluster)
-    if protected:
-        hook = _arm_admission(env, cluster, plane)
-        Autoscaler(
-            cluster, plane, rebalancer,
-            interval_s=SCRAPE_INTERVAL_S,
-            policy=AutoscalePolicy(
-                p99_high_s=1.2e-3, p99_low_s=0.0,
-                occupancy_low=0.0, min_nodes=3, max_nodes=5,
-                cooldown_s=5.0e-4, hot_shard_ratio=1e6,
-                min_heat=1e9, min_windows=1,
-                reject_rate_high=FLASH_REJECT_RATE_HIGH),
-            node_hook=hook)
-    clients = [ClusterClient(cluster, f"client{i}",
-                             home=f"node{i % 3}", stale_fraction=0.1,
-                             sli_plane=plane,
-                             sli_deadline_s=DEADLINE_S,
-                             stamp_deadline_s=DEADLINE_S)
-               for i in range(FAILOVER_CLIENTS)]
-    connect_clients(env, clients)
-    follow_topology(env, clients)
-    count = int(FAILOVER_RATE * FAILOVER_DURATION_S) + 1
-    streams = [
-        shard_stream(SEED, i, count, cluster.shardmap.n_shards,
-                     cluster.shard_bytes)
-        for i in range(FAILOVER_CLIENTS)
-    ]
-    start = env.now
-    for i in range(FAILOVER_CLIENTS):
-        open_loop(env, FAILOVER_RATE, submit_handler(clients[i], streams[i]),
-                  FAILOVER_DURATION_S, name=f"load{i}")
-    env.run(until=start + FAILOVER_DURATION_S + DRAIN_S)
-    return _collect(clients, cluster, plane)
+    def setup(run):
+        return _autoscaler(run, plane, AutoscalePolicy(
+            p99_high_s=1.2e-3, p99_low_s=0.0, occupancy_low=0.0,
+            min_nodes=3, max_nodes=5, cooldown_s=5.0e-4,
+            hot_shard_ratio=1e6, min_heat=1e9, min_windows=1,
+            reject_rate_high=FLASH_REJECT_RATE_HIGH))
+
+    run = run_cluster(
+        n_nodes=3, replicas=CLUSTER_REPLICAS, plane=plane,
+        crash=(SEED, FAULT_START_S), rebalance=True,
+        setup=setup if protected else None,
+        clients=[(f"client{i}", f"node{i % 3}")
+                 for i in range(FAILOVER_CLIENTS)],
+        stale_fraction=0.1, deadline_s=DEADLINE_S, follow=True,
+        meter=False,
+        load=open_load(SEED, FAILOVER_RATE,
+                       int(FAILOVER_RATE * FAILOVER_DURATION_S) + 1,
+                       FAILOVER_DURATION_S, "load"),
+        duration_s=FAILOVER_DURATION_S, drain_s=DRAIN_S)
+    return _collect(run, plane)
 
 
 def _run_noisy(protected: bool,
@@ -371,135 +341,123 @@ def _run_noisy(protected: bool,
     bursts are not availability violations — and the monitor is
     scoped identically in every mode.
     """
-    env = Environment()
     if plane is not None:
         plane.monitor = SloMonitor((
             SloSpec("pro_ontime_floor", metric="ontime_fraction",
                     bound=ONTIME_FLOOR, kind="min", node="pro",
                     min_windows=2),
         ))
-    cluster = Cluster(env, NOISY_NODES, replicas=CLUSTER_REPLICAS,
-                      telemetry=plane)
-    Rebalancer(cluster)
-    if protected:
-        _arm_admission(env, cluster, plane)
-        for node in cluster.nodes:
+    sizes = ParetoSizes(alpha=1.3, min_size=512,
+                        max_size=4 * PAGE_SIZE, seed=SEED)
+    pro_count = int(PRO_RATE * NOISY_DURATION_S) + 1
+    batch_count = int(max(BATCH_RATES) * NOISY_DURATION_S) + 1
+
+    def setup(run):
+        _arm_admission(run.cluster, plane)
+        for node in run.cluster.nodes:
             tenants = node.dds.admission.tenants
             tenants.register("batch",
                              rate_limit_ops_per_s=BATCH_BUDGET_OPS,
                              burst_ops=16.0)
             tenants.register("pro")
-    pro = ClusterClient(cluster, "pro", home="node0",
-                        sli_plane=plane, sli_deadline_s=DEADLINE_S,
-                        stamp_deadline_s=DEADLINE_S)
-    batch_clients = [ClusterClient(cluster, f"batch{i}",
-                                   home=f"node{i % NOISY_NODES}",
-                                   sli_plane=plane,
-                                   sli_deadline_s=DEADLINE_S,
-                                   stamp_deadline_s=DEADLINE_S)
-                     for i in range(BATCH_CLIENTS)]
-    clients = [pro] + batch_clients
-    connect_clients(env, clients)
-    sizes = ParetoSizes(alpha=1.3, min_size=512,
-                        max_size=4 * PAGE_SIZE, seed=SEED)
-    pro_count = int(PRO_RATE * NOISY_DURATION_S) + 1
-    batch_count = int(max(BATCH_RATES) * NOISY_DURATION_S) + 1
-    pro_stream = shard_stream(
-        SEED, 0, pro_count, cluster.shardmap.n_shards,
-        cluster.shard_bytes, tenant_for=lambda k: "pro")
-    batch_streams = [
-        shard_stream(SEED, 1 + i, batch_count,
-                     cluster.shardmap.n_shards,
-                     cluster.shard_bytes,
-                     tenant_for=lambda k: "batch", sizes=sizes)
-        for i in range(BATCH_CLIENTS)
-    ]
-    start = env.now
-    poisson_arrivals(env, PRO_RATE, submit_handler(pro, pro_stream),
-                     NOISY_DURATION_S, seed=SEED, name="pro")
-    # Staggered seeds desynchronize the four MMPP phase machines, so
-    # the flood arrives as overlapping bursts rather than lockstep.
-    for i, client in enumerate(batch_clients):
-        mmpp_arrivals(env, submit_handler(client, batch_streams[i]),
-                      NOISY_DURATION_S, rates=BATCH_RATES,
-                      dwell_s=BATCH_DWELL_S, seed=SEED + 1 + i,
-                      name=f"batch{i}")
-    env.run(until=start + NOISY_DURATION_S + DRAIN_S)
-    result = _collect(clients, cluster, plane)
-    result["pro_outcome"] = pro.outcomes(deadline_s=DEADLINE_S)
+
+    def load(run):
+        n_shards = run.cluster.shardmap.n_shards
+        shard_bytes = run.cluster.shard_bytes
+        pro, *batch_clients = run.clients
+        pro_stream = shard_stream(SEED, 0, pro_count, n_shards,
+                                  shard_bytes, tenant_for=lambda k: "pro")
+        poisson_arrivals(run.env, PRO_RATE,
+                         submit_handler(pro, pro_stream),
+                         NOISY_DURATION_S, seed=SEED, name="pro")
+        # Staggered seeds desynchronize the four MMPP phase machines,
+        # so the flood arrives as overlapping bursts, not lockstep.
+        for i, client in enumerate(batch_clients):
+            stream = shard_stream(SEED, 1 + i, batch_count, n_shards,
+                                  shard_bytes,
+                                  tenant_for=lambda k: "batch",
+                                  sizes=sizes)
+            mmpp_arrivals(run.env, submit_handler(client, stream),
+                          NOISY_DURATION_S, rates=BATCH_RATES,
+                          dwell_s=BATCH_DWELL_S, seed=SEED + 1 + i,
+                          name=f"batch{i}")
+
+    run = run_cluster(
+        n_nodes=NOISY_NODES, replicas=CLUSTER_REPLICAS, plane=plane,
+        crash=None, rebalance=True, setup=setup if protected else None,
+        clients=[("pro", "node0")] + [
+            (f"batch{i}", f"node{i % NOISY_NODES}")
+            for i in range(BATCH_CLIENTS)],
+        stale_fraction=0.0, deadline_s=DEADLINE_S, follow=False,
+        meter=False, load=load, duration_s=NOISY_DURATION_S,
+        drain_s=DRAIN_S)
+    result = _collect(run, plane)
+    result["pro_outcome"] = run.clients[0].outcomes(deadline_s=DEADLINE_S)
     return result
+
+
+def _join_replacement(run: ClusterRun):
+    """Boot a node, join it with its shards pinned to their current
+    owners and pull them live — the autoscaler's join protocol."""
+    cluster, rebalancer = run.cluster, run.rebalancer
+    node = cluster.add_node()
+    if run.armed is not None:
+        run.armed(node)
+    rebalancer.watch(node)
+    plan = cluster.shardmap.join_node(node.name)
+    by_source: Dict[str, List[int]] = {}
+    for shard, source in sorted(plan.items()):
+        by_source.setdefault(source, []).append(shard)
+    pullers = [
+        run.env.process(
+            rebalancer.pull(cluster.node(source), node, shards),
+            name=f"upgrade-pull-{node.name}<-{source}")
+        for source, shards in sorted(by_source.items())
+    ]
+    if pullers:
+        yield run.env.all_of(pullers)
 
 
 def _run_upgrade(protected: bool,
                  plane: Optional[ClusterTelemetry]
                  ) -> Dict[str, object]:
-    """Rolling upgrade: drain node2 live, join its replacement."""
-    env = Environment()
-    cluster = Cluster(env, 3, replicas=CLUSTER_REPLICAS, telemetry=plane)
-    rebalancer = Rebalancer(cluster)
-    hook = None
-    if protected:
-        hook = _arm_admission(env, cluster, plane)
-    clients = [ClusterClient(cluster, f"client{i}",
-                             home=f"node{i % 3}",
-                             sli_plane=plane,
-                             sli_deadline_s=DEADLINE_S,
-                             stamp_deadline_s=DEADLINE_S)
-               for i in range(UPGRADE_CLIENTS)]
-    connect_clients(env, clients)
-    # The replacement node joins in every mode, so every mode's
-    # clients dial it.
-    follow_topology(env, clients)
+    """Rolling upgrade: drain node2 live, join its replacement.
 
-    def join_replacement():
-        # The replacement boots, joins the ring with moving shards
-        # pinned to their current owners, and pulls them live — the
-        # same join protocol the autoscaler uses.
-        node = cluster.add_node()
-        if hook is not None:
-            hook(node)
-        rebalancer.watch(node)
-        plan = cluster.shardmap.join_node(node.name)
-        by_source: Dict[str, List[int]] = {}
-        for shard, source in sorted(plan.items()):
-            by_source.setdefault(source, []).append(shard)
-        pullers = [
-            env.process(
-                rebalancer.pull(cluster.node(source), node, shards),
-                name=f"upgrade-pull-{node.name}<-{source}")
-            for source, shards in sorted(by_source.items())
-        ]
-        if pullers:
-            yield env.all_of(pullers)
-
-    def upgrade():
-        yield env.timeout(UPGRADE_START_S)
-        victim = cluster.node("node2")
+    The replacement joins in every mode, so every mode's clients
+    track the topology and dial it.
+    """
+    def upgrade(run):
+        yield run.env.timeout(UPGRADE_START_S)
+        victim = run.cluster.node("node2")
         if protected:
             # Make-before-break: the replacement is in the ring and
             # populated *before* the old node drains, so capacity
             # never dips below three nodes.
-            yield from join_replacement()
-            yield from rebalancer.drain(victim)
+            yield from _join_replacement(run)
+            yield from run.rebalancer.drain(victim)
         else:
             # Break-before-make: the fleet runs one node short for
             # the whole drain-plus-join window.
-            yield from rebalancer.drain(victim)
-            yield from join_replacement()
+            yield from run.rebalancer.drain(victim)
+            yield from _join_replacement(run)
 
-    env.process(upgrade(), name="upgrade")
-    count = int(UPGRADE_RATE * UPGRADE_DURATION_S) + 1
-    streams = [
-        shard_stream(SEED, i, count, cluster.shardmap.n_shards,
-                     cluster.shard_bytes)
-        for i in range(UPGRADE_CLIENTS)
-    ]
-    start = env.now
-    for i in range(UPGRADE_CLIENTS):
-        open_loop(env, UPGRADE_RATE, submit_handler(clients[i], streams[i]),
-                  UPGRADE_DURATION_S, name=f"load{i}")
-    env.run(until=start + UPGRADE_DURATION_S + DRAIN_S)
-    return _collect(clients, cluster, plane)
+    def load(run):
+        run.env.process(upgrade(run), name="upgrade")
+        open_load(SEED, UPGRADE_RATE,
+                  int(UPGRADE_RATE * UPGRADE_DURATION_S) + 1,
+                  UPGRADE_DURATION_S, "load")(run)
+
+    run = run_cluster(
+        n_nodes=3, replicas=CLUSTER_REPLICAS, plane=plane, crash=None,
+        rebalance=True,
+        setup=(lambda run: _arm_admission(run.cluster, plane))
+        if protected else None,
+        clients=[(f"client{i}", f"node{i % 3}")
+                 for i in range(UPGRADE_CLIENTS)],
+        stale_fraction=0.0, deadline_s=DEADLINE_S, follow=True,
+        meter=False, load=load, duration_s=UPGRADE_DURATION_S,
+        drain_s=DRAIN_S)
+    return _collect(run, plane)
 
 
 #: scenario key -> runner(protected, plane) — the chaos matrix
@@ -517,43 +475,39 @@ def _run_hotshard() -> Dict[str, object]:
     Returns the hot shard's on-time p99 before and after the split
     cutover, measured from the clients' own request records.
     """
-    env = Environment()
     plane = _plane("slo-hotshard")
-    cluster = Cluster(env, 2, replicas=CLUSTER_REPLICAS, telemetry=plane)
-    rebalancer = Rebalancer(cluster)
-    hook = _arm_admission(env, cluster, plane)
-    autoscaler = Autoscaler(
-        cluster, plane, rebalancer,
-        interval_s=SCRAPE_INTERVAL_S,
-        policy=AutoscalePolicy(
+    count = int(HOT_RATE * HOT_DURATION_S) + 1
+
+    def setup(run):
+        return _autoscaler(run, plane, AutoscalePolicy(
             p99_high_s=1.0, p99_low_s=0.0, occupancy_low=0.0,
             min_nodes=2, max_nodes=2, cooldown_s=1.0e-3,
-            hot_shard_ratio=3.0, min_heat=60.0, min_windows=4),
-        node_hook=hook)
-    clients = [ClusterClient(cluster, f"client{i}", home=f"node{i}",
-                             sli_plane=plane,
-                             sli_deadline_s=DEADLINE_S,
-                             stamp_deadline_s=DEADLINE_S)
-               for i in range(2)]
-    connect_clients(env, clients)
-    count = int(HOT_RATE * HOT_DURATION_S) + 1
-    streams = [
-        shard_stream(SEED, i, count, cluster.shardmap.n_shards,
-                     cluster.shard_bytes, hot_shard=HOT_SHARD,
-                     hot_fraction=HOT_FRACTION)
-        for i in range(2)
-    ]
-    start = env.now
-    for i in range(2):
-        open_loop(env, HOT_RATE, submit_handler(clients[i], streams[i]),
-                  HOT_DURATION_S, name=f"skew{i}")
-    env.run(until=start + HOT_DURATION_S + DRAIN_S)
+            hot_shard_ratio=3.0, min_heat=60.0, min_windows=4))
 
+    def load(run):
+        cluster = run.cluster
+        for i, client in enumerate(run.clients):
+            stream = shard_stream(SEED, i, count,
+                                  cluster.shardmap.n_shards,
+                                  cluster.shard_bytes,
+                                  hot_shard=HOT_SHARD,
+                                  hot_fraction=HOT_FRACTION)
+            open_loop(run.env, HOT_RATE, submit_handler(client, stream),
+                      HOT_DURATION_S, name=f"skew{i}")
+
+    run = run_cluster(
+        n_nodes=2, replicas=CLUSTER_REPLICAS, plane=plane, crash=None,
+        rebalance=True, setup=setup,
+        clients=[(f"client{i}", f"node{i}") for i in range(2)],
+        stale_fraction=0.0, deadline_s=DEADLINE_S, follow=False,
+        meter=False, load=load, duration_s=HOT_DURATION_S,
+        drain_s=DRAIN_S)
+    autoscaler = run.armed
     split_t = (autoscaler.split_history[0][0]
                if autoscaler.split_history else float("inf"))
     before: List[float] = []
     after: List[float] = []
-    for client in clients:
+    for client in run.clients:
         for request, (shard, submitted) in zip(client.requests,
                                                client.request_meta):
             if shard != HOT_SHARD or not request.completed \

@@ -5,10 +5,12 @@ fresh simulation, drive a workload, and read metrics out of the
 hardware models.  The helpers here are the one copy of the repetitive
 parts: measuring "cores consumed" over exactly the measurement window
 (:class:`CoreMeter`), the sweep container the artifact serializes
-(:class:`Sweep`), and the cluster-scenario driver every multi-node
-experiment (``scale``, ``obs``, ``slo``) shares — connect the clients,
-generate each client's seeded request stream, submit it and tally the
-outcomes.
+(:class:`Sweep`), and :func:`run_cluster`, the one place a multi-node
+scenario (``scale``, ``obs``/``attr``, ``slo``) is assembled and run.
+Same-instant events fire in creation order, so the assembly order is
+part of every simulated number ``--identity`` holds; a scenario names
+its shape (nodes, crash, clients, its setup and load hooks) and reads
+the outcomes back with :func:`tally`.
 """
 
 from __future__ import annotations
@@ -16,16 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..cluster import (ClusterClient, encode_shard_read,
-                       encode_shard_write, stable_hash)
+from ..cluster import (Cluster, ClusterClient, Rebalancer,
+                       encode_shard_read, encode_shard_write, stable_hash)
+from ..faults import FaultInjector, FaultPlan
 from ..hardware.cpu import CpuCluster
 from ..sim import Environment
 from ..units import PAGE_SIZE
-from ..workloads.arrivals import ParetoSizes
+from ..workloads.arrivals import ParetoSizes, open_loop
 from ..sim.stats import fold_sum
 
 __all__ = ["CoreMeter", "SweepRow", "Sweep", "READ_FRACTION",
-           "connect_clients", "follow_topology", "shard_stream",
+           "ClusterRun", "run_cluster", "open_load", "shard_stream",
            "submit_handler", "tally"]
 
 #: share of every cluster request stream that reads (the rest write)
@@ -115,22 +118,102 @@ class Sweep:
 # -- the cluster-scenario driver ----------------------------------------------
 
 
-def connect_clients(env: Environment,
-                    clients: Sequence[ClusterClient]) -> None:
-    """Run the sim until every client has dialed every live node."""
-    def setup():
-        for client in clients:
+class ClusterRun:
+    """One assembled cluster scenario: what its hooks see and
+    :func:`run_cluster` returns."""
+
+    def __init__(self, env: Environment, cluster: Cluster,
+                 rebalancer: Optional[Rebalancer]):
+        self.env = env
+        self.cluster = cluster
+        self.rebalancer = rebalancer
+        #: what the scenario's ``setup`` hook returned
+        self.armed = None
+        self.clients: List[ClusterClient] = []
+        #: cores busy over the load window, summed over the nodes
+        #: (metered runs only)
+        self.host_cores = self.dpu_cores = 0.0
+
+
+def run_cluster(*, n_nodes: int, replicas: int, plane,
+                crash: Optional[Tuple[int, float]], rebalance: bool,
+                setup: Optional[Callable[[ClusterRun], object]],
+                clients: Sequence[Tuple[str, str]],
+                stale_fraction: float, deadline_s: Optional[float],
+                follow: bool, meter: bool,
+                load: Callable[[ClusterRun], None],
+                duration_s: float, drain_s: float) -> ClusterRun:
+    """Assemble one cluster scenario and run its load window and drain.
+
+    The order: crash plan and injector (``crash`` is ``(seed,
+    start_s)``: node1's DPU Arm cores die at ``start_s`` for ten load
+    windows) → cluster (watched by ``plane``) → rebalancer → ``setup``
+    (admission, autoscaler, tenants) → one client per ``(name, home)``
+    in ``clients`` → dial every node → topology tracking (``follow``)
+    → per-node host and DPU core meters (``meter``) → ``load`` (the
+    scenario's processes, then its arrivals) → run.  ``deadline_s``
+    stamps every request and, with a plane, feeds the client SLIs.
+    """
+    env = Environment()
+    injector = None
+    if crash is not None:
+        seed, start_s = crash
+        injector = FaultInjector(env, FaultPlan(seed=seed).cpu_crash(
+            start_s, 10 * duration_s, site="cpu.node1.dpu.cpu"))
+    cluster = Cluster(env, n_nodes, replicas=replicas, injector=injector,
+                      telemetry=plane)
+    run = ClusterRun(env, cluster,
+                     Rebalancer(cluster) if rebalance else None)
+    if setup is not None:
+        run.armed = setup(run)
+    run.clients = [
+        ClusterClient(cluster, name, home=home,
+                      stale_fraction=stale_fraction, sli_plane=plane,
+                      sli_deadline_s=deadline_s,
+                      stamp_deadline_s=deadline_s)
+        for name, home in clients]
+
+    def dial():
+        for client in run.clients:
             yield from client.connect_all()
 
-    env.run(until=env.process(setup()))
+    env.run(until=env.process(dial(), name="setup"))
+    if follow:
+        for client in run.clients:
+            env.process(client.track_topology(),
+                        name=f"{client.name}-topo")
+    meters = [(CoreMeter(node.server.host_cpu),
+               CoreMeter(node.server.dpu.cpu))
+              for node in cluster.nodes] if meter else []
+    for host, dpu in meters:
+        host.start()
+        dpu.start()
+    start = env.now
+    load(run)
+    env.run(until=start + duration_s)
+    # Cores are measured over the load window only (S9 convention);
+    # the drain is just for in-flight requests to land.
+    if meters:
+        run.host_cores = fold_sum(host.cores() for host, _ in meters)
+        run.dpu_cores = fold_sum(dpu.cores() for _, dpu in meters)
+    env.run(until=start + duration_s + drain_s)
+    return run
 
 
-def follow_topology(env: Environment,
-                    clients: Sequence[ClusterClient]) -> None:
-    """Have every client poll membership and dial late joiners."""
-    for client in clients:
-        env.process(client.track_topology(),
-                    name=f"{client.name}-topo")
+def open_load(seed: int, rate: float, count: int, duration_s: float,
+              prefix: str) -> Callable[[ClusterRun], None]:
+    """The ``load`` of an open-loop scenario: client ``i`` submits the
+    first ``count`` requests of its own :func:`shard_stream` at
+    ``rate`` for ``duration_s``, as process ``{prefix}{i}``."""
+    def load(run: ClusterRun) -> None:
+        cluster = run.cluster
+        for i, client in enumerate(run.clients):
+            stream = shard_stream(seed, i, count,
+                                  cluster.shardmap.n_shards,
+                                  cluster.shard_bytes)
+            open_loop(run.env, rate, submit_handler(client, stream),
+                      duration_s, name=f"{prefix}{i}")
+    return load
 
 
 def shard_stream(seed: int, client_index: int, count: int,

@@ -10,7 +10,8 @@ one of three entry points:
   device's own timing;
 * ``injector.is_down(site)`` — state check for ``down`` windows (link
   flaps, crashed Arm cores, offline ASICs, stalled rings).  A wire asks
-  it per frame: a link flap is the one way a frame is lost;
+  it per frame, at the frame's departure: a link flap is the one way a
+  frame is lost;
 * ``injector.slowdown(site)`` — CPU stretch factors.
 
 Determinism: every concrete site gets its own ``random.Random`` seeded
@@ -104,12 +105,15 @@ class FaultInjector:
                     site=site, kind="error",
                 )
 
-    def is_down(self, site: str) -> bool:
-        """Whether a ``down`` window currently covers ``site``."""
-        for window in self._active(site, "down"):
-            self.downs.add(1)
-            self._record(site)
-            return True
+    def is_down(self, site: str, at: Optional[float] = None) -> bool:
+        """Whether a ``down`` window covers ``site`` now, or at sim
+        time ``at`` (a frame's departure, scheduled ahead)."""
+        now = self.env.now if at is None else at
+        for window in self._windows(site):
+            if window.kind == "down" and window.active(now):
+                self.downs.add(1)
+                self._record(site)
+                return True
         return False
 
     def slowdown(self, site: str) -> float:

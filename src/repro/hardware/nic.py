@@ -247,7 +247,7 @@ class Wire:
     """A point-to-point full-duplex cable between two NICs.
 
     Lossless, except while a fault injector's ``down`` window (a link
-    flap) covers the ``wire`` site: every frame sent then is lost.
+    flap) covers the ``wire`` site: every frame departing then is lost.
     """
 
     def __init__(self, env: Environment, nic_a: Nic, nic_b: Nic):
@@ -265,14 +265,17 @@ class Wire:
         """Propagate a frame to the opposite end, arriving the flight
         delay plus ``extra_delay`` from now.
 
-        Batched transmits schedule every frame of a burst up front, so
-        every frame of a burst meets the link state of the instant the
-        burst was scheduled.
+        Batched transmits schedule every frame of a burst up front;
+        each frame meets the link state of its own departure, the
+        instant it finishes serializing (``extra_delay`` less the
+        sender's port latency from now).
         """
         receiver = self._ends.get(id(sender))
         if receiver is None:
             raise RuntimeError("sender is not attached to this wire")
-        if self.injector is not None and self.injector.is_down("wire"):
+        if self.injector is not None and self.injector.is_down(
+                "wire", at=self.env.now
+                + (extra_delay - sender.port_latency_s)):
             self.frames_dropped.add(1)
             return
         timer = self.env.timeout(extra_delay + self.propagation_delay_s,

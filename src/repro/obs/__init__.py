@@ -32,7 +32,6 @@ from .trace import (
     TraceContext,
     Tracer,
     merge_chrome_events,
-    write_merged_chrome,
 )
 
 #: observatory names, resolved on first access (PEP 562) so that an
@@ -84,5 +83,4 @@ __all__ = [
     "claims",
     "merge_chrome_events",
     "regress",
-    "write_merged_chrome",
 ]

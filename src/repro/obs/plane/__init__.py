@@ -14,9 +14,9 @@ Three cooperating pieces, one per module:
   recent snapshots and spans, dumped as a cross-node incident bundle
   when an SLO breach or injected fault fires.
 
-``python -m repro.obs.plane`` runs a small demo scenario and writes
-the merged cluster trace + one incident bundle (the nightly CI
-artifacts).
+``python -m repro.bench obs --trace-out PATH`` runs the observed
+incident scenario and writes its merged cluster trace; the incident
+bundles are ``plane.recorder.incidents``.
 """
 
 from .collector import ClusterTelemetry, TelemetrySnapshot

@@ -116,7 +116,7 @@ class ClusterTelemetry:
         plane.recorder = FlightRecorder(retain_s=2e-3)
         env.run(until=...)
         plane.latest().derived["goodput_ops_per_s"]
-        write_merged_chrome("t.json", plane.tracers())   # merged trace
+        merge_chrome_events(plane.tracers())   # merged trace events
 
     One plane observes one cluster: per-node registries adopt
     engine instruments, so re-attaching would collide names.

@@ -49,7 +49,6 @@ __all__ = [
     "NULL_TRACER",
     "NULL_SPAN",
     "merge_chrome_events",
-    "write_merged_chrome",
 ]
 
 
@@ -638,13 +637,3 @@ def merge_chrome_events(
             if resolved is not None:
                 args["parent_id"] = resolved
     return merged
-
-
-def write_merged_chrome(
-    path: str,
-    tracers: Union[Mapping[str, "Tracer"],
-                   Iterable[Tuple[str, "Tracer"]]],
-) -> int:
-    """Write a merged multi-node Chrome trace; returns event count."""
-    return _write_chrome(path, merge_chrome_events(tracers),
-                         "repro.obs.merge_chrome_events")

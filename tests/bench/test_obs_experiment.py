@@ -6,14 +6,22 @@ import pytest
 
 from repro.bench import default_slos, experiments_scale, obs_parts
 from repro.bench.__main__ import EXPERIMENTS, main
+from repro.obs import ClusterTelemetry
 from repro.obs.artifact import make_artifact
 from repro.obs.claims import CLAIMS, evaluate_all
 
 
 @pytest.fixture(scope="module")
-def parts():
+def plane():
+    """The plane of the module's one obs run (the one the CLI's
+    ``--trace-out`` hands in)."""
+    return ClusterTelemetry(tracing=True, name="obs")
+
+
+@pytest.fixture(scope="module")
+def parts(plane):
     """One full obs run for the module."""
-    return obs_parts(None)
+    return obs_parts(plane)
 
 
 class TestRegistration:
@@ -59,6 +67,12 @@ class TestParts:
         assert slo["incidents"] >= 1
         assert slo["slo_breach_recorded"] == 1.0
 
+    def test_the_first_incident_bundle_is_plain_json(self, plane, parts):
+        incident = json.loads(json.dumps(plane.recorder.incidents[0],
+                                         sort_keys=True))
+        assert incident["schema"] == "repro.obs/incident"
+        assert set(incident["nodes"]) == {"node0", "node1", "node2"}
+
 
 class TestClaims:
     def test_all_ob_claims_pass(self, parts):
@@ -96,18 +110,6 @@ class TestCliTraceOut:
                      if event.get("ph") == "M"
                      and event.get("name") == "process_name"}
         assert {"obs/node0", "obs/node1", "obs/node2"} <= processes
-
-    def test_plane_demo_writes_both_nightly_artifacts(self, tmp_path):
-        from repro.obs.plane.__main__ import main as demo
-        trace = tmp_path / "cluster_trace.json"
-        bundle = tmp_path / "incident.json"
-        assert demo(["--trace-out", str(trace),
-                     "--bundle-out", str(bundle)]) == 0
-        assert json.loads(trace.read_text())["traceEvents"]
-        incident = json.loads(bundle.read_text())
-        assert incident["schema"] == "repro.obs/incident"
-        assert set(incident["nodes"]) \
-            == {"node0", "node1", "node2"}
 
     def test_scale_trace_covers_migration(self, tmp_path, monkeypatch):
         # The spans all come from the traced rebalance scenario, which

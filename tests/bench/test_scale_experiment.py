@@ -2,11 +2,7 @@
 
 from repro.bench import experiments_scale
 from repro.bench.__main__ import EXPERIMENTS
-from repro.bench.experiments_scale import (
-    _rack_point,
-    _scale_point,
-    sharding_properties,
-)
+from repro.bench.experiments_scale import _scale_point, sharding_properties
 from repro.bench.harness import shard_stream
 from repro.units import PAGE_SIZE
 from repro.workloads.arrivals import arrival_count
@@ -48,15 +44,17 @@ class TestShardingProperties:
 
 
 class TestScalePoint:
+    """The weak-scaling sweep's points: one client per node."""
+
     def test_single_node_point_serves_everything_locally(self):
-        point = _scale_point(1, 30_000.0, 2e-3, seed=5)
+        point = _scale_point(1, 1, 30_000.0, 2e-3, 5, "load")
         assert point["ok"] > 0
         assert point["goodput_ops_per_s"] > 0
         assert point["routed_fraction"] == 0.0     # no stale clients
         assert point["total_dpu_cores"] > 0        # work ran on DPUs
 
     def test_two_node_point_routes_the_stale_fraction(self):
-        point = _scale_point(2, 30_000.0, 2e-3, seed=5)
+        point = _scale_point(2, 2, 30_000.0, 2e-3, 5, "load")
         assert point["ok"] > 0
         assert point["routed_fraction"] > 0.0
         # Offload holds: hosts stay close to idle at this rate.
@@ -64,6 +62,8 @@ class TestScalePoint:
 
 
 class TestRackPoint:
+    """The rack sweep's points: a shared fleet of eight clients."""
+
     def test_every_arrival_fires_and_every_core_second_counts_once(
             self, monkeypatch):
         """A 2-node, 1 ms rack point: nothing skipped, nothing doubled.
@@ -76,7 +76,8 @@ class TestRackPoint:
         duration_s = 1e-3
         monkeypatch.setattr(experiments_scale, "RACK_DURATION_S",
                             duration_s)
-        point = _rack_point(2)
+        monkeypatch.setattr(experiments_scale, "RACK_NODE_COUNTS", (2,))
+        point = experiments_scale.rack_sweep()["2"]
         clients = int(point["clients"])
         offered = clients * arrival_count(
             point["offered_ops_per_s"] / clients, duration_s)

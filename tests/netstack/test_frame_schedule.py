@@ -218,10 +218,9 @@ def run_bulk():
 
 
 #: the link is down over [372, 412) us, near the end of the requests;
-#: the golden was recorded while the stack still had a fast retransmit,
-#: which three duplicate ACKs would have set off: few enough segments
-#: arrive past the hole that it never ran, and the schedule is the same
-#: with the retransmission timer as the one recovery
+#: a frame is lost when it finishes serializing inside the window, and
+#: the retransmission timer, which resends one segment per backed-off
+#: timeout, delivers the last message at ~2.07 s
 FLAP_S = (372e-6, 412e-6)
 
 
@@ -229,7 +228,7 @@ def run_flap():
     case = _Case()
     _request_response(case, *case.wire(flap=FLAP_S), SIZES * 3,
                       (0.0, 20e-6))
-    case.env.run(until=2.0)
+    case.env.run(until=3.0)
     return case.observe()
 
 

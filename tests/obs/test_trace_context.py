@@ -6,7 +6,6 @@ from repro.obs import (
     TraceContext,
     Tracer,
     merge_chrome_events,
-    write_merged_chrome,
 )
 from repro.sim import Environment
 
@@ -157,12 +156,3 @@ class TestMerge:
                    if e["ph"] == "X"]
         assert "parent_id" not in event["args"]
         assert event["args"]["remote_parent"] == "ghost:9"
-
-    def test_write_merged_chrome(self, tmp_path):
-        node0, node1, _hop, _root1 = _two_node_trace()
-        path = tmp_path / "cluster.json"
-        count = write_merged_chrome(str(path),
-                                    [("node0", node0),
-                                     ("node1", node1)])
-        document = json.loads(path.read_text())
-        assert len(document["traceEvents"]) == count > 4

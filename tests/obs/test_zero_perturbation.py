@@ -126,6 +126,6 @@ def test_traced_rebalance_is_unmoved(monkeypatch):
     monkeypatch.setattr(experiments_scale, "REBALANCE_RATE_PER_NODE",
                         40_000.0)
     traced = experiments_scale._rebalance_scenario(
-        "rebalance", telemetry=ClusterTelemetry(tracing=True,
-                                                name="scale"))
-    assert traced == experiments_scale._rebalance_scenario("rebalance")
+        "rebalance", ClusterTelemetry(tracing=True, name="scale"))
+    assert traced == experiments_scale._rebalance_scenario("rebalance",
+                                                           None)

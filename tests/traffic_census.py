@@ -6,10 +6,9 @@ under ``sys.monitoring`` (PEP 669, so Python 3.12+), everything the
 product is judged by — the 19 ``repro.bench`` experiments, the traced
 run of every traceable one
 (``--trace-out`` with no ids), the five hostbench workloads at full and
-``--reduced`` size, the nine examples and the three CLIs (``--jobs 2``,
+``--reduced`` size, the nine examples and the two CLIs (``--jobs 2``,
 ``--jobs 0``, ``--list``, ``--check``, both ``--identity`` forms,
-``python -m repro.algos``, ``python -m repro.obs.plane`` with both
-output flags) — and prints two tables from that one run:
+``python -m repro.algos``) — and prints two tables from that one run:
 
 * **functions** — every function under ``src/repro`` whose code object
   was never entered;
@@ -657,7 +656,6 @@ def run_traffic(scratch):
     from hostbench.spec import WORKLOADS
     from repro.algos.__main__ import main as algos
     from repro.bench.__main__ import main as bench
-    from repro.obs.plane.__main__ import main as plane
 
     artifact = f"{scratch}/bench.json"
     blessed = str(REPO / "BENCH_baseline.json")
@@ -672,8 +670,6 @@ def run_traffic(scratch):
         for size in ([], ["--reduced"]):
             hostbench(["--workload", name, "--repeats", "1", *size])
     algos()
-    plane(["--trace-out", f"{scratch}/plane.json",
-           "--bundle-out", f"{scratch}/incident.json"])
     for example in sorted((REPO / "examples").glob("*.py")):
         runpy.run_path(str(example), run_name="__main__")
 
