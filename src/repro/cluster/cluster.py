@@ -40,8 +40,8 @@ from .sharding import SHARD_BYTES, ShardMap, stable_hash
 __all__ = ["Cluster", "ClusterNode", "ClusterClient"]
 
 #: breaker tuning for DPU-failure detection: ~7 probes per window,
-#: trips after 4 consecutive failures, and stays open long enough
-#: (5 ms) that a drain completes before any fail-back attempt.
+#: trips after 4 consecutive failures, and stays open 5 ms before a
+#: half-open probe (failover itself is one-way for the run).
 DEFAULT_BREAKER = {
     "window_s": 1.0e-3,
     "min_failures": 4,

@@ -122,10 +122,6 @@ class HostSocket:
                   lambda event: request.complete(event._value))
         return request
 
-    def close(self) -> None:
-        """Close the underlying DPU-side connection."""
-        self._engine.env.process(self._conn.close())
-
 
 class OffloadedQp:
     """Host-side facade over a DPU-issued RDMA queue pair (Figure 7)."""

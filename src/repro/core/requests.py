@@ -25,8 +25,7 @@ class AsyncRequest:
     __slots__ = ("env", "kind", "issued_at", "completed_at", "done",
                  "_result", "span")
 
-    def __init__(self, env: Environment, kind: str,
-                 deadline_s: Optional[float] = None):
+    def __init__(self, env: Environment, kind: str):
         self.env = env
         self.kind = kind
         self.issued_at = env.now
@@ -36,8 +35,6 @@ class AsyncRequest:
         #: the trace span covering this request (NULL_SPAN when
         #: tracing is off or the issuing engine is uninstrumented)
         self.span = NULL_SPAN
-        if deadline_s is not None:
-            self.set_deadline(deadline_s)
 
     def complete(self, result: Any = None) -> None:
         """Mark the request finished with ``result``."""
@@ -55,30 +52,6 @@ class AsyncRequest:
             # kernel's unobserved-failure check; waiters who yield
             # ``done`` later still see the exception thrown.
             self.done._defuse()
-
-    def set_deadline(self, deadline_s: float) -> "AsyncRequest":
-        """Fail this request after ``deadline_s`` sim seconds.
-
-        A watcher process fires :class:`DeadlineExceededError` into
-        ``done`` unless the engine completes (or fails) it first.
-        Chainable: ``req = se.read(...).set_deadline(1e-3)``.
-        """
-        if deadline_s <= 0:
-            raise ValueError(f"deadline must be positive, got {deadline_s}")
-        if self.done.triggered:
-            raise ValueError("request already finished")
-
-        def watcher():
-            yield self.env.timeout(deadline_s)
-            if not self.done.triggered:
-                self.fail(DeadlineExceededError(
-                    f"{self.kind} request exceeded its "
-                    f"{deadline_s}s deadline",
-                    deadline_s=deadline_s,
-                ))
-
-        self.env.process(watcher(), name=f"deadline-{self.kind}")
-        return self
 
     @property
     def completed(self) -> bool:
@@ -112,9 +85,8 @@ def wait(request: AsyncRequest, timeout_s: Optional[float] = None):
     Returns the request's result, mirroring Figure 6's ``wait(req)``.
     A failed request re-raises its exception here.  ``timeout_s``
     bounds the wait itself: if the request is still pending when the
-    budget expires, :class:`DeadlineExceededError` is raised (the
-    request keeps running — use :meth:`AsyncRequest.set_deadline` to
-    kill the request instead).
+    budget expires, :class:`DeadlineExceededError` is raised and the
+    request keeps running.
     """
     if timeout_s is None:
         yield request.done

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..buffers import Buffer, SynthBuffer, as_buffer
+from ..buffers import Buffer, as_buffer
 from ..errors import ReproError, StorageError
 from ..fs import BlockDevice, FileSystem, Journal, PageCache
 from ..hardware.server import Server
@@ -334,7 +334,8 @@ class StorageEngine:
     def _apply_persisted(self, item: dict, lsn: int):
         # The ack already went out; this is the crash window Section 9
         # worries about.  A fault here must NOT lose the write — the
-        # journal record stays (no truncation) so recover() replays it.
+        # journal record stays (no truncation), so the acked write is
+        # still durable.
         try:
             yield from self.fs.write(item["file_id"], item["offset"],
                                      item["buffer"])
@@ -348,31 +349,6 @@ class StorageEngine:
         self._invalidate(item["file_id"], item["offset"],
                          item["buffer"].size)
         self.journal.truncate_through(lsn)
-
-    # -- recovery ----------------------------------------------------------------------
-
-    def recover(self):
-        """Replay un-applied journal records into the filesystem.
-
-        The coordinated-recovery path Section 9 calls out: after a
-        crash between a fast-persistence acknowledgement and its
-        asynchronous in-place apply, surviving journal records are
-        replayed in LSN order and the journal is truncated.  Returns
-        the number of records replayed (generator).
-        """
-        records = self.journal.replay()
-        for record in records:
-            payload = record.payload
-            yield from self.fs.write(
-                payload["file_id"], payload["offset"],
-                SynthBuffer(payload["size"],
-                            label=f"recovered@{record.lsn}"),
-            )
-            self._invalidate(payload["file_id"], payload["offset"],
-                             payload["size"])
-        if records:
-            self.journal.truncate_through(records[-1].lsn)
-        return len(records)
 
     # -- helpers ---------------------------------------------------------------------
 

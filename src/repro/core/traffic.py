@@ -39,7 +39,6 @@ class TrafficDirector:
         #: set by Telemetry.register_runtime when telemetry is wired
         self.tracer = NULL_TRACER
         self.failovers = Counter("traffic.failovers")
-        self.failbacks = Counter("traffic.failbacks")
 
     # -- rule management ------------------------------------------------------
 
@@ -86,15 +85,19 @@ class TrafficDirector:
         Callers report DPU-path outcomes on the returned breaker
         (``record_success`` / ``record_failure``); when it trips, a
         match-all rule is prepended so *every* frame steers to the
-        host until the breaker closes again.  Transport semantics are
-        preserved — the flow table only changes which ingress queue
-        (and therefore which endpoint stack) serves the connection.
+        host.  Failover is one-way for the rest of the run: the
+        breaker closing again does not take the rule out, so a node
+        whose crash window ends is never re-admitted
+        (``docs/ROBUSTNESS.md`` § Findings, Finding 5).  Transport
+        semantics are preserved — the flow table only changes which
+        ingress queue (and therefore which endpoint stack) serves the
+        connection.
         """
         if self.breaker is not None:
             return self.breaker
         self.breaker = CircuitBreaker(
-            env, on_open=self._fail_over, on_close=self._fail_back,
-            name="traffic.breaker", **breaker_kwargs,
+            env, on_open=self._fail_over, name="traffic.breaker",
+            **breaker_kwargs,
         )
         return self.breaker
 
@@ -107,9 +110,3 @@ class TrafficDirector:
         self.failovers.add(1)
         self.tracer.instant("traffic.failover", category="fault",
                             target="host")
-
-    def _fail_back(self) -> None:
-        if self.nic.flow_table.remove_rule(_FAILOVER_RULE):
-            self.failbacks.add(1)
-            self.tracer.instant("traffic.failback", category="fault",
-                                target="dpu")

@@ -9,7 +9,6 @@ __all__ = [
     "KernelUnavailableError",
     "SprocError",
     "NetworkError",
-    "ConnectionClosedError",
     "StorageError",
     "FileSystemError",
     "FileNotFoundOnDpuError",
@@ -89,10 +88,6 @@ class SprocError(ReproError):
 
 class NetworkError(ReproError):
     """Transport-level failure in the network substrate."""
-
-
-class ConnectionClosedError(NetworkError):
-    """Operation attempted on a closed TCP connection / RDMA QP."""
 
 
 class StorageError(ReproError):

@@ -13,9 +13,8 @@ site                                  emitted by
 ``ssd.<device>.read`` / ``.write``    :class:`~repro.hardware.ssd.Ssd`
 ``wire``                              :class:`~repro.hardware.nic.Wire`
 ``cpu.<cluster>``                     :class:`~repro.hardware.cpu.CpuCluster`
-``accel.<dpu>.<kind>``                :class:`~repro.hardware.accelerator.Accelerator`
+``accel.<dpu>.<kind>``                :class:`~repro.core.compute.ComputeEngine`
 ``ring.<name>``                       :class:`~repro.netstack.ringbuffer.RingBuffer`
-``journal.<name>``                    :class:`~repro.fs.journal.Journal`
 ====================================  =================================
 
 Fault kinds:

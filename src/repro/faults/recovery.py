@@ -1,6 +1,6 @@
-"""Recovery machinery: retries, deadlines, and failover.
+"""Recovery machinery: retries and failover.
 
-Three primitives, all operating in *simulated* time:
+Two primitives, both operating in *simulated* time:
 
 * :class:`RetryPolicy` — exponential backoff with deterministic
   jitter and a total-delay budget.  Use via :func:`retrying`, a
@@ -10,12 +10,13 @@ Three primitives, all operating in *simulated* time:
 * :class:`CircuitBreaker` — the traffic director's failover switch: a
   sliding-window failure-rate detector with closed → open →
   half-open states.  When it opens, DPU-steered work fails over to
-  the host path (``on_open``/``on_close`` callbacks let
+  the host path (the ``on_open`` callback lets
   :class:`~repro.core.traffic.TrafficDirector` reprogram the NIC flow
-  table);
-* per-request deadlines live on
-  :class:`~repro.core.requests.AsyncRequest` (``deadline_s=``), which
-  fails the request with :class:`DeadlineExceededError`.
+  table, for the rest of the run).
+
+Bounded waits are not here: ``wait(request, timeout_s=)`` and
+``TcpStack.connect(timeout_s=)`` raise :class:`DeadlineExceededError`
+when their budget is spent.
 
 Determinism: backoff jitter is derived from ``crc32(seed:attempt)``,
 not a global RNG, so a retried operation sleeps the same amount in
@@ -70,8 +71,6 @@ class RetryPolicy:
         """
         raw = min(self.base_delay_s * self.multiplier ** attempt,
                   self.max_delay_s)
-        if not self.jitter or raw == 0:
-            return raw
         stream = zlib.crc32(f"{seed}:{attempt}".encode())
         unit = (stream % 10_000) / 10_000.0          # [0, 1)
         return raw * (1.0 + self.jitter * (2.0 * unit - 1.0))
@@ -161,7 +160,6 @@ class CircuitBreaker:
                  rate_threshold: float = 0.5,
                  reset_timeout_s: float = 1e-3,
                  on_open: Optional[Callable] = None,
-                 on_close: Optional[Callable] = None,
                  name: str = "breaker"):
         if window_s <= 0 or reset_timeout_s <= 0:
             raise ValueError("window and reset timeout must be positive")
@@ -173,7 +171,6 @@ class CircuitBreaker:
         self.rate_threshold = rate_threshold
         self.reset_timeout_s = reset_timeout_s
         self.on_open = on_open
-        self.on_close = on_close
         self.name = name
         self.state = self.CLOSED
         self._opened_at = 0.0
@@ -225,8 +222,6 @@ class CircuitBreaker:
             self.state = self.CLOSED
             self._events.clear()
             self._probe_inflight = False
-            if self.on_close is not None:
-                self.on_close()
             return
         self._events.append((self.env.now, True))
         self._expire()

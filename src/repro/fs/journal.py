@@ -4,14 +4,14 @@ Section 9 ("Faster persistence") proposes persisting writes on the DPU
 — to its directly-attached SSD or onboard persistent memory — and
 acknowledging immediately, before the host ever sees the operation.
 This journal is that durability point: sequential appends with
-monotonically increasing LSNs, a truncation watermark, and recovery by
-replay.
+monotonically increasing LSNs and a truncation watermark: a record
+stays until the write it carries is applied in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional
+from typing import Any, List
 
 from ..errors import StorageError
 from ..hardware.ssd import Ssd
@@ -42,9 +42,8 @@ class Journal:
         self.capacity_bytes = capacity_bytes
         self.name = name
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: optional FaultInjector; site journal.<name> plus the
-        #: backing device's own ssd.<name>.write site
-        self.injector = injector
+        # an injector reaches the journal through its backing
+        # device's ssd.<name>.write site
         if injector is not None and ssd.injector is None:
             ssd.injector = injector
         self._records: List[JournalRecord] = []
@@ -52,10 +51,6 @@ class Journal:
         self._used = 0
         self.appends = Counter(f"{name}.appends")
         self.append_latency = Tally(f"{name}.append_latency")
-
-    @property
-    def used_bytes(self) -> int:
-        return self._used
 
     def append(self, kind: str, payload: Any, size: int):
         """Durably append a record (generator -> JournalRecord).
@@ -70,8 +65,6 @@ class Journal:
                 f"{self.name}: journal full "
                 f"({self._used}+{size} > {self.capacity_bytes}); truncate"
             )
-        if self.injector is not None:
-            yield from self.injector.perturb(f"journal.{self.name}")
         start = self.ssd.env.now
         with self.tracer.span("journal.append", category="storage",
                               kind=kind, bytes=size):
@@ -96,12 +89,3 @@ class Journal:
         self._records = keep
         self._used -= freed
         return freed
-
-    def replay(self, apply: Optional[Callable[[JournalRecord], None]]
-               = None) -> List[JournalRecord]:
-        """Recovery: iterate surviving records in LSN order."""
-        records = sorted(self._records, key=lambda r: r.lsn)
-        if apply is not None:
-            for record in records:
-                apply(record)
-        return records

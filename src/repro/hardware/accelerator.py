@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..errors import FaultInjectedError
 from ..sim import Environment, PriorityResource
 from ..sim.stats import Counter
 
@@ -63,7 +62,8 @@ class Accelerator:
         self._channels = PriorityResource(env, capacity=spec.channels,
                                           name=self.name)
         self.jobs = Counter(f"{self.name}.jobs")
-        #: optional FaultInjector; site accel.<name>
+        #: optional FaultInjector: the Compute Engine asks it whether
+        #: site accel.<name> is down before placing a job here
         self.injector = None
 
     def service_time(self, nbytes: int) -> float:
@@ -79,13 +79,6 @@ class Accelerator:
         the co-scheduling hook Section 5 asks for ("How to schedule DP
         kernels on the same accelerator?").
         """
-        if self.injector is not None:
-            site = f"accel.{self.name}"
-            if self.injector.is_down(site):
-                raise FaultInjectedError(
-                    f"{site} offline at t={self.env.now:.6f}",
-                    site=site, kind="down",
-                )
         with self._channels.request(priority=priority) as req:
             yield req
             yield self.env.timeout(self.service_time(nbytes))

@@ -9,7 +9,8 @@ the optimized userspace stack).
 
 Implemented behaviour:
 
-* three-way handshake (SYN / SYN-ACK / ACK) and FIN teardown,
+* three-way handshake (SYN / SYN-ACK / ACK); a connection lives as
+  long as its simulation (there is no teardown),
 * byte-stream sequence numbers, cumulative ACKs, out-of-order
   reassembly at the receiver,
 * receive-window flow control (bounded receive buffer, advertised
@@ -39,12 +40,7 @@ from collections import deque
 from typing import Dict, Optional
 
 from ..buffers import Buffer, SynthBuffer, RealBuffer, as_buffer
-from ..errors import (
-    ConnectionClosedError,
-    DeadlineExceededError,
-    FaultInjectedError,
-    NetworkError,
-)
+from ..errors import DeadlineExceededError, FaultInjectedError, NetworkError
 from ..hardware.costs import SoftwarePathCosts
 from ..hardware.cpu import CpuCluster
 from ..hardware.nic import Nic
@@ -108,7 +104,6 @@ class TcpConnection:
         self.port = port
         #: fabric address of the peer (None on point-to-point wires)
         self.remote = remote
-        self.closed = False
 
         # --- sender state ---
         self._snd_buffer = Container(
@@ -151,8 +146,6 @@ class TcpConnection:
         Completes when the message is accepted into the (bounded) send
         queue — flow control applies back-pressure through this call.
         """
-        if self.closed:
-            raise ConnectionClosedError(f"connection {self.cid} is closed")
         buffer = as_buffer(payload)
         yield self._snd_queue.put({
             "buffer": buffer,
@@ -168,17 +161,10 @@ class TcpConnection:
         or earlier senders are still blocked — callers then fall back
         to ``yield from send_message(...)`` for back-pressure.
         """
-        if self.closed:
-            raise ConnectionClosedError(f"connection {self.cid} is closed")
         return self._snd_queue.try_put({
             "buffer": as_buffer(payload),
             "enqueued_at": self.env.now,
         })
-
-    def drain(self):
-        """Generator that completes when all queued data is ACKed."""
-        while self._inflight or len(self._snd_queue.items):
-            yield self.env.timeout(self._rto / 4)
 
     def _sender_loop(self):
         env = self.env
@@ -505,18 +491,6 @@ class TcpConnection:
         self._retransmit_base()
         self._arm_rto()
 
-    # ----------------------------------------------------------------- close
-
-    def close(self):
-        """Send FIN and mark the connection closed (generator)."""
-        if self.closed:
-            return
-        self.closed = True
-        fin = {"proto": "tcp", "kind": "fin", "cid": self.cid,
-               "dst": self.remote, "src": self.stack.address,
-               "port": self.port}
-        yield from self.stack._send_frame(fin, _HEADER_BYTES)
-
 
 class TcpStack:
     """A TCP/IP stack instance bound to one NIC ingress queue.
@@ -662,10 +636,6 @@ class TcpStack:
                     connection, "_established"):
                 if not connection._established.triggered:
                     connection._established.succeed()
-        elif kind == "fin":
-            connection = self._connections.get(frame["cid"])
-            if connection is not None:
-                connection.closed = True
 
     def _on_syn(self, frame: dict) -> None:
         listener = self._listeners.get(frame["port"])

@@ -92,7 +92,6 @@ class Telemetry:
         if traffic is not None:
             traffic.tracer = self.tracer
             metrics.register("traffic.failovers", traffic.failovers)
-            metrics.register("traffic.failbacks", traffic.failbacks)
         metrics.register("ne.ops_offloaded", network.ops_offloaded)
         metrics.register("ne.sq.occupancy",
                          network.rings.submission.occupancy)

@@ -26,7 +26,6 @@ from .core import (
     AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Timeout,
@@ -41,7 +40,6 @@ __all__ = [
     "Environment",
     "Event",
     "EventPopulation",
-    "Interrupt",
     "Process",
     "SimulationError",
     "Timeout",

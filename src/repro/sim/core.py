@@ -22,12 +22,11 @@ chain, and the hot pushes (``succeed``, a process's normal end, those
 constructors, a population's tick) put their ``(time, priority, eid,
 event)`` entry on the heap themselves — ``_enqueue`` is the entry
 point for the cold callers; :meth:`Environment.run` pops and fires
-entries inline; :meth:`Process.interrupt` lazily abandons the
-interrupted wait instead of an O(n) callback removal; timeouts are
-recycled through a freelist when provably unreferenced; and
-:meth:`Timeout.cancel` marks dead timers that the scheduler skips
-without perturbing the clock. None of these change simulated results —
-they only reduce the real time spent per simulated event.
+entries inline; timeouts are recycled through a freelist when
+provably unreferenced; and :meth:`Timeout.cancel` marks dead timers
+that the scheduler skips without perturbing the clock. None of these
+change simulated results — they only reduce the real time spent per
+simulated event.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
     "SimulationError",
     "AllOf",
     "AnyOf",
@@ -62,18 +60,6 @@ _TIMEOUT_POOL_CAP = 1024
 
 class SimulationError(Exception):
     """Raised for illegal operations on the simulation kernel."""
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 # Sentinels for event state.
@@ -243,7 +229,7 @@ class Process(Event):
     processes may therefore ``yield proc`` to join on it.
     """
 
-    __slots__ = ("_generator", "name", "_target", "_stale")
+    __slots__ = ("_generator", "name", "_target")
 
     def __init__(self, env: "Environment", generator: Generator,
                  name: Optional[str] = None):
@@ -257,12 +243,10 @@ class Process(Event):
         self._cancelled = False
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
+        #: the event this process last suspended on.  Holding it keeps
+        #: that event off the timeout freelist after the process ends,
+        #: which the pinned ``pool_hit_ratio`` counts (ROADMAP 1(a)).
         self._target: Optional[Event] = None
-        #: events this process was detached from by an interrupt, with
-        #: a count of abandoned waits per event; each trigger of such
-        #: an event consumes one count instead of resuming the process
-        #: (lazy cancellation).
-        self._stale: Optional[dict] = None
         init = Initialize.__new__(Initialize)
         init.env = env
         init.callbacks = [self._resume]
@@ -273,45 +257,7 @@ class Process(Event):
         env._eid += 1
         heappush(env._queue, (env.now, URGENT, env._eid, init))
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its next resume.
-
-        Interrupting a dead process is an error; interrupting yourself
-        is too (a process cannot pre-empt itself).
-        """
-        if self._value is not _PENDING:
-            raise SimulationError(f"{self.name} has terminated")
-        if self is self.env._active_process:
-            raise SimulationError("a process cannot interrupt itself")
-        event = Event(self.env)
-        event._ok = False
-        event._value = Interrupt(cause)
-        event.callbacks.append(self._resume)
-        self.env._enqueue(event, URGENT, 0.0)
-        # Abandon the event we were waiting on so that its eventual
-        # trigger does not resume us a second time.  Lazy: the callback
-        # entry stays; _resume recognizes and discards the stale wake.
-        target = self._target
-        if target is not None and target.callbacks is not None:
-            stale = self._stale
-            if stale is None:
-                self._stale = {target: 1}
-            else:
-                stale[target] = stale.get(target, 0) + 1
-            self._target = None
-
     def _resume(self, event: Event) -> None:
-        stale = self._stale
-        if stale is not None:
-            count = stale.get(event)
-            if count is not None:
-                if count == 1:
-                    del stale[event]
-                    if not stale:
-                        self._stale = None
-                else:
-                    stale[event] = count - 1
-                return
         env = self.env
         env._active_process = self
         generator = self._generator
@@ -354,6 +300,13 @@ class Process(Event):
             event = next_event
 
         env._active_process = None
+
+    def __repr__(self) -> str:
+        # A pending process names what it waits on, so a run that ends
+        # with work outstanding shows where each process is stuck.
+        state = ("done" if self._value is not _PENDING
+                 else f"waiting on {self._target!r}")
+        return f"<Process {self.name!r} {state}>"
 
 
 class ConditionEvent(Event):
@@ -501,8 +454,8 @@ class Environment:
     # -- scheduling and execution -------------------------------------------
 
     def _enqueue(self, event: Event, priority: int, delay: float) -> None:
-        # The general push, for the cold callers (a failure, an
-        # interrupt, a process's failed end); the hot ones push inline.
+        # The general push, for the cold callers (a failure, a
+        # process's failed end); the hot ones push inline.
         self._eid += 1
         heappush(self._queue,
                  (self.now + delay, priority, self._eid, event))

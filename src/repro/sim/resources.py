@@ -14,11 +14,10 @@ All requests are events, so processes compose them freely with
 ``any_of``/``all_of`` (e.g. request-with-timeout).
 
 Hot paths: every class here carries ``__slots__`` and wait queues
-are deques (O(1) at both ends).  A withdrawn request is removed from
-its queue outright: only a finished run's processes, closed at
-teardown, withdraw one, so the O(n) removal is never on a hot path.
-Requests that can be satisfied at issue time (a free slot, an available item,
-sufficient level) complete *inline*: the returned event is already
+are deques (O(1) at both ends).  A queued request is never withdrawn:
+once issued it waits for its grant.  Requests that can be satisfied
+at issue time (a free slot, an available item, sufficient level)
+complete *inline*: the returned event is already
 processed, so a yielding process continues immediately instead of
 taking a trip through the event queue.  The simulated clock never
 advances during an inline completion, so simulated timings are
@@ -107,13 +106,17 @@ class Resource:
         return _Request(self, priority)
 
     def release(self, request: _Request) -> None:
-        """Return a previously granted slot."""
+        """Return a previously granted slot.
+
+        Releasing a request that was never granted does nothing: the
+        only such release is the collector closing a finished run's
+        abandoned process inside ``with resource.request()``, where
+        raising would print from a generator finalizer at teardown.
+        """
         if request in self.users:
             self._account()
             self.users.remove(request)
             self._grant_waiters()
-        else:
-            self._cancel(request)
 
     @property
     def queue_length(self) -> int:
@@ -309,12 +312,6 @@ class Resource:
         self._account()
         self._grant_waiters()
 
-    def _cancel(self, request: _Request) -> None:
-        # A waiter withdrawn before its grant (a process closed while
-        # it queued): it leaves the queue.
-        if request in self._waiting:
-            self._waiting.remove(request)
-
 
 class PriorityResource(Resource):
     """A :class:`Resource` whose waiters are served lowest-priority-first.
@@ -345,11 +342,6 @@ class PriorityResource(Resource):
             if request._value is _PENDING:
                 return request
         return None
-
-    def _cancel(self, request: _Request) -> None:
-        self._waiting = [entry for entry in self._waiting
-                         if entry[2] is not request]
-        heapq.heapify(self._waiting)
 
 
 class Container:

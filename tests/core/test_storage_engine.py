@@ -172,7 +172,7 @@ class TestFastPersistence:
         persist = se.write_persistent(file_id, 0, SynthBuffer(PAGE_SIZE))
         env.run(until=persist.done)
         env.run(until=env.now + 0.01)
-        assert se.journal.used_bytes == 0
+        assert se.journal._used == 0
 
 
 class TestValidation:

@@ -1,4 +1,4 @@
-"""Per-request deadlines and bounded waits."""
+"""Bounded waits on a request, and failures nobody waits for."""
 
 import pytest
 
@@ -10,49 +10,6 @@ from repro.sim import Environment
 @pytest.fixture
 def env():
     return Environment()
-
-
-class TestSetDeadline:
-    def test_deadline_fails_pending_request(self, env):
-        request = AsyncRequest(env, "test").set_deadline(1e-3)
-
-        def waiter():
-            yield from wait(request)
-
-        process = env.process(waiter())
-        with pytest.raises(DeadlineExceededError) as exc_info:
-            env.run(until=process)
-        assert exc_info.value.deadline_s == 1e-3
-        assert env.now == pytest.approx(1e-3)
-        assert request.failed
-        assert isinstance(request.done.value, DeadlineExceededError)
-
-    def test_completion_beats_deadline(self, env):
-        request = AsyncRequest(env, "test", deadline_s=1e-3)
-
-        def completer():
-            yield env.timeout(1e-4)
-            request.complete("payload")
-
-        env.process(completer())
-
-        def waiter():
-            result = yield from wait(request)
-            return result
-
-        assert env.run(until=env.process(waiter())) == "payload"
-        env.run()                      # drain the watcher harmlessly
-        assert not request.failed
-
-    def test_rejects_non_positive_deadline(self, env):
-        with pytest.raises(ValueError):
-            AsyncRequest(env, "test").set_deadline(0.0)
-
-    def test_rejects_deadline_on_finished_request(self, env):
-        request = AsyncRequest(env, "test")
-        request.complete(1)
-        with pytest.raises(ValueError):
-            request.set_deadline(1e-3)
 
 
 class TestWaitTimeout:

@@ -41,16 +41,6 @@ class TestProtect:
         assert len(table) == 2
         assert director.failovers.value == 1
 
-    def test_close_removes_failover_rule(self, env, director):
-        breaker = director.protect(env, min_failures=3,
-                                   reset_timeout_s=0.5)
-        _trip(breaker)
-        env.run(until=0.6)
-        assert breaker.allow()          # half-open probe
-        breaker.record_success()
-        assert len(director.nic.flow_table) == 0
-        assert director.failbacks.value == 1
-
     def test_retrip_from_half_open_keeps_single_rule(self, env,
                                                      director):
         breaker = director.protect(env, min_failures=3,

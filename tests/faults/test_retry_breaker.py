@@ -160,9 +160,7 @@ class TestCircuitBreaker:
 
     def test_half_open_probe_closes_on_success(self, env):
         opened = []
-        closed = []
-        breaker = self._breaker(env, on_open=lambda: opened.append(1),
-                                on_close=lambda: closed.append(1))
+        breaker = self._breaker(env, on_open=lambda: opened.append(1))
         for _ in range(3):
             breaker.record_failure()
         assert opened == [1]
@@ -172,7 +170,7 @@ class TestCircuitBreaker:
         assert not breaker.allow()     # second concurrent probe denied
         breaker.record_success()
         assert breaker.state == CircuitBreaker.CLOSED
-        assert closed == [1]
+        assert opened == [1]           # closing calls nothing back
         assert breaker.probes.value == 1
 
     def test_half_open_probe_failure_reopens(self, env):

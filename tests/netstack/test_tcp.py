@@ -3,6 +3,7 @@
 import pytest
 
 from repro.buffers import RealBuffer, SynthBuffer
+from repro.errors import DeadlineExceededError
 from repro.faults import FaultInjector, FaultPlan
 from repro.hardware import CpuCluster, Nic, Wire, default_cost_model
 from repro.netstack import TcpStack
@@ -21,6 +22,13 @@ def _make_pair(env, bandwidth=100 * Gbps):
     stack_a = TcpStack(env, nic_a, nic_a.rx_host, cpu_a, costs, "tcp_a")
     stack_b = TcpStack(env, nic_b, nic_b.rx_host, cpu_b, costs, "tcp_b")
     return stack_a, stack_b, cpu_a, cpu_b, wire
+
+
+def _all_acked(conn):
+    """Wait until the peer has acknowledged every byte ``conn`` was
+    given: nothing in flight and nothing left in its send queue."""
+    while conn._inflight or conn._snd_queue.items:
+        yield conn.env.timeout(1e-4)
 
 
 @pytest.fixture
@@ -46,6 +54,16 @@ class TestHandshake:
         env.process(server(env))
         env.run(until=1.0)
         assert results["client"].cid == results["server"].cid
+
+    def test_zero_connect_budget_raises_before_waiting(self, env):
+        # The SYN's own CPU charge and send spend a zero budget, so
+        # connect gives up before it waits for the SYN-ACK.
+        stack_a, stack_b, *_ = _make_pair(env)
+        stack_b.listen(7001)
+        process = env.process(stack_a.connect(7001, timeout_s=0.0))
+        with pytest.raises(DeadlineExceededError):
+            env.run(until=process)
+        assert env.now < 1e-4     # far short of one SYN timeout
 
     def test_duplicate_listen_rejected(self, env):
         stack_a, *_ = _make_pair(env)
@@ -196,7 +214,7 @@ class TestLossRecovery:
             conns.append(conn)
             for _ in range(20):
                 yield from conn.send_message(SynthBuffer(PAGE_SIZE))
-            yield from conn.drain()
+            yield from _all_acked(conn)
 
         def server(env):
             conn = yield listener.accept()
@@ -218,7 +236,7 @@ class TestCpuAccounting:
             conn = yield from stack_a.connect(7020)
             for _ in range(100):
                 yield from conn.send_message(SynthBuffer(PAGE_SIZE))
-            yield from conn.drain()
+            yield from _all_acked(conn)
 
         def server(env):
             conn = yield listener.accept()
@@ -256,7 +274,7 @@ class TestCpuAccounting:
             conn = yield from stack_a.connect(7021)
             for _ in range(50):
                 yield from conn.send_message(SynthBuffer(PAGE_SIZE))
-            yield from conn.drain()
+            yield from _all_acked(conn)
 
         def server(env):
             conn = yield listener.accept()
@@ -289,7 +307,7 @@ class TestCongestionControl:
             conn = yield from stack_a.connect(7030)
             conns.append(conn)
             yield from conn.send_message(SynthBuffer(4 * 1024 * 1024))
-            yield from conn.drain()
+            yield from _all_acked(conn)
 
         def server(env):
             conn = yield listener.accept()
@@ -310,7 +328,7 @@ class TestCongestionControl:
             conns.append(conn)
             for _ in range(30):
                 yield from conn.send_message(SynthBuffer(PAGE_SIZE))
-            yield from conn.drain()
+            yield from _all_acked(conn)
 
         def server(env):
             conn = yield listener.accept()
@@ -323,26 +341,3 @@ class TestCongestionControl:
         srtt = conns[0]._srtt
         assert srtt is not None
         assert 0 < srtt < 1e-3       # microseconds-scale link
-
-
-class TestClose:
-    def test_send_after_close_raises(self, env):
-        stack_a, stack_b, *_ = _make_pair(env)
-        listener = stack_b.listen(7040)
-        outcome = []
-
-        def client(env):
-            conn = yield from stack_a.connect(7040)
-            yield from conn.close()
-            try:
-                yield from conn.send_message(SynthBuffer(10))
-            except Exception as exc:
-                outcome.append(type(exc).__name__)
-
-        def server(env):
-            yield listener.accept()
-
-        env.process(client(env))
-        env.process(server(env))
-        env.run(until=1.0)
-        assert outcome == ["ConnectionClosedError"]

@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import (
     Environment,
-    Interrupt,
     SimulationError,
     when_done,
 )
@@ -127,61 +126,18 @@ class TestProcesses:
         with pytest.raises(TypeError):
             env.process(lambda: None)
 
+    def test_repr_names_what_a_pending_process_waits_on(self, env):
+        gate = env.event()
 
-class TestInterrupts:
-    def test_interrupt_carries_cause(self, env):
-        def victim(env):
-            try:
-                yield env.timeout(10.0)
-            except Interrupt as interrupt:
-                return ("interrupted", interrupt.cause, env.now)
-            return "finished"
+        def waiter(env):
+            yield gate
 
-        def attacker(env, target):
-            yield env.timeout(1.0)
-            target.interrupt(cause="why")
-
-        target = env.process(victim(env))
-        env.process(attacker(env, target))
-        assert env.run(until=target) == ("interrupted", "why", 1.0)
-
-    def test_interrupted_process_can_continue(self, env):
-        def victim(env):
-            try:
-                yield env.timeout(10.0)
-            except Interrupt:
-                pass
-            yield env.timeout(1.0)
-            return env.now
-
-        def attacker(env, target):
-            yield env.timeout(2.0)
-            target.interrupt()
-
-        target = env.process(victim(env))
-        env.process(attacker(env, target))
-        assert env.run(until=target) == 3.0
-
-    def test_interrupt_dead_process_raises(self, env):
-        target = env.process(_sleep(env, 1.0))
+        process = env.process(waiter(env), name="stuck")
         env.run()
-
-        def attacker(env):
-            target.interrupt()
-            yield env.timeout(0)
-
-        env.process(attacker(env))
-        with pytest.raises(SimulationError):
-            env.run()
-
-    def test_self_interrupt_rejected(self, env):
-        def selfish(env):
-            me.interrupt()
-            yield env.timeout(1)
-
-        me = env.process(selfish(env))
-        with pytest.raises(SimulationError):
-            env.run()
+        assert repr(process) == f"<Process 'stuck' waiting on {gate!r}>"
+        gate.succeed()
+        env.run()
+        assert repr(process) == "<Process 'stuck' done>"
 
 
 class TestConditions:

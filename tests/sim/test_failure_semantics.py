@@ -1,88 +1,14 @@
-"""Kernel semantics under failure: interrupts vs condition events,
-``Event.fail`` propagation, and the unobserved-failure check."""
+"""Kernel semantics under failure: ``Event.fail`` propagation into
+condition events, and the unobserved-failure check."""
 
 import pytest
 
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment
 
 
 @pytest.fixture
 def env():
     return Environment()
-
-
-class TestInterruptWhileWaitingOnConditions:
-    def test_interrupt_while_waiting_on_all_of(self, env):
-        a, b = env.event(), env.event()
-        seen = {}
-
-        def waiter():
-            try:
-                yield env.all_of([a, b])
-            except Interrupt as interrupt:
-                seen["cause"] = interrupt.cause
-            return "done"
-
-        process = env.process(waiter())
-
-        def interrupter():
-            yield env.timeout(1.0)
-            process.interrupt(cause="shutdown")
-
-        env.process(interrupter())
-        assert env.run(until=process) == "done"
-        assert seen["cause"] == "shutdown"
-
-    def test_condition_completion_after_interrupt_is_ignored(self, env):
-        a = env.event()
-        resumes = []
-
-        def waiter():
-            try:
-                yield env.any_of([a])
-            except Interrupt:
-                resumes.append("interrupt")
-                yield env.timeout(5.0)
-                resumes.append("slept")
-
-        process = env.process(waiter())
-
-        def driver():
-            yield env.timeout(1.0)
-            process.interrupt()
-            yield env.timeout(1.0)
-            a.succeed("late")          # must not resume the waiter
-
-        env.process(driver())
-        env.run()
-        # Exactly one resume from the interrupt; the late success of
-        # the abandoned condition does not wake the process again.
-        assert resumes == ["interrupt", "slept"]
-        assert env.now == 6.0
-
-    def test_rewaiting_same_condition_after_interrupt(self, env):
-        a, b = env.event(), env.event()
-
-        def waiter():
-            condition = env.all_of([a, b])
-            try:
-                result = yield condition
-            except Interrupt:
-                result = yield condition   # resubscribe and finish
-            return result
-
-        process = env.process(waiter())
-
-        def driver():
-            yield env.timeout(1.0)
-            a.succeed("first")
-            process.interrupt()
-            yield env.timeout(1.0)
-            b.succeed("second")
-
-        env.process(driver())
-        values = env.run(until=process)
-        assert set(values.values()) == {"first", "second"}
 
 
 class TestFailurePropagationIntoConditions:

@@ -1,10 +1,10 @@
 """Kernel fast-path invariants, on scenarios small enough to read.
 
-The simulated side of three kernel stress patterns is deterministic,
+The simulated side of two kernel stress patterns is deterministic,
 so counts and end times are asserted exactly — a regression test for
 the lazy-cancel / freelist machinery (a dead timer that leaked into
-the clock would shift the end time, a lost interrupt would change the
-count).  ``TestKernelLedger`` holds four small scenarios to the exact
+the clock would shift the end time).  ``TestKernelLedger`` holds three
+small scenarios to the exact
 scheduler ledger — entries (``env._eid``), timeout-pool hits and
 misses, the end time — that the kernel produced before its hot events
 were built inline, so a fast path that adds, drops, renumbers or
@@ -18,8 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.sim import (Environment, EventPopulation, Interrupt,
-                       PriorityResource, Resource, Store)
+from repro.sim import (Environment, EventPopulation, PriorityResource,
+                       Resource, Store)
 
 
 def _drain(n_events):
@@ -85,29 +85,6 @@ class TestTimeoutChurn:
         assert env.now == pytest.approx(1.0)
 
 
-class TestInterruptStorm:
-    def test_every_interrupt_is_delivered(self):
-        env = Environment()
-        caught = []
-
-        def sleeper():
-            while len(caught) < 5_000:
-                try:
-                    yield env.timeout(1000.0)  # interrupted long before
-                    return
-                except Interrupt as interrupt:
-                    caught.append(interrupt.cause)
-
-        def storm(target):
-            for _ in range(5_000):
-                yield env.timeout(1e-6)
-                target.interrupt(cause="storm")
-
-        env.process(storm(env.process(sleeper())))
-        env.run()
-        assert caught == ["storm"] * 5_000
-
-
 def _ledger(env):
     return env._eid, env.pool_hits, env.pool_misses, repr(env.now)
 
@@ -171,29 +148,6 @@ class TestKernelLedger:
         assert _ledger(env) == (98, 35, 10, "1.8e-05")
         assert (res.total_served, prio.total_served) == (14, 7)
         assert repr(res.busy_time()) == "3.5e-05"
-
-    def test_interrupted_waits(self):
-        env = Environment()
-        caught = []
-
-        def sleeper():
-            for _ in range(3):
-                try:
-                    yield env.timeout(10.0)
-                except Interrupt as exc:
-                    caught.append(exc.cause)
-                    yield env.timeout(1e-6)
-
-        def waker(target):
-            for i in range(3):
-                yield env.timeout(2e-6)
-                target.interrupt(cause=i)
-
-        env.process(waker(env.process(sleeper())))
-        env.run()
-        assert caught == [0, 1, 2]
-        # The last abandoned 10 s timer still fires; nobody resumes.
-        assert _ledger(env) == (16, 4, 5, "10.000005")
 
     def test_event_population_with_ties(self):
         env = Environment()

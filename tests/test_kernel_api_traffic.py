@@ -50,7 +50,7 @@ come from a closed list:
 What no name census can see — a dead method whose name a live one
 shares — the execution census sees: ``python tests/traffic_census.py``.
 
-Three surfaces stay outside the second rule, each for a stated reason:
+Two surfaces stay outside the second rule, each for a stated reason:
 
 * ``repro.core`` — PAPER.md §1 names the DFI-style flow interface and
   sproc pipelines, so ``DfiFlow`` / ``NetworkEngine.flow`` and
@@ -58,9 +58,7 @@ Three surfaces stay outside the second rule, each for a stated reason:
   calling them; ``core`` joins the census when an example does;
 * ``repro.algos`` — its public members are known-answer surfaces
   (``Aes128.encrypt_block`` against FIPS-197 vectors) that the golden
-  tests, not the product, are the callers of;
-* ``Process.interrupt`` / ``Interrupt`` in ``repro.sim`` — ROADMAP
-  item 4's restart path is their caller.
+  tests, not the product, are the callers of.
 """
 
 import ast
@@ -260,12 +258,6 @@ KEPT_PARAMETERS = {
         ("d", "ROADMAP 5(b): the host spill-over knockout"),
     "core/dds.py:DdsServer.__init__(offload_enabled=)":
         ("d", "ROADMAP 5(b): the SE offload-engine knockout"),
-    "core/requests.py:AsyncRequest.__init__(deadline_s=)":
-        ("d", "ROADMAP 4: client deadlines"),
-    "fs/journal.py:Journal.replay(apply=)":
-        ("d", "ROADMAP 4: crash recovery replays the journal"),
-    "sim/core.py:Process.interrupt(cause=)":
-        ("d", "ROADMAP 4: crash end restarts a DPU's engines"),
     "bench/experiments_ablation.py:ablation_partial_offload(rate_kreq=)":
         ("e", "a5 2.1 s"),
     "bench/experiments_ablation.py:ablation_partial_offload"
@@ -509,9 +501,7 @@ def test_every_cited_roadmap_item_is_open():
     roadmap = (_REPO / "ROADMAP.md").read_text()
     section = roadmap.split("\n## Open items", 1)[1].split("\n## ", 1)[0]
     open_items = set(re.findall(r"^(\d+)\. \*\*", section, re.M))
-    reasons = [*traffic_census.KEPT.values(),
-               traffic_census._RECOVERY, traffic_census._DEADLINE,
-               traffic_census._MISMATCH, traffic_census._TEARDOWN,
+    reasons = [*traffic_census.KEPT.values(), traffic_census._MISMATCH,
                *(detail for _reason, detail in KEPT_PARAMETERS.values()),
                *(detail for _reason, detail
                  in traffic_census.KEPT_ARMS.values())]

@@ -59,13 +59,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 
-_RECOVERY = "crash recovery: no experiment ends a crash (ROADMAP 4)"
-_DEADLINE = "client deadlines/teardown: no client times out (ROADMAP 4)"
 _MISMATCH = "runs only when --identity finds a difference (ROADMAP 7)"
 _PAPER = "paper-named interface, tests are its callers (PAPER.md s1)"
-_TEARDOWN = ("a waiter abandoned mid-queue: only a finished run's "
-             "processes, closed at teardown; no run cancels a queued "
-             "request (ROADMAP 4 deadlines would)")
 _SCALE_DOWN = ("retiring idle capacity: every slo cell ends loaded; "
                "hostbench's cluster workloads set its policy fields, so "
                "it goes with the next hostbench change (ROADMAP 1a)")
@@ -73,24 +68,12 @@ _SCALE_DOWN = ("retiring idle capacity: every slo cell ends loaded; "
 #: never entered by any traffic, kept for a stated reason
 KEPT = {
     # -- safety without traffic ----------------------------------------
-    "sim/core.py:Process.interrupt": _RECOVERY,
-    "core/storage.py:StorageEngine.recover": _RECOVERY,
-    "fs/journal.py:Journal.replay": _RECOVERY,
-    "fs/journal.py:Journal.used_bytes":
-        "what the journal crash tests watch drain; " + _RECOVERY,
-    "core/traffic.py:TrafficDirector._fail_back": _RECOVERY,
-    "core/requests.py:AsyncRequest.set_deadline": _DEADLINE,
-    "netstack/tcp.py:TcpConnection.close": _DEADLINE,
-    "netstack/tcp.py:TcpConnection.drain": _DEADLINE,
-    "core/network.py:HostSocket.close": _DEADLINE,
     "fs/pagecache.py:PageCache.invalidate":
         "cache coherence after an overwrite: A3 only reads (ROADMAP 9a)",
     "core/scheduler.py:SprocScheduler._spill":
         "host spill-over under DPU backlog: off in every experiment "
         "(ROADMAP 5b knockout)",
     "cluster/autoscale.py:Autoscaler._scale_down": _SCALE_DOWN,
-    "sim/resources.py:Resource._cancel": _TEARDOWN,
-    "sim/resources.py:PriorityResource._cancel": _TEARDOWN,
     "sim/core.py:Timeout.fail": "refuses a hand-triggered timer",
     "sim/core.py:Timeout.succeed": "refuses a hand-triggered timer",
     "sim/core.py:Environment.peek":
@@ -140,11 +123,11 @@ _A_UDF = ("the offload engine's UDF contract: a message it cannot parse "
           "passes or is answered opaquely (PAPER.md s1, SE)")
 _A_SCHEDULE = ("scheduled execution over every placement, PCIe peers "
                "included: A6 specifies its GPU (PAPER.md s1, CE)")
-_D_FAULT = ("a fault path no experiment's plan reaches; item 4's random "
-            "FaultPlans will (ROADMAP 4)")
+_D_FAULT = ("a fault path no experiment's plan reaches; item 18's "
+            "generated crash-window plans will (ROADMAP 18)")
 _D_LOSS = ("loss, reorder and flow control: no experiment drops, reorders "
-           "or backs up a segment; item 4's random fault plans flap links "
-           "(ROADMAP 4)")
+           "or backs up a segment; item 18's generated link-flap plans "
+           "will (ROADMAP 18)")
 _D_TWIN = ("the other half of an inline/queued pair, which every run "
            "takes; item 2(b) leaves one way to occupy a slot (ROADMAP 2)")
 _D_TRACE = ("tracing no traced experiment reaches; item 3 runs every "
@@ -241,8 +224,6 @@ KEPT_ARMS = {
     "core/compute.py:ComputeEngine._device_down:"
     "return injector.is_down(f\"cpu.{device.name}\")": ("d", _D_FAULT),
     "core/compute.py:ComputeEngine._estimates:continue": ("d", _D_FAULT),
-    "core/requests.py:AsyncRequest.__init__:"
-    "self.set_deadline(deadline_s)": ("d", _DEADLINE),
     "core/scheduler.py:SprocScheduler.submit:"
     "injector = getattr(self.cpu, \"injector\", None)":
         ("d", "host spill-over: off in every experiment (ROADMAP 5b "
@@ -251,29 +232,12 @@ KEPT_ARMS = {
     "cache.invalidate((file_id, offset, size))":
         ("d", "cache coherence after an overwrite: A3 only reads "
               "(ROADMAP 9a)"),
-    "core/traffic.py:TrafficDirector.protect:return self.breaker":
-        ("d", "protecting twice keeps one breaker; item 4 re-admits a "
-              "recovered node (ROADMAP 4)"),
     "core/wire.py:with_trace_context:return message": ("d", _D_TRACE),
     "faults/injector.py:FaultInjector.install:"
     "server.nic.wire.injector = self": ("d", _D_FAULT),
-    "faults/recovery.py:CircuitBreaker.record_success:self.on_close()":
-        ("d", _RECOVERY),
-    "faults/recovery.py:RetryPolicy.delay_s:return raw":
-        ("d", "a retry without jitter: item 4's client retry budget "
-              "(ROADMAP 4)"),
-    "fs/journal.py:Journal.append:"
-    "yield from self.injector.perturb(f\"journal.{self.name}\")":
-        ("d", _D_FAULT),
     "fs/pagecache.py:PageCache.put:self._remove(key)":
         ("d", "a page cached again after an overwrite: A3 only reads "
               "(ROADMAP 9a)"),
-    "hardware/accelerator.py:Accelerator.run_job:"
-    "site = f\"accel.{self.name}\"": ("d", _D_FAULT),
-    "hardware/nic.py:FlowTable.remove_rule:del self._rules[index]":
-        ("d", _RECOVERY),
-    "hardware/switch.py:Switch.carry:self.frames_dropped.add(1)":
-        ("d", _D_FAULT),
     "netstack/rdma.py:RdmaQp._complete:"
     "span.annotate(latency_s=self.env.now - posted_at)": ("d", _D_TRACE),
     "netstack/rdma.py:RdmaQp._post:"
@@ -294,13 +258,9 @@ KEPT_ARMS = {
         ("d", "the traced sender item 3(a) deletes (ROADMAP 3)"),
     "netstack/tcp.py:TcpConnection._sender_loop:break #3":
         ("d", _D_LOSS),
-    "netstack/tcp.py:TcpStack._dispatch_frame:"
-    "connection = self._connections.get(frame[\"cid\"])":
-        ("d", _DEADLINE),
     "netstack/tcp.py:TcpStack._on_syn:pass": ("d", _D_LOSS),
     "netstack/tcp.py:TcpStack._post_ctrl:queue.put(frame)":
         ("d", _D_TWIN),
-    "netstack/tcp.py:TcpStack.connect:break": ("d", _DEADLINE),
     "obs/attr/criticalpath.py:SpanIndex.parent_key:"
     "local = (node, span.parent_id)":
         ("d", "the ledger asks only request roots for a parent; item 3 "
@@ -315,8 +275,8 @@ KEPT_ARMS = {
               "none (ROADMAP 9)"),
     "obs/plane/recorder.py:FlightRecorder.trigger:"
     "nodes[name] = {\"spans\": [], \"open_spans\": 0}":
-        ("d", "an incident on a plane whose tracing is off: item 4's "
-              "stall detector files one (ROADMAP 4)"),
+        ("d", "an incident on a plane whose tracing is off: item 17's "
+              "liveness law files one (ROADMAP 17)"),
     "obs/regress.py:differences:found.append(Difference(path, old, new))":
         ("d", _MISMATCH),
     "obs/telemetry.py:Telemetry.register_runtime:"
@@ -326,13 +286,9 @@ KEPT_ARMS = {
     "obs/trace.py:Tracer._on_finish:stack.remove(span)": ("d", _D_TRACE),
     "obs/trace.py:Tracer.ancestry:if finished is None:": ("d", _D_TRACE),
     "sim/core.py:AllOf._check:event._defused = True": ("d", _D_FAULT),
-    "sim/core.py:Process._resume:count = stale.get(event)":
-        ("d", _RECOVERY),
     "sim/resources.py:Container._drain:amount, event = putters[0]":
         ("d", _D_TWIN),
     "sim/resources.py:Container.try_get:self._drain()": ("d", _D_TWIN),
-    "sim/resources.py:Resource.release:self._cancel(request)":
-        ("d", _TEARDOWN),
     "sim/resources.py:Store._drain:remaining.append(getter)":
         ("d", _D_TWIN),
     "sim/resources.py:Store.try_get:"
@@ -342,6 +298,21 @@ KEPT_ARMS = {
         ("f", "a node retired by a crash drain or by scale-down is not "
               "dialled: tests/cluster/test_rebalance.py::TestRebalance::"
               "test_reads_succeed_against_new_owners"),
+    "core/traffic.py:TrafficDirector.protect:return self.breaker":
+        ("f", "protecting twice keeps one breaker: tests/faults/"
+              "test_failover.py::TestProtect::test_protect_is_idempotent"),
+    "hardware/nic.py:FlowTable.remove_rule:del self._rules[index]":
+        ("f", "a second trip while failed over keeps one failover rule: "
+              "tests/faults/test_failover.py::TestProtect::"
+              "test_retrip_from_half_open_keeps_single_rule"),
+    "hardware/switch.py:Switch.carry:self.frames_dropped.add(1)":
+        ("f", "a frame addressed to no port is dropped and counted: "
+              "tests/hardware/test_switch.py::TestSwitchBasics::"
+              "test_unknown_destination_dropped"),
+    "netstack/tcp.py:TcpStack.connect:break":
+        ("f", "a connect budget spent before the SYN-ACK wait: "
+              "tests/netstack/test_tcp.py::TestHandshake::"
+              "test_zero_connect_budget_raises_before_waiting"),
     "obs/metrics.py:MetricsRegistry.counter:"
     "if not isinstance(existing, Counter):":
         ("f", "a name registered as another kind: tests/obs/"
