@@ -31,11 +31,7 @@ from .experiments_attr import (
     advisor_static_check,
     attr_parts,
 )
-from .experiments_obs import (
-    default_slos,
-    obs_parts,
-    obs_scenario,
-)
+from .experiments_obs import default_slos, obs_parts
 from .experiments_slo import slo_parts
 from .experiments_query import (
     identity_matrix,
@@ -44,12 +40,7 @@ from .experiments_query import (
     scatter_scaling,
     stale_routing,
 )
-from .experiments_scale import (
-    rebalance_scenarios,
-    scale_goodput_and_tco,
-    scale_parts,
-    sharding_properties,
-)
+from .experiments_scale import scale_parts, sharding_properties
 from .experiments_micro import (
     fig1_compression,
     fig1_parts,
@@ -110,16 +101,13 @@ __all__ = [
     "attr_parts",
     "default_slos",
     "obs_parts",
-    "obs_scenario",
     "query_parts",
     "scatter_scaling",
     "planner_regimes",
     "identity_matrix",
     "stale_routing",
     "scale_parts",
-    "scale_goodput_and_tco",
     "sharding_properties",
-    "rebalance_scenarios",
     "CoreMeter",
     "Sweep",
     "SweepRow",

@@ -37,11 +37,14 @@ The benchmark observatory rides on the same runner:
   per-experiment latency *attribution* reports — each DDS request's
   end-to-end latency decomposed into a conserved per-resource ledger
   (see ``repro.obs.attr``) — plus a top-bottleneck summary;
-* ``--jobs N`` fans the selected experiments out over a process
-  pool.  Experiments are independent simulations with fixed seeds
-  and both settings run the same ``_run_job``, so the artifact is
-  identical to a sequential run (``--identity SEQ.json PAR.json`` is
-  the CI gate for it).
+* ``--jobs N`` fans the selected experiments' units of work out over
+  a process pool.  A unit is one cluster simulation (a row of
+  ``harness.ROWS``) of ``scale`` or ``slo``, or one whole experiment
+  without rows.  Units are independent simulations with fixed seeds,
+  both settings run the same ``_run_unit``, and an experiment's parts
+  are assembled from its units' results in row order, so the artifact
+  is identical to a sequential run (``--identity SEQ.json PAR.json``
+  is the CI gate for it).
 
 Where the *host's* time goes is not this runner's business:
 ``python -m hostbench`` measures it (``--traced`` for the per-layer
@@ -85,7 +88,9 @@ from . import (
     scale_parts,
     slo_parts,
 )
-from .harness import Sweep
+from .experiments_scale import scale_unit
+from .experiments_slo import slo_unit
+from .harness import ROWS, Sweep
 from ..obs import ClusterTelemetry, Telemetry
 from ..obs.artifact import (
     decode_part,
@@ -148,61 +153,90 @@ EXPERIMENTS = {
 }
 
 
+#: experiments whose units of work are their rows of ``harness.ROWS``:
+#: key -> the runner of one row; ``EXPERIMENTS`` holds their assembly
+ROW_UNITS = {"scale": scale_unit, "slo": slo_unit}
+
+
 # -- execution ----------------------------------------------------------------
 
 
-def _run_job(key: str, telemetry=None):
-    """Run one experiment, in this process or a pool worker.
+def _units(key: str):
+    """An experiment's units of work: ``(key, row name, row)`` per row,
+    or the one unit ``(key, None, None)`` of an experiment without
+    rows."""
+    if key in ROW_UNITS:
+        return [(key, name, row) for name, row in ROWS[key].items()]
+    return [(key, None, None)]
 
-    Returns everything the caller needs, in picklable form: the
-    parts are pre-encoded to the JSON-safe artifact schema (a Sweep
-    full of generator-bearing internals never crosses the process
-    boundary) and the table text is rendered here so the caller only
-    prints.  Each experiment builds its own Environment with its own
-    fixed seeds, so process placement cannot perturb results.  A
+
+def _run_unit(unit, telemetry=None):
+    """Run one unit of work, in this process or a pool worker.
+
+    Returns ``(key, row name, wall clock, result)``, all picklable: a
+    row's result is the numbers its part reads (no live client,
+    autoscaler or plane crosses the pool), an experiment without rows
+    returns its parts pre-encoded to the JSON-safe artifact schema (a
+    Sweep full of generator-bearing internals never crosses the
+    process boundary).  Each unit builds its own Environment with its
+    own fixed seeds, so process placement cannot perturb results.  A
     ``telemetry`` bundle (sequential runs only) is handed to the
     experiment and filled in place.
     """
-    title, fn = EXPERIMENTS[key]
+    key, name, row = unit
     started = time.time()
-    parts = fn(telemetry) if key in TRACEABLE else fn()
-    wall = time.time() - started
-    rendered = _render_parts(parts)
-    encoded = {name: encode_part(result)
-               for name, result in parts.items()}
-    return key, title, wall, rendered, encoded
+    if row is not None:
+        result = ROW_UNITS[key](name, row, telemetry)
+    else:
+        _title, fn = EXPERIMENTS[key]
+        parts = fn(telemetry) if key in TRACEABLE else fn()
+        result = {part: encode_part(value)
+                  for part, value in parts.items()}
+    return key, name, time.time() - started, result
 
 
-def _outcomes(selected, jobs: int, telemetry: dict):
-    """``_run_job`` over ``selected``, in order, here or on a pool.
+def _outcomes(units, jobs: int, telemetry: dict):
+    """``_run_unit`` over ``units``, in order, here or on a pool.
 
     ``imap`` preserves submission order, so output and artifact
     contents are ordered exactly like a sequential run regardless of
     which worker finishes first.
     """
     if jobs > 1:
-        workers = min(jobs, len(selected))
+        workers = min(jobs, len(units))
         with multiprocessing.Pool(processes=workers) as pool:
-            yield from pool.imap(_run_job, selected)
+            yield from pool.imap(_run_unit, units)
     else:
-        for key in selected:
-            yield _run_job(key, telemetry.get(key))
+        for unit in units:
+            yield _run_unit(unit, telemetry.get(unit[0]))
 
 
 def _run_all(selected, jobs: int, telemetry: dict) -> dict:
-    """Run, print and collect every selected experiment."""
+    """Run, assemble, print and collect every selected experiment.
+
+    An experiment is assembled once its last unit is in, and its wall
+    clock is the sum of its units'.
+    """
     results = {}
-    for key, title, wall, rendered, encoded in \
-            _outcomes(selected, jobs, telemetry):
+    done: dict = {}
+    units = [unit for key in selected for unit in _units(key)]
+    for key, name, wall, result in _outcomes(units, jobs, telemetry):
+        walls, rows = done.setdefault(key, ([], {}))
+        walls.append(wall)
+        rows[name] = result
+        if len(rows) < len(_units(key)):
+            continue
+        del done[key]
+        title, fn = EXPERIMENTS[key]
+        parts = (fn(rows) if key in ROW_UNITS else
+                 {part: decode_part(value)
+                  for part, value in result.items()})
+        wall = fold_sum(walls)
         print(banner(title))
-        print(rendered)
+        print(_render_parts(parts))
         print(f"[{key} done in {wall:.1f}s]")
-        results[key] = {
-            "title": title,
-            "wall_clock_s": wall,
-            "parts": {name: decode_part(part)
-                      for name, part in encoded.items()},
-        }
+        results[key] = {"title": title, "wall_clock_s": wall,
+                        "parts": parts}
     return results
 
 

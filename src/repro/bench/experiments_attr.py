@@ -43,7 +43,8 @@ from ..obs import (
 )
 from ..sim import Environment
 from ..units import MB, MiB
-from .experiments_obs import incident_plane, obs_scenario
+from .experiments_obs import incident_plane
+from .harness import ROWS, run_cluster
 from ..sim.stats import fold_sum
 
 __all__ = [
@@ -132,7 +133,7 @@ def attr_parts(telemetry: Optional[ClusterTelemetry]
     ``telemetry=None`` builds the tracing plane it needs."""
     plane = incident_plane(telemetry, "attr")
     plane.attribution = AttributionCollector()
-    obs_scenario(plane)
+    run_cluster(ROWS["obs"]["incident"], plane)
 
     report = plane.attribution.report()
     totals = report.totals()

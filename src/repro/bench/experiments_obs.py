@@ -24,13 +24,15 @@ Parts:
 * ``run`` — the observed run's client outcomes and its span volume
   per request.
 
-Everything reported is simulated (sim-time or event counts), so the
-``--jobs N`` byte-identity gate covers this experiment too.  That
-the plane perturbs nothing — :func:`obs_scenario` run with no plane,
-a metrics-only plane or the full traced one gives byte-identical
-outcomes and counters — is a tier-1 test
-(``tests/obs/test_zero_perturbation.py``), not a part of this
-experiment.
+The scenario is the row ``ROWS["obs"]["incident"]``
+(:mod:`repro.bench.harness`), the ``scale`` experiment's rebalancing
+run on three nodes; ``attr`` runs the same row.  Everything reported
+is simulated (sim-time or event counts), so the ``--jobs N``
+byte-identity gate covers this experiment too.  That the plane
+perturbs nothing — the row run with no plane, a metrics-only plane or
+the full traced one gives byte-identical outcomes and counters — is a
+tier-1 test (``tests/obs/test_zero_perturbation.py``), not a part of
+this experiment.
 """
 
 from __future__ import annotations
@@ -39,19 +41,11 @@ from typing import Dict, Optional, Tuple
 
 from ..obs import (ClusterTelemetry, FlightRecorder, SloMonitor,
                    SloSpec, merge_chrome_events)
-from .experiments_scale import crash_scenario
-from .harness import tally
+from .harness import ROWS, run_cluster, tally
 from ..sim.stats import fold_sum
 
-__all__ = ["obs_parts", "obs_scenario", "default_slos", "incident_plane"]
+__all__ = ["obs_parts", "default_slos", "incident_plane"]
 
-SEED = 17
-N_NODES = 3
-RATE_PER_NODE = 80_000.0
-DURATION_S = 12e-3
-DRAIN_S = 4e-3
-FAULT_START_S = 4e-3
-STALE_FRACTION = 0.2
 SCRAPE_INTERVAL_S = 5e-4
 RETAIN_S = 2e-3
 
@@ -81,22 +75,6 @@ def incident_plane(telemetry: Optional[ClusterTelemetry],
     plane.monitor = SloMonitor(default_slos())
     plane.recorder = FlightRecorder(retain_s=RETAIN_S)
     return plane
-
-
-def obs_scenario(plane: Optional[ClusterTelemetry]
-                 ) -> Dict[str, object]:
-    """One observed cluster run; ``plane=None`` runs it unobserved.
-
-    The scenario is byte-for-byte the same simulation either way —
-    the plane only reads.  It is the ``scale`` experiment's rebalance
-    run (:func:`~repro.bench.experiments_scale.crash_scenario`) on
-    three nodes.
-    """
-    run = crash_scenario(SEED, N_NODES, RATE_PER_NODE, DURATION_S,
-                         DRAIN_S, FAULT_START_S, STALE_FRACTION, plane,
-                         "rebalance")
-    return {**tally(run.clients),
-            "counters": run.cluster.metrics_snapshot()}
 
 
 def _span_census(plane: ClusterTelemetry) -> Dict[str, float]:
@@ -158,7 +136,9 @@ def obs_parts(telemetry: Optional[ClusterTelemetry]
     and every reported value is simulated either way.
     """
     plane = incident_plane(telemetry, "obs")
-    observed = obs_scenario(plane)
+    row = ROWS["obs"]["incident"]
+    observed = tally(run_cluster(row, plane).clients)
+    fault_start_s = row.crash[1]
 
     census = _span_census(plane)
     merged = _merged_connectivity(plane)
@@ -185,13 +165,13 @@ def obs_parts(telemetry: Optional[ClusterTelemetry]
 
     # -- the plane's own view of the incident --------------------------------
     fault_scrapes = [snap for snap in plane.snapshots
-                     if snap.t_s > FAULT_START_S]
+                     if snap.t_s > fault_start_s]
     pre = [snap.derived["goodput_ops_per_s"].get("node1", 0.0)
            for snap in plane.snapshots
-           if snap.t_s <= FAULT_START_S and snap.version > 1]
+           if snap.t_s <= fault_start_s and snap.version > 1]
     post = [snap.derived["goodput_ops_per_s"].get("node1", 0.0)
             for snap in fault_scrapes
-            if snap.t_s <= FAULT_START_S + 4 * SCRAPE_INTERVAL_S]
+            if snap.t_s <= fault_start_s + 4 * SCRAPE_INTERVAL_S]
     breaker_series = [
         snap.derived["breaker_state"].get("node1", 0.0)
         for snap in plane.snapshots
@@ -222,7 +202,7 @@ def obs_parts(telemetry: Optional[ClusterTelemetry]
     slo_part = {
         "violations": float(len(monitor.violations)),
         "first_violation_t_s": first.t_s if first else 0.0,
-        "detection_latency_s": ((first.t_s - FAULT_START_S)
+        "detection_latency_s": ((first.t_s - fault_start_s)
                                 if first else -1.0),
         "incidents": float(len(recorder.incidents)),
         "incident_snapshots": (float(len(incident["snapshots"]))

@@ -319,11 +319,7 @@ class StorageEngine:
     def _service_persist(self, item: dict):
         buffer: Buffer = item["buffer"]
         record = yield from self.journal.append(
-            "write", {"file_id": item["file_id"],
-                      "offset": item["offset"],
-                      "size": buffer.size},
-            max(buffer.size, 64),
-        )
+            "write", max(buffer.size, 64))
         # Ack now — this is the fast-persistence durability point.
         request: AsyncRequest = item["request"]
         yield from self.dpu.dma.copy(64, direction="to_host")

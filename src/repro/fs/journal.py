@@ -11,7 +11,7 @@ stays until the write it carries is applied in place.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List
+from typing import List
 
 from ..errors import StorageError
 from ..hardware.ssd import Ssd
@@ -27,7 +27,6 @@ class JournalRecord:
 
     lsn: int
     kind: str
-    payload: Any
     size: int
 
 
@@ -52,7 +51,7 @@ class Journal:
         self.appends = Counter(f"{name}.appends")
         self.append_latency = Tally(f"{name}.append_latency")
 
-    def append(self, kind: str, payload: Any, size: int):
+    def append(self, kind: str, size: int):
         """Durably append a record (generator -> JournalRecord).
 
         Completes only after the device write has persisted — this is
@@ -69,7 +68,7 @@ class Journal:
         with self.tracer.span("journal.append", category="storage",
                               kind=kind, bytes=size):
             yield from self.ssd.write(size)
-            record = JournalRecord(self._next_lsn, kind, payload, size)
+            record = JournalRecord(self._next_lsn, kind, size)
             self._next_lsn += 1
             self._records.append(record)
             self._used += size

@@ -163,7 +163,7 @@ class Event:
         self._ok = False
         self._value = exception
         self._defused = False
-        self.env._enqueue(self, NORMAL, 0.0)
+        self.env._enqueue(self)
         return self
 
     def _defuse(self) -> None:
@@ -278,7 +278,7 @@ class Process(Event):
                 self._ok = False
                 self._value = exc
                 self._defused = False
-                env._enqueue(self, NORMAL, 0.0)
+                env._enqueue(self)
                 break
 
             if not isinstance(next_event, Event):
@@ -453,12 +453,11 @@ class Environment:
 
     # -- scheduling and execution -------------------------------------------
 
-    def _enqueue(self, event: Event, priority: int, delay: float) -> None:
-        # The general push, for the cold callers (a failure, a
-        # process's failed end); the hot ones push inline.
+    def _enqueue(self, event: Event) -> None:
+        # The push of a triggered event for the cold callers (a
+        # failure, a process's failed end); the hot ones push inline.
         self._eid += 1
-        heappush(self._queue,
-                 (self.now + delay, priority, self._eid, event))
+        heappush(self._queue, (self.now, NORMAL, self._eid, event))
 
     def peek(self) -> float:
         """Time of the next *live* event, or ``inf`` if none remain.

@@ -1,14 +1,29 @@
 """The parallel bench runner and the artifact identity gate."""
 
 import json
+import pickle
+from dataclasses import replace
 from pathlib import Path
 
-from repro.bench.__main__ import main
+import pytest
+
+from repro.bench.__main__ import _run_unit, _units, main
+from repro.bench.harness import ROWS
 from repro.obs.artifact import load_artifact, strip_volatile
 
 #: Fast experiments that still cover all three part types (table,
 #: nested, sweep).
 SUBSET = ["a4", "a6", "fig8"]
+
+
+@pytest.fixture
+def small_slo(monkeypatch):
+    """``slo``, the row experiment, with every row's load window and
+    drain at a twenty-fifth: ten small units for the pool to hand out."""
+    monkeypatch.setitem(ROWS, "slo", {
+        name: replace(row, duration_s=row.duration_s / 25,
+                      drain_s=row.drain_s / 25)
+        for name, row in ROWS["slo"].items()})
 
 
 #: the blessed artifact the CLI is pointed at in CI
@@ -29,13 +44,23 @@ class TestJobsRunner:
         assert set(document["experiments"]) == set(SUBSET)
         assert document["total_wall_clock_s"] > 0
 
-    def test_parallel_matches_sequential_byte_for_byte(self, tmp_path):
+    def test_parallel_matches_sequential_byte_for_byte(self, tmp_path,
+                                                       small_slo):
+        # slo's rows land on both workers, in whatever order they
+        # finish; the parts are assembled in row order all the same
         seq, par = tmp_path / "seq.json", tmp_path / "par.json"
-        assert main(SUBSET + ["--jobs", "1",
+        assert main(SUBSET + ["slo", "--jobs", "1",
                               "--json-out", str(seq)]) == 0
-        assert main(SUBSET + ["--jobs", "2",
+        assert main(SUBSET + ["slo", "--jobs", "2",
                               "--json-out", str(par)]) == 0
         assert _canonical(seq) == _canonical(par)
+
+    def test_every_unit_result_survives_pickling(self, small_slo):
+        units = _units("slo") + _units("fig8")
+        assert len(units) == len(ROWS["slo"]) + 1
+        for unit in units:
+            result = _run_unit(unit)[3]
+            assert pickle.loads(pickle.dumps(result)) == result
 
     def test_sequential_artifact_records_total_wall_clock(
             self, tmp_path):

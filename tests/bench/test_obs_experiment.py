@@ -1,10 +1,12 @@
 """The OB observability experiment: parts, claims, traced CLI."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.bench import default_slos, experiments_scale, obs_parts
+from repro.bench import default_slos, obs_parts
+from repro.bench.harness import ROWS
 from repro.bench.__main__ import EXPERIMENTS, main
 from repro.obs import ClusterTelemetry
 from repro.obs.artifact import make_artifact
@@ -103,7 +105,12 @@ class TestCliTraceOut:
         assert {"avail.op", "retry.attempt",
                 "avail.host_fallback"} <= names
 
-    def test_obs_trace_is_cluster_merged(self, tmp_path):
+    def test_obs_trace_is_cluster_merged(self, tmp_path, monkeypatch):
+        # the incident at a third of its window: every node still
+        # serves, and that is all a merged trace needs
+        incident = ROWS["obs"]["incident"]
+        monkeypatch.setitem(ROWS["obs"], "incident", replace(
+            incident, duration_s=incident.duration_s / 3))
         document = self._run(tmp_path, "obs")
         processes = {event["args"]["name"]
                      for event in document["traceEvents"]
@@ -112,19 +119,21 @@ class TestCliTraceOut:
         assert {"obs/node0", "obs/node1", "obs/node2"} <= processes
 
     def test_scale_trace_covers_migration(self, tmp_path, monkeypatch):
-        # The spans all come from the traced rebalance scenario, which
+        # The spans all come from the traced rebalance row, which
         # keeps its crash, its duration and its node count and offers
-        # a quarter of the load; the untraced parts beside it shrink
+        # a quarter of the load; the untraced rows beside it shrink
         # to two sweep points and one 8-node rack point of a tenth of a
         # millisecond (merely building a 64- or 128-node rack costs
         # more than the traced scenario).  CI's conformance job traces
         # the full experiment.
-        monkeypatch.setattr(experiments_scale, "RACK_DURATION_S", 1e-4)
-        monkeypatch.setattr(experiments_scale, "RACK_NODE_COUNTS", (8,))
-        monkeypatch.setattr(experiments_scale, "NODE_COUNTS", (1, 2))
-        monkeypatch.setattr(experiments_scale, "DURATION_S", 1e-3)
-        monkeypatch.setattr(experiments_scale,
-                            "REBALANCE_RATE_PER_NODE", 20_000.0)
+        rows = ROWS["scale"]
+        shrunk = {name: replace(rows[name], duration_s=1e-3)
+                  for name in ("goodput.1", "goodput.2")}
+        shrunk.update((mode, replace(rows[mode], rate=20_000.0))
+                      for mode in ("fault_free", "norebalance",
+                                   "rebalance"))
+        shrunk["rack.8"] = replace(rows["rack.8"], duration_s=1e-4)
+        monkeypatch.setitem(ROWS, "scale", shrunk)
         document = self._run(tmp_path, "scale")
         names = {event["name"]
                  for event in document["traceEvents"]

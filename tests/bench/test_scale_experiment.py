@@ -1,9 +1,10 @@
 """Smoke coverage for the SC scale-out experiment."""
 
-from repro.bench import experiments_scale
+from dataclasses import replace
+
 from repro.bench.__main__ import EXPERIMENTS
-from repro.bench.experiments_scale import _scale_point, sharding_properties
-from repro.bench.harness import shard_stream
+from repro.bench.experiments_scale import scale_unit, sharding_properties
+from repro.bench.harness import ROWS, homed, shard_stream
 from repro.units import PAGE_SIZE
 from repro.workloads.arrivals import arrival_count
 
@@ -46,15 +47,19 @@ class TestShardingProperties:
 class TestScalePoint:
     """The weak-scaling sweep's points: one client per node."""
 
+    def _point(self, name):
+        row = replace(ROWS["scale"][name], rate=30_000.0, duration_s=2e-3)
+        return scale_unit(name, row, None)
+
     def test_single_node_point_serves_everything_locally(self):
-        point = _scale_point(1, 1, 30_000.0, 2e-3, 5, "load")
+        point = self._point("goodput.1")
         assert point["ok"] > 0
         assert point["goodput_ops_per_s"] > 0
         assert point["routed_fraction"] == 0.0     # no stale clients
         assert point["total_dpu_cores"] > 0        # work ran on DPUs
 
     def test_two_node_point_routes_the_stale_fraction(self):
-        point = _scale_point(2, 2, 30_000.0, 2e-3, 5, "load")
+        point = self._point("goodput.2")
         assert point["ok"] > 0
         assert point["routed_fraction"] > 0.0
         # Offload holds: hosts stay close to idle at this rate.
@@ -64,8 +69,7 @@ class TestScalePoint:
 class TestRackPoint:
     """The rack sweep's points: a shared fleet of eight clients."""
 
-    def test_every_arrival_fires_and_every_core_second_counts_once(
-            self, monkeypatch):
+    def test_every_arrival_fires_and_every_core_second_counts_once(self):
         """A 2-node, 1 ms rack point: nothing skipped, nothing doubled.
 
         Each DPU dedicates two cores (the NE poller and the SE
@@ -74,12 +78,11 @@ class TestRackPoint:
         dedicated cores twice shows in ``dpu_cores_per_node``.
         """
         duration_s = 1e-3
-        monkeypatch.setattr(experiments_scale, "RACK_DURATION_S",
-                            duration_s)
-        monkeypatch.setattr(experiments_scale, "RACK_NODE_COUNTS", (2,))
-        point = experiments_scale.rack_sweep()["2"]
-        clients = int(point["clients"])
-        offered = clients * arrival_count(
-            point["offered_ops_per_s"] / clients, duration_s)
+        rack = ROWS["scale"]["rack.8"]
+        clients = len(rack.clients)
+        row = replace(rack, nodes=2, clients=homed(clients, 2),
+                      rate=25_000.0 * 2 / clients, duration_s=duration_s)
+        point = scale_unit("rack.2", row, None)
+        offered = clients * arrival_count(row.rate, duration_s)
         assert point["ok"] == offered > 0
         assert 2.0 <= point["dpu_cores_per_node"] <= 2.6

@@ -173,7 +173,7 @@ class TestJournal:
         journal = Journal(Ssd(env), capacity_bytes=1 * MiB)
 
         def work(env):
-            record = yield from journal.append("put", {"k": 1}, 256)
+            record = yield from journal.append("put", 256)
             return (record.lsn, env.now)
 
         lsn, now = _run(env, work(env))
@@ -186,8 +186,8 @@ class TestJournal:
 
         def work(env):
             lsns = []
-            for i in range(5):
-                record = yield from journal.append("op", i, 128)
+            for _ in range(5):
+                record = yield from journal.append("op", 128)
                 lsns.append(record.lsn)
             return lsns
 
@@ -197,8 +197,8 @@ class TestJournal:
         journal = Journal(Ssd(env), capacity_bytes=512)
 
         def work(env):
-            yield from journal.append("op", None, 400)
-            yield from journal.append("op", None, 200)
+            yield from journal.append("op", 400)
+            yield from journal.append("op", 200)
 
         env.process(work(env))
         with pytest.raises(StorageError):
@@ -208,11 +208,11 @@ class TestJournal:
         journal = Journal(Ssd(env), capacity_bytes=1 * MiB)
 
         def work(env):
-            for i in range(4):
-                yield from journal.append("op", i, 100)
+            for _ in range(4):
+                yield from journal.append("op", 100)
 
         _run(env, work(env))
         freed = journal.truncate_through(2)
         assert freed == 200
         assert journal._used == 200
-        assert [r.payload for r in journal._records] == [2, 3]
+        assert [r.lsn for r in journal._records] == [3, 4]

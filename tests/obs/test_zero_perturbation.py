@@ -2,100 +2,138 @@
 
 The one home of the property.  Every chaos scenario of the ``slo``
 experiment (:data:`~repro.bench.experiments_slo.SCENARIOS`, so a new
-one is covered without editing this file) runs its unprotected arm
+one is covered without editing this file) runs its unprotected row
 under the scrape-and-SLO plane the experiment builds and with no plane
-at all; the ``obs``/``attr`` incident scenario runs with no plane, a
+at all; the ``obs``/``attr`` incident row runs with no plane, a
 metrics-only plane, and the traced plane carrying a monitor, a flight
 recorder and an attribution collector, built as ``attr`` builds it.
 Client outcomes, cluster counters and every request's latency must
 agree exactly.  Outcome counts alone would miss a plane that delays
 requests without pushing one past a deadline or the run's end.
 
-Each scenario runs at ``SCALE`` of its duration; the fault, surge and
-upgrade triggers still fall inside the shortened windows.
+Each row runs shrunk (:func:`_shrink`, :data:`SHRINK`).  Each chaos
+case also checks that its chaos event — the crash, the surge, the
+noisy batch, the upgrade's pull — still happens inside the shrunk
+window, so the property is held where it matters.
 """
+
+from dataclasses import replace
 
 import pytest
 
-from repro.bench import experiments_obs, experiments_scale, experiments_slo
-from repro.bench.experiments_obs import RETAIN_S, default_slos, obs_scenario
+from repro.bench.experiments_obs import RETAIN_S, default_slos
+from repro.bench.experiments_scale import scale_unit
+from repro.bench.experiments_slo import SCENARIOS, _plane
+from repro.bench.harness import FLASH_SURGE_START_S, ROWS, run_cluster
 from repro.obs import (AttributionCollector, ClusterTelemetry,
                        FlightRecorder, SloMonitor)
 
-SCALE = 0.35
+#: per chaos scenario, the share of its load window and drain, and of
+#: its rate, its shrunk row keeps.  The surge and the crash start at
+#: 2 ms, the upgrade at 1.5 ms; break-before-make drains node2 before
+#: the replacement pulls, which lands inside the window only under a
+#: lighter load.
+SHRINK = {"flash_crowd": (0.3, 1.0), "regional_failover": (0.35, 0.5),
+          "noisy_neighbor": (0.3, 1.0), "rolling_upgrade": (0.5, 0.35)}
 
 
-def _shrink(patch, module):
-    """Scale every duration constant of ``module`` by ``SCALE``, and
-    have its ``tally`` hand back the clients it counted."""
-    for name in dir(module):
-        if name == "DURATION_S" or name.endswith("_DURATION_S"):
-            patch.setattr(module, name, getattr(module, name) * SCALE)
-    tally = module.tally
-    patch.setattr(module, "tally", lambda clients, **kwargs: dict(
-        tally(clients, **kwargs), clients=clients))
+def _shrink(row, window, rate):
+    """``row`` with its load window and drain at ``window`` of theirs
+    and its rate at ``rate`` of it."""
+    return replace(row, rate=row.rate * rate,
+                   duration_s=row.duration_s * window,
+                   drain_s=row.drain_s * window)
 
 
-def _timings(run):
-    """Each client's requests as (completed, failed, latency)."""
-    return [[(request.completed, request.failed,
-              request.latency if request.completed else None)
-             for request in client.requests]
-            for client in run["clients"]]
+def _observe(row, plane):
+    """(the run, its outcomes and counters, per-request timings)."""
+    run = run_cluster(row, plane)
+    outcomes = {"per_client": [client.outcomes()
+                               for client in run.clients],
+                "counters": run.cluster.metrics_snapshot()}
+    timings = [[(request.completed, request.failed,
+                 request.latency if request.completed else None)
+                for request in client.requests]
+               for client in run.clients]
+    return run, outcomes, timings
 
 
 # -- the chaos matrix -----------------------------------------------------
 
 
-@pytest.mark.parametrize("key, runner", experiments_slo.SCENARIOS,
-                         ids=[key for key, _ in experiments_slo.SCENARIOS])
-def test_chaos_scenario_is_unmoved_by_its_plane(key, runner, monkeypatch):
-    _shrink(monkeypatch, experiments_slo)
-    plane = experiments_slo._plane(f"slo-{key}-u")
-    observed = runner(False, plane)
-    unobserved = runner(False, None)
+def _arrival_rate(clients, lo_s, hi_s):
+    """Requests submitted per second inside ``[lo_s, hi_s)``."""
+    return len([submitted for client in clients
+                for _shard, submitted in client.request_meta
+                if lo_s <= submitted < hi_s]) / (hi_s - lo_s)
+
+
+def _surged(run):
+    """The offered rate inside the surge is near its 2x peak."""
+    base = _arrival_rate(run.clients, 0.0, FLASH_SURGE_START_S - 5e-4)
+    return _arrival_rate(run.clients, FLASH_SURGE_START_S + 1e-4,
+                         run.row.duration_s) > 1.5 * base
+
+
+def _crashed(run):
+    """node1's DPU died: its breaker tripped."""
+    return run.cluster.metrics_snapshot()["node1"]["breaker_trips"] > 0
+
+
+def _flooded(run):
+    """The batch clients offered far more than the pro tenant."""
+    pro, *batch = run.clients
+    return len([request for client in batch
+                for request in client.requests]) > 4 * len(pro.requests)
+
+
+def _pulled(run):
+    """The replacement node joined and pulled its shards live."""
+    return (run.rebalancer.migrated_shards.value > 0
+            and run.cluster.shardmap.assignment().get("node3"))
+
+
+CHAOS = {"flash_crowd": _surged, "regional_failover": _crashed,
+         "noisy_neighbor": _flooded, "rolling_upgrade": _pulled}
+
+
+@pytest.mark.parametrize("key", SCENARIOS)
+def test_chaos_scenario_is_unmoved_by_its_plane(key):
+    row = _shrink(ROWS["slo"][f"{key}-u"], *SHRINK[key])
+    plane = _plane(f"slo-{key}-u")
+    run, observed, timings = _observe(row, plane)
+    _, unobserved, unobserved_timings = _observe(row, None)
     assert plane.snapshots, "the plane never scraped"
-    assert observed["per_client"] == unobserved["per_client"]
-    assert observed["counters"] == unobserved["counters"]
-    assert _timings(observed) == _timings(unobserved)
+    assert CHAOS[key](run), f"{key}: no chaos inside the shrunk window"
+    assert observed == unobserved
+    assert timings == unobserved_timings
 
 
 # -- the incident scenario of obs and attr --------------------------------
 
 
-def _observe(plane):
-    """(outcomes and counters, per-request timings) of one run."""
-    run = obs_scenario(plane)
-    outcomes = {key: run[key] for key in ("ok", "errors", "pending",
-                                          "per_client", "counters")}
-    return outcomes, _timings(run)
+INCIDENT = _shrink(ROWS["obs"]["incident"], 0.35, 1.0)
 
 
 @pytest.fixture(scope="module")
 def unobserved():
-    """The incident scenario with no plane, shrunk like the cases."""
-    with pytest.MonkeyPatch.context() as patch:
-        _shrink(patch, experiments_obs)
-        return _observe(None)
+    """The incident row with no plane."""
+    return _observe(INCIDENT, None)[1:]
 
 
-def test_incident_scenario_is_unmoved_by_a_metrics_plane(unobserved,
-                                                          monkeypatch):
-    _shrink(monkeypatch, experiments_obs)
+def test_incident_scenario_is_unmoved_by_a_metrics_plane(unobserved):
     plane = ClusterTelemetry(tracing=False, name="obs")
-    observed = _observe(plane)
+    observed = _observe(INCIDENT, plane)[1:]
     assert plane.snapshots, "the plane never scraped"
     assert observed == unobserved
 
 
-def test_incident_scenario_is_unmoved_by_the_traced_plane(unobserved,
-                                                          monkeypatch):
-    _shrink(monkeypatch, experiments_obs)
+def test_incident_scenario_is_unmoved_by_the_traced_plane(unobserved):
     plane = ClusterTelemetry(tracing=True, name="attr")
     plane.monitor = SloMonitor(default_slos())
     plane.recorder = FlightRecorder(retain_s=RETAIN_S)
     plane.attribution = AttributionCollector()
-    outcomes, timings = _observe(plane)
+    _, outcomes, timings = _observe(INCIDENT, plane)
     assert plane.snapshots, "the plane never scraped"
     assert outcomes == unobserved[0]
     # A tracer moves request timings by itself (Finding 1, below), so
@@ -103,7 +141,7 @@ def test_incident_scenario_is_unmoved_by_the_traced_plane(unobserved,
     # tracing plane that never scrapes inside the run.
     quiet = ClusterTelemetry(tracing=True, name="attr",
                              scrape_interval_s=1.0)
-    assert timings == _observe(quiet)[1]
+    assert timings == _observe(INCIDENT, quiet)[2]
 
 
 # -- Finding 1 ------------------------------------------------------------
@@ -120,12 +158,10 @@ def test_incident_scenario_is_unmoved_by_the_traced_plane(unobserved,
            "report (identical to the plain run)' reports. The change "
            "that removes the fork makes this pass and has to delete "
            "this marker")
-def test_traced_rebalance_is_unmoved(monkeypatch):
+def test_traced_rebalance_is_unmoved():
     # 40 000 ops/s per node reproduces a difference (0.003126579858843355
     # traced against 0.0031262687988433523); 20 000 does not
-    monkeypatch.setattr(experiments_scale, "REBALANCE_RATE_PER_NODE",
-                        40_000.0)
-    traced = experiments_scale._rebalance_scenario(
-        "rebalance", ClusterTelemetry(tracing=True, name="scale"))
-    assert traced == experiments_scale._rebalance_scenario("rebalance",
-                                                           None)
+    row = replace(ROWS["scale"]["rebalance"], rate=40_000.0)
+    traced = scale_unit("rebalance", row,
+                        ClusterTelemetry(tracing=True, name="scale"))
+    assert traced == scale_unit("rebalance", row, None)

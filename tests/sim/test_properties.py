@@ -1,5 +1,6 @@
 """Property-based tests of the simulation kernel's invariants."""
 
+from heapq import heappush
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +30,17 @@ def test_property_events_fire_in_time_order(delays):
     assert env.now == max(delays)
 
 
+def _push_urgent(env, delay):
+    """A triggered event on the kernel's heap as an ``URGENT`` entry
+    ``delay`` from now, built like the kernel's own entries."""
+    event = env.event()
+    event._ok = True
+    event._value = None
+    env._eid += 1
+    heappush(env._queue, (env.now + delay, URGENT, env._eid, event))
+    return event
+
+
 @settings(max_examples=100, deadline=None)
 @given(plan=st.lists(
     st.tuples(st.one_of(st.floats(min_value=0.0, max_value=100.0),
@@ -45,11 +57,8 @@ def test_property_fire_order_is_time_priority_schedule_index(plan):
         if priority == NORMAL:
             event = env.timeout(delay)
         else:
-            # the only way to put an urgent entry at a future time
-            event = env.event()
-            event._ok = True
-            event._value = None
-            env._enqueue(event, URGENT, delay)
+            # no kernel call puts an urgent entry at a future time
+            event = _push_urgent(env, delay)
         event.callbacks.append(
             lambda _ev, index=index: fired.append((env.now, index)))
         if cancel and priority == NORMAL:

@@ -11,6 +11,7 @@ that schedule more work.
 """
 
 import random
+from heapq import heappush
 
 import pytest
 
@@ -42,13 +43,26 @@ def random_schedule(seed, n):
     return plan
 
 
+def _push_urgent(env, delay):
+    """A triggered event on the heap as an ``URGENT`` entry ``delay``
+    from now: the entry the kernel's own pushes build, at a priority
+    and time none of them uses."""
+    event = env.event()
+    event._ok = True
+    event._value = None
+    env._eid += 1
+    heappush(env._queue, (env.now + delay, URGENT, env._eid, event))
+    return event
+
+
 def drive(plan):
     """Schedule ``plan`` at t=0 and run it: the fire log [(time, tag)].
 
     ``NORMAL`` entries are timeouts (cancelled before the run when the
-    plan says so); ``URGENT`` entries are pre-triggered events pushed
-    through the kernel's internal ``_enqueue`` — the only way to place
-    an urgent entry at a future time — and are never cancelled.
+    plan says so); ``URGENT`` entries are pre-triggered events put on
+    the kernel's heap directly (:func:`_push_urgent`) — no kernel call
+    places an urgent entry at a future time — and are never
+    cancelled.
     """
     env = Environment()
     log = []
@@ -59,10 +73,7 @@ def drive(plan):
             if cancel:
                 doomed.append(event)
         else:
-            event = env.event()
-            event._ok = True
-            event._value = None
-            env._enqueue(event, URGENT, delay)
+            event = _push_urgent(env, delay)
         event.callbacks.append(
             lambda _ev, tag=tag: log.append((env.now, tag)))
     for event in doomed:
