@@ -62,7 +62,7 @@ from .experiments_system import (
     s9_parts,
 )
 from .harness import CoreMeter, Sweep, SweepRow
-from .reporting import banner, format_sweep, format_table
+from .reporting import banner, format_table
 
 __all__ = [
     "ablation_caching",
@@ -112,6 +112,5 @@ __all__ = [
     "Sweep",
     "SweepRow",
     "banner",
-    "format_sweep",
     "format_table",
 ]

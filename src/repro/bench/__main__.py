@@ -44,7 +44,10 @@ The benchmark observatory rides on the same runner:
   both settings run the same ``_run_unit``, and an experiment's parts
   are assembled from its units' results in row order, so the artifact
   is identical to a sequential run (``--identity SEQ.json PAR.json``
-  is the CI gate for it).
+  is the CI gate for it).  It composes with ``--trace-out`` and
+  ``--attr-out``: a traced unit builds its own telemetry and hands
+  back its Chrome events, flame summary and attribution report, which
+  are written in unit order, so the files are the same at any N.
 
 Where the *host's* time goes is not this runner's business:
 ``python -m hostbench`` measures it (``--traced`` for the per-layer
@@ -58,6 +61,7 @@ selected.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import multiprocessing
 import os
@@ -80,7 +84,6 @@ from . import (
     fig6_parts,
     fig7_parts,
     fig8_parts,
-    format_sweep,
     format_table,
     obs_parts,
     query_parts,
@@ -90,10 +93,9 @@ from . import (
 )
 from .experiments_scale import scale_unit
 from .experiments_slo import slo_unit
-from .harness import ROWS, Sweep
+from .harness import ROWS
 from ..obs import ClusterTelemetry, Telemetry
 from ..obs.artifact import (
-    decode_part,
     encode_part,
     load_artifact,
     make_artifact,
@@ -103,22 +105,16 @@ from ..obs.artifact import (
 from ..obs.attr import build_report
 from ..obs.claims import FAIL, evaluate_all, render_claim_report
 from ..obs.regress import differences, render_differences
-from ..obs.trace import _write_chrome
+from ..obs.trace import _write_chrome, merge_chrome_events
 from ..sim.stats import fold_sum
 
-#: experiments whose runner accepts a Telemetry (for --trace-out)
-TRACEABLE = ("fig6", "fig8", "scale", "avail", "obs", "attr")
-
-#: traceable experiments that run a Cluster and therefore take a
-#: ClusterTelemetry plane (one Chrome process per node in the trace)
-_CLUSTER_TRACED = ("scale", "obs", "attr")
-
-
-def _make_telemetry(key: str):
-    """The tracing bundle a traceable experiment's runner accepts."""
-    if key in _CLUSTER_TRACED:
-        return ClusterTelemetry(tracing=True, name=key)
-    return Telemetry(tracing=True, name=key)
+#: the experiments ``--trace-out`` / ``--attr-out`` trace, each with
+#: the telemetry bundle its runner accepts: an experiment that runs a
+#: Cluster takes a ClusterTelemetry plane (one Chrome process per node
+#: in the trace)
+TRACEABLE = {"fig6": Telemetry, "fig8": Telemetry,
+             "scale": ClusterTelemetry, "avail": Telemetry,
+             "obs": ClusterTelemetry, "attr": ClusterTelemetry}
 
 EXPERIMENTS = {
     "fig1": ("Figure 1: compression on different hardware",
@@ -170,57 +166,94 @@ def _units(key: str):
     return [(key, None, None)]
 
 
-def _run_unit(unit, telemetry=None):
+def _encoded(parts: dict) -> dict:
+    """An experiment's parts in the JSON-safe artifact schema."""
+    return {part: encode_part(value) for part, value in parts.items()}
+
+
+def _run_unit(unit, traced: bool):
     """Run one unit of work, in this process or a pool worker.
 
-    Returns ``(key, row name, wall clock, result)``, all picklable: a
-    row's result is the numbers its part reads (no live client,
-    autoscaler or plane crosses the pool), an experiment without rows
-    returns its parts pre-encoded to the JSON-safe artifact schema (a
-    Sweep full of generator-bearing internals never crosses the
-    process boundary).  Each unit builds its own Environment with its
-    own fixed seeds, so process placement cannot perturb results.  A
-    ``telemetry`` bundle (sequential runs only) is handed to the
-    experiment and filled in place.
+    Returns ``(key, row name, wall clock, result, exports)``, all
+    picklable: a row's result is the numbers its part reads (no live
+    client, autoscaler or plane crosses the pool), an experiment
+    without rows returns its parts encoded to the artifact schema.
+    Each unit builds its own Environment with its own fixed seeds, so
+    process placement cannot perturb results.  A ``traced`` unit of a
+    traceable experiment builds its own telemetry bundle and hands
+    back what ``--trace-out`` / ``--attr-out`` write as ``exports``
+    (see :func:`_exports`); every other unit's are None.
     """
     key, name, row = unit
     started = time.time()
+    telemetry = (TRACEABLE[key](tracing=True, name=key)
+                 if traced and key in TRACEABLE else None)
     if row is not None:
         result = ROW_UNITS[key](name, row, telemetry)
     else:
         _title, fn = EXPERIMENTS[key]
-        parts = fn(telemetry) if key in TRACEABLE else fn()
-        result = {part: encode_part(value)
-                  for part, value in parts.items()}
-    return key, name, time.time() - started, result
+        result = _encoded(fn(telemetry) if key in TRACEABLE else fn())
+    wall = time.time() - started
+    return (key, name, wall, result,
+            None if telemetry is None else _exports(key, telemetry))
 
 
-def _outcomes(units, jobs: int, telemetry: dict):
+def _exports(key: str, telemetry):
+    """A traced unit's Chrome events, flame summary and attribution
+    report, JSON-safe; None for a plane that observed no cluster
+    (``scale``'s rows other than ``rebalance``).
+
+    A cluster plane merges its nodes' tracers (one Chrome process per
+    node, cross-node parent links resolved); a single-node bundle
+    exports its one tracer as is.
+    """
+    if TRACEABLE[key] is ClusterTelemetry:
+        pairs = telemetry.tracers()
+        if not pairs:
+            return None
+        events = merge_chrome_events(pairs)
+        flame = "\n\n".join(f"[{node}]\n" + tracer.flame_summary()
+                             for node, tracer in pairs)
+    else:
+        pairs = [(key, telemetry.tracer)]
+        events = telemetry.tracer.to_chrome_events()
+        flame = telemetry.tracer.flame_summary()
+    return {"events": events, "flame": flame,
+            "attr": build_report(pairs).to_dict()}
+
+
+def _outcomes(units, jobs: int, traced: bool):
     """``_run_unit`` over ``units``, in order, here or on a pool.
 
-    ``imap`` preserves submission order, so output and artifact
+    ``imap`` preserves submission order, so output, artifact and trace
     contents are ordered exactly like a sequential run regardless of
     which worker finishes first.
     """
+    run = functools.partial(_run_unit, traced=traced)
     if jobs > 1:
         workers = min(jobs, len(units))
         with multiprocessing.Pool(processes=workers) as pool:
-            yield from pool.imap(_run_unit, units)
+            yield from pool.imap(run, units)
     else:
-        for unit in units:
-            yield _run_unit(unit, telemetry.get(unit[0]))
+        yield from map(run, units)
 
 
-def _run_all(selected, jobs: int, telemetry: dict) -> dict:
+def _run_all(selected, jobs: int, traced: bool):
     """Run, assemble, print and collect every selected experiment.
 
     An experiment is assembled once its last unit is in, and its wall
-    clock is the sum of its units'.
+    clock is the sum of its units'.  Returns the experiments' artifact
+    entries and the ``(key, exports)`` of every unit that traced, in
+    unit order.
     """
     results = {}
+    exported = []
     done: dict = {}
     units = [unit for key in selected for unit in _units(key)]
-    for key, name, wall, result in _outcomes(units, jobs, telemetry):
+    for key, name, wall, result, exports in _outcomes(units, jobs,
+                                                      traced):
+        if exports is not None:
+            exported.append((key, exports))
         walls, rows = done.setdefault(key, ([], {}))
         walls.append(wall)
         rows[name] = result
@@ -228,79 +261,65 @@ def _run_all(selected, jobs: int, telemetry: dict) -> dict:
             continue
         del done[key]
         title, fn = EXPERIMENTS[key]
-        parts = (fn(rows) if key in ROW_UNITS else
-                 {part: decode_part(value)
-                  for part, value in result.items()})
+        parts = _encoded(fn(rows)) if key in ROW_UNITS else result
         wall = fold_sum(walls)
         print(banner(title))
         print(_render_parts(parts))
         print(f"[{key} done in {wall:.1f}s]")
         results[key] = {"title": title, "wall_clock_s": wall,
                         "parts": parts}
-    return results
+    return results, exported
 
 
 # -- rendering --------------------------------------------------------------
 
 
-def _dict_table(result: dict) -> str:
-    if not result:
-        return "(no results)"
-    return format_table(["metric", "value"],
-                        [[key, value] for key, value in result.items()])
-
-
-def _nested_table(results: dict) -> str:
-    """Config-per-row table over the union of metric keys.
-
-    Handles an empty results dict and ragged configs (a metric some
-    configs lack renders as NaN) instead of raising.
-    """
-    if not results:
-        return "(no results)"
-    keys: list = []
-    for outcome in results.values():
-        for key in outcome:
-            if key not in keys:
-                keys.append(key)
-    rows = [[name] + [outcome.get(key, float("nan")) for key in keys]
-            for name, outcome in results.items()]
-    return format_table(["config"] + keys, rows)
+def _render_part(part: dict) -> str:
+    """One encoded part as a table: a sweep or nested part gets one
+    column per series over the union of every row's (a series a row
+    lacks renders as NaN), a table part one row per metric."""
+    if part["type"] == "table":
+        if not part["values"]:
+            return "(no results)"
+        return format_table(["metric", "value"],
+                            list(part["values"].items()))
+    if part["type"] == "sweep":
+        if not part["rows"]:
+            return "(empty sweep)"
+        label = part["x_label"]
+        rows = [(row["x"], row["values"]) for row in part["rows"]]
+    else:
+        label, rows = "config", list(part["rows"].items())
+    keys = list(dict.fromkeys(key for _first, values in rows
+                              for key in values))
+    return format_table(
+        [label] + keys,
+        [[first] + [values.get(key, float("nan")) for key in keys]
+         for first, values in rows])
 
 
 def _render_parts(parts: dict) -> str:
-    """Print-ready text for one experiment's structured result."""
-    blocks = []
-    for name, result in parts.items():
-        if isinstance(result, Sweep):
-            body = format_sweep(result)
-        elif isinstance(result, dict) and result and \
-                all(isinstance(value, dict)
-                    for value in result.values()):
-            body = _nested_table(result)
-        else:
-            body = _dict_table(result)
-        blocks.append(f"{name}:\n{body}" if len(parts) > 1 else body)
+    """Print-ready text for one experiment's encoded parts."""
+    blocks = [_render_part(part) for part in parts.values()]
+    if len(parts) > 1:
+        blocks = [f"{name}:\n{body}"
+                  for name, body in zip(parts, blocks)]
     return "\n\n".join(blocks)
 
 
-def _write_trace(path, traced):
-    """Merge per-experiment traces into one Chrome trace JSON.
+def _write_trace(path, exported):
+    """Merge the traced units' events into one Chrome trace JSON.
 
-    Every telemetry bundle exports through the same protocol
-    (``to_chrome_events``); a single-node experiment contributes one
-    Chrome process, a cluster experiment one process per node (its
-    ClusterTelemetry already merged the per-node tracers and resolved
-    cross-node parent links).  Pids are offset per experiment and the
-    ``process_name`` metadata is rewritten to
+    A single-node experiment contributes one Chrome process, a cluster
+    experiment one process per node.  Pids are offset per unit and
+    the ``process_name`` metadata is rewritten to
     ``<experiment>[/<node>]`` so Perfetto labels every track.
     """
     events = []
     pid_base = 0
-    for key, telemetry in traced:
+    for key, exports in exported:
         width = 0
-        for event in telemetry.to_chrome_events():
-            event = dict(event)
+        for event in exports["events"]:
             pid = event.get("pid", 1)
             width = max(width, pid)
             event["pid"] = pid_base + pid
@@ -313,28 +332,19 @@ def _write_trace(path, traced):
         pid_base += width
     count = _write_chrome(path, events, "python -m repro.bench")
     print(f"\n[trace: {count} events -> {path}]")
-    for key, telemetry in traced:
+    for key, exports in exported:
         print(f"\nflame summary ({key}):")
-        print(telemetry.flame_summary())
+        print(exports["flame"])
 
 
-def _tracer_pairs(key: str, telemetry):
-    """(node, tracer) pairs from either telemetry flavor."""
-    if hasattr(telemetry, "tracers"):     # ClusterTelemetry
-        return telemetry.tracers()
-    return [(key, telemetry.tracer)]
-
-
-def _write_attr(path: str, traced) -> None:
+def _write_attr(path: str, exported) -> None:
     """Per-experiment attribution reports as one JSON document."""
     document = {
         "schema": "repro.obs/attr-report",
         "schema_version": 1,
-        "experiments": {},
+        "experiments": {key: exports["attr"]
+                        for key, exports in exported},
     }
-    for key, telemetry in traced:
-        report = build_report(_tracer_pairs(key, telemetry))
-        document["experiments"][key] = report.to_dict()
     with open(path, "w") as handle:
         json.dump(document, handle, indent=1, sort_keys=True,
                   default=str)
@@ -510,13 +520,6 @@ def main(argv=None) -> int:
         print(f"--jobs must be >= 1 (or 0 to autodetect), "
               f"got {args.jobs}", file=sys.stderr)
         return 2
-    if args.jobs > 1 and (args.trace_out or args.attr_out):
-        # Tracers live in the experiment's process; their results
-        # cannot cross the pool boundary.
-        print("--jobs > 1 is incompatible with "
-              "--trace-out/--attr-out "
-              "(run those sequentially)", file=sys.stderr)
-        return 2
 
     tracing_wanted = bool(args.trace_out or args.attr_out)
     if tracing_wanted and not args.experiments:
@@ -530,9 +533,8 @@ def main(argv=None) -> int:
         print(f"available: {', '.join(EXPERIMENTS)}", file=sys.stderr)
         return 2
 
-    telemetry = {key: _make_telemetry(key) for key in selected
-                 if tracing_wanted and key in TRACEABLE}
-    if tracing_wanted and not telemetry:
+    if tracing_wanted and not any(key in TRACEABLE
+                                  for key in selected):
         print("no traceable experiment selected "
               f"(traceable: {', '.join(TRACEABLE)}); "
               "no trace or attribution written", file=sys.stderr)
@@ -562,13 +564,13 @@ def main(argv=None) -> int:
         probes[path] = created
 
     suite_started = time.time()
-    results = _run_all(selected, args.jobs, telemetry)
+    results, exported = _run_all(selected, args.jobs, tracing_wanted)
     suite_wall = time.time() - suite_started
 
     if args.trace_out:
-        _write_trace(args.trace_out, telemetry.items())
+        _write_trace(args.trace_out, exported)
     if args.attr_out:
-        _write_attr(args.attr_out, telemetry.items())
+        _write_attr(args.attr_out, exported)
 
     if not (args.json_out or baseline):
         return 0

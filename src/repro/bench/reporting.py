@@ -9,9 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
-from .harness import Sweep
-
-__all__ = ["format_table", "format_sweep", "banner"]
+__all__ = ["format_table", "banner"]
 
 
 def _format_cell(value) -> str:
@@ -46,22 +44,6 @@ def format_table(headers: Sequence[str],
             cell.rjust(widths[i]) for i, cell in enumerate(row)
         ))
     return "\n".join(lines)
-
-
-def format_sweep(sweep: Sweep) -> str:
-    """Render a :class:`Sweep` as a table, one column per series."""
-    if not sweep.rows:
-        return "(empty sweep)"
-    # Union of keys across every row (not just the first), so a
-    # series that starts late in a ragged sweep still gets a column;
-    # rows missing it render as NaN.
-    keys = sweep.keys()
-    headers = [sweep.x_label] + keys
-    rows = []
-    for row in sweep.rows:
-        rows.append([row.x] + [row.values.get(key, float("nan"))
-                               for key in keys])
-    return format_table(headers, rows)
 
 
 def banner(title: str) -> str:

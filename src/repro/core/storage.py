@@ -134,14 +134,8 @@ class StorageEngine:
                 request.complete(cached)
                 self.host_ops.add(1)
                 return request
-        if not self.rings.submit({"op": "read", "file_id": file_id,
-                                  "offset": offset, "size": size,
-                                  "request": request,
-                                  "span": request.span}):
-            request.span.annotate(error="RingOverflow")
-            request.span.finish()
-            request.fail(StorageError("SE submission ring overflow"))
-        return request
+        return self._submit({"op": "read", "file_id": file_id,
+                             "offset": offset, "size": size}, request)
 
     def write(self, file_id: int, offset: int, payload) -> AsyncRequest:
         """Async write; completes (with the byte count) at durability."""
@@ -152,14 +146,9 @@ class StorageEngine:
             offset=offset, size=buffer.size,
         )
         self.server.host_cpu.charge(self.costs.file_frontend_cycles_per_op)
-        if not self.rings.submit({"op": "write", "file_id": file_id,
-                                  "offset": offset, "buffer": buffer,
-                                  "request": request,
-                                  "span": request.span}):
-            request.span.annotate(error="RingOverflow")
-            request.span.finish()
-            request.fail(StorageError("SE submission ring overflow"))
-        return request
+        return self._submit({"op": "write", "file_id": file_id,
+                             "offset": offset, "buffer": buffer},
+                            request)
 
     def write_persistent(self, file_id: int, offset: int,
                          payload) -> AsyncRequest:
@@ -176,10 +165,16 @@ class StorageEngine:
             offset=offset, size=buffer.size,
         )
         self.server.host_cpu.charge(self.costs.file_frontend_cycles_per_op)
-        if not self.rings.submit({"op": "persist", "file_id": file_id,
-                                  "offset": offset, "buffer": buffer,
-                                  "request": request,
-                                  "span": request.span}):
+        return self._submit({"op": "persist", "file_id": file_id,
+                             "offset": offset, "buffer": buffer},
+                            request)
+
+    def _submit(self, op: dict, request: AsyncRequest) -> AsyncRequest:
+        """Hand ``op`` to the DPU over the submission ring; a full
+        ring fails ``request`` at once."""
+        op["request"] = request
+        op["span"] = request.span
+        if not self.rings.submit(op):
             request.span.annotate(error="RingOverflow")
             request.span.finish()
             request.fail(StorageError("SE submission ring overflow"))

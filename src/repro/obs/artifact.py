@@ -50,7 +50,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "DEFAULT_WORKLOAD_SEED",
     "encode_part",
-    "decode_part",
     "collect_provenance",
     "make_artifact",
     "write_artifact",
@@ -91,21 +90,6 @@ def encode_part(result: Any) -> Dict[str, Any]:
     raise TypeError(
         f"cannot encode {type(result).__name__} as an artifact part"
     )
-
-
-def decode_part(part: Dict[str, Any]) -> Any:
-    """Rebuild the Sweep / dict an :func:`encode_part` call flattened."""
-    from ..bench.harness import Sweep
-
-    kind = part.get("type")
-    if kind == "sweep":
-        return Sweep.from_dict(part)
-    if kind == "table":
-        return dict(part["values"])
-    if kind == "nested":
-        return {name: dict(values)
-                for name, values in part["rows"].items()}
-    raise ValueError(f"unknown artifact part type {kind!r}")
 
 
 # -- provenance -------------------------------------------------------------
@@ -163,26 +147,22 @@ def make_artifact(experiments: Dict[str, Dict[str, Any]],
     """Assemble the artifact document.
 
     ``experiments`` maps experiment id to
-    ``{"title": str, "wall_clock_s": float, "parts": {name: result}}``
-    where each result is a Sweep or dict, encoded here.
+    ``{"title": str, "wall_clock_s": float, "parts": {name: part}}``
+    where each part is already encoded (:func:`encode_part`).
     ``total_wall_clock_s`` is the whole run's real elapsed time —
     under ``--jobs N`` it is less than the per-experiment sum, which
     is what the perf gate asserts.
     """
-    encoded = {}
-    for key, entry in experiments.items():
-        encoded[key] = {
-            "title": entry.get("title", key),
-            "wall_clock_s": entry.get("wall_clock_s"),
-            "parts": {name: encode_part(result)
-                      for name, result in entry["parts"].items()},
-        }
     document = {
         "schema": SCHEMA_NAME,
         "schema_version": SCHEMA_VERSION,
         "provenance": (provenance if provenance is not None
                        else collect_provenance(argv)),
-        "experiments": encoded,
+        "experiments": {
+            key: {"title": entry.get("title", key),
+                  "wall_clock_s": entry.get("wall_clock_s"),
+                  "parts": entry["parts"]}
+            for key, entry in experiments.items()},
     }
     if total_wall_clock_s is not None:
         document["total_wall_clock_s"] = total_wall_clock_s

@@ -45,7 +45,6 @@ from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..telemetry import Telemetry
-from ..trace import merge_chrome_events
 
 __all__ = ["ClusterTelemetry", "TelemetrySnapshot"]
 
@@ -353,21 +352,6 @@ class ClusterTelemetry:
         """
         self._breakers[node.name] = node.breaker
         self._host_hz[node.name] = node.server.host_cpu.frequency_hz
-
-    # -- export (the CLI's trace-output protocol) ---------------------------
-
-    def to_chrome_events(self) -> List[dict]:
-        """The merged multi-node Chrome trace (one pid per node)."""
-        return merge_chrome_events(self.tracers())
-
-    def flame_summary(self, max_rows: int = 60) -> str:
-        """Per-node flame summaries, concatenated."""
-        sections = []
-        for name, tracer in self.tracers():
-            sections.append(f"[{name}]\n"
-                            + tracer.flame_summary(max_rows=max_rows))
-        return "\n\n".join(sections) if sections \
-            else "(no spans recorded)"
 
     def __repr__(self) -> str:
         return (f"ClusterTelemetry({self.name}, {len(self.nodes)} "

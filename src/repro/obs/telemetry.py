@@ -47,16 +47,6 @@ class Telemetry:
         """Attach the tracer to a simulation environment's clock."""
         self.tracer.bind(env)
 
-    # -- export (the CLI's trace-output protocol) ---------------------------
-
-    def to_chrome_events(self):
-        """Chrome trace events for this bundle's tracer."""
-        return self.tracer.to_chrome_events()
-
-    def flame_summary(self, max_rows: int = 60) -> str:
-        """Plain-text flame summary of this bundle's tracer."""
-        return self.tracer.flame_summary(max_rows=max_rows)
-
     def register_runtime(self, runtime) -> None:
         """Adopt a :class:`DpdpuRuntime`'s instruments into the registry.
 

@@ -176,12 +176,6 @@ class TestAttrOut:
         assert "no traceable" in err
         assert not path.exists()    # probe file cleaned up
 
-    def test_incompatible_with_jobs(self, tmp_path, capsys):
-        path = tmp_path / "attr.json"
-        assert main(["fig8", "--jobs", "2",
-                     "--attr-out", str(path)]) == 2
-        assert "incompatible" in capsys.readouterr().err
-
 
 class TestOutputPaths:
     """Bad invocations exit 2 before anything is created or run."""

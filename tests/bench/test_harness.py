@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.bench import CoreMeter, Sweep, banner, format_sweep, format_table
+from repro.bench import CoreMeter, Sweep, banner, format_table
+from repro.bench.__main__ import _render_parts
 from repro.hardware import CpuCluster
-from repro.obs.artifact import make_artifact
+from repro.obs.artifact import encode_part, make_artifact
 from repro.obs.claims import Claim, evaluate_claim
 from repro.sim import Environment
 from repro.units import GHZ
@@ -69,7 +70,7 @@ class TestSweepAssertions:
     def _status(self, sweep, kind, **params):
         artifact = make_artifact(
             {"exp": {"title": "exp", "wall_clock_s": 0.0,
-                     "parts": {"p": sweep}}},
+                     "parts": {"p": encode_part(sweep)}}},
             provenance={"python": "3", "platform": "test",
                         "workload_seed": 13})
         claim = Claim("T.shape", "exp", "shape", kind,
@@ -128,13 +129,13 @@ class TestReporting:
         sweep = Sweep("rate")
         sweep.add(10, cores=1.5)
         sweep.add(20, cores=3.0)
-        text = format_sweep(sweep)
+        text = _render_parts({"p": encode_part(sweep)})
         assert "rate" in text
         assert "cores" in text
         assert "1.5" in text
 
     def test_empty_sweep(self):
-        assert "empty" in format_sweep(Sweep("x"))
+        assert "empty" in _render_parts({"p": encode_part(Sweep("x"))})
 
     def test_banner(self):
         text = banner("Figure 1")

@@ -19,11 +19,33 @@ SUBSET = ["a4", "a6", "fig8"]
 @pytest.fixture
 def small_slo(monkeypatch):
     """``slo``, the row experiment, with every row's load window and
-    drain at a twenty-fifth: ten small units for the pool to hand out."""
-    monkeypatch.setitem(ROWS, "slo", {
-        name: replace(row, duration_s=row.duration_s / 25,
-                      drain_s=row.drain_s / 25)
-        for name, row in ROWS["slo"].items()})
+    drain at a twenty-fifth: ten small units for the pool to hand out.
+    The failover rows go to a fiftieth, so their whole run ends before
+    node1's crash starts: a crash row runs at any length."""
+    def shrunk(row, share):
+        return replace(row, duration_s=row.duration_s / share,
+                       drain_s=row.drain_s / share)
+
+    rows = {name: shrunk(row, 25) for name, row in ROWS["slo"].items()}
+    for name in ("regional_failover-p", "regional_failover-u"):
+        rows[name] = shrunk(ROWS["slo"][name], 50)
+    monkeypatch.setitem(ROWS, "slo", rows)
+
+
+@pytest.fixture
+def small_scale(monkeypatch):
+    """``scale`` cut to six small rows: its traced row, ``rebalance``,
+    at a third of its window and drain and 10 000 ops/s (node1 still
+    crashes, in the drain), the other five at a 0.1 ms window."""
+    rows = ROWS["scale"]
+    shrunk = {name: replace(rows[name], duration_s=1e-4)
+              for name in ("goodput.1", "goodput.2", "fault_free",
+                           "norebalance", "rack.8")}
+    traced = rows["rebalance"]
+    shrunk["rebalance"] = replace(traced, rate=10_000.0,
+                                  duration_s=traced.duration_s / 3,
+                                  drain_s=traced.drain_s / 3)
+    monkeypatch.setitem(ROWS, "scale", shrunk)
 
 
 #: the blessed artifact the CLI is pointed at in CI
@@ -44,22 +66,31 @@ class TestJobsRunner:
         assert set(document["experiments"]) == set(SUBSET)
         assert document["total_wall_clock_s"] > 0
 
-    def test_parallel_matches_sequential_byte_for_byte(self, tmp_path,
-                                                       small_slo):
-        # slo's rows land on both workers, in whatever order they
-        # finish; the parts are assembled in row order all the same
-        seq, par = tmp_path / "seq.json", tmp_path / "par.json"
-        assert main(SUBSET + ["slo", "--jobs", "1",
-                              "--json-out", str(seq)]) == 0
-        assert main(SUBSET + ["slo", "--jobs", "2",
-                              "--json-out", str(par)]) == 0
-        assert _canonical(seq) == _canonical(par)
+    def test_parallel_matches_sequential_byte_for_byte(
+            self, tmp_path, small_slo, small_scale):
+        # slo's and scale's rows land on both workers, in whatever
+        # order they finish; the parts are assembled in row order, and
+        # the traced units' (fig8's, scale's rebalance row's) exports
+        # are written in unit order, all the same
+        written = []
+        for jobs in ("1", "2"):
+            run, trace, attr = (tmp_path / f"{name}{jobs}.json"
+                                for name in ("run", "trace", "attr"))
+            assert main(SUBSET + ["slo", "scale", "--jobs", jobs,
+                                  "--json-out", str(run),
+                                  "--trace-out", str(trace),
+                                  "--attr-out", str(attr)]) == 0
+            written.append((_canonical(run), trace.read_bytes(),
+                            attr.read_bytes()))
+        assert written[0] == written[1]
+        document = json.loads(written[0][2])
+        assert list(document["experiments"]) == ["fig8", "scale"]
 
     def test_every_unit_result_survives_pickling(self, small_slo):
         units = _units("slo") + _units("fig8")
         assert len(units) == len(ROWS["slo"]) + 1
         for unit in units:
-            result = _run_unit(unit)[3]
+            result = _run_unit(unit, False)[3]
             assert pickle.loads(pickle.dumps(result)) == result
 
     def test_sequential_artifact_records_total_wall_clock(
@@ -78,11 +109,6 @@ class TestJobsRunner:
 
     def test_jobs_negative_rejected(self):
         assert main(["a4", "--jobs", "-1"]) == 2
-
-    def test_jobs_incompatible_with_trace(self, tmp_path):
-        trace = tmp_path / "trace.json"
-        assert main(["fig8", "--jobs", "2",
-                     "--trace-out", str(trace)]) == 2
 
 
 class TestIdentityGate:

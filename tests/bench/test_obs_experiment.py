@@ -9,7 +9,7 @@ from repro.bench import default_slos, obs_parts
 from repro.bench.harness import ROWS
 from repro.bench.__main__ import EXPERIMENTS, main
 from repro.obs import ClusterTelemetry
-from repro.obs.artifact import make_artifact
+from repro.obs.artifact import encode_part, make_artifact
 from repro.obs.claims import CLAIMS, evaluate_all
 
 
@@ -80,7 +80,8 @@ class TestClaims:
     def test_all_ob_claims_pass(self, parts):
         artifact = make_artifact(
             {"obs": {"title": "obs", "wall_clock_s": 0.0,
-                     "parts": parts}},
+                     "parts": {name: encode_part(result)
+                               for name, result in parts.items()}}},
             provenance={"python": "3", "platform": "test",
                         "workload_seed": 17})
         results = [r for r in evaluate_all(artifact, CLAIMS)

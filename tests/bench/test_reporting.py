@@ -1,21 +1,22 @@
 """Formatting edge cases for ``repro.bench.reporting``.
 
-Zero and extreme floats through ``_format_cell``, ragged sweeps
-through ``format_sweep`` / ``_nested_table``, and the Sweep JSON round
-trip the artifact depends on.
+Zero and extreme floats through ``_format_cell``, ragged sweeps and
+configs through the CLI's ``_render_parts`` on encoded parts, and the
+Sweep JSON encoding the artifact depends on.
 """
 
 import json
 
-from repro.bench.__main__ import _nested_table
+from repro.bench.__main__ import _render_parts
 from repro.bench.harness import Sweep
-from repro.bench.reporting import (
-    _format_cell,
-    format_sweep,
-    format_table,
-)
-from repro.obs.artifact import decode_part, encode_part, make_artifact
+from repro.bench.reporting import _format_cell, format_table
+from repro.obs.artifact import encode_part, make_artifact
 from repro.obs.claims import Claim, evaluate_claim
+
+
+def _render(result):
+    """What the CLI prints for one part holding ``result``."""
+    return _render_parts({"p": encode_part(result)})
 
 
 class TestFormatCell:
@@ -51,7 +52,7 @@ class TestFormatCell:
 
 class TestFormatSweep:
     def test_empty_sweep(self):
-        assert format_sweep(Sweep("x")) == "(empty sweep)"
+        assert _render(Sweep("x")) == "(empty sweep)"
 
     def test_ragged_sweep_uses_union_of_keys(self):
         # A series that only appears in a later row still gets a
@@ -59,7 +60,7 @@ class TestFormatSweep:
         sweep = Sweep("x")
         sweep.add(1, a=1.0)
         sweep.add(2, a=2.0, b=20.0)
-        text = format_sweep(sweep)
+        text = _render(sweep)
         header = text.splitlines()[0]
         assert "a" in header and "b" in header
         assert "nan" in text
@@ -68,13 +69,13 @@ class TestFormatSweep:
         sweep = Sweep("x")
         sweep.add(1)
         sweep.add(2, a=5.0)
-        text = format_sweep(sweep)
+        text = _render(sweep)
         assert "nan" in text
 
 
 class TestNestedTable:
     def test_empty_results(self):
-        assert _nested_table({}) == "(no results)"
+        assert _render({}) == "(no results)"
 
     def test_ragged_configs_nan_filled(self):
         results = {
@@ -82,14 +83,14 @@ class TestNestedTable:
             "two": {"a": 2.0, "b": 3.0},
             "three": {"b": 4.0, "c": 5.0},
         }
-        text = _nested_table(results)
+        text = _render(results)
         header = text.splitlines()[0]
         for key in ("a", "b", "c"):
             assert key in header
         assert "nan" in text
 
     def test_config_with_empty_metrics(self):
-        text = _nested_table({"only": {}})
+        text = _render({"only": {}})
         assert "only" in text
 
 
@@ -98,44 +99,38 @@ class TestSweepRoundTrip:
         sweep = Sweep("rate")
         sweep.add(1, a=0.5, b=2.0)
         sweep.add(2, a=1.5, b=4.0)
-        rebuilt = Sweep.from_dict(
-            json.loads(json.dumps(sweep.to_dict()))
-        )
-        assert rebuilt.x_label == "rate"
-        assert [row.x for row in rebuilt.rows] \
-            == [row.x for row in sweep.rows]
-        assert [row.values for row in rebuilt.rows] \
+        part = encode_part(sweep)
+        assert json.loads(json.dumps(part)) == part
+        assert part["x_label"] == "rate"
+        assert [row["x"] for row in part["rows"]] == [1, 2]
+        assert [row["values"] for row in part["rows"]] \
             == [row.values for row in sweep.rows]
 
     def test_round_trip_preserves_raggedness(self):
         sweep = Sweep("x")
         sweep.add(1, a=1.0)
         sweep.add(2, b=2.0)
-        rebuilt = Sweep.from_dict(
-            json.loads(json.dumps(sweep.to_dict()))
-        )
-        assert rebuilt.keys() == ["a", "b"]
-        assert rebuilt.rows[0].values == {"a": 1.0}
-        assert rebuilt.rows[1].values == {"b": 2.0}
+        part = json.loads(json.dumps(encode_part(sweep)))
+        assert [row["values"] for row in part["rows"]] \
+            == [{"a": 1.0}, {"b": 2.0}]
 
     def test_keys_union_order(self):
+        # columns follow first appearance across the rows
         sweep = Sweep("x")
         sweep.add(1, b=1.0)
         sweep.add(2, a=2.0, b=3.0)
-        assert sweep.keys() == ["b", "a"]
+        assert _render(sweep).splitlines()[0].split() == ["x", "b", "a"]
 
     def test_round_trip_shape_assertions_still_work(self):
-        # What the shape contract reads survives the artifact round
-        # trip: a claim passes on the decoded sweep's encoding exactly
-        # as on the original's.
+        # What the shape contract reads survives the JSON round trip
+        # of the artifact: a claim passes on the reloaded encoding.
         sweep = Sweep("x")
         for x in (1, 2, 3):
             sweep.add(x, up=float(x))
-        rebuilt = decode_part(encode_part(sweep))
-        assert encode_part(rebuilt) == encode_part(sweep)
+        part = json.loads(json.dumps(encode_part(sweep)))
         artifact = make_artifact(
             {"exp": {"title": "exp", "wall_clock_s": 0.0,
-                     "parts": {"p": rebuilt}}},
+                     "parts": {"p": part}}},
             provenance={"python": "3", "platform": "test",
                         "workload_seed": 13})
         for kind in ("monotonic", "linear"):

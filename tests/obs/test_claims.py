@@ -4,7 +4,7 @@ from pathlib import Path
 
 from repro.bench.__main__ import EXPERIMENTS
 from repro.bench.harness import Sweep
-from repro.obs.artifact import load_artifact, make_artifact
+from repro.obs.artifact import encode_part, load_artifact, make_artifact
 from repro.obs.claims import (
     CLAIMS,
     Claim,
@@ -16,7 +16,9 @@ from repro.obs.claims import (
 
 def _artifact(**experiments):
     return make_artifact({
-        key: {"title": key, "wall_clock_s": 0.0, "parts": parts}
+        key: {"title": key, "wall_clock_s": 0.0,
+              "parts": {name: encode_part(result)
+                        for name, result in parts.items()}}
         for key, parts in experiments.items()
     }, provenance={"python": "3", "platform": "test",
                    "workload_seed": 13})

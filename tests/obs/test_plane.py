@@ -71,8 +71,6 @@ class TestClusterTelemetryBasics:
         plane = ClusterTelemetry(tracing=False)
         plane.node("node0")
         assert plane.tracers() == []
-        assert plane.to_chrome_events() == []
-        assert "no spans" in plane.flame_summary()
 
     def test_one_plane_per_cluster(self):
         # attach() is exercised against a real Cluster in the

@@ -5,7 +5,7 @@ import json
 import math
 
 from repro.bench.harness import Sweep
-from repro.obs.artifact import make_artifact, strip_volatile
+from repro.obs.artifact import encode_part, make_artifact, strip_volatile
 from repro.obs.regress import differences, render_differences
 
 
@@ -18,9 +18,9 @@ def _artifact(cores=(0.5, 1.0), speedup=2.0, wall=1.0, **provenance):
             "title": "Figure X",
             "wall_clock_s": wall,
             "parts": {
-                "sweep_part": sweep,
-                "table_part": {"speedup": speedup},
-                "nested_part": {"cfg": {"m": 1.0}},
+                "sweep_part": encode_part(sweep),
+                "table_part": encode_part({"speedup": speedup}),
+                "nested_part": encode_part({"cfg": {"m": 1.0}}),
             },
         },
     }, provenance={"python": "3", "platform": "test",
@@ -170,11 +170,11 @@ def _attr_artifact(p99=1e-3, nic_wire=0.1, ssd=0.3):
             "title": "AT",
             "wall_clock_s": 1.0,
             "parts": {
-                "breakdown": {
+                "breakdown": encode_part({
                     "node0": {"ssd": ssd, "dpu_arm": 0.1},
                     "node2": {"nic_wire": nic_wire},
-                },
-                "latency": {"p99_latency_s": p99},
+                }),
+                "latency": encode_part({"p99_latency_s": p99}),
             },
         },
     }, provenance={"python": "3", "platform": "test",
