@@ -32,7 +32,7 @@ from .criticalpath import (
     CATEGORIES,
     AttributionReport,
     RequestAttribution,
-    SpanIndex,
+    SpanTable,
     attribute_request,
     build_report,
     categorize,
@@ -46,7 +46,7 @@ __all__ = [
     "OffloadAdvisor",
     "Recommendation",
     "RequestAttribution",
-    "SpanIndex",
+    "SpanTable",
     "attribute_request",
     "build_report",
     "categorize",

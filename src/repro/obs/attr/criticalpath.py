@@ -13,7 +13,7 @@ statistical.
 Cross-node trees: a forwarded request's remote subtree hangs under
 the origin's ``cluster.route`` span via the ``remote_parent`` ref
 recorded by :meth:`~repro.obs.trace.Tracer.adopt`.  The
-:class:`SpanIndex` resolves those refs into one global parent table,
+:class:`SpanTable` links those refs beside the local parent links,
 so a request that hopped DPU-to-DPU (or was served by a crashed
 node's host) is attributed as one tree.
 
@@ -35,15 +35,16 @@ Resource categories (:data:`CATEGORIES`):
 
 from __future__ import annotations
 
-from bisect import insort
 from functools import lru_cache
+from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ...sim.stats import fold_sum
+from ..trace import _parse_ref
 
 __all__ = [
     "CATEGORIES",
-    "SpanIndex",
+    "SpanTable",
     "RequestAttribution",
     "AttributionReport",
     "KernelObservation",
@@ -111,120 +112,123 @@ def categorize(span) -> str:
     attributes) — real :class:`~repro.obs.trace.Span` objects or test
     stubs alike.
     """
-    name = span.name
-    if name.startswith(("ce.kernel.", "ce.fused.")) \
-            and not name.endswith(".hop"):
+    category = _named_category(span.name, span.category)
+    if category is None:
         device = span.attrs.get("device", "")
         if isinstance(device, str) and device.startswith("pcie_"):
             return "pcie"
         return _DEVICE_CATEGORY.get(device, "dpu_arm")
-    return _named_category(name, span.category)
+    return category
 
 
 @lru_cache(maxsize=1024)
-def _named_category(name: str, span_category: str) -> str:
+def _named_category(name: str, span_category: str) -> Optional[str]:
+    """The category a span's name and coarse category settle, or None
+    for a ``ce.kernel.*`` / ``ce.fused.*`` span: its device does."""
     # a run has a few dozen distinct pairs over 10^5 spans
     if name.endswith(".hop"):
         return "queue"
+    if name.startswith(("ce.kernel.", "ce.fused.")):
+        return None
     for prefix, category in _NAME_RULES:
         if name.startswith(prefix):
             return category
     return _CATEGORY_FALLBACK.get(span_category, "other")
 
 
-class SpanIndex:
-    """A global (node, span_id) table over per-node tracers.
+class SpanTable:
+    """Every span of a set of node tracers, per node by integer span id.
 
-    Resolves each span's parent — local ``parent_id`` first, then the
-    ``remote_parent`` ref (``"node:span_id"``) recorded when a node
-    adopted an upstream trace context — so cross-node request trees
-    walk as one.
+    ``spans[node][span_id]`` is the span.  Each span is linked once,
+    when first indexed, under its parent: the local ``parent_id`` when
+    that node recorded it, else the span named by a ``remote_parent``
+    ref (``"node:span_id"``, recorded when a node adopted an upstream
+    trace context), so cross-node request trees walk as one.
+
+    A node's local children form a chain through two integer-keyed
+    tables: a parent's id names its last linked child, and a child's id
+    names the sibling linked before it, so linking allocates no object
+    per span.  A child adopted from another node goes in a list under
+    its parent with its node.  Children keep no order: a request's
+    ledger does not depend on it.
     """
 
-    def __init__(self, tracers: Iterable[Tuple[str, Any]] = ()):
-        #: (node, span_id) -> span
-        self.spans: Dict[Tuple[str, int], Any] = {}
-        #: (node, span_id) -> its children's keys, sorted
-        self._children: Dict[Tuple[str, int],
-                             List[Tuple[str, int]]] = {}
-        #: open parentless spans: they may still adopt a remote parent
-        self._unlinked: List[Tuple[str, int]] = []
-        self.extend((node, tracer.all_spans())
-                    for node, tracer in tracers)
+    def __init__(self):
+        #: node -> span_id -> span
+        self.spans: Dict[str, Dict[int, Any]] = {}
+        #: node -> span_id -> its last linked child on that node
+        self._child: Dict[str, Dict[int, Any]] = {}
+        #: node -> span_id -> the sibling linked before it
+        self._sibling: Dict[str, Dict[int, Any]] = {}
+        #: node -> span_id -> its ``(node, child)`` on other nodes
+        self._adopted: Dict[str, Dict[int, List[Tuple[str, Any]]]] = {}
+        #: node -> span_id -> open parentless span: it may still adopt
+        #: a remote parent
+        self._unlinked: Dict[str, Dict[int, Any]] = {}
 
     def extend(self, batches: Iterable[Tuple[str, Iterable[Any]]]
-               ) -> None:
-        """Index more ``(node, spans)`` batches, skipping spans
-        already indexed (handed in open, then again finished)."""
-        spans, children = self.spans, self._children
-        fresh, self._unlinked = self._unlinked, []
-        for node, batch in batches:
-            for span in batch:
-                key = (node, span.span_id)
-                if key not in spans:
-                    spans[key] = span
-                    fresh.append(key)
-        for key in fresh:
-            span = spans[key]
-            parent = (key[0], span.parent_id)
-            if parent not in spans:
-                parent = (self.parent_key(key)
-                          if "remote_parent" in span.attrs else None)
-            if parent is None:
-                if span.end_s is None:
-                    self._unlinked.append(key)
-            elif parent in children:
-                insort(children[parent], key)
-            else:
-                children[parent] = [key]
+               ) -> Dict[str, List[Any]]:
+        """Index more ``(node, spans)`` batches; returns their request
+        roots, node by node in batch order.
 
-    def parent_key(self, key: Tuple[str, int]
-                   ) -> Optional[Tuple[str, int]]:
-        """The global parent of ``key``, or None for a root."""
-        node, _ = key
-        span = self.spans[key]
-        if span.parent_id is not None:
-            local = (node, span.parent_id)
-            if local in self.spans:
-                return local
-        remote = span.attrs.get("remote_parent")
-        if isinstance(remote, str) and ":" in remote:
-            remote_node, _, span_id = remote.rpartition(":")
-            try:
-                remote_key = (remote_node, int(span_id))
-            except ValueError:
-                return None
-            if remote_key in self.spans:
-                return remote_key
-        return None
-
-    def subtree(self, root: Tuple[str, int]
-                ) -> List[Tuple[Tuple[str, int], int]]:
-        """``(key, depth)`` pairs of ``root``'s subtree, preorder."""
-        children = self._children
-        out: List[Tuple[Tuple[str, int], int]] = []
-        stack: List[Tuple[Tuple[str, int], int]] = [(root, 0)]
-        while stack:
-            item = stack.pop()
-            out.append(item)
-            below = children.get(item[0])
-            if below:
-                depth = item[1] + 1
-                stack.extend([(child, depth)
-                              for child in reversed(below)])
-        return out
-
-    def request_roots(self) -> List[Tuple[str, int]]:
-        """Finished request roots: :data:`REQUEST_ROOT` spans with no
-        parent.
-
-        An adopted remote root (one carrying ``remote_parent``) is a
-        *subtree* of the origin's request, not a root of its own.
+        A request root is a finished :data:`REQUEST_ROOT` span with no
+        parent; an adopted remote root (one whose ``remote_parent``
+        names an indexed span) is a *subtree* of the origin's request,
+        not a root of its own.  A span already indexed (handed in open,
+        then again finished) is skipped, unless it was open and
+        parentless: then it is linked again.
         """
-        roots = [key for key, span in self.spans.items()
-                 if span.name == REQUEST_ROOT and span.finished
-                 and self.parent_key(key) is None]
-        return sorted(roots)
+        spans, unlinked = self.spans, self._unlinked
+        work = []
+        # index every span first: a parent may come later in a batch,
+        # or on a node whose batch comes later
+        for node, batch in batches:
+            table = spans.get(node)
+            if table is None:
+                table = spans[node] = {}
+                self._child[node] = {}
+                self._sibling[node] = {}
+                unlinked[node] = {}
+            pending = unlinked[node]
+            fresh = []
+            for span in batch:
+                span_id = span.span_id
+                if span_id not in table:
+                    table[span_id] = span
+                    fresh.append(span)
+                elif span_id in pending:
+                    fresh.append(pending.pop(span_id))
+            work.append((node, table, pending, fresh))
+        roots: Dict[str, List[Any]] = {}
+        for node, table, pending, fresh in work:
+            child, sibling = self._child[node], self._sibling[node]
+            for span in fresh:
+                parent_id = span.parent_id
+                if parent_id in table:
+                    last = child.get(parent_id)
+                    if last is not None:
+                        sibling[span.span_id] = last
+                    child[parent_id] = span
+                    continue
+                if "remote_parent" in span.attrs \
+                        and self._adopt(node, span):
+                    continue
+                if span.end_s is None:
+                    pending[span.span_id] = span
+                elif span.name == REQUEST_ROOT:
+                    roots.setdefault(node, []).append(span)
+        return roots
+
+    def _adopt(self, node: str, span) -> bool:
+        """Link ``span`` under the indexed span its ``remote_parent``
+        names; False if that ref is malformed or names no such span."""
+        remote = _parse_ref(span.attrs["remote_parent"])
+        if remote is None or remote[1] not in self.spans.get(remote[0],
+                                                             {}):
+            return False
+        self._adopted.setdefault(remote[0], {}) \
+            .setdefault(remote[1], []).append((node, span))
+        return True
 
 
 class RequestAttribution:
@@ -287,47 +291,70 @@ class RequestAttribution:
                 f"{self.total_s:.3g}s)")
 
 
-def attribute_request(index: SpanIndex, root_key: Tuple[str, int]
+def attribute_request(table: SpanTable, root_node: str, root
                       ) -> RequestAttribution:
     """Decompose one request's latency by a deepest-active-span sweep.
 
-    Every span interval in the tree is clamped to the root window;
-    the window is cut at every clamped boundary, and each elementary
-    interval is charged to the deepest active span (ties broken by
-    latest start, then ``(node, span_id)`` — deterministic).  Open
-    descendants (wedged in a crashed node) are treated as running to
-    the root's end.
+    ``root`` is a request root on ``root_node`` (:meth:`SpanTable.extend`
+    returns them).  Every span interval in the tree is clamped to the
+    root window; the window is cut at every clamped boundary, and each
+    elementary interval is charged to the deepest active span (ties
+    broken by latest start, then ``(node, span_id)`` — deterministic).
+    Open descendants (wedged in a crashed node) are treated as running
+    to the root's end.
     """
-    spans = index.spans
-    root = spans[root_key]
     window_start, window_end = root.start_s, root.end_s
-    members = []      # ((depth, start, node, span_id), start, end, category)
+    first_child, next_sibling = table._child, table._sibling
+    adopted = table._adopted
+    # (depth, start, node, span_id, end, category): the first four
+    # fields are a member's priority, unique per span
+    members = []
+    edges = []
     nodes = set()
     forwarded = failover = False
-    for key, depth in index.subtree(root_key):
-        span = spans[key]
-        nodes.add(key[0])
-        if span.name == "cluster.route":
-            forwarded = True
-        elif span.name == "cluster.shard_host":
-            failover = True
-        end = span.end_s if span.end_s is not None else window_end
-        start = min(max(span.start_s, window_start), window_end)
-        end = min(max(end, start), window_end)
-        category = "queue" if depth == 0 else categorize(span)
-        members.append(((depth, start, key[0], key[1]),
-                        start, end, category))
+    # a stack of sibling chains: (node, last linked span, depth)
+    stack = [(root_node, root, 0)]
+    while stack:
+        node, span, depth = stack.pop()
+        nodes.add(node)
+        child, sibling = first_child[node], next_sibling[node]
+        far = adopted.get(node)
+        while span is not None:
+            name = span.name
+            if name == "cluster.route":
+                forwarded = True
+            elif name == "cluster.shard_host":
+                failover = True
+            # clamped to the window: min(max(...)) spelled out, which
+            # picks the same float on a tie
+            start = span.start_s
+            start = window_start if window_start > start else start
+            start = window_end if window_end < start else start
+            end = span.end_s
+            end = window_end if end is None else end
+            end = start if start > end else end
+            end = window_end if window_end < end else end
+            span_id = span.span_id
+            members.append((depth, start, node, span_id, end,
+                            "queue" if depth == 0 else categorize(span)))
+            edges.append(start)
+            edges.append(end)
+            if span_id in child:
+                stack.append((node, child[span_id], depth + 1))
+            if far is not None and span_id in far:
+                for child_node, remote in far[span_id]:
+                    stack.append((child_node, remote, depth + 1))
+            span = sibling[span_id] if span_id in sibling else None
 
     # Highest priority first: the first member covering an interval
     # is the deepest active one.  The root (depth 0) covers the whole
     # window, so every interval lands somewhere.
     members.sort(reverse=True)
-    boundaries = sorted({m[1] for m in members}
-                        .union(m[2] for m in members))
+    boundaries = sorted(set(edges))
     segments: Dict[str, float] = {}
     lo = boundaries[0]
     for hi in boundaries[1:]:
-        for _priority, start, end, category in members:
+        for _depth, start, _node, _span_id, end, category in members:
             if start <= lo and end >= hi:
                 segments[category] = (segments.get(category, 0.0)
                                       + (hi - lo))
@@ -336,7 +363,7 @@ def attribute_request(index: SpanIndex, root_key: Tuple[str, int]
 
     shard = root.attrs.get("shard")
     return RequestAttribution(
-        node=root_key[0], span_id=root_key[1],
+        node=root_node, span_id=root.span_id,
         shard=shard if isinstance(shard, int) else None,
         path=str(root.attrs.get("path", "unknown")),
         start_s=window_start, end_s=window_end,
@@ -474,27 +501,39 @@ class AttributionReport:
                 f"max_err={self.max_conservation_error_s():.3g}s)")
 
 
+def _observe_kernel(kernels: Dict[Tuple[str, str], KernelObservation],
+                    span) -> None:
+    """Fold one finished ``ce.kernel.*`` span into ``kernels``, keyed
+    ``(kernel, device)``."""
+    kernel = span.name[len("ce.kernel."):]
+    device = str(span.attrs.get("device", "unknown"))
+    observation = kernels.get((kernel, device))
+    if observation is None:
+        observation = kernels[(kernel, device)] = \
+            KernelObservation(kernel, device)
+    observation.add(span)
+
+
 def build_report(tracers: Iterable[Tuple[str, Any]]
                  ) -> AttributionReport:
     """Attribute every finished request across a set of node tracers.
 
     ``tracers`` is the ``(node, tracer)`` list a
     :class:`~repro.obs.plane.ClusterTelemetry` hands out
-    (``plane.tracers()``) — or any single-node equivalent.
+    (``plane.tracers()``) — or any single-node equivalent.  Requests
+    come in ``(node, span_id)`` order, and so does the kernel census.
     """
-    index = SpanIndex(tracers)
-    requests = [attribute_request(index, root)
-                for root in index.request_roots()]
+    table = SpanTable()
+    roots = table.extend((node, tracer.all_spans())
+                         for node, tracer in tracers)
+    requests = [attribute_request(table, node, root)
+                for node in sorted(roots)
+                for root in sorted(roots[node], key=attrgetter("span_id"))]
     kernels: Dict[Tuple[str, str], KernelObservation] = {}
-    for _key, span in sorted(
-            item for item in index.spans.items()
-            if item[1].name.startswith("ce.kernel.")
-            and item[1].finished):
-        kernel = span.name[len("ce.kernel."):]
-        device = str(span.attrs.get("device", "unknown"))
-        observation = kernels.get((kernel, device))
-        if observation is None:
-            observation = kernels[(kernel, device)] = \
-                KernelObservation(kernel, device)
-        observation.add(span)
+    for node in sorted(table.spans):
+        by_id = table.spans[node]
+        for span_id in sorted(
+                span_id for span_id, span in by_id.items()
+                if span.name.startswith("ce.kernel.") and span.finished):
+            _observe_kernel(kernels, by_id[span_id])
     return AttributionReport(requests, kernels)

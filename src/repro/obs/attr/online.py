@@ -27,13 +27,13 @@ from collections import deque
 from typing import Any, Dict, List, Tuple
 
 from .criticalpath import (
-    REQUEST_ROOT,
     TOP_K,
     AttributionReport,
     KernelObservation,
     RequestAttribution,
-    SpanIndex,
+    SpanTable,
     attribute_request,
+    _observe_kernel,
 )
 
 __all__ = ["AttributionCollector"]
@@ -55,7 +55,7 @@ class AttributionCollector:
         self.windows: deque = deque(maxlen=WINDOW)
         self._cursors: Dict[str, int] = {}
         #: every span seen so far; each scrape adds only the new ones
-        self._index = SpanIndex()
+        self._table = SpanTable()
 
     # -- the scrape hook -----------------------------------------------------
 
@@ -66,46 +66,33 @@ class AttributionCollector:
         hand (tests, one-shot post-run attribution).  Returns this
         window's ``{node: {category: seconds}}`` summary.
         """
-        roots: List[Tuple[str, int]] = []
         batches = []
+        kernels = self.kernels
         for node, tracer in plane.tracers():
             cursor = self._cursors.get(node, 0)
             spans = tracer.spans          # finished, append-only
             finished = spans[cursor:]
             for span in finished:
-                if span.name == REQUEST_ROOT:
-                    roots.append((node, span.span_id))
-                elif span.name.startswith("ce.kernel."):
-                    self._observe_kernel(span)
+                if span.name.startswith("ce.kernel."):
+                    _observe_kernel(kernels, span)
             self._cursors[node] = len(spans)
             batches.append((node, finished))
             batches.append((node, tracer.open_spans()))
         # Descendants always finish before (or adopt across nodes no
-        # later than) the scrape that sees their root, so the index
-        # only ever needs the spans that appeared since the last one.
-        index = self._index
-        index.extend(batches)
-
+        # later than) the scrape that sees their root, so the table
+        # only ever needs the spans that appeared since the last one;
+        # the roots come back in finish order, node by node.
+        table = self._table
         window_summary: Dict[str, Dict[str, float]] = {}
-        for root_key in roots:
-            if index.parent_key(root_key) is not None:
-                continue          # an adopted remote subtree
-            attribution = attribute_request(index, root_key)
-            self.requests.append(attribution)
-            ledger = window_summary.setdefault(attribution.node, {})
-            for category, seconds in attribution.segments.items():
-                ledger[category] = ledger.get(category, 0.0) + seconds
+        for node, roots in table.extend(batches).items():
+            ledger = window_summary.setdefault(node, {})
+            for root in roots:
+                attribution = attribute_request(table, node, root)
+                self.requests.append(attribution)
+                for category, seconds in attribution.segments.items():
+                    ledger[category] = ledger.get(category, 0.0) + seconds
         self.windows.append(window_summary)
         return window_summary
-
-    def _observe_kernel(self, span) -> None:
-        kernel = span.name[len("ce.kernel."):]
-        device = str(span.attrs.get("device", "unknown"))
-        observation = self.kernels.get((kernel, device))
-        if observation is None:
-            observation = self.kernels[(kernel, device)] = \
-                KernelObservation(kernel, device)
-        observation.add(span)
 
     # -- queries -------------------------------------------------------------
 

@@ -266,6 +266,72 @@ def _write_chrome(path: str, events: List[dict], source: str) -> int:
     return len(events)
 
 
+def _parse_ref(ref: Any) -> Optional[Tuple[str, int]]:
+    """``(node, span_id)`` of a ``"node:span_id"`` ref
+    (:meth:`Tracer.ref`); None when it is malformed."""
+    if not isinstance(ref, str) or ":" not in ref:
+        return None
+    node, _, span_id = ref.rpartition(":")
+    try:
+        return node, int(span_id)
+    except ValueError:
+        return None
+
+
+def _tracks(ordered: List[Span], spans: List[Span]
+            ) -> Tuple[Dict[int, int], List[Span]]:
+    """Span id -> track id, and each track's head span in track order.
+
+    A track is one local tree: a span shares its parent's track, and a
+    span with no parent heads the next one, numbered in ``ordered``
+    (start, id) order.  One pass does it while every parent precedes
+    its children there, as a span opened inside another always does;
+    an integer ``parent=`` naming a span that starts later, or none
+    this tracer recorded, takes :func:`_tracks_by_walk`.
+    """
+    tids: Dict[int, int] = {}
+    heads: List[Span] = []
+    for span in ordered:
+        tid = tids.get(span.parent_id)
+        if tid is None:
+            if span.parent_id is not None:
+                return _tracks_by_walk(ordered, spans)
+            heads.append(span)
+            tid = len(heads)
+        tids[span.span_id] = tid
+    return tids, heads
+
+
+def _tracks_by_walk(ordered: List[Span], spans: List[Span]
+                    ) -> Tuple[Dict[int, int], List[Span]]:
+    """:func:`_tracks` for any parent links: each span's tree root is
+    found by walking its parent chain from ``spans`` (:meth:`Tracer.
+    all_spans`) order, memoised along the path; a parent this tracer
+    never recorded ends a chain, and an integer ``parent=`` cycle ends
+    at the first span met twice."""
+    by_id = {span.span_id: span for span in spans}
+    roots: Dict[int, int] = {}
+    for span_id in by_id:
+        path = []
+        while span_id in by_id and span_id not in roots:
+            roots[span_id] = span_id
+            path.append(span_id)
+            span_id = by_id[span_id].parent_id
+        if path:
+            root = roots.get(span_id, path[-1])
+            for step in path:
+                roots[step] = root
+    track_ids: Dict[int, int] = {}
+    tids: Dict[int, int] = {}
+    for span in ordered:
+        root = roots[span.span_id]
+        tid = track_ids.get(root)
+        if tid is None:
+            tid = track_ids[root] = len(track_ids) + 1
+        tids[span.span_id] = tid
+    return tids, [by_id[root] for root in track_ids]
+
+
 class Tracer:
     """Records sim-time spans and instants; exports trace files.
 
@@ -457,53 +523,53 @@ class Tracer:
         readable instead of a wall of bare pids.  An empty tracer
         exports no events at all (not even metadata).
         """
-        return self._chrome_events(1, None)
+        return self._chrome_events(1, None, None)
 
-    def _chrome_events(self, pid: int,
-                       ids: Optional[Dict[int, int]]) -> List[dict]:
-        """Every event, built once, under process ``pid``; ``ids``
-        maps local span ids to exported ones (None: export as is)."""
+    def _chrome_events(self, pid: int, ids: Optional[Dict[int, int]],
+                       peers: Optional[Dict[str, Dict[int, int]]]
+                       ) -> List[dict]:
+        """Every event, built once, under process ``pid``.
+
+        ``ids`` maps local span ids to exported ones, and ``peers``
+        holds every merged node's such map by node name, so a
+        ``remote_parent`` ref becomes the exported id of the span it
+        names (both None: export as is).
+        """
         spans = self.all_spans()
-        by_id = {span.span_id: span for span in spans}
+        ordered = sorted(spans, key=attrgetter("span_id"))
+        ordered.sort(key=attrgetter("start_s"))     # stable: (start, id)
+        tids, heads = _tracks(ordered, spans)
         now = self.now
-        # Span id -> its tree's root, filled for every span on a walked
-        # path, so each span is stepped over once.
-        roots: Dict[int, int] = {}
-        for span_id in by_id:
-            path = []
-            while span_id in by_id and span_id not in roots:
-                roots[span_id] = span_id  # an integer parent= cycle ends here
-                path.append(span_id)
-                span_id = by_id[span_id].parent_id
-            if path:
-                root = roots.get(span_id, path[-1])
-                for step in path:
-                    roots[step] = root
-        track_ids: Dict[int, int] = {}
         events: List[dict] = []
-        for span in sorted(spans, key=attrgetter("start_s", "span_id")):
+        for span in ordered:
             span_id, parent_id = span.span_id, span.parent_id
-            root = roots[span_id]
-            tid = track_ids.get(root)
-            if tid is None:
-                tid = track_ids[root] = len(track_ids) + 1
+            tid = tids[span_id]
             start = span.start_s
             end = span.end_s if span.end_s is not None else now
             if ids is not None:
                 # a parent this node never recorded is not linked
                 span_id, parent_id = ids[span_id], ids.get(parent_id)
-            args = {"span_id": span_id}
-            if parent_id is not None:
-                args["parent_id"] = parent_id
-            args.update(span.attrs)
+            attrs = span.attrs
+            if parent_id is None:
+                args = {"span_id": span_id, **attrs}
+            else:
+                args = {"span_id": span_id, "parent_id": parent_id, **attrs}
+            if peers is not None and "remote_parent" in attrs:
+                remote = _parse_ref(attrs["remote_parent"])
+                if remote is not None:
+                    resolved = peers.get(remote[0], {}).get(remote[1])
+                    if resolved is not None:
+                        args["parent_id"] = resolved
+            duration = end - start
             events.append({
                 "name": span.name, "cat": span.category, "ph": "X",
                 "ts": start * 1e6,
-                "dur": max(end - start, 0.0) * 1e6,
+                # max(duration, 0.0), spelled out
+                "dur": (0.0 if 0.0 > duration else duration) * 1e6,
                 "pid": pid, "tid": tid, "args": args,
             })
         for when, name, category, parent_id, attrs in self.instants:
-            tid = track_ids.get(roots.get(parent_id), 0)
+            tid = tids.get(parent_id, 0)
             args = dict(attrs)
             if ids is not None:
                 parent_id = ids.get(parent_id)
@@ -519,10 +585,10 @@ class Tracer:
             "name": "process_name", "ph": "M", "pid": pid,
             "args": {"name": self.node},
         }]
-        for root_id, tid in track_ids.items():    # in tid order
+        for tid, head in enumerate(heads, start=1):
             metadata.append({
                 "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
-                "args": {"name": f"{by_id[root_id].name}#{root_id}"},
+                "args": {"name": f"{head.name}#{head.span_id}"},
             })
         return metadata + events
 
@@ -624,16 +690,5 @@ def merge_chrome_events(
              for node, tracer in items}
     merged: List[dict] = []
     for pid, (node, tracer) in enumerate(items, start=1):
-        merged += tracer._chrome_events(pid, peers[node])
-    for event in merged:
-        args = event["args"]
-        remote = args.get("remote_parent")
-        if isinstance(remote, str) and ":" in remote:
-            peer, _, span_id = remote.rpartition(":")
-            try:
-                resolved = peers.get(peer, {}).get(int(span_id))
-            except ValueError:
-                resolved = None
-            if resolved is not None:
-                args["parent_id"] = resolved
+        merged += tracer._chrome_events(pid, peers[node], peers)
     return merged

@@ -8,13 +8,22 @@ from repro.obs import Tracer
 from repro.obs.attr import (
     CATEGORIES,
     AttributionCollector,
-    SpanIndex,
+    SpanTable,
     attribute_request,
     build_report,
     categorize,
 )
 from repro.obs.attr.online import WINDOW
 from repro.sim import Environment
+
+
+def _table(tracers):
+    """A :class:`SpanTable` over ``tracers`` and its request roots."""
+    table = SpanTable()
+    roots = table.extend((node, tracer.all_spans())
+                         for node, tracer in tracers)
+    return table, [(node, root) for node, found in roots.items()
+                   for root in found]
 
 
 class _FakeSpan:
@@ -97,10 +106,9 @@ class TestAttributeRequest:
         env = Environment()
         tracer = Tracer(env, node="node0")
         _run_simple_request(env, tracer)
-        index = SpanIndex([("node0", tracer)])
-        roots = index.request_roots()
+        table, roots = _table([("node0", tracer)])
         assert len(roots) == 1
-        attribution = attribute_request(index, roots[0])
+        attribution = attribute_request(table, *roots[0])
         assert attribution.segments["queue"] == pytest.approx(1.5e-4)
         assert attribution.segments["dpu_arm"] == pytest.approx(2e-4)
         assert attribution.segments["ssd"] == pytest.approx(3e-4)
@@ -124,9 +132,8 @@ class TestAttributeRequest:
                 yield env.timeout(2e-4)
 
         env.run(until=env.process(work()))
-        index = SpanIndex([("node0", tracer)])
-        attribution = attribute_request(index,
-                                        index.request_roots()[0])
+        table, roots = _table([("node0", tracer)])
+        attribution = attribute_request(table, *roots[0])
         # the open span is charged up to the root's end
         assert attribution.segments["ssd"] == pytest.approx(2e-4)
         assert attribution.segments["queue"] == pytest.approx(1e-4)
@@ -152,12 +159,11 @@ class TestAttributeRequest:
                 yield env.timeout(5e-5)
 
         env.run(until=env.process(work()))
-        index = SpanIndex([("nodeA", tracer_a),
-                           ("nodeB", tracer_b)])
-        roots = index.request_roots()
+        table, roots = _table([("nodeA", tracer_a),
+                               ("nodeB", tracer_b)])
         # the adopted nodeB request is NOT a root — it has a parent
-        assert roots == [("nodeA", roots[0][1])]
-        attribution = attribute_request(index, roots[0])
+        assert [node for node, _root in roots] == ["nodeA"]
+        attribution = attribute_request(table, *roots[0])
         assert attribution.nodes_touched == 2
         assert attribution.segments["ssd"] == pytest.approx(3e-4)
         assert attribution.conservation_error_s < 1e-12

@@ -22,7 +22,7 @@ from repro.core import AdmissionController, TenantRegistry
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs import (ClusterTelemetry, Tracer, build_report,
                        merge_chrome_events)
-from repro.obs.attr import (AttributionCollector, SpanIndex,
+from repro.obs.attr import (AttributionCollector, SpanTable,
                             attribute_request, categorize)
 from repro.obs.trace import Span
 from repro.sim import Environment
@@ -87,6 +87,13 @@ def _sha256(document) -> str:
     return hashlib.sha256(json.dumps(document).encode()).hexdigest()
 
 
+@pytest.fixture(scope="module")
+def tracers():
+    """The traced small cluster run's ``(node, tracer)`` pairs."""
+    plane, _latencies = _small_cluster_run(tracing=True)
+    return plane.tracers()
+
+
 class TestGoldenDigests:
     """sha256 of both exports, captured at the parent commit."""
 
@@ -94,11 +101,6 @@ class TestGoldenDigests:
               "53cc1b07f2b3fef59f35bac39d645770")
     REPORT = ("c02e4343d83a6af5a128ebcf0415f671"
               "b88bc95919f6949dc3098510d3e704ab")
-
-    @pytest.fixture(scope="class")
-    def tracers(self):
-        plane, _latencies = _small_cluster_run(tracing=True)
-        return plane.tracers()
 
     def test_scenario_covers_the_hard_cases(self, tracers):
         events = merge_chrome_events(tracers)
@@ -134,13 +136,57 @@ class TestGoldenDigests:
 # -- the attribution sweep against its predecessor --------------------------
 
 
-def _oracle_segments(index, root_key):
+def _oracle_tree(tracers):
+    """The span tree the old ``SpanIndex`` resolved, rebuilt plainly.
+
+    Returns ``(spans, children, roots)``: ``(node, span_id)`` -> span
+    (first one handed wins), each key's children's keys, and the
+    finished parentless ``dds.request`` keys, sorted.  A span's parent
+    is its local ``parent_id`` if that node recorded it, else the span
+    a well-formed ``remote_parent`` ref names, else none.
+    """
+    spans = {}
+    for node, tracer in tracers:
+        for span in tracer.all_spans():
+            spans.setdefault((node, span.span_id), span)
+
+    def parent_key(key):
+        span = spans[key]
+        if (key[0], span.parent_id) in spans:
+            return key[0], span.parent_id
+        remote = span.attrs.get("remote_parent")
+        if isinstance(remote, str) and ":" in remote:
+            peer, _, span_id = remote.rpartition(":")
+            try:
+                remote_key = (peer, int(span_id))
+            except ValueError:
+                return None
+            if remote_key in spans:
+                return remote_key
+        return None
+
+    children = {}
+    roots = []
+    for key in spans:
+        parent = parent_key(key)
+        if parent is not None:
+            children.setdefault(parent, []).append(key)
+        elif spans[key].name == "dds.request" and spans[key].finished:
+            roots.append(key)
+    return spans, children, sorted(roots)
+
+
+def _oracle_segments(tree, root_key):
     """The per-interval ``max`` sweep ``attribute_request`` replaced."""
-    root = index.spans[root_key]
+    spans, children, _roots = tree
+    root = spans[root_key]
     window_start, window_end = root.start_s, root.end_s
     members = []          # (start, end, depth, node, span_id, category)
-    for key, depth in index.subtree(root_key):
-        span = index.spans[key]
+    stack = [(root_key, 0)]
+    while stack:
+        key, depth = stack.pop()
+        stack.extend((child, depth + 1) for child in children.get(key, ()))
+        span = spans[key]
         end = span.end_s if span.end_s is not None else window_end
         start = min(max(span.start_s, window_start), window_end)
         end = min(max(end, start), window_end)
@@ -158,11 +204,11 @@ def _oracle_segments(index, root_key):
         )
         category = winner[5]
         segments[category] = segments.get(category, 0.0) + (hi - lo)
-    return segments
+    return segments, len(members), len({m[3] for m in members})
 
 
 class _SpanList:
-    """A tracer as far as :class:`SpanIndex` can tell."""
+    """A tracer as far as :class:`SpanTable` can tell."""
 
     def __init__(self, spans):
         self._spans = spans
@@ -175,64 +221,150 @@ _NODES = ("a", "b")
 _NAMES = ("dds.offload", "ssd.read", "tcp.msg_tx", "se.read",
           "cluster.route", "cluster.shard_host", "se.rings.sq.hop",
           "ce.kernel.crc32", "dds.request", "odd.name")
+#: what a span names as its parent, besides an earlier span (the
+#: pick's fifth) or nothing: a later span's id, a ``parent=`` cycle
+#: with the span created next, or a ``remote_parent`` ref that is
+#: malformed or names a node outside the set
+_LATER, _CYCLE, _BAD_REF, _NO_NODE = range(4)
 
-#: (node, parent pick, start tick, length in ticks, open, name): a
-#: coarse time grid makes tied starts, zero-length spans and children
-#: that outlive their root common rather than rare
+#: (node, parent pick, start tick, length in ticks, open, name, odd
+#: link or None, handed over open first): a coarse time grid makes
+#: tied starts, zero-length spans and children that outlive their
+#: root common rather than rare
 _span_rows = st.lists(
     st.tuples(st.integers(0, 1), st.integers(0, 10**6),
               st.integers(0, 12), st.integers(0, 8), st.booleans(),
-              st.sampled_from(_NAMES)),
+              st.sampled_from(_NAMES),
+              st.one_of(st.none(), st.integers(_LATER, _NO_NODE)),
+              st.booleans()),
     min_size=1, max_size=24)
 
 
 def _forest(rows, tick):
-    """Per-node span lists: a finished request root, then ``rows``."""
+    """Per-node span lists: a finished request root, then ``rows``.
+
+    Returns the tracers and the spans to hand over open first: those
+    are open (and unadopted) until :func:`_finish_late` runs.
+    """
     per_node = {node: [] for node in _NODES}
     placed = []           # (node, span) in creation order
-    rows = [(0, 0, 2, 6, False, "dds.request")] + rows
-    for node_pick, parent_pick, start, length, is_open, name in rows:
+    late = []             # (span, end_s, attrs to adopt at the end)
+    rows = [(0, 0, 2, 6, False, "dds.request", None, False)] + rows
+    for (node_pick, parent_pick, start, length, is_open, name, odd,
+         handover) in rows:
         node = _NODES[node_pick]
         spans = per_node[node]
+        span_id = len(spans) + 1
         attrs = {"device": "dpu_asic"} if name.startswith("ce.") else {}
         parent_id = None
-        if placed and parent_pick % 5:        # one in five is a root
+        if odd == _LATER:
+            parent_id = span_id + 2 + parent_pick % 3
+        elif odd == _CYCLE:
+            parent_id = span_id + 1       # the next span names this one
+        elif odd == _BAD_REF:
+            attrs["remote_parent"] = ("a:x", "b", ":1", "a:")[
+                parent_pick % 4]
+        elif odd == _NO_NODE:
+            attrs["remote_parent"] = f"z:{1 + parent_pick % 3}"
+        elif placed and parent_pick % 5:      # one in five is a root
             parent_node, parent = placed[parent_pick % len(placed)]
             if parent_node == node:
                 parent_id = parent.span_id
             else:
                 attrs["remote_parent"] = \
                     f"{parent_node}:{parent.span_id}"
-        span = Span(None, name, "compute", len(spans) + 1, parent_id,
+        if spans and spans[-1].parent_id == span_id:    # close a cycle
+            parent_id = spans[-1].span_id
+        span = Span(None, name, "compute", span_id, parent_id,
                     start * tick, attrs)
         if not is_open:
             span.end_s = (start + length) * tick
+        if handover:
+            adopt = {}
+            if "remote_parent" in attrs:      # adopted after a scrape
+                adopt = {"remote_parent": attrs.pop("remote_parent")}
+            late.append((span, span.end_s, adopt))
+            span.end_s = None
         spans.append(span)
         placed.append((node, span))
-    return [(node, _SpanList(spans)) for node, spans in per_node.items()]
+    tracers = [(node, _SpanList(spans)) for node, spans in per_node.items()]
+    return tracers, late
+
+
+def _finish_late(late):
+    for span, end_s, adopt in late:
+        span.end_s = end_s
+        span.attrs.update(adopt)
+
+
+def _feed(tracers, late):
+    """Every span, then the late ones again once finished: the request
+    roots each :meth:`SpanTable.extend` found, in order."""
+    table = SpanTable()
+    found = [table.extend((node, tracer.all_spans())
+                          for node, tracer in tracers)]
+    _finish_late(late)
+    found.append(table.extend(
+        (node, [span for span, _end, _adopt in late
+                if span in tracer.all_spans()])
+        for node, tracer in tracers))
+    return table, [(node, root) for roots in found
+                   for node, spans in roots.items() for root in spans]
 
 
 class TestSweepMatchesOracle:
     @settings(max_examples=200, deadline=None)
     @given(rows=_span_rows, tick=st.sampled_from((1.0, 0.1, 1e-6 / 3)))
     def test_same_segments_in_the_same_order(self, rows, tick):
-        index = SpanIndex(_forest(rows, tick))
-        roots = index.request_roots()
-        assert ("a", 1) in roots
-        for root_key in roots:
-            attribution = attribute_request(index, root_key)
+        tracers, late = _forest(rows, tick)
+        table, roots = _feed(tracers, late)
+        tree = _oracle_tree(tracers)
+        keys = [(node, root.span_id) for node, root in roots]
+        assert sorted(keys) == tree[2]
+        assert len(set(keys)) == len(keys)
+        assert ("a", 1) in keys
+        for node, root in roots:
+            attribution = attribute_request(table, node, root)
+            segments, members, nodes = _oracle_segments(
+                tree, (node, root.span_id))
             # bit-identical sums, and the same insertion order: the
             # report's JSON lists categories in first-charged order
             assert list(attribution.segments.items()) \
-                == list(_oracle_segments(index, root_key).items())
+                == list(segments.items())
+            assert (attribution.spans, attribution.nodes_touched) \
+                == (members, nodes)
+
+    def test_every_odd_link_in_one_forest(self):
+        # b's request is handed over open and unadopted, then adopted
+        # under a's root; a's other spans link oddly
+        rows = [(1, 1, 3, 2, False, "dds.request", None, True)]
+        rows += [(0, 1, 3, 1, False, "ssd.read", odd, False)
+                 for odd in (_LATER, _CYCLE, _BAD_REF, _NO_NODE)]
+        tracers, late = _forest(rows, 1.0)
+        root, later, cycle, bad_ref, no_node = tracers[0][1].all_spans()
+        assert later.parent_id == no_node.span_id > later.span_id
+        assert (cycle.parent_id, bad_ref.parent_id) \
+            == (bad_ref.span_id, cycle.span_id)
+        assert (bad_ref.attrs["remote_parent"], no_node.attrs) \
+            == ("b", {"remote_parent": "z:2"})
+        [(remote, _end, adopt)] = late
+        assert adopt == {"remote_parent": "a:1"}
+        table, roots = _feed(tracers, late)
+        assert roots == [("a", root)]
+        assert table._adopted == {"a": {1: [("b", remote)]}}
+        attribution = attribute_request(table, "a", root)
+        assert (attribution.spans, attribution.nodes_touched) == (2, 2)
 
     def test_open_cross_node_child_outliving_the_root(self):
-        tracers = _forest([(1, 1, 4, 0, True, "ssd.read"),
-                           (1, 3, 4, 20, False, "tcp.msg_tx")], 1.0)
-        index = SpanIndex(tracers)
-        assert index.parent_key(("b", 1)) == ("a", 1)
-        assert index._children[("a", 1)] == [("b", 1)]
-        attribution = attribute_request(index, ("a", 1))
+        tracers, late = _forest(
+            [(1, 1, 4, 0, True, "ssd.read", None, False),
+             (1, 3, 4, 20, False, "tcp.msg_tx", None, False)], 1.0)
+        assert late == []
+        table, roots = _feed(tracers, late)
+        root, child = table.spans["a"][1], table.spans["b"][1]
+        assert roots == [("a", root)]
+        assert table._adopted == {"a": {1: [("b", child)]}}
+        attribution = attribute_request(table, "a", root)
         assert attribution.nodes_touched == 2
         assert list(attribution.segments.items()) \
             == [("queue", 2.0), ("nic_wire", 4.0)]
@@ -279,6 +411,72 @@ class TestOnlineIndex:
             == [r.to_dict() for r in one_shot.requests]
         assert len(collector.requests) == 1
         assert collector.requests[0].nodes_touched == 2
+
+
+class _ScrapedAt:
+    """A finished run's tracer as a scrape at ``t_s`` saw it: spans
+    finished by then (a prefix of finish order), and the spans running
+    then, which :func:`_scrape` reopens for the call."""
+
+    def __init__(self, tracer, t_s):
+        self.spans = [span for span in tracer.spans if span.end_s <= t_s]
+        self.running = sorted(
+            (span for span in tracer.all_spans()[len(self.spans):]
+             if span.start_s <= t_s), key=lambda span: span.span_id)
+
+    def open_spans(self):
+        return self.running
+
+
+def _scrape(collector, tracers, t_s):
+    class Plane:
+        def tracers(self):
+            return seen
+
+    seen = [(node, _ScrapedAt(tracer, t_s)) for node, tracer in tracers]
+    ends = [(span, span.end_s) for _node, view in seen
+            for span in view.running]
+    try:
+        for span, _end in ends:
+            span.end_s = None
+        collector.collect(Plane())
+    finally:
+        for span, end in ends:
+            span.end_s = end
+
+
+class TestScrapesMatchOneShot:
+    @settings(max_examples=12, deadline=None)
+    @given(cuts=st.lists(st.floats(0.0, 1.0), max_size=4))
+    def test_k_scrapes_attribute_what_build_report_does(self, tracers,
+                                                        cuts):
+        """A finished run fed to the collector over ``len(cuts) + 1``
+        scrapes gives build_report's requests, each in the scrape that
+        saw its root finish, node by node, in finish order."""
+        horizon = max(span.end_s for _node, tracer in tracers
+                      for span in tracer.spans)
+        times = sorted(cut * horizon for cut in cuts) + [horizon]
+        collector = AttributionCollector()
+        for t_s in times:
+            _scrape(collector, tracers, t_s)
+        one_shot = build_report(tracers)
+        assert len(one_shot.requests) > 40
+        finish_rank = {(node, span.span_id): (n, k)
+                       for n, (node, tracer) in enumerate(tracers)
+                       for k, span in enumerate(tracer.spans)}
+
+        def scraped_order(request):
+            key = (request.node, request.span_id)
+            seen = next(i for i, t_s in enumerate(times)
+                        if request.end_s <= t_s)
+            return seen, finish_rank[key]
+
+        expected = sorted(one_shot.requests, key=scraped_order)
+        # to_dict holds the segments in first-charged order
+        assert [[*r.to_dict().items(), *r.segments.items()]
+                for r in collector.requests] \
+            == [[*r.to_dict().items(), *r.segments.items()]
+                for r in expected]
 
 
 # -- the shared Chrome-event builder ----------------------------------------

@@ -84,9 +84,9 @@ KEPT = {
     "obs/attr/criticalpath.py:RequestAttribution.to_dict":
         "the per-request ledger the tracer goldens in "
         "tests/obs/test_trace_cost.py hash (ROADMAP 3)",
-    "obs/attr/online.py:AttributionCollector._observe_kernel":
-        "the advisor's kernel census on a scraped plane: cluster "
-        "experiments run no DP kernel (ROADMAP 9)",
+    "obs/trace.py:_tracks_by_walk":
+        "tracks for an integer parent= naming a later span, an unknown "
+        "one or a cycle: tests/obs/test_trace_cost.py::TestOneBuilder",
     "obs/regress.py:attribution_shifts": _MISMATCH,
     "obs/regress.py:render_differences": _MISMATCH,
     "obs/regress.py:_breakdown": _MISMATCH,
@@ -261,16 +261,12 @@ KEPT_ARMS = {
     "netstack/tcp.py:TcpStack._on_syn:pass": ("d", _D_LOSS),
     "netstack/tcp.py:TcpStack._post_ctrl:queue.put(frame)":
         ("d", _D_TWIN),
-    "obs/attr/criticalpath.py:SpanIndex.parent_key:"
-    "local = (node, span.parent_id)":
-        ("d", "the ledger asks only request roots for a parent; item 3 "
-              "attributes every span (ROADMAP 3)"),
     "obs/attr/criticalpath.py:categorize:"
     "device = span.attrs.get(\"device\", \"\")":
         ("d", "a DP kernel on a traced cluster: cluster experiments run "
               "none (ROADMAP 9)"),
     "obs/attr/online.py:AttributionCollector.collect:"
-    "self._observe_kernel(span)":
+    "_observe_kernel(kernels, span)":
         ("d", "a DP kernel on a traced cluster: cluster experiments run "
               "none (ROADMAP 9)"),
     "obs/plane/recorder.py:FlightRecorder.trigger:"
@@ -323,6 +319,10 @@ KEPT_ARMS = {
         ("f", "the same instrument registered twice: tests/obs/"
               "test_metrics_registry.py::TestAdoption::"
               "test_register_same_object_is_idempotent"),
+    "obs/trace.py:_tracks:return _tracks_by_walk(ordered, spans)":
+        ("f", "an integer parent= naming a span that starts later: "
+              "tests/obs/test_trace_cost.py::TestOneBuilder::"
+              "test_integer_parent_naming_a_later_span_shares_its_track"),
     "sim/batch.py:EventPopulation.__init__:self.succeed(0)":
         ("f", "an empty population: tests/sim/test_batch.py::"
               "TestPopulationVsScalarIdentity::"
