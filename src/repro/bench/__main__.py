@@ -31,8 +31,11 @@ The benchmark observatory rides on the same runner:
   scale, avail, obs, attr) with sim-time tracing on and exports
   Chrome ``trace_event`` JSON openable in Perfetto
   (https://ui.perfetto.dev), plus a flame summary per experiment.
-  Cluster experiments trace through a ClusterTelemetry plane, so the
-  merged file renders one Chrome process per node;
+  Every traced unit's ``(node, tracer)`` pairs go through one merge:
+  a cluster experiment traces through a ClusterTelemetry plane and
+  renders one Chrome process per node, a single-node experiment is a
+  merge of one, and either way span ids are renumbered from 1 per
+  unit;
 * ``--attr-out PATH`` does the same tracing run but exports
   per-experiment latency *attribution* reports — each DDS request's
   end-to-end latency decomposed into a conserved per-resource ledger
@@ -195,30 +198,24 @@ def _run_unit(unit, traced: bool):
         result = _encoded(fn(telemetry) if key in TRACEABLE else fn())
     wall = time.time() - started
     return (key, name, wall, result,
-            None if telemetry is None else _exports(key, telemetry))
+            None if telemetry is None else _exports(telemetry))
 
 
-def _exports(key: str, telemetry):
+def _exports(telemetry):
     """A traced unit's Chrome events, flame summary and attribution
     report, JSON-safe; None for a plane that observed no cluster
     (``scale``'s rows other than ``rebalance``).
 
-    A cluster plane merges its nodes' tracers (one Chrome process per
-    node, cross-node parent links resolved); a single-node bundle
-    exports its one tracer as is.
+    The bundle's ``(node, tracer)`` pairs are merged (one Chrome
+    process per node, cross-node parent links resolved); a single-node
+    bundle is a merge of one.
     """
-    if TRACEABLE[key] is ClusterTelemetry:
-        pairs = telemetry.tracers()
-        if not pairs:
-            return None
-        events = merge_chrome_events(pairs)
-        flame = "\n\n".join(f"[{node}]\n" + tracer.flame_summary()
-                             for node, tracer in pairs)
-    else:
-        pairs = [(key, telemetry.tracer)]
-        events = telemetry.tracer.to_chrome_events()
-        flame = telemetry.tracer.flame_summary()
-    return {"events": events, "flame": flame,
+    pairs = telemetry.tracers()
+    if not pairs:
+        return None
+    flame = "\n\n".join(f"[{node}]\n" + tracer.flame_summary()
+                         for node, tracer in pairs)
+    return {"events": merge_chrome_events(pairs), "flame": flame,
             "attr": build_report(pairs).to_dict()}
 
 

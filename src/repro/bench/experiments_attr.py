@@ -123,7 +123,7 @@ def advisor_online() -> Dict[str, Dict[str, float]]:
             engine.submit_kernel(kernel, SynthBuffer(nbytes),
                                  device="host_cpu")
             env.run()
-    report = build_report([("attr", telemetry.tracer)])
+    report = build_report(telemetry.tracers())
     return OffloadAdvisor(server).advise(report)
 
 

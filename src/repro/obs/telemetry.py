@@ -20,6 +20,8 @@ Usage::
 
 from __future__ import annotations
 
+from typing import List, Tuple
+
 from .metrics import MetricsRegistry
 from .trace import NULL_TRACER, Tracer
 
@@ -32,7 +34,10 @@ class Telemetry:
     ``node`` names the runtime this bundle observes in distributed
     traces (defaults to ``name``); per-node bundles handed out by
     :class:`~repro.obs.plane.ClusterTelemetry` set it to the cluster
-    node's name so every span is node-tagged.
+    node's name so every span is node-tagged.  :meth:`tracers` lists
+    the bundle's ``(node, tracer)`` pair the way the plane's
+    ``tracers()`` lists a cluster's, so one node and a cluster go
+    through the same ``merge_chrome_events`` and ``build_report``.
     """
 
     def __init__(self, env=None, tracing: bool = False,
@@ -46,6 +51,10 @@ class Telemetry:
     def bind(self, env) -> None:
         """Attach the tracer to a simulation environment's clock."""
         self.tracer.bind(env)
+
+    def tracers(self) -> List[Tuple[str, Tracer]]:
+        """``[(node, tracer)]`` while tracing, else ``[]``."""
+        return [(self.node, self.tracer)] if self.tracer.enabled else []
 
     def register_runtime(self, runtime) -> None:
         """Adopt a :class:`DpdpuRuntime`'s instruments into the registry.

@@ -21,6 +21,10 @@ Design constraints (they shape the whole API):
   not corrupt each other's trees.  Causality that crosses a process
   boundary (a request handed to a reactor through a ring) is expressed
   with an explicit ``parent=`` link and the begin/finish form.
+* **A parent is opened first** — a span's parent is a :class:`Span`
+  this tracer opened earlier (``None`` or :data:`NULL_SPAN`: none), so
+  a span knows its local root when it opens and every export builds
+  its trees in one (start, id)-ordered pass.
 
 Distributed traces: every tracer carries a ``node`` name and can mint
 a :class:`TraceContext` — (trace id, parent span ref, origin node) —
@@ -39,7 +43,7 @@ from __future__ import annotations
 import itertools
 import json
 from operator import attrgetter
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "Span",
@@ -56,7 +60,7 @@ class Span:
     """One named interval of simulated time in the trace tree."""
 
     __slots__ = ("_tracer", "name", "category", "span_id", "parent_id",
-                 "start_s", "end_s", "attrs", "_stack_key")
+                 "start_s", "end_s", "attrs", "_stack_key", "_root")
 
     def __init__(self, tracer: "Tracer", name: str, category: str,
                  span_id: int, parent_id: Optional[int],
@@ -71,6 +75,7 @@ class Span:
         self.end_s: Optional[float] = None
         self.attrs = attrs
         self._stack_key = stack_key
+        self._root = self       # a child's is its parent's (_make)
 
     @property
     def finished(self) -> bool:
@@ -278,58 +283,30 @@ def _parse_ref(ref: Any) -> Optional[Tuple[str, int]]:
         return None
 
 
-def _tracks(ordered: List[Span], spans: List[Span]
-            ) -> Tuple[Dict[int, int], List[Span]]:
+def _ordered(spans: List[Span]) -> List[Span]:
+    """``spans`` in (start, id) order: every parent before its
+    children, since a parent is a span opened earlier."""
+    ordered = sorted(spans, key=attrgetter("span_id"))
+    ordered.sort(key=attrgetter("start_s"))     # stable: (start, id)
+    return ordered
+
+
+def _tracks(ordered: List[Span]) -> Tuple[Dict[int, int], List[Span]]:
     """Span id -> track id, and each track's head span in track order.
 
     A track is one local tree: a span shares its parent's track, and a
     span with no parent heads the next one, numbered in ``ordered``
-    (start, id) order.  One pass does it while every parent precedes
-    its children there, as a span opened inside another always does;
-    an integer ``parent=`` naming a span that starts later, or none
-    this tracer recorded, takes :func:`_tracks_by_walk`.
+    (:func:`_ordered`) order.
     """
     tids: Dict[int, int] = {}
     heads: List[Span] = []
     for span in ordered:
-        tid = tids.get(span.parent_id)
-        if tid is None:
-            if span.parent_id is not None:
-                return _tracks_by_walk(ordered, spans)
+        if span.parent_id is None:
             heads.append(span)
-            tid = len(heads)
-        tids[span.span_id] = tid
+            tids[span.span_id] = len(heads)
+        else:
+            tids[span.span_id] = tids[span.parent_id]
     return tids, heads
-
-
-def _tracks_by_walk(ordered: List[Span], spans: List[Span]
-                    ) -> Tuple[Dict[int, int], List[Span]]:
-    """:func:`_tracks` for any parent links: each span's tree root is
-    found by walking its parent chain from ``spans`` (:meth:`Tracer.
-    all_spans`) order, memoised along the path; a parent this tracer
-    never recorded ends a chain, and an integer ``parent=`` cycle ends
-    at the first span met twice."""
-    by_id = {span.span_id: span for span in spans}
-    roots: Dict[int, int] = {}
-    for span_id in by_id:
-        path = []
-        while span_id in by_id and span_id not in roots:
-            roots[span_id] = span_id
-            path.append(span_id)
-            span_id = by_id[span_id].parent_id
-        if path:
-            root = roots.get(span_id, path[-1])
-            for step in path:
-                roots[step] = root
-    track_ids: Dict[int, int] = {}
-    tids: Dict[int, int] = {}
-    for span in ordered:
-        root = roots[span.span_id]
-        tid = track_ids.get(root)
-        if tid is None:
-            tid = track_ids[root] = len(track_ids) + 1
-        tids[span.span_id] = tid
-    return tids, [by_id[root] for root in track_ids]
 
 
 class Tracer:
@@ -373,21 +350,23 @@ class Tracer:
 
     # -- span creation ------------------------------------------------------
 
-    def _resolve_parent(self, parent: Any, key: Any) -> Optional[int]:
-        if parent is not None:
-            if parent is NULL_SPAN:
-                return None
-            return parent.span_id if isinstance(parent, Span) else parent
-        stack = self._stacks.get(key)
-        return stack[-1].span_id if stack else None
+    def _resolve_parent(self, parent: Any, key: Any) -> Optional[Span]:
+        """``parent``, else the top of process ``key``'s stack."""
+        if parent is None:
+            stack = self._stacks.get(key)
+            return stack[-1] if stack else None
+        return None if parent is NULL_SPAN else parent
 
     def _make(self, name: str, category: str, parent: Any,
               attrs: Dict[str, Any], detached: bool) -> Span:
         env = self._env
         key = env._active_process
+        parent = self._resolve_parent(parent, key)
         span = Span(self, name, category, next(self._ids),
-                    self._resolve_parent(parent, key), env.now, attrs,
-                    _DETACHED if detached else key)
+                    None if parent is None else parent.span_id, env.now,
+                    attrs, _DETACHED if detached else key)
+        if parent is not None:
+            span._root = parent._root
         self._open[span.span_id] = span
         return span
 
@@ -423,10 +402,9 @@ class Tracer:
                 **attrs: Any) -> None:
         """Record a zero-duration event (decisions, cache hits)."""
         env = self._env
-        self.instants.append(
-            (env.now, name, category,
-             self._resolve_parent(None, env._active_process), attrs)
-        )
+        parent = self._resolve_parent(None, env._active_process)
+        self.instants.append((env.now, name, category,
+                              parent and parent.span_id, attrs))
 
     def _on_finish(self, span: Span) -> None:
         self._open.pop(span.span_id, None)
@@ -455,25 +433,6 @@ class Tracer:
         """Finished spans plus still-open ones (deterministic order)."""
         return self.spans + self.open_spans()
 
-    def ancestry(self, span: Span) -> List[Span]:
-        """Parent chain from ``span``'s parent up to its root."""
-        # A live span's ancestors are almost always still open; the
-        # index over every finished span is built only if one is not.
-        finished: Optional[Dict[int, Span]] = None
-        chain: List[Span] = []
-        parent_id = span.parent_id
-        while parent_id is not None:
-            parent = self._open.get(parent_id)
-            if parent is None:
-                if finished is None:
-                    finished = {s.span_id: s for s in self.spans}
-                parent = finished.get(parent_id)
-                if parent is None:
-                    break
-            chain.append(parent)
-            parent_id = parent.parent_id
-        return chain
-
     # -- distributed context -------------------------------------------------
 
     def ref(self, span: Span) -> str:
@@ -483,13 +442,12 @@ class Tracer:
     def context_for(self, span: Span) -> TraceContext:
         """The :class:`TraceContext` to send along with a request.
 
-        The trace id comes from ``span``'s local root: either the id
-        this node itself adopted from an upstream hop (so multi-hop
-        chains keep one id), or — when the trace starts here — the
-        root's own ref.
+        The trace id comes from ``span``'s local root, recorded when
+        ``span`` opened: either the id this node itself adopted from an
+        upstream hop (so multi-hop chains keep one id), or — when the
+        trace starts here — the root's own ref.
         """
-        chain = self.ancestry(span)
-        root = chain[-1] if chain else span
+        root = span._root
         trace_id = root.attrs.get("trace_id")
         if not isinstance(trace_id, str):
             trace_id = self.ref(root)
@@ -512,49 +470,33 @@ class Tracer:
 
     # -- export: Chrome trace_event JSON --------------------------------------
 
-    def to_chrome_events(self) -> List[dict]:
-        """The trace as a list of Chrome ``trace_event`` dicts.
-
-        Spans become complete (``"ph": "X"``) events; each causal tree
-        gets its own track (``tid``) so Perfetto renders one request
-        per row with time-nested children.  Metadata events
-        (``"ph": "M"``) name the process after :attr:`node` and each
-        track after its root span, so merged multi-node traces are
-        readable instead of a wall of bare pids.  An empty tracer
-        exports no events at all (not even metadata).
-        """
-        return self._chrome_events(1, None, None)
-
-    def _chrome_events(self, pid: int, ids: Optional[Dict[int, int]],
-                       peers: Optional[Dict[str, Dict[int, int]]]
-                       ) -> List[dict]:
+    def _chrome_events(self, pid: int, ids: Dict[int, int],
+                       peers: Dict[str, Dict[int, int]]) -> List[dict]:
         """Every event, built once, under process ``pid``.
 
+        Spans become complete (``"ph": "X"``) events, one track
+        (``tid``) per local tree; metadata (``"ph": "M"``) names the
+        process after :attr:`node` and each track after its root span.
         ``ids`` maps local span ids to exported ones, and ``peers``
         holds every merged node's such map by node name, so a
         ``remote_parent`` ref becomes the exported id of the span it
-        names (both None: export as is).
+        names.  A tracer with nothing recorded exports no events.
         """
-        spans = self.all_spans()
-        ordered = sorted(spans, key=attrgetter("span_id"))
-        ordered.sort(key=attrgetter("start_s"))     # stable: (start, id)
-        tids, heads = _tracks(ordered, spans)
+        ordered = _ordered(self.all_spans())
+        tids, heads = _tracks(ordered)
         now = self.now
         events: List[dict] = []
         for span in ordered:
-            span_id, parent_id = span.span_id, span.parent_id
-            tid = tids[span_id]
+            tid = tids[span.span_id]
             start = span.start_s
             end = span.end_s if span.end_s is not None else now
-            if ids is not None:
-                # a parent this node never recorded is not linked
-                span_id, parent_id = ids[span_id], ids.get(parent_id)
+            span_id, parent_id = ids[span.span_id], ids.get(span.parent_id)
             attrs = span.attrs
             if parent_id is None:
                 args = {"span_id": span_id, **attrs}
             else:
                 args = {"span_id": span_id, "parent_id": parent_id, **attrs}
-            if peers is not None and "remote_parent" in attrs:
+            if "remote_parent" in attrs:
                 remote = _parse_ref(attrs["remote_parent"])
                 if remote is not None:
                     resolved = peers.get(remote[0], {}).get(remote[1])
@@ -571,8 +513,7 @@ class Tracer:
         for when, name, category, parent_id, attrs in self.instants:
             tid = tids.get(parent_id, 0)
             args = dict(attrs)
-            if ids is not None:
-                parent_id = ids.get(parent_id)
+            parent_id = ids.get(parent_id)
             if parent_id is not None:
                 args["parent_id"] = parent_id
             events.append({
@@ -593,8 +534,9 @@ class Tracer:
         return metadata + events
 
     def write_chrome(self, path: str) -> int:
-        """Write Chrome trace JSON to ``path``; returns event count."""
-        return _write_chrome(path, self.to_chrome_events(),
+        """Write Chrome trace JSON to ``path``: this one node's
+        :func:`merge_chrome_events`.  Returns the event count."""
+        return _write_chrome(path, merge_chrome_events([(self.node, self)]),
                              "repro.obs.Tracer")
 
     # -- export: flame summary -------------------------------------------------
@@ -607,19 +549,11 @@ class Tracer:
         flame graph for terminals.
         """
         spans = self.all_spans()
-        by_id = {span.span_id: span for span in spans}
-
-        def path_of(span: Span) -> str:
-            names = [span.name]
+        paths: Dict[int, str] = {}
+        for span in _ordered(spans):
             parent_id = span.parent_id
-            guard = 0
-            while parent_id in by_id and guard < 128:
-                parent = by_id[parent_id]
-                names.append(parent.name)
-                parent_id = parent.parent_id
-                guard += 1
-            return ";".join(reversed(names))
-
+            paths[span.span_id] = (span.name if parent_id is None
+                                   else f"{paths[parent_id]};{span.name}")
         totals: Dict[str, List[float]] = {}
         child_time: Dict[int, float] = {}
         for span in spans:
@@ -629,7 +563,7 @@ class Tracer:
                     + span.duration_s
                 )
         for span in spans:
-            path = path_of(span)
+            path = paths[span.span_id]
             row = totals.setdefault(path, [0, 0.0, 0.0])
             row[0] += 1
             row[1] += span.duration_s
@@ -659,19 +593,8 @@ class Tracer:
 # -- multi-node merge --------------------------------------------------------
 
 
-def _named_tracers(
-    tracers: Union[Mapping[str, "Tracer"],
-                   Iterable[Tuple[str, "Tracer"]]],
-) -> List[Tuple[str, "Tracer"]]:
-    if isinstance(tracers, Mapping):
-        return sorted(tracers.items())
-    return list(tracers)
-
-
-def merge_chrome_events(
-    tracers: Union[Mapping[str, "Tracer"],
-                   Iterable[Tuple[str, "Tracer"]]],
-) -> List[dict]:
+def merge_chrome_events(tracers: Iterable[Tuple[str, "Tracer"]]
+                        ) -> List[dict]:
     """Merge per-node tracers into one cluster-wide Chrome trace.
 
     Each node becomes its own Chrome process (``pid``) named via
@@ -681,7 +604,7 @@ def merge_chrome_events(
     ``parent_id`` — so a forwarded request renders (and validates) as
     a single connected tree.
     """
-    items = _named_tracers(tracers)
+    items = list(tracers)
     counter = itertools.count(1)
     # node -> {local span id: global id}; zip stops at the last span
     # without drawing from the counter

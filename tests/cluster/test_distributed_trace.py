@@ -150,10 +150,12 @@ class TestFailoverTrace:
                       if span.name == "cluster.shard_host"]
         assert host_spans
         assert all(span.finished for span in host_spans)
+        by_id = {span.span_id: span for span in tracer.all_spans()}
         for span in host_spans:
-            ancestors = tracer.ancestry(span)
-            assert [a.name for a in ancestors] == ["dds.request"]
-            assert ancestors[-1].attrs["path"] == "local"
+            parent = by_id[span.parent_id]
+            assert (parent.name, parent.parent_id) == ("dds.request", None)
+            assert span._root is parent
+            assert parent.attrs["path"] == "local"
         _assert_connected(plane)
 
     def test_breaker_open_emits_failover_instant(self):

@@ -77,6 +77,20 @@ class TestContextMinting:
         assert second.origin == "node0"
         assert second.parent_ref == f"node1:{hop1.span_id}"
 
+    def test_context_for_deep_span_after_its_middle_finished(self):
+        # the root is recorded when each span opens, and read when the
+        # context is minted: adopting after the children opened counts
+        tracer = Tracer(Environment(), node="node1")
+        root = tracer.begin("request")
+        mid = tracer.begin("route", parent=root)
+        leaf = tracer.begin("io", parent=mid)
+        tracer.adopt(root, TraceContext("node0:4", "node0:9", "node0"))
+        mid.finish()
+        context = tracer.context_for(leaf)
+        assert context.trace_id == "node0:4"
+        assert context.origin == "node0"
+        assert context.parent_ref == f"node1:{leaf.span_id}"
+
     def test_adopt_none_is_a_no_op(self):
         tracer = Tracer(Environment(), node="node0")
         span = tracer.begin("request")
@@ -137,14 +151,6 @@ class TestMerge:
                  if e.get("ph") == "M"
                  and e.get("name") == "process_name"}
         assert names == {1: "node0", 2: "node1"}
-
-    def test_mapping_input_sorted_by_node(self):
-        node0, node1, _hop, _root1 = _two_node_trace()
-        merged = merge_chrome_events({"node1": node1,
-                                      "node0": node0})
-        first_meta = next(e for e in merged
-                          if e.get("name") == "process_name")
-        assert first_meta["args"]["name"] == "node0"
 
     def test_unresolvable_remote_parent_left_alone(self):
         tracer = Tracer(Environment(), node="node1")

@@ -38,13 +38,18 @@ class TestTracedFig8:
         tracer = telemetry.tracer
         # Pick any SSD-level span and walk up: it must sit under the
         # DPU read, which sits under the DDS request root.
-        ssd_spans = [s for s in tracer.all_spans()
-                     if s.name == "ssd.read"]
+        by_id = {s.span_id: s for s in tracer.all_spans()}
+        ssd_spans = [s for s in by_id.values() if s.name == "ssd.read"]
         assert ssd_spans, "no SSD read spans recorded"
         for span in ssd_spans:
-            names = [a.name for a in tracer.ancestry(span)]
+            names = []
+            parent_id = span.parent_id
+            while parent_id is not None:
+                names.append(by_id[parent_id].name)
+                parent_id = by_id[parent_id].parent_id
             assert "se.dpu_read" in names
             assert names[-1] == "dds.request"
+            assert span._root.name == "dds.request"
 
     def test_every_request_span_is_finished(self):
         telemetry, _ = self._traced()
@@ -101,6 +106,13 @@ class TestRegistryIntegration:
             assert expected in names
         snapshot = telemetry.metrics.snapshot(env.now)
         assert snapshot["host.cpu.cycles"] >= 0.0
+
+    def test_tracers_lists_the_one_node_only_while_tracing(self):
+        traced = Telemetry(tracing=True, name="fig8")
+        assert traced.tracers() == [("fig8", traced.tracer)]
+        assert Telemetry(name="fig8").tracers() == []
+        bundle = Telemetry(tracing=True, name="t", node="node3")
+        assert bundle.tracers() == [("node3", bundle.tracer)]
 
     def test_default_runtime_builds_own_telemetry(self):
         env = Environment()

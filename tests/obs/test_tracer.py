@@ -96,22 +96,24 @@ class TestSpanNesting:
         root = tracer.begin("root")
         mid = tracer.begin("mid", parent=root)
         leaf = tracer.begin("leaf", parent=mid)
-        assert [s.name for s in tracer.ancestry(leaf)] == ["mid", "root"]
+        assert (leaf.parent_id, mid.parent_id, root.parent_id) \
+            == (mid.span_id, root.span_id, None)
+        # every span records its local root when it opens
+        assert leaf._root is mid._root is root._root is root
 
     def test_ancestry_through_finished_parents(self):
-        # Open ancestors are found without indexing the finished
-        # spans; a finished one in the middle must not cut the chain.
-        tracer = Tracer(Environment())
+        # The root is recorded at open: a finished span in the middle
+        # must not cut a later context off from it.
+        tracer = Tracer(Environment(), node="n")
         root = tracer.begin("root")
         mid = tracer.begin("mid", parent=root)
         leaf = tracer.begin("leaf", parent=mid)
         mid.finish()
-        assert tracer.ancestry(leaf) == [mid, root]
+        assert tracer.context_for(leaf).trace_id == tracer.ref(root)
         root.finish()
         leaf.finish()
-        assert tracer.ancestry(leaf) == [mid, root]
-        orphan = tracer.begin("orphan", parent=10_000)
-        assert tracer.ancestry(orphan) == []
+        assert tracer.context_for(leaf).trace_id == tracer.ref(root)
+        assert leaf._root is root
 
     def test_deterministic_ids(self):
         def run():
@@ -131,6 +133,11 @@ class TestSpanNesting:
         assert run() == run()
 
 
+def _export(tracer):
+    """The tracer's one-node Chrome export."""
+    return merge_chrome_events([(tracer.node, tracer)])
+
+
 class TestExports:
     def _traced(self):
         env = Environment()
@@ -148,7 +155,7 @@ class TestExports:
 
     def test_chrome_events_shape(self):
         tracer = self._traced()
-        events = tracer.to_chrome_events()
+        events = _export(tracer)
         complete = [e for e in events if e["ph"] == "X"]
         instants = [e for e in events if e["ph"] == "i"]
         assert len(complete) == 2
@@ -173,7 +180,7 @@ class TestExports:
 
     def test_metadata_names_process_and_tracks(self):
         tracer = self._traced()
-        events = tracer.to_chrome_events()
+        events = _export(tracer)
         metadata = [e for e in events if e["ph"] == "M"]
         assert metadata[0]["name"] == "process_name"
         assert metadata[0]["args"]["name"] == tracer.node
@@ -190,25 +197,27 @@ class TestExports:
 
     def test_empty_tracer_exports(self, tmp_path):
         tracer = Tracer(Environment())
-        assert tracer.to_chrome_events() == []
+        assert _export(tracer) == []
         assert "no spans" in tracer.flame_summary()
         assert tracer.write_chrome(str(tmp_path / "t.json")) == 0
 
     def test_merge_leaves_an_unknown_span_parent_unlinked(self):
+        # the null span (what an untraced caller hands over) names no
+        # parent, even inside another span's ``with`` body
         tracer = Tracer(Environment())
-        with tracer.span("orphan", parent=999):
-            pass
-        [alone] = [e for e in tracer.to_chrome_events() if e["ph"] == "X"]
-        assert alone["args"] == {"span_id": 1, "parent_id": 999}
-        merged = merge_chrome_events({"a": tracer})
-        [event] = [e for e in merged if e["ph"] == "X"]
-        assert event["args"] == {"span_id": 1}
-        assert event["tid"] == alone["tid"] == 1    # its own track
+        with tracer.span("outer"):
+            with tracer.span("orphan", parent=NULL_SPAN) as orphan:
+                pass
+        assert orphan.parent_id is None and orphan._root is orphan
+        merged = merge_chrome_events([("a", tracer)])
+        [event] = [e for e in merged if e["name"] == "orphan"]
+        assert event["args"] == {"span_id": 1}    # finished first
+        assert event["tid"] == 2    # its own track, opened second
 
     def test_merge_leaves_an_unknown_instant_parent_unlinked(self):
         tracer = self._traced()
         tracer.instants.append((4.0, "stray", "app", 999, {"n": 1}))
-        merged = merge_chrome_events({"a": tracer})
+        merged = merge_chrome_events([("a", tracer)])
         [stray] = [e for e in merged if e["name"] == "stray"]
         assert stray["args"] == {"n": 1} and stray["tid"] == 0
         [decision] = [e for e in merged if e["name"] == "decision"]
@@ -225,6 +234,5 @@ class TestExports:
 
         env.run(until=env.process(work()))
         env.run(until=5.0)
-        [event] = [e for e in tracer.to_chrome_events()
-                   if e["ph"] == "X"]
+        [event] = [e for e in _export(tracer) if e["ph"] == "X"]
         assert event["dur"] == pytest.approx(5.0 * 1e6)

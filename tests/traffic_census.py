@@ -84,9 +84,6 @@ KEPT = {
     "obs/attr/criticalpath.py:RequestAttribution.to_dict":
         "the per-request ledger the tracer goldens in "
         "tests/obs/test_trace_cost.py hash (ROADMAP 3)",
-    "obs/trace.py:_tracks_by_walk":
-        "tracks for an integer parent= naming a later span, an unknown "
-        "one or a cycle: tests/obs/test_trace_cost.py::TestOneBuilder",
     "obs/regress.py:attribution_shifts": _MISMATCH,
     "obs/regress.py:render_differences": _MISMATCH,
     "obs/regress.py:_breakdown": _MISMATCH,
@@ -199,9 +196,6 @@ KEPT_ARMS = {
         ("a", "comparing aggregates over no rows (min/max None); every "
               "query selects some (PAPER.md s1, CE)"),
     # -- (c) a test hands in another form -------------------------------
-    "obs/trace.py:_named_tracers:return sorted(tracers.items())":
-        ("c", "a test merges a {node: tracer} dict; the plane passes "
-              "(node, tracer) pairs"),
     # -- (d) a ROADMAP item names the caller ----------------------------
     "baselines/host_served.py:HostServedStorage._handle:"
     "yield self.env.timeout(wake)": ("d", _D_TWIN),
@@ -280,7 +274,6 @@ KEPT_ARMS = {
         ("d", "a traced runtime with an SE page cache: A3 runs "
               "untraced (ROADMAP 3)"),
     "obs/trace.py:Tracer._on_finish:stack.remove(span)": ("d", _D_TRACE),
-    "obs/trace.py:Tracer.ancestry:if finished is None:": ("d", _D_TRACE),
     "sim/core.py:AllOf._check:event._defused = True": ("d", _D_FAULT),
     "sim/resources.py:Container._drain:amount, event = putters[0]":
         ("d", _D_TWIN),
@@ -319,10 +312,6 @@ KEPT_ARMS = {
         ("f", "the same instrument registered twice: tests/obs/"
               "test_metrics_registry.py::TestAdoption::"
               "test_register_same_object_is_idempotent"),
-    "obs/trace.py:_tracks:return _tracks_by_walk(ordered, spans)":
-        ("f", "an integer parent= naming a span that starts later: "
-              "tests/obs/test_trace_cost.py::TestOneBuilder::"
-              "test_integer_parent_naming_a_later_span_shares_its_track"),
     "sim/batch.py:EventPopulation.__init__:self.succeed(0)":
         ("f", "an empty population: tests/sim/test_batch.py::"
               "TestPopulationVsScalarIdentity::"
