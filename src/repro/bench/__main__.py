@@ -41,9 +41,11 @@ The benchmark observatory rides on the same runner:
   end-to-end latency decomposed into a conserved per-resource ledger
   (see ``repro.obs.attr``) — plus a top-bottleneck summary;
 * ``--jobs N`` fans the selected experiments' units of work out over
-  a process pool.  A unit is one cluster simulation (a row of
-  ``harness.ROWS``) of ``scale`` or ``slo``, or one whole experiment
-  without rows.  Units are independent simulations with fixed seeds,
+  a process pool.  A unit is one row of an experiment
+  (:class:`Experiment`): one point of a sweep (``s9``, ``fig2``,
+  ``fig3``, ``a5``), one cluster simulation (a row of
+  ``harness.ROWS``), or the one row of an experiment that is one
+  simulation.  Units are independent simulations with fixed seeds,
   both settings run the same ``_run_unit``, and an experiment's parts
   are assembled from its units' results in row order, so the artifact
   is identical to a sequential run (``--identity SEQ.json PAR.json``
@@ -64,39 +66,49 @@ selected.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import multiprocessing
 import os
 import sys
 import time
+from functools import partial
+from operator import itemgetter
+from typing import Callable, Dict, NamedTuple
 
 from . import (
-    a1_parts,
-    a2_parts,
-    a3_parts,
-    a4_parts,
+    A5_ROWS,
+    FIG2_ROWS,
+    FIG3_ROWS,
+    S9_ROWS,
     a5_parts,
-    a6_parts,
-    attr_parts,
-    availability_parts,
+    ablation_caching,
+    ablation_fusion,
+    ablation_persistence,
+    ablation_portability,
+    ablation_scheduling,
+    attr_unit,
+    availability_run,
     banner,
-    fig1_parts,
+    fig1_compression,
+    fig1_real_bytes_checkpoint,
     fig2_parts,
     fig3_parts,
-    fig6_parts,
-    fig7_parts,
-    fig8_parts,
+    fig6_configs,
+    fig7_rdma,
+    fig8_dds_latency,
     format_table,
-    obs_parts,
-    query_parts,
+    identity_matrix,
+    obs_unit,
+    planner_regimes,
     s9_parts,
     scale_parts,
+    scatter_scaling,
     slo_parts,
+    stale_routing,
 )
 from .experiments_scale import scale_unit
 from .experiments_slo import slo_unit
-from .harness import ROWS
+from .harness import ROWS, run_point, run_traced_point
 from ..obs import ClusterTelemetry, Telemetry
 from ..obs.artifact import (
     encode_part,
@@ -119,83 +131,111 @@ TRACEABLE = {"fig6": Telemetry, "fig8": Telemetry,
              "scale": ClusterTelemetry, "avail": Telemetry,
              "obs": ClusterTelemetry, "attr": ClusterTelemetry}
 
+
+class Experiment(NamedTuple):
+    """One experiment: its ``rows`` (row name -> frozen, picklable
+    row), the runner of one row ``run(name, row, telemetry)``, and the
+    assembly of its ``parts`` from the row results keyed by row name,
+    in row order (``dict`` when each row is one part,
+    ``itemgetter(name)`` when the one row reports every part)."""
+
+    title: str
+    rows: Dict[str, object]
+    run: Callable
+    parts: Callable
+
+
 EXPERIMENTS = {
-    "fig1": ("Figure 1: compression on different hardware",
-             fig1_parts),
-    "fig2": ("Figure 2: CPU consumption of storage access",
-             fig2_parts),
-    "fig3": ("Figure 3: CPU consumption of TCP", fig3_parts),
-    "fig6": ("Figure 6: read-compress-send sproc", fig6_parts),
-    "fig7": ("Figure 7: DPU-optimized RDMA", fig7_parts),
-    "fig8": ("Figure 8: DDS remote-read latency", fig8_parts),
-    "s9": ("Section 9: DDS cores saved", s9_parts),
-    "a1": ("A1: sproc scheduling policies", a1_parts),
-    "a2": ("A2: DPU portability", a2_parts),
-    "a3": ("A3: cache placement", a3_parts),
-    "a4": ("A4: fast persistence", a4_parts),
-    "a5": ("A5: partial offloading", a5_parts),
-    "a6": ("A6: kernel fusion on PCIe peers", a6_parts),
-    "avail": ("Availability: goodput/p99 under faults, "
-              "recovery on/off", availability_parts),
-    "scale": ("SC: cluster goodput/host-cores/TCO vs node count, "
-              "sharding, rebalance under DPU failure", scale_parts),
-    "obs": ("OB: distributed tracing, telemetry plane, SLO flight "
-            "recorder", obs_parts),
-    "attr": ("AT: latency attribution, conservation invariant, "
-             "offload advisor", attr_parts),
-    "slo": ("SL: overload-safe self-healing — admission control, "
-            "autoscale, hot-shard split vs the chaos matrix",
-            slo_parts),
-    "query": ("Q: distributed scans — pushdown vs pull, planner "
-              "vs measured argmin, identity, stale routing",
-              query_parts),
+    "fig1": Experiment(
+        "Figure 1: compression on different hardware",
+        {"compression": partial(fig1_compression),
+         "real_bytes_checkpoint": partial(fig1_real_bytes_checkpoint)},
+        run_point, dict),
+    "fig2": Experiment("Figure 2: CPU consumption of storage access",
+                       FIG2_ROWS, run_point, fig2_parts),
+    "fig3": Experiment("Figure 3: CPU consumption of TCP", FIG3_ROWS,
+                       run_point, fig3_parts),
+    "fig6": Experiment("Figure 6: read-compress-send sproc",
+                       {"sproc": partial(fig6_configs)},
+                       run_traced_point, dict),
+    "fig7": Experiment("Figure 7: DPU-optimized RDMA",
+                       {"rdma": partial(fig7_rdma)}, run_point, dict),
+    "fig8": Experiment("Figure 8: DDS remote-read latency",
+                       {"dds_latency": partial(fig8_dds_latency)},
+                       run_traced_point, dict),
+    "s9": Experiment("Section 9: DDS cores saved", S9_ROWS, run_point,
+                     s9_parts),
+    "a1": Experiment("A1: sproc scheduling policies",
+                     {"scheduling": partial(ablation_scheduling)},
+                     run_point, dict),
+    "a2": Experiment("A2: DPU portability",
+                     {"portability": partial(ablation_portability)},
+                     run_point, dict),
+    "a3": Experiment("A3: cache placement",
+                     {"caching": partial(ablation_caching)},
+                     run_point, dict),
+    "a4": Experiment("A4: fast persistence",
+                     {"persistence": partial(ablation_persistence)},
+                     run_point, dict),
+    "a5": Experiment("A5: partial offloading", A5_ROWS, run_point,
+                     a5_parts),
+    "a6": Experiment("A6: kernel fusion on PCIe peers",
+                     {"fusion": partial(ablation_fusion)}, run_point,
+                     dict),
+    "avail": Experiment("Availability: goodput/p99 under faults, "
+                        "recovery on/off",
+                        {"avail": partial(availability_run)},
+                        run_traced_point, itemgetter("avail")),
+    "scale": Experiment("SC: cluster goodput/host-cores/TCO vs node "
+                        "count, sharding, rebalance under DPU failure",
+                        ROWS["scale"], scale_unit, scale_parts),
+    "obs": Experiment("OB: distributed tracing, telemetry plane, SLO "
+                      "flight recorder", ROWS["obs"], obs_unit,
+                      itemgetter("incident")),
+    "attr": Experiment("AT: latency attribution, conservation "
+                       "invariant, offload advisor", ROWS["obs"],
+                       attr_unit, itemgetter("incident")),
+    "slo": Experiment("SL: overload-safe self-healing — admission "
+                      "control, autoscale, hot-shard split vs the chaos "
+                      "matrix", ROWS["slo"], slo_unit, slo_parts),
+    "query": Experiment("Q: distributed scans — pushdown vs pull, "
+                        "planner vs measured argmin, identity, stale "
+                        "routing",
+                        {"scatter": partial(scatter_scaling),
+                         "planner": partial(planner_regimes),
+                         "identity": partial(identity_matrix),
+                         "routing": partial(stale_routing)},
+                        run_point, dict),
 }
-
-
-#: experiments whose units of work are their rows of ``harness.ROWS``:
-#: key -> the runner of one row; ``EXPERIMENTS`` holds their assembly
-ROW_UNITS = {"scale": scale_unit, "slo": slo_unit}
 
 
 # -- execution ----------------------------------------------------------------
 
 
 def _units(key: str):
-    """An experiment's units of work: ``(key, row name, row)`` per row,
-    or the one unit ``(key, None, None)`` of an experiment without
-    rows."""
-    if key in ROW_UNITS:
-        return [(key, name, row) for name, row in ROWS[key].items()]
-    return [(key, None, None)]
-
-
-def _encoded(parts: dict) -> dict:
-    """An experiment's parts in the JSON-safe artifact schema."""
-    return {part: encode_part(value) for part, value in parts.items()}
+    """An experiment's units of work: ``(key, row name, row)`` per
+    row."""
+    return [(key, name, row)
+            for name, row in EXPERIMENTS[key].rows.items()]
 
 
 def _run_unit(unit, traced: bool):
     """Run one unit of work, in this process or a pool worker.
 
     Returns ``(key, row name, wall clock, result, exports)``, all
-    picklable: a row's result is the numbers its part reads (no live
-    client, autoscaler or plane crosses the pool), an experiment
-    without rows returns its parts encoded to the artifact schema.
-    Each unit builds its own Environment with its own fixed seeds, so
-    process placement cannot perturb results.  A ``traced`` unit of a
-    traceable experiment builds its own telemetry bundle and hands
-    back what ``--trace-out`` / ``--attr-out`` write as ``exports``
-    (see :func:`_exports`); every other unit's are None.
+    picklable: a row's result is the numbers its parts read (no live
+    client, autoscaler or plane crosses the pool).  Each unit builds
+    its own Environment with its own fixed seeds, so process placement
+    cannot perturb results.  A ``traced`` unit of a traceable
+    experiment builds its own telemetry bundle and hands back what
+    ``--trace-out`` / ``--attr-out`` write as ``exports`` (see
+    :func:`_exports`); every other unit's are None.
     """
     key, name, row = unit
     started = time.time()
     telemetry = (TRACEABLE[key](tracing=True, name=key)
                  if traced and key in TRACEABLE else None)
-    if row is not None:
-        result = ROW_UNITS[key](name, row, telemetry)
-    else:
-        _title, fn = EXPERIMENTS[key]
-        result = _encoded(fn(telemetry) if key in TRACEABLE else fn())
+    result = EXPERIMENTS[key].run(name, row, telemetry)
     wall = time.time() - started
     return (key, name, wall, result,
             None if telemetry is None else _exports(telemetry))
@@ -226,7 +266,7 @@ def _outcomes(units, jobs: int, traced: bool):
     contents are ordered exactly like a sequential run regardless of
     which worker finishes first.
     """
-    run = functools.partial(_run_unit, traced=traced)
+    run = partial(_run_unit, traced=traced)
     if jobs > 1:
         workers = min(jobs, len(units))
         with multiprocessing.Pool(processes=workers) as pool:
@@ -254,16 +294,17 @@ def _run_all(selected, jobs: int, traced: bool):
         walls, rows = done.setdefault(key, ([], {}))
         walls.append(wall)
         rows[name] = result
-        if len(rows) < len(_units(key)):
+        experiment = EXPERIMENTS[key]
+        if len(rows) < len(experiment.rows):
             continue
         del done[key]
-        title, fn = EXPERIMENTS[key]
-        parts = _encoded(fn(rows)) if key in ROW_UNITS else result
+        parts = {part: encode_part(value)
+                 for part, value in experiment.parts(rows).items()}
         wall = fold_sum(walls)
-        print(banner(title))
+        print(banner(experiment.title))
         print(_render_parts(parts))
         print(f"[{key} done in {wall:.1f}s]")
-        results[key] = {"title": title, "wall_clock_s": wall,
+        results[key] = {"title": experiment.title, "wall_clock_s": wall,
                         "parts": parts}
     return results, exported
 
@@ -475,9 +516,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.list:
-        for key, (title, _fn) in EXPERIMENTS.items():
+        for key, experiment in EXPERIMENTS.items():
             traced = " [traceable]" if key in TRACEABLE else ""
-            print(f"{key:6s} {title}{traced}")
+            print(f"{key:6s} {experiment.title}{traced}")
         return 0
 
     if args.identity and len(args.identity) > 2:

@@ -5,11 +5,16 @@ A2 — DPU portability: the same sproc across all SKU profiles.
 A3 — file-cache placement: host vs DPU vs split (Section 9).
 A4 — fast persistence: DPU-journal ack vs regular durable write.
 A5 — partial offloading under a replay-heavy request mix (Section 7).
+A6 — DP-kernel fusion on a PCIe GPU.
+
+Each ablation is one row of ``python -m repro.bench`` but A5, whose
+points are rows of their own (:data:`A5_ROWS`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from functools import partial
+from typing import Dict
 
 from ..buffers import SynthBuffer
 from ..core import ComputeEngine
@@ -21,7 +26,7 @@ from ..hardware import (
 )
 from ..sim import Environment
 from ..units import MiB, PAGE_SIZE
-from .harness import Sweep
+from .harness import Sweep, s9_point
 from .experiments_system import fig6_sproc
 from ..sim.stats import fold_sum
 
@@ -30,14 +35,9 @@ __all__ = [
     "ablation_portability",
     "ablation_caching",
     "ablation_persistence",
-    "ablation_partial_offload",
     "ablation_fusion",
-    "a1_parts",
-    "a2_parts",
-    "a3_parts",
-    "a4_parts",
+    "A5_ROWS",
     "a5_parts",
-    "a6_parts",
 ]
 
 
@@ -271,66 +271,36 @@ def ablation_fusion() -> Sweep:
 # ---------------------------------------------------------------- A5
 
 
-def ablation_partial_offload(
-    read_fractions: Sequence[float] = (1.0, 0.9, 0.7, 0.5),
-    rate_kreq: int = 200,
-    duration_s: float = 0.01,
-) -> Sweep:
+#: A5's rows: DDS and the host-served twin at each read share
+A5_ROWS = {
+    f"{arm}.{read_fraction}": partial(
+        s9_point, rate=200_000.0, duration_s=0.008, workload="pageserver",
+        read_fraction=read_fraction, n_connections=8,
+        use_dds=arm == "dds")
+    for read_fraction in (1.0, 0.9, 0.7, 0.5)
+    for arm in ("dds", "host")
+}
+
+
+def a5_parts(results: Dict[str, Dict[str, float]]) -> Dict[str, Sweep]:
     """A5: DDS under a growing share of non-offloadable requests.
 
     As the log-replay share rises, the offload fraction falls, host
     cores climb, and the DPU's share of the work shrinks — the
     quantitative version of Section 7's partial-offloading argument.
     """
-    from .experiments_system import _s9_point
-
     sweep = Sweep("read_fraction")
-    for read_fraction in read_fractions:
-        dds = _s9_point(rate_kreq * 1000.0, duration_s, "pageserver",
-                        read_fraction, 8, use_dds=True)
-        baseline = _s9_point(rate_kreq * 1000.0, duration_s,
-                             "pageserver", read_fraction, 8,
-                             use_dds=False)
+    for name, dds in results.items():
+        arm, _, read_fraction = name.partition(".")
+        if arm != "dds":
+            continue
+        baseline = results[f"host.{read_fraction}"]
         sweep.add(
-            read_fraction,
+            float(read_fraction),
             offload_fraction=dds["offload_fraction"],
             dds_host_cores=dds["host_cores"],
             dds_dpu_cores=dds["dpu_cores"],
             baseline_host_cores=baseline["host_cores"],
             cores_saved=baseline["host_cores"] - dds["host_cores"],
         )
-    return sweep
-
-
-# -- structured runners for the CLI / artifact ------------------------------
-
-
-def a1_parts() -> Dict[str, Dict[str, Dict[str, float]]]:
-    """A1: scheduling disciplines."""
-    return {"scheduling": ablation_scheduling()}
-
-
-def a2_parts() -> Dict[str, Dict[str, Dict[str, float]]]:
-    """A2: DPU portability."""
-    return {"portability": ablation_portability()}
-
-
-def a3_parts() -> Dict[str, Sweep]:
-    """A3: cache placement."""
-    return {"caching": ablation_caching()}
-
-
-def a4_parts() -> Dict[str, Dict[str, float]]:
-    """A4: fast persistence."""
-    return {"persistence": ablation_persistence()}
-
-
-def a5_parts() -> Dict[str, Sweep]:
-    """A5: partial offloading."""
-    return {"partial_offload": ablation_partial_offload(
-        duration_s=0.008)}
-
-
-def a6_parts() -> Dict[str, Sweep]:
-    """A6: kernel fusion on PCIe peers."""
-    return {"fusion": ablation_fusion()}
+    return {"partial_offload": sweep}

@@ -44,13 +44,13 @@ from ..obs import (
 from ..sim import Environment
 from ..units import MB, MiB
 from .experiments_obs import incident_plane
-from .harness import ROWS, run_cluster
+from .harness import Row, run_cluster
 from ..sim.stats import fold_sum
 
 __all__ = [
     "advisor_online",
     "advisor_static_check",
-    "attr_parts",
+    "attr_unit",
 ]
 
 #: kernel/size grid for the static advisor check (crc32 has no ASIC,
@@ -127,13 +127,14 @@ def advisor_online() -> Dict[str, Dict[str, float]]:
     return OffloadAdvisor(server).advise(report)
 
 
-def attr_parts(telemetry: Optional[ClusterTelemetry]
-               ) -> Dict[str, object]:
-    """AT: the full attribution experiment for the artifact;
-    ``telemetry=None`` builds the tracing plane it needs."""
+def attr_unit(_name: str, row: Row, telemetry: Optional[ClusterTelemetry]
+              ) -> Dict[str, object]:
+    """AT: the attribution experiment's one row, the ``obs`` incident,
+    and every part it reports; ``telemetry=None`` builds the tracing
+    plane it needs."""
     plane = incident_plane(telemetry, "attr")
     plane.attribution = AttributionCollector()
-    run_cluster(ROWS["obs"]["incident"], plane)
+    run_cluster(row, plane)
 
     report = plane.attribution.report()
     totals = report.totals()

@@ -61,7 +61,7 @@ from ..units import GHZ, Gbps, MiB, PAGE_SIZE
 __all__ = [
     "availability",
     "availability_tcp_blackhole",
-    "availability_parts",
+    "availability_run",
 ]
 
 #: the recovery stack under test (module-level so tests can reuse it)
@@ -280,8 +280,8 @@ def availability_tcp_blackhole() -> Dict[str, float]:
     }
 
 
-def availability_parts(telemetry) -> Dict[str, object]:
-    """Artifact parts for the ``avail`` experiment."""
+def availability_run(telemetry) -> Dict[str, object]:
+    """The ``avail`` experiment's one row: its three parts."""
     scenarios = availability(telemetry=telemetry)
     fault_free = scenarios["fault_free"]
     norec = scenarios["faults_norec"]

@@ -1,13 +1,17 @@
 """Experiments F1–F3: the paper's Section 2 micro-benchmarks.
 
-Each function builds a fresh simulation, drives the workload the
-figure describes, and returns a :class:`~repro.bench.harness.Sweep`
-whose series correspond to the figure's lines.
+Each point builds a fresh simulation and drives the workload the
+figure describes.  Figure 1 runs as two rows, its sweep and its
+real-bytes checkpoint; every point of Figures 2 and 3 is a row of its
+own (:data:`FIG2_ROWS`, :data:`FIG3_ROWS`), and the figure's
+:class:`~repro.bench.harness.Sweep`, whose series are its lines, is
+assembled from the row results.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import partial
+from typing import Dict
 
 from ..baselines import HostComputeBaseline, HostStoragePath
 from ..baselines.host_tcp import make_kernel_tcp
@@ -28,9 +32,8 @@ from .harness import CoreMeter, Sweep
 __all__ = [
     "fig1_compression",
     "fig1_real_bytes_checkpoint",
-    "fig2_storage_cpu",
-    "fig3_network_cpu",
-    "fig1_parts",
+    "FIG2_ROWS",
+    "FIG3_ROWS",
     "fig2_parts",
     "fig3_parts",
 ]
@@ -116,85 +119,48 @@ def fig1_real_bytes_checkpoint() -> dict:
     return outcome
 
 
-def fig2_storage_cpu(
-    rates_kpages: Sequence[int] = (50, 150, 250, 350, 450),
-    duration_s: float = 0.02,
-) -> Sweep:
-    """Figure 2: CPU consumption of storage access vs throughput.
+def _host_storage_point(rate: float, duration_s: float,
+                        path: str) -> Dict[str, float]:
+    """Figure 2's paper lines: host cores reading pages open-loop
+    through one host software path (``kernel``, ``io_uring`` or
+    ``spdk_host``)."""
+    env = Environment()
+    server = make_server(env, name="host")
+    storage = HostStoragePath(server.host_cpu, server.ssd(0),
+                              server.costs.software, path)
+    meter = CoreMeter(server.host_cpu)
+    meter.start()
 
-    Series: ``kernel_cores`` and ``io_uring_cores`` (the paper's two
-    lines — host cores), plus the DPDPU extension the paper motivates:
-    ``dpdpu_host_cores`` / ``dpdpu_dpu_cores`` for the SE offloaded
-    file path.
-    """
-    sweep = Sweep("kpages_per_s")
-    for rate_kpages in rates_kpages:
-        rate = rate_kpages * 1000.0
-        values = {}
+    def handler(i):
+        yield from storage.read_page(PAGE_SIZE)
 
-        # -- host software paths ------------------------------------
-        for path_name, key in (("kernel", "kernel_cores"),
-                               ("io_uring", "io_uring_cores"),
-                               ("spdk_host", "spdk_host_cores")):
-            env = Environment()
-            server = make_server(env, name="host")
-            path = HostStoragePath(server.host_cpu, server.ssd(0),
-                                   server.costs.software, path_name)
-            meter = CoreMeter(server.host_cpu)
-            meter.start()
-
-            def handler(i):
-                yield from path.read_page(PAGE_SIZE)
-
-            open_loop(env, rate, handler, duration_s)
-            env.run(until=duration_s)
-            values[key] = meter.cores()
-
-        # -- the SE offloaded path ------------------------------------
-        env = Environment()
-        server = make_server(env, name="dpu", dpu_profile=BLUEFIELD2)
-        runtime = DpdpuRuntime(server, se_ring_capacity=1 << 16)
-        file_id = runtime.storage.create("sweep", size=512 * MiB)
-        host_meter = CoreMeter(server.host_cpu)
-        dpu_meter = CoreMeter(server.dpu.cpu)
-        host_meter.start()
-        dpu_meter.start()
-        pages_in_file = (512 * MiB) // PAGE_SIZE
-
-        def se_handler(i):
-            offset = (i % pages_in_file) * PAGE_SIZE
-            request = runtime.storage.read(file_id, offset, PAGE_SIZE)
-            yield request.done
-
-        open_loop(env, rate, se_handler, duration_s)
-        env.run(until=duration_s)
-        values["dpdpu_host_cores"] = host_meter.cores()
-        values["dpdpu_dpu_cores"] = dpu_meter.cores()
-
-        sweep.add(rate_kpages, **values)
-    return sweep
+    open_loop(env, rate, handler, duration_s)
+    env.run(until=duration_s)
+    return {f"{path}_cores": meter.cores()}
 
 
-def fig3_network_cpu(
-    gbps_points: Sequence[int] = (10, 30, 50, 70, 90),
-    duration_s: float = 0.01,
-) -> Sweep:
-    """Figure 3: CPU consumption of TCP at increasing bandwidth.
+def _se_storage_point(rate: float, duration_s: float) -> Dict[str, float]:
+    """The DPDPU extension Figure 2 motivates: host and DPU cores of
+    the SE's offloaded file path at the same page rate."""
+    env = Environment()
+    server = make_server(env, name="dpu", dpu_profile=BLUEFIELD2)
+    runtime = DpdpuRuntime(server, se_ring_capacity=1 << 16)
+    file_id = runtime.storage.create("sweep", size=512 * MiB)
+    host_meter = CoreMeter(server.host_cpu)
+    dpu_meter = CoreMeter(server.dpu.cpu)
+    host_meter.start()
+    dpu_meter.start()
+    pages_in_file = (512 * MiB) // PAGE_SIZE
 
-    Series: ``kernel_tx_cores`` / ``kernel_rx_cores`` (the paper's
-    measurement: host cores running kernel TCP), plus the NE
-    comparison: ``ne_host_cores`` (host side of the offloaded stack)
-    and ``ne_dpu_cores`` (Arm cores running the protocol).
-    """
-    sweep = Sweep("gbps")
-    for gbps in gbps_points:
-        rate = gbps * Gbps / _WIRE_MSG_BITS
-        values = {}
+    def se_handler(i):
+        offset = (i % pages_in_file) * PAGE_SIZE
+        request = runtime.storage.read(file_id, offset, PAGE_SIZE)
+        yield request.done
 
-        values.update(_kernel_tcp_point(rate, duration_s))
-        values.update(_ne_tcp_point(rate, duration_s))
-        sweep.add(gbps, **values)
-    return sweep
+    open_loop(env, rate, se_handler, duration_s)
+    env.run(until=duration_s)
+    return {"dpdpu_host_cores": host_meter.cores(),
+            "dpdpu_dpu_cores": dpu_meter.cores()}
 
 
 def _kernel_tcp_point(rate: float, duration_s: float) -> dict:
@@ -287,28 +253,52 @@ def _ne_tcp_point(rate: float, duration_s: float) -> dict:
     }
 
 
-# -- structured runners for the CLI / artifact ------------------------------
-#
-# One function per experiment id, returning every part (Sweep or
-# dict) the experiment produces, under stable part names.  The CLI
-# renders these generically and ``--json-out`` serializes them into
-# the schema-versioned run artifact (see ``repro.obs.artifact``);
-# durations are the CLI's quick-run defaults.
+# -- rows and assemblies ---------------------------------------------------
 
 
-def fig1_parts() -> dict:
-    """F1: the compression sweep plus the real-bytes checkpoint."""
-    return {
-        "compression": fig1_compression(),
-        "real_bytes_checkpoint": fig1_real_bytes_checkpoint(),
-    }
+def _merged(x_label: str, results: Dict[str, Dict[str, float]]) -> Sweep:
+    """One sweep point per ``x``, from rows named ``{series}.{x}``:
+    each point holds every row's values at its ``x``, in row order."""
+    points: Dict[int, Dict[str, float]] = {}
+    for name, values in results.items():
+        points.setdefault(int(name.partition(".")[2]), {}).update(values)
+    sweep = Sweep(x_label)
+    for x, values in points.items():
+        sweep.add(x, **values)
+    return sweep
 
 
-def fig2_parts() -> dict:
-    """F2: CPU consumption of storage access."""
-    return {"storage_cpu": fig2_storage_cpu(duration_s=0.01)}
+#: Figure 2's rows: the paper's two lines (host cores through the
+#: ``kernel`` and ``io_uring`` paths), ``spdk_host``, and the DPDPU
+#: extension the paper motivates (host and DPU cores of the SE's
+#: offloaded file path), at every page rate
+FIG2_ROWS = {
+    f"{path}.{rate_kpages}": (
+        partial(_se_storage_point, rate=rate_kpages * 1000.0,
+                duration_s=0.01) if path == "dpdpu" else
+        partial(_host_storage_point, rate=rate_kpages * 1000.0,
+                duration_s=0.01, path=path))
+    for rate_kpages in (50, 150, 250, 350, 450)
+    for path in ("kernel", "io_uring", "spdk_host", "dpdpu")
+}
+
+#: Figure 3's rows: host cores running kernel TCP (the paper's
+#: measurement), and the host and Arm cores of the NE's offloaded
+#: stack, at every bandwidth
+FIG3_ROWS = {
+    f"{stack}.{gbps}": partial(point, rate=gbps * Gbps / _WIRE_MSG_BITS,
+                               duration_s=0.005)
+    for gbps in (10, 30, 50, 70, 90)
+    for stack, point in (("kernel", _kernel_tcp_point),
+                         ("ne", _ne_tcp_point))
+}
 
 
-def fig3_parts() -> dict:
-    """F3: CPU consumption of TCP."""
-    return {"network_cpu": fig3_network_cpu(duration_s=0.005)}
+def fig2_parts(results: Dict[str, Dict[str, float]]) -> Dict[str, Sweep]:
+    """F2: CPU consumption of storage access vs throughput."""
+    return {"storage_cpu": _merged("kpages_per_s", results)}
+
+
+def fig3_parts(results: Dict[str, Dict[str, float]]) -> Dict[str, Sweep]:
+    """F3: CPU consumption of TCP at increasing bandwidth."""
+    return {"network_cpu": _merged("gbps", results)}

@@ -41,10 +41,10 @@ from typing import Dict, Optional, Tuple
 
 from ..obs import (ClusterTelemetry, FlightRecorder, SloMonitor,
                    SloSpec, merge_chrome_events)
-from .harness import ROWS, run_cluster, tally
+from .harness import Row, run_cluster, tally
 from ..sim.stats import fold_sum
 
-__all__ = ["obs_parts", "default_slos", "incident_plane"]
+__all__ = ["obs_unit", "default_slos", "incident_plane"]
 
 SCRAPE_INTERVAL_S = 5e-4
 RETAIN_S = 2e-3
@@ -128,15 +128,15 @@ def _merged_connectivity(plane: ClusterTelemetry) -> Dict[str, float]:
     }
 
 
-def obs_parts(telemetry: Optional[ClusterTelemetry]
-              ) -> Dict[str, object]:
-    """OB: the full observability experiment for the artifact.
+def obs_unit(_name: str, row: Row, telemetry: Optional[ClusterTelemetry]
+             ) -> Dict[str, object]:
+    """OB: the observability experiment's one row, the incident, and
+    every part it reports.
 
     The experiment always observes itself (:func:`incident_plane`),
     and every reported value is simulated either way.
     """
     plane = incident_plane(telemetry, "obs")
-    row = ROWS["obs"]["incident"]
     observed = tally(run_cluster(row, plane).clients)
     fault_start_s = row.crash[1]
 

@@ -30,8 +30,9 @@ Parts:
   every misdirected sub-query rides the existing DPU-side forwarding
   path and the answer still matches a fresh coordinator's truth.
 
-Everything is seeded; repeated runs and ``--jobs N`` runs stay
-byte-identical.
+Each part is one row of ``python -m repro.bench``.  Everything is
+seeded and every deployment listens on its own ports; repeated runs
+and ``--jobs N`` runs stay byte-identical.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from ..units import Gbps
 from .harness import Sweep
 from ..sim.stats import fold_sum
 
-__all__ = ["query_parts", "scatter_scaling", "planner_regimes",
-           "identity_matrix", "stale_routing"]
+__all__ = ["scatter_scaling", "planner_regimes", "identity_matrix",
+           "stale_routing"]
 
 #: scatter sweep: table and fabric held fixed while nodes vary
 SCATTER_NODES: Tuple[int, ...] = (1, 2, 4, 8)
@@ -233,14 +234,4 @@ def stale_routing() -> Dict[str, float]:
             1.0 if _exact(misdirected["result"],
                           truth["result"]) else 0.0,
         "sub_queries": float(len(stale.partitions)),
-    }
-
-
-def query_parts() -> Dict[str, object]:
-    """All Q parts, artifact-ready."""
-    return {
-        "scatter": scatter_scaling(),
-        "planner": planner_regimes(),
-        "identity": identity_matrix(),
-        "routing": stale_routing(),
     }

@@ -22,8 +22,9 @@ Parts:
   cluster-level analogue of the AV experiment.
 
 Every simulation is a row of ``ROWS["scale"]``
-(:mod:`repro.bench.harness`): four sweep points, three triptych runs
-and three rack points, each one unit of ``--jobs N``.  Everything is
+(:mod:`repro.bench.harness`): four sweep points, three triptych runs,
+three rack points and the host-served baseline node the ``tco`` part
+prices, each one unit of ``--jobs N``.  Everything is
 seeded and hashed with crc32 (via :func:`repro.cluster.stable_hash`),
 so those runs stay byte-identical.
 """
@@ -33,8 +34,8 @@ from __future__ import annotations
 from typing import Dict
 
 from ..cluster import ShardMap
-from .experiments_system import LINE_RATE_MSGS_PER_S, _s9_point
-from .harness import READ_FRACTION, ROWS, Row, Sweep, run_cluster, tally
+from .experiments_system import LINE_RATE_MSGS_PER_S
+from .harness import Sweep, run_cluster, tally
 from .tco import storage_server_cost
 from ..sim.stats import fold_sum
 
@@ -93,14 +94,18 @@ def _triptych(run) -> Dict[str, float]:
     }
 
 
-def scale_unit(name: str, row: Row, telemetry) -> Dict[str, float]:
+def scale_unit(name: str, row, telemetry) -> Dict[str, float]:
     """Run one ``scale`` row; the numbers its part reads.
 
-    ``telemetry`` (a :class:`~repro.obs.plane.ClusterTelemetry`, from
-    ``--trace-out``) watches the ``rebalance`` row only — one plane
-    observes exactly one cluster, and that run is the interesting
-    one: it carries forwarded, failed-over, and migration traces.
+    ``baseline`` is a single-node row, the host-served server the
+    cluster replaces.  ``telemetry`` (a
+    :class:`~repro.obs.plane.ClusterTelemetry`, from ``--trace-out``)
+    watches the ``rebalance`` row only — one plane observes exactly
+    one cluster, and that run is the interesting one: it carries
+    forwarded, failed-over, and migration traces.
     """
+    if name == "baseline":
+        return row()
     run = run_cluster(row, telemetry if name == "rebalance" else None)
     return _point(run) if row.meter else _triptych(run)
 
@@ -144,13 +149,10 @@ def scale_parts(results: Dict[str, Dict]) -> Dict[str, object]:
     :func:`scale_unit`'s results keyed by row."""
     # The conventional fleet the sweep replaces: N host-served nodes
     # at the same per-node rate (single-node measurement, scaled).
-    sweep_row = ROWS["scale"]["goodput.1"]
-    baseline = _s9_point(sweep_row.rate, sweep_row.duration_s, "kv",
-                         READ_FRACTION, n_connections=4,
-                         use_dds=False)
-    line_scale = LINE_RATE_MSGS_PER_S / sweep_row.rate
+    line_scale = (LINE_RATE_MSGS_PER_S
+                  / results["goodput.1"]["offered_ops_per_s"])
     baseline_node_dollars = storage_server_cost(
-        baseline["host_cores"] * line_scale, uses_dpu=False)
+        results["baseline"]["host_cores"] * line_scale, uses_dpu=False)
     goodput = Sweep("nodes")
     tco = Sweep("nodes")
     rack: Dict[str, Dict[str, float]] = {}

@@ -11,13 +11,13 @@ server under FASTER-like (KV) and page-server request mixes.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from functools import partial
+from typing import Dict
 
 from ..baselines import HostServedStorage, make_host_rdma_node
 from ..baselines.host_tcp import make_kernel_tcp
 from ..buffers import SynthBuffer
-from ..core import (DdsClient, DpdpuRuntime, encode_log_replay,
-                    encode_read, encode_write)
+from ..core import DdsClient, DpdpuRuntime
 from ..hardware import (
     BLUEFIELD2,
     GENERIC_DPU,
@@ -27,19 +27,17 @@ from ..hardware import (
 )
 from ..sim import Environment
 from ..units import Gbps, MiB, PAGE_SIZE
-from ..workloads import PageServerWorkload, YcsbWorkload, KvStoreIndex, open_loop
-from .harness import CoreMeter, Sweep
+from .harness import Sweep, s9_point
+from .tco import storage_server_cost
 from ..sim.stats import fold_sum
 
 __all__ = [
     "fig6_sproc",
+    "fig6_configs",
     "fig7_rdma",
     "fig8_dds_latency",
-    "s9_dds_cores",
     "LINE_RATE_MSGS_PER_S",
-    "fig6_parts",
-    "fig7_parts",
-    "fig8_parts",
+    "S9_ROWS",
     "s9_parts",
 ]
 
@@ -149,6 +147,20 @@ def fig6_sproc(profile: DpuProfile = BLUEFIELD2,
     return outcome
 
 
+def fig6_configs(telemetry) -> Dict[str, Dict[str, float]]:
+    """F6: the sproc under each execution mode / profile.
+
+    Tracing covers the first configuration only: one Telemetry
+    adopts one runtime's instruments (duplicate-name protection).
+    """
+    return {
+        "bf2/specified": fig6_sproc(BLUEFIELD2, "specified",
+                                    telemetry=telemetry),
+        "bf2/scheduled": fig6_sproc(BLUEFIELD2, "scheduled"),
+        "generic/fallback": fig6_sproc(GENERIC_DPU, "specified"),
+    }
+
+
 # ---------------------------------------------------------------- F7
 
 
@@ -242,11 +254,11 @@ def fig7_rdma() -> Dict[str, float]:
 FIG8_READS = 200
 
 
-def fig8_dds_latency(telemetry=None) -> Dict[str, float]:
+def fig8_dds_latency(telemetry) -> Dict[str, float]:
     """Figure 8: remote 8 KiB read latency, host path vs DDS path.
 
-    Pass a fresh :class:`~repro.obs.Telemetry` to trace the DDS path
-    (the host-path baseline runs untraced either way).
+    A fresh :class:`~repro.obs.Telemetry` traces the DDS path (the
+    host-path baseline runs untraced either way); None traces nothing.
     """
     out: Dict[str, float] = {}
 
@@ -294,166 +306,44 @@ def fig8_dds_latency(telemetry=None) -> Dict[str, float]:
 # ---------------------------------------------------------------- S9
 
 
-def s9_dds_cores(
-    rates_kreq: Sequence[int] = (100, 200, 300, 400),
-    duration_s: float = 0.02,
-    workload: str = "pageserver",
-    read_fraction: float = 0.9,
-) -> Sweep:
-    """Section 9: host cores consumed with and without DDS.
+#: S9's rows: host cores consumed with and without DDS, per request
+#: mix and rate, each one :func:`~repro.bench.harness.s9_point`
+S9_ROWS = {
+    f"{workload}.{arm}.{rate_kreq}": partial(
+        s9_point, rate=rate_kreq * 1000.0, duration_s=0.01,
+        workload=workload, read_fraction=read_fraction, n_connections=8,
+        use_dds=arm == "dds")
+    for workload, read_fraction in (("pageserver", 0.9), ("kv", 0.95))
+    for rate_kreq in (100, 200, 300, 400)
+    for arm in ("host", "dds")
+}
 
-    Sweeps request rate; series: ``baseline_host_cores``,
-    ``dds_host_cores``, ``dds_dpu_cores``, ``cores_saved`` and the
-    line-rate extrapolation ``cores_saved_at_line_rate``.
-    """
-    if workload not in ("pageserver", "kv"):
-        raise ValueError(f"unknown workload {workload!r}")
-    sweep = Sweep("kreq_per_s")
-    for rate_kreq in rates_kreq:
-        rate = rate_kreq * 1000.0
-        baseline = _s9_point(rate, duration_s, workload, read_fraction,
-                             n_connections=8, use_dds=False)
-        dds = _s9_point(rate, duration_s, workload, read_fraction,
-                        n_connections=8, use_dds=True)
+
+def s9_parts(results: Dict[str, Dict[str, float]]) -> Dict[str, Sweep]:
+    """S9: host cores with and without DDS, one sweep per request mix,
+    with the cores saved extrapolated to line rate and both servers
+    priced there."""
+    parts: Dict[str, Sweep] = {}
+    for name, baseline in results.items():
+        workload, arm, rate_kreq = name.split(".")
+        if arm != "host":
+            continue
+        dds = results[f"{workload}.dds.{rate_kreq}"]
         saved = baseline["host_cores"] - dds["host_cores"]
         # Cost side of the claim: price both servers at NIC line rate
         # (where the "10s of cores" live), scaling the measured
         # per-request core costs.
-        from .tco import storage_server_cost
-        scale = LINE_RATE_MSGS_PER_S / rate
-        baseline_line_cost = storage_server_cost(
-            baseline["host_cores"] * scale, uses_dpu=False
-        )
-        dds_line_cost = storage_server_cost(
-            dds["host_cores"] * scale, uses_dpu=True
-        )
-        sweep.add(
-            rate_kreq,
+        scale = LINE_RATE_MSGS_PER_S / (int(rate_kreq) * 1000.0)
+        parts.setdefault(workload, Sweep("kreq_per_s")).add(
+            int(rate_kreq),
             baseline_host_cores=baseline["host_cores"],
             dds_host_cores=dds["host_cores"],
             dds_dpu_cores=dds["dpu_cores"],
             cores_saved=saved,
             cores_saved_at_line_rate=saved * scale,
-            line_rate_baseline_dollars_hr=baseline_line_cost,
-            line_rate_dds_dollars_hr=dds_line_cost,
+            line_rate_baseline_dollars_hr=storage_server_cost(
+                baseline["host_cores"] * scale, uses_dpu=False),
+            line_rate_dds_dollars_hr=storage_server_cost(
+                dds["host_cores"] * scale, uses_dpu=True),
         )
-    return sweep
-
-
-def _make_requests(workload: str, read_fraction: float, count: int,
-                   file_id: int):
-    """Pre-generate the encoded request stream for one S9 point."""
-    if workload == "pageserver":
-        generator = PageServerWorkload(
-            database_pages=(256 * MiB) // PAGE_SIZE,
-            read_fraction=read_fraction,
-            replay_working_set_bytes=32 * MiB,
-            seed=13,
-        )
-        encoded = []
-        for request in generator.requests(count):
-            if request.kind == "get_page":
-                encoded.append(encode_read(file_id, request.offset,
-                                           request.size))
-            else:
-                encoded.append(encode_log_replay(
-                    file_id, request.offset, request.size,
-                    working_set=request.working_set,
-                ))
-        return encoded
-    index = KvStoreIndex(n_keys=100_000)
-    ycsb = YcsbWorkload(index, read_fraction=read_fraction, seed=13)
-    encoded = []
-    for op in ycsb.ops(count):
-        offset = op.offset % (192 * MiB)
-        if op.kind == "get":
-            encoded.append(encode_read(file_id, offset, op.size))
-        else:
-            encoded.append(encode_write(file_id, offset, op.size))
-    return encoded
-
-
-def _s9_point(rate: float, duration_s: float, workload: str,
-              read_fraction: float, n_connections: int,
-              use_dds: bool) -> Dict[str, float]:
-    env = Environment()
-    storage = make_server(env, name="storage", dpu_profile=BLUEFIELD2)
-    client_machine = make_server(env, name="client", dpu_profile=None)
-    connect(storage, client_machine)
-    dds_server = None
-    if use_dds:
-        runtime = DpdpuRuntime(storage, se_ring_capacity=1 << 16)
-        file_id = runtime.storage.create("db", size=256 * MiB)
-        dds_server = runtime.dds(port=9200)
-        dpu_cpu = storage.dpu.cpu
-    else:
-        served = HostServedStorage(storage, port=9200)
-        file_id = served.create_file("db", 256 * MiB)
-        dpu_cpu = None
-    client_tcp = make_kernel_tcp(client_machine, "c-tcp")
-    count = int(rate * duration_s)
-    requests = _make_requests(workload, read_fraction, count, file_id)
-    clients = []
-
-    def setup():
-        for _ in range(n_connections):
-            connection = yield from client_tcp.connect(9200)
-            clients.append(DdsClient(connection))
-
-    env.run(until=env.process(setup()))
-    host_meter = CoreMeter(storage.host_cpu)
-    host_meter.start()
-    dpu_meter = CoreMeter(dpu_cpu) if dpu_cpu else None
-    if dpu_meter:
-        dpu_meter.start()
-
-    def handler(i):
-        # Open loop: submit is asynchronous and nothing joins on the
-        # request here, so no per-arrival process is needed.
-        clients[i % n_connections].submit(requests[i % len(requests)])
-
-    start = env.now
-    open_loop(env, rate, handler, duration_s)
-    env.run(until=start + duration_s)
-    return {
-        "host_cores": host_meter.cores(),
-        "dpu_cores": dpu_meter.cores() if dpu_meter else 0.0,
-        "offload_fraction": (dds_server.offload_fraction
-                             if dds_server else 0.0),
-    }
-
-
-# -- structured runners for the CLI / artifact ------------------------------
-
-
-def fig6_parts(telemetry) -> Dict[str, Dict[str, float]]:
-    """F6: the sproc under each execution mode / profile.
-
-    Tracing covers the first configuration only: one Telemetry
-    adopts one runtime's instruments (duplicate-name protection).
-    """
-    return {"sproc": {
-        "bf2/specified": fig6_sproc(BLUEFIELD2, "specified",
-                                    telemetry=telemetry),
-        "bf2/scheduled": fig6_sproc(BLUEFIELD2, "scheduled"),
-        "generic/fallback": fig6_sproc(GENERIC_DPU, "specified"),
-    }}
-
-
-def fig7_parts() -> Dict[str, Dict[str, float]]:
-    """F7: RDMA issuing, native host vs NE-offloaded."""
-    return {"rdma": fig7_rdma()}
-
-
-def fig8_parts(telemetry) -> Dict[str, Dict[str, float]]:
-    """F8: remote-read latency, host path vs DDS path."""
-    return {"dds_latency": fig8_dds_latency(telemetry=telemetry)}
-
-
-def s9_parts() -> Dict[str, Sweep]:
-    """S9: DDS cores saved under both request mixes."""
-    return {
-        "pageserver": s9_dds_cores(duration_s=0.01),
-        "kv": s9_dds_cores(duration_s=0.01, workload="kv",
-                           read_fraction=0.95),
-    }
+    return parts

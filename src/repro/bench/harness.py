@@ -5,18 +5,23 @@ fresh simulation, drive a workload, and read metrics out of the
 hardware models.  The helpers here are the one copy of the repetitive
 parts: measuring "cores consumed" over exactly the measurement window
 (:class:`CoreMeter`), the sweep container the artifact serializes
-(:class:`Sweep`), and the cluster simulations.
+(:class:`Sweep`), the storage-server point ``s9``, ``a5`` and
+``scale`` run (:func:`s9_point`), and the cluster simulations.
 
-Every multi-node simulation (``scale``, ``obs``/``attr``, ``slo``) is
-one frozen :class:`Row` of :data:`ROWS`, run by :func:`run_cluster`,
-the one place a cluster scenario is assembled.  Same-instant events
+Every simulation is a row naming every input.  A single-node row is a
+keyword :func:`functools.partial` of its point function, whose
+signature is the row's schema (:func:`run_point`).  Every multi-node
+simulation (``scale``, ``obs``/``attr``, ``slo``) is one frozen
+:class:`Row` of :data:`ROWS`, run by :func:`run_cluster`, the one
+place a cluster scenario is assembled.  Same-instant events
 fire in creation order, so the assembly order is part of every
 simulated number ``--identity`` holds.  A row names its shape (nodes,
 clients, rate, windows, crash) and its ``setup`` and ``load`` hooks,
 module-level functions so a row pickles whole; an experiment reads
 the outcomes back (:func:`tally`) and ``--jobs N`` hands its rows out
 one at a time.  A test that needs a smaller scenario replaces a row
-(:func:`dataclasses.replace`) instead of patching a constant.
+(:func:`dataclasses.replace`, or a partial's keywords) instead of
+patching a constant.
 """
 
 from __future__ import annotations
@@ -25,24 +30,30 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..baselines import HostServedStorage
+from ..baselines.host_tcp import make_kernel_tcp
 from ..cluster import (AutoscalePolicy, Autoscaler, Cluster,
                        ClusterClient, Rebalancer, encode_shard_read,
                        encode_shard_write, stable_hash)
-from ..core import AdmissionController
+from ..core import (AdmissionController, DdsClient, DpdpuRuntime,
+                    encode_log_replay, encode_read, encode_write)
 from ..core.tenancy import TenantRegistry
 from ..faults import FaultInjector, FaultPlan
+from ..hardware import BLUEFIELD2, connect, make_server
 from ..hardware.cpu import CpuCluster
 from ..obs import SloMonitor, SloSpec
 from ..sim import Environment
-from ..units import PAGE_SIZE
+from ..units import MiB, PAGE_SIZE
+from ..workloads import KvStoreIndex, PageServerWorkload, YcsbWorkload
 from ..workloads.arrivals import (ParetoSizes, TenantMix, arrival_count,
                                   flash_crowd, mmpp_arrivals, open_loop,
                                   poisson_arrivals)
 from ..sim.stats import fold_sum
 
 __all__ = ["CoreMeter", "SweepRow", "Sweep", "READ_FRACTION",
-           "ClusterRun", "Row", "run_cluster", "ROWS", "homed",
-           "open_load", "shard_stream", "submit_handler", "tally"]
+           "run_point", "run_traced_point", "s9_point", "ClusterRun",
+           "Row", "run_cluster", "ROWS", "homed", "open_load",
+           "shard_stream", "submit_handler", "tally"]
 
 #: share of every cluster request stream that reads (the rest write)
 READ_FRACTION = 0.9
@@ -102,6 +113,108 @@ class Sweep:
             "rows": [{"x": row.x, "values": dict(row.values)}
                      for row in self.rows],
         }
+
+
+# -- single-node rows --------------------------------------------------------
+
+
+def run_point(_name: str, row: partial, _telemetry) -> object:
+    """Run a single-node row: a keyword partial of its point function."""
+    return row()
+
+
+def run_traced_point(_name: str, row: partial, telemetry) -> object:
+    """Run a single-node row whose point function takes the unit's
+    telemetry (None unless ``--trace-out`` / ``--attr-out``)."""
+    return row(telemetry=telemetry)
+
+
+def _s9_requests(workload: str, read_fraction: float, count: int,
+                 file_id: int):
+    """Pre-generate the encoded request stream for one S9 point."""
+    if workload == "pageserver":
+        generator = PageServerWorkload(
+            database_pages=(256 * MiB) // PAGE_SIZE,
+            read_fraction=read_fraction,
+            replay_working_set_bytes=32 * MiB,
+            seed=13,
+        )
+        encoded = []
+        for request in generator.requests(count):
+            if request.kind == "get_page":
+                encoded.append(encode_read(file_id, request.offset,
+                                           request.size))
+            else:
+                encoded.append(encode_log_replay(
+                    file_id, request.offset, request.size,
+                    working_set=request.working_set,
+                ))
+        return encoded
+    index = KvStoreIndex(n_keys=100_000)
+    ycsb = YcsbWorkload(index, read_fraction=read_fraction, seed=13)
+    encoded = []
+    for op in ycsb.ops(count):
+        offset = op.offset % (192 * MiB)
+        if op.kind == "get":
+            encoded.append(encode_read(file_id, offset, op.size))
+        else:
+            encoded.append(encode_write(file_id, offset, op.size))
+    return encoded
+
+
+def s9_point(rate: float, duration_s: float, workload: str,
+             read_fraction: float, n_connections: int,
+             use_dds: bool) -> Dict[str, float]:
+    """One storage server under an open-loop ``"pageserver"`` or
+    ``"kv"`` mix, served through DDS or by the host alone: host and
+    DPU cores over the load window and the share DDS offloaded."""
+    if workload not in ("pageserver", "kv"):
+        raise ValueError(f"unknown workload {workload!r}")
+    env = Environment()
+    storage = make_server(env, name="storage", dpu_profile=BLUEFIELD2)
+    client_machine = make_server(env, name="client", dpu_profile=None)
+    connect(storage, client_machine)
+    dds_server = None
+    if use_dds:
+        runtime = DpdpuRuntime(storage, se_ring_capacity=1 << 16)
+        file_id = runtime.storage.create("db", size=256 * MiB)
+        dds_server = runtime.dds(port=9200)
+        dpu_cpu = storage.dpu.cpu
+    else:
+        served = HostServedStorage(storage, port=9200)
+        file_id = served.create_file("db", 256 * MiB)
+        dpu_cpu = None
+    client_tcp = make_kernel_tcp(client_machine, "c-tcp")
+    count = int(rate * duration_s)
+    requests = _s9_requests(workload, read_fraction, count, file_id)
+    clients = []
+
+    def setup():
+        for _ in range(n_connections):
+            connection = yield from client_tcp.connect(9200)
+            clients.append(DdsClient(connection))
+
+    env.run(until=env.process(setup()))
+    host_meter = CoreMeter(storage.host_cpu)
+    host_meter.start()
+    dpu_meter = CoreMeter(dpu_cpu) if dpu_cpu else None
+    if dpu_meter:
+        dpu_meter.start()
+
+    def handler(i):
+        # Open loop: submit is asynchronous and nothing joins on the
+        # request here, so no per-arrival process is needed.
+        clients[i % n_connections].submit(requests[i % len(requests)])
+
+    start = env.now
+    open_loop(env, rate, handler, duration_s)
+    env.run(until=start + duration_s)
+    return {
+        "host_cores": host_meter.cores(),
+        "dpu_cores": dpu_meter.cores() if dpu_meter else 0.0,
+        "offload_fraction": (dds_server.offload_fraction
+                             if dds_server else 0.0),
+    }
 
 
 # -- the cluster simulations -------------------------------------------------
@@ -539,7 +652,8 @@ _SCALE = replace(_TRIPTYCH, nodes=1, clients=homed(1, 1),
 _RACK = {n: max(8, n // 8) for n in (8, 64, 128)}
 
 #: every cluster simulation, grouped by the experiment that reads it
-ROWS: Dict[str, Dict[str, Row]] = {
+#: (and ``scale``'s single-node baseline beside its cluster rows)
+ROWS: Dict[str, Dict[str, object]] = {
     "slo": {
         "flash_crowd-p": replace(_FLASH, setup=_scaler(2, 4, 1.0e-3, 2)),
         "flash_crowd-u": _FLASH,
@@ -577,6 +691,12 @@ ROWS: Dict[str, Dict[str, Row]] = {
                                 rate=25_000.0 * n / c,
                                 load=partial(open_load, 47, "rack"))
            for n, c in _RACK.items()},
+        # the conventional fleet the sweep replaces: one host-served
+        # node at the sweep's per-node rate (the TCO's baseline)
+        "baseline": partial(s9_point, rate=_SCALE.rate,
+                            duration_s=_SCALE.duration_s, workload="kv",
+                            read_fraction=READ_FRACTION, n_connections=4,
+                            use_dds=False),
     },
     # the obs/attr incident: the triptych's rebalancing run on three
     # nodes, more stale-routed

@@ -476,8 +476,8 @@ class Tracer:
 
         Spans become complete (``"ph": "X"``) events, one track
         (``tid``) per local tree; metadata (``"ph": "M"``) names the
-        process after :attr:`node` and each track after its root span.
-        ``ids`` maps local span ids to exported ones, and ``peers``
+        process after :attr:`node` and each track after its root span
+        and that span's exported id.  ``ids`` maps local span ids to exported ones, and ``peers``
         holds every merged node's such map by node name, so a
         ``remote_parent`` ref becomes the exported id of the span it
         names.  A tracer with nothing recorded exports no events.
@@ -529,7 +529,7 @@ class Tracer:
         for tid, head in enumerate(heads, start=1):
             metadata.append({
                 "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
-                "args": {"name": f"{head.name}#{head.span_id}"},
+                "args": {"name": f"{head.name}#{ids[head.span_id]}"},
             })
         return metadata + events
 

@@ -2,29 +2,37 @@
 
 The full suite is ``python -m repro.bench``, and the claims in
 ``repro/obs/claims.py`` assert its results.  Here an experiment that
-costs well under a second runs at full size; the sweeps that cost
-more (F2, F3, S9, A5) run reduced, so a broken experiment fails in the
+costs well under a second runs at full size; a sweep (F2, F3, S9, A5)
+runs one of its rows, shortened, so a broken experiment fails in the
 unit suite, not only in the long bench run.
 """
+
+from functools import partial
 
 import pytest
 
 from repro.bench import (
+    A5_ROWS,
+    FIG2_ROWS,
+    FIG3_ROWS,
+    S9_ROWS,
     ablation_caching,
-    ablation_partial_offload,
     ablation_persistence,
     ablation_portability,
     ablation_scheduling,
     fig1_compression,
     fig1_real_bytes_checkpoint,
-    fig2_storage_cpu,
-    fig3_network_cpu,
     fig6_sproc,
     fig7_rdma,
     fig8_dds_latency,
-    s9_dds_cores,
 )
 from repro.hardware import BLUEFIELD2, GENERIC_DPU
+
+
+def _row(rows, name, **changes):
+    """Run the row ``rows[name]`` with some of its inputs replaced."""
+    row = rows[name]
+    return partial(row.func, **{**row.keywords, **changes})()
 
 
 class TestMicroExperiments:
@@ -39,17 +47,21 @@ class TestMicroExperiments:
         assert outcome["ratio"] > 2.0
 
     def test_fig2_point(self):
-        sweep = fig2_storage_cpu(rates_kpages=(100,), duration_s=0.005)
-        row = sweep.rows[0]
+        kernel = _row(FIG2_ROWS, "kernel.150", rate=100_000.0,
+                      duration_s=0.005)
+        dpdpu = _row(FIG2_ROWS, "dpdpu.150", rate=100_000.0,
+                     duration_s=0.005)
         # ~18 K cycles * 100 K/s / 3 GHz = 0.6 cores.
-        assert row["kernel_cores"] == pytest.approx(0.6, rel=0.1)
-        assert row["dpdpu_host_cores"] < 0.1
+        assert kernel["kernel_cores"] == pytest.approx(0.6, rel=0.1)
+        assert dpdpu["dpdpu_host_cores"] < 0.1
 
     def test_fig3_point(self):
-        sweep = fig3_network_cpu(gbps_points=(20,), duration_s=0.004)
-        row = sweep.rows[0]
-        assert row["kernel_tx_cores"] > 1.0
-        assert row["ne_host_cores"] < row["kernel_tx_cores"] / 4
+        rate = FIG3_ROWS["kernel.10"].keywords["rate"] * 2    # 20 Gbps
+        kernel = _row(FIG3_ROWS, "kernel.10", rate=rate,
+                      duration_s=0.004)
+        ne = _row(FIG3_ROWS, "ne.10", rate=rate, duration_s=0.004)
+        assert kernel["kernel_tx_cores"] > 1.0
+        assert ne["ne_host_cores"] < kernel["kernel_tx_cores"] / 4
 
 
 class TestSystemExperiments:
@@ -75,23 +87,22 @@ class TestSystemExperiments:
         assert outcome["host_cycles_saved_factor"] > 3.0
 
     def test_fig8_dds_wins(self):
-        outcome = fig8_dds_latency()
+        outcome = fig8_dds_latency(None)
         assert outcome["dds_mean_s"] < outcome["host_path_mean_s"]
 
     def test_s9_point(self):
-        sweep = s9_dds_cores(rates_kreq=(100,), duration_s=0.005)
-        row = sweep.rows[0]
-        assert row["baseline_host_cores"] > row["dds_host_cores"]
-        assert row["cores_saved"] > 0
+        baseline = _row(S9_ROWS, "pageserver.host.100", duration_s=0.005)
+        dds = _row(S9_ROWS, "pageserver.dds.100", duration_s=0.005)
+        assert baseline["host_cores"] > dds["host_cores"]
 
     def test_s9_kv_workload(self):
-        sweep = s9_dds_cores(rates_kreq=(100,), duration_s=0.005,
-                             workload="kv")
-        assert sweep.rows[0]["cores_saved"] > 0
+        baseline = _row(S9_ROWS, "kv.host.100", duration_s=0.005)
+        dds = _row(S9_ROWS, "kv.dds.100", duration_s=0.005)
+        assert baseline["host_cores"] > dds["host_cores"]
 
     def test_s9_rejects_bad_workload(self):
         with pytest.raises(ValueError):
-            s9_dds_cores(workload="oltp")
+            _row(S9_ROWS, "kv.dds.100", workload="oltp")
 
 
 class TestAblations:
@@ -116,12 +127,9 @@ class TestAblations:
         assert outcome["speedup"] > 1.5
 
     def test_partial_offload_tracks_mix(self):
-        sweep = ablation_partial_offload(read_fractions=(1.0, 0.5),
-                                         rate_kreq=80,
-                                         duration_s=0.005)
-        assert sweep.rows[0]["offload_fraction"] == pytest.approx(
-            1.0, abs=0.05
-        )
-        assert sweep.rows[1]["offload_fraction"] == pytest.approx(
-            0.5, abs=0.1
-        )
+        def offloaded(name):
+            return _row(A5_ROWS, name, rate=80_000.0,
+                        duration_s=0.005)["offload_fraction"]
+
+        assert offloaded("dds.1.0") == pytest.approx(1.0, abs=0.05)
+        assert offloaded("dds.0.5") == pytest.approx(0.5, abs=0.1)

@@ -3,11 +3,12 @@
 import json
 import pickle
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from repro.bench.__main__ import _run_unit, _units, main
+from repro.bench.__main__ import EXPERIMENTS, _run_unit, _units, main
 from repro.bench.harness import ROWS
 from repro.obs.artifact import load_artifact, strip_volatile
 
@@ -16,9 +17,15 @@ from repro.obs.artifact import load_artifact, strip_volatile
 SUBSET = ["a4", "a6", "fig8"]
 
 
+def _use_rows(monkeypatch, key, rows):
+    """Run experiment ``key`` over ``rows`` instead of its own."""
+    monkeypatch.setitem(EXPERIMENTS, key,
+                        EXPERIMENTS[key]._replace(rows=rows))
+
+
 @pytest.fixture
 def small_slo(monkeypatch):
-    """``slo``, the row experiment, with every row's load window and
+    """``slo``, a cluster experiment, with every row's load window and
     drain at a twenty-fifth: ten small units for the pool to hand out.
     The failover rows go to a fiftieth, so their whole run ends before
     node1's crash starts: a crash row runs at any length."""
@@ -29,14 +36,29 @@ def small_slo(monkeypatch):
     rows = {name: shrunk(row, 25) for name, row in ROWS["slo"].items()}
     for name in ("regional_failover-p", "regional_failover-u"):
         rows[name] = shrunk(ROWS["slo"][name], 50)
-    monkeypatch.setitem(ROWS, "slo", rows)
+    _use_rows(monkeypatch, "slo", rows)
+
+
+@pytest.fixture
+def small_points(monkeypatch):
+    """``s9`` and ``fig3``, single-node sweeps, cut to their rows at
+    100 kreq/s and at 10 and 30 Gbps, each at a fiftieth of its load
+    window: eight small units."""
+    for key, kept in (("s9", (".100",)), ("fig3", (".10", ".30"))):
+        _use_rows(monkeypatch, key, {
+            name: partial(row.func, **{
+                **row.keywords,
+                "duration_s": row.keywords["duration_s"] / 50})
+            for name, row in EXPERIMENTS[key].rows.items()
+            if name.endswith(kept)})
 
 
 @pytest.fixture
 def small_scale(monkeypatch):
-    """``scale`` cut to six small rows: its traced row, ``rebalance``,
-    at a third of its window and drain and 10 000 ops/s (node1 still
-    crashes, in the drain), the other five at a 0.1 ms window."""
+    """``scale`` cut to seven small rows: its traced row,
+    ``rebalance``, at a third of its window and drain and 10 000 ops/s
+    (node1 still crashes, in the drain), the host-served baseline as
+    it is, and the other five at a 0.1 ms window."""
     rows = ROWS["scale"]
     shrunk = {name: replace(rows[name], duration_s=1e-4)
               for name in ("goodput.1", "goodput.2", "fault_free",
@@ -45,7 +67,8 @@ def small_scale(monkeypatch):
     shrunk["rebalance"] = replace(traced, rate=10_000.0,
                                   duration_s=traced.duration_s / 3,
                                   drain_s=traced.drain_s / 3)
-    monkeypatch.setitem(ROWS, "scale", shrunk)
+    shrunk["baseline"] = rows["baseline"]
+    _use_rows(monkeypatch, "scale", shrunk)
 
 
 #: the blessed artifact the CLI is pointed at in CI
@@ -67,16 +90,17 @@ class TestJobsRunner:
         assert document["total_wall_clock_s"] > 0
 
     def test_parallel_matches_sequential_byte_for_byte(
-            self, tmp_path, small_slo, small_scale):
-        # slo's and scale's rows land on both workers, in whatever
-        # order they finish; the parts are assembled in row order, and
-        # the traced units' (fig8's, scale's rebalance row's) exports
-        # are written in unit order, all the same
+            self, tmp_path, small_slo, small_points, small_scale):
+        # the rows of slo, s9, fig3 and scale land on both workers, in
+        # whatever order they finish; the parts are assembled in row
+        # order, and the traced units' (fig8's, scale's rebalance
+        # row's) exports are written in unit order, all the same
         written = []
         for jobs in ("1", "2"):
             run, trace, attr = (tmp_path / f"{name}{jobs}.json"
                                 for name in ("run", "trace", "attr"))
-            assert main(SUBSET + ["slo", "scale", "--jobs", jobs,
+            assert main(SUBSET + ["slo", "s9", "fig3", "scale",
+                                  "--jobs", jobs,
                                   "--json-out", str(run),
                                   "--trace-out", str(trace),
                                   "--attr-out", str(attr)]) == 0
@@ -86,9 +110,10 @@ class TestJobsRunner:
         document = json.loads(written[0][2])
         assert list(document["experiments"]) == ["fig8", "scale"]
 
-    def test_every_unit_result_survives_pickling(self, small_slo):
-        units = _units("slo") + _units("fig8")
-        assert len(units) == len(ROWS["slo"]) + 1
+    def test_every_unit_result_survives_pickling(self, small_slo,
+                                                  small_points):
+        units = _units("slo") + _units("fig8") + _units("s9")[:1]
+        assert len(units) == len(ROWS["slo"]) + 2
         for unit in units:
             result = _run_unit(unit, False)[3]
             assert pickle.loads(pickle.dumps(result)) == result

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench import default_slos, obs_parts
+from repro.bench import default_slos, obs_unit
 from repro.bench.harness import ROWS
 from repro.bench.__main__ import EXPERIMENTS, main
 from repro.obs import ClusterTelemetry
@@ -23,14 +23,13 @@ def plane():
 @pytest.fixture(scope="module")
 def parts(plane):
     """One full obs run for the module."""
-    return obs_parts(plane)
+    return obs_unit("incident", ROWS["obs"]["incident"], plane)
 
 
 class TestRegistration:
     def test_obs_is_a_registered_experiment(self):
         assert "obs" in EXPERIMENTS
-        description, _ = EXPERIMENTS["obs"]
-        assert description.startswith("OB:")
+        assert EXPERIMENTS["obs"].title.startswith("OB:")
 
     def test_default_slos_cover_goodput_and_latency(self):
         specs = default_slos()
@@ -125,8 +124,9 @@ class TestCliTraceOut:
         # a quarter of the load; the untraced rows beside it shrink
         # to two sweep points and one 8-node rack point of a tenth of a
         # millisecond (merely building a 64- or 128-node rack costs
-        # more than the traced scenario).  CI's conformance job traces
-        # the full experiment.
+        # more than the traced scenario), and the host-served baseline
+        # runs as it is.  CI's conformance job traces the full
+        # experiment.
         rows = ROWS["scale"]
         shrunk = {name: replace(rows[name], duration_s=1e-3)
                   for name in ("goodput.1", "goodput.2")}
@@ -134,7 +134,9 @@ class TestCliTraceOut:
                       for mode in ("fault_free", "norebalance",
                                    "rebalance"))
         shrunk["rack.8"] = replace(rows["rack.8"], duration_s=1e-4)
-        monkeypatch.setitem(ROWS, "scale", shrunk)
+        shrunk["baseline"] = rows["baseline"]
+        monkeypatch.setitem(EXPERIMENTS, "scale",
+                            EXPERIMENTS["scale"]._replace(rows=shrunk))
         document = self._run(tmp_path, "scale")
         names = {event["name"]
                  for event in document["traceEvents"]

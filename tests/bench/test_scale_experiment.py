@@ -12,8 +12,7 @@ from repro.workloads.arrivals import arrival_count
 class TestRegistration:
     def test_scale_is_a_registered_experiment(self):
         assert "scale" in EXPERIMENTS
-        description, _ = EXPERIMENTS["scale"]
-        assert description.startswith("SC:")
+        assert EXPERIMENTS["scale"].title.startswith("SC:")
 
 
 class TestStreams:

@@ -95,15 +95,17 @@ def tracers():
 
 
 class TestGoldenDigests:
-    """sha256 of both exports, captured at the parent commit."""
+    """sha256 of both exports, captured at the parent commit;
+    ``MERGED`` and ``SINGLE`` re-pinned when track labels took their
+    head span's exported id."""
 
-    MERGED = ("6bb642f7cce0fb7638d9dc8e6512a03c"
-              "53cc1b07f2b3fef59f35bac39d645770")
+    MERGED = ("7265cf3a3f340394140a255325a736b7"
+              "af89390f5eac95ccacec79659987bdcd")
     REPORT = ("c02e4343d83a6af5a128ebcf0415f671"
               "b88bc95919f6949dc3098510d3e704ab")
     #: one node's export of :func:`_three_requests`
-    SINGLE = ("c711e8bc3897f36603026574937c9b1b"
-              "0f4831262e835cde18d39d97f7c1cc83")
+    SINGLE = ("3aa74a9d66c162f606c9f632b8afddd0"
+              "a7e865a39ae85289e2ed8cf3c4360733")
 
     def test_scenario_covers_the_hard_cases(self, tracers):
         events = merge_chrome_events(tracers)
@@ -126,6 +128,15 @@ class TestGoldenDigests:
             if "cid" in args:
                 args["cid"] = ranks.setdefault(args["cid"], len(ranks))
         assert len(ranks) > 4
+        # each track is labelled with its head span's exported id
+        heads = {}
+        for event in events:
+            if event["ph"] == "X":
+                heads.setdefault((event["pid"], event["tid"]), event)
+        assert {(event["pid"], event["tid"]): event["args"]["name"]
+                for event in events if event["name"] == "thread_name"} \
+            == {track: f"{head['name']}#{head['args']['span_id']}"
+                for track, head in heads.items()}
         assert _sha256(events) == self.MERGED
 
     def test_attribution_report(self, tracers):

@@ -58,7 +58,7 @@ class TestTracedFig8:
         assert open_spans == []
 
     def test_tracing_does_not_perturb_results(self):
-        baseline = fig8_dds_latency()
+        baseline = fig8_dds_latency(None)
         traced = fig8_dds_latency(telemetry=Telemetry(tracing=True))
         metrics_only = fig8_dds_latency(telemetry=Telemetry())
         assert traced == baseline

@@ -38,10 +38,8 @@ come from a closed list:
   reason from a closed list (``REASONS``): (a) a PAPER.md-named
   interface, (b) a known-answer ``algos`` surface, (c) a seam where a
   test substitutes a fake, (d) a ROADMAP item that names its future
-  product caller, (e) a reduced tier-1 sweep of an experiment whose
-  full size costs over 1 s, (f) a guard on degenerate input whose
-  caller is the tier-1 test it names (the execution census's arms
-  only).  An entry the product now sets, or whose
+  product caller, (f) a guard on degenerate input whose caller is the
+  tier-1 test it names (the execution census's arms only).  An entry the product now sets, or whose
   parameter is gone, fails as well.  ``python
   tests/test_kernel_api_traffic.py`` prints the counts.  Dunder
   methods other than ``__init__`` are outside this rule — no call
@@ -222,8 +220,6 @@ REASONS = {
     "b": "a known-answer repro.algos surface",
     "c": "a seam where a test substitutes a fake",
     "d": "a ROADMAP item names its future product caller",
-    "e": "a reduced tier-1 sweep; the full experiment costs over 1 s "
-         "(wall_clock_s in BENCH_baseline.json)",
     "f": "a guard on degenerate input; the named tier-1 test is its caller",
 }
 
@@ -258,17 +254,6 @@ KEPT_PARAMETERS = {
         ("d", "ROADMAP 5(b): the host spill-over knockout"),
     "core/dds.py:DdsServer.__init__(offload_enabled=)":
         ("d", "ROADMAP 5(b): the SE offload-engine knockout"),
-    "bench/experiments_ablation.py:ablation_partial_offload(rate_kreq=)":
-        ("e", "a5 2.1 s"),
-    "bench/experiments_ablation.py:ablation_partial_offload"
-    "(read_fractions=)":
-        ("e", "a5 2.1 s"),
-    "bench/experiments_micro.py:fig2_storage_cpu(rates_kpages=)":
-        ("e", "fig2 1.6 s"),
-    "bench/experiments_micro.py:fig3_network_cpu(gbps_points=)":
-        ("e", "fig3 3.2 s"),
-    "bench/experiments_system.py:s9_dds_cores(rates_kreq=)":
-        ("e", "s9 5.9 s"),
 }
 
 
